@@ -14,20 +14,21 @@ would:
    socket removed.
 
 **Saturation mode** (``--saturation``) measures warm serving throughput —
-closed-loop clients hammering cached keys — on two stacks:
+closed-loop clients hammering cached keys — on the daemon (asyncio loop,
+warm pre-forked pool, memoized resolution, pre-serialized response
+splice).  Gates: a non-zero request rate with warm p99 under
+``P99_GATE_SECONDS``.  It then stands up a 2-shard fleet behind ``repro
+route``, pre-populates it with the real ``repro warm`` CLI, and checks that
+fleet-served warm responses carry the same transformation
+(schedule/tiled/code byte-equal) as single-instance serving.
+``REPRO_BENCH_SCALE=quick`` (CI) shortens the measurement windows; ``full``
+is the default.
 
-1. the seed daemon (``--loop threads --pool spawn``: thread-per-connection
-   accept loop, unmemoized resolution, parse + re-dump responses), and
-2. the current default (asyncio loop, warm pre-forked pool, memoized
-   resolution, pre-serialized response splice).
-
-Gates: the default stack must serve at least ``SPEEDUP_GATE``x the seed's
-requests/s, with warm p99 under ``P99_GATE_SECONDS``.  It then stands up a
-2-shard fleet behind ``repro route``, pre-populates it with the real
-``repro warm`` CLI, and checks that fleet-served warm responses carry the
-same transformation (schedule/tiled/code byte-equal) as single-instance
-serving.  ``REPRO_BENCH_SCALE=quick`` (CI) shortens the measurement
-windows; ``full`` is the default.
+The seed stack this mode used to race (thread-per-connection loop +
+spawn-per-miss pool) is deleted, and with it the relative speedup gate;
+its last measurement is kept in the artifact as :data:`SEED_RECORD`, a
+frozen record, and throughput regressions are guarded by the end-to-end
+benchmark's ``daemon-mixed/request_rps`` instead.
 
 Usage::
 
@@ -61,12 +62,26 @@ CLIENTS = 16
 
 HIT_RATE_GATE = 0.5
 
-#: saturation: the async + warm-pool + memo + splice stack must beat the
-#: seed thread-per-connection daemon by this factor on warm requests/s
-SPEEDUP_GATE = 5.0
-
-#: ... while keeping warm p99 under this (seconds)
+#: saturation: warm p99 must stay under this (seconds)
 P99_GATE_SECONDS = 0.010
+
+#: The deleted seed stack (``--loop threads --pool spawn``), as last
+#: measured — copied into every artifact so the 5.3x that justified
+#: deleting it stays on record.  Frozen: nothing re-measures it.
+SEED_RECORD = {
+    "frozen": True,
+    "stack": "thread-per-connection loop + spawn-per-miss pool (deleted)",
+    "commit": "5dc027a",      # where BENCH_server.json recorded it
+    "date": "2026-08-07",
+    "scale": {"duration": 10.0, "conns": 16},
+    "connections": 16,
+    "seconds": 10.019,
+    "requests": 8862,
+    "rps": 884.5,
+    "p50": 0.016439,
+    "p99": 0.054192,
+    "max": 0.112641,
+}
 
 #: fields of the result payload that are deterministic across independent
 #: computations (timings and solver counters are not)
@@ -77,9 +92,8 @@ DETERMINISTIC_FIELDS = (
 
 
 def _scale() -> dict:
-    # 16 connections is the saturation sweet spot: enough load that the
-    # seed's thread-per-connection contention shows, while the async
-    # loop's warm p99 stays well inside the 10 ms gate
+    # 16 connections: enough load to saturate the loop while its warm p99
+    # stays well inside the 10 ms gate
     if os.environ.get("REPRO_BENCH_SCALE", "full") == "quick":
         return {"duration": 3.0, "conns": 16}
     return {"duration": 10.0, "conns": 16}
@@ -370,27 +384,18 @@ def run_saturation(output: str, jobs: int) -> int:
     scale = _scale()
     print(f"saturation scale: {scale} "
           f"(REPRO_BENCH_SCALE={os.environ.get('REPRO_BENCH_SCALE', 'full')})")
-    stacks = {
-        "seed": ("--loop", "threads", "--pool", "spawn"),
-        "async": (),  # the defaults: async loop + warm pool
-    }
-    measured: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="repro-serve-sat-") as tmp:
-        for name, extra in stacks.items():
-            socket_path = os.path.join(tmp, f"{name}.sock")
-            daemon = _start_daemon(
-                socket_path, os.path.join(tmp, f"cache-{name}"),
-                "--jobs", str(jobs), *extra,
+        socket_path = os.path.join(tmp, "sat.sock")
+        daemon = _start_daemon(
+            socket_path, os.path.join(tmp, "cache-sat"), "--jobs", str(jobs),
+        )
+        try:
+            measured = _measure_warm_throughput(
+                socket_path, scale["duration"], scale["conns"]
             )
-            try:
-                measured[name] = _measure_warm_throughput(
-                    socket_path, scale["duration"], scale["conns"]
-                )
-                print(f"{name}: {measured[name]['rps']} req/s warm, "
-                      f"p99 {measured[name]['p99'] * 1000:.2f} ms")
-            finally:
-                if daemon.poll() is None:
-                    _stop(daemon, socket_path, f"{name} daemon")
+        finally:
+            if daemon.poll() is None:
+                _stop(daemon, socket_path, "saturation daemon")
 
         # fleet identity runs against a freshly warmed single instance
         solo_socket = os.path.join(tmp, "solo.sock")
@@ -408,19 +413,16 @@ def run_saturation(output: str, jobs: int) -> int:
             if solo.poll() is None:
                 _stop(solo, solo_socket, "solo daemon")
 
-    speedup = measured["async"]["rps"] / max(measured["seed"]["rps"], 0.001)
-    p99 = measured["async"]["p99"]
-    print(f"speedup: {speedup:.1f}x (gate {SPEEDUP_GATE}x), "
-          f"async warm p99 {p99 * 1000:.2f} ms "
-          f"(gate {P99_GATE_SECONDS * 1000:.0f} ms)")
+    p99 = measured["p99"]
+    print(f"{measured['rps']} req/s warm, p99 {p99 * 1000:.2f} ms "
+          f"(gate {P99_GATE_SECONDS * 1000:.0f} ms); frozen seed record: "
+          f"{SEED_RECORD['rps']} req/s, p99 {SEED_RECORD['p99'] * 1000:.0f} ms")
 
     artifact = {
         "scale": scale,
         "workloads": WORKLOADS,
         "jobs": jobs,
-        "stacks": measured,
-        "speedup": round(speedup, 2),
-        "speedup_gate": SPEEDUP_GATE,
+        "stacks": {"seed": SEED_RECORD, "async": measured},
         "p99_gate_seconds": P99_GATE_SECONDS,
         "fleet": fleet,
     }
@@ -429,13 +431,11 @@ def run_saturation(output: str, jobs: int) -> int:
     print(f"wrote {output}")
 
     failures = []
-    if speedup < SPEEDUP_GATE:
-        failures.append(
-            f"saturation speedup {speedup:.1f}x below gate {SPEEDUP_GATE}x"
-        )
+    if measured["rps"] <= 0:
+        failures.append("saturation drive measured zero requests/s")
     if p99 >= P99_GATE_SECONDS:
         failures.append(
-            f"async warm p99 {p99 * 1000:.2f} ms over gate "
+            f"warm p99 {p99 * 1000:.2f} ms over gate "
             f"{P99_GATE_SECONDS * 1000:.0f} ms"
         )
     for failure in failures:
@@ -448,9 +448,8 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", default=None)
     parser.add_argument("--jobs", type=int, default=4)
     parser.add_argument("--saturation", action="store_true",
-                        help="measure warm throughput (seed vs async stack) "
-                             "and 2-shard fleet identity instead of the "
-                             "cold/warm smoke")
+                        help="measure warm throughput and 2-shard fleet "
+                             "identity instead of the cold/warm smoke")
     args = parser.parse_args(argv)
     if args.saturation:
         return run_saturation(args.output or "BENCH_server.json", args.jobs)

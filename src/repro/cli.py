@@ -42,6 +42,129 @@ from repro.pipeline import PipelineOptions, optimize
 __all__ = ["main", "build_parser"]
 
 
+#: The pipeline flags shared by ``opt``, ``verify`` and ``client opt``, in
+#: one place: ``(flag, PipelineOptions field, subcommands that take it,
+#: argparse kwargs carrying the *local* default and the help text)``.
+#: ``client opt`` registers the same flags with ``default=None`` — "unset",
+#: so the daemon's own resolution (workload paper flags, then its defaults)
+#: shows through — and :func:`_pipeline_fields` is the one mapping from a
+#: parsed namespace to ``PipelineOptions`` fields for all three.
+_ALL = ("opt", "verify", "client")
+_OPT_CLIENT = ("opt", "client")
+_PIPELINE_FLAGS = (
+    ("--algorithm", "algorithm", _ALL,
+     dict(choices=("pluto", "plutoplus"), default="plutoplus")),
+    ("--tile", "tile", _OPT_CLIENT,
+     dict(type=int, default=32, metavar="SIZE",
+          help="tile size (0 disables tiling)")),
+    ("--iss", "iss", _ALL,
+     dict(action="store_true", help="enable index-set splitting")),
+    ("--diamond", "diamond", _ALL,
+     dict(action="store_true", help="enable diamond tiling (--partlbtile)")),
+    ("--bound", "coeff_bound", _OPT_CLIENT,
+     dict(type=int, default=4, help="Pluto+ coefficient bound b")),
+    ("--fuse", "fuse", _OPT_CLIENT,
+     dict(choices=("smart", "max", "no"), default="smart")),
+    ("--l2tile", "l2tile", ("opt",),
+     dict(action="store_true", help="second-level tiling")),
+    ("--intra-tile", "intra_tile", ("opt",),
+     dict(action="store_true",
+          help="rotate a parallel loop innermost in point bands")),
+    ("--ilp-backend", "ilp_backend", _OPT_CLIENT,
+     dict(choices=("auto", "exact", "highs"), default="highs",
+          help="lexmin ILP backend (auto switches on model size)")),
+    ("--scheduler", "scheduler", _ALL,
+     dict(choices=("auto", "exact", "quick"), default="exact",
+          help="hyperplane search: exact per-level ILPs, the quick fusion "
+               "+ dimension-matching heuristic, or auto (quick with exact "
+               "fallback)")),
+    ("--backend", "backend", _OPT_CLIENT,
+     dict(choices=("python", "c", "auto"), default="python",
+          help="execution backend for the generated kernel: python, c "
+               "(compile the emitted C natively), or auto (fastest "
+               "available); c/auto compile eagerly and fall back to python "
+               "when no compiler is present; non-default backends get "
+               "their own daemon cache keys")),
+    ("--rar", "rar", _ALL,
+     dict(action="store_true",
+          help="feed read-after-read reuse into the exact scheduler's "
+               "locality objective (never legality)")),
+    ("--parallel-reductions", "parallel_reductions", _ALL,
+     dict(choices=("off", "privatize", "omp"), default="off",
+          help="relax commutative-associative reduction self-dependences "
+               "so the reduction dimension can run in parallel; omp also "
+               "emits reduction clauses/atomics in C (verification drops "
+               "to tolerance comparison)")),
+)
+
+
+def _add_pipeline_flags(p, command: str) -> None:
+    for flag, field, commands, kwargs in _PIPELINE_FLAGS:
+        if command not in commands:
+            continue
+        if command == "client":
+            text = kwargs.get("help", field)
+            if "default" in kwargs:
+                text += f" (daemon default: {kwargs['default']})"
+            kwargs = {**kwargs, "default": None, "help": text}
+        p.add_argument(flag, **kwargs)
+
+
+def _pipeline_fields(args) -> dict:
+    """``PipelineOptions`` fields for every table flag ``args`` carries.
+
+    ``None`` means unset and is left out, so for ``client opt`` this is
+    exactly the overrides the user typed — the daemon fills in the
+    workload's paper flags underneath, like local ``repro opt`` does.
+    """
+    fields: dict = {}
+    for flag, field, commands, _kwargs in _PIPELINE_FLAGS:
+        dest = flag.lstrip("-").replace("-", "_")
+        value = getattr(args, dest, None)
+        if args.command not in commands or value is None:
+            continue
+        if field == "tile":  # one flag, two fields: 0 disables, N sizes
+            fields["tile"] = value != 0
+            if value:
+                fields["tile_size"] = value
+        else:
+            fields[field] = value
+    return fields
+
+
+def _add_matrix_args(p, verb: str) -> None:
+    p.add_argument("--filter", action="append", default=[], metavar="GLOB",
+                   help="keep only workloads/run-ids matching this glob "
+                        "(repeatable)")
+    p.add_argument("--category",
+                   choices=("periodic", "polybench", "motivation",
+                            "reduction", "all"),
+                   default="periodic",
+                   help=f"workload category to {verb} (default: periodic, "
+                        f"the paper's Table 2 suite)")
+    p.add_argument("--variants", default="plutoplus",
+                   help="comma-separated option variants "
+                        "(plutoplus, pluto, notile, l2tile, quick, "
+                        "auto, rar, redpar)")
+
+
+def _matrix_specs(args, **extra) -> list:
+    from repro.suite import build_matrix
+
+    specs = build_matrix(
+        category=args.category,
+        variants=[v.strip() for v in args.variants.split(",") if v.strip()],
+        filters=args.filter,
+        **extra,
+    )
+    if not specs:
+        raise SystemExit(
+            "error: the matrix is empty (filters matched nothing); "
+            "run `python -m repro list` to see registered workloads"
+        )
+    return specs
+
+
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
 
@@ -71,49 +194,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     opt = sub.add_parser("opt", help="optimize a loop nest")
     add_input_args(opt)
-    opt.add_argument("--algorithm", choices=("pluto", "plutoplus"), default="plutoplus")
-    opt.add_argument("--tile", type=int, default=32, metavar="SIZE",
-                     help="tile size (0 disables tiling)")
-    opt.add_argument("--iss", action="store_true", help="enable index-set splitting")
-    opt.add_argument("--diamond", action="store_true",
-                     help="enable diamond tiling (--partlbtile)")
-    opt.add_argument("--bound", type=int, default=4, help="Pluto+ coefficient bound b")
-    opt.add_argument("--fuse", choices=("smart", "max", "no"), default="smart")
-    opt.add_argument("--l2tile", action="store_true", help="second-level tiling")
-    opt.add_argument("--intra-tile", action="store_true",
-                     help="rotate a parallel loop innermost in point bands")
-    opt.add_argument("--ilp-backend", choices=("auto", "exact", "highs"),
-                     default="highs",
-                     help="lexmin ILP backend (auto switches on model size)")
-    opt.add_argument("--scheduler", choices=("auto", "exact", "quick"),
-                     default="exact",
-                     help="hyperplane search: exact per-level ILPs (default), "
-                          "the quick fusion + dimension-matching heuristic, "
-                          "or auto (quick with exact fallback)")
+    _add_pipeline_flags(opt, "opt")
     opt.add_argument("--stats", action="store_true",
                      help="print solver counters (pivots, B&B nodes, "
                           "warm-start hits, ...) to stderr; with a native "
                           "--backend also the execution stats")
-    opt.add_argument("--backend", choices=("python", "c", "auto"),
-                     default="python",
-                     help="execution backend for the generated kernel: "
-                          "python (default), c (compile the emitted C "
-                          "natively), or auto (fastest available); c/auto "
-                          "compile eagerly and fall back to python when no "
-                          "compiler is present")
     opt.add_argument("--threads", type=int, default=None, metavar="N",
                      help="OpenMP threads for native execution "
                           "(default: the OpenMP runtime's choice)")
-    opt.add_argument("--rar", action="store_true",
-                     help="feed read-after-read reuse into the exact "
-                          "scheduler's locality objective (never legality)")
-    opt.add_argument("--parallel-reductions",
-                     choices=("off", "privatize", "omp"), default="off",
-                     help="relax commutative-associative reduction "
-                          "self-dependences so the reduction dimension can "
-                          "run in parallel; omp also emits reduction "
-                          "clauses/atomics in C (verification drops to "
-                          "tolerance comparison)")
     opt.add_argument("--skeleton-dir", default=None, metavar="DIR",
                      help="structural skeleton store for cross-request "
                           "warm-started scheduling (sets "
@@ -125,21 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="verify schedule legality independently")
     add_input_args(ver)
-    ver.add_argument("--algorithm", choices=("pluto", "plutoplus"), default="plutoplus")
-    ver.add_argument("--iss", action="store_true")
-    ver.add_argument("--diamond", action="store_true")
-    ver.add_argument("--scheduler", choices=("auto", "exact", "quick"),
-                     default="exact",
-                     help="hyperplane search used to produce the schedule "
-                          "under verification")
-    ver.add_argument("--rar", action="store_true",
-                     help="RAR locality objective during scheduling "
-                          "(see `repro opt --rar`)")
-    ver.add_argument("--parallel-reductions",
-                     choices=("off", "privatize", "omp"), default="off",
-                     help="relax reduction self-dependences during "
-                          "scheduling; the backend check then compares "
-                          "under tolerance instead of bitwise")
+    _add_pipeline_flags(ver, "verify")
     ver.add_argument("--schedule", metavar="FILE",
                      help="verify this exported schedule (JSON from "
                           "`opt --emit schedule-json`) instead of running "
@@ -166,18 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-run deadline in seconds (default 900)")
     suite.add_argument("--retries", type=int, default=None, metavar="N",
                        help="re-attempts after a crash/timeout (default 1)")
-    suite.add_argument("--filter", action="append", default=[], metavar="GLOB",
-                       help="keep only workloads/run-ids matching this glob "
-                            "(repeatable)")
-    suite.add_argument("--category",
-                       choices=("periodic", "polybench", "motivation", "reduction", "all"),
-                       default="periodic",
-                       help="workload category to run (default: periodic, "
-                            "the paper's Table 2 suite)")
-    suite.add_argument("--variants", default="plutoplus",
-                       help="comma-separated option variants "
-                            "(plutoplus, pluto, notile, l2tile, quick, "
-                            "auto, rar, redpar)")
+    _add_matrix_args(suite, "run")
     suite.add_argument("--backend", choices=("python", "c", "auto"),
                        default="python",
                        help="execution backend recorded on every spec; "
@@ -222,15 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "exact-cache misses (default: "
                             "<cache-dir>/skeletons when the disk cache is "
                             "enabled; '' disables)")
-    serve.add_argument("--loop", choices=("async", "threads"), default="async",
-                       help="serving loop: one asyncio event loop "
-                            "multiplexing every connection (default), or the "
-                            "original thread-per-connection loop")
-    serve.add_argument("--pool", choices=("warm", "spawn"), default="warm",
-                       help="worker pool: pre-forked persistent workers "
-                            "(default), or one fresh process per cache miss")
     serve.add_argument("--recycle", type=int, default=None, metavar="N",
-                       help="warm pool: retire each worker after N requests "
+                       help="retire each pool worker after N requests "
                             "(default 64)")
     serve.add_argument("--report", action="store_true",
                        help="print a metrics summary line on exit")
@@ -256,17 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_endpoint_args(warm)
     warm.add_argument("--jobs", type=int, default=4, metavar="N",
                       help="concurrent client connections (default 4)")
-    warm.add_argument("--filter", action="append", default=[], metavar="GLOB",
-                      help="keep only workloads/run-ids matching this glob "
-                           "(repeatable)")
-    warm.add_argument("--category",
-                      choices=("periodic", "polybench", "motivation", "reduction", "all"),
-                      default="periodic",
-                      help="workload category to warm (default: periodic)")
-    warm.add_argument("--variants", default="plutoplus",
-                      help="comma-separated option variants "
-                           "(plutoplus, pluto, notile, l2tile, quick, "
-                           "auto, rar, redpar)")
+    _add_matrix_args(warm, "warm")
     warm.add_argument("--quiet", action="store_true",
                       help="suppress per-spec progress lines")
 
@@ -282,33 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="program parameters (file input only)")
     copt.add_argument("--param-min", type=int, default=2,
                       help="context lower bound on every parameter (default 2)")
-    copt.add_argument("--algorithm", choices=("pluto", "plutoplus"),
-                      default=None)
-    copt.add_argument("--tile", type=int, default=None, metavar="SIZE",
-                      help="tile size (0 disables tiling)")
-    copt.add_argument("--iss", action="store_true", default=None,
-                      help="enable index-set splitting")
-    copt.add_argument("--diamond", action="store_true", default=None,
-                      help="enable diamond tiling (--partlbtile)")
-    copt.add_argument("--bound", type=int, default=None,
-                      help="Pluto+ coefficient bound b")
-    copt.add_argument("--fuse", choices=("smart", "max", "no"), default=None)
-    copt.add_argument("--ilp-backend", choices=("auto", "exact", "highs"),
-                      default=None)
-    copt.add_argument("--scheduler", choices=("auto", "exact", "quick"),
-                      default=None,
-                      help="hyperplane search (daemon default: exact)")
-    copt.add_argument("--rar", action="store_true", default=None,
-                      help="RAR locality objective (daemon default: off)")
-    copt.add_argument("--parallel-reductions",
-                      choices=("off", "privatize", "omp"), default=None,
-                      help="reduction relaxation mode (daemon default: off; "
-                           "non-default modes get their own cache keys)")
-    copt.add_argument("--backend", choices=("python", "c", "auto"),
-                      default=None,
-                      help="execution backend recorded in the resolved "
-                           "options (daemon default: python; non-default "
-                           "backends get their own cache keys)")
+    _add_pipeline_flags(copt, "client")
     copt.add_argument("--emit", choices=("schedule-json", "json", "summary"),
                       default="schedule-json",
                       help="what to print: the schedule export (default), "
@@ -366,21 +386,7 @@ def _load_program(args) -> Program:
 
 def _pipeline_options(args) -> PipelineOptions:
     return PipelineOptions(
-        algorithm=args.algorithm,
-        tile=getattr(args, "tile", 32) != 0,
-        tile_size=getattr(args, "tile", 32) or 32,
-        iss=getattr(args, "iss", False),
-        diamond=getattr(args, "diamond", False),
-        coeff_bound=getattr(args, "bound", 4),
-        ilp_backend=getattr(args, "ilp_backend", "highs"),
-        fuse=getattr(args, "fuse", "smart"),
-        l2tile=getattr(args, "l2tile", False),
-        intra_tile=getattr(args, "intra_tile", False),
-        deps_cache=not getattr(args, "no_deps_cache", False),
-        scheduler=getattr(args, "scheduler", "exact"),
-        backend=getattr(args, "backend", "python") or "python",
-        rar=getattr(args, "rar", False),
-        parallel_reductions=getattr(args, "parallel_reductions", "off"),
+        **_pipeline_fields(args), deps_cache=not args.no_deps_cache
     )
 
 
@@ -474,7 +480,7 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return 2
     else:
-        result = optimize(program, _pipeline_options_noemit(args))
+        result = optimize(program, _pipeline_options(args))
         program = result.program  # post-ISS program actually scheduled
         schedule = result.schedule
     deps = compute_dependences(program)
@@ -551,17 +557,6 @@ def _exec_params(args, program) -> dict:
     return {p: max(floor, 8) for p in program.params}
 
 
-def _pipeline_options_noemit(args) -> PipelineOptions:
-    return PipelineOptions(
-        algorithm=args.algorithm,
-        iss=getattr(args, "iss", False),
-        diamond=getattr(args, "diamond", False),
-        scheduler=getattr(args, "scheduler", "exact"),
-        rar=getattr(args, "rar", False),
-        parallel_reductions=getattr(args, "parallel_reductions", "off"),
-    )
-
-
 def _cmd_deps(args) -> int:
     from contextlib import nullcontext
 
@@ -585,7 +580,7 @@ def _cmd_suite(args) -> int:
     import os
 
     from repro.reporting import format_suite_report
-    from repro.suite import SuiteManifest, build_matrix, run_suite
+    from repro.suite import SuiteManifest, run_suite
     from repro.suite.runner import DEFAULT_RETRIES, DEFAULT_TIMEOUT
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
@@ -598,19 +593,8 @@ def _cmd_suite(args) -> int:
     if args.resume:
         manifest = SuiteManifest.load(Path(args.resume))
     else:
-        specs = build_matrix(
-            category=args.category,
-            variants=[v.strip() for v in args.variants.split(",") if v.strip()],
-            filters=args.filter,
-            backend=args.backend,
-        )
-        if not specs:
-            raise SystemExit(
-                "error: the matrix is empty (filters matched nothing); "
-                "run `python -m repro list` to see registered workloads"
-            )
         manifest = SuiteManifest.create(
-            Path(args.out), specs,
+            Path(args.out), _matrix_specs(args, backend=args.backend),
             {"jobs": jobs, "timeout": timeout, "retries": retries},
         )
     print(f"# manifest: {manifest.path}", file=sys.stderr)
@@ -651,8 +635,6 @@ def _cmd_serve(args) -> int:
             backlog=args.backlog,
             cache_dir=cache_dir,
             skeleton_dir=skeleton_dir or None,
-            loop=args.loop,
-            pool_mode=args.pool,
             pool_recycle=(args.recycle if args.recycle is not None
                           else DEFAULT_RECYCLE),
             **({} if args.mem_entries is None
@@ -666,7 +648,7 @@ def _cmd_serve(args) -> int:
 
     print(f"# repro {__version__} serving on "
           f"{args.socket or f'{args.host}:{args.port}'} "
-          f"(loop {config.loop}, pool {config.pool_mode}, jobs {config.jobs}, "
+          f"(jobs {config.jobs}, "
           f"cache {config.cache_dir or 'memory-only'}, "
           f"skeletons {config.skeleton_dir or 'off'})",
           file=sys.stderr, flush=True)
@@ -714,20 +696,10 @@ def _cmd_route(args) -> int:
 def _cmd_warm(args) -> int:
     """Pre-populate the cache over the matrix; exit nonzero on failures."""
     from repro.server import warm_cache
-    from repro.suite import build_matrix
 
     if args.socket is None and args.port is None:
         raise SystemExit("error: warm needs --socket PATH or --port N")
-    specs = build_matrix(
-        category=args.category,
-        variants=[v.strip() for v in args.variants.split(",") if v.strip()],
-        filters=args.filter,
-    )
-    if not specs:
-        raise SystemExit(
-            "error: the matrix is empty (filters matched nothing); "
-            "run `python -m repro list` to see registered workloads"
-        )
+    specs = _matrix_specs(args)
     progress = None if args.quiet else (
         lambda o: print(
             f"# {o['run_id']}: {o.get('cache') or o.get('status')}"
@@ -765,37 +737,6 @@ def _client_connect(args):
         )
 
 
-def _client_overrides(args) -> dict:
-    """Only the options the user explicitly set — the daemon fills in the
-    workload's paper flags underneath, exactly like local ``repro opt``."""
-    overrides: dict = {}
-    if args.algorithm is not None:
-        overrides["algorithm"] = args.algorithm
-    if args.tile is not None:
-        overrides["tile"] = args.tile != 0
-        if args.tile:
-            overrides["tile_size"] = args.tile
-    if args.iss:
-        overrides["iss"] = True
-    if args.diamond:
-        overrides["diamond"] = True
-    if args.bound is not None:
-        overrides["coeff_bound"] = args.bound
-    if args.fuse is not None:
-        overrides["fuse"] = args.fuse
-    if args.ilp_backend is not None:
-        overrides["ilp_backend"] = args.ilp_backend
-    if args.scheduler is not None:
-        overrides["scheduler"] = args.scheduler
-    if getattr(args, "backend", None) is not None:
-        overrides["backend"] = args.backend
-    if getattr(args, "rar", None):
-        overrides["rar"] = True
-    if getattr(args, "parallel_reductions", None) is not None:
-        overrides["parallel_reductions"] = args.parallel_reductions
-    return overrides
-
-
 def _cmd_client(args) -> int:
     import json
 
@@ -819,7 +760,7 @@ def _cmd_client(args) -> int:
             response = client.optimize(
                 request.get("workload"),
                 program=request.get("program"),
-                options=_client_overrides(args),
+                options=_pipeline_fields(args),
             )
         status = response.get("status")
         if status == "busy":

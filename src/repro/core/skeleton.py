@@ -33,9 +33,9 @@ This module turns those misses into warm solves, in three pieces:
 * **skeleton store** (:class:`SkeletonStore`) — per structural
   fingerprint, the recorded solves plus descriptive metadata (Farkas row
   skeleton sizes, chosen band structure, the quick-scheduler verdict),
-  content-addressed on disk following the ``ScheduleCache`` pattern:
-  ``<root>/<fp[:2]>/<fp>.json``, atomic tmp+rename writes, orphaned-tmp
-  sweeping, restart survival.  Enabled via ``REPRO_SKELETON_CACHE`` (the
+  content-addressed on disk as ``<root>/<fp[:2]>/<fp>.json`` on the shared
+  :class:`repro.store.AtomicStore` (atomic writes, orphan sweeps, verified
+  reads, restart survival).  Enabled via ``REPRO_SKELETON_CACHE`` (the
   daemon sets it from ``--skeleton-dir``); unset, empty, or
   ``REPRO_EXACT_LEGACY=1`` disables the whole layer.
 
@@ -50,19 +50,17 @@ import hashlib
 import json
 import os
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import Mapping, Optional
 
 from repro.ilp import legacy_exact_mode
+from repro.store import TMP_SWEEP_EVERY, AtomicStore
 
 __all__ = [
     "SKELETON_FORMAT_VERSION",
     "SCHEDULE_RELEVANT_OPTIONS",
     "SkeletonStore",
-    "SkeletonStoreStats",
     "WarmStart",
     "dependence_digest",
     "scheduler_solve_key",
@@ -95,9 +93,6 @@ SCHEDULE_RELEVANT_OPTIONS = (
     "rar",
     "parallel_reductions",
 )
-
-#: puts between opportunistic orphaned-tmp sweeps (see SkeletonStore.merge)
-TMP_SWEEP_EVERY = 64
 
 _DEFAULT_MEMORY_ENTRIES = 32
 
@@ -244,33 +239,27 @@ class WarmStart:
 
 # -- the on-disk store -------------------------------------------------------
 
-@dataclass
-class SkeletonStoreStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    invalid_dropped: int = 0
-    tmp_swept: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "invalid_dropped": self.invalid_dropped,
-            "tmp_swept": self.tmp_swept,
-        }
+def _load(text: str) -> Optional[dict]:
+    """Decode one record file; ``None`` for anything not servable."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None  # killed writer / truncated file
+    if (
+        isinstance(record, dict)
+        and record.get("version") == SKELETON_FORMAT_VERSION
+        and isinstance(record.get("solves"), dict)
+    ):
+        return record
+    return None
 
 
-class SkeletonStore:
+class SkeletonStore(AtomicStore[dict]):
     """Disk-persistent skeleton records, one JSON file per fingerprint.
 
-    Follows the ``ScheduleCache`` discipline — ``<root>/<fp[:2]>/<fp>.json``
-    written atomically via tmp+rename, invalid files dropped and
-    recomputed, orphaned temporaries swept at startup *and* opportunistically
-    every :data:`TMP_SWEEP_EVERY` merges (long-lived daemons accumulate
-    orphans from killed workers long after startup) — plus a small
-    in-memory LRU so a warm worker serving a sweep re-reads nothing.
+    The record tier of :class:`~repro.store.AtomicStore`
+    (``<root>/<fp[:2]>/<fp>.json``), with a small in-memory LRU so a warm
+    worker serving a sweep re-reads nothing.
     """
 
     def __init__(
@@ -279,93 +268,15 @@ class SkeletonStore:
         memory_entries: int = _DEFAULT_MEMORY_ENTRIES,
         sweep_every: int = TMP_SWEEP_EVERY,
     ):
-        self.root = Path(root)
-        self.memory_entries = max(0, int(memory_entries))
-        self.sweep_every = max(1, int(sweep_every))
-        self.stats = SkeletonStoreStats()
-        self._mem: OrderedDict[str, dict] = OrderedDict()
-        self._lock = Lock()
-        self._puts = 0
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats.tmp_swept += self._sweep_tmp()
-
-    # -- plumbing ----------------------------------------------------------
-
-    def path_for(self, fingerprint: str) -> Path:
-        return self.root / fingerprint[:2] / f"{fingerprint}.json"
-
-    def _sweep_tmp(self, max_age: float = 300.0) -> int:
-        """Remove orphaned atomic-write temporaries left by killed writers.
-
-        Files younger than ``max_age`` may belong to a live writer in
-        another process sharing the directory and are left alone.
-        """
-        swept = 0
-        now = time.time()
-        for tmp in self.root.glob("*/*.tmp.*"):
-            try:
-                if now - tmp.stat().st_mtime < max_age:
-                    continue
-                tmp.unlink()
-                swept += 1
-            except OSError:
-                continue  # raced another sweeper, or unreadable: skip
-        return swept
-
-    @staticmethod
-    def _valid(record) -> bool:
-        return (
-            isinstance(record, dict)
-            and record.get("version") == SKELETON_FORMAT_VERSION
-            and isinstance(record.get("solves"), dict)
+        Path(root).mkdir(parents=True, exist_ok=True)
+        super().__init__(
+            root, ".json", _load,
+            memory_entries=memory_entries, sweep_every=sweep_every,
         )
-
-    def _remember(self, fingerprint: str, record: dict) -> None:
-        # caller holds the lock
-        if self.memory_entries == 0:
-            return
-        if fingerprint in self._mem:
-            self._mem.move_to_end(fingerprint)
-        else:
-            while len(self._mem) >= self.memory_entries:
-                self._mem.popitem(last=False)
-        self._mem[fingerprint] = record
-
-    # -- lookups -----------------------------------------------------------
 
     def get(self, fingerprint: str) -> Optional[dict]:
         """The stored record, or ``None``; invalid files are dropped."""
-        with self._lock:
-            record = self._mem.get(fingerprint)
-            if record is not None:
-                self._mem.move_to_end(fingerprint)
-                self.stats.hits += 1
-                return record
-        path = self.path_for(fingerprint)
-        corrupt = False
-        try:
-            record = json.loads(path.read_text())
-        except OSError:
-            record = None
-        except ValueError:
-            record, corrupt = None, True  # killed writer / truncated file
-        if corrupt or (record is not None and not self._valid(record)):
-            with self._lock:
-                self.stats.invalid_dropped += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            record = None
-        with self._lock:
-            if record is None:
-                self.stats.misses += 1
-                return None
-            self.stats.hits += 1
-            self._remember(fingerprint, record)
-            return record
-
-    # -- stores ------------------------------------------------------------
+        return self.fetch(fingerprint)[0]
 
     def merge(
         self,
@@ -381,13 +292,8 @@ class SkeletonStore:
         record; existing keys are kept (first writer wins, and equal keys
         imply equal solutions anyway).  Returns the merged record.
         """
-        path = self.path_for(fingerprint)
-        current = None
-        try:
-            current = json.loads(path.read_text())
-        except (OSError, ValueError):
-            pass
-        if not self._valid(current):
+        current = self.read_disk(fingerprint)
+        if current is None:
             current = {
                 "version": SKELETON_FORMAT_VERSION,
                 "fingerprint": fingerprint,
@@ -404,31 +310,8 @@ class SkeletonStore:
         if meta:
             current.setdefault("meta", {}).update(meta)
         current["meta"]["updated"] = time.time()
-
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(current, sort_keys=True))
-        os.replace(tmp, path)
-        with self._lock:
-            self.stats.stores += 1
-            self._remember(fingerprint, current)
-            self._puts += 1
-            due = self._puts % self.sweep_every == 0
-        if due:
-            swept = self._sweep_tmp()
-            with self._lock:
-                self.stats.tmp_swept += swept
+        self.put(fingerprint, json.dumps(current, sort_keys=True), current)
         return current
-
-    # -- introspection -----------------------------------------------------
-
-    def disk_len(self) -> int:
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
-    def snapshot(self) -> dict:
-        with self._lock:
-            stats = self.stats.as_dict()
-        return {**stats, "disk_entries": self.disk_len(), "root": str(self.root)}
 
 
 # -- resolution --------------------------------------------------------------

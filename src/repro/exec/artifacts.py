@@ -3,10 +3,11 @@
 Exactly the schedule cache's contract (:mod:`repro.server.cache`), applied
 to ``.so`` files: the key is ``sha256(emitted source + compiler
 fingerprint + flags)``, entries live at ``<root>/<k[:2]>/<key>.so`` with
-the source alongside as ``<key>.c`` (debuggability + recompilation), disk
-writes are atomic (tmp + rename), and there is no invalidation protocol —
-a different source, compiler, or flag set is simply a different key, and
-the root can be deleted wholesale at any time.  The cache survives
+the source alongside as ``<key>.c`` (debuggability + recompilation), both
+published atomically through :mod:`repro.store` (whose age-gated sweep
+reclaims the temporaries of a killed compile), and there is no
+invalidation protocol — a different source, compiler, or flag set is
+simply a different key, and the root can be deleted wholesale at any time.  The cache survives
 restarts: a daemon or test process that re-requests a kernel it compiled
 in an earlier life gets a hit, not a rebuild.
 
@@ -27,6 +28,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.exec.options import ExecBackendError, ExecStats
+from repro.store import AtomicStore, atomic_publish
 
 __all__ = [
     "ARTIFACT_CACHE_ENV",
@@ -121,22 +123,22 @@ def artifact_key(source: str, compiler: Compiler) -> str:
     return h.hexdigest()
 
 
-class ArtifactCache:
+class ArtifactCache(AtomicStore):
     """The on-disk ``.so`` store; safe for concurrent writers.
 
     Not an LRU — compiled kernels are a few tens of kilobytes and the
     working set (one per distinct schedule) is small; content addressing
-    means entries never go stale, only unused.
+    means entries never go stale, only unused.  Orphans of a compile
+    killed mid-publish are swept when the cache is opened.
     """
 
     def __init__(self, cache_dir: Optional[os.PathLike] = None):
-        self.root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-
-    def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.so"
+        super().__init__(
+            cache_dir if cache_dir is not None else default_cache_dir(), ".so"
+        )
 
     def source_path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.c"
+        return self.path_for(key, ".c")
 
     def ensure(
         self,
@@ -167,43 +169,34 @@ class ArtifactCache:
     def _compile(
         self, source: str, compiler: Compiler, key: str, path: Path
     ) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        src = self.source_path_for(key)
-        # tmp names keep their real extensions (cc decides the language by
-        # suffix); the pid suffix keeps concurrent writers apart
-        tmp_src = src.with_name(f"{key}.tmp{os.getpid()}.c")
-        tmp_so = path.with_name(f"{key}.tmp{os.getpid()}.so")
-        tmp_src.write_text(source)
-        cmd = [compiler.path, *CFLAGS, "-fopenmp",
-               "-o", str(tmp_so), str(tmp_src), "-lm"]
         try:
-            run = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
-            if run.returncode != 0:
-                # toolchains without libgomp: retry serial (results are
-                # identical, only parallel speed is lost)
-                cmd_serial = [c for c in cmd if c != "-fopenmp"]
+            with atomic_publish(self.source_path_for(key), path) as (
+                tmp_src, tmp_so,
+            ):
+                tmp_src.write_text(source)
+                cmd = [compiler.path, *CFLAGS, "-fopenmp",
+                       "-o", str(tmp_so), str(tmp_src), "-lm"]
                 run = subprocess.run(
-                    cmd_serial, capture_output=True, text=True, timeout=300
+                    cmd, capture_output=True, text=True, timeout=300
                 )
-            if run.returncode != 0:
-                detail = (run.stderr or run.stdout).strip().splitlines()
-                raise ExecBackendError(
-                    "compile failed: " + (detail[0] if detail else "unknown error")
-                )
-            os.replace(tmp_src, src)
-            os.replace(tmp_so, path)
+                if run.returncode != 0:
+                    # toolchains without libgomp: retry serial (results are
+                    # identical, only parallel speed is lost)
+                    cmd_serial = [c for c in cmd if c != "-fopenmp"]
+                    run = subprocess.run(
+                        cmd_serial, capture_output=True, text=True, timeout=300
+                    )
+                if run.returncode != 0:
+                    detail = (run.stderr or run.stdout).strip().splitlines()
+                    raise ExecBackendError(
+                        "compile failed: "
+                        + (detail[0] if detail else "unknown error")
+                    )
         except (OSError, subprocess.TimeoutExpired) as e:
             raise ExecBackendError(f"compile failed: {e}") from e
-        finally:
-            for tmp in (tmp_src, tmp_so):
-                try:
-                    tmp.unlink()
-                except OSError:
-                    pass
+        self._note_put()
 
     # -- introspection -----------------------------------------------------
 
     def entries(self) -> int:
-        if not self.root.is_dir():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.so"))
+        return self.disk_len()

@@ -9,13 +9,12 @@ run.  The pieces:
 * :mod:`repro.server.protocol` — JSON-lines request/response framing over a
   Unix or TCP socket, with a version header on every response;
 * :mod:`repro.server.cache`    — the two-tier content-addressed schedule
-  cache (in-memory LRU over an atomic on-disk store), keyed by
+  cache (in-memory LRU over an atomic on-disk store, both from
+  :mod:`repro.store`), keyed by
   ``sha256(canonical IR + options + pipeline version)``;
-* :mod:`repro.server.pool`     — the worker pools: pre-forked persistent
-  warm workers (the default) or spawn-per-miss on the shared supervision
-  layer (:mod:`repro.workers`), both with a bounded queue;
-* :mod:`repro.server.daemon`   — the socket server (an asyncio loop by
-  default, the original thread-per-connection loop as a fallback):
+* :mod:`repro.server.pool`     — the worker pool: pre-forked persistent
+  warm workers behind a bounded queue;
+* :mod:`repro.server.daemon`   — the socket server (one asyncio loop):
   single-flight request coalescing, admission control with explicit busy
   responses, graceful drain on SIGTERM;
 * :mod:`repro.server.resolve`  — request → (program, options, key)
@@ -39,7 +38,7 @@ from repro.server.cache import ScheduleCache, cache_key
 from repro.server.client import ServerClient
 from repro.server.daemon import Daemon, DaemonConfig, SocketInUse
 from repro.server.metrics import ServerMetrics
-from repro.server.pool import WarmWorkerPool, WorkerPool
+from repro.server.pool import WarmWorkerPool
 from repro.server.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.server.shard import Router, RouterConfig, ShardRing
 from repro.server.warm import WarmReport, warm_cache
@@ -58,7 +57,6 @@ __all__ = [
     "SocketInUse",
     "WarmReport",
     "WarmWorkerPool",
-    "WorkerPool",
     "cache_key",
     "warm_cache",
 ]

@@ -1,9 +1,10 @@
 """The two-tier content-addressed schedule cache.
 
 Tier 1 is an in-memory LRU of recently served result payloads; tier 2 is
-an on-disk store (``<cache-dir>/<k[:2]>/<key>.json``, written atomically
-via tmp + rename) that survives daemon restarts.  Both tiers are keyed by
-:func:`cache_key`:
+an on-disk store (``<cache-dir>/<k[:2]>/<key>.json``) that survives daemon
+restarts.  Both tiers, the atomic writes and the orphan sweeps are
+:class:`repro.store.AtomicStore`; this module supplies the key and the
+validity rule.  Both tiers are keyed by :func:`cache_key`:
 
     sha256( canonical JSON of {program: serialized IR,
                                options: resolved PipelineOptions,
@@ -34,29 +35,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
-from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
-from threading import Lock
 from typing import Optional
 
 from repro.pipeline import RESULT_FORMAT_VERSION, pipeline_fingerprint
+from repro.store import TMP_SWEEP_EVERY, AtomicStore
 
-__all__ = ["CacheStats", "ScheduleCache", "cache_key", "canonical_request"]
+__all__ = ["ScheduleCache", "cache_key", "canonical_request"]
 
 DEFAULT_MEMORY_ENTRIES = 128
-
-#: ``<key>.tmp.<pid>`` files older than this are orphans of a writer that
-#: died between write and rename; younger ones may belong to a live writer
-#: in another daemon sharing the directory, so the sweeps skip them
-TMP_SWEEP_AGE = 300.0
-
-#: stores between opportunistic re-sweeps: a startup-only sweep lets a
-#: long-lived daemon accumulate orphans from workers killed mid-write, so
-#: every Nth put re-runs the sweep (an empty glob over the cache tree,
-#: microseconds next to the result serialization it rides on)
-TMP_SWEEP_EVERY = 64
 
 
 def canonical_request(program_dict: dict, options_dict: dict) -> str:
@@ -80,41 +67,19 @@ def cache_key(program_dict: dict, options_dict: dict) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-@dataclass
-class CacheStats:
-    hits_memory: int = 0
-    hits_disk: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    invalid_dropped: int = 0
-    tmp_swept: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits_memory + self.hits_disk + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        looked = self.lookups
-        return 0.0 if not looked else (self.hits_memory + self.hits_disk) / looked
-
-    def as_dict(self) -> dict:
-        return {
-            "hits_memory": self.hits_memory,
-            "hits_disk": self.hits_disk,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "invalid_dropped": self.invalid_dropped,
-            "tmp_swept": self.tmp_swept,
-            "lookups": self.lookups,
-            "hit_rate": round(self.hit_rate, 4),
-        }
+def _load(text: str) -> Optional[str]:
+    """Serve the stored text verbatim iff it parses as a current result."""
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    if isinstance(payload, dict) and payload.get("version") == RESULT_FORMAT_VERSION:
+        return text
+    return None
 
 
-class ScheduleCache:
-    """Memory-LRU over an atomic on-disk store; thread-safe.
+class ScheduleCache(AtomicStore[str]):
+    """The schedule tier of :class:`~repro.store.AtomicStore`; thread-safe.
 
     ``cache_dir=None`` runs memory-only (tests, ``--cache-dir ''``);
     ``memory_entries=0`` disables tier 1 (every hit re-reads disk).
@@ -126,150 +91,19 @@ class ScheduleCache:
         memory_entries: int = DEFAULT_MEMORY_ENTRIES,
         sweep_every: int = TMP_SWEEP_EVERY,
     ):
-        self.cache_dir = None if cache_dir is None else Path(cache_dir)
-        self.memory_entries = max(0, int(memory_entries))
-        self.sweep_every = max(1, int(sweep_every))
-        self.stats = CacheStats()
-        self._mem: OrderedDict[str, str] = OrderedDict()
-        self._lock = Lock()
-        self._puts = 0
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            self.stats.tmp_swept = self._sweep_tmp()
-
-    def _sweep_tmp(self, max_age: float = TMP_SWEEP_AGE) -> int:
-        """Remove orphaned atomic-write temporaries left by killed writers.
-
-        A writer killed between ``tmp.write_text`` and ``os.replace``
-        leaves ``<key>.tmp.<pid>`` behind forever; nothing ever looks one
-        up.  Runs at startup and again every ``sweep_every`` puts (see
-        :meth:`put`) so long-lived daemons reclaim the space too.  Files
-        younger than ``max_age`` are left alone — they may belong to a
-        live writer in another daemon sharing this directory.
-        """
-        swept = 0
-        now = time.time()
-        for tmp in self.cache_dir.glob("*/*.tmp.*"):
-            try:
-                if now - tmp.stat().st_mtime < max_age:
-                    continue
-                tmp.unlink()
-                swept += 1
-            except OSError:
-                continue  # raced another sweeper, or unreadable: skip
-        return swept
-
-    def path_for(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / key[:2] / f"{key}.json"
-
-    # -- lookups -----------------------------------------------------------
-
-    def get(self, key: str) -> tuple[Optional[str], Optional[str]]:
-        """Return ``(result_text, tier)``; ``(None, None)`` on a miss.
-
-        ``tier`` is ``"memory"`` or ``"disk"``; a disk hit is promoted
-        into the memory tier.
-        """
-        with self._lock:
-            text = self._mem.get(key)
-            if text is not None:
-                self._mem.move_to_end(key)
-                self.stats.hits_memory += 1
-                return text, "memory"
-
-        text = self._read_disk(key)
-        with self._lock:
-            if text is None:
-                self.stats.misses += 1
-                return None, None
-            self.stats.hits_disk += 1
-            self._remember(key, text)
-            return text, "disk"
-
-    def _read_disk(self, key: str) -> Optional[str]:
-        path = self.path_for(key)
-        if path is None:
-            return None
-        try:
-            text = path.read_text()
-        except OSError:
-            return None
-        if not self._valid(text):
-            # Corrupt (killed writer) or foreign-version: drop, recompute.
-            with self._lock:
-                self.stats.invalid_dropped += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        return text
-
-    @staticmethod
-    def _valid(text: str) -> bool:
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return False
-        return (
-            isinstance(payload, dict)
-            and payload.get("version") == RESULT_FORMAT_VERSION
+        if cache_dir is not None:
+            # fail at startup, not at the first put, on an unusable root
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+        super().__init__(
+            cache_dir, ".json", _load,
+            memory_entries=memory_entries, sweep_every=sweep_every,
         )
 
-    # -- stores ------------------------------------------------------------
-
-    def put(self, key: str, text: str) -> None:
-        """Insert into both tiers; the disk write is atomic (tmp+rename)."""
-        path = self.path_for(key)
-        due = False
-        if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(f".tmp.{os.getpid()}")
-            tmp.write_text(text)
-            os.replace(tmp, path)
-        with self._lock:
-            self.stats.stores += 1
-            self._remember(key, text)
-            if path is not None:
-                self._puts += 1
-                due = self._puts % self.sweep_every == 0
-        if due:
-            swept = self._sweep_tmp()
-            with self._lock:
-                self.stats.tmp_swept += swept
-
-    def _remember(self, key: str, text: str) -> None:
-        # caller holds the lock
-        if self.memory_entries == 0:
-            return
-        if key in self._mem:
-            self._mem.move_to_end(key)
-        else:
-            while len(self._mem) >= self.memory_entries:
-                self._mem.popitem(last=False)
-                self.stats.evictions += 1
-        self._mem[key] = text
-
-    # -- introspection -----------------------------------------------------
-
-    def memory_len(self) -> int:
-        with self._lock:
-            return len(self._mem)
-
-    def disk_len(self) -> int:
-        if self.cache_dir is None:
-            return 0
-        return sum(1 for _ in self.cache_dir.glob("*/*.json"))
+    def get(self, key: str) -> tuple[Optional[str], Optional[str]]:
+        """Return ``(result_text, tier)``; ``(None, None)`` on a miss."""
+        return self.fetch(key)
 
     def snapshot(self) -> dict:
-        with self._lock:
-            stats = self.stats.as_dict()
-        return {
-            **stats,
-            "memory_entries": self.memory_len(),
-            "memory_capacity": self.memory_entries,
-            "disk_entries": self.disk_len(),
-            "cache_dir": None if self.cache_dir is None else str(self.cache_dir),
-        }
+        snap = super().snapshot()
+        snap["cache_dir"] = snap.pop("root")
+        return snap

@@ -1,29 +1,20 @@
 """The scheduling daemon: socket server, single-flight, graceful drain.
 
-Two serving loops share one request pipeline:
-
-* ``loop="async"`` (the default) runs a single asyncio event loop that
-  multiplexes every client connection — hundreds of concurrent sockets
-  cost one thread, and the warm path (memoized request resolution, memory
-  cache hit, pre-serialized response splice) never leaves the loop.
-* ``loop="threads"`` is the original thread-per-connection accept loop,
-  kept for comparison benchmarks and as a fallback; it serves each
-  connection from a reader thread and prunes the thread when the
-  connection closes.
-
-Seconds-long scheduling work never runs on either loop — it runs in the
-worker pool's processes (pre-forked warm workers by default,
-spawn-per-miss with ``pool_mode="spawn"``) — so the GIL is irrelevant to
-miss latency.
+One asyncio event loop multiplexes every client connection — hundreds of
+concurrent sockets cost one thread, and the warm path (memoized request
+resolution, memory cache hit, pre-serialized response splice) never leaves
+the loop.  Seconds-long scheduling work never runs on the loop — it runs
+in the pre-forked warm workers of :class:`~repro.server.pool.WarmWorkerPool`
+— so the GIL is irrelevant to miss latency.
 
 Request path for ``optimize``:
 
 1. resolve the request to ``(serialized program, resolved options)`` —
    a registered workload name picks up its paper flags (``iss``/
    ``diamond``) underneath the caller's overrides, exactly like
-   ``repro opt``; the async loop memoizes workload-name resolutions
-   (registry and factories are fixed per process) so warm requests skip
-   program rebuild + hashing entirely;
+   ``repro opt``; workload-name resolutions are memoized (registry and
+   factories are fixed per process) so warm requests skip program
+   rebuild + hashing entirely;
 2. probe the two-tier cache; a hit answers immediately (``hit-memory`` /
    ``hit-disk``);
 3. on a miss, *single-flight* the key: the first requester submits one
@@ -32,11 +23,12 @@ Request path for ``optimize``:
 4. if the pool is saturated (bounded queue full), the request is rejected
    with an explicit ``busy`` response — clients retry, the daemon never
    builds unbounded latency;
-5. the pool completion callback stores the result in both cache tiers and
-   wakes every waiter — threads block on an event, async waiters are woken
-   via ``call_soon_threadsafe``.  Worker crashes and timeouts become
-   structured ``error`` responses for exactly the requests that needed
-   that key; the daemon itself never dies with a worker.
+5. the pool completion callback (dispatcher thread) stores the result in
+   both cache tiers and wakes every waiter via ``call_soon_threadsafe``.
+   Worker crashes and timeouts become structured ``error`` responses for
+   exactly the requests that needed that key; the daemon itself never
+   dies with a worker, and a failing disk write costs the entry its disk
+   tier, never the response.
 
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, finish
 in-flight work, answer late requests with ``shutting-down``, close
@@ -62,16 +54,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.server import protocol
-from repro.server.cache import DEFAULT_MEMORY_ENTRIES, ScheduleCache, cache_key
+from repro.server.cache import DEFAULT_MEMORY_ENTRIES, ScheduleCache
 from repro.server.metrics import ServerMetrics
 from repro.server.pool import (
     DEFAULT_RECYCLE,
     DEFAULT_TIMEOUT,
     PoolJob,
     WarmWorkerPool,
-    WorkerPool,
 )
-from repro.server.resolve import ResolveMemo, resolve_optimize
+from repro.server.resolve import ResolveMemo
 from repro.workers import WorkerEvent
 
 __all__ = ["Daemon", "DaemonConfig", "SocketInUse", "claim_unix_path"]
@@ -147,36 +138,28 @@ class DaemonConfig:
     #: disables the layer.
     skeleton_dir: Optional[str] = None
     drain_seconds: float = 60.0         # SIGTERM: wait this long for workers
-    loop: str = "async"                 # "async" | "threads" (legacy)
-    pool_mode: str = "warm"             # "warm" | "spawn" (legacy)
-    pool_recycle: int = DEFAULT_RECYCLE  # warm pool: requests per worker
+    pool_recycle: int = DEFAULT_RECYCLE  # requests per worker before recycling
 
     def __post_init__(self) -> None:
         if (self.socket_path is None) == (self.port is None):
             raise ValueError("configure exactly one of socket_path or port")
-        if self.loop not in ("async", "threads"):
-            raise ValueError(f"loop must be 'async' or 'threads', got {self.loop!r}")
-        if self.pool_mode not in ("warm", "spawn"):
-            raise ValueError(
-                f"pool_mode must be 'warm' or 'spawn', got {self.pool_mode!r}"
-            )
 
 
 class _Flight:
-    """One in-flight computation; thread waiters block on the event,
-    async waiters park a future that ``settle()`` completes thread-safely."""
+    """One in-flight computation; waiters park a future on their loop that
+    ``settle()`` (called from the pool's dispatcher thread) completes
+    thread-safely."""
 
     def __init__(self) -> None:
-        self.event = threading.Event()
         self.response: Optional[dict] = None
         self.result_text: Optional[str] = None
-        self.compute_seconds: float = 0.0
+        self._settled = False
         self._waiters: list[tuple[asyncio.AbstractEventLoop, asyncio.Future]] = []
         self._lock = threading.Lock()
 
     def settle(self) -> None:
         with self._lock:
-            self.event.set()
+            self._settled = True
             waiters, self._waiters = self._waiters, []
         for loop, future in waiters:
             with contextlib.suppress(RuntimeError):
@@ -190,7 +173,7 @@ class _Flight:
     async def wait_async(self, timeout: float) -> bool:
         loop = asyncio.get_running_loop()
         with self._lock:
-            if self.event.is_set():
+            if self._settled:
                 return True
             future: asyncio.Future = loop.create_future()
             self._waiters.append((loop, future))
@@ -208,22 +191,15 @@ class Daemon:
             config.cache_dir or None, memory_entries=config.memory_entries
         )
         self.metrics = ServerMetrics()
-        if config.pool_mode == "warm":
-            self.pool = WarmWorkerPool(
-                config.jobs, timeout=config.timeout, backlog=config.backlog,
-                recycle=config.pool_recycle, metrics=self.metrics,
-            )
-        else:
-            self.pool = WorkerPool(
-                config.jobs, timeout=config.timeout, backlog=config.backlog
-            )
+        self.pool = WarmWorkerPool(
+            config.jobs, timeout=config.timeout, backlog=config.backlog,
+            recycle=config.pool_recycle, metrics=self.metrics,
+        )
         self._memo = ResolveMemo()
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
         self._stop = threading.Event()
-        self._listener: Optional[socket.socket] = None
-        self._conn_threads: set[threading.Thread] = set()
-        self._open_conns: set = set()  # sockets (threads) or writers (async)
+        self._open_conns: set = set()  # stream writers
         self._conns_lock = threading.Lock()
         self._conn_tasks: set = set()
         self._busy_requests = 0
@@ -239,10 +215,7 @@ class Daemon:
     def serve(self) -> None:
         """Bind, accept until asked to stop, then drain.  Blocks."""
         self._export_skeleton_env()
-        if self.config.loop == "async":
-            asyncio.run(self._serve_async())
-        else:
-            self._serve_threads()
+        asyncio.run(self._serve_async())
 
     def shutdown(self) -> None:
         """Ask the daemon to drain and stop (thread-safe, returns fast)."""
@@ -250,9 +223,8 @@ class Daemon:
 
     def _export_skeleton_env(self) -> None:
         """Publish ``skeleton_dir`` to the pool workers (must run before
-        ``pool.start()``: warm workers fork once at startup and inherit
-        the environment; spawn-per-miss workers inherit it at each
-        spawn)."""
+        ``pool.start()``: warm workers fork at startup and inherit the
+        environment)."""
         if self.config.skeleton_dir:
             os.environ["REPRO_SKELETON_CACHE"] = self.config.skeleton_dir
 
@@ -261,7 +233,7 @@ class Daemon:
         if not drained:
             self.pool.stop()  # stragglers: kill, fail their flights
 
-    # -- the async loop ----------------------------------------------------
+    # -- the serving loop --------------------------------------------------
 
     async def _serve_async(self) -> None:
         if self.config.socket_path is not None:
@@ -415,111 +387,7 @@ class Daemon:
         }
         return protocol.encode_response_with_result(head, result_text)
 
-    # -- the legacy thread-per-connection loop -----------------------------
-
-    def _bind(self) -> socket.socket:
-        if self.config.socket_path is not None:
-            path = self.config.socket_path
-            claim_unix_path(path)
-            listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            listener.bind(path)
-            self.bound_address = path
-        else:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((self.config.host, self.config.port))
-            self.bound_address = listener.getsockname()
-        listener.listen(64)
-        listener.settimeout(0.2)  # poll the stop event between accepts
-        return listener
-
-    def _serve_threads(self) -> None:
-        self._listener = self._bind()
-        self.pool.start()
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self._serve_connection, args=(conn,),
-                    name="repro-serve-conn", daemon=True,
-                )
-                with self._conns_lock:
-                    self._open_conns.add(conn)
-                    self._conn_threads.add(thread)
-                thread.start()
-        finally:
-            self._shutdown_threads()
-
-    def _shutdown_threads(self) -> None:
-        if self._listener is not None:
-            with contextlib.suppress(OSError):
-                self._listener.close()
-        if self.config.socket_path is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(self.config.socket_path)
-        self._drain_pool()
-        # In-flight responses are out (flights settle before the pool
-        # reports drained); now cut the readers loose.
-        with self._conns_lock:
-            conns = list(self._open_conns)
-            threads = list(self._conn_threads)
-        for conn in conns:
-            with contextlib.suppress(OSError):
-                conn.shutdown(socket.SHUT_RDWR)
-            with contextlib.suppress(OSError):
-                conn.close()
-        for thread in threads:
-            thread.join(timeout=5.0)
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            rfile = conn.makefile("rb")
-            wfile = conn.makefile("wb")
-            while True:
-                try:
-                    request = protocol.read_message(rfile)
-                except protocol.ProtocolError as e:
-                    self.metrics.count_error("bad-request")
-                    protocol.write_message(
-                        wfile, protocol.error_response(None, "bad-request", str(e))
-                    )
-                    continue
-                if request is None:
-                    return  # orderly EOF
-                response = self._handle(request)
-                protocol.write_message(wfile, response)
-                if request.get("type") == "shutdown":
-                    return
-        except (OSError, ValueError):
-            pass  # client went away mid-message; nothing to answer
-        finally:
-            with contextlib.suppress(OSError):
-                conn.close()
-            with self._conns_lock:
-                self._open_conns.discard(conn)
-                # finished threads used to accumulate for the daemon's
-                # lifetime; prune on connection close instead
-                self._conn_threads.discard(threading.current_thread())
-
-    def _handle(self, request: dict) -> dict:
-        t_arrival = time.perf_counter()
-        try:
-            protocol.validate_request(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.error_response(request, "bad-request", str(e))
-        rtype = request["type"]
-        self.metrics.count_request(rtype)
-        if rtype != "optimize":
-            return self._handle_control(request, rtype)
-        return self._handle_optimize(request, t_arrival)
-
-    # -- shared handling ---------------------------------------------------
+    # -- control requests and replies ------------------------------------
 
     def _handle_control(self, request: dict, rtype: str) -> dict:
         if rtype == "ping":
@@ -569,57 +437,7 @@ class Daemon:
         if any(r.get("reduction") for r in tiled.get("rows", ())):
             self.metrics.count_reduction_parallel()
 
-    # -- the optimize path (threads loop) ----------------------------------
-
-    def _resolve(self, request: dict) -> tuple[dict, dict]:
-        """Request → (serialized program, resolved options dict).
-
-        The seed resolution path, unmemoized — the async loop resolves
-        through :class:`~repro.server.resolve.ResolveMemo` instead.
-        """
-        return resolve_optimize(request)
-
-    def _handle_optimize(self, request: dict, t_arrival: float) -> dict:
-        try:
-            program_dict, options_dict = self._resolve(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.error_response(request, "bad-request", str(e))
-        self.metrics.count_backend(options_dict.get("backend", "python"))
-
-        key = cache_key(program_dict, options_dict)
-        text, tier = self.cache.get(key)
-        self.metrics.observe("lookup", time.perf_counter() - t_arrival)
-        if text is not None:
-            return self._ok_response(
-                request, key, f"hit-{tier}", json.loads(text), t_arrival
-            )
-
-        if self._stop.is_set():
-            self.metrics.count_error("shutting-down")
-            return protocol.error_response(
-                request, "shutting-down", "daemon is draining; not accepting work"
-            )
-
-        flight, owner = self._join_flight(key, program_dict, options_dict)
-        if flight is None:
-            self.metrics.count_busy()
-            return self._busy_response(request)
-
-        # Workers are deadline-killed, and a dying pool fails its flights,
-        # so this wait terminates; the grace margin is pure paranoia.
-        if not flight.event.wait(timeout=self.config.timeout + _WAIT_GRACE):
-            self.metrics.count_error("wedged")
-            return protocol.error_response(
-                request, "error", "internal: flight never settled"
-            )
-        if flight.result_text is None:
-            return {**protocol.response_header(request), **flight.response}
-        cache_tag = "miss" if owner else "coalesced"
-        payload = json.loads(flight.result_text)
-        if owner:
-            self._count_owner_scheduler(flight.result_text)
-        return self._ok_response(request, key, cache_tag, payload, t_arrival)
+    # -- single-flight -----------------------------------------------------
 
     def _join_flight(
         self, key: str, program_dict: dict, options_dict: dict
@@ -637,7 +455,6 @@ class Daemon:
                 key=key,
                 payload={"program": program_dict, "options": options_dict},
                 on_done=lambda ev, k=key: self._complete(k, ev),
-                name=f"repro-serve-{key[:12]}",
             )
             if not self.pool.try_submit(job):
                 return None, False
@@ -645,42 +462,35 @@ class Daemon:
             return flight, True
 
     def _complete(self, key: str, ev: WorkerEvent) -> None:
-        """Pool callback (dispatcher thread): settle the flight."""
+        """Pool callback (dispatcher thread): settle the flight.
+
+        The flight is already out of ``_flights``, so nothing else can
+        ever settle it: whatever happens in here, ``settle()`` must run,
+        or its waiters block out the full worker deadline.
+        """
         with self._flights_lock:
             flight = self._flights.pop(key, None)
         if flight is None:  # pool stop raced a completed flight
             return
-        if ev.kind == "ok":
-            self.cache.put(key, ev.payload)
-            flight.result_text = ev.payload
-            flight.compute_seconds = ev.elapsed
-            self.metrics.observe("compute", ev.elapsed)
-        else:
-            message = ev.payload if isinstance(ev.payload, str) else str(ev.payload)
-            flight.response = {
-                "status": "error",
-                "kind": ev.kind,
-                "message": message,
-                "key": key,
-            }
-            self.metrics.count_error(ev.kind)
-        flight.settle()
-
-    def _ok_response(
-        self, request: dict, key: str, cache_tag: str, payload: dict,
-        t_arrival: float,
-    ) -> dict:
-        elapsed = time.perf_counter() - t_arrival
-        self.metrics.count_outcome(cache_tag)
-        self.metrics.observe("total", elapsed)
-        return {
-            **protocol.response_header(request),
-            "status": "ok",
-            "cache": cache_tag,
-            "key": key,
-            "elapsed": round(elapsed, 6),
-            "result": payload,
-        }
+        try:
+            if ev.kind == "ok":
+                flight.result_text = ev.payload
+                self.metrics.observe("compute", ev.elapsed)
+                # before settle(): a client holding its response can rely
+                # on the next identical request being a cache hit
+                self.cache.put(key, ev.payload)
+            else:
+                message = (ev.payload if isinstance(ev.payload, str)
+                           else str(ev.payload))
+                flight.response = {
+                    "status": "error",
+                    "kind": ev.kind,
+                    "message": message,
+                    "key": key,
+                }
+                self.metrics.count_error(ev.kind)
+        finally:
+            flight.settle()
 
     # -- introspection -----------------------------------------------------
 
@@ -695,8 +505,6 @@ class Daemon:
                 connections=connections,
                 jobs=self.pool.jobs,
                 backlog=self.pool.backlog,
-                loop=self.config.loop,
-                pool_mode=self.config.pool_mode,
                 skeleton_dir=self.config.skeleton_dir,
             ),
             "cache": self.cache.snapshot(),

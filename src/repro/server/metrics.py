@@ -93,7 +93,7 @@ class ServerMetrics:
         # {"python": 40, "c": 2}; requests predating the knob count as
         # "python" (the resolved-options default)
         self.backends: dict[str, int] = {}
-        # warm worker pool accounting (spawn-per-miss pools leave these 0)
+        # warm worker pool accounting
         self.pool_spawns = 0       # workers forked (initial + replacements)
         self.pool_dispatches = 0   # jobs handed to a worker
         self.pool_reuses = 0       # ... to a worker that had served before

@@ -1,34 +1,27 @@
-"""The daemon's worker pools: warm pre-forked workers, or spawn-per-miss.
+"""The daemon's worker pool: pre-forked persistent warm workers.
 
-Two implementations share one submission interface (``start`` /
-``try_submit`` / ``load`` / ``drain`` / ``stop``), so the daemon picks by
-configuration:
+:class:`WarmWorkerPool` pre-forks ``jobs`` persistent workers at startup —
+after :func:`preload_pipeline` has imported the heavy modules, so every
+fork starts with the pipeline, the workload registry, and the serializers
+already loaded.  Each worker serves jobs off its pipe
+(:func:`repro.workers.warm_worker_main`) and is recycled after ``recycle``
+requests (bounding leak accumulation) or replaced outright when it crashes
+or blows its deadline.  (The suite engine's one-process-per-run model lives
+on :class:`repro.workers.WorkerSupervisor`, not here.)
 
-* :class:`WarmWorkerPool` (the default, ``pool_mode="warm"``) pre-forks
-  ``jobs`` persistent workers at startup — after :func:`preload_pipeline`
-  has imported the heavy modules, so every fork starts with the pipeline,
-  the workload registry, and the serializers already loaded.  Each worker
-  serves jobs off its pipe (:func:`repro.workers.warm_worker_main`) and is
-  recycled after ``recycle`` requests (bounding leak accumulation) or
-  replaced outright when it crashes or blows its deadline.
-
-* :class:`WorkerPool` (``pool_mode="spawn"``, the original behavior) forks
-  one fresh process per cache miss on the shared supervision layer
-  (:mod:`repro.workers`), exactly like the suite engine.
-
-Both give the daemon the same fault contract: a crashed or hung worker
-settles as a :class:`~repro.workers.WorkerEvent` (``ok``/``error``/
-``crash``/``timeout``) like any other — the daemon stays up.
+Fault contract: a crashed or hung worker settles as a
+:class:`~repro.workers.WorkerEvent` (``ok``/``error``/``crash``/
+``timeout``) like any other — the daemon stays up.
 
 Backpressure is the bounded queue: ``try_submit`` returns ``False`` once
 ``live + queued`` reaches ``jobs + backlog``, which the daemon turns into
 an explicit ``busy`` response instead of unbounded latency.
 
-Each pool's dispatcher thread blocks on the worker pipes *plus* a
-self-pipe; ``try_submit`` writes one byte to wake it, so submission latency
-is a pipe write, not a poll interval.  Only the dispatcher thread ever
-touches worker processes — kills and respawns included — so there is no
-cross-thread process management anywhere.
+The dispatcher thread blocks on the worker pipes *plus* a self-pipe;
+``try_submit`` writes one byte to wake it, so submission latency is a pipe
+write, not a poll interval.  Only the dispatcher thread ever touches worker
+processes — kills and respawns included — so there is no cross-thread
+process management anywhere.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ from typing import Callable, Optional
 
 from repro.workers import (
     WorkerEvent,
-    WorkerSupervisor,
     kill_process,
     mp_context,
     warm_worker_main,
@@ -52,7 +44,6 @@ from repro.workers import (
 __all__ = [
     "PoolJob",
     "WarmWorkerPool",
-    "WorkerPool",
     "preload_pipeline",
     "run_optimize_job",
 ]
@@ -90,7 +81,6 @@ class PoolJob:
     key: str
     payload: dict
     on_done: Callable[[WorkerEvent], None]
-    name: str = "repro-serve-job"
 
 
 @dataclass
@@ -99,156 +89,6 @@ class _PoolState:
     live: int = 0
     stopping: bool = False   # no new submissions; finish what is queued
     kill: bool = False       # abandon everything now
-
-
-class WorkerPool:
-    """Bounded per-request process pool with completion callbacks.
-
-    ``on_done`` callbacks run on the dispatcher thread and must be quick
-    (a cache store plus an event set); anything slow would serialize job
-    completions behind it.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 2,
-        *,
-        timeout: float = DEFAULT_TIMEOUT,
-        backlog: Optional[int] = None,
-        target: Callable = run_optimize_job,
-    ):
-        self.jobs = max(1, int(jobs))
-        self.timeout = timeout
-        self.backlog = 2 * self.jobs if backlog is None else max(0, int(backlog))
-        self._sup = WorkerSupervisor(target)
-        self._lock = threading.Lock()
-        self._state = _PoolState()
-        self._drained = threading.Condition(self._lock)
-        self._wake_r: Optional[int] = None
-        self._wake_w: Optional[int] = None
-        self._thread: Optional[threading.Thread] = None
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        self._wake_r, self._wake_w = os.pipe()
-        self._thread = threading.Thread(
-            target=self._dispatch, name="repro-serve-pool", daemon=True
-        )
-        self._thread.start()
-
-    def _wake(self) -> None:
-        try:
-            os.write(self._wake_w, b"x")
-        except OSError:
-            pass  # dispatcher already gone
-
-    def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop accepting work and wait for queued + live jobs to settle.
-
-        Returns ``False`` if jobs were still running when ``timeout``
-        expired; call :meth:`stop` afterwards to kill the stragglers.
-        """
-        with self._lock:
-            self._state.stopping = True
-        self._wake()
-        with self._lock:
-            settled = self._drained.wait_for(
-                lambda: not self._state.queued and not self._state.live,
-                timeout=timeout,
-            )
-        if settled and self._thread is not None:
-            self._thread.join(timeout=5.0)
-        return settled
-
-    def stop(self) -> None:
-        """Hard stop: kill live workers, fail queued and in-flight jobs."""
-        with self._lock:
-            self._state.stopping = True
-            self._state.kill = True
-        self._wake()
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-
-    # -- submission --------------------------------------------------------
-
-    def load(self) -> tuple[int, int]:
-        """Point-in-time ``(in_flight, queued)`` for metrics gauges."""
-        with self._lock:
-            return self._state.live, len(self._state.queued)
-
-    def try_submit(self, job: PoolJob) -> bool:
-        """Queue one job; ``False`` means over capacity (caller says busy)."""
-        with self._lock:
-            if self._state.stopping:
-                return False
-            if self._state.live + len(self._state.queued) >= self.jobs + self.backlog:
-                return False
-            self._state.queued.append(job)
-        self._wake()
-        return True
-
-    # -- dispatcher thread -------------------------------------------------
-
-    def _settle(self, job: PoolJob, ev: WorkerEvent) -> None:
-        with self._lock:
-            self._state.live -= 1
-            self._drained.notify_all()
-        try:
-            job.on_done(ev)
-        except Exception:
-            pass  # a broken callback must not kill the pool
-
-    def _dispatch(self) -> None:
-        # The wake pipe's raw read fd joins supervisor.poll's wait set
-        # directly: on POSIX, multiprocessing.connection.wait registers
-        # plain file descriptors with selectors just fine.
-        try:
-            while True:
-                with self._lock:
-                    if self._state.kill:
-                        break
-                    while self._state.queued and self._state.live < self.jobs:
-                        job = self._state.queued.pop(0)
-                        self._sup.spawn(
-                            job, job.payload, timeout=self.timeout, name=job.name
-                        )
-                        self._state.live += 1
-                    if (
-                        self._state.stopping
-                        and not self._state.queued
-                        and not self._state.live
-                    ):
-                        break
-
-                events, ready = self._sup.poll(extra=[self._wake_r])
-                if ready:
-                    try:
-                        os.read(self._wake_r, 4096)
-                    except OSError:
-                        pass
-                for ev in events:
-                    self._settle(ev.key, ev)
-        finally:
-            # Kill path (or an unexpected dispatcher error): fail whatever
-            # is left so no waiter blocks forever, then reap the processes.
-            abandoned = [h.key for h in self._sup.live_handles()]
-            self._sup.shutdown()
-            with self._lock:
-                abandoned += self._state.queued
-                self._state.queued = []
-                self._state.live = 0
-                self._drained.notify_all()
-            for job in abandoned:
-                try:
-                    job.on_done(WorkerEvent(job, "error", "pool stopped", 0.0))
-                except Exception:
-                    pass
-            try:
-                os.close(self._wake_r)
-                os.close(self._wake_w)
-            except OSError:
-                pass
 
 
 @dataclass
@@ -265,8 +105,11 @@ class _WarmWorker:
 
 
 class WarmWorkerPool:
-    """Pre-forked persistent workers with recycling; same interface as
-    :class:`WorkerPool`.
+    """Bounded pool of pre-forked persistent workers with recycling.
+
+    ``on_done`` callbacks run on the dispatcher thread and must be quick
+    (a cache store plus a waiter wake-up); anything slow would serialize
+    job completions behind it.
 
     ``fn`` is captured at each fork, so swapping it (tests inject scripted
     behavior this way) affects workers forked afterwards — including the
@@ -326,7 +169,11 @@ class WarmWorkerPool:
             pass  # dispatcher already gone (or never started)
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Stop accepting work and wait for queued + live jobs to settle."""
+        """Stop accepting work and wait for queued + live jobs to settle.
+
+        Returns ``False`` if jobs were still running when ``timeout``
+        expired; call :meth:`stop` afterwards to kill the stragglers.
+        """
         with self._lock:
             self._state.stopping = True
         self._wake()

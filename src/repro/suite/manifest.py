@@ -36,17 +36,12 @@ import time
 from pathlib import Path
 from typing import Optional
 
+from repro.store import atomic_write_text
 from repro.suite.matrix import RunSpec
 
 __all__ = ["MANIFEST_VERSION", "SuiteManifest"]
 
 MANIFEST_VERSION = 1
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
 
 
 class SuiteManifest:
@@ -135,7 +130,7 @@ class SuiteManifest:
     def write_record(self, record: dict) -> None:
         """Persist one run record and index it; atomic at every step."""
         run_id = record["run_id"]
-        _atomic_write(
+        atomic_write_text(
             self.record_path(run_id), json.dumps(record, indent=1)
         )
         self.data["runs"][run_id] = {
@@ -147,4 +142,4 @@ class SuiteManifest:
         self.flush()
 
     def flush(self) -> None:
-        _atomic_write(self.path, json.dumps(self.data, indent=1))
+        atomic_write_text(self.path, json.dumps(self.data, indent=1))

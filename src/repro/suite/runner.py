@@ -254,7 +254,7 @@ def run_suite(
             while pending and sup.live_count < jobs:
                 spawn(pending.popleft())
 
-            events, _ = sup.poll()
+            events = sup.poll()
             for ev in events:
                 if ev.kind == "ok":
                     finish_ok(ev.key, ev)

@@ -1,13 +1,15 @@
 """Shared worker-process supervision: spawn, report, deadline kill.
 
-Two subsystems run jobs as one short-lived process per request — the
-parallel suite engine (:mod:`repro.suite.runner`) and the serving daemon's
-pool (:mod:`repro.server.pool`).  Both need the same machinery: fork a
-child that reports exactly one ``("ok" | "error", payload)`` message over a
-pipe, wait on many children at once, kill the ones that outlive their
-deadline, and classify a silent death as a *crash* rather than a result.
-That machinery lives here so the two callers cannot drift apart; policy —
-retries, manifests, caches, admission control — stays with the caller.
+Two subsystems run jobs in child processes — the parallel suite engine
+(:mod:`repro.suite.runner`, one short-lived process per run on
+:class:`WorkerSupervisor`) and the serving daemon's pool
+(:mod:`repro.server.pool`, persistent workers on
+:func:`warm_worker_main`).  Both need the same machinery: fork a child
+that reports ``("ok" | "error", payload)`` over a pipe, wait on many
+children at once, kill the ones that outlive their deadline, and classify
+a silent death as a *crash* rather than a result.  That machinery lives
+here so the two callers cannot drift apart; policy — retries, manifests,
+caches, admission control — stays with the caller.
 
 Child contract (:func:`worker_main`): the spawn target runs
 ``fn(payload)`` and sends ``("ok", result)``; any raise is caught and sent
@@ -20,9 +22,6 @@ Parent contract (:class:`WorkerSupervisor`): :meth:`~WorkerSupervisor.spawn`
 starts one child per job, :meth:`~WorkerSupervisor.poll` performs one
 ``multiprocessing.connection.wait`` round and returns settled
 :class:`WorkerEvent` records (``ok``/``error``/``crash``/``timeout``).
-``poll`` also accepts extra connections to wait on — the daemon pool's
-wake pipe — so a dispatcher thread can block on worker completions and new
-submissions in one call.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing.connection import wait as conn_wait
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = [
     "WorkerEvent",
@@ -157,9 +156,6 @@ class WorkerSupervisor:
     def live_count(self) -> int:
         return len(self._live)
 
-    def live_handles(self) -> list[WorkerHandle]:
-        return list(self._live.values())
-
     def spawn(
         self,
         key,
@@ -182,17 +178,14 @@ class WorkerSupervisor:
         self._live[parent_conn] = handle
         return handle
 
-    def poll(
-        self, extra: Sequence = (), timeout: Optional[float] = None
-    ) -> tuple[list[WorkerEvent], list]:
+    def poll(self, timeout: Optional[float] = None) -> list[WorkerEvent]:
         """One wait round: reap reporters, kill the overdue, return events.
 
-        Blocks until a worker settles, an ``extra`` connection becomes
-        readable, the earliest worker deadline passes, or ``timeout``
-        elapses — whichever is first.  Returns ``(events, ready_extras)``.
+        Blocks until a worker settles, the earliest worker deadline
+        passes, or ``timeout`` elapses — whichever is first.
         """
-        if not self._live and not extra:
-            return [], []
+        if not self._live:
+            return []
 
         deadlines = [
             h.deadline() for h in self._live.values() if h.timeout is not None
@@ -204,14 +197,10 @@ class WorkerSupervisor:
                 until_deadline if wait_for is None else min(wait_for, until_deadline)
             )
 
-        ready = conn_wait(list(self._live) + list(extra), timeout=wait_for)
-        extra_set = set(extra)
-        ready_extras = [c for c in ready if c in extra_set]
+        ready = conn_wait(list(self._live), timeout=wait_for)
 
         events: list[WorkerEvent] = []
         for conn in ready:
-            if conn in extra_set:
-                continue
             handle = self._live.pop(conn)
             elapsed = time.perf_counter() - handle.started
             pid = handle.proc.pid
@@ -242,7 +231,7 @@ class WorkerSupervisor:
                 f"exceeded {handle.timeout:.0f}s deadline",
                 now - handle.started, handle.proc.pid,
             ))
-        return events, ready_extras
+        return events
 
     def shutdown(self) -> None:
         """Kill every live worker; leaves no orphans behind."""

@@ -194,6 +194,30 @@ class TestSkeletonStore:
         assert not orphan.exists()
         assert store.stats.tmp_swept == 1
 
+    def test_pre_primitive_directory_is_served(self, tmp_path):
+        """A skeleton dir written before the store primitive stays warm."""
+        import os
+
+        # exactly what the hand-rolled SkeletonStore.merge left behind
+        entry = tmp_path / self.FP[:2] / f"{self.FP}.json"
+        entry.parent.mkdir()
+        entry.write_text(json.dumps({
+            "version": SKELETON_FORMAT_VERSION, "fingerprint": self.FP,
+            "solves": self._rec(), "farkas": {}, "meta": {"updated": 1.0},
+        }, sort_keys=True))
+        orphan = entry.with_name(f"{self.FP}.tmp.4242")
+        orphan.write_text("{")
+        os.utime(orphan, (1, 1))
+
+        store = SkeletonStore(tmp_path)
+        assert store.path_for(self.FP) == entry
+        assert store.get(self.FP)["solves"] == self._rec()
+        assert store.stats.hits_disk == 1 and store.stats.tmp_swept == 1
+        # a merge grows the parent's record in place
+        merged = store.merge(self.FP, {"s2": {"status": "optimal"}})
+        assert set(merged["solves"]) == {"s1", "s2"}
+        assert set(json.loads(entry.read_text())["solves"]) == {"s1", "s2"}
+
     def test_memory_tier_serves_without_disk(self, tmp_path):
         store = SkeletonStore(tmp_path)
         store.merge(self.FP, self._rec())

@@ -233,6 +233,41 @@ class TestDiskHygiene:
         assert snap["cache_dir"] == str(tmp_path / "c")
 
 
+class TestParentLayout:
+    """A cache dir written before the store primitive existed stays warm."""
+
+    def test_pre_primitive_directory_is_served_and_swept(self, tmp_path):
+        import os
+
+        root = tmp_path / "c"
+        key = cache_key(PROGRAM, OPTIONS)
+        # exactly what the hand-rolled ScheduleCache.put left behind ...
+        entry = root / key[:2] / f"{key}.json"
+        entry.parent.mkdir(parents=True)
+        entry.write_text(_payload("from-the-parent"))
+        # ... including one of its `<key>.tmp.<pid>` orphans
+        orphan = root / key[:2] / f"{key}.tmp.4242"
+        orphan.write_text("{half a pay")
+        os.utime(orphan, (1, 1))
+
+        cache = ScheduleCache(root)
+        assert cache.path_for(key) == entry
+        assert cache.get(key) == (_payload("from-the-parent"), "disk")
+        assert cache.stats.tmp_swept == 1 and not orphan.exists()
+        assert cache.disk_len() == 1
+
+    def test_failed_disk_write_degrades_to_memory_only(self, tmp_path):
+        root = tmp_path / "c"
+        cache = ScheduleCache(root)
+        root.rmdir()
+        root.write_text("a file where the cache root was")
+        key = cache_key(PROGRAM, OPTIONS)
+        cache.put(key, _payload())               # must not raise
+        assert cache.stats.store_errors == 1
+        assert cache.get(key) == (_payload(), "memory")
+        assert cache.snapshot()["store_errors"] == 1
+
+
 class TestStats:
     def test_hit_rate(self, tmp_path):
         cache = ScheduleCache(tmp_path / "c")

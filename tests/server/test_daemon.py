@@ -1,8 +1,8 @@
 """End-to-end daemon tests over real Unix sockets.
 
 The daemon runs on a background thread inside the test process; worker
-behavior is injected by swapping the pool supervisor's job body for a
-scripted one — forked workers inherit the swap, and the script keys off
+behavior is injected by swapping the pool's job body for a scripted one —
+forked workers inherit the swap, and the script keys off
 the serialized program's *name*, so hostile behavior (crash, hang, slow)
 is selected per request.  Fork-gated like the suite-engine tests.
 """
@@ -78,36 +78,24 @@ def _scripted(payload):
 
 
 def _inject(daemon, fn) -> None:
-    """Swap the pool's job body (works for both pool implementations).
+    """Swap the pool's job body.
 
     Must happen before ``serve()``: warm workers capture ``fn`` at fork.
     """
-    if hasattr(daemon.pool, "_sup"):
-        daemon.pool._sup.fn = fn  # spawn-per-miss supervisor
-    else:
-        daemon.pool.fn = fn       # warm pool: captured at each fork
+    daemon.pool.fn = fn
 
 
-@pytest.fixture(
-    params=[("async", "warm"), ("threads", "spawn")],
-    ids=["async-warm", "threads-spawn"],
-)
-def daemon_factory(request, tmp_path):
-    """Start daemons on background threads; drain them all afterwards.
-
-    Parametrized over the default serving stack (asyncio loop + warm
-    pre-forked pool) and the legacy one (thread-per-connection +
-    spawn-per-miss), so every end-to-end behavior is pinned on both.
-    """
-    loop, pool_mode = request.param
+# The single id keeps every test's name what it was while the suite was
+# still parametrized over a second (since deleted) serving stack.
+@pytest.fixture(params=["async-warm"])
+def daemon_factory(tmp_path):
+    """Start daemons on background threads; drain them all afterwards."""
     started = []
 
     def make(scripted=True, **cfg):
         cfg.setdefault("jobs", 2)
         cfg.setdefault("drain_seconds", 2.0)
         cfg.setdefault("cache_dir", str(tmp_path / "cache"))
-        cfg.setdefault("loop", loop)
-        cfg.setdefault("pool_mode", pool_mode)
         config = DaemonConfig(
             socket_path=str(tmp_path / f"d{len(started)}.sock"), **cfg
         )
@@ -117,7 +105,9 @@ def daemon_factory(request, tmp_path):
         thread = threading.Thread(target=daemon.serve, daemon=True)
         thread.start()
         deadline = time.time() + 10
-        while not os.path.exists(config.socket_path):
+        # bound_address is set once the socket *listens*; the path alone
+        # appears at bind(), a moment before connect() stops being refused
+        while daemon.bound_address is None:
             assert thread.is_alive(), "daemon died during startup"
             assert time.time() < deadline, "daemon never bound its socket"
             time.sleep(0.01)
@@ -396,6 +386,28 @@ class TestFaultIsolation:
         assert {r["status"] for r in background} == {"ok"}
 
 
+    def test_failing_disk_put_still_answers(self, daemon_factory, tmp_path):
+        # The worker produced a valid result; a cache root that stopped
+        # being writable after startup must cost the entry its disk tier,
+        # not wedge the request until the worker deadline (+ grace).
+        daemon = daemon_factory(timeout=2.0)
+        root = tmp_path / "cache"
+        root.rmdir()                     # empty: nothing was stored yet
+        root.write_text("not a directory any more")
+        t0 = time.perf_counter()
+        with _client(daemon, timeout=60) as client:
+            first = client.optimize(program=_program("ok-enospc"))
+            elapsed = time.perf_counter() - t0
+            second = client.optimize(program=_program("ok-enospc"))
+            cache = client.stats()["stats"]["cache"]
+        assert first["status"] == "ok" and first["cache"] == "miss"
+        assert elapsed < 1.0, f"request took {elapsed:.1f}s"
+        assert second["cache"] == "hit-memory"
+        assert second["result"] == first["result"]
+        assert cache["store_errors"] == 1
+        assert cache["stores"] == 1
+
+
 class TestShutdown:
     def test_shutdown_request_drains_and_exits(self, daemon_factory):
         daemon = daemon_factory()
@@ -438,6 +450,62 @@ class TestShutdown:
         assert slow_resp[0]["status"] == "ok"
 
 
+    def test_drain_under_load_answers_every_inflight_request(
+        self, daemon_factory
+    ):
+        # K slow requests in flight on separate connections when the drain
+        # starts: every one gets its ok response (a settled flight has
+        # only *woken* its connection — the response must still make it
+        # onto the wire before the sockets are cut), late work is refused,
+        # and then the connections close.
+        k = 6
+        daemon = daemon_factory(jobs=2, backlog=k, drain_seconds=30.0)
+        responses = [None] * k
+        errors = []
+
+        def ask(i):
+            try:
+                with _client(daemon, timeout=60) as client:
+                    responses[i] = client.optimize(
+                        program=_program(f"slow-drain{i}")
+                    )
+            except Exception as e:  # noqa: BLE001 - a drop fails the test
+                errors.append(f"request {i}: {e!r}")
+
+        # opened before the drain begins; raw, so the close is observable
+        bystander = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        with bystander:
+            bystander.connect(daemon.config.socket_path)
+            bystander.settimeout(30)
+            rfile = bystander.makefile("rb")
+            threads = [threading.Thread(target=ask, args=(i,)) for i in range(k)]
+            for t in threads:
+                t.start()
+            deadline = time.time() + 10
+            while sum(daemon.pool.load()) < k:  # all admitted
+                assert time.time() < deadline, "requests never reached the pool"
+                time.sleep(0.01)
+            daemon.shutdown()
+            bystander.sendall(json.dumps({
+                "type": "optimize", "program": _program("ok-too-late"),
+            }).encode() + b"\n")
+            late = json.loads(rfile.readline())
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert not errors, errors
+            assert [r["status"] for r in responses] == ["ok"] * k
+            assert {r["cache"] for r in responses} == {"miss"}
+            assert late["status"] == "error"
+            assert late["kind"] == "shutting-down"
+            # ... and only then are the sockets closed: EOF, not a hang
+            assert rfile.readline() == b""
+        deadline = time.time() + 15
+        while os.path.exists(daemon.config.socket_path):
+            assert time.time() < deadline, "socket never removed on shutdown"
+            time.sleep(0.05)
+
+
 class TestBindSafety:
     """The socket path is probed before binding: live daemons are never
     clobbered, stale sockets are reclaimed, foreign files are refused."""
@@ -449,8 +517,6 @@ class TestBindSafety:
         rival = Daemon(DaemonConfig(
             socket_path=daemon.config.socket_path,
             cache_dir=daemon.config.cache_dir,
-            loop=daemon.config.loop,
-            pool_mode=daemon.config.pool_mode,
         ))
         with pytest.raises(SocketInUse, match="already serving"):
             rival.serve()

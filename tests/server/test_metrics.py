@@ -160,7 +160,7 @@ class TestServerMetrics:
         }
 
     def test_pool_counters_default_zero(self):
-        # spawn-per-miss pools never touch these; the snapshot still
+        # a fresh daemon has forked nothing yet; the snapshot still
         # carries the block so dashboards need no special-casing
         snap = ServerMetrics().snapshot()
         assert snap["pool"] == {

@@ -1,10 +1,4 @@
-"""Tests for the daemon's worker pools: callbacks, backpressure, stop.
-
-Parametrized over both implementations — spawn-per-miss
-(:class:`WorkerPool`) and the pre-forked warm pool
-(:class:`WarmWorkerPool`) — which share one submission interface and one
-fault contract.
-"""
+"""Tests for the daemon's worker pool: callbacks, backpressure, stop."""
 
 import multiprocessing
 import os
@@ -13,7 +7,7 @@ import time
 
 import pytest
 
-from repro.server.pool import PoolJob, WarmWorkerPool, WorkerPool
+from repro.server.pool import PoolJob, WarmWorkerPool
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -61,14 +55,13 @@ class _Collector:
         return self.events
 
 
-@pytest.fixture(params=[WorkerPool, WarmWorkerPool], ids=["spawn", "warm"])
-def pool_factory(request):
+@pytest.fixture
+def pool_factory():
     pools = []
 
     def make(**kwargs):
-        if request.param is WarmWorkerPool:
-            kwargs.setdefault("preload", None)  # tests inject their own fn
-        pool = request.param(**kwargs)
+        kwargs.setdefault("preload", None)  # tests inject their own fn
+        pool = WarmWorkerPool(**kwargs)
         pool.start()
         pools.append(pool)
         return pool
@@ -170,26 +163,11 @@ class TestShutdown:
 
 
 class TestWarmPool:
-    """Behavior specific to the pre-forked warm pool: persistence across
-    requests, recycling, and the reuse accounting the metrics expose."""
+    """Persistence across requests, recycling, and the reuse accounting
+    the metrics expose."""
 
-    @pytest.fixture
-    def warm_factory(self):
-        pools = []
-
-        def make(**kwargs):
-            kwargs.setdefault("preload", None)
-            pool = WarmWorkerPool(**kwargs)
-            pool.start()
-            pools.append(pool)
-            return pool
-
-        yield make
-        for pool in pools:
-            pool.stop()
-
-    def test_same_process_serves_consecutive_jobs(self, warm_factory):
-        pool = warm_factory(jobs=1, target=_echo)
+    def test_same_process_serves_consecutive_jobs(self, pool_factory):
+        pool = pool_factory(jobs=1, target=_echo)
         done = _Collector(3)
         for i in range(3):
             assert pool.try_submit(PoolJob(f"k{i}", {"n": i}, done))
@@ -198,11 +176,11 @@ class TestWarmPool:
         assert len(pids) == 1, f"expected one persistent worker, got {pids}"
         assert all(ev.kind == "ok" for ev in events)
 
-    def test_metrics_count_spawns_dispatches_reuses(self, warm_factory):
+    def test_metrics_count_spawns_dispatches_reuses(self, pool_factory):
         from repro.server.metrics import ServerMetrics
 
         metrics = ServerMetrics()
-        pool = warm_factory(jobs=1, target=_echo, metrics=metrics)
+        pool = pool_factory(jobs=1, target=_echo, metrics=metrics)
         done = _Collector(3)
         for i in range(3):
             assert pool.try_submit(PoolJob(f"k{i}", {"n": i}, done))
@@ -214,11 +192,11 @@ class TestWarmPool:
         assert snap["pool"]["reuses"] == 2
         assert snap["pool"]["recycles"] == 0
 
-    def test_worker_recycled_at_limit(self, warm_factory):
+    def test_worker_recycled_at_limit(self, pool_factory):
         from repro.server.metrics import ServerMetrics
 
         metrics = ServerMetrics()
-        pool = warm_factory(jobs=1, target=_echo, recycle=2, metrics=metrics)
+        pool = pool_factory(jobs=1, target=_echo, recycle=2, metrics=metrics)
         done = _Collector(4)
         for i in range(4):
             assert pool.try_submit(PoolJob(f"k{i}", {"n": i}, done))
@@ -232,8 +210,8 @@ class TestWarmPool:
         assert snap["pool"]["recycles"] >= 1
         assert snap["pool"]["spawns"] >= 2
 
-    def test_crash_replacement_is_a_fresh_process(self, warm_factory):
-        pool = warm_factory(jobs=1, target=_crash_if_told)
+    def test_crash_replacement_is_a_fresh_process(self, pool_factory):
+        pool = pool_factory(jobs=1, target=_crash_if_told)
         done = _Collector(2)
         assert pool.try_submit(PoolJob("k-crash", {"crash": True}, done))
         assert pool.try_submit(PoolJob("k-ok", {"n": 1}, done))
@@ -243,8 +221,8 @@ class TestWarmPool:
         pids = {ev.key.key: ev.pid for ev in events}
         assert pids["k-crash"] != pids["k-ok"]
 
-    def test_jobs_spread_across_workers(self, warm_factory):
-        pool = warm_factory(jobs=2, target=_slow)
+    def test_jobs_spread_across_workers(self, pool_factory):
+        pool = pool_factory(jobs=2, target=_slow)
         done = _Collector(2)
         assert pool.try_submit(PoolJob("k1", {"seconds": 0.4}, done))
         assert pool.try_submit(PoolJob("k2", {"seconds": 0.4}, done))

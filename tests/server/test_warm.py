@@ -8,7 +8,6 @@ request for any cell is a cache hit.  Fork-gated like the daemon tests.
 
 import json
 import multiprocessing
-import os
 import threading
 import time
 
@@ -52,7 +51,9 @@ def daemon_factory(tmp_path):
         thread = threading.Thread(target=daemon.serve, daemon=True)
         thread.start()
         deadline = time.time() + 10
-        while not os.path.exists(config.socket_path):
+        # bound_address is set once the socket *listens*; the path alone
+        # appears at bind(), a moment before connect() stops being refused
+        while daemon.bound_address is None:
             assert thread.is_alive(), "daemon died during startup"
             assert time.time() < deadline, "daemon never bound its socket"
             time.sleep(0.01)

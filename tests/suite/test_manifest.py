@@ -81,4 +81,4 @@ class TestManifest:
             {"run_id": "a--plutoplus", "status": "ok", "attempts": 1,
              "elapsed": 0.5}
         )
-        assert not list(manifest.suite_dir.glob("*.tmp"))
+        assert not list(manifest.suite_dir.glob("*.tmp*"))

@@ -262,6 +262,78 @@ class TestCLIDepsCache:
         assert "fast_rejects" in err
 
 
+class TestCLIPipelineFlagTable:
+    """`opt`, `verify` and `client opt` share one flag table and one
+    namespace -> PipelineOptions mapping (repro.cli._PIPELINE_FLAGS)."""
+
+    #: (argv, the PipelineOptions fields it must set)
+    CASES = [
+        (["--algorithm", "pluto"], {"algorithm": "pluto"}),
+        (["--tile", "16"], {"tile": True, "tile_size": 16}),
+        (["--tile", "0"], {"tile": False}),
+        (["--iss"], {"iss": True}),
+        (["--diamond"], {"diamond": True}),
+        (["--bound", "7"], {"coeff_bound": 7}),
+        (["--fuse", "max"], {"fuse": "max"}),
+        (["--ilp-backend", "exact"], {"ilp_backend": "exact"}),
+        (["--scheduler", "auto"], {"scheduler": "auto"}),
+        (["--backend", "c"], {"backend": "c"}),
+        (["--rar"], {"rar": True}),
+        (["--parallel-reductions", "omp"], {"parallel_reductions": "omp"}),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv,fields", CASES, ids=[" ".join(argv) for argv, _ in CASES]
+    )
+    def test_flag_means_the_same_locally_and_through_the_client(
+        self, argv, fields
+    ):
+        from repro.cli import _pipeline_fields, _pipeline_options
+        from repro.pipeline import PipelineOptions
+
+        local = _pipeline_options(
+            build_parser().parse_args(["opt", "--workload", "gemm", *argv])
+        )
+        assert local == PipelineOptions(**fields)
+        overrides = _pipeline_fields(build_parser().parse_args(
+            ["client", "opt", "--workload", "gemm", "--socket", "/x", *argv]
+        ))
+        # the client sends exactly what was typed, nothing defaulted
+        assert overrides == fields
+
+    def test_unset_client_flags_send_no_overrides(self):
+        from repro.cli import _pipeline_fields
+
+        args = build_parser().parse_args(
+            ["client", "opt", "--workload", "gemm", "--socket", "/x"]
+        )
+        assert _pipeline_fields(args) == {}
+
+    def test_local_defaults_are_the_pipeline_defaults(self):
+        from repro.cli import _pipeline_options
+        from repro.pipeline import PipelineOptions
+
+        for command in ("opt", "verify"):
+            args = build_parser().parse_args([command, "--workload", "gemm"])
+            assert _pipeline_options(args) == PipelineOptions()
+
+    def test_verify_takes_only_schedule_shaping_flags(self):
+        # verify's own --backend is an execution check, not a pipeline field
+        from repro.cli import _pipeline_options
+        from repro.pipeline import PipelineOptions
+
+        args = build_parser().parse_args(
+            ["verify", "--workload", "gemm", "--scheduler", "quick",
+             "--rar", "--backend", "c"]
+        )
+        assert _pipeline_options(args) == PipelineOptions(
+            scheduler="quick", rar=True
+        )
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["verify", "--workload", "gemm",
+                                       "--tile", "8"])
+
+
 class TestCLIVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -304,16 +376,21 @@ class TestCLIServeParsing:
         with pytest.raises(SystemExit, match="source file or --workload"):
             main(["client", "opt", "--socket", str(tmp_path / "x.sock")])
 
-    def test_serve_loop_and_pool_flags(self):
+    def test_serve_recycle_flag(self):
         args = build_parser().parse_args(["serve", "--socket", "/tmp/x.sock"])
-        assert args.loop == "async" and args.pool == "warm"
         assert args.recycle is None
         args = build_parser().parse_args(
-            ["serve", "--socket", "/tmp/x.sock", "--loop", "threads",
-             "--pool", "spawn", "--recycle", "8"]
+            ["serve", "--socket", "/tmp/x.sock", "--recycle", "8"]
         )
-        assert args.loop == "threads" and args.pool == "spawn"
         assert args.recycle == 8
+
+    @pytest.mark.parametrize("flag", [("--loop", "threads"), ("--pool", "spawn")])
+    def test_serve_stack_selectors_are_gone(self, flag, capsys):
+        # one loop, one pool: the selectors were removed with the stacks
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--socket", "/tmp/x", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_route_parser(self):
         args = build_parser().parse_args(

@@ -41,8 +41,7 @@ def _drain(sup, deadline=30.0):
     events = []
     t0 = time.perf_counter()
     while sup.live_count and time.perf_counter() - t0 < deadline:
-        got, _ = sup.poll(timeout=1.0)
-        events.extend(got)
+        events.extend(sup.poll(timeout=1.0))
     return events
 
 
@@ -89,18 +88,6 @@ class TestSupervisor:
         assert sorted((ev.key, ev.payload) for ev in events) == [
             (f"job-{i}", 2 * i) for i in range(6)
         ]
-
-    def test_poll_reports_ready_extras(self):
-        sup = WorkerSupervisor(_double)
-        r, w = os.pipe()
-        try:
-            os.write(w, b"x")
-            events, ready = sup.poll(extra=[r], timeout=5.0)
-            assert events == []
-            assert ready == [r]
-        finally:
-            os.close(r)
-            os.close(w)
 
     def test_shutdown_kills_live_workers(self):
         sup = WorkerSupervisor(_sleep)
