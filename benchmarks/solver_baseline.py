@@ -1,63 +1,60 @@
-"""Solver baseline: exact-backend speedup over the seed solver.
+"""Solver baseline: exact-backend auto-transformation time, corpus-gated.
 
-Runs the full pipeline with ``--ilp-backend exact`` twice per workload —
-once on the current solver stack (integer-scaled warm-started simplex) and
-once with ``REPRO_EXACT_LEGACY=1`` (the seed's dense Fraction tableau, cold
-lexmin sequence, no row dedup or skeleton reuse) — verifies the two produce
-**identical schedules**, and writes ``BENCH_solver.json`` with per-workload
-auto-transformation times and the geometric means.
+Runs the full pipeline once per workload with ``--ilp-backend exact``
+(integer-scaled warm-started simplex), checks each result against the
+workload's exact cell in the golden corpus (``tests/golden/schedules.json``
+— written with the seed solver still in place, so a match *is* seed
+identity), and writes ``BENCH_solver.json`` with per-workload
+auto-transformation times and their geometric mean.
+
+The seed solver this used to race (dense Fraction tableau, cold lexmin
+sequence, no row dedup or skeleton reuse; ``REPRO_EXACT_LEGACY=1``) is
+deleted; its last measurement rides along as :data:`SEED_RECORD`, a frozen
+record, so the artifact still shows the trajectory without a cross-machine
+speedup gate.
 
 The workload list is the Polybench subset on which the seed solver
-terminates in minutes; the larger models take hours under the seed engine,
-which is the point of the fast path (and of ``auto`` routing them to HiGHS).
+terminated in minutes (the larger models took hours, which is why ``auto``
+routes them to HiGHS).
 
-Usage::
+Usage (from the repository root)::
 
-    PYTHONPATH=src python benchmarks/solver_baseline.py [-o BENCH_solver.json]
+    PYTHONPATH=src python -m benchmarks.solver_baseline [-o BENCH_solver.json]
 
-Exits non-zero if any schedule differs or the geomean speedup is < 2x.
+Exits non-zero if any schedule differs from the corpus.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import time
 
 from repro.pipeline import optimize
 from repro.reporting import format_table, geomean
-from repro.workloads import get_workload
+from tests.golden import EXACT_WORKLOADS, cell_specs, load_corpus, mismatch, summarize
 
-#: Polybench models where the seed exact solver finishes in minutes
-WORKLOADS = [
-    "floyd-warshall",
-    "mvt",
-    "gemm",
-    "syrk",
-    "trisolv",
-    "lu",
-    "seidel-2d",
-]
-
-_QUICK = ["floyd-warshall", "mvt", "gemm", "syrk"]
-
-
-def _run(name: str, legacy: bool):
-    if legacy:
-        os.environ["REPRO_EXACT_LEGACY"] = "1"
-    else:
-        os.environ.pop("REPRO_EXACT_LEGACY", None)
-    try:
-        workload = get_workload(name)
-        options = workload.pipeline_options("plutoplus", ilp_backend="exact")
-        t0 = time.perf_counter()
-        result = optimize(workload.program(), options=options)
-        wall = time.perf_counter() - t0
-        return result, wall
-    finally:
-        os.environ.pop("REPRO_EXACT_LEGACY", None)
+#: The deleted seed solver stack as last measured (the checked-in
+#: ``BENCH_solver.json`` of 43c1190); numbers from another machine, kept for
+#: the record and never gated against.
+SEED_RECORD = {
+    "frozen": True,
+    "stack": "dense Fraction tableau + cold lexmin sequence, no probe/"
+             "row dedup/skeleton reuse (REPRO_EXACT_LEGACY=1; deleted)",
+    "commit": "43c1190",
+    "date": "2026-08-06",
+    "auto_seconds": {
+        "floyd-warshall": 7.569,
+        "mvt": 7.410,
+        "gemm": 23.596,
+        "syrk": 20.105,
+        "trisolv": 64.411,
+        "lu": 167.478,
+        "seidel-2d": 144.013,
+    },
+    "geomean_auto_seconds": 32.856,
+    "geomean_speedup_then": 78.9,
+}
 
 
 def main(argv=None) -> int:
@@ -65,68 +62,63 @@ def main(argv=None) -> int:
     parser.add_argument("-o", "--output", default="BENCH_solver.json")
     args = parser.parse_args(argv)
 
-    names = _QUICK if os.environ.get("REPRO_BENCH_SCALE") == "quick" else WORKLOADS
+    specs = cell_specs()
+    golden = load_corpus()["cells"]
     entries = []
-    mismatches = []
-    for name in names:
-        new, _ = _run(name, legacy=False)
-        old, _ = _run(name, legacy=True)
-        if new.schedule.pretty() != old.schedule.pretty():
-            mismatches.append(name)
-        t_new = new.timing.auto_transformation
-        t_old = old.timing.auto_transformation
+    reports = []
+    for name in EXACT_WORKLOADS:
+        cell_id = f"{name}--plutoplus@exact"
+        workload, options = specs[cell_id]
+        result = optimize(workload, options=options)
+        report = mismatch(cell_id, golden[cell_id], summarize(result))
+        if report:
+            reports.append(report)
         entries.append(
             {
                 "workload": name,
-                "auto_seconds": t_new,
-                "auto_seconds_seed": t_old,
-                "speedup": t_old / t_new if t_new > 0 else float("inf"),
-                "ilp_solve_seconds": new.timing.ilp_solve,
-                "schedule_identical": name not in mismatches,
-                "solver": new.scheduler_stats.solve.as_dict(),
+                "auto_seconds": result.timing.auto_transformation,
+                "ilp_solve_seconds": result.timing.ilp_solve,
+                "schedule_identical": report is None,
+                "solver": result.scheduler_stats.solve.as_dict(),
             }
         )
         print(
-            f"{name}: seed {t_old:.3f}s -> {t_new:.3f}s "
-            f"({t_old / t_new:.1f}x){' MISMATCH' if name in mismatches else ''}",
+            f"{name}: {result.timing.auto_transformation:.3f}s "
+            f"(seed record {SEED_RECORD['auto_seconds'][name]:.1f}s)"
+            f"{' MISMATCH' if report else ''}",
             flush=True,
         )
 
     g_new = geomean([e["auto_seconds"] for e in entries])
-    g_old = geomean([e["auto_seconds_seed"] for e in entries])
-    g_speedup = geomean([e["speedup"] for e in entries])
-    report = {
+    out = {
         "backend": "exact",
         "algorithm": "plutoplus",
         "workloads": entries,
         "geomean_auto_seconds": g_new,
-        "geomean_auto_seconds_seed": g_old,
-        "geomean_speedup": g_speedup,
-        "schedules_identical": not mismatches,
+        "schedules_identical": not reports,
+        "seed": SEED_RECORD,
     }
     with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(out, fh, indent=2)
 
     print("\nExact-solver auto-transformation time (seconds)")
     print(
         format_table(
-            ["workload", "seed", "new", "speedup"],
+            ["workload", "seed (frozen)", "now"],
             [
-                [e["workload"], e["auto_seconds_seed"], e["auto_seconds"], e["speedup"]]
+                [e["workload"], SEED_RECORD["auto_seconds"][e["workload"]],
+                 e["auto_seconds"]]
                 for e in entries
             ],
         )
     )
-    print(f"  geomean: seed {g_old:.3f}s, new {g_new:.3f}s, speedup {g_speedup:.1f}x")
+    print(f"  geomean: {g_new:.3f}s  (frozen seed record: "
+          f"{SEED_RECORD['geomean_auto_seconds']:.3f}s at {SEED_RECORD['commit']})")
     print(f"  wrote {args.output}")
 
-    if mismatches:
-        print(f"FAIL: schedule mismatch on {', '.join(mismatches)}", file=sys.stderr)
-        return 1
-    if g_speedup < 2.0:
-        print(f"FAIL: geomean speedup {g_speedup:.2f}x < 2x", file=sys.stderr)
-        return 1
-    return 0
+    for report in reports:
+        print("\n" + report, file=sys.stderr)
+    return 1 if reports else 0
 
 
 if __name__ == "__main__":

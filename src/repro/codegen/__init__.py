@@ -9,7 +9,6 @@ from repro.codegen.c_emit import (
 from repro.codegen.original import original_schedule
 from repro.codegen.python_emit import (
     GeneratedCode,
-    _new_generated_code,
     generate_python,
 )
 from repro.codegen.scan import Bound, ScanSystem, build_scan_systems, z_name
@@ -34,12 +33,9 @@ __all__ = [
 def make_generated_code(
     python_source: str, tsched: TiledSchedule, traced: bool = False
 ) -> GeneratedCode:
-    """The one sanctioned constructor for :class:`GeneratedCode`.
+    """Rebuild a :class:`GeneratedCode` from emitted source and its schedule.
 
-    Deserialization and tooling must come through here rather than calling
-    ``GeneratedCode(...)`` directly (which now emits a
-    ``DeprecationWarning``): this factory is the single place construction
-    invariants for the Python-backend kernel live, mirroring how native
-    kernels are only built by :func:`repro.exec.build_c_kernel`.
+    The documented constructor for deserialization and tooling, mirroring
+    how native kernels are built by :func:`repro.exec.build_c_kernel`.
     """
-    return _new_generated_code(python_source, tsched, traced=traced)
+    return GeneratedCode(python_source, tsched, traced=traced)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ast
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -45,20 +44,14 @@ _EXEC_GLOBALS = {
 }
 
 
-#: nonzero while the sanctioned factory is constructing (see
-#: :func:`repro.codegen.make_generated_code`)
-_factory_depth = 0
-
-
 @dataclass
 class GeneratedCode:
     """Compiled kernel plus its source and schedule metadata.
 
     Satisfies the :class:`repro.exec.CompiledKernel` protocol — this is the
     ``backend == "python"`` implementation, with the native backend's
-    ``CKernel`` as its peer.  Construct through
-    :func:`repro.codegen.make_generated_code`; calling the class directly
-    is deprecated (the factory is where cross-emitter invariants live).
+    ``CKernel`` as its peer.  :func:`repro.codegen.make_generated_code` is
+    the documented way to rebuild one from stored source.
     """
 
     python_source: str
@@ -67,15 +60,6 @@ class GeneratedCode:
     _func: Optional[Callable] = field(default=None, repr=False, compare=False)
 
     backend = "python"
-
-    def __post_init__(self) -> None:
-        if _factory_depth == 0:
-            warnings.warn(
-                "constructing GeneratedCode(...) directly is deprecated; "
-                "use repro.codegen.make_generated_code(...)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
 
     @property
     def source(self) -> str:
@@ -269,21 +253,8 @@ class _Emitter:
             self.line(body_indent, f"__trace.append(('{stmt.name}', {vec}))")
 
 
-def _new_generated_code(
-    python_source: str, tsched: TiledSchedule, traced: bool = False
-) -> GeneratedCode:
-    """Construct without the direct-call deprecation warning (the factory
-    and the emitter come through here)."""
-    global _factory_depth
-    _factory_depth += 1
-    try:
-        return GeneratedCode(python_source, tsched, traced=traced)
-    finally:
-        _factory_depth -= 1
-
-
 def generate_python(tsched: TiledSchedule, trace: bool = False) -> GeneratedCode:
     """Generate an executable Python kernel scanning ``tsched``."""
     emitter = _Emitter(tsched, trace)
     source = emitter.emit()
-    return _new_generated_code(source, tsched, traced=trace)
+    return GeneratedCode(source, tsched, traced=trace)

@@ -54,7 +54,7 @@ from repro.core.transform import Band, Schedule, ScheduleRow
 from repro.deps.analysis import Dependence
 from repro.deps.ddg import DependenceGraph
 from repro.frontend.ir import Program, Statement
-from repro.ilp import ILPModel, LinearConstraint, SolveStats, legacy_exact_mode, lexmin
+from repro.ilp import ILPModel, LinearConstraint, SolveStats, lexmin
 from repro.linalg import FMatrix
 from repro.polyhedra import AffExpr, Constraint
 from repro.polyhedra.fourier_motzkin import normalize_row
@@ -220,9 +220,7 @@ class PlutoScheduler:
         self.rar = list(rar)
         self._rar_bound_cache: dict[int, list] = {}
         # Cross-request replay context (repro.core.skeleton.WarmStart).
-        # Disabled under REPRO_EXACT_LEGACY: the seed-reproduction mode
-        # must not take any fast path, even a provably identical one.
-        self.warm = warm if (warm is not None and not legacy_exact_mode()) else None
+        self.warm = warm
         # Lazily computed Farkas constraints per dependence (they do not
         # depend on the level, so one elimination serves the whole run).
         self._farkas_cache: dict[int, tuple[list, list]] = {}
@@ -342,31 +340,29 @@ class PlutoScheduler:
         row count, so every collapsed row is a direct solver saving
         (counted in ``stats.solve.dedup_rows``).
         """
-        legacy = legacy_exact_mode()
         key = None
-        if not legacy:
-            items = sorted(con.coeffs.items())
-            vals: list[int] = []
-            integral = True
-            for _, v in items:
-                f = Fraction(v)
-                if f.denominator != 1:
-                    integral = False
-                    break
-                vals.append(int(f))
-            const = Fraction(con.const)
-            if integral and const.denominator == 1:
-                raw = (tuple(vals) + (int(const),), con.equality)
-                norm = normalize_row(raw)
-                if norm is None:
-                    self.stats.solve.dedup_rows += 1
-                    return  # trivially satisfied
-                nrow, neq = norm
-                coeffs = {
-                    name: c for (name, _), c in zip(items, nrow[:-1]) if c
-                }
-                con = LinearConstraint(coeffs, nrow[-1], neq, con.label)
-                key = (tuple(sorted(coeffs.items())), nrow[-1], neq)
+        items = sorted(con.coeffs.items())
+        vals: list[int] = []
+        integral = True
+        for _, v in items:
+            f = Fraction(v)
+            if f.denominator != 1:
+                integral = False
+                break
+            vals.append(int(f))
+        const = Fraction(con.const)
+        if integral and const.denominator == 1:
+            raw = (tuple(vals) + (int(const),), con.equality)
+            norm = normalize_row(raw)
+            if norm is None:
+                self.stats.solve.dedup_rows += 1
+                return  # trivially satisfied
+            nrow, neq = norm
+            coeffs = {
+                name: c for (name, _), c in zip(items, nrow[:-1]) if c
+            }
+            con = LinearConstraint(coeffs, nrow[-1], neq, con.label)
+            key = (tuple(sorted(coeffs.items())), nrow[-1], neq)
         if key is None:
             key = (tuple(sorted(con.coeffs.items())), con.const, con.equality)
         if key in seen:
@@ -444,13 +440,11 @@ class PlutoScheduler:
         plus = opts.algorithm == "plutoplus"
         b = opts.coeff_bound
 
-        use_cache = not legacy_exact_mode()
         key = tuple(sorted(id(d) for d in active))
-        cached = self._skeleton_cache.get(key) if use_cache else None
+        cached = self._skeleton_cache.get(key)
         if cached is None:
             skeleton, skeleton_seen = self._build_skeleton(active)
-            if use_cache:
-                self._skeleton_cache[key] = (skeleton, skeleton_seen)
+            self._skeleton_cache[key] = (skeleton, skeleton_seen)
         else:
             skeleton, skeleton_seen = cached
             self.stats.solve.models_reused += 1

@@ -36,8 +36,8 @@ This module turns those misses into warm solves, in three pieces:
   content-addressed on disk as ``<root>/<fp[:2]>/<fp>.json`` on the shared
   :class:`repro.store.AtomicStore` (atomic writes, orphan sweeps, verified
   reads, restart survival).  Enabled via ``REPRO_SKELETON_CACHE`` (the
-  daemon sets it from ``--skeleton-dir``); unset, empty, or
-  ``REPRO_EXACT_LEGACY=1`` disables the whole layer.
+  daemon sets it from ``--skeleton-dir``); unset or empty disables the
+  whole layer.
 
 The store can only ever change *how fast* a schedule is found, never
 *which* schedule: replay fires solely on exact solve-key matches, and the
@@ -54,7 +54,6 @@ from pathlib import Path
 from threading import Lock
 from typing import Mapping, Optional
 
-from repro.ilp import legacy_exact_mode
 from repro.store import TMP_SWEEP_EVERY, AtomicStore
 
 __all__ = [
@@ -323,13 +322,12 @@ _STORES_LOCK = Lock()
 def skeleton_store_from_env() -> Optional[SkeletonStore]:
     """The process-wide store for ``REPRO_SKELETON_CACHE``, or ``None``.
 
-    Unset/empty disables the layer outright, as does
-    ``REPRO_EXACT_LEGACY=1`` (the seed-reproduction mode must not take any
-    fast path).  Stores are memoized per path so a warm worker keeps its
-    in-memory tier and stats across the requests it serves.
+    Unset/empty disables the layer outright.  Stores are memoized per path
+    so a warm worker keeps its in-memory tier and stats across the requests
+    it serves.
     """
     path = os.environ.get("REPRO_SKELETON_CACHE", "").strip()
-    if not path or legacy_exact_mode():
+    if not path:
         return None
     with _STORES_LOCK:
         store = _STORES.get(path)

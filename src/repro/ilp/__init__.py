@@ -1,7 +1,7 @@
 """Integer linear programming with a lexicographic objective.
 
-The exact backend (rational simplex + branch-and-bound) plays the role PIP
-plays in the paper; the HiGHS backend plays GLPK's role for large models.
+The exact backend (integer-scaled simplex + branch-and-bound) plays the role
+PIP plays in the paper; the HiGHS backend plays GLPK's role for large models.
 """
 
 from repro.ilp.branch_bound import (
@@ -24,7 +24,6 @@ from repro.ilp.model import (
     LinearConstraint,
     SolveStats,
     Variable,
-    legacy_exact_mode,
 )
 from repro.ilp.simplex import IncrementalLP, LPResult, LPStatus, solve_lp
 
@@ -42,7 +41,6 @@ __all__ = [
     "LPStatus",
     "SolveStats",
     "Variable",
-    "legacy_exact_mode",
     "lexmin",
     "pick_backend",
     "solve_ilp",

@@ -3,8 +3,10 @@
 Together with :mod:`repro.ilp.simplex` this forms the exact (PIP-role) ILP
 backend.  The scheduler's relaxations are usually integral or nearly so —
 most Pluto/Pluto+ models have totally-unimodular-looking structure — so the
-tree stays tiny in practice, but the implementation is a complete
-best-first/DFS hybrid with integral-bound pruning and a node-limit safeguard.
+tree stays tiny in practice, but the implementation is a complete DFS with
+integral-bound pruning and a node-limit safeguard.  There is one loop,
+:func:`solve_ilp_warm`, which works on a live tableau; :func:`solve_ilp` runs
+it on a fresh one.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
-from repro.ilp.simplex import IncrementalLP, LPStatus, solve_lp
+from repro.ilp.simplex import IncrementalLP, LPStatus
 
 __all__ = [
     "ILPResult",
@@ -77,68 +79,16 @@ def solve_ilp(
 ) -> ILPResult:
     """Minimize ``objective . x`` with the model's integrality constraints.
 
-    ``extra`` constraints are appended to the model's own (used by the lexmin
-    driver to fix previously optimized objective components).  Raises
-    :class:`BranchAndBoundError` if ``node_limit`` subproblems are explored
-    without closing the tree.
+    ``extra`` constraints are appended to the model's own.  This is
+    :func:`solve_ilp_warm` on a fresh tableau (one phase 1, then every
+    branching cut applied warm).  Raises :class:`BranchAndBoundError` if
+    ``node_limit`` subproblems are explored without closing the tree.
     """
-    stats = SolveStats()
-    integral_objective = all(
-        Fraction(coef).denominator == 1 for coef in objective.values()
-    )
-    incumbent: Optional[ILPResult] = None
-    # A stack of constraint lists (DFS keeps memory small and, with integral
-    # bound pruning, closes these models quickly).
-    stack: list[tuple[LinearConstraint, ...]] = [tuple(extra)]
-    nodes = 0
-
-    while stack:
-        cuts = stack.pop()
-        nodes += 1
-        if nodes > node_limit:
-            raise BranchAndBoundError(
-                f"branch-and-bound node limit ({node_limit}) exceeded"
-            )
-        lp = solve_lp(model, objective, cuts)
-        stats.lp_solves += 1
-        stats.simplex_pivots += lp.pivots
-        if lp.status == LPStatus.INFEASIBLE:
-            continue
-        if lp.status == LPStatus.UNBOUNDED:
-            # The relaxation is unbounded.  With integer variables this means
-            # the ILP is unbounded or infeasible; for the scheduler's bounded
-            # models this never happens, so report unboundedness directly.
-            return ILPResult(ILPStatus.UNBOUNDED, stats=stats)
-
-        # Integral-bound pruning: all objective data is integer, so any
-        # integer solution in this subtree has value >= ceil(lp bound).
-        if incumbent is not None and incumbent.objective is not None:
-            bound = math.ceil(lp.objective) if integral_objective else lp.objective
-            if bound >= incumbent.objective:
-                continue
-
-        frac_var = _first_fractional(model, lp.assignment)
-        if frac_var is None:
-            if incumbent is None or lp.objective < incumbent.objective:
-                incumbent = ILPResult(
-                    ILPStatus.OPTIMAL, lp.objective, dict(lp.assignment)
-                )
-            continue
-
-        value = lp.assignment[frac_var]
-        floor_v = value.numerator // value.denominator
-        down = LinearConstraint({frac_var: -1}, floor_v, label="bb-down")
-        up = LinearConstraint({frac_var: 1}, -(floor_v + 1), label="bb-up")
-        # Explore the "down" branch first (smaller values first matches the
-        # lexmin flavor of the callers).
-        stack.append(cuts + (up,))
-        stack.append(cuts + (down,))
-
-    stats.bb_nodes = nodes
-    if incumbent is None:
-        return ILPResult(ILPStatus.INFEASIBLE, stats=stats)
-    incumbent.stats = stats
-    return incumbent
+    inc = IncrementalLP(model, extra)
+    phase1_pivots = inc.pivots
+    result, _ = solve_ilp_warm(inc, model, objective, node_limit)
+    result.stats.simplex_pivots += phase1_pivots
+    return result
 
 
 def solve_ilp_warm(
@@ -189,10 +139,15 @@ def solve_ilp_warm(
         if lp.status == LPStatus.INFEASIBLE:
             continue
         if lp.status == LPStatus.UNBOUNDED:
+            # With integer variables an unbounded relaxation means the ILP
+            # is unbounded or infeasible; the scheduler's bounded models
+            # never get here, so report unboundedness directly.
             inc.restore(root)
             stats.bb_nodes = nodes
             return ILPResult(ILPStatus.UNBOUNDED, stats=stats), False
 
+        # Integral-bound pruning: when all objective data is integer, any
+        # integer solution in this subtree has value >= ceil(lp bound).
         if incumbent is not None and incumbent.objective is not None:
             bound = math.ceil(lp.objective) if integral_objective else lp.objective
             if bound >= incumbent.objective:
@@ -210,6 +165,8 @@ def solve_ilp_warm(
         value = lp.assignment[frac_var]
         floor_v = value.numerator // value.denominator
         here = inc.snapshot()
+        # "down" is pushed last and so explored first (smaller values first
+        # matches the lexmin flavor of the callers).
         stack.append(
             (here, LinearConstraint({frac_var: 1}, -(floor_v + 1), label="bb-up"))
         )

@@ -8,7 +8,8 @@ switch backends transparently.
 
 All scheduler models have pure-integer data and modest magnitudes, so the
 floating-point optimum is rounded to the nearest integer vector and verified
-exactly against the model before being returned.
+against the model before being returned; if the rounded point fails that
+check the exact solver (:func:`repro.ilp.branch_bound.solve_ilp`) answers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy import optimize, sparse
 
-from repro.ilp.branch_bound import ILPResult, ILPStatus
+from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 
 __all__ = ["solve_ilp_highs"]
@@ -31,7 +32,13 @@ def solve_ilp_highs(
     extra: Sequence[LinearConstraint] = (),
     node_limit: int = 20000,
 ) -> ILPResult:
-    """Minimize ``objective . x`` using HiGHS.  Mirrors ``solve_ilp``."""
+    """Minimize ``objective . x`` using HiGHS.  Mirrors ``solve_ilp``.
+
+    When the rounded optimum fails verification the pure-Python exact solver
+    answers instead, with the same ``node_limit`` (already x100 on the
+    work-limit retry path): correct, but on the large models ``auto`` routes
+    here it can be slow, and it can raise ``BranchAndBoundError``.
+    """
     names = model.var_names()
     index = {n: i for i, n in enumerate(names)}
     n = len(names)
@@ -119,12 +126,17 @@ def solve_ilp_highs(
 
     # Verify the rounded vector in one vectorized pass (integer-rounded
     # values against integer constraint data, so 1e-6 slack is conservative).
-    if np.any(x < lb - 1e-6) or np.any(x > ub + 1e-6):
-        return ILPResult(ILPStatus.INFEASIBLE, stats=stats)
-    if a is not None:
+    # A point that fails says nothing about feasibility — answering
+    # "infeasible" here would make ``BasicSet.is_empty`` drop a dependence —
+    # so the exact solver decides instead.
+    verified = np.all(x >= lb - 1e-6) and np.all(x <= ub + 1e-6)
+    if verified and a is not None:
         vals = a @ x
-        if np.any(vals < c_lb - 1e-6) or np.any(vals > c_ub + 1e-6):
-            return ILPResult(ILPStatus.INFEASIBLE, stats=stats)
+        verified = np.all(vals >= c_lb - 1e-6) and np.all(vals <= c_ub + 1e-6)
+    if not verified:
+        exact = solve_ilp(model, objective, extra, node_limit)
+        exact.stats.merge(stats)
+        return exact
 
     obj_val = sum(
         (Fraction(coef) * assignment[name] for name, coef in objective.items()),

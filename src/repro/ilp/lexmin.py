@@ -30,9 +30,10 @@ applied warm on snapshots.  Two solve-avoidance shortcuts run first:
   every remaining minimum is known and the sequence finishes with no further
   solves.
 
-``REPRO_EXACT_LEGACY=1`` disables both the warm start and the probe (and the
-Fraction reference tableau takes over underneath), reproducing the seed
-solver for baseline measurements.
+There is one objective loop (shortcut, probe, solve, pin); a backend only
+supplies how one objective is solved and how its optimum is pinned — the
+exact backend on its live tableau, HiGHS by appending an equality row to the
+next cold solve.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp, solve_ilp_warm
 from repro.ilp.highs_backend import solve_ilp_highs
-from repro.ilp.model import ILPModel, LinearConstraint, SolveStats, legacy_exact_mode
+from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 from repro.ilp.simplex import IncrementalLP
 
 __all__ = [
@@ -138,45 +139,73 @@ def _probe_lower_bounds(
     return probe if model.check(probe) else None
 
 
+def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
+    """The exact backend's ``(solve, pin)`` pair: one persistent tableau
+    (one phase 1), warm phase 2 per objective, warm branch-and-bound when a
+    relaxation is fractional, and pins applied as in-place fixes."""
+    inc = IncrementalLP(model)
+    stats.lp_solves += 1  # the shared phase 1
+    stats.simplex_pivots += inc.pivots
+
+    def solve(name: str) -> ILPResult:
+        if not inc.is_feasible:
+            return ILPResult(ILPStatus.INFEASIBLE)
+        result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
+        stats.warm_starts += at_root
+        return result
+
+    def pin(name: str, value: Fraction) -> None:
+        before = inc.pivots
+        inc.fix(name, value)
+        stats.simplex_pivots += inc.pivots - before
+
+    return solve, pin
+
+
+def _cold_steps(model: ILPModel, backend: Backend, node_limit: int):
+    """A stateless backend's ``(solve, pin)`` pair: pins accumulate as
+    equality rows handed to one cold solve per objective."""
+    fixings: list[LinearConstraint] = []
+
+    def solve(name: str) -> ILPResult:
+        return backend(
+            model, {name: 1}, extra=tuple(fixings), node_limit=node_limit
+        )
+
+    def pin(name: str, value: Fraction) -> None:
+        fixings.append(
+            LinearConstraint({name: 1}, -value, equality=True, label=f"fix:{name}")
+        )
+
+    return solve, pin
+
+
 def lexmin(
     model: ILPModel,
     backend: str = "auto",
     auto_threshold: int = AUTO_THRESHOLD,
     node_limit: int = 20000,
-    warm_start: bool = True,
 ) -> LexminResult:
     """Lexicographically minimize ``model.objective_order`` over the model.
 
     Returns the optimal assignment (covering *all* model variables) or an
     infeasible/unbounded status.  Variables outside the objective order take
-    whatever value the final solve produced.  ``warm_start=False`` forces the
-    seed's cold-start sequence on the exact backend (used by the equivalence
-    tests and the solver baseline bench).
+    whatever value the final solve produced.
     """
     if not model.objective_order:
         raise ValueError("model has no objective order set")
-    solve, backend_name = pick_backend(model, backend, auto_threshold)
-    if backend_name == "exact" and warm_start and not legacy_exact_mode():
-        return _lexmin_exact_warm(model, node_limit)
-    return _lexmin_cold(model, solve, backend_name, node_limit)
-
-
-def _lexmin_cold(
-    model: ILPModel, solve: Backend, backend_name: str, node_limit: int
-) -> LexminResult:
-    """One cold solve per objective (any backend); still applies the
-    at-lower-bound shortcut and, unless in legacy mode, the probe."""
+    solver, backend_name = pick_backend(model, backend, auto_threshold)
     stats = SolveStats()
-    use_probe = not legacy_exact_mode()
-    fixings: list[LinearConstraint] = []
+    if backend_name == "exact":
+        solve, pin = _warm_exact_steps(model, node_limit, stats)
+    else:
+        solve, pin = _cold_steps(model, solver, node_limit)
+
     values: list[Fraction] = []
     current: Optional[dict[str, Fraction]] = None
     solves = 0
-
     order = model.objective_order
-    k = 0
-    while k < len(order):
-        name = order[k]
+    for k, name in enumerate(order):
         var = model.variables[name]
         if (
             current is not None
@@ -184,74 +213,6 @@ def _lexmin_cold(
             and current[name] == var.lower
         ):
             # Already at its lower bound in a feasible assignment: optimal.
-            value = Fraction(var.lower)
-            stats.shortcut_hits += 1
-        else:
-            if use_probe and current is not None:
-                probe = _probe_lower_bounds(model, current, order[k:])
-                if probe is not None:
-                    stats.probe_hits += 1
-                    current = probe
-                    values.extend(
-                        Fraction(model.variables[n].lower) for n in order[k:]
-                    )
-                    break
-            result = solve(model, {name: 1}, extra=tuple(fixings), node_limit=node_limit)
-            solves += 1
-            stats.merge(result.stats)
-            if not result.is_optimal:
-                return LexminResult(
-                    result.status, stats=stats, solves=solves, backend=backend_name
-                )
-            value = result.objective
-            current = result.assignment
-        values.append(value)
-        fixings.append(
-            LinearConstraint({name: 1}, -value, equality=True, label=f"fix:{name}")
-        )
-        k += 1
-
-    assert current is not None
-    # Re-pin the recorded values (the last solve may predate later implicit
-    # lower-bound fixings, but those were taken *from* ``current`` so it is
-    # consistent by construction).
-    for name, value in zip(order, values):
-        current[name] = value
-    return LexminResult(
-        ILPStatus.OPTIMAL,
-        dict(current),
-        values,
-        stats,
-        solves,
-        backend_name,
-    )
-
-
-def _lexmin_exact_warm(model: ILPModel, node_limit: int) -> LexminResult:
-    """The exact backend's fast path: one persistent tableau, warm phase 2
-    per objective, warm branch-and-bound when a relaxation is fractional."""
-    stats = SolveStats()
-    inc = IncrementalLP(model)
-    stats.lp_solves += 1  # the shared phase 1
-    stats.simplex_pivots += inc.pivots
-    if not inc.is_feasible:
-        return LexminResult(
-            ILPStatus.INFEASIBLE, stats=stats, solves=1, backend="exact"
-        )
-
-    values: list[Fraction] = []
-    current: Optional[dict[str, Fraction]] = None
-    solves = 0
-    order = model.objective_order
-    k = 0
-    while k < len(order):
-        name = order[k]
-        var = model.variables[name]
-        if (
-            current is not None
-            and var.lower is not None
-            and current[name] == var.lower
-        ):
             value = Fraction(var.lower)
             stats.shortcut_hits += 1
         else:
@@ -264,34 +225,24 @@ def _lexmin_exact_warm(model: ILPModel, node_limit: int) -> LexminResult:
                         Fraction(model.variables[n].lower) for n in order[k:]
                     )
                     break
-            result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
+            result = solve(name)
             solves += 1
             stats.merge(result.stats)
-            if at_root:
-                stats.warm_starts += 1
             if not result.is_optimal:
                 return LexminResult(
-                    result.status, stats=stats, solves=solves, backend="exact"
+                    result.status, stats=stats, solves=solves, backend=backend_name
                 )
             value = result.objective
             current = result.assignment
-        before = inc.pivots
-        if not inc.fix(name, value):  # pragma: no cover - value is feasible
-            return LexminResult(
-                ILPStatus.INFEASIBLE, stats=stats, solves=solves, backend="exact"
-            )
-        stats.simplex_pivots += inc.pivots - before
+        pin(name, value)
         values.append(value)
-        k += 1
 
     assert current is not None
+    # Re-pin the recorded values (the last solve may predate later implicit
+    # lower-bound fixings, but those were taken *from* ``current`` so it is
+    # consistent by construction).
     for name, value in zip(order, values):
         current[name] = value
     return LexminResult(
-        ILPStatus.OPTIMAL,
-        dict(current),
-        values,
-        stats,
-        solves,
-        backend="exact",
+        ILPStatus.OPTIMAL, dict(current), values, stats, solves, backend_name
     )

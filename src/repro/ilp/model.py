@@ -9,7 +9,6 @@ paper eq. (4)/(8)).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -20,20 +19,9 @@ __all__ = [
     "ILPModel",
     "SolveStats",
     "INF",
-    "legacy_exact_mode",
 ]
 
 INF = float("inf")
-
-
-def legacy_exact_mode() -> bool:
-    """Whether ``REPRO_EXACT_LEGACY=1`` asks for seed-equivalent solving.
-
-    Selects the dense Fraction tableau, disables lexmin warm starts and the
-    scheduler's model-skeleton reuse/row normalization — the configuration
-    :mod:`benchmarks.solver_baseline` measures the fast path against.
-    """
-    return os.environ.get("REPRO_EXACT_LEGACY", "") not in ("", "0")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin, solve_ilp
+from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin
 from repro.ilp.highs_backend import solve_ilp_highs
 from repro.polyhedra.affine import AffExpr, Space
 from repro.polyhedra.cache import MISS as MISS_, active_cache
@@ -123,16 +123,13 @@ class BasicSet:
     def _solve(self, objective) -> object:
         """Integer optimization over the set.
 
-        HiGHS decides these tiny integer-coefficient systems quickly and its
-        rounded solutions are verified against the model; the pure-Python
-        exact branch-and-bound is the fallback when HiGHS declines to answer
-        (it is orders of magnitude slower, so it is not the first choice).
+        HiGHS decides these tiny integer-coefficient systems quickly; its
+        rounded solutions are verified against the model, and it hands a
+        point that fails verification to the pure-Python exact
+        branch-and-bound itself (orders of magnitude slower, so not the
+        first choice).
         """
-        model = self._build_model()
-        res = solve_ilp_highs(model, objective)
-        if res.status in (ILPStatus.OPTIMAL, ILPStatus.INFEASIBLE, ILPStatus.UNBOUNDED):
-            return res
-        return solve_ilp(model, objective)  # pragma: no cover - defensive
+        return solve_ilp_highs(self._build_model(), objective)
 
     def is_empty(self) -> bool:
         """Exact integer emptiness (memoized on the constraint content)."""

@@ -239,11 +239,6 @@ class TestEnvResolution:
         monkeypatch.setenv("REPRO_SKELETON_CACHE", "  ")
         assert skeleton_store_from_env() is None
 
-    def test_legacy_mode_disables(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_SKELETON_CACHE", str(tmp_path))
-        monkeypatch.setenv("REPRO_EXACT_LEGACY", "1")
-        assert skeleton_store_from_env() is None
-
     def test_memoized_per_path(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_SKELETON_CACHE", str(tmp_path))
         assert skeleton_store_from_env() is skeleton_store_from_env()

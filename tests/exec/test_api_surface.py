@@ -1,8 +1,6 @@
 """The redesigned execution API surface: factory, re-exports, stability."""
 
-import warnings
-
-import pytest
+import numpy as np
 
 from repro.codegen import make_generated_code
 from repro.codegen.original import original_schedule
@@ -20,26 +18,15 @@ def _tsched():
 
 
 class TestFactory:
-    def test_direct_construction_warns(self):
+    def test_factory_round_trips_generated_code(self):
         tsched = _tsched()
         template = generate_python(tsched)
-        with pytest.warns(DeprecationWarning, match="make_generated_code"):
-            GeneratedCode(
-                python_source=template.python_source, tsched=tsched
-            )
-
-    def test_factory_does_not_warn(self):
-        tsched = _tsched()
-        template = generate_python(tsched)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            code = make_generated_code(template.python_source, tsched)
-        assert code.python_source == template.python_source
-
-    def test_generate_python_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            generate_python(_tsched())
+        code = make_generated_code(template.python_source, tsched)
+        assert code == template
+        assert code == GeneratedCode(template.python_source, tsched)
+        arrays = {"A": np.arange(4.0)}
+        code.run(arrays, {"N": 4})
+        assert arrays["A"].tolist() == [0.0, 2.0, 4.0, 6.0]
 
 
 class TestReExports:

@@ -131,6 +131,35 @@ def random_ilp(draw):
     return m
 
 
+class TestHighsVerification:
+    def test_failed_verification_is_decided_by_the_exact_solver(self, monkeypatch):
+        """A HiGHS point that violates the model is not evidence of
+        infeasibility: ``BasicSet.is_empty`` would drop a dependence."""
+        import numpy as np
+        from scipy import optimize
+
+        m = ILPModel()
+        m.add_variable("x", lower=0, upper=10)
+        m.add_variable("y", lower=0, upper=10)
+        m.add_constraint({"x": 1, "y": 1}, -3)   # x + y >= 3
+        obj = {"x": 1, "y": 2}
+
+        real = optimize.milp
+
+        def off_by_a_row(*args, **kwargs):
+            res = real(*args, **kwargs)
+            res.x = np.zeros_like(res.x)         # violates x + y >= 3
+            return res
+
+        monkeypatch.setattr(optimize, "milp", off_by_a_row)
+        got = solve_ilp_highs(m, obj)
+        want = solve_ilp(m, obj)
+        assert (got.status, got.objective, got.assignment) == (
+            want.status, want.objective, want.assignment
+        )
+        assert got.is_optimal and got.objective == 3
+
+
 class TestBackendAgreement:
     @given(random_ilp())
     @settings(max_examples=40, deadline=None)

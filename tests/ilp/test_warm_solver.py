@@ -1,17 +1,17 @@
-"""Warm-start equivalence, engine agreement, and auto-threshold tests.
+"""Backend agreement, engine agreement, and auto-threshold tests.
 
-Three concerns around the exact solver's fast path:
+Three concerns around the exact solver:
 
 * ``pick_backend("auto")`` must gate on *both* the variable and the
   constraint count (the simplex cost grows with the row count too);
-* the integer-scaled tableau must agree with the seed's dense ``Fraction``
-  reference engine on random feasible LPs (property test);
-* the warm-started lexmin sequence must produce the same lexicographic
-  optimum as the seed's cold sequence on every Polybench and periodic
-  scheduler model.  Cold exact re-runs phase 1 per objective, which is
-  minutes on the larger models — exactly why ``auto`` routes those to
-  HiGHS — so the warm/cold comparison runs where cold exact is tractable
-  and the rest assert the auto routing that shields them.
+* the integer-scaled tableau must agree with the dense ``Fraction``
+  oracle (``tests/ilp/reference_lp.py``) on random feasible LPs (property
+  test);
+* the exact backend (one warm tableau across the objective sequence) must
+  produce the same lexicographic optimum as HiGHS (one cold solve per
+  objective) — two independent solvers driven by the one lexmin loop — on
+  every Polybench and periodic scheduler model the exact backend finishes
+  in about a second; the rest assert the auto routing that shields them.
 """
 
 from fractions import Fraction
@@ -33,9 +33,12 @@ from repro.ilp import (
     solve_lp,
 )
 from repro.workloads import all_workloads
+from tests.ilp.reference_lp import solve_lp_fraction
 
-#: cold exact lexmin stays under a few seconds below this many constraints
-_COLD_EXACT_LIMIT = 75
+#: warm exact lexmin stays around a second up to this many constraints — well
+#: past ``AUTO_CONSTRAINT_THRESHOLD``, so everything ``auto`` routes to the
+#: exact backend is compared
+_EXACT_LIMIT = 150
 
 
 def _model_with(nvars: int, ncons: int) -> ILPModel:
@@ -75,7 +78,7 @@ class TestAutoThresholds:
 
 
 # ---------------------------------------------------------------------------
-# Integer-scaled engine vs the seed's Fraction reference engine
+# Integer-scaled engine vs the dense Fraction oracle
 # ---------------------------------------------------------------------------
 
 
@@ -114,8 +117,8 @@ class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     def test_int_engine_matches_fraction_engine(self, case):
         model, objective = case
-        fast = solve_lp(model, objective, engine="int")
-        ref = solve_lp(model, objective, engine="fraction")
+        fast = solve_lp(model, objective)
+        ref = solve_lp_fraction(model, objective)
         assert fast.status == ref.status
         if ref.is_optimal:
             # the optimal *value* is unique even when the vertex is not
@@ -128,7 +131,7 @@ class TestEngineAgreement:
         inc = IncrementalLP(model)
         assert inc.is_feasible  # witness-anchored
         res = inc.minimize(objective)
-        ref = solve_lp(model, objective, engine="fraction")
+        ref = solve_lp_fraction(model, objective)
         assert res.status == ref.status
         if ref.is_optimal:
             # the relaxation may sit on a fractional vertex, so only the
@@ -152,7 +155,7 @@ class TestEngineAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Warm vs cold lexmin on every Polybench / periodic scheduler model
+# Exact (warm) vs HiGHS (cold) lexmin on the Polybench / periodic models
 # ---------------------------------------------------------------------------
 
 
@@ -172,22 +175,21 @@ _WORKLOADS = [
 
 @pytest.mark.parametrize("workload", _WORKLOADS, ids=lambda w: w.name)
 def test_warm_vs_cold_lexmin(workload):
+    """Exact (warm tableau) vs HiGHS (cold solves) through the one lexmin
+    loop.  The id predates the removal of the exact backend's own cold
+    sequence and is kept so the per-workload test ids stay stable."""
     model = _level0_model(workload)
-    small = (
-        model.num_variables <= AUTO_THRESHOLD
-        and model.num_constraints <= _COLD_EXACT_LIMIT
-    )
-    if not small:
-        # Outside the exact envelope ``auto`` must route to HiGHS — the warm
-        # path is never taken for this model, which is the property that
-        # keeps the pipeline fast here.
+    if model.num_variables > AUTO_THRESHOLD or model.num_constraints > _EXACT_LIMIT:
+        # Too slow for the pure-Python simplex: ``auto`` must route to HiGHS,
+        # which is the property that keeps the pipeline fast here.
         assert pick_backend(model, "auto")[1] == "highs"
         return
-    warm = lexmin(model, backend="exact")
-    cold = lexmin(model, backend="exact", warm_start=False)
-    assert warm.is_optimal and cold.is_optimal
-    assert warm.values == cold.values
+    exact = lexmin(model, backend="exact")
+    highs = lexmin(model, backend="highs")
+    assert exact.is_optimal and highs.is_optimal
+    assert (exact.backend, highs.backend) == ("exact", "highs")
+    assert exact.values == highs.values
     for name in model.objective_order:
-        assert warm.assignment[name] == cold.assignment[name]
-    assert model.check(warm.assignment)
-    assert model.check(cold.assignment)
+        assert exact.assignment[name] == highs.assignment[name]
+    assert model.check(exact.assignment)
+    assert model.check(highs.assignment)
