@@ -11,7 +11,14 @@ from repro.codegen.python_emit import (
     GeneratedCode,
     generate_python,
 )
-from repro.codegen.scan import Bound, ScanSystem, build_scan_systems, z_name
+from repro.codegen.looptree import build_loop_tree
+from repro.codegen.scan import (
+    Bound,
+    NonInjectiveScheduleError,
+    ScanSystem,
+    build_scan_systems,
+    z_name,
+)
 from repro.core.tiling import TiledSchedule
 
 __all__ = [
@@ -19,7 +26,9 @@ __all__ = [
     "CEmitError",
     "CKernelSource",
     "GeneratedCode",
+    "NonInjectiveScheduleError",
     "ScanSystem",
+    "build_loop_tree",
     "build_scan_systems",
     "generate_c",
     "generate_c_kernel",

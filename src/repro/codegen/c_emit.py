@@ -1,6 +1,6 @@
 """Emit C source (with OpenMP pragmas) from a tiled schedule.
 
-Two modes share one scanning emitter:
+Two modes render the one loop tree (:mod:`repro.codegen.looptree`):
 
 * **display** (:func:`generate_c`) renders the same scanning structure as
   the C a Pluto-style source-to-source tool would hand to icc — loop nests
@@ -15,29 +15,31 @@ Two modes share one scanning emitter:
   rebound to C99 variable-length-array pointers.  Statement bodies are
   translated from their *Python* form (the semantics the Python emitter
   actually executes — including periodic ``% N`` wraparound the display
-  text elides) with Python's floor-mod/floor-div mapped onto helpers.
+  text elides) with Python's floor-mod/floor-div mapped onto helpers, and
+  ``a % m`` reduced to a compare-and-add wherever the statement's domain
+  proves the range (:func:`mod_form`).
 
-The bound helper macros are ``#ifndef``-guarded and the ``min``/``max``
-helpers carry a ``repro_`` prefix: the bare names collide with
-``<sys/param.h>``/libc definitions under real compilers, which mattered the
-moment this emitter's output started being compiled rather than just read.
+The bound helpers are ``static inline`` functions, so every argument is
+evaluated once (as macros, nested ``max(max(..))`` chains expanded
+exponentially: heat-2dp preprocessed to 56 MB).  ``min``/``max``/``mod``
+carry a ``repro_`` prefix and ``ceild``/``floord`` are ``#undef``-ed first:
+the bare names collide with ``<sys/param.h>``/libc definitions under real
+compilers, which mattered the moment this emitter's output started being
+compiled rather than just read.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
+from typing import Optional
 
-from repro.codegen.emit_common import (
-    merge_bounds,
-    render_expr,
-    render_lower,
-    render_upper,
-)
-from repro.codegen.scan import build_scan_systems, z_name
-from repro.core.reductions import REDUCTION_IDENTITY, reduction_split
+from repro.codegen.looptree import Instance, Loop, TreeRenderer, build_loop_tree
+from repro.core.reductions import REDUCTION_IDENTITY
 from repro.core.tiling import TiledSchedule
+from repro.frontend.exprs import AffineSyntaxError, parse_affine
 from repro.frontend.ir import Program, Statement
+from repro.polyhedra import AffExpr, BasicSet
 
 __all__ = [
     "CKernelSource",
@@ -51,21 +53,16 @@ __all__ = [
 KERNEL_ENTRY = "repro_kernel"
 
 _HEADER = """\
-#ifndef ceild
-#define ceild(n, d) (((n) > 0) ? (1 + ((n) - 1) / (d)) : -((-(n)) / (d)))
-#endif
-#ifndef floord
-#define floord(n, d) (((n) > 0) ? (n) / (d) : -((-(n) + (d) - 1) / (d)))
-#endif
-#ifndef repro_max
-#define repro_max(a, b) ((a) > (b) ? (a) : (b))
-#endif
-#ifndef repro_min
-#define repro_min(a, b) ((a) < (b) ? (a) : (b))
-#endif
-#ifndef repro_mod
-#define repro_mod(a, b) (((a) % (b) + (b)) % (b))
-#endif
+#include <stdint.h>
+#undef ceild
+#undef floord
+static inline int64_t ceild(int64_t n, int64_t d) { return n > 0 ? 1 + (n - 1) / d : -((-n) / d); }
+static inline int64_t floord(int64_t n, int64_t d) { return n > 0 ? n / d : -((-n + d - 1) / d); }
+static inline int64_t repro_max(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t repro_min(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t repro_mod(int64_t a, int64_t b) { int64_t r = a % b; return r != 0 && (r < 0) != (b < 0) ? r + b : r; }
+static inline double repro_fmax(double a, double b) { return a > b ? a : b; }
+static inline double repro_fmin(double a, double b) { return a < b ? a : b; }
 """
 
 _KERNEL_EPILOGUE = """\
@@ -123,11 +120,11 @@ class CKernelSource:
 #: body-level calls → the libm/helper names the kernel compiles against.
 #: ``abs`` maps to ``fabs`` (data are always doubles; C's integer ``abs``
 #: would truncate); ``min``/``max``/``fmin``/``fmax`` go through the
-#: prefixed macros, whose compare-and-select matches Python's builtins on
-#: doubles bit-for-bit.
+#: ``double`` helpers, whose compare-and-select matches Python's builtins
+#: bit-for-bit (the ``int64_t`` bound helpers would truncate the data).
 _C_FUNCS = {
-    "min": "repro_min", "max": "repro_max",
-    "fmin": "repro_min", "fmax": "repro_max",
+    "min": "repro_fmin", "max": "repro_fmax",
+    "fmin": "repro_fmin", "fmax": "repro_fmax",
     "abs": "fabs", "fabs": "fabs",
     "sqrt": "sqrt", "exp": "exp", "log": "log",
     "sin": "sin", "cos": "cos", "tan": "tan",
@@ -141,22 +138,75 @@ _C_CMPOPS = {
 }
 
 
-def _expr_c(node: ast.expr, ranks: dict[str, int]) -> str:
+def mod_form(domain: BasicSet, a: AffExpr, m: AffExpr) -> tuple[str, dict]:
+    """The cheapest C form of Python's ``a % m`` that ``domain`` proves.
+
+    Returns ``(form, proof)``: ``"plain"`` (``a``) when ``0 <= a < m``,
+    ``"high"`` (``a >= m ? a - m : a``) when ``0 <= a < 2m``, ``"low"``
+    (``a < 0 ? a + m : a``) when ``-m <= a < m`` — each only with
+    ``m >= 1`` — else ``"mod"`` (``repro_mod``, one division).  ``proof``
+    maps every quantity whose non-negativity justified the form to its
+    ``min_of`` over the domain.
+    """
+    proof: dict[str, object] = {}
+
+    def nonneg(label: str, expr: AffExpr) -> bool:
+        try:
+            low = domain.min_of(expr)
+        except ValueError:  # unbounded below
+            return False
+        if low is None or low < 0:
+            return False
+        proof[label] = low
+        return True
+
+    if nonneg("m - 1", m - 1):
+        lo, hi = nonneg("a", a), nonneg("m - 1 - a", m - 1 - a)
+        if lo and hi:
+            return "plain", proof
+        if lo and nonneg("2m - 1 - a", m * 2 - 1 - a):
+            return "high", proof
+        if hi and nonneg("a + m", a + m):
+            return "low", proof
+    return "mod", {}
+
+
+_MOD_C = {
+    "plain": "{a}",
+    "high": "({a} >= {m} ? {a} - {m} : {a})",
+    "low": "({a} < 0 ? {a} + {m} : {a})",
+    "mod": "repro_mod({a}, {m})",
+}
+
+
+def _expr_c(
+    node: ast.expr, ranks: dict[str, int], domain: Optional[BasicSet] = None
+) -> str:
     """One Python body expression as C, preserving the evaluation tree.
 
     Every binary operation is parenthesized, so C re-association can never
     change the floating-point rounding sequence the Python kernel performs.
     The semantic gaps between the languages are papered over explicitly:
     Python's floor-mod becomes ``repro_mod`` (C's ``%`` truncates toward
-    zero), ``//`` becomes ``floord``, and true division casts through
-    ``double`` (Python ``/`` never truncates).
+    zero) unless ``domain`` — the statement's own — proves a division-free
+    form (:func:`mod_form`), ``//`` becomes ``floord``, and true division
+    casts through ``double`` (Python ``/`` never truncates).
     """
     if isinstance(node, ast.BinOp):
-        left = _expr_c(node.left, ranks)
-        right = _expr_c(node.right, ranks)
+        left = _expr_c(node.left, ranks, domain)
+        right = _expr_c(node.right, ranks, domain)
         op = type(node.op)
         if op is ast.Mod:
-            return f"repro_mod({left}, {right})"
+            form = "mod"
+            if domain is not None:
+                try:
+                    a = parse_affine(domain.space, ast.unparse(node.left))
+                    m = parse_affine(domain.space, ast.unparse(node.right))
+                except AffineSyntaxError:
+                    pass
+                else:
+                    form = mod_form(domain, a, m)[0]
+            return _MOD_C[form].format(a=left, m=right)
         if op is ast.FloorDiv:
             return f"floord({left}, {right})"
         if op is ast.Pow:
@@ -167,7 +217,7 @@ def _expr_c(node: ast.expr, ranks: dict[str, int]) -> str:
             return f"({left} {_C_BINOPS[op]} {right})"
         raise CEmitError(f"cannot translate operator {op.__name__} to C")
     if isinstance(node, ast.UnaryOp):
-        inner = _expr_c(node.operand, ranks)
+        inner = _expr_c(node.operand, ranks, domain)
         if isinstance(node.op, ast.USub):
             return f"(-{inner})"
         if isinstance(node.op, ast.UAdd):
@@ -183,7 +233,7 @@ def _expr_c(node: ast.expr, ranks: dict[str, int]) -> str:
         elts = list(idx.elts) if isinstance(idx, ast.Tuple) else [idx]
         if not elts:  # x[()] — the Python spelling of a scalar
             return f"{name}[0]"
-        return name + "".join(f"[{_expr_c(e, ranks)}]" for e in elts)
+        return name + "".join(f"[{_expr_c(e, ranks, domain)}]" for e in elts)
     if isinstance(node, ast.Name):
         if ranks.get(node.id) == 0:
             # scalar data marshals as a one-element buffer
@@ -204,29 +254,29 @@ def _expr_c(node: ast.expr, ranks: dict[str, int]) -> str:
         fn = _C_FUNCS.get(node.func.id)
         if fn is None:
             raise CEmitError(f"unknown function {node.func.id!r} in C body")
-        args = ", ".join(_expr_c(a, ranks) for a in node.args)
+        args = ", ".join(_expr_c(a, ranks, domain) for a in node.args)
         return f"{fn}({args})"
     if isinstance(node, ast.IfExp):
         return (
-            f"({_expr_c(node.test, ranks)} ? "
-            f"{_expr_c(node.body, ranks)} : {_expr_c(node.orelse, ranks)})"
+            f"({_expr_c(node.test, ranks, domain)} ? "
+            f"{_expr_c(node.body, ranks, domain)} : {_expr_c(node.orelse, ranks, domain)})"
         )
     if isinstance(node, ast.Compare):
         parts = []
-        left = _expr_c(node.left, ranks)
+        left = _expr_c(node.left, ranks, domain)
         for op, comp in zip(node.ops, node.comparators):
             cop = _C_CMPOPS.get(type(op))
             if cop is None:
                 raise CEmitError(
                     f"cannot translate comparison {type(op).__name__} to C"
                 )
-            right = _expr_c(comp, ranks)
+            right = _expr_c(comp, ranks, domain)
             parts.append(f"({left} {cop} {right})")
             left = right
         return "(" + " && ".join(parts) + ")" if len(parts) > 1 else parts[0]
     if isinstance(node, ast.BoolOp):
         cop = " && " if isinstance(node.op, ast.And) else " || "
-        return "(" + cop.join(_expr_c(v, ranks) for v in node.values) + ")"
+        return "(" + cop.join(_expr_c(v, ranks, domain) for v in node.values) + ")"
     raise CEmitError(f"cannot translate {type(node).__name__} to C")
 
 
@@ -254,293 +304,125 @@ def _c_body(stmt: Statement, ranks: dict[str, int]) -> str:
         )
     node = tree.body[0]
     if isinstance(node, ast.Assign) and len(node.targets) == 1:
-        lhs = _expr_c(node.targets[0], ranks)
-        return f"{lhs} = {_expr_c(node.value, ranks)};"
+        lhs = _expr_c(node.targets[0], ranks, stmt.domain)
+        return f"{lhs} = {_expr_c(node.value, ranks, stmt.domain)};"
     if isinstance(node, ast.AugAssign):
         op = type(node.op)
         if op not in _C_BINOPS:
             raise CEmitError(
                 f"cannot translate augmented {op.__name__} to C"
             )
-        lhs = _expr_c(node.target, ranks)
-        return f"{lhs} {_C_BINOPS[op]}= {_expr_c(node.value, ranks)};"
+        lhs = _expr_c(node.target, ranks, stmt.domain)
+        return f"{lhs} {_C_BINOPS[op]}= {_expr_c(node.value, ranks, stmt.domain)};"
     raise CEmitError(
         f"statement {stmt.name!r} body must be a single assignment"
     )
 
 
-class _CEmitter:
-    """Shared scanning emitter; ``kernel=True`` renders the compilable TU."""
+class _CRenderer(TreeRenderer):
+    """C syntax; ``kernel=True`` renders the compilable translation unit."""
 
-    def __init__(self, tsched: TiledSchedule, kernel: bool = False):
-        self.tsched = tsched
-        self.program = tsched.program
+    lang = "c"
+    indent = "  "
+    AND, DIV = " && ", "/"
+    EMPTY = ("INT64_MAX", "INT64_MIN")
+    DECL = "const {int_t} {name} = {expr};"
+    PICK = "({g} ? {a} : {b})"
+    FOR = "for ({int_t} {z} = {lb}; {z} <= {ub}; {z}++) {{"
+    IF = "if ({c}) {{"
+    CLOSE = "}"
+
+    def __init__(self, program: Program, kernel: bool):
+        super().__init__()
         self.kernel = kernel
         self.int_t = "int64_t" if kernel else "int"
-        self.systems = {s.stmt.name: s for s in build_scan_systems(tsched)}
-        self.ranks = array_ranks(self.program) if kernel else {}
-        self.lines: list[str] = []
-        #: statements rewritten into a reduction-clause partial sum:
-        #: stmt name -> (accumulator variable, combine op)
-        self._privatized: dict[str, tuple[str, str]] = {}
-        #: statements whose update must run under ``#pragma omp atomic``
-        self._atomic: set[str] = set()
-        #: nesting depth of emitted ``parallel for`` regions
-        self._par_depth = 0
+        self.ranks = array_ranks(program) if kernel else {}
 
-    def line(self, indent: int, text: str) -> None:
-        self.lines.append("  " * indent + text)
+    def open_let(self, node, ind: int) -> None:
+        self.line(ind, "{")
+        super().open_let(node, ind + 1)
 
-    # -- top level ---------------------------------------------------------
-
-    def emit(self) -> str:
-        if self.kernel:
-            return self._emit_kernel()
-        self.lines.append(_HEADER)
-        self.line(0, f"/* {self.program.name}: generated scanning code */")
-        if not self.program.statements:
-            return "\n".join(self.lines) + "\n"
-        self.emit_level(0, list(self.program.statements), 0)
-        return "\n".join(self.lines) + "\n"
-
-    def _emit_kernel(self) -> str:
-        self.line(0, f"/* {self.program.name}: repro native kernel */")
-        self.line(0, "#include <math.h>")
-        self.line(0, "#include <stdint.h>")
-        self.lines.append(_HEADER)
-        self.line(
-            0,
-            f"void {KERNEL_ENTRY}(double **arrays, const int64_t *shapes, "
-            f"const int64_t *params)",
-        )
-        self.line(0, "{")
-        self.line(1, "(void)arrays; (void)shapes; (void)params;")
-        for j, p in enumerate(self.program.params):
-            self.line(1, f"const int64_t {p} = params[{j}]; (void){p};")
-        offset = 0
-        for idx, name in enumerate(sorted(self.program.arrays())):
-            rank = self.ranks.get(name, 0)
-            if rank <= 1:
-                self.line(1, f"double *{name} = arrays[{idx}];")
-            else:
-                dims = []
-                for k in range(1, rank):
-                    self.line(
-                        1,
-                        f"const int64_t {name}_n{k} = shapes[{offset + k}];",
-                    )
-                    dims.append(f"[{name}_n{k}]")
-                vla = "".join(dims)
-                self.line(
-                    1,
-                    f"double (*{name}){vla} = (double (*){vla}) arrays[{idx}];",
-                )
-            offset += rank
-        if self.program.statements:
-            self.emit_level(0, list(self.program.statements), 1)
-        self.line(0, "}")
-        return "\n".join(self.lines) + "\n" + _KERNEL_EPILOGUE
-
-    # -- recursion ---------------------------------------------------------
-
-    def emit_level(self, level: int, stmts, indent: int) -> None:
-        if level == self.tsched.depth:
-            for s in self.program.statements:
-                if s in stmts:
-                    self.emit_statement(s, indent)
-            return
-        row = self.tsched.rows[level]
-        zv = z_name(level)
-        if row.kind == "scalar":
-            groups: dict[int, list] = {}
-            for s in stmts:
-                groups.setdefault(row.expr_for(s).const_term, []).append(s)
-            for value in sorted(groups):
-                if self.kernel:
-                    # a declared constant, not a comment: inner loop bounds
-                    # and guards may reference this scan dimension
-                    self.line(indent, "{")
-                    self.line(
-                        indent + 1, f"const {self.int_t} {zv} = {value};"
-                    )
-                    self.line(indent + 1, f"(void){zv};")
-                    self.emit_level(level + 1, groups[value], indent + 1)
-                    self.line(indent, "}")
-                else:
-                    self.line(indent, f"/* {zv} = {value} */")
-                    self.emit_level(level + 1, groups[value], indent)
-            return
-        lowers, uppers = [], []
-        for s in stmts:
-            lo, up = self.systems[s.name].z_bounds(level)
-            lowers.append(
-                merge_bounds([render_lower(b, "c") for b in lo], "max", "c")
-            )
-            uppers.append(
-                merge_bounds([render_upper(b, "c") for b in up], "min", "c")
-            )
-        lb = merge_bounds(lowers, "min", "c")
-        ub = merge_bounds(uppers, "max", "c")
-        loop = f"for ({self.int_t} {zv} = {lb}; {zv} <= {ub}; {zv}++) {{"
-        if row.parallel and row.reduction:
-            if self._emit_reduction_loop(row, level, stmts, indent, loop):
-                return
-            # The relaxed dependences cannot be discharged here (wrong mode,
-            # nested in a parallel region, unsplittable body): the level's
-            # parallelism rests solely on relaxation, so run it sequentially
-            # rather than emit a racy pragma.
-            self.line(indent, loop)
-        elif row.parallel:
-            self.line(indent, "#pragma omp parallel for")
-            self.line(indent, loop)
-            self._par_depth += 1
-            try:
-                self.emit_level(level + 1, stmts, indent + 1)
-            finally:
-                self._par_depth -= 1
-            self.line(indent, "}")
-            return
-        else:
-            self.line(indent, loop)
-        self.emit_level(level + 1, stmts, indent + 1)
-        self.line(indent, "}")
-
-    def _emit_reduction_loop(
-        self, row, level: int, stmts, indent: int, loop: str
-    ) -> bool:
-        """Emit a reduction-tagged parallel loop, discharging the relaxed
-        self-dependences; returns False when no safe discharge exists and
-        the caller must emit the level as a plain sequential loop.
-
-        Kernel mode, ``mode == "omp"``, outside any parallel region:
-
-        * single-statement subtree with a scalar (rank-0) accumulator →
-          ``reduction(op:__redN)`` clause over a local partial sum,
-          combined into the cell once after the loop;
-        * otherwise → ``parallel for`` with every tagged statement's
-          update under ``#pragma omp atomic``.
-
-        Display mode renders a comment instead of a pragma — the textual C
-        body races as written, and unlike the kernel path nothing rewrites
-        it, so advertising ``parallel for`` there would be a lie.
-        """
-        if not self.kernel:
-            arrs = ", ".join(sorted({t["array"] for t in row.reduction}))
+    def open_loop(self, node: Loop, ind: int, header: str) -> None:
+        if not self.kernel and node.reduction:
+            # display mode never rewrites the body, so the textual C races
+            # as written: advertising ``parallel for`` there would be a lie
+            arrs = ", ".join(sorted({t["array"] for t in node.reduction}))
             self.line(
-                indent,
+                ind,
                 f"/* parallel reduction ({arrs}): discharged by the native "
                 f"kernel via reduction clause / atomics */",
             )
-            self.line(indent, loop)
-            self.emit_level(level + 1, stmts, indent + 1)
-            self.line(indent, "}")
-            return True
-        mode = row.reduction[0].get("mode", "off")
-        if mode != "omp" or self._par_depth > 0:
-            return False
-        tagged = {t["stmt"] for t in row.reduction}
-        splits: dict[str, tuple[Statement, object]] = {}
-        for s in stmts:
-            if s.name not in tagged:
-                continue
-            if s.name in self._privatized or s.name in self._atomic:
-                return False
-            sp = reduction_split(s.body)
-            if sp is None:
-                return False
-            splits[s.name] = (s, sp)
-        if not splits:
-            return False
-        if len(stmts) == 1 and len(splits) == 1:
-            stmt, split = next(iter(splits.values()))
-            if len(stmt.writes) == 1 and not stmt.writes[0].map.exprs:
-                acc = f"__red{level}"
-                self.line(
-                    indent, f"double {acc} = {REDUCTION_IDENTITY[split.op]};"
-                )
-                self.line(
-                    indent,
-                    f"#pragma omp parallel for reduction({split.op}:{acc})",
-                )
-                self.line(indent, loop)
-                self._privatized[stmt.name] = (acc, split.op)
-                self._par_depth += 1
-                try:
-                    self.emit_level(level + 1, stmts, indent + 1)
-                finally:
-                    self._par_depth -= 1
-                    del self._privatized[stmt.name]
-                self.line(indent, "}")
-                target = _expr_c(split.target, self.ranks)
-                self.line(indent, f"{target} = {target} {split.op} {acc};")
-                return True
-        self.line(indent, "#pragma omp parallel for")
-        self.line(indent, loop)
-        self._par_depth += 1
-        self._atomic.update(splits)
-        try:
-            self.emit_level(level + 1, stmts, indent + 1)
-        finally:
-            self._par_depth -= 1
-            self._atomic.difference_update(splits)
-        self.line(indent, "}")
-        return True
+        elif node.fold:
+            acc, split = node.fold
+            self.line(ind, f"double {acc} = {REDUCTION_IDENTITY[split.op]};")
+            if node.pragma:
+                self.line(ind, f"#pragma omp parallel for reduction({split.op}:{acc})")
+        elif node.pragma:
+            self.line(ind, "#pragma omp parallel for")
+        self.line(ind, header)
 
-    def emit_statement(self, stmt: Statement, indent: int) -> None:
-        sys = self.systems[stmt.name]
-        cur = indent
-        closes = 0
-        if len(self.program.statements) > 1:
-            conds = []
-            for con in sys.z_guards():
-                op = "==" if con.equality else ">="
-                conds.append(f"({render_expr(con.expr)}) {op} 0")
-            conds = list(dict.fromkeys(conds))
-            if conds:
-                self.line(cur, f"if ({' && '.join(conds)}) {{")
-                cur += 1
-                closes += 1
-        for k, it in enumerate(stmt.space.dims):
-            lo, up = sys.iter_bounds(k)
-            lb = merge_bounds([render_lower(b, "c") for b in lo], "max", "c")
-            ub = merge_bounds([render_upper(b, "c") for b in up], "min", "c")
-            self.line(
-                cur,
-                f"for ({self.int_t} {it} = {lb}; {it} <= {ub}; {it}++) {{",
-            )
-            cur += 1
-            closes += 1
-        if self.kernel:
-            priv = self._privatized.get(stmt.name)
-            if priv is not None:
-                acc, op = priv
-                split = reduction_split(stmt.body)
-                self.line(
-                    cur, f"{acc} {op}= ({_expr_c(split.update, self.ranks)});"
-                )
-            elif stmt.name in self._atomic:
-                split = reduction_split(stmt.body)
-                lhs = _expr_c(split.target, self.ranks)
-                self.line(cur, "#pragma omp atomic")
-                self.line(
-                    cur,
-                    f"{lhs} {split.op}= ({_expr_c(split.update, self.ranks)});",
-                )
-            else:
-                self.line(cur, _c_body(stmt, self.ranks))
-        else:
+    def close_loop(self, node: Loop, ind: int) -> None:
+        if self.kernel and node.fold:
+            acc, split = node.fold
+            target = _expr_c(split.target, self.ranks)
+            self.line(ind, f"{target} = {target} {split.op} {acc};")
+
+    def statement(self, inst: Instance, ind: int) -> None:
+        stmt = inst.stmt
+        if not self.kernel:
             body = stmt.text or stmt.body
-            self.line(
-                cur, f"{body};" if not body.rstrip().endswith(";") else body
-            )
-        for _ in range(closes):
-            cur -= 1
-            self.line(cur, "}")
+            self.line(ind, body if body.rstrip().endswith(";") else f"{body};")
+        elif inst.split is None:
+            self.line(ind, _c_body(stmt, self.ranks))
+        else:
+            update = _expr_c(inst.split.update, self.ranks, stmt.domain)
+            lhs = inst.acc
+            if lhs is None:
+                lhs = _expr_c(inst.split.target, self.ranks, stmt.domain)
+                self.line(ind, "#pragma omp atomic")
+            self.line(ind, f"{lhs} {inst.split.op}= ({update});")
+
+
+def _emit_kernel(tsched: TiledSchedule) -> str:
+    program = tsched.program
+    out = _CRenderer(program, kernel=True)
+    out.line(0, f"/* {program.name}: repro native kernel */")
+    out.line(0, "#include <math.h>")
+    out.lines.append(_HEADER)
+    out.line(
+        0,
+        f"void {KERNEL_ENTRY}(double **arrays, const int64_t *shapes, "
+        f"const int64_t *params)",
+    )
+    out.line(0, "{")
+    out.line(1, "(void)arrays; (void)shapes; (void)params;")
+    for j, p in enumerate(program.params):
+        out.line(1, f"const int64_t {p} = params[{j}]; (void){p};")
+    offset = 0
+    for idx, name in enumerate(sorted(program.arrays())):
+        rank = out.ranks.get(name, 0)
+        if rank <= 1:
+            out.line(1, f"double *{name} = arrays[{idx}];")
+        else:
+            dims = []
+            for k in range(1, rank):
+                out.line(1, f"const int64_t {name}_n{k} = shapes[{offset + k}];")
+                dims.append(f"[{name}_n{k}]")
+            vla = "".join(dims)
+            out.line(1, f"double (*{name}){vla} = (double (*){vla}) arrays[{idx}];")
+        offset += rank
+    out.render(build_loop_tree(tsched), 1)
+    out.line(0, "}")
+    return "\n".join(out.lines) + "\n" + _KERNEL_EPILOGUE
 
 
 def generate_c(tsched: TiledSchedule) -> str:
     """Render ``tsched`` as C-like source with OpenMP annotations."""
-    return _CEmitter(tsched).emit()
+    out = _CRenderer(tsched.program, kernel=False)
+    out.lines.append(_HEADER)
+    out.line(0, f"/* {tsched.program.name}: generated scanning code */")
+    out.render(build_loop_tree(tsched), 0)
+    return "\n".join(out.lines) + "\n"
 
 
 def generate_c_kernel(tsched: TiledSchedule) -> CKernelSource:
@@ -550,10 +432,8 @@ def generate_c_kernel(tsched: TiledSchedule) -> CKernelSource:
     native kernel (statements without C body text).
     """
     program = tsched.program
-    emitter = _CEmitter(tsched, kernel=True)
-    source = emitter.emit()
     return CKernelSource(
-        source=source,
+        source=_emit_kernel(tsched),
         name=program.name,
         entry=KERNEL_ENTRY,
         array_order=tuple(sorted(program.arrays())),

@@ -122,7 +122,9 @@ def structural_fingerprint(program_dict: Mapping, options_dict: Mapping) -> str:
     }
     return _canonical_hash({
         "v": SKELETON_FORMAT_VERSION,
-        "pipeline": pipeline_fingerprint(options_dict.get("scheduler", "exact")),
+        "pipeline": pipeline_fingerprint(
+            options_dict.get("scheduler", "exact"), schedule_only=True
+        ),
         "program": structural_program_dict(program_dict),
         "options": options,
     })

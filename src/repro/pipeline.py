@@ -45,6 +45,7 @@ __all__ = [
     "TimingBreakdown",
     "OptimizationResult",
     "PIPELINE_VERSION",
+    "SCHEDULE_VERSION",
     "RESULT_FORMAT_VERSION",
     "optimize",
     "pipeline_fingerprint",
@@ -58,7 +59,13 @@ RESULT_FORMAT_VERSION = 1
 #: tiling defaults, codegen changes.  The serving layer's content-addressed
 #: schedule cache folds this into every key, so stale entries from an older
 #: pipeline can never be served (see ``docs/API.md``, "Cache-key contract").
-PIPELINE_VERSION = 1
+PIPELINE_VERSION = 2
+
+#: the scheduling half of :data:`PIPELINE_VERSION`: bumped only when
+#: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
+#: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
+#: invert schedules instead of searching) leaves warm-start records valid.
+SCHEDULE_VERSION = 1
 
 #: bumped whenever the quick-permutation heuristic (``repro.core.quick``)
 #: may emit a different schedule for the same input — candidate ordering,
@@ -68,8 +75,11 @@ PIPELINE_VERSION = 1
 QUICK_SCHEDULER_VERSION = 1
 
 
-def pipeline_fingerprint(scheduler: Optional[str] = None) -> str:
-    """The version stamp the schedule cache mixes into every key.
+def pipeline_fingerprint(
+    scheduler: Optional[str] = None, *, schedule_only: bool = False
+) -> str:
+    """The version stamp the schedule cache mixes into every key
+    (``schedule_only``: the skeleton store's, see :data:`SCHEDULE_VERSION`).
 
     When ``scheduler`` (the resolved scheduler mode) is given, the stamp
     carries it — plus the quick-heuristic version for the modes that may
@@ -79,7 +89,7 @@ def pipeline_fingerprint(scheduler: Optional[str] = None) -> str:
     from repro.frontend.serialize import IR_FORMAT_VERSION
 
     base = (
-        f"pipeline-v{PIPELINE_VERSION}"
+        f"pipeline-v{SCHEDULE_VERSION if schedule_only else PIPELINE_VERSION}"
         f"/result-v{RESULT_FORMAT_VERSION}"
         f"/ir-v{IR_FORMAT_VERSION}"
     )

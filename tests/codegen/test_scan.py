@@ -1,10 +1,11 @@
-"""Tests for scan systems, bound extraction, and original-order codegen."""
+"""Tests for scan systems (bounds, inverse, image) and original-order codegen."""
 
 import pytest
 
 from repro.codegen import build_scan_systems, generate_python, original_schedule
-from repro.core import untiled_schedule
+from repro.core.tiling import TiledRow, TiledSchedule
 from repro.frontend import parse_program
+from repro.polyhedra import AffExpr
 
 
 def program_and_sched(src, params=("N",), **kw):
@@ -61,6 +62,54 @@ class TestScanSystems:
         _, uppers = sys.z_bounds(3)  # the j level
         rendered = {str(b.expr) for b in uppers}
         assert any("z1" in r for r in rendered)  # j <= i == z1
+
+
+class TestInverseAndImage:
+    SRC = "for (i = 0; i < N; i++) for (j = 0; j < N; j++) A[i][j] = 1.0;"
+
+    def _system(self, *rows):
+        p = parse_program(self.SRC, "p", params=("N",))
+        space = p.statements[0].space
+        tsched = TiledSchedule(p, [
+            TiledRow(kind, {"S0": AffExpr.from_terms(space, terms)}, tile_size=ts)
+            for kind, terms, ts in rows
+        ])
+        return build_scan_systems(tsched)[0]
+
+    def test_identity_inverse_needs_no_division(self):
+        sys = self._system(("loop", {"i": 1}, None), ("loop", {"j": 1}, None))
+        assert [str(n) for n in sys.nums] == ["z0", "z1"]
+        assert sys.dens == [1, 1]
+
+    def test_determinant_two_map_inverts_over_a_common_denominator(self):
+        # z0 = i + j, z1 = i - j  ->  i = (z0 + z1) / 2, j = (z0 - z1) / 2
+        sys = self._system(("loop", {"i": 1, "j": 1}, None), ("loop", {"i": 1, "j": -1}, None))
+        assert sys.dens == [2, 2]
+        assert sys.nums[0].terms() == {"z0": 1, "z1": 1}
+        assert sys.nums[1].terms() == {"z0": 1, "z1": -1}
+        # the image is the domain with the quotients substituted (scaled by
+        # 2, then gcd-normalized): no iterator survives, nothing projected
+        assert all(c.coeff_of("i") == 0 == c.coeff_of("j") for c in sys.image.constraints)
+        lowers, uppers = sys.image_bounds(1)
+        assert {str(b.expr) for b in lowers} == {"-z0", "z0 - 2N + 2"}
+        assert {str(b.expr) for b in uppers} == {"z0", "-z0 + 2N - 2"}
+
+    def test_tile_rows_bound_the_image_but_are_never_inverted(self):
+        sys = self._system(
+            ("tile", {"i": 1}, 4), ("loop", {"i": 1}, None), ("loop", {"j": 1}, None)
+        )
+        assert [str(n) for n in sys.nums] == ["z1", "z2"]
+        lowers, uppers = sys.image_bounds(1)
+        assert "4z0" in {str(b.expr) for b in lowers}
+        assert "4z0 + 3" in {str(b.expr) for b in uppers}
+
+    def test_redundant_loop_row_becomes_an_equality_of_the_image(self):
+        sys = self._system(
+            ("loop", {"i": 1}, None), ("loop", {"j": 1}, None), ("loop", {"i": 1}, None)
+        )
+        assert [str(n) for n in sys.nums] == ["z0", "z1"]
+        (eq,) = [c for c in sys.image.constraints if c.equality]
+        assert {abs(eq.coeff_of("z0")), abs(eq.coeff_of("z2"))} == {1}
 
 
 class TestGeneratedOriginal:

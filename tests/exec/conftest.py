@@ -3,21 +3,10 @@
 Everything that compiles goes through a per-test artifact cache under
 ``tmp_path`` so tests never touch (or depend on) the user's real kernel
 cache; tests that need a toolchain skip with a reason instead of failing
-on compiler-less machines.
+on compiler-less machines (the ``compiler`` fixture, ``tests/conftest.py``).
 """
 
 import pytest
-
-from repro.exec import find_compiler
-
-
-@pytest.fixture
-def compiler():
-    """The system C compiler, or a skip with the reason recorded."""
-    comp = find_compiler()
-    if comp is None:
-        pytest.skip("no C compiler found (tried $REPRO_CC, cc, gcc, clang)")
-    return comp
 
 
 @pytest.fixture

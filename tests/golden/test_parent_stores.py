@@ -1,11 +1,14 @@
-"""On-disk stores written by the parent commit stay warm.
+"""On-disk stores written by the parent commit: re-keyed or still warm.
 
 ``parent_stores/`` is what ``repro serve --cache-dir .. --skeleton-dir ..``
-left behind at 52d0361 (the last commit with the seed-reproduction switch)
-after answering ``repro client opt --workload fig1-skew``.  Neither
-``PIPELINE_VERSION`` nor ``SKELETON_FORMAT_VERSION`` moved since, so the
-same request must be a schedule-cache hit and every per-level solve must be
-replayed from the skeleton record.
+left behind at 52d0361 after answering ``repro client opt --workload
+fig1-skew``; the parent of this change (15baf49, ``PIPELINE_VERSION`` 1)
+wrote the same keys.  The emitted kernel text changed since, so
+``PIPELINE_VERSION`` is 2: the parent's schedule-cache entry must not be
+served (its ``python_source`` is the old emitter's) — the request is a miss
+and is filled next to it.  ``SKELETON_FORMAT_VERSION`` did not move (no
+schedule changed), so every per-level solve is still replayed from the
+parent's skeleton record.
 """
 
 import shutil
@@ -18,16 +21,26 @@ from repro.server.resolve import resolve_optimize
 PARENT = Path(__file__).with_name("parent_stores")
 
 
-def test_parent_schedule_cache_directory_is_a_hit(tmp_path):
+def test_parent_schedule_cache_directory_is_a_miss_and_refilled(tmp_path):
     root = shutil.copytree(PARENT / "cache", tmp_path / "cache")
+    (parent_file,) = root.rglob("*.json")
+    parent_text = parent_file.read_text()
     key = cache_key(*resolve_optimize({"workload": "fig1-skew"}))
+    assert key != parent_file.stem
+    cache = ScheduleCache(root)
+    assert cache.get(key) == (None, None)
+    fresh = optimize("fig1-skew")
+    cache.put(key, fresh.to_json())
     text, tier = ScheduleCache(root).get(key)
     assert tier == "disk"
     served = OptimizationResult.from_json(text)
-    fresh = optimize("fig1-skew")
-    assert served.schedule.to_dict() == fresh.schedule.to_dict()
-    assert served.tiled.to_dict() == fresh.tiled.to_dict()
     assert served.code.python_source == fresh.code.python_source
+    # same schedule as the parent's entry, different emitted code; the
+    # parent's file is left alone (a parent daemon may still be reading it)
+    parent = OptimizationResult.from_json(parent_text)
+    assert parent.tiled.to_dict() == served.tiled.to_dict()
+    assert parent.code.python_source != served.code.python_source
+    assert parent_file.read_text() == parent_text
 
 
 def test_parent_skeleton_store_replays_every_solve(tmp_path, monkeypatch):
