@@ -38,6 +38,7 @@ from repro.codegen import generate_c
 from repro.frontend import parse_program
 from repro.frontend.ir import Program
 from repro.pipeline import PipelineOptions, optimize
+from repro.polyhedra.cache import global_cache
 
 __all__ = ["main", "build_parser"]
 
@@ -396,7 +397,9 @@ def _cmd_opt(args) -> int:
     if getattr(args, "skeleton_dir", None):
         os.environ["REPRO_SKELETON_CACHE"] = args.skeleton_dir
     program = _load_program(args)
+    poly_before = global_cache().stats.snapshot()
     result = optimize(program, _pipeline_options(args))
+    poly = global_cache().stats.delta_since(poly_before).as_dict()
     print(f"# {program.name}: {args.algorithm}", file=sys.stderr)
     print(f"# ISS: {result.used_iss}, diamond: {result.used_diamond}", file=sys.stderr)
     if result.scheduler_stats is not None:
@@ -421,6 +424,10 @@ def _cmd_opt(args) -> int:
             print("# dependence stats:", file=sys.stderr)
             print(format_dep_stats(result.dep_stats.as_dict(), indent="#   "),
                   file=sys.stderr)
+        # this process's pruning work: all zero when the schedule cache answered
+        print("# pruning stats:", file=sys.stderr)
+        pruning = {k: v for k, v in poly.items() if k.startswith("prune_")}
+        print(format_solve_stats(pruning, indent="#   "), file=sys.stderr)
     if args.backend != "python":
         from repro.exec import ExecutionOptions
 

@@ -11,7 +11,7 @@ from repro.ilp.branch_bound import (
     solve_ilp,
     solve_ilp_warm,
 )
-from repro.ilp.highs_backend import solve_ilp_highs
+from repro.ilp.highs_backend import HighsSession, solve_ilp_highs
 from repro.ilp.lexmin import (
     AUTO_CONSTRAINT_THRESHOLD,
     AUTO_THRESHOLD,
@@ -31,6 +31,7 @@ __all__ = [
     "AUTO_CONSTRAINT_THRESHOLD",
     "AUTO_THRESHOLD",
     "BranchAndBoundError",
+    "HighsSession",
     "ILPModel",
     "ILPResult",
     "ILPStatus",

@@ -30,21 +30,29 @@ applied warm on snapshots.  Two solve-avoidance shortcuts run first:
   every remaining minimum is known and the sequence finishes with no further
   solves.
 
-There is one objective loop (shortcut, probe, solve, pin); a backend only
-supplies how one objective is solved and how its optimum is pinned — the
-exact backend on its live tableau, HiGHS by appending an equality row to the
-next cold solve.
+There is one objective loop (shortcut, probe, fold, solve, pin); a backend
+only supplies how one objective is solved and how its optimum is pinned —
+the exact backend on its live tableau, HiGHS on a :class:`HighsSession`
+(one assembled matrix per call, pins as ``lb = ub``).
+
+A solve does not ask about one variable when it can ask about several: each
+maximal run of *bounded integer* variables in the order — ``(csum_S,
+c_S.i1..im)``, ``(delta_S, delta_l_S)`` — is folded into one mixed-radix
+objective (:func:`_fold`), whose minimum is exactly the run's lexicographic
+minimum: the same digits-in-``[-b, b]`` idea the paper uses to avoid the
+zero solution with one binary (Section 3.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp, solve_ilp_warm
-from repro.ilp.highs_backend import solve_ilp_highs
-from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
+from repro.ilp.highs_backend import HighsSession, solve_ilp_highs
+from repro.ilp.model import ILPModel, SolveStats
 from repro.ilp.simplex import IncrementalLP
 
 __all__ = [
@@ -58,6 +66,15 @@ __all__ = [
 AUTO_THRESHOLD = 80
 #: beyond this many constraints the pure-Python exact simplex is too slow
 AUTO_CONSTRAINT_THRESHOLD = 60
+
+#: A folded objective spans at most this many values.  HiGHS accepts an
+#: integer column within 1e-6 of an integer (``mip_feasibility_tolerance``),
+#: so a weight ``w`` can shift the objective by ``1e-6 * w`` without moving
+#: the rounded point; at ``w <= 1e5`` that is 0.1, never a whole objective
+#: unit, so no digit of the fold can hide behind the tolerance.  ``(csum,
+#: c x 3)`` at coefficient bound 4 spans 13 * 9**3 = 9477; a 4-deep
+#: statement (17 * 9**4 = 111537) splits after its third coefficient.
+FOLD_LIMIT = 10**5
 
 Backend = Callable[..., ILPResult]
 
@@ -112,7 +129,7 @@ def pick_backend(
 
 
 def _probe_lower_bounds(
-    model: ILPModel,
+    session: HighsSession,
     current: Mapping[str, Fraction],
     remaining: Sequence[str],
 ) -> Optional[dict[str, Fraction]]:
@@ -127,16 +144,48 @@ def _probe_lower_bounds(
     probe = dict(current)
     changed = False
     for name in remaining:
-        var = model.variables[name]
-        if var.lower is None:
+        lower = session.model.variables[name].lower
+        if lower is None:
             return None
-        lo = Fraction(var.lower)
-        if probe[name] != lo:
-            probe[name] = lo
+        if probe[name] != lower:
+            probe[name] = Fraction(lower)
             changed = True
     if not changed:
         return None  # the per-variable shortcut already covers this
-    return probe if model.check(probe) else None
+    return probe if session.satisfies(probe) else None
+
+
+def _fold(model: ILPModel, order: Sequence[str], k: int) -> dict[str, int]:
+    """The objective for position ``k``: ``order[k]`` and the bounded integer
+    variables following it, weighted so that the sum orders like the tuple.
+
+    With ``r_i = upper_i - lower_i + 1`` values per variable and weights
+    ``w_i = r_{i+1} * ... * r_m``, ``sum(w_i * x_i)`` is a mixed-radix
+    number whose digits are the ``x_i - lower_i``: comparing sums compares
+    the tuples lexicographically.  The run stops at a continuous or
+    unbounded variable and before its span would pass :data:`FOLD_LIMIT`.
+    """
+    def span(name: str) -> Optional[int]:
+        var = model.variables[name]
+        if not var.integer or var.lower is None or var.upper is None:
+            return None
+        return var.upper - var.lower + 1
+
+    total = span(order[k])
+    if total is None:
+        return {order[k]: 1}
+    run = [(order[k], total)]
+    for name in order[k + 1 :]:
+        size = span(name)
+        if size is None or total * size > FOLD_LIMIT:
+            break
+        run.append((name, size))
+        total *= size
+    weights = {}
+    for name, size in run:
+        total //= size
+        weights[name] = total
+    return weights
 
 
 def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
@@ -147,10 +196,10 @@ def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
     stats.lp_solves += 1  # the shared phase 1
     stats.simplex_pivots += inc.pivots
 
-    def solve(name: str) -> ILPResult:
+    def solve(objective: Mapping[str, int]) -> ILPResult:
         if not inc.is_feasible:
             return ILPResult(ILPStatus.INFEASIBLE)
-        result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
+        result, at_root = solve_ilp_warm(inc, model, objective, node_limit)
         stats.warm_starts += at_root
         return result
 
@@ -158,24 +207,6 @@ def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
         before = inc.pivots
         inc.fix(name, value)
         stats.simplex_pivots += inc.pivots - before
-
-    return solve, pin
-
-
-def _cold_steps(model: ILPModel, backend: Backend, node_limit: int):
-    """A stateless backend's ``(solve, pin)`` pair: pins accumulate as
-    equality rows handed to one cold solve per objective."""
-    fixings: list[LinearConstraint] = []
-
-    def solve(name: str) -> ILPResult:
-        return backend(
-            model, {name: 1}, extra=tuple(fixings), node_limit=node_limit
-        )
-
-    def pin(name: str, value: Fraction) -> None:
-        fixings.append(
-            LinearConstraint({name: 1}, -value, equality=True, label=f"fix:{name}")
-        )
 
     return solve, pin
 
@@ -194,48 +225,46 @@ def lexmin(
     """
     if not model.objective_order:
         raise ValueError("model has no objective order set")
-    solver, backend_name = pick_backend(model, backend, auto_threshold)
+    _, backend_name = pick_backend(model, backend, auto_threshold)
     stats = SolveStats()
+    session = HighsSession(model)  # also the probe's exact integer rows
     if backend_name == "exact":
         solve, pin = _warm_exact_steps(model, node_limit, stats)
     else:
-        solve, pin = _cold_steps(model, solver, node_limit)
+        solve, pin = partial(session.solve, node_limit=node_limit), session.pin
 
     values: list[Fraction] = []
     current: Optional[dict[str, Fraction]] = None
     solves = 0
     order = model.objective_order
-    for k, name in enumerate(order):
-        var = model.variables[name]
-        if (
-            current is not None
-            and var.lower is not None
-            and current[name] == var.lower
-        ):
+    while len(values) < len(order):
+        k = len(values)
+        lower = model.variables[order[k]].lower
+        if current is not None and lower is not None and current[order[k]] == lower:
             # Already at its lower bound in a feasible assignment: optimal.
-            value = Fraction(var.lower)
             stats.shortcut_hits += 1
+            solved = [order[k]]
         else:
             if current is not None:
-                probe = _probe_lower_bounds(model, current, order[k:])
+                probe = _probe_lower_bounds(session, current, order[k:])
                 if probe is not None:
                     stats.probe_hits += 1
                     current = probe
-                    values.extend(
-                        Fraction(model.variables[n].lower) for n in order[k:]
-                    )
+                    values.extend(probe[n] for n in order[k:])
                     break
-            result = solve(name)
+            objective = _fold(model, order, k)
+            result = solve(objective)
             solves += 1
             stats.merge(result.stats)
             if not result.is_optimal:
                 return LexminResult(
                     result.status, stats=stats, solves=solves, backend=backend_name
                 )
-            value = result.objective
             current = result.assignment
-        pin(name, value)
-        values.append(value)
+            solved = list(objective)
+        for name in solved:
+            pin(name, current[name])
+            values.append(current[name])
 
     assert current is not None
     # Re-pin the recorded values (the last solve may predate later implicit

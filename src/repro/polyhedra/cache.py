@@ -30,7 +30,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 __all__ = [
@@ -55,6 +55,10 @@ class PolyCacheStats:
     the cheap bound/gcd pre-filter proves a system empty without any LP/ILP
     call; it lives here so one snapshot captures the whole fast path.
     ``evictions`` counts entries dropped by the per-table LRU bound.
+    The ``prune_*`` fields account for redundancy pruning
+    (:func:`~repro.polyhedra.fourier_motzkin.prune_redundant_rows`): memo
+    lookups and hits, rows decided by the two exact rules, and the LPs the
+    undecided rest still cost.
     """
 
     empty_lookups: int = 0
@@ -67,67 +71,35 @@ class PolyCacheStats:
     project_hits: int = 0
     fast_rejects: int = 0
     evictions: int = 0
+    prune_lookups: int = 0
+    prune_hits: int = 0
+    prune_rule_rows: int = 0
+    prune_lp_solves: int = 0
+
+    def _total(self, suffix: str) -> int:
+        return sum(v for k, v in self.as_dict().items() if k.endswith(suffix))
 
     @property
     def lookups(self) -> int:
-        return (
-            self.empty_lookups
-            + self.min_lookups
-            + self.lexmin_lookups
-            + self.project_lookups
-        )
+        return self._total("_lookups")
 
     @property
     def hits(self) -> int:
-        return (
-            self.empty_hits + self.min_hits + self.lexmin_hits + self.project_hits
-        )
+        return self._total("_hits")
 
     @property
     def misses(self) -> int:
         return self.lookups - self.hits
 
     def snapshot(self) -> "PolyCacheStats":
-        return PolyCacheStats(
-            self.empty_lookups,
-            self.empty_hits,
-            self.min_lookups,
-            self.min_hits,
-            self.lexmin_lookups,
-            self.lexmin_hits,
-            self.project_lookups,
-            self.project_hits,
-            self.fast_rejects,
-            self.evictions,
-        )
+        return replace(self)
 
     def delta_since(self, base: "PolyCacheStats") -> "PolyCacheStats":
-        return PolyCacheStats(
-            self.empty_lookups - base.empty_lookups,
-            self.empty_hits - base.empty_hits,
-            self.min_lookups - base.min_lookups,
-            self.min_hits - base.min_hits,
-            self.lexmin_lookups - base.lexmin_lookups,
-            self.lexmin_hits - base.lexmin_hits,
-            self.project_lookups - base.project_lookups,
-            self.project_hits - base.project_hits,
-            self.fast_rejects - base.fast_rejects,
-            self.evictions - base.evictions,
-        )
+        then = base.as_dict()
+        return PolyCacheStats(**{k: v - then[k] for k, v in self.as_dict().items()})
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "empty_lookups": self.empty_lookups,
-            "empty_hits": self.empty_hits,
-            "min_lookups": self.min_lookups,
-            "min_hits": self.min_hits,
-            "lexmin_lookups": self.lexmin_lookups,
-            "lexmin_hits": self.lexmin_hits,
-            "project_lookups": self.project_lookups,
-            "project_hits": self.project_hits,
-            "fast_rejects": self.fast_rejects,
-            "evictions": self.evictions,
-        }
+        return asdict(self)
 
 
 #: per-table LRU capacity when neither the env override nor the constructor
@@ -166,6 +138,7 @@ class PolyCache:
         self._min: OrderedDict = OrderedDict()
         self._lexmin: OrderedDict = OrderedDict()
         self._project: OrderedDict = OrderedDict()
+        self._prune: OrderedDict = OrderedDict()
 
     # -- generic plumbing -----------------------------------------------------
 
@@ -212,23 +185,25 @@ class PolyCache:
     def put_project(self, key, value) -> None:
         self._put(self._project, key, value)
 
+    def get_prune(self, key):
+        return self._get(self._prune, key, "prune_lookups", "prune_hits")
+
+    def put_prune(self, key, value) -> None:
+        self._put(self._prune, key, value)
+
+    def _tables(self) -> tuple[OrderedDict, ...]:
+        return (self._empty, self._min, self._lexmin, self._project, self._prune)
+
     def clear(self) -> None:
         """Drop every entry (stats are kept; reset them separately)."""
-        self._empty.clear()
-        self._min.clear()
-        self._lexmin.clear()
-        self._project.clear()
+        for table in self._tables():
+            table.clear()
 
     def reset_stats(self) -> None:
         self.stats = PolyCacheStats()
 
     def __len__(self) -> int:
-        return (
-            len(self._empty)
-            + len(self._min)
-            + len(self._lexmin)
-            + len(self._project)
-        )
+        return sum(len(table) for table in self._tables())
 
 
 _GLOBAL = PolyCache()

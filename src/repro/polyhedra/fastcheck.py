@@ -29,27 +29,18 @@ __all__ = ["fast_reject", "lp_feasible", "set_is_empty"]
 
 def _lp_solve(bs: BasicSet):
     """Solve the rational feasibility LP; returns the scipy result."""
-    names = list(bs.space.names)
-    n = len(names)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for con in bs.constraints:
-        row = np.zeros(n)
-        for i in range(n):
-            row[i] = con.coeffs[i]
-        const = con.coeffs[-1]
-        if con.equality:
-            a_eq.append(row)
-            b_eq.append(-const)
-        else:
-            a_ub.append(-row)   # expr + const >= 0  ->  -expr <= const
-            b_ub.append(const)
+    n = len(bs.space.names)
+    rows = np.array([con.coeffs for con in bs.constraints], dtype=float)
+    rows = rows.reshape(-1, n + 1)
+    eq = np.array([con.equality for con in bs.constraints], dtype=bool)
+    # expr + const >= 0  ->  -expr <= const;  expr + const == 0  ->  expr == -const
     return optimize.linprog(
         c=np.zeros(n),
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * n,
+        A_ub=-rows[~eq, :-1],
+        b_ub=rows[~eq, -1],
+        A_eq=rows[eq, :-1],
+        b_eq=-rows[eq, -1],
+        bounds=(None, None),
         method="highs",
     )
 

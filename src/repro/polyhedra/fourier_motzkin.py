@@ -16,14 +16,18 @@ check on scheduler-sized systems.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
+
+from repro.polyhedra.cache import MISS, active_cache, global_cache
 
 __all__ = [
     "eliminate_column",
     "eliminate_columns",
     "normalize_row",
     "normalize_rows",
+    "prune_redundant_rows",
     "Row",
 ]
 
@@ -195,13 +199,26 @@ def eliminate_columns(
 def prune_redundant_rows(rows: list[Row]) -> list[Row]:
     """Drop inequality rows implied by the remaining system (rational test).
 
-    Each inequality ``a.x + c >= 0`` is redundant iff ``min(a.x)`` over the
-    other rows is ``>= -c``; decided with HiGHS.  Dropping a weakly-touching
-    row keeps the same rational set; in the presence of floating-point
-    tolerance the result can only be an *over*-approximation of the
-    projection, which every consumer of deep projections (loop bounds,
-    guards) tolerates by construction — inner levels re-check exact
-    constraints pointwise.
+    ``a.x + c >= 0`` is redundant iff ``min(a.x)`` over the other rows is
+    ``>= -c``.  Three stages, each answering only what the one before left
+    open; the result is ``equalities + surviving inequalities`` in input
+    order, the same list an all-LP sequential sweep produces:
+
+    1. **Memo.**  The answer is a pure function of the ordered row tuple, so
+       it is looked up in the content-keyed :class:`PolyCache` ``prune``
+       table first (per-array copies of one access pattern ask the same
+       question).  A hit returns a fresh list.
+    2. **Exact row rules** (:func:`_row_rules`), on the inequalities with
+       the equalities substituted out: rule 1 drops constant and
+       same-slope-dominated rows, rule 2 keeps any row that alone bounds a
+       column from its side.
+    3. **LP.**  Only the rows neither rule decides are tested with HiGHS,
+       in order, against one float matrix built per call.  Dropping a
+       weakly-touching row keeps the same rational set; floating-point
+       tolerance can only make the result an *over*-approximation of the
+       projection, which every consumer of deep projections (loop bounds,
+       guards) tolerates by construction — inner levels re-check exact
+       constraints pointwise.
     """
     import numpy as np
     from scipy import optimize
@@ -209,34 +226,90 @@ def prune_redundant_rows(rows: list[Row]) -> list[Row]:
     eqs = [r for r in rows if r[1]]
     ineqs = [r for r in rows if not r[1]]
     if len(ineqs) <= 1:
-        return rows
-    width = len(rows[0][0]) - 1
+        return list(rows)
+    cache = active_cache()
+    if cache is not None:
+        key = tuple(rows)
+        hit = cache.get_prune(key)
+        if hit is not MISS:
+            return list(hit)
 
-    kept = list(ineqs)
-    i = 0
-    while i < len(kept):
-        coeffs, _ = kept[i]
-        others = eqs + kept[:i] + kept[i + 1 :]
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for ocoeffs, oeq in others:
-            row = np.array(ocoeffs[:-1], dtype=float)
-            if oeq:
-                a_eq.append(row)
-                b_eq.append(-float(ocoeffs[-1]))
-            else:
-                a_ub.append(-row)
-                b_ub.append(float(ocoeffs[-1]))
+    stats = global_cache().stats
+    live, sole = _row_rules(eqs, ineqs)
+    stats.prune_rule_rows += len(ineqs) - len(live) + len(sole)
+    a = np.array([r[0] for r in eqs + ineqs], dtype=float)
+    a_eq, b_eq = a[: len(eqs), :-1], -a[: len(eqs), -1]
+    a, b = a[len(eqs) :, :-1], a[len(eqs) :, -1]
+    keep = np.zeros(len(ineqs), dtype=bool)
+    keep[live] = True
+    for i in live:
+        if i in sole:
+            continue
+        keep[i] = False
+        stats.prune_lp_solves += 1
         res = optimize.linprog(
-            c=np.array(coeffs[:-1], dtype=float),
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(None, None)] * width,
-            method="highs",
+            c=a[i], A_ub=-a[keep], b_ub=b[keep], A_eq=a_eq, b_eq=b_eq,
+            bounds=(None, None), method="highs",
         )
-        if res.status == 0 and res.fun + coeffs[-1] >= -1e-9:
-            kept.pop(i)  # implied by the others
-        else:
-            i += 1
-    return eqs + kept
+        keep[i] = not (res.status == 0 and res.fun + b[i] >= -1e-9)
+
+    out = eqs + [row for row, kept in zip(ineqs, keep) if kept]
+    if cache is not None:
+        cache.put_prune(key, tuple(out))
+    return out
+
+
+def _row_rules(eqs: list[Row], ineqs: list[Row]) -> tuple[list[int], set[int]]:
+    """The exact stage of :func:`prune_redundant_rows`: ``(live, sole)`` —
+    the inequality indices rule 1 leaves, and those of them rule 2 keeps.
+
+    Both rules read the inequalities with the equalities substituted out
+    (integer Gaussian elimination, positive scaling only, no
+    floor-tightening: the same rational set), each as a primitive slope
+    over the free columns and a rational constant.
+
+    *Rule 1.*  A row that became a non-negative constant is implied by
+    anything; of the rows sharing a slope only the one with the smallest
+    constant can matter, since ``a.x + c1 >= 0`` implies ``a.x + c2 >= 0``
+    for ``c1 <= c2``.  Of equal rows the *last* survives: a sequential sweep
+    tests the earlier one first, finds it implied by its twin and drops it,
+    and keeping that order keeps Farkas multiplier numbering and
+    Fourier–Motzkin output byte-stable.
+
+    *Rule 2.*  If a live row is the only one with a positive (negative)
+    entry in some column, every other row is non-decreasing along ``-e_j``
+    (``+e_j``) while this row decreases: its minimum over the others is
+    unbounded, so it is irredundant and needs no LP.
+
+    A visibly empty system (an inconsistent equality or a negative constant
+    row) makes every redundancy question moot: all rows are kept.
+    """
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    reduced: list[tuple[tuple[int, ...], Fraction]] = []
+    for coeffs, equality in eqs + ineqs:
+        for col, piv in pivots:
+            if coeffs[col]:
+                scale = abs(piv[col])
+                back = coeffs[col] if piv[col] > 0 else -coeffs[col]
+                coeffs = tuple(scale * c - back * p for c, p in zip(coeffs, piv))
+        g = gcd(*coeffs[:-1])
+        if g == 0 and (coeffs[-1] < 0 or (equality and coeffs[-1])):
+            return list(range(len(ineqs))), set(range(len(ineqs)))
+        if not equality:
+            slope = tuple(c // g for c in coeffs[:-1]) if g else ()
+            reduced.append((slope, Fraction(coeffs[-1], g or 1)))
+        elif g:
+            pivots.append((next(i for i, c in enumerate(coeffs) if c), coeffs))
+
+    tightest: dict[tuple[int, ...], int] = {}
+    for i, (slope, const) in enumerate(reduced):
+        if slope and (slope not in tightest or const <= reduced[tightest[slope]][1]):
+            tightest[slope] = i
+    live = sorted(tightest.values())
+    sole: set[int] = set()
+    for col in zip(*(reduced[i][0] for i in live)):
+        for sign in (1, -1):
+            side = [i for i, c in zip(live, col) if c * sign > 0]
+            if len(side) == 1:
+                sole.add(side[0])
+    return live, sole

@@ -9,6 +9,7 @@ from repro.polyhedra.cache import (
     DEFAULT_MAX_ENTRIES,
     MISS,
     PolyCache,
+    PolyCacheStats,
     active_cache,
     cache_disabled,
     cache_enabled,
@@ -189,6 +190,64 @@ class TestPolyCache:
         assert stats.misses == stats.lookups - stats.hits
         assert stats.lookups == stats.empty_lookups + stats.min_lookups \
             + stats.lexmin_lookups + stats.project_lookups
+
+
+class TestPruneTable:
+    """The fifth table: ``prune_redundant_rows`` on the ordered row tuple."""
+
+    #: a box whose x <= 5 face is alone on its side (rule 2), a
+    #: same-slope-dominated row (rule 1), and two diagonals only an LP judges
+    ROWS = [
+        ((1, 0, 0), False), ((-1, 0, 5), False),
+        ((0, 1, 0), False), ((0, -1, 5), False),
+        ((1, 0, 3), False), ((1, 1, 0), False), ((1, -1, 6), False),
+    ]
+
+    def test_counts_and_memo(self):
+        from repro.polyhedra.fourier_motzkin import prune_redundant_rows
+
+        stats = global_cache().stats
+        out = prune_redundant_rows(self.ROWS)
+        assert out == self.ROWS[:4]
+        cold = stats.snapshot()
+        assert (cold.prune_lookups, cold.prune_hits) == (1, 0)
+        assert cold.prune_rule_rows == 2 and cold.prune_lp_solves == 5
+        hit = prune_redundant_rows(self.ROWS)
+        assert hit == out and hit is not out
+        warm = stats.delta_since(cold)
+        assert warm.as_dict() == {
+            **PolyCacheStats().as_dict(), "prune_lookups": 1, "prune_hits": 1
+        }
+        assert (stats.lookups, stats.hits, stats.misses) == (2, 1, 1)
+        assert len(global_cache()) == 1
+        # row order is part of the key: a permutation is another question
+        prune_redundant_rows(self.ROWS[::-1])
+        assert stats.prune_hits == 1 and len(global_cache()) == 2
+
+    def test_obeys_disable_cap_and_clear(self):
+        from repro.polyhedra.fourier_motzkin import prune_redundant_rows
+
+        stats = global_cache().stats
+        with cache_disabled():
+            assert prune_redundant_rows(self.ROWS) == self.ROWS[:4]
+            assert prune_redundant_rows(self.ROWS) == self.ROWS[:4]
+        # no memo traffic, but the rule and LP work is still counted
+        assert stats.prune_lookups == 0 and len(global_cache()) == 0
+        assert stats.prune_rule_rows == 4 and stats.prune_lp_solves == 10
+
+        prune_redundant_rows(self.ROWS)
+        assert len(global_cache()) == 1
+        global_cache().clear()
+        assert len(global_cache()) == 0
+        prune_redundant_rows(self.ROWS)
+        assert stats.prune_hits == 0
+
+        cache = PolyCache(max_entries=2)
+        for k in "abc":
+            cache.put_prune((k,), ())
+        assert len(cache) == 2 and cache.stats.evictions == 1
+        assert cache.get_prune(("a",)) is MISS
+        assert cache.get_prune(("c",)) == ()
 
 
 class TestEscapeHatch:

@@ -260,6 +260,12 @@ class TestCLIDepsCache:
         assert "# dependence stats:" in err
         assert "pairs_tested" in err
         assert "fast_rejects" in err
+        # the pruning block CI's smoke job greps (prune_lp_solves ceiling)
+        assert "# pruning stats:" in err
+        for field in ("prune_lookups", "prune_hits", "prune_rule_rows"):
+            assert f"#   {field}" in err
+        (line,) = [l for l in err.splitlines() if "prune_lp_solves" in l]
+        assert int(line.split()[-1]) >= 0
 
 
 class TestCLIPipelineFlagTable:
