@@ -45,6 +45,7 @@ from repro.pipeline import (
     PipelineOptions,
     TimingBreakdown,
     optimize,
+    resolve_program,
 )
 
 __all__ = [
@@ -61,18 +62,6 @@ __all__ = [
 ]
 
 
-def _resolve_program(program: Union[Program, str]) -> Program:
-    if isinstance(program, str):
-        from repro.workloads import get_workload
-
-        return get_workload(program).program()
-    if not isinstance(program, Program):
-        raise TypeError(
-            f"expected a Program or a workload name, got {type(program).__name__}"
-        )
-    return program
-
-
 def analyze_dependences(program: Union[Program, str]):
     """Compute the dependence polyhedra of ``program``.
 
@@ -81,7 +70,7 @@ def analyze_dependences(program: Union[Program, str]):
     """
     from repro.deps import compute_dependences
 
-    return compute_dependences(_resolve_program(program))
+    return compute_dependences(resolve_program(program))
 
 
 def verify(
@@ -106,7 +95,7 @@ def verify(
                 "verify(schedule, program=...) requires the program when not "
                 "passed an OptimizationResult"
             )
-        program_obj = _resolve_program(program)
+        program_obj = resolve_program(program)
         schedule = result_or_schedule
     ddg = DependenceGraph(program_obj, compute_dependences(program_obj))
     return verify_schedule(schedule, ddg)

@@ -346,27 +346,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _workload_program(args, name: str) -> Program:
-    from repro.workloads import get_workload
-
-    try:
-        w = get_workload(name)
-    except KeyError:
-        raise SystemExit(
-            f"error: unknown workload {name!r}; "
-            f"run `python -m repro list` to see registered workloads"
-        ) from None
-    # carry the workload's pipeline flags unless the user set their own
-    if hasattr(args, "iss") and not args.iss:
-        args.iss = w.iss
-    if hasattr(args, "diamond") and not args.diamond:
-        args.diamond = w.diamond
-    return w.program()
-
-
-def _load_program(args) -> Program:
+def _load_program(args) -> tuple[Program, Optional[object]]:
+    """The program to work on, and the registered workload it came from
+    (``None`` for a source file) for :func:`_pipeline_options`."""
     if args.workload:
-        return _workload_program(args, args.workload)
+        from repro.workloads import get_workload
+
+        try:
+            w = get_workload(args.workload)
+        except KeyError:
+            raise SystemExit(
+                f"error: unknown workload {args.workload!r}; "
+                f"run `python -m repro list` to see registered workloads"
+            ) from None
+        return w.program(), w
     if not args.source:
         raise SystemExit("either a source file or --workload is required")
     path = Path(args.source)
@@ -374,7 +367,8 @@ def _load_program(args) -> Program:
         from repro.workloads import WORKLOADS  # import populates the registry
 
         if args.source in WORKLOADS:
-            return _workload_program(args, args.source)
+            w = WORKLOADS[args.source]
+            return w.program(), w
         raise SystemExit(
             f"error: {args.source!r} is neither a readable file nor a "
             f"registered workload; run `python -m repro list` to see "
@@ -382,13 +376,22 @@ def _load_program(args) -> Program:
         )
     text = path.read_text()
     name = path.stem
-    return parse_program(text, name, params=tuple(args.params), param_min=args.param_min)
-
-
-def _pipeline_options(args) -> PipelineOptions:
-    return PipelineOptions(
-        **_pipeline_fields(args), deps_cache=not args.no_deps_cache
+    program = parse_program(
+        text, name, params=tuple(args.params), param_min=args.param_min
     )
+    return program, None
+
+
+def _pipeline_options(args, workload=None) -> PipelineOptions:
+    fields = dict(_pipeline_fields(args), deps_cache=not args.no_deps_cache)
+    if workload is None:
+        return PipelineOptions(**fields)
+    # --iss/--diamond can only switch on: unset, they are not overrides and
+    # the workload's paper flags show through
+    for flag in ("iss", "diamond"):
+        if not fields.get(flag):
+            fields.pop(flag, None)
+    return workload.pipeline_options(**fields)
 
 
 def _cmd_opt(args) -> int:
@@ -396,9 +399,9 @@ def _cmd_opt(args) -> int:
 
     if getattr(args, "skeleton_dir", None):
         os.environ["REPRO_SKELETON_CACHE"] = args.skeleton_dir
-    program = _load_program(args)
+    program, workload = _load_program(args)
     poly_before = global_cache().stats.snapshot()
-    result = optimize(program, _pipeline_options(args))
+    result = optimize(program, _pipeline_options(args, workload))
     poly = global_cache().stats.delta_since(poly_before).as_dict()
     print(f"# {program.name}: {args.algorithm}", file=sys.stderr)
     print(f"# ISS: {result.used_iss}, diamond: {result.used_diamond}", file=sys.stderr)
@@ -414,20 +417,20 @@ def _cmd_opt(args) -> int:
                   file=sys.stderr)
     print(f"# timing: {result.timing.as_dict()}", file=sys.stderr)
     if getattr(args, "stats", False) and result.scheduler_stats is not None:
-        from repro.reporting import format_dep_stats, format_solve_stats
+        from repro.reporting import format_stats
 
         st = result.scheduler_stats
         print(f"# solver stats ({', '.join(sorted(st.backends_used)) or 'n/a'}):",
               file=sys.stderr)
-        print(format_solve_stats(st.solve.as_dict(), indent="#   "), file=sys.stderr)
+        print(format_stats(st.solve.as_dict(), indent="#   "), file=sys.stderr)
         if result.dep_stats is not None:
             print("# dependence stats:", file=sys.stderr)
-            print(format_dep_stats(result.dep_stats.as_dict(), indent="#   "),
+            print(format_stats(result.dep_stats.as_dict(), indent="#   "),
                   file=sys.stderr)
         # this process's pruning work: all zero when the schedule cache answered
         print("# pruning stats:", file=sys.stderr)
         pruning = {k: v for k, v in poly.items() if k.startswith("prune_")}
-        print(format_solve_stats(pruning, indent="#   "), file=sys.stderr)
+        print(format_stats(pruning, indent="#   "), file=sys.stderr)
     if args.backend != "python":
         from repro.exec import ExecutionOptions
 
@@ -474,7 +477,7 @@ def _cmd_verify(args) -> int:
     from repro.core.verify import verify_schedule
     from repro.deps import DependenceGraph, compute_dependences
 
-    program = _load_program(args)
+    program, workload = _load_program(args)
     result = None
     if args.schedule:
         import json
@@ -487,7 +490,7 @@ def _cmd_verify(args) -> int:
                   file=sys.stderr)
             return 2
     else:
-        result = optimize(program, _pipeline_options(args))
+        result = optimize(program, _pipeline_options(args, workload))
         program = result.program  # post-ISS program actually scheduled
         schedule = result.schedule
     deps = compute_dependences(program)
@@ -570,7 +573,7 @@ def _cmd_deps(args) -> int:
     from repro.deps import compute_dependences
     from repro.polyhedra.cache import cache_disabled
 
-    program = _load_program(args)
+    program, _ = _load_program(args)
     guard = cache_disabled() if getattr(args, "no_deps_cache", False) else nullcontext()
     with guard:
         deps = compute_dependences(program)
@@ -622,7 +625,7 @@ def _cmd_serve(args) -> int:
     """Run the scheduling daemon until SIGTERM/SIGINT, then drain."""
     import os
 
-    from repro.server import Daemon, DaemonConfig, SocketInUse
+    from repro.server import Daemon, DaemonConfig
     from repro.server.pool import DEFAULT_RECYCLE, DEFAULT_TIMEOUT as SERVE_TIMEOUT
 
     if args.socket is None and args.port is None:
@@ -649,28 +652,35 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-    daemon = Daemon(config)
-    daemon.install_signal_handlers()
-    from repro import __version__
+    return _serve_until_stopped(
+        Daemon(config), args, "serving",
+        f"(jobs {config.jobs}, "
+        f"cache {config.cache_dir or 'memory-only'}, "
+        f"skeletons {config.skeleton_dir or 'off'})",
+    )
 
-    print(f"# repro {__version__} serving on "
-          f"{args.socket or f'{args.host}:{args.port}'} "
-          f"(jobs {config.jobs}, "
-          f"cache {config.cache_dir or 'memory-only'}, "
-          f"skeletons {config.skeleton_dir or 'off'})",
+
+def _serve_until_stopped(server, args, verb: str, detail: str) -> int:
+    """Run a :class:`~repro.server.listener.LineServer` to its drain."""
+    from repro import __version__
+    from repro.server import SocketInUse
+
+    server.install_signal_handlers()
+    print(f"# repro {__version__} {verb} on "
+          f"{args.socket or f'{args.host}:{args.port}'} {detail}",
           file=sys.stderr, flush=True)
     try:
-        daemon.serve()
+        server.serve()
     except SocketInUse as e:
         raise SystemExit(f"error: {e}")
     if args.report:
-        print(f"# {daemon.metrics.summary_line()}", file=sys.stderr)
+        print(f"# {server.metrics.summary_line()}", file=sys.stderr)
     return 0
 
 
 def _cmd_route(args) -> int:
     """Run the shard router until SIGTERM/SIGINT."""
-    from repro.server import Router, RouterConfig, SocketInUse
+    from repro.server import Router, RouterConfig
 
     if args.socket is None and args.port is None:
         raise SystemExit("error: route needs --socket PATH or --port N")
@@ -683,21 +693,10 @@ def _cmd_route(args) -> int:
         )
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-    router = Router(config)
-    router.install_signal_handlers()
-    from repro import __version__
-
-    print(f"# repro {__version__} routing on "
-          f"{args.socket or f'{args.host}:{args.port}'} "
-          f"across {len(config.shards)} shard(s)",
-          file=sys.stderr, flush=True)
-    try:
-        router.serve()
-    except SocketInUse as e:
-        raise SystemExit(f"error: {e}")
-    if args.report:
-        print(f"# {router.metrics.summary_line()}", file=sys.stderr)
-    return 0
+    return _serve_until_stopped(
+        Router(config), args, "routing",
+        f"across {len(config.shards)} shard(s)",
+    )
 
 
 def _cmd_warm(args) -> int:

@@ -26,16 +26,15 @@ band search.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
-from repro.core.names import W_NAME, c0_name, c_name, d_name, u_name
+from repro.core.names import c_name, u_name
 from repro.core.scheduler import PlutoScheduler, SchedulerOptions, SchedulerStats
 from repro.core.transform import Band, Schedule, ScheduleRow
 from repro.deps.ddg import DependenceGraph
 from repro.frontend.ir import Program
-from repro.ilp import LinearConstraint, lexmin
-from repro.polyhedra import AffExpr, Constraint
+from repro.ilp import ILPModel
+from repro.polyhedra import AffExpr
 
 __all__ = ["find_diamond_schedule"]
 
@@ -88,6 +87,7 @@ def find_diamond_schedule(
             return None
         sched.add_row(row)
         scheduler._update_ranks(sched)
+        scheduler.stats.hyperplanes_found += 1
 
     last = _complete_band(program, ddg, sched, time_iter, ndim)
     if last is None:
@@ -129,82 +129,48 @@ def _find_constrained_hyperplane(
 ) -> Optional[ScheduleRow]:
     """One band hyperplane with the concurrent-start side constraints."""
     program = scheduler.program
-    skey = None
-    if scheduler.warm is not None:
-        # The side constraints below are fully determined by the model
-        # inputs plus (time_iter); the "diamond" tag keeps these records
-        # apart from the standard band search over the same state.
-        skey = scheduler._solve_key(sched, active, extra=["diamond", time_iter])
-        record = scheduler.warm.lookup(skey)
-        if record is not None:
-            try:
-                row = scheduler._replay_row(record)
-            except (KeyError, ValueError, TypeError):
-                scheduler.warm.forget(skey)  # poisoned record: solve cold
-            else:
-                scheduler.warm.hits += 1
-                scheduler.stats.structural_warm_start += 1
-                scheduler.stats.solve.structural_warm_start += 1
-                return row
-        scheduler.warm.misses += 1
-    model = scheduler.build_model(sched, active)
-    # distances bounded by a constant: u = 0
-    for p in program.params:
-        model.add_constraint({u_name(p): -1}, 0)  # u <= 0 (u >= 0 by bounds)
     plus = scheduler.options.algorithm == "plutoplus"
     b = scheduler.options.coeff_bound
-    for s in program.statements:
-        # time coefficient strictly positive: h . f >= 1
-        model.add_constraint({c_name(s, time_iter): 1}, -1)
-        # non-zero space component (not parallel to the face).  For Pluto+
-        # reuse the radix trick over the space dims; classic Pluto's space
-        # coefficients are non-negative so their sum >= 1 suffices.
-        space_dims = [d for d in s.space.dims if d != time_iter]
-        if not space_dims:
-            return None
-        if plus:
-            radix = b + 1
-            big_m = radix ** len(space_dims)
-            var = f"ds.{s.name}"
-            model.add_variable(var, lower=0, upper=1)
-            combo = {}
-            weight = 1
-            for d in space_dims:
-                combo[c_name(s, d)] = weight
-                weight *= radix
-            pos = dict(combo)
-            pos[var] = big_m
-            model.add_constraint(pos, -1)
-            neg = {k: -v for k, v in combo.items()}
-            neg[var] = -big_m
-            model.add_constraint(neg, big_m - 1)
-        else:
-            model.add_constraint({c_name(s, d): 1 for d in space_dims}, -1)
-    t0 = time.perf_counter()
-    result = lexmin(
-        model,
-        backend=scheduler.options.ilp_backend,
-        auto_threshold=scheduler.options.auto_threshold,
+
+    def constrain(model: ILPModel) -> bool:
+        # distances bounded by a constant: u = 0
+        for p in program.params:
+            model.add_constraint({u_name(p): -1}, 0)  # u <= 0 (u >= 0 by bounds)
+        for s in program.statements:
+            # time coefficient strictly positive: h . f >= 1
+            model.add_constraint({c_name(s, time_iter): 1}, -1)
+            # non-zero space component (not parallel to the face).  For Pluto+
+            # reuse the radix trick over the space dims; classic Pluto's space
+            # coefficients are non-negative so their sum >= 1 suffices.
+            space_dims = [d for d in s.space.dims if d != time_iter]
+            if not space_dims:
+                return False
+            if plus:
+                radix = b + 1
+                big_m = radix ** len(space_dims)
+                var = f"ds.{s.name}"
+                model.add_variable(var, lower=0, upper=1)
+                combo = {}
+                weight = 1
+                for d in space_dims:
+                    combo[c_name(s, d)] = weight
+                    weight *= radix
+                pos = dict(combo)
+                pos[var] = big_m
+                model.add_constraint(pos, -1)
+                neg = {k: -v for k, v in combo.items()}
+                neg[var] = -big_m
+                model.add_constraint(neg, big_m - 1)
+            else:
+                model.add_constraint({c_name(s, d): 1 for d in space_dims}, -1)
+        return True
+
+    # The side constraints are fully determined by the model inputs plus
+    # (time_iter); the "diamond" tag keeps these records apart from the
+    # standard band search over the same state.
+    return scheduler.find_hyperplane(
+        sched, active, constrain=constrain, key_extra=["diamond", time_iter]
     )
-    dt = time.perf_counter() - t0
-    scheduler.stats.ilp_solves += result.solves
-    scheduler.stats.backends_used.add(result.backend)
-    scheduler.stats.solve_seconds += dt
-    scheduler.stats.solve.merge(result.stats)
-    scheduler.stats.solve.solve_seconds += dt
-    if scheduler.warm is not None:
-        scheduler._record_solve(skey, result)
-    if not result.is_optimal:
-        return None
-    exprs = {}
-    for s in program.statements:
-        terms = {it: int(result.assignment[c_name(s, it)]) for it in s.space.dims}
-        for p in s.space.params:
-            terms[p] = int(result.assignment[d_name(s, p)])
-        exprs[s.name] = AffExpr.from_terms(
-            s.space, terms, int(result.assignment[c0_name(s)])
-        )
-    return ScheduleRow("loop", exprs)
 
 
 def _complete_band(

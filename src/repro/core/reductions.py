@@ -54,14 +54,6 @@ class ReductionInfo:
     op: str                   # combine operator: "+" | "*"
     dims: tuple[str, ...]     # reduction iterators (absent from the write)
 
-    def as_dict(self) -> dict:
-        return {
-            "stmt": self.stmt,
-            "array": self.array,
-            "op": self.op,
-            "dims": list(self.dims),
-        }
-
 
 @dataclass
 class ReductionSplit:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.core.farkas import bounding_constraints, legality_constraints
 from repro.core.names import (
@@ -58,6 +58,7 @@ from repro.ilp import ILPModel, LinearConstraint, SolveStats, lexmin
 from repro.linalg import FMatrix
 from repro.polyhedra import AffExpr, Constraint
 from repro.polyhedra.fourier_motzkin import normalize_row
+from repro.records import Record, omit_at_default
 
 __all__ = ["SchedulerOptions", "SchedulerError", "PlutoScheduler", "SchedulerStats"]
 
@@ -99,7 +100,9 @@ class SchedulerOptions:
 
 
 @dataclass
-class SchedulerStats:
+class SchedulerStats(Record):
+    """Scheduler counters; JSON-shaped for suite manifests and ``--stats``."""
+
     ilp_solves: int = 0
     ilp_variables_max: int = 0
     hyperplanes_found: int = 0
@@ -138,65 +141,15 @@ class SchedulerStats:
     #: reduction relaxation (``repro.core.reductions``): accumulation
     #: statements detected in the program and the self-dependences dropped
     #: from the legality set before scheduling.  Both stay zero unless
-    #: ``PipelineOptions.parallel_reductions`` is enabled.
-    reductions_detected: int = 0
-    reductions_relaxed: int = 0
-
-    def as_dict(self) -> dict:
-        """JSON-serializable form (suite manifests, ``--stats`` plumbing)."""
-        out = {
-            "ilp_solves": self.ilp_solves,
-            "ilp_variables_max": self.ilp_variables_max,
-            "hyperplanes_found": self.hyperplanes_found,
-            "cuts": self.cuts,
-            "sat_batched": self.sat_batched,
-            "solve_seconds": self.solve_seconds,
-            "backends_used": sorted(self.backends_used),
-            "solve": self.solve.as_dict(),
-            "scheduler_mode": self.scheduler_mode,
-            "scheduler_path": self.scheduler_path,
-            "fallback_reason": self.fallback_reason,
-            "quick_candidates": self.quick_candidates,
-            "quick_validations": self.quick_validations,
-            "quick_seconds": self.quick_seconds,
-            "fusion_groups": [list(g) for g in self.fusion_groups],
-            "structural_warm_start": self.structural_warm_start,
-            "structural_path": self.structural_path,
-        }
-        # Omitted at zero so stats recorded with the reductions subsystem
-        # off stay byte-identical to the pre-reduction format.
-        if self.reductions_detected or self.reductions_relaxed:
-            out["reductions_detected"] = self.reductions_detected
-            out["reductions_relaxed"] = self.reductions_relaxed
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SchedulerStats":
-        return cls(
-            ilp_solves=data["ilp_solves"],
-            ilp_variables_max=data["ilp_variables_max"],
-            hyperplanes_found=data["hyperplanes_found"],
-            cuts=data["cuts"],
-            sat_batched=data["sat_batched"],
-            solve_seconds=data["solve_seconds"],
-            backends_used=set(data["backends_used"]),
-            solve=SolveStats.from_dict(data["solve"]),
-            # quick-scheduler fields postdate the format; default for
-            # records written by older pipelines
-            scheduler_mode=data.get("scheduler_mode", "exact"),
-            scheduler_path=data.get("scheduler_path", "exact"),
-            fallback_reason=data.get("fallback_reason"),
-            quick_candidates=data.get("quick_candidates", 0),
-            quick_validations=data.get("quick_validations", 0),
-            quick_seconds=data.get("quick_seconds", 0.0),
-            fusion_groups=[list(g) for g in data.get("fusion_groups", [])],
-            # structural warm-start fields postdate the format as well
-            structural_warm_start=data.get("structural_warm_start", 0),
-            structural_path=data.get("structural_path"),
-            # reduction-relaxation fields postdate the format too
-            reductions_detected=data.get("reductions_detected", 0),
-            reductions_relaxed=data.get("reductions_relaxed", 0),
-        )
+    #: ``PipelineOptions.parallel_reductions`` is enabled, and are omitted
+    #: while both are zero so stats recorded with the reductions subsystem
+    #: off stay byte-identical to the pre-reduction format.
+    reductions_detected: int = field(
+        default=0, metadata=omit_at_default("reductions")
+    )
+    reductions_relaxed: int = field(
+        default=0, metadata=omit_at_default("reductions")
+    )
 
 
 class PlutoScheduler:
@@ -470,29 +423,13 @@ class PlutoScheduler:
                     self._add_con(model, seen, con)
         return model
 
-    def _solve_key(
-        self, sched: Schedule, active: Sequence[Dependence], extra=None
-    ) -> str:
-        from repro.core.skeleton import scheduler_solve_key
+    def _row_from(self, assignment) -> Optional[ScheduleRow]:
+        """The ``ScheduleRow`` an ILP assignment encodes; ``None`` if all-zero.
 
-        return scheduler_solve_key(
-            self.program, self.options, sched, active,
-            memo=self.warm.digest_memo, extra=extra,
-        )
-
-    def _replay_row(self, record: dict) -> Optional[ScheduleRow]:
-        """Reconstruct ``find_hyperplane``'s answer from a recorded solve.
-
-        Only called for an *exact* solve-key match, where the lexmin
-        optimum is a unique vector (every model variable is in the
-        objective order) — so this is the same row a cold solve would
-        produce, including the no-hyperplane (non-optimal / all-zero)
-        outcomes.  Raises ``KeyError``/``ValueError`` on a malformed
-        record; the caller falls back to the cold solve.
+        Serves the cold solve (``Fraction`` values) and the replay of a
+        recorded one (their ``str`` forms) alike; a malformed record raises
+        ``KeyError``/``ValueError``/``TypeError``.
         """
-        if record.get("status") != "optimal":
-            return None
-        assignment = record["assignment"]
         exprs: dict[str, AffExpr] = {}
         nonzero = False
         for s in self.program.statements:
@@ -503,32 +440,46 @@ class PlutoScheduler:
             for p in s.space.params:
                 terms[p] = int(Fraction(assignment[d_name(s, p)]))
             const = int(Fraction(assignment[c0_name(s)]))
-            expr = AffExpr.from_terms(s.space, terms, const)
             if any(terms.values()) or const:
                 nonzero = True
-            exprs[s.name] = expr
+            exprs[s.name] = AffExpr.from_terms(s.space, terms, const)
         if not nonzero:
             return None
         return ScheduleRow("loop", exprs)
 
-    def _record_solve(self, skey: str, result) -> None:
-        record: dict = {"status": result.status}
-        if result.is_optimal:
-            record["assignment"] = {
-                name: str(value) for name, value in result.assignment.items()
-            }
-        self.warm.record(skey, record)
-
     def find_hyperplane(
-        self, sched: Schedule, active: Sequence[Dependence]
+        self,
+        sched: Schedule,
+        active: Sequence[Dependence],
+        constrain: Optional[Callable[[ILPModel], bool]] = None,
+        key_extra=None,
     ) -> Optional[ScheduleRow]:
-        skey = None
+        """The one per-level solve step: replay, or build → lexmin → record.
+
+        ``constrain(model)`` may add side constraints to the freshly built
+        model (diamond tiling's concurrent-start rows) and returns ``False``
+        to decline the level.  Whatever it adds must be determined by the
+        model inputs plus ``key_extra``, which tags the solve key so such
+        records never collide with the plain band search over the same state.
+        """
         if self.warm is not None:
-            skey = self._solve_key(sched, active)
+            from repro.core.skeleton import scheduler_solve_key
+
+            skey = scheduler_solve_key(
+                self.program, self.options, sched, active,
+                memo=self.warm.digest_memo, extra=key_extra,
+            )
             record = self.warm.lookup(skey)
             if record is not None:
+                # Only an *exact* solve-key match gets here, where the lexmin
+                # optimum is a unique vector (every model variable is in the
+                # objective order) — so this is the same row a cold solve
+                # would produce, including the no-hyperplane (non-optimal /
+                # all-zero) outcomes.
                 try:
-                    row = self._replay_row(record)
+                    row = None
+                    if record.get("status") == "optimal":
+                        row = self._row_from(record["assignment"])
                 except (KeyError, ValueError, TypeError):
                     self.warm.forget(skey)  # poisoned record: solve cold
                 else:
@@ -538,6 +489,8 @@ class PlutoScheduler:
                     return row
             self.warm.misses += 1
         model = self.build_model(sched, active)
+        if constrain is not None and not constrain(model):
+            return None
         self.stats.ilp_variables_max = max(
             self.stats.ilp_variables_max, model.num_variables
         )
@@ -554,25 +507,15 @@ class PlutoScheduler:
         self.stats.solve.merge(result.stats)
         self.stats.solve.solve_seconds += dt
         if self.warm is not None:
-            self._record_solve(skey, result)
+            record = {"status": result.status}
+            if result.is_optimal:
+                record["assignment"] = {
+                    name: str(value) for name, value in result.assignment.items()
+                }
+            self.warm.record(skey, record)
         if not result.is_optimal:
             return None
-        exprs: dict[str, AffExpr] = {}
-        nonzero = False
-        for s in self.program.statements:
-            terms = {
-                it: int(result.assignment[c_name(s, it)]) for it in s.space.dims
-            }
-            for p in s.space.params:
-                terms[p] = int(result.assignment[d_name(s, p)])
-            const = int(result.assignment[c0_name(s)])
-            expr = AffExpr.from_terms(s.space, terms, const)
-            if any(terms.values()) or const:
-                nonzero = True
-            exprs[s.name] = expr
-        if not nonzero:
-            return None
-        return ScheduleRow("loop", exprs)
+        return self._row_from(result.assignment)
 
     # -- progress bookkeeping ----------------------------------------------------------
 

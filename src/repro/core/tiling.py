@@ -15,10 +15,17 @@ constraints.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.transform import Band, Schedule, ScheduleRow
+from repro.core.transform import (
+    Band,
+    Schedule,
+    ScheduleRow,
+    exprs_from_dict,
+    rows_to_dicts,
+)
 from repro.frontend.ir import Program
 
 __all__ = [
@@ -85,38 +92,13 @@ class TiledSchedule:
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        """JSON-serializable form, the :meth:`Schedule.to_dict` twin."""
-        # "reduction" appears only on tagged rows (the ScheduleRow rule):
-        # default-path records keep their exact historical byte shape.
+        """JSON-serializable form, built like :meth:`Schedule.to_dict`."""
         return {
             "program": self.program.name,
-            "rows": [
-                {
-                    "kind": row.kind,
-                    "tile_size": row.tile_size,
-                    "parallel": row.parallel,
-                    "band_role": row.band_role,
-                    "exprs": {
-                        name: list(expr.coeffs)
-                        for name, expr in row.exprs.items()
-                    },
-                    **(
-                        {"reduction": row.reduction}
-                        if row.reduction
-                        else {}
-                    ),
-                }
-                for row in self.rows
-            ],
-            "bands": [
-                {
-                    "start": b.start,
-                    "end": b.end,
-                    "permutable": b.permutable,
-                    "concurrent_start": b.concurrent_start,
-                }
-                for b in self.bands
-            ],
+            "rows": rows_to_dicts(
+                self.rows, ("kind", "tile_size", "parallel", "band_role")
+            ),
+            "bands": [dataclasses.asdict(b) for b in self.bands],
             "source_schedule": (
                 None
                 if self.source_schedule is None
@@ -132,18 +114,12 @@ class TiledSchedule:
                 f"tiled schedule was exported for {data.get('program')!r}, "
                 f"not {program.name!r}"
             )
-        from repro.polyhedra import AffExpr
-
         out = cls(program)
         for rd in data["rows"]:
-            exprs = {
-                name: AffExpr(program.statement(name).space, coeffs)
-                for name, coeffs in rd["exprs"].items()
-            }
             out.rows.append(
                 TiledRow(
                     rd["kind"],
-                    exprs,
+                    exprs_from_dict(program, rd["exprs"]),
                     tile_size=rd["tile_size"],
                     parallel=rd["parallel"],
                     band_role=rd["band_role"],

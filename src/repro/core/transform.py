@@ -8,8 +8,9 @@ levels that are mutually permutable — the unit of tiling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+import dataclasses
+from dataclasses import dataclass
+from typing import Optional
 
 from repro.frontend.ir import Program, Statement
 from repro.polyhedra import AffExpr, AffineMap
@@ -53,6 +54,32 @@ class ScheduleRow:
     def __str__(self) -> str:
         inner = ", ".join(f"{k}: {e}" for k, e in self.exprs.items())
         return f"[{self.kind}] {inner}"
+
+
+def rows_to_dicts(rows, keys: tuple[str, ...]) -> list[dict]:
+    """JSON form of schedule rows, shared by :class:`Schedule` and
+    ``TiledSchedule``: the scalar fields ``keys`` in order, then ``exprs``
+    as coefficient lists per statement.
+
+    The "reduction" key appears only on tagged rows: schedules built with
+    parallel_reductions off (every pre-reduction record) keep their exact
+    historical byte shape.
+    """
+    out = []
+    for row in rows:
+        d = {k: getattr(row, k) for k in keys}
+        d["exprs"] = {name: list(e.coeffs) for name, e in row.exprs.items()}
+        if row.reduction:
+            d["reduction"] = row.reduction
+        out.append(d)
+    return out
+
+
+def exprs_from_dict(program: Program, data: dict) -> dict[str, AffExpr]:
+    return {
+        name: AffExpr(program.statement(name).space, coeffs)
+        for name, coeffs in data.items()
+    }
 
 
 @dataclass
@@ -143,36 +170,10 @@ class Schedule:
 
     def to_dict(self) -> dict:
         """JSON-serializable form (coefficients per statement per level)."""
-        # The "reduction" key appears only on tagged rows: schedules built
-        # with parallel_reductions off (every pre-reduction record) keep
-        # their exact historical byte shape.
         return {
             "program": self.program.name,
-            "rows": [
-                {
-                    "kind": row.kind,
-                    "parallel": row.parallel,
-                    "exprs": {
-                        name: list(expr.coeffs)
-                        for name, expr in row.exprs.items()
-                    },
-                    **(
-                        {"reduction": row.reduction}
-                        if row.reduction
-                        else {}
-                    ),
-                }
-                for row in self.rows
-            ],
-            "bands": [
-                {
-                    "start": b.start,
-                    "end": b.end,
-                    "permutable": b.permutable,
-                    "concurrent_start": b.concurrent_start,
-                }
-                for b in self.bands
-            ],
+            "rows": rows_to_dicts(self.rows, ("kind", "parallel")),
+            "bands": [dataclasses.asdict(b) for b in self.bands],
         }
 
     @classmethod
@@ -185,13 +186,9 @@ class Schedule:
             )
         sched = cls(program)
         for row_data in data["rows"]:
-            exprs = {}
-            for name, coeffs in row_data["exprs"].items():
-                stmt = program.statement(name)
-                exprs[name] = AffExpr(stmt.space, coeffs)
             row = ScheduleRow(
                 row_data["kind"],
-                exprs,
+                exprs_from_dict(program, row_data["exprs"]),
                 row_data.get("parallel"),
                 reduction=row_data.get("reduction"),
             )

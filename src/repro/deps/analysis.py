@@ -17,21 +17,28 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.frontend.ir import Access, Program, Statement
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra.cache import global_cache
 from repro.polyhedra.fastcheck import set_is_empty
+from repro.records import Record, omit_at_default
 
-__all__ = ["DepStats", "Dependence", "compute_dependences", "product_space"]
+__all__ = [
+    "DepStats",
+    "Dependence",
+    "compute_dependences",
+    "enumerate_relations",
+    "product_space",
+]
 
 SRC_SUFFIX = "__s"
 TGT_SUFFIX = "__t"
 
 
 @dataclass
-class DepStats:
+class DepStats(Record):
     """Fast-path counters for dependence analysis (the ``SolveStats`` twin).
 
     ``pairs_tested`` counts candidate dependence polyhedra (access pair ×
@@ -54,44 +61,14 @@ class DepStats:
     analysis_seconds: float = 0.0
     #: RAR (read-after-read) relations found by :mod:`repro.deps.rar`;
     #: counted separately from ``deps_found`` because they never enter the
-    #: legality set.  Zero unless ``PipelineOptions.rar`` is enabled.
-    rar_deps: int = 0
+    #: legality set.  Zero unless ``PipelineOptions.rar`` is enabled, and
+    #: omitted at zero so records written with RAR off (including every
+    #: pre-RAR manifest) keep their exact historical shape.
+    rar_deps: int = field(default=0, metadata=omit_at_default("rar"))
 
     @property
     def lookups(self) -> int:
         return self.cache_hits + self.cache_misses
-
-    def merge(self, other: "DepStats") -> None:
-        self.pairs_tested += other.pairs_tested
-        self.deps_found += other.deps_found
-        self.fast_rejects += other.fast_rejects
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.fm_saved += other.fm_saved
-        self.cache_evictions += other.cache_evictions
-        self.analysis_seconds += other.analysis_seconds
-        self.rar_deps += other.rar_deps
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DepStats":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
-    def as_dict(self) -> dict[str, float]:
-        out = {
-            "pairs_tested": self.pairs_tested,
-            "deps_found": self.deps_found,
-            "fast_rejects": self.fast_rejects,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "fm_saved": self.fm_saved,
-            "cache_evictions": self.cache_evictions,
-            "analysis_seconds": self.analysis_seconds,
-        }
-        # Omitted at zero so records written with RAR off (including every
-        # pre-RAR manifest) keep their exact historical shape.
-        if self.rar_deps:
-            out["rar_deps"] = self.rar_deps
-        return out
 
 
 @dataclass
@@ -283,7 +260,24 @@ def _dependence_polyhedron(
 def compute_dependences(
     program: Program, stats: Optional[DepStats] = None
 ) -> list[Dependence]:
-    """All memory-based RAW/WAR/WAW dependences of ``program``.
+    """All memory-based RAW/WAR/WAW dependences of ``program``."""
+    return enumerate_relations(program, _access_pairs, "deps_found", stats)
+
+
+def enumerate_relations(
+    program: Program,
+    access_pairs: Callable[
+        [Statement, Statement], Iterable[tuple[str, Access, Access]]
+    ],
+    counter: str,
+    stats: Optional[DepStats] = None,
+) -> list[Dependence]:
+    """Every non-empty access-pair relation ``access_pairs`` selects.
+
+    The one enumerator behind the real dependences and the RAR relations
+    (:mod:`repro.deps.rar`), which differ only in the ``(kind, source
+    access, target access)`` triples ``access_pairs(src, tgt)`` yields and
+    in the :class:`DepStats` field ``counter`` names for the result count.
 
     The per-candidate polyhedra share most of their rows (statement domains,
     the parameter context), so those are rebased once per statement pair and
@@ -305,7 +299,7 @@ def compute_dependences(
         if not cases:
             continue
         pair_base: Optional[BasicSet] = None
-        for kind, acc_s, acc_t in _access_pairs(src, tgt):
+        for kind, acc_s, acc_t in access_pairs(src, tgt):
             if pair_base is None:
                 pair_base = BasicSet(space)
                 for con in src.domain.constraints:
@@ -350,7 +344,7 @@ def compute_dependences(
     if stats is not None:
         delta = cache_stats.delta_since(base_snapshot)
         stats.pairs_tested += pairs_tested
-        stats.deps_found += len(deps)
+        setattr(stats, counter, getattr(stats, counter) + len(deps))
         stats.fast_rejects += delta.fast_rejects
         stats.cache_hits += delta.hits
         stats.cache_misses += delta.misses

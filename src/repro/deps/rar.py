@@ -9,9 +9,11 @@ locality term, which is exactly how PLUTO+'s objective already treats the
 distance of real dependences — eq. (3) bounds every dependence distance by
 ``u.p + w`` and the lexmin objective drives ``u, w`` down.
 
-This module computes RAR relations with the same access-pair machinery as
-the real dependences (product space, happens-before case split, incremental
-polyhedron construction, fast-reject emptiness), tagged ``kind="rar"``.
+RAR relations come out of the same enumerator as the real dependences
+(:func:`repro.deps.analysis.enumerate_relations`: product space,
+happens-before case split, incremental polyhedron construction, fast-reject
+emptiness); this module only supplies the read×read pair filter, which tags
+them ``kind="rar"``.
 The scheduler adds *only* their Farkas bounding rows to the per-band model
 — they participate in the locality objective and nothing else.  They are
 never handed to the dependence graph: legality, satisfaction tracking, SCC
@@ -22,19 +24,9 @@ illegal one legal (property-tested in ``tests/deps/test_rar.py``).
 
 from __future__ import annotations
 
-import itertools
-import time
 from typing import Optional
 
-from repro.deps.analysis import (
-    Dependence,
-    DepStats,
-    _happens_before_cases,
-    product_space,
-)
-from repro.polyhedra import BasicSet, Constraint
-from repro.polyhedra.cache import global_cache
-from repro.polyhedra.fastcheck import set_is_empty
+from repro.deps.analysis import Dependence, DepStats, enumerate_relations
 
 __all__ = ["compute_rar_dependences"]
 
@@ -43,7 +35,7 @@ def _read_pairs(src, tgt):
     for r1 in src.reads:
         for r2 in tgt.reads:
             if r1.array == r2.array:
-                yield r1, r2
+                yield "rar", r1, r2
 
 
 def compute_rar_dependences(
@@ -51,75 +43,8 @@ def compute_rar_dependences(
 ) -> list[Dependence]:
     """All non-empty RAR relations of ``program`` (``kind == "rar"``).
 
-    Mirrors :func:`repro.deps.analysis.compute_dependences` — domains and
-    the parameter context hoisted per statement pair, conflict equalities
-    per access pair, happens-before cases layered on copies — restricted to
-    read×read access pairs.  ``stats``, when given, accumulates the same
-    fast-path counters plus the dedicated ``rar_deps`` count.
+    :func:`repro.deps.analysis.enumerate_relations` restricted to read×read
+    access pairs.  ``stats``, when given, accumulates the same fast-path
+    counters plus the dedicated ``rar_deps`` count.
     """
-    t_start = time.perf_counter()
-    cache_stats = global_cache().stats
-    base_snapshot = cache_stats.snapshot()
-    deps: list[Dependence] = []
-    pairs_tested = 0
-    for src, tgt in itertools.product(program.statements, repeat=2):
-        space, src_rename, tgt_rename = product_space(src, tgt)
-        cases = list(
-            _happens_before_cases(src, tgt, space, src_rename, tgt_rename)
-        )
-        if not cases:
-            continue
-        pair_base: Optional[BasicSet] = None
-        for acc_s, acc_t in _read_pairs(src, tgt):
-            if pair_base is None:
-                pair_base = BasicSet(space)
-                for con in src.domain.constraints:
-                    pair_base.add(con.rebase(space, src_rename))
-                for con in tgt.domain.constraints:
-                    pair_base.add(con.rebase(space, tgt_rename))
-                for con in program.context_constraints(space):
-                    pair_base.add(con)
-            acc_base = pair_base.copy()
-            if acc_s.guard is not None:
-                for con in acc_s.guard.constraints:
-                    acc_base.add(con.rebase(space, src_rename))
-            if acc_t.guard is not None:
-                for con in acc_t.guard.constraints:
-                    acc_base.add(con.rebase(space, tgt_rename))
-            for es, et in zip(acc_s.map.exprs, acc_t.map.exprs):
-                acc_base.add(
-                    Constraint(
-                        et.rebase(space, tgt_rename)
-                        - es.rebase(space, src_rename),
-                        equality=True,
-                    )
-                )
-            for case in cases:
-                poly = acc_base.copy()
-                for con in case:
-                    poly.add(con)
-                pairs_tested += 1
-                if set_is_empty(poly):
-                    continue
-                deps.append(
-                    Dependence(
-                        source=src,
-                        target=tgt,
-                        kind="rar",
-                        array=acc_s.array,
-                        polyhedron=poly,
-                        src_rename=src_rename,
-                        tgt_rename=tgt_rename,
-                    )
-                )
-    if stats is not None:
-        delta = cache_stats.delta_since(base_snapshot)
-        stats.pairs_tested += pairs_tested
-        stats.rar_deps += len(deps)
-        stats.fast_rejects += delta.fast_rejects
-        stats.cache_hits += delta.hits
-        stats.cache_misses += delta.misses
-        stats.fm_saved += delta.project_hits
-        stats.cache_evictions += delta.evictions
-        stats.analysis_seconds += time.perf_counter() - t_start
-    return deps
+    return enumerate_relations(program, _read_pairs, "rar_deps", stats)

@@ -21,6 +21,8 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.records import Record
+
 __all__ = ["ExecutionOptions", "ExecStats", "ExecBackendError", "BACKENDS"]
 
 #: the execution backends OptimizationResult.run() dispatches over
@@ -90,7 +92,7 @@ class ExecutionOptions:
 
 
 @dataclass
-class ExecStats:
+class ExecStats(Record):
     """What one kernel execution did (JSON-shaped for manifests/--stats).
 
     ``backend_requested`` is what the caller asked for; ``backend`` is what
@@ -112,36 +114,3 @@ class ExecStats:
     compiler: Optional[str] = None
     omp: Optional[bool] = None
     threads: Optional[int] = None
-
-    def as_dict(self) -> dict:
-        return {
-            "backend_requested": self.backend_requested,
-            "backend": self.backend,
-            "fallback_reason": self.fallback_reason,
-            "compile_seconds": self.compile_seconds,
-            "exec_seconds": self.exec_seconds,
-            "marshal_seconds": self.marshal_seconds,
-            "artifact_cache": self.artifact_cache,
-            "artifact_key": self.artifact_key,
-            "compiler": self.compiler,
-            "omp": self.omp,
-            "threads": self.threads,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExecStats":
-        # Every field defaults via .get(): manifests written before a field
-        # existed keep parsing (the SchedulerStats.from_dict pattern).
-        return cls(
-            backend_requested=data.get("backend_requested", "python"),
-            backend=data.get("backend", "python"),
-            fallback_reason=data.get("fallback_reason"),
-            compile_seconds=data.get("compile_seconds", 0.0),
-            exec_seconds=data.get("exec_seconds", 0.0),
-            marshal_seconds=data.get("marshal_seconds", 0.0),
-            artifact_cache=data.get("artifact_cache"),
-            artifact_key=data.get("artifact_key"),
-            compiler=data.get("compiler"),
-            omp=data.get("omp"),
-            threads=data.get("threads"),
-        )

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
+from repro.records import Record
+
 __all__ = [
     "Variable",
     "LinearConstraint",
@@ -154,7 +156,7 @@ class ILPModel:
 
 
 @dataclass
-class SolveStats:
+class SolveStats(Record):
     """Counters reported by the solver stack (``--stats``, ablation benches).
 
     ``simplex_pivots``/``bb_nodes``/``lp_solves`` come from the backends;
@@ -178,33 +180,3 @@ class SolveStats:
     models_reused: int = 0
     structural_warm_start: int = 0
     solve_seconds: float = 0.0
-
-    def merge(self, other: "SolveStats") -> None:
-        self.simplex_pivots += other.simplex_pivots
-        self.bb_nodes += other.bb_nodes
-        self.lp_solves += other.lp_solves
-        self.warm_starts += other.warm_starts
-        self.shortcut_hits += other.shortcut_hits
-        self.probe_hits += other.probe_hits
-        self.dedup_rows += other.dedup_rows
-        self.models_reused += other.models_reused
-        self.structural_warm_start += other.structural_warm_start
-        self.solve_seconds += other.solve_seconds
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SolveStats":
-        return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "simplex_pivots": self.simplex_pivots,
-            "bb_nodes": self.bb_nodes,
-            "lp_solves": self.lp_solves,
-            "warm_starts": self.warm_starts,
-            "shortcut_hits": self.shortcut_hits,
-            "probe_hits": self.probe_hits,
-            "dedup_rows": self.dedup_rows,
-            "models_reused": self.models_reused,
-            "structural_warm_start": self.structural_warm_start,
-            "solve_seconds": self.solve_seconds,
-        }

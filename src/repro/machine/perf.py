@@ -21,6 +21,7 @@ untiled runs past one socket.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -212,15 +213,7 @@ class RooflineComparison:
         return self.measured_seconds / self.predicted_seconds
 
     def as_dict(self) -> dict:
-        return {
-            "workload": self.workload,
-            "mode": self.mode,
-            "bound": self.bound,
-            "cores": self.cores,
-            "predicted_seconds": self.predicted_seconds,
-            "measured_seconds": self.measured_seconds,
-            "ratio": round(self.ratio, 3),
-        }
+        return {**dataclasses.asdict(self), "ratio": round(self.ratio, 3)}
 
 
 def compare_roofline(

@@ -19,7 +19,7 @@ import dataclasses
 import json
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.codegen import generate_python
@@ -39,6 +39,7 @@ from repro.deps import DependenceGraph, DepStats, compute_dependences
 from repro.exec.options import BACKENDS, ExecStats, ExecutionOptions
 from repro.frontend.ir import Program
 from repro.polyhedra.cache import cache_disabled
+from repro.records import Record
 
 __all__ = [
     "PipelineOptions",
@@ -231,7 +232,7 @@ class PipelineOptions:
 
 
 @dataclass
-class TimingBreakdown:
+class TimingBreakdown(Record):
     """Seconds per pipeline stage (the Fig. 5 components).
 
     ``ilp_solve`` is the wall time spent inside ILP solves — a subset of
@@ -255,24 +256,7 @@ class TimingBreakdown:
         )
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "dependence_analysis": self.dependence_analysis,
-            "auto_transformation": self.auto_transformation,
-            "code_generation": self.code_generation,
-            "misc": self.misc,
-            "ilp_solve": self.ilp_solve,
-            "total": self.total,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TimingBreakdown":
-        return cls(
-            dependence_analysis=data["dependence_analysis"],
-            auto_transformation=data["auto_transformation"],
-            code_generation=data["code_generation"],
-            misc=data["misc"],
-            ilp_solve=data["ilp_solve"],
-        )
+        return {**super().as_dict(), "total": self.total}
 
 
 @dataclass
@@ -467,6 +451,21 @@ class OptimizationResult:
         )
 
 
+def resolve_program(program: Union[Program, str]) -> Program:
+    """``program`` itself, or the registered workload it names."""
+    if isinstance(program, str):
+        # Late import: repro.workloads imports PipelineOptions from here.
+        from repro.workloads import get_workload
+
+        return get_workload(program).program()
+    if not isinstance(program, Program):
+        raise TypeError(
+            f"expected a Program or a workload name, got "
+            f"{type(program).__name__}; see repro.workloads.get_workload"
+        )
+    return program
+
+
 def optimize(
     program: Union[Program, str], options: Optional[PipelineOptions] = None
 ) -> OptimizationResult:
@@ -477,16 +476,7 @@ def optimize(
     is a :class:`TypeError`.
     """
     options = options or PipelineOptions()
-    if isinstance(program, str):
-        # Late import: repro.workloads imports PipelineOptions from here.
-        from repro.workloads import get_workload
-
-        program = get_workload(program).program()
-    if not isinstance(program, Program):
-        raise TypeError(
-            f"optimize() expects a Program or a workload name, got "
-            f"{type(program).__name__}; see repro.workloads.get_workload"
-        )
+    program = resolve_program(program)
     guard = nullcontext() if options.deps_cache else cache_disabled()
     with guard:
         return _optimize(program, options)

@@ -30,8 +30,10 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
+
+from repro.records import Record
 
 __all__ = [
     "PolyCacheStats",
@@ -48,7 +50,7 @@ MISS = object()
 
 
 @dataclass
-class PolyCacheStats:
+class PolyCacheStats(Record):
     """Hit/miss accounting per memoized primitive, plus fast-reject counts.
 
     ``fast_rejects`` is incremented by :mod:`repro.polyhedra.fastcheck` when
@@ -90,16 +92,6 @@ class PolyCacheStats:
     @property
     def misses(self) -> int:
         return self.lookups - self.hits
-
-    def snapshot(self) -> "PolyCacheStats":
-        return replace(self)
-
-    def delta_since(self, base: "PolyCacheStats") -> "PolyCacheStats":
-        then = base.as_dict()
-        return PolyCacheStats(**{k: v - then[k] for k, v in self.as_dict().items()})
-
-    def as_dict(self) -> dict[str, int]:
-        return asdict(self)
 
 
 #: per-table LRU capacity when neither the env override nor the constructor

@@ -14,8 +14,7 @@ from typing import Mapping, Optional, Sequence
 __all__ = [
     "geomean",
     "format_table",
-    "format_solve_stats",
-    "format_dep_stats",
+    "format_stats",
     "format_suite_report",
     "normalized_breakdown",
     "ascii_series",
@@ -54,8 +53,9 @@ def format_table(
     return "\n".join(out)
 
 
-def format_solve_stats(stats: Mapping[str, float], indent: str = "  ") -> str:
-    """Render solver counters (``SolveStats.as_dict()``) as an aligned block.
+def format_stats(stats: Mapping[str, float], indent: str = "  ") -> str:
+    """Render a counters record (any ``as_dict()`` of scalars, e.g.
+    ``SolveStats``, ``DepStats``) as an aligned block.
 
     Seconds are printed with millisecond precision, counters as integers;
     zero-valued counters are kept so runs are comparable line-by-line.
@@ -71,15 +71,6 @@ def format_solve_stats(stats: Mapping[str, float], indent: str = "  ") -> str:
         rows.append((key, shown))
     width = max(len(k) for k, _ in rows) if rows else 0
     return "\n".join(f"{indent}{k.ljust(width)}  {v}" for k, v in rows)
-
-
-def format_dep_stats(stats: Mapping[str, float], indent: str = "  ") -> str:
-    """Render dependence fast-path counters (``DepStats.as_dict()``).
-
-    Same layout rules as :func:`format_solve_stats`, so the two blocks line
-    up under ``--stats``.
-    """
-    return format_solve_stats(stats, indent=indent)
 
 
 _SUITE_STAGES = (

@@ -14,9 +14,12 @@ run.  The pieces:
   ``sha256(canonical IR + options + pipeline version)``;
 * :mod:`repro.server.pool`     — the worker pool: pre-forked persistent
   warm workers behind a bounded queue;
-* :mod:`repro.server.daemon`   — the socket server (one asyncio loop):
+* :mod:`repro.server.listener` — the one JSON-lines socket server (one
+  asyncio loop) under both the daemon and the router: claim + staged bind,
+  connection loop, ``bad-request`` answers, graceful drain on SIGTERM;
+* :mod:`repro.server.daemon`   — what an ``optimize`` request means:
   single-flight request coalescing, admission control with explicit busy
-  responses, graceful drain on SIGTERM;
+  responses, the warm pool's drain;
 * :mod:`repro.server.resolve`  — request → (program, options, key)
   resolution, memoized for workload-name requests on the warm path;
 * :mod:`repro.server.shard`    — consistent-hash cache sharding across N

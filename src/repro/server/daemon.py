@@ -1,6 +1,9 @@
-"""The scheduling daemon: socket server, single-flight, graceful drain.
+"""The scheduling daemon: single-flight over the warm pool, graceful drain.
 
-One asyncio event loop multiplexes every client connection — hundreds of
+The socket side — bind, connection loop, ``bad-request`` answers, drain
+order — is :class:`~repro.server.listener.LineServer`; this module adds
+what an ``optimize`` request means.  One asyncio event loop multiplexes
+every client connection — hundreds of
 concurrent sockets cost one thread, and the warm path (memoized request
 resolution, memory cache hit, pre-serialized response splice) never leaves
 the loop.  Seconds-long scheduling work never runs on the loop — it runs
@@ -33,10 +36,6 @@ Request path for ``optimize``:
 ``SIGTERM``/``SIGINT`` trigger a graceful drain: stop accepting, finish
 in-flight work, answer late requests with ``shutting-down``, close
 connections, leave the on-disk cache ready for the next start.
-
-Binding a Unix socket never clobbers a live daemon: the path is
-probe-connected first, and only a genuinely stale socket (connection
-refused) is unlinked — a live one raises :class:`SocketInUse`.
 """
 
 from __future__ import annotations
@@ -45,9 +44,6 @@ import asyncio
 import contextlib
 import json
 import os
-import signal
-import socket
-import stat
 import threading
 import time
 from dataclasses import dataclass
@@ -55,6 +51,12 @@ from typing import Optional
 
 from repro.server import protocol
 from repro.server.cache import DEFAULT_MEMORY_ENTRIES, ScheduleCache
+from repro.server.listener import (
+    STREAM_LIMIT,
+    LineServer,
+    SocketInUse,
+    claim_unix_path,
+)
 from repro.server.metrics import ServerMetrics
 from repro.server.pool import (
     DEFAULT_RECYCLE,
@@ -65,61 +67,19 @@ from repro.server.pool import (
 from repro.server.resolve import ResolveMemo
 from repro.workers import WorkerEvent
 
-__all__ = ["Daemon", "DaemonConfig", "SocketInUse", "claim_unix_path"]
+# STREAM_LIMIT, SocketInUse and claim_unix_path live in the listener beside
+# the bind code; they are re-exported because callers import them from here.
+__all__ = [
+    "Daemon",
+    "DaemonConfig",
+    "STREAM_LIMIT",
+    "SocketInUse",
+    "claim_unix_path",
+]
 
 #: optimize() waiters give the pool this much slack past the worker
 #: deadline before declaring the daemon itself wedged
 _WAIT_GRACE = 30.0
-
-#: asyncio stream limit: request/response lines carry whole serialized
-#: programs and results, far past the 64 KiB default
-STREAM_LIMIT = 64 * 1024 * 1024
-
-
-class SocketInUse(RuntimeError):
-    """The Unix socket path belongs to a live daemon (or isn't ours)."""
-
-
-def claim_unix_path(path: str) -> None:
-    """Make ``path`` safe to bind, without orphaning a live daemon.
-
-    A leftover socket from a dead daemon (probe-connect refused) is
-    unlinked; a socket something is still accepting on — or a path that
-    is not a socket at all — raises :class:`SocketInUse` instead of the
-    old silent ``os.unlink``.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        return
-    except OSError as e:
-        raise SocketInUse(f"cannot stat socket path {path!r}: {e}") from None
-    if not stat.S_ISSOCK(mode):
-        raise SocketInUse(
-            f"refusing to serve on {path!r}: the path exists and is not a "
-            f"socket"
-        )
-    probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    probe.settimeout(1.0)
-    try:
-        probe.connect(path)
-    except (ConnectionRefusedError, socket.timeout):
-        with contextlib.suppress(OSError):
-            os.unlink(path)  # stale socket from a dead daemon
-    except FileNotFoundError:
-        pass  # unlinked between stat and connect: nothing to do
-    except OSError as e:
-        raise SocketInUse(
-            f"refusing to serve on {path!r}: probe failed ({e})"
-        ) from None
-    else:
-        raise SocketInUse(
-            f"another daemon is already serving on {path!r}; shut it down "
-            f"first (repro client shutdown --socket {path}) or pick a "
-            f"different --socket"
-        )
-    finally:
-        probe.close()
 
 
 @dataclass
@@ -184,13 +144,12 @@ class _Flight:
             return False
 
 
-class Daemon:
+class Daemon(LineServer):
     def __init__(self, config: DaemonConfig):
-        self.config = config
+        super().__init__(config, ServerMetrics())
         self.cache = ScheduleCache(
             config.cache_dir or None, memory_entries=config.memory_entries
         )
-        self.metrics = ServerMetrics()
         self.pool = WarmWorkerPool(
             config.jobs, timeout=config.timeout, backlog=config.backlog,
             recycle=config.pool_recycle, metrics=self.metrics,
@@ -198,146 +157,36 @@ class Daemon:
         self._memo = ResolveMemo()
         self._flights: dict[str, _Flight] = {}
         self._flights_lock = threading.Lock()
-        self._stop = threading.Event()
-        self._open_conns: set = set()  # stream writers
-        self._conns_lock = threading.Lock()
-        self._conn_tasks: set = set()
-        self._busy_requests = 0
-        self.bound_address: Optional[object] = None
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle hooks ---------------------------------------------------
 
-    def install_signal_handlers(self) -> None:
-        """SIGTERM/SIGINT → graceful drain (main thread only)."""
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda signum, frame: self._stop.set())
-
-    def serve(self) -> None:
-        """Bind, accept until asked to stop, then drain.  Blocks."""
-        self._export_skeleton_env()
-        asyncio.run(self._serve_async())
-
-    def shutdown(self) -> None:
-        """Ask the daemon to drain and stop (thread-safe, returns fast)."""
-        self._stop.set()
-
-    def _export_skeleton_env(self) -> None:
-        """Publish ``skeleton_dir`` to the pool workers (must run before
-        ``pool.start()``: warm workers fork at startup and inherit the
-        environment)."""
+    def start(self) -> None:
+        """Fork the warm workers — after the path is claimed (a refused
+        start forks nothing) and before anything is bound (no worker
+        inherits the listening socket).  ``skeleton_dir`` is published
+        first: workers inherit the environment they fork with."""
         if self.config.skeleton_dir:
             os.environ["REPRO_SKELETON_CACHE"] = self.config.skeleton_dir
+        self.pool.start()
+
+    async def drain(self) -> None:
+        # pool.drain blocks for up to drain_seconds: keep it off the loop
+        await asyncio.get_running_loop().run_in_executor(None, self._drain_pool)
 
     def _drain_pool(self) -> None:
         drained = self.pool.drain(timeout=self.config.drain_seconds)
         if not drained:
             self.pool.stop()  # stragglers: kill, fail their flights
 
-    # -- the serving loop --------------------------------------------------
+    # -- one request -------------------------------------------------------
 
-    async def _serve_async(self) -> None:
-        if self.config.socket_path is not None:
-            claim_unix_path(self.config.socket_path)
-        self.pool.start()
-        loop = asyncio.get_running_loop()
-        if self.config.socket_path is not None:
-            server = await asyncio.start_unix_server(
-                self._serve_async_connection,
-                path=self.config.socket_path, limit=STREAM_LIMIT,
-            )
-            self.bound_address = self.config.socket_path
-        else:
-            server = await asyncio.start_server(
-                self._serve_async_connection,
-                host=self.config.host, port=self.config.port,
-                limit=STREAM_LIMIT,
-            )
-            self.bound_address = server.sockets[0].getsockname()
-        try:
-            while not self._stop.is_set():
-                await asyncio.sleep(0.05)
-        finally:
-            server.close()
-            await server.wait_closed()
-            # Workers settle their flights inside drain (which runs off
-            # the loop, so waiters write their responses meanwhile) ...
-            await loop.run_in_executor(None, self._drain_pool)
-            deadline = loop.time() + 5.0
-            while self._busy_requests and loop.time() < deadline:
-                await asyncio.sleep(0.01)
-            # ... now cut the readers loose.
-            with self._conns_lock:
-                writers = list(self._open_conns)
-            for writer in writers:
-                with contextlib.suppress(Exception):
-                    writer.close()
-            tasks = [t for t in self._conn_tasks if not t.done()]
-            if tasks:
-                await asyncio.wait(tasks, timeout=5.0)
-            if self.config.socket_path is not None:
-                with contextlib.suppress(OSError):
-                    os.unlink(self.config.socket_path)
-
-    async def _serve_async_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        with self._conns_lock:
-            self._open_conns.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return  # orderly EOF
-                try:
-                    request = protocol.parse_line(line)
-                except protocol.ProtocolError as e:
-                    self.metrics.count_error("bad-request")
-                    writer.write(protocol.encode_message(
-                        protocol.error_response(None, "bad-request", str(e))
-                    ))
-                    await writer.drain()
-                    continue
-                if request is None:
-                    continue  # blank line
-                self._busy_requests += 1
-                try:
-                    response = await self._handle_async(request)
-                finally:
-                    self._busy_requests -= 1
-                writer.write(response)
-                await writer.drain()
-                if request.get("type") == "shutdown":
-                    return
-        except (OSError, ValueError, ConnectionError):
-            pass  # client went away mid-message; nothing to answer
-        finally:
-            with self._conns_lock:
-                self._open_conns.discard(writer)
-            self._conn_tasks.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
-
-    async def _handle_async(self, request: dict) -> bytes:
+    async def handle(self, request: dict, line: bytes) -> bytes:
         t_arrival = time.perf_counter()
-        try:
-            protocol.validate_request(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.encode_message(
-                protocol.error_response(request, "bad-request", str(e))
-            )
         rtype = request["type"]
-        self.metrics.count_request(rtype)
         if rtype != "optimize":
             return protocol.encode_message(self._handle_control(request, rtype))
 
-        try:
-            program_dict, options_dict, key = self._memo.resolve(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.encode_message(
-                protocol.error_response(request, "bad-request", str(e))
-            )
+        program_dict, options_dict, key = self._memo.resolve(request)
         self.metrics.count_backend(options_dict.get("backend", "python"))
 
         text, tier = self.cache.get(key)

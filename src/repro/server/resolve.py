@@ -57,10 +57,7 @@ def resolve_optimize(request: dict) -> tuple[dict, dict]:
                 w = get_workload(request["workload"])
             except KeyError as e:
                 raise protocol.ProtocolError(str(e)) from None
-            base = {"iss": w.iss, "diamond": w.diamond}
-            base.update(overrides)
-            algorithm = base.pop("algorithm", "plutoplus")
-            options = PipelineOptions(algorithm=algorithm, **base)
+            options = w.pipeline_options(**overrides)
             program = w.program()
         else:
             program = program_from_dict(request["program"])

@@ -32,13 +32,11 @@ import asyncio
 import bisect
 import contextlib
 import hashlib
-import signal
-import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.server import protocol
-from repro.server.daemon import STREAM_LIMIT
+from repro.server.listener import STREAM_LIMIT, LineServer
 from repro.server.metrics import ServerMetrics
 from repro.server.resolve import ResolveMemo
 
@@ -165,117 +163,31 @@ class _ShardLink:
                 writer.close()
 
 
-class Router:
+class Router(LineServer):
     """The thin routing tier in front of a sharded daemon fleet."""
 
     def __init__(self, config: RouterConfig):
-        self.config = config
+        super().__init__(config, ServerMetrics())
         self.ring = ShardRing(config.shards, vnodes=config.vnodes)
-        self.metrics = ServerMetrics()
         self._memo = ResolveMemo()
         self._links = {
             endpoint: _ShardLink(endpoint, config.connect_timeout)
             for endpoint in self.ring.endpoints
         }
-        self._stop = threading.Event()
-        self._conn_tasks: set = set()
-        self._open_conns: set = set()
-        self.bound_address: Optional[object] = None
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def install_signal_handlers(self) -> None:
-        for sig in (signal.SIGTERM, signal.SIGINT):
-            signal.signal(sig, lambda signum, frame: self._stop.set())
-
-    def shutdown(self) -> None:
-        self._stop.set()
-
-    def serve(self) -> None:
-        """Bind, route until asked to stop.  Blocks."""
-        asyncio.run(self._serve())
-
-    async def _serve(self) -> None:
-        if self.config.socket_path is not None:
-            from repro.server.daemon import claim_unix_path
-
-            claim_unix_path(self.config.socket_path)
-            server = await asyncio.start_unix_server(
-                self._serve_connection,
-                path=self.config.socket_path, limit=STREAM_LIMIT,
-            )
-            self.bound_address = self.config.socket_path
-        else:
-            server = await asyncio.start_server(
-                self._serve_connection,
-                host=self.config.host, port=self.config.port,
-                limit=STREAM_LIMIT,
-            )
-            self.bound_address = server.sockets[0].getsockname()
+    async def _serve_async(self) -> None:
         try:
-            while not self._stop.is_set():
-                await asyncio.sleep(0.05)
+            await super()._serve_async()
         finally:
-            server.close()
-            await server.wait_closed()
-            for writer in list(self._open_conns):
-                with contextlib.suppress(Exception):
-                    writer.close()
-            tasks = [t for t in self._conn_tasks if not t.done()]
-            if tasks:
-                await asyncio.wait(tasks, timeout=5.0)
+            # after the last client connection is gone: a roundtrip still
+            # in flight would park its shard connection again
             for link in self._links.values():
                 link.close()
-            if self.config.socket_path is not None:
-                import os
-
-                with contextlib.suppress(OSError):
-                    os.unlink(self.config.socket_path)
-
-    async def _serve_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
-        self._open_conns.add(writer)
-        try:
-            while True:
-                line = await reader.readline()
-                if not line:
-                    return
-                try:
-                    request = protocol.parse_line(line)
-                except protocol.ProtocolError as e:
-                    self.metrics.count_error("bad-request")
-                    writer.write(protocol.encode_message(
-                        protocol.error_response(None, "bad-request", str(e))
-                    ))
-                    await writer.drain()
-                    continue
-                if request is None:
-                    continue
-                writer.write(await self._route(line, request))
-                await writer.drain()
-                if request.get("type") == "shutdown":
-                    return
-        except (OSError, ValueError, ConnectionError):
-            pass
-        finally:
-            self._open_conns.discard(writer)
-            self._conn_tasks.discard(task)
-            with contextlib.suppress(Exception):
-                writer.close()
 
     # -- request routing ---------------------------------------------------
 
-    async def _route(self, line: bytes, request: dict) -> bytes:
-        try:
-            protocol.validate_request(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.encode_message(
-                protocol.error_response(request, "bad-request", str(e))
-            )
+    async def handle(self, request: dict, line: bytes) -> bytes:
         rtype = request["type"]
-        self.metrics.count_request(rtype)
         if rtype == "ping":
             return protocol.encode_message(
                 {**protocol.response_header(request), "status": "ok"}
@@ -287,13 +199,7 @@ class Router:
         return await self._route_optimize(line, request)
 
     async def _route_optimize(self, line: bytes, request: dict) -> bytes:
-        try:
-            _, _, key = self._memo.resolve(request)
-        except protocol.ProtocolError as e:
-            self.metrics.count_error("bad-request")
-            return protocol.encode_message(
-                protocol.error_response(request, "bad-request", str(e))
-            )
+        _, _, key = self._memo.resolve(request)
         endpoint = self.ring.owner(key)
         self.metrics.count_shard_route(endpoint)
         try:

@@ -33,10 +33,12 @@ import contextlib
 import os
 import time
 from collections import OrderedDict
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from threading import Lock
 from typing import Callable, Generic, Iterator, Optional, TypeVar
+
+from repro.records import Record
 
 __all__ = [
     "TMP_SWEEP_AGE",
@@ -98,7 +100,7 @@ def atomic_write_text(path: Path, text: str) -> None:
 
 
 @dataclass
-class StoreStats:
+class StoreStats(Record):
     hits_memory: int = 0
     hits_disk: int = 0
     misses: int = 0
@@ -123,7 +125,7 @@ class StoreStats:
 
     def as_dict(self) -> dict:
         return {
-            **asdict(self),
+            **super().as_dict(),
             "lookups": self.lookups,
             "hit_rate": round(self.hit_rate, 4),
         }

@@ -7,6 +7,7 @@ attempt count, elapsed wall time) to triage without re-running.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 __all__ = ["FAILURE_KINDS", "RunFailure"]
@@ -32,15 +33,7 @@ class RunFailure:
             raise ValueError(f"unknown failure kind {self.kind!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "workload": self.workload,
-            "variant": self.variant,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "elapsed": self.elapsed,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunFailure":

@@ -55,7 +55,12 @@ class Workload:
     def program(self) -> Program:
         return self.factory()
 
-    def pipeline_options(self, algorithm: str, **overrides) -> PipelineOptions:
+    def pipeline_options(
+        self, algorithm: str = "plutoplus", **overrides
+    ) -> PipelineOptions:
+        """The paper flags (``iss``/``diamond``) underneath ``overrides`` —
+        the one statement of that rule, shared by ``repro opt``, the daemon
+        and the suite matrix."""
         opts = dict(
             algorithm=algorithm,
             iss=self.iss,

@@ -97,3 +97,29 @@ class TestDiamondGuards:
         s = find_diamond_schedule(p, ddg, SchedulerOptions(algorithm="plutoplus"))
         assert s is not None
         assert s.bands[0].concurrent_start
+
+
+class TestDiamondStats:
+    """Diamond levels go through the scheduler's one per-level solve step,
+    so they are counted like any other level."""
+
+    def test_request_reports_model_size_and_rows(self, monkeypatch, tmp_path):
+        from repro.pipeline import PipelineOptions, optimize
+
+        opts = PipelineOptions(iss=True, diamond=True)
+        monkeypatch.delenv("REPRO_SKELETON_CACHE", raising=False)
+        cold = optimize("heat-1dp", opts)
+        assert cold.used_diamond
+        stats = cold.scheduler_stats
+        assert stats.ilp_variables_max > 0
+        # the ndim - 1 rows the ILP found; the completed row k*f - sum(h)
+        # is not a solve
+        assert stats.hyperplanes_found == 1
+        assert stats.solve.lp_solves > 0
+
+        monkeypatch.setenv("REPRO_SKELETON_CACHE", str(tmp_path))
+        assert optimize("heat-1dp", opts).scheduler_stats.structural_path == "miss"
+        warm = optimize("heat-1dp", opts).scheduler_stats
+        assert warm.structural_path == "hit"
+        assert warm.solve.lp_solves == 0
+        assert warm.hyperplanes_found == 1

@@ -11,6 +11,7 @@ from repro.deps.analysis import (
     _happens_before_cases,
     product_space,
 )
+from repro.deps.rar import _read_pairs, compute_rar_dependences
 from repro.frontend.builder import ProgramBuilder
 from repro.polyhedra.cache import cache_disabled, global_cache
 from repro.workloads import get_workload
@@ -78,38 +79,47 @@ class TestCachedEqualsUncached:
         assert _signature(cached) == _signature(uncached)
 
     def test_incremental_construction_matches_reference(self):
-        # compute_dependences layers shared rows on copies; the standalone
-        # builder is the executable spec for each candidate's content.
+        # The one enumerator layers shared rows on copies; the standalone
+        # builder is the executable spec for each candidate's content —
+        # for the real dependences and for the read×read (RAR) pair filter.
         import itertools
 
         from repro.polyhedra.fastcheck import set_is_empty
 
-        program = get_workload("fig1-skew").program()
-        reference = []
-        for src, tgt in itertools.product(program.statements, repeat=2):
-            space, s_ren, t_ren = product_space(src, tgt)
-            cases = list(_happens_before_cases(src, tgt, space, s_ren, t_ren))
-            for kind, acc_s, acc_t in _access_pairs(src, tgt):
-                for case in cases:
-                    poly = _dependence_polyhedron(
-                        program, src, tgt, acc_s, acc_t, case,
-                        space, s_ren, t_ren,
-                    )
-                    if set_is_empty(poly):
-                        continue
-                    reference.append(
-                        (
-                            kind,
-                            src.name,
-                            tgt.name,
-                            acc_s.array,
-                            frozenset(
-                                (c.coeffs, c.equality)
-                                for c in poly.constraints
-                            ),
+        for workload, pairs, compute in (
+            ("fig1-skew", _access_pairs, compute_dependences),
+            ("gemm", _access_pairs, compute_dependences),
+            ("gemm", _read_pairs, compute_rar_dependences),
+        ):
+            program = get_workload(workload).program()
+            reference = []
+            for src, tgt in itertools.product(program.statements, repeat=2):
+                space, s_ren, t_ren = product_space(src, tgt)
+                cases = list(
+                    _happens_before_cases(src, tgt, space, s_ren, t_ren)
+                )
+                for kind, acc_s, acc_t in pairs(src, tgt):
+                    for case in cases:
+                        poly = _dependence_polyhedron(
+                            program, src, tgt, acc_s, acc_t, case,
+                            space, s_ren, t_ren,
                         )
-                    )
-        assert _signature(compute_dependences(program)) == reference
+                        if set_is_empty(poly):
+                            continue
+                        reference.append(
+                            (
+                                kind,
+                                src.name,
+                                tgt.name,
+                                acc_s.array,
+                                frozenset(
+                                    (c.coeffs, c.equality)
+                                    for c in poly.constraints
+                                ),
+                            )
+                        )
+            assert reference, f"vacuous: {workload} has no such relation"
+            assert _signature(compute(program)) == reference
 
 
 class TestDepStats:

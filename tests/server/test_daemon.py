@@ -138,19 +138,6 @@ class TestBasics:
             resp = client.request({"type": "ping", "id": "req-42"})
         assert resp["id"] == "req-42"
 
-    def test_garbage_line_answered_not_fatal(self, daemon_factory):
-        daemon = daemon_factory()
-        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
-            raw.connect(daemon.config.socket_path)
-            raw.sendall(b"{this is not json\n")
-            rfile = raw.makefile("rb")
-            resp = json.loads(rfile.readline())
-            assert resp["status"] == "error"
-            assert resp["kind"] == "bad-request"
-            # the connection is still usable afterwards
-            raw.sendall(b'{"type": "ping"}\n')
-            assert json.loads(rfile.readline())["status"] == "ok"
-
     def test_stats_request_shape(self, daemon_factory):
         daemon = daemon_factory()
         with _client(daemon) as client:

@@ -242,15 +242,6 @@ class TestRouter:
             s["server"]["optimize_requests"] for s in stats["shards"].values()
         ) == 1
 
-    def test_bad_request_answered_by_router(self, fleet):
-        router, daemons = fleet
-        with _router_client(router) as client:
-            resp = client.optimize("no-such-workload-anywhere")
-        assert resp["status"] == "error"
-        assert resp["kind"] == "bad-request"
-        # never forwarded: the shards saw nothing
-        assert all(d.metrics.requests == 0 for d in daemons)
-
     def test_unreachable_shard_is_structured_error(self, tmp_path):
         router = Router(RouterConfig(
             shards=[str(tmp_path / "nobody-home.sock")],
@@ -285,3 +276,103 @@ class TestRouter:
             while os.path.exists(path):
                 assert time.time() < deadline, f"{path} never shut down"
                 time.sleep(0.05)
+
+
+# -- the one line server, under both of its users ---------------------------
+
+
+@pytest.mark.parametrize("kind", ["daemon", "router"])
+def test_line_protocol(kind, fleet):
+    """What ``LineServer`` answers before a request reaches ``handle`` —
+    and around it — is the same whoever handles: malformed line →
+    ``bad-request`` with the connection still usable, blank line ignored,
+    an unresolvable request → ``bad-request``, ``shutdown`` closes."""
+    router, daemons = fleet
+    server = router if kind == "router" else daemons[0]
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+        raw.settimeout(15)
+        raw.connect(server.config.socket_path)
+        rfile = raw.makefile("rb")
+
+        def ask(line: bytes) -> dict:
+            raw.sendall(line)
+            return json.loads(rfile.readline())
+
+        resp = ask(b"{this is not json\n")
+        assert (resp["status"], resp["kind"]) == ("error", "bad-request")
+        # the connection is still usable afterwards, and a blank line draws
+        # no response: the next line read is the ping's answer
+        raw.sendall(b"\n")
+        resp = ask(b'{"type": "ping", "id": "after-blank"}\n')
+        assert (resp["status"], resp["id"]) == ("ok", "after-blank")
+        resp = ask(b'{"type": "frobnicate"}\n')
+        assert resp["kind"] == "bad-request"
+        assert "unknown request type" in resp["message"]
+        resp = ask(
+            b'{"type": "optimize", "workload": "no-such-workload-anywhere"}\n'
+        )
+        assert (resp["status"], resp["kind"]) == ("error", "bad-request")
+        assert "no-such-workload-anywhere" in resp["message"]
+        if kind == "router":
+            # never forwarded: the shards saw nothing
+            assert all(d.metrics.requests == 0 for d in daemons)
+        assert server.metrics.errors["bad-request"] == 3
+        resp = ask(b'{"type": "shutdown"}\n')
+        assert resp["status"] == "ok" and resp["draining"] is True
+        assert rfile.readline() == b""  # closed after the shutdown answer
+
+
+@pytest.mark.parametrize("kind", ["daemon", "router"])
+def test_socket_path_is_never_refused(kind, tmp_path, monkeypatch):
+    """The bind→listen window is closed: whoever sees the socket *path*
+    can connect.  ``listen()`` is slowed so a plain ``bind(path)`` would
+    leave the path visible but refusing for 0.1 s."""
+    real_listen = socket.socket.listen
+
+    def slow_listen(self, *args):
+        time.sleep(0.1)
+        return real_listen(self, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", slow_listen)
+    path = str(tmp_path / "s.sock")
+    # a staging file left by a process killed mid-start must not be in the way
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+        dead.bind(path + "~")
+    if kind == "daemon":
+        server = Daemon(DaemonConfig(
+            socket_path=path, jobs=1, cache_dir=str(tmp_path / "cache"),
+        ))
+        server.pool.fn = _scripted
+    else:
+        server = Router(RouterConfig(
+            shards=[str(tmp_path / "nobody-home.sock")], socket_path=path,
+        ))
+    outcome = []
+
+    def connect_the_instant_the_path_appears():
+        deadline = time.time() + 20
+        while not os.path.exists(path):
+            if time.time() > deadline:
+                outcome.append("path never appeared")
+                return
+            time.sleep(0.0005)
+        try:
+            with ServerClient(socket_path=path) as client:
+                outcome.append(client.ping()["status"])
+        except OSError as e:
+            outcome.append(repr(e))
+
+    poller = threading.Thread(target=connect_the_instant_the_path_appears)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    poller.start()
+    thread.start()
+    try:
+        poller.join(timeout=30)
+        assert not poller.is_alive()
+        assert outcome == ["ok"]
+        assert not os.path.exists(path + "~")
+    finally:
+        server.shutdown()
+        thread.join(timeout=20)
+    assert not thread.is_alive()
+    assert not os.path.exists(path), "shutdown still unlinks the socket"
