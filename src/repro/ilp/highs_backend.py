@@ -16,6 +16,12 @@ integrality, an integer CSC matrix — and then answers any number of
 objectives over it; the lexmin driver keeps one per call, pins by setting
 ``lb = ub``, and runs its lower-bound probe as one exact integer mat-vec.
 :func:`solve_ilp_highs` is a session of one solve.
+
+This is the only module that imports :mod:`scipy.optimize`, and
+:func:`highs` its only call: sessions, ``BasicSet``'s anonymous integer
+questions (:func:`solve_rows`), ``fastcheck``'s feasibility LP and the
+pruning LPs (:func:`block_minima`) all enter HiGHS through it, so a thinner
+binding is a one-function change.
 """
 
 from __future__ import annotations
@@ -30,7 +36,79 @@ from scipy import optimize, sparse
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 
-__all__ = ["HighsSession", "solve_ilp_highs"]
+__all__ = ["HighsSession", "block_minima", "highs", "solve_ilp_highs", "solve_rows"]
+
+
+def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
+    """The one entry into HiGHS: minimise ``c . x`` over ``lo <= a @ x <= hi``
+    and ``lb <= x <= ub``, the columns flagged ``integral`` integer.  Returns
+    scipy's result: ``status`` 0 optimal, 1 work limit, 2 infeasible,
+    3 unbounded, 4 undecided ("unbounded or infeasible")."""
+    return optimize.milp(
+        c, constraints=optimize.LinearConstraint(a, lo, hi),
+        bounds=optimize.Bounds(lb, ub), integrality=integral, options=options,
+    )
+
+
+def block_minima(objectives, a, lo, hi):
+    """``k`` LPs over one matrix as one entry: block ``i`` minimises
+    ``objectives[i] . x`` over ``lo[i] <= a @ x <= hi``.  The ``k`` minima,
+    or ``None`` unless every block has one (the block-diagonal whole is
+    optimal only then)."""
+    k, n = objectives.shape
+    blocks = a if k == 1 else sparse.kron(sparse.identity(k), a, format="csc")
+    res = highs(objectives.ravel(), blocks, lo.ravel(), np.tile(hi, k))
+    return None if res.status else (res.x.reshape(k, n) * objectives).sum(axis=1)
+
+
+def _holds(a, rhs, eq, lb, ub, x, tol) -> bool:
+    slack = a @ x - rhs
+    return bool(
+        np.all(x >= lb - tol) and np.all(x <= ub + tol)
+        and np.all(slack >= -tol) and np.all(slack[eq] <= tol)
+    )
+
+
+def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=20000):
+    """Minimise ``c . x`` over the integer rows ``a @ x >= rhs`` (``==``
+    where ``eq``): ``(status, x, entries)``.
+
+    An optimal ``x`` is rounded on its integral columns and verified
+    against the rows.  A point that fails says nothing about feasibility —
+    answering "infeasible" would make ``BasicSet.is_empty`` drop a
+    dependence — so its status is ``None`` and the caller's exact solver
+    decides.
+    """
+    # mip_rel_gap 0: the default 1e-4 would accept a folded lexmin
+    # objective (magnitudes up to 1e5) several units from its optimum.
+    res = highs(
+        c, a, rhs, np.where(eq, rhs, np.inf), lb, ub, integral,
+        node_limit=node_limit, mip_rel_gap=0,
+    )
+    if res.status == 2:
+        return ILPStatus.INFEASIBLE, None, 1
+    if res.status == 3:
+        return ILPStatus.UNBOUNDED, None, 1
+    if res.status == 1:
+        # Iteration/node limit: must NOT be conflated with infeasibility.
+        # One retry with a raised ceiling; a second failure is surfaced.
+        if node_limit >= 10_000_000:
+            raise RuntimeError(f"HiGHS hit its work limit on a {len(c)}-variable model")
+        status, x, entries = solve_rows(c, a, rhs, eq, lb, ub, integral, node_limit * 100)
+        return status, x, entries + 1
+    if res.status == 4 or not res.success or res.x is None:
+        # HiGHS reports "unbounded or infeasible" without deciding which
+        # (presolve shortcut).  Disambiguate with a zero-objective
+        # feasibility solve: feasible + undecided => unbounded.
+        if not np.any(c):
+            return ILPStatus.INFEASIBLE, None, 1
+        status, _, entries = solve_rows(0 * c, a, rhs, eq, lb, ub, integral, node_limit)
+        if status == ILPStatus.OPTIMAL:
+            status = ILPStatus.UNBOUNDED
+        return status, None, entries + 1
+    # integer-rounded values against integer rows: 1e-6 slack is conservative
+    x = np.where(integral, np.round(res.x), res.x)
+    return (ILPStatus.OPTIMAL if _holds(a, rhs, eq, lb, ub, x, 1e-6) else None), x, 1
 
 
 class HighsSession:
@@ -73,24 +151,11 @@ class HighsSession:
         #: no row of ``a @ x`` can wrap int64 while every ``|x_i|`` is below this
         widest = len(self.names) * max(map(abs, data), default=0)
         self._x_limit = 2.0**62 / max(1, widest)
-        self._constraints = []
-        if rhs:
-            upper = np.where(self.eq, self.rhs, np.inf)
-            self._constraints.append(
-                optimize.LinearConstraint(self.a.astype(float), self.rhs, upper)
-            )
 
     def pin(self, name: str, value: Fraction) -> None:
         """Fix ``name`` for every later solve (``lb = ub``, no new row)."""
         self.lb[self.index[name]] = self.ub[self.index[name]] = value
         self.pins[name] = value
-
-    def _holds(self, x: np.ndarray, tol: float) -> bool:
-        slack = self.a @ x - self.rhs
-        return bool(
-            np.all(x >= self.lb - tol) and np.all(x <= self.ub + tol)
-            and np.all(slack >= -tol) and np.all(slack[self.eq] <= tol)
-        )
 
     def satisfies(self, assignment: Mapping[str, Fraction]) -> bool:
         """Exact feasibility of an integer ``assignment`` (bounds, pins and
@@ -102,7 +167,8 @@ class HighsSession:
         x = [v.numerator for v in values]
         if max(map(abs, x), default=0) > self._x_limit:
             return False
-        return self._holds(np.array(x, dtype=np.int64), 0)
+        x = np.array(x, dtype=np.int64)
+        return _holds(self.a, self.rhs, self.eq, self.lb, self.ub, x, 0)
 
     def solve(
         self, objective: Mapping[str, int | Fraction], node_limit: int = 20000
@@ -111,49 +177,11 @@ class HighsSession:
         c = np.zeros(len(self.names))
         for name, coef in objective.items():
             c[self.index[name]] = float(coef)
-        # mip_rel_gap 0: the default 1e-4 would accept a folded lexmin
-        # objective (magnitudes up to 1e5) several units from its optimum.
-        res = optimize.milp(
-            c,
-            constraints=self._constraints,
-            bounds=optimize.Bounds(self.lb, self.ub),
-            integrality=self.integral,
-            options={"node_limit": node_limit, "mip_rel_gap": 0},
+        status, x, entries = solve_rows(
+            c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit
         )
-
-        stats = SolveStats(lp_solves=1)
-        if res.status == 2:  # infeasible
-            return ILPResult(ILPStatus.INFEASIBLE, stats=stats)
-        if res.status == 3:  # unbounded
-            return ILPResult(ILPStatus.UNBOUNDED, stats=stats)
-        if res.status == 1:
-            # Iteration/node limit: must NOT be conflated with infeasibility.
-            # One retry with a raised ceiling; a second failure is surfaced.
-            if node_limit < 10_000_000:
-                retry = self.solve(objective, node_limit * 100)
-                retry.stats.merge(stats)
-                return retry
-            raise RuntimeError(
-                f"HiGHS hit its work limit on a {len(self.names)}-variable model"
-            )
-        if res.status == 4 or not res.success or res.x is None:
-            # HiGHS reports "unbounded or infeasible" without deciding which
-            # (presolve shortcut).  Disambiguate with a zero-objective
-            # feasibility solve: feasible + undecided => unbounded.
-            if any(objective.values()):
-                probe = self.solve({}, node_limit)
-                stats.merge(probe.stats)
-                if probe.is_optimal:
-                    return ILPResult(ILPStatus.UNBOUNDED, stats=stats)
-            return ILPResult(ILPStatus.INFEASIBLE, stats=stats)
-
-        # Verify the rounded vector in one vectorized pass (integer-rounded
-        # values against integer constraint data, so 1e-6 slack is
-        # conservative).  A point that fails says nothing about feasibility —
-        # answering "infeasible" here would make ``BasicSet.is_empty`` drop a
-        # dependence — so the exact solver decides instead.
-        x = np.where(self.integral, np.round(res.x), res.x)
-        if not self._holds(x, 1e-6):
+        stats = SolveStats(lp_solves=entries)
+        if status is None:
             pins = tuple(
                 LinearConstraint({n: 1}, -v, equality=True, label=f"fix:{n}")
                 for n, v in self.pins.items()
@@ -161,6 +189,8 @@ class HighsSession:
             exact = solve_ilp(self.model, objective, self.extra + pins, node_limit)
             exact.stats.merge(stats)
             return exact
+        if status != ILPStatus.OPTIMAL:
+            return ILPResult(status, stats=stats)
         assignment = {
             name: Fraction(int(v)) if integral
             else Fraction(float(v)).limit_denominator(10**9)

@@ -59,8 +59,10 @@ class PolyCacheStats(Record):
     ``evictions`` counts entries dropped by the per-table LRU bound.
     The ``prune_*`` fields account for redundancy pruning
     (:func:`~repro.polyhedra.fourier_motzkin.prune_redundant_rows`): memo
-    lookups and hits, rows decided by the two exact rules, and the LPs the
-    undecided rest still cost.
+    lookups and hits, rows decided by the two exact rules, and the HiGHS
+    entries the undecided rest still cost.  ``min_by_rule`` counts ``min_of``
+    questions answered from the set's equalities.  ``lookups`` / ``hits``
+    total the tables in :data:`TABLES`, not every field ending in ``_hits``.
     """
 
     empty_lookups: int = 0
@@ -77,22 +79,24 @@ class PolyCacheStats(Record):
     prune_hits: int = 0
     prune_rule_rows: int = 0
     prune_lp_solves: int = 0
-
-    def _total(self, suffix: str) -> int:
-        return sum(v for k, v in self.as_dict().items() if k.endswith(suffix))
+    min_by_rule: int = 0
 
     @property
     def lookups(self) -> int:
-        return self._total("_lookups")
+        return sum(getattr(self, f"{table}_lookups") for table in TABLES)
 
     @property
     def hits(self) -> int:
-        return self._total("_hits")
+        return sum(getattr(self, f"{table}_hits") for table in TABLES)
 
     @property
     def misses(self) -> int:
         return self.lookups - self.hits
 
+
+#: the memo tables: each has a ``<name>_lookups`` / ``<name>_hits`` pair in
+#: :class:`PolyCacheStats` and an LRU in :class:`PolyCache`
+TABLES = ("empty", "min", "lexmin", "project", "prune")
 
 #: per-table LRU capacity when neither the env override nor the constructor
 #: argument is given; generous enough that single pipeline runs never evict
@@ -126,23 +130,35 @@ class PolyCache:
             _default_max_entries() if max_entries is None else max_entries
         )
         self.stats = PolyCacheStats()
-        self._empty: OrderedDict = OrderedDict()
-        self._min: OrderedDict = OrderedDict()
-        self._lexmin: OrderedDict = OrderedDict()
-        self._project: OrderedDict = OrderedDict()
-        self._prune: OrderedDict = OrderedDict()
+        self._tables = {table: OrderedDict() for table in TABLES}
 
-    # -- generic plumbing -----------------------------------------------------
+    def clear(self) -> None:
+        """Drop every entry (stats are kept; reset them separately)."""
+        for table in self._tables.values():
+            table.clear()
 
-    def _get(self, table: OrderedDict, key, lookups: str, hits: str):
-        setattr(self.stats, lookups, getattr(self.stats, lookups) + 1)
+    def reset_stats(self) -> None:
+        self.stats = PolyCacheStats()
+
+    def __len__(self) -> int:
+        return sum(len(table) for table in self._tables.values())
+
+
+def _add_accessors(name: str) -> None:
+    """Give :class:`PolyCache` ``get_<name>(key)`` / ``put_<name>(key, value)``."""
+    lookups, hits = f"{name}_lookups", f"{name}_hits"
+
+    def get(self, key):
+        table, stats = self._tables[name], self.stats
+        setattr(stats, lookups, getattr(stats, lookups) + 1)
         value = table.get(key, MISS)
         if value is not MISS:
-            setattr(self.stats, hits, getattr(self.stats, hits) + 1)
+            setattr(stats, hits, getattr(stats, hits) + 1)
             table.move_to_end(key)
         return value
 
-    def _put(self, table: OrderedDict, key, value) -> None:
+    def put(self, key, value) -> None:
+        table = self._tables[name]
         if key in table:
             table.move_to_end(key)
         else:
@@ -151,52 +167,12 @@ class PolyCache:
                 self.stats.evictions += 1
         table[key] = value
 
-    # -- per-primitive accessors ----------------------------------------------
+    setattr(PolyCache, f"get_{name}", get)
+    setattr(PolyCache, f"put_{name}", put)
 
-    def get_empty(self, key):
-        return self._get(self._empty, key, "empty_lookups", "empty_hits")
 
-    def put_empty(self, key, value: bool) -> None:
-        self._put(self._empty, key, value)
-
-    def get_min(self, key):
-        return self._get(self._min, key, "min_lookups", "min_hits")
-
-    def put_min(self, key, value) -> None:
-        self._put(self._min, key, value)
-
-    def get_lexmin(self, key):
-        return self._get(self._lexmin, key, "lexmin_lookups", "lexmin_hits")
-
-    def put_lexmin(self, key, value) -> None:
-        self._put(self._lexmin, key, value)
-
-    def get_project(self, key):
-        return self._get(self._project, key, "project_lookups", "project_hits")
-
-    def put_project(self, key, value) -> None:
-        self._put(self._project, key, value)
-
-    def get_prune(self, key):
-        return self._get(self._prune, key, "prune_lookups", "prune_hits")
-
-    def put_prune(self, key, value) -> None:
-        self._put(self._prune, key, value)
-
-    def _tables(self) -> tuple[OrderedDict, ...]:
-        return (self._empty, self._min, self._lexmin, self._project, self._prune)
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept; reset them separately)."""
-        for table in self._tables():
-            table.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = PolyCacheStats()
-
-    def __len__(self) -> int:
-        return sum(len(table) for table in self._tables())
-
+for _table in TABLES:
+    _add_accessors(_table)
 
 _GLOBAL = PolyCache()
 _DISABLE_DEPTH = 0

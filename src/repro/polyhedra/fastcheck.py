@@ -16,39 +16,29 @@ of a millisecond:
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, inf
 
 import numpy as np
-from scipy import optimize
 
+from repro.ilp import ILPStatus
+from repro.ilp.highs_backend import highs
 from repro.polyhedra.cache import MISS, active_cache
 from repro.polyhedra.sets import BasicSet
 
-__all__ = ["fast_reject", "lp_feasible", "set_is_empty"]
+__all__ = ["fast_reject", "lp_feasible", "reduced_reject", "set_is_empty"]
 
 
-def _lp_solve(bs: BasicSet):
+def _lp_solve(a, rhs, eq):
     """Solve the rational feasibility LP; returns the scipy result."""
-    n = len(bs.space.names)
-    rows = np.array([con.coeffs for con in bs.constraints], dtype=float)
-    rows = rows.reshape(-1, n + 1)
-    eq = np.array([con.equality for con in bs.constraints], dtype=bool)
-    # expr + const >= 0  ->  -expr <= const;  expr + const == 0  ->  expr == -const
-    return optimize.linprog(
-        c=np.zeros(n),
-        A_ub=-rows[~eq, :-1],
-        b_ub=rows[~eq, -1],
-        A_eq=rows[eq, :-1],
-        b_eq=-rows[eq, -1],
-        bounds=(None, None),
-        method="highs",
-    )
+    return highs(np.zeros(a.shape[1]), a, rhs, np.where(eq, rhs, np.inf))
 
 
 def lp_feasible(bs: BasicSet) -> bool:
     """Whether the rational relaxation of ``bs`` is non-empty."""
-    # status 2 = infeasible; anything else (optimal/unbounded) means feasible
-    return _lp_solve(bs).status != 2
+    # Only status 2 proves infeasibility.  0 and 3 (unbounded) are feasible;
+    # 4 ("unbounded or infeasible") and 1 (work limit) are undecided, read
+    # as "not proven empty": the exact integer check runs and decides.
+    return _lp_solve(*bs._arrays()).status != 2
 
 
 def _integer_witness(bs: BasicSet, point) -> bool:
@@ -123,8 +113,29 @@ def fast_reject(bs: BasicSet) -> bool:
     return False
 
 
+def reduced_reject(bs: BasicSet) -> bool:
+    """The per-slope clash on the reduced form; ``True`` always means empty.
+
+    With the equalities substituted out (:meth:`BasicSet.reduced`), bounds
+    that :func:`fast_reject` sees under different slopes — source and target
+    iterators of one dependence — meet under one: ``s.x + c1 >= 0`` and
+    ``-s.x + c2 >= 0`` clash when ``c1 + c2 < 0``.
+    """
+    reduced = bs.reduced()[1]
+    if reduced is None:
+        return True
+    tightest: dict[tuple[int, ...], object] = {}
+    for slope, const in reduced:
+        if const < tightest.get(slope, inf):
+            tightest[slope] = const
+    return any(
+        const + tightest.get(tuple(-c for c in slope), inf) < 0
+        for slope, const in tightest.items()
+    )
+
+
 def set_is_empty(bs: BasicSet) -> bool:
-    """Exact integer emptiness: fast-reject, memo, LP pre-filter, exact ILP.
+    """Exact integer emptiness: fast-reject, memo, reduced reject, LP, exact ILP.
 
     With the fast path disabled (``REPRO_DEPS_NO_CACHE=1`` or
     :func:`repro.polyhedra.cache.cache_disabled`) this degrades to the seed
@@ -133,21 +144,26 @@ def set_is_empty(bs: BasicSet) -> bool:
     if any(c.is_contradiction() for c in bs.constraints):
         return True
     cache = active_cache()
-    if cache is not None:
-        if fast_reject(bs):
-            cache.stats.fast_rejects += 1
-            return True
-        hit = cache.get_empty(bs.content_key())
-        if hit is not MISS:
-            return hit
-        res = _lp_solve(bs)
-        if res.status == 2:
-            cache.put_empty(bs.content_key(), True)
-            return True
-        if _integer_witness(bs, res.x):
-            cache.put_empty(bs.content_key(), False)
-            return False
-        return bs.is_empty()  # consults and fills the same memo table
-    if not lp_feasible(bs):
+    if cache is None:
+        return not lp_feasible(bs) or bs.is_empty()
+    if fast_reject(bs):
+        cache.stats.fast_rejects += 1
         return True
-    return bs.is_empty()
+    key = bs.content_key()
+    hit = cache.get_empty(key)
+    if hit is not MISS:
+        return hit
+    if reduced_reject(bs):
+        cache.stats.fast_rejects += 1
+        empty = True
+    else:
+        arrays = bs._arrays()
+        res = _lp_solve(*arrays)
+        if res.status == 2:
+            empty = True
+        elif _integer_witness(bs, res.x):
+            empty = False
+        else:  # the LP point proves nothing: the integer solve decides
+            empty = bs._solve(arrays=arrays)[0] == ILPStatus.INFEASIBLE
+    cache.put_empty(key, empty)
+    return empty

@@ -20,14 +20,19 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
+import numpy as np
+
+from repro.ilp.highs_backend import block_minima
 from repro.polyhedra.cache import MISS, active_cache, global_cache
 
 __all__ = [
+    "cancel",
     "eliminate_column",
     "eliminate_columns",
     "normalize_row",
     "normalize_rows",
     "prune_redundant_rows",
+    "substitute_equalities",
     "Row",
 ]
 
@@ -97,6 +102,43 @@ def _prune_subsumed(rows: list[Row]) -> list[Row]:
     return eqs + ineqs
 
 
+def cancel(coeffs: tuple[int, ...], eq: tuple[int, ...], col: int) -> tuple[int, ...]:
+    """``coeffs`` with column ``col`` cancelled through the equality ``eq``,
+    scaled by ``|eq[col]|`` only, so an inequality keeps its direction."""
+    if not coeffs[col]:
+        return coeffs
+    scale = abs(eq[col])
+    back = coeffs[col] if eq[col] > 0 else -coeffs[col]
+    return tuple(scale * c - back * e for c, e in zip(coeffs, eq))
+
+
+def substitute_equalities(rows: Sequence[Row]) -> tuple[list, list | None]:
+    """``rows`` (equalities first) with the equalities substituted out of
+    the inequalities: ``(pivots, reduced)``.
+
+    Integer Gaussian elimination by :func:`cancel`, no floor-tightening:
+    the same rational set.  ``pivots`` lists the ``(column, equality)`` to
+    cancel through, in order; ``reduced`` holds each inequality as a
+    primitive slope over the free columns (``()`` for a constant row) and
+    its rational constant, and is ``None`` when the system is visibly empty
+    — an inconsistent equality or a negative constant row.
+    """
+    pivots: list[tuple[int, tuple[int, ...]]] = []
+    reduced: list[tuple[tuple[int, ...], Fraction]] = []
+    for coeffs, equality in rows:
+        for col, piv in pivots:
+            coeffs = cancel(coeffs, piv, col)
+        g = gcd(*coeffs[:-1])
+        if g == 0 and (coeffs[-1] < 0 or (equality and coeffs[-1])):
+            return pivots, None
+        if not equality:
+            slope = tuple(c // g for c in coeffs[:-1]) if g else ()
+            reduced.append((slope, Fraction(coeffs[-1], g or 1)))
+        elif g:
+            pivots.append((next(i for i, c in enumerate(coeffs) if c), coeffs))
+    return pivots, reduced
+
+
 def eliminate_column(rows: list[Row], col: int) -> list[Row]:
     """Eliminate one column (existential projection, rational shadow)."""
     # Prefer substitution through an equality containing the column.
@@ -106,24 +148,11 @@ def eliminate_column(rows: list[Row], col: int) -> list[Row]:
             eq_row = (coeffs, equality)
             break
     if eq_row is not None:
-        e, _ = eq_row
-        a = e[col]
-        out: list[Row] = []
-        for coeffs, equality in rows:
-            if (coeffs, equality) == eq_row:
-                continue
-            b = coeffs[col]
-            if b == 0:
-                out.append((coeffs, equality))
-                continue
-            # a * row - b * eq_row eliminates the column; multiply so the
-            # combined row keeps the inequality direction (scale by |a|).
-            scale = abs(a)
-            sign = 1 if a > 0 else -1
-            combined = tuple(
-                scale * rc - sign * b * ec for rc, ec in zip(coeffs, e)
-            )
-            out.append((combined, equality))
+        out: list[Row] = [
+            (cancel(coeffs, eq_row[0], col), equality)
+            for coeffs, equality in rows
+            if (coeffs, equality) != eq_row
+        ]
         return normalize_rows(out)
 
     lower: list[tuple[int, ...]] = []   # coeff > 0:  a x >= -rest
@@ -196,6 +225,15 @@ def eliminate_columns(
     return out
 
 
+#: Undecided rows per block LP.  An entry costs ~0.9 ms of scipy wrapper
+#: whatever it carries, a block only its share of one simplex.  Cold heat-2dp
+#: reads 2.77 / 1.36 / 1.22 / 1.15 / 1.14 / 1.14 s at 1 / 8 / 16 / 32 / 64 /
+#: 128 (pruning entries 1584 / 262 / 178 / 128 / 102 / 96); the polybench
+#: sweep is flat from 8.  32 takes the gain and bounds the sparse block
+#: matrix (32 x rows by 32 x columns) and what a failed confirmation wastes.
+PRUNE_CHUNK = 32
+
+
 def prune_redundant_rows(rows: list[Row]) -> list[Row]:
     """Drop inequality rows implied by the remaining system (rational test).
 
@@ -212,17 +250,21 @@ def prune_redundant_rows(rows: list[Row]) -> list[Row]:
        the equalities substituted out: rule 1 drops constant and
        same-slope-dominated rows, rule 2 keeps any row that alone bounds a
        column from its side.
-    3. **LP.**  Only the rows neither rule decides are tested with HiGHS,
-       in order, against one float matrix built per call.  Dropping a
+    3. **LP.**  The rows neither rule decides go to HiGHS
+       :data:`PRUNE_CHUNK` at a time, two entries per chunk
+       (:func:`_implied`).  One flags the rows that *all* other rows in use
+       imply: an unflagged row no subset of them implies, so the sweep
+       keeps it.  One confirms that the rows in use minus *all* flagged
+       ones imply every flagged row: then so does the larger system the
+       sweep tests each against, and the sweep drops exactly those.
+       Failing that (mutually-implying rows, a non-optimal block) the sweep
+       itself runs over the rows in question, one entry each.  Dropping a
        weakly-touching row keeps the same rational set; floating-point
        tolerance can only make the result an *over*-approximation of the
        projection, which every consumer of deep projections (loop bounds,
        guards) tolerates by construction — inner levels re-check exact
        constraints pointwise.
     """
-    import numpy as np
-    from scipy import optimize
-
     eqs = [r for r in rows if r[1]]
     ineqs = [r for r in rows if not r[1]]
     if len(ineqs) <= 1:
@@ -238,25 +280,49 @@ def prune_redundant_rows(rows: list[Row]) -> list[Row]:
     live, sole = _row_rules(eqs, ineqs)
     stats.prune_rule_rows += len(ineqs) - len(live) + len(sole)
     a = np.array([r[0] for r in eqs + ineqs], dtype=float)
-    a_eq, b_eq = a[: len(eqs), :-1], -a[: len(eqs), -1]
-    a, b = a[len(eqs) :, :-1], a[len(eqs) :, -1]
-    keep = np.zeros(len(ineqs), dtype=bool)
-    keep[live] = True
-    for i in live:
-        if i in sole:
-            continue
-        keep[i] = False
-        stats.prune_lp_solves += 1
-        res = optimize.linprog(
-            c=a[i], A_ub=-a[keep], b_ub=b[keep], A_eq=a_eq, b_eq=b_eq,
-            bounds=(None, None), method="highs",
-        )
-        keep[i] = not (res.status == 0 and res.fun + b[i] >= -1e-9)
+    a, lo = a[:, :-1], -a[:, -1]  # every row reads a.x >= lo
+    hi = np.where([r[1] for r in eqs + ineqs], lo, np.inf)
+    used = np.arange(len(a)) < len(eqs)
+    used[[len(eqs) + i for i in live]] = True
+    undecided = [len(eqs) + i for i in live if i not in sole]
+    for at in range(0, len(undecided), PRUNE_CHUNK):
+        idx = np.flatnonzero(used)
+        sub = a[idx], lo[idx], hi[idx]
+        pos = np.searchsorted(idx, undecided[at : at + PRUNE_CHUNK])
+        flagged = _implied(*sub, pos, [], stats)
+        if flagged is not None:
+            pos = pos[flagged]
+            confirmed = _implied(*sub, pos, pos, stats)
+            if confirmed is not None and confirmed.all():
+                used[idx[pos]] = False
+                continue
+        dropped: list[int] = []
+        for p in pos:  # the sequential sweep
+            one = _implied(*sub, np.array([p]), dropped, stats)
+            if one is not None and one[0]:
+                dropped.append(p)
+        used[idx[dropped]] = False
 
-    out = eqs + [row for row, kept in zip(ineqs, keep) if kept]
+    out = eqs + [row for row, kept in zip(ineqs, used[len(eqs) :]) if kept]
     if cache is not None:
         cache.put_prune(key, tuple(out))
     return out
+
+
+def _implied(a, lo, hi, rows, free, stats):
+    """Which of ``rows`` the other rows of ``a.x >= lo``, less the ``free``
+    ones, imply: one HiGHS entry, ``None`` if not optimal.  Block ``i``
+    minimises row ``i``'s slope with row ``i`` itself relaxed by one, which
+    bounds the block and leaves the minimum at ``>= lo[i]`` exactly when
+    the other rows imply row ``i``."""
+    if not len(rows):
+        return np.ones(0, dtype=bool)
+    stats.prune_lp_solves += 1
+    los = np.tile(lo, (len(rows), 1))
+    los[:, free] = -np.inf
+    los[np.arange(len(rows)), rows] = lo[rows] - 1
+    minima = block_minima(a[rows], a, los, hi)
+    return None if minima is None else minima >= lo[rows] - 1e-9
 
 
 def _row_rules(eqs: list[Row], ineqs: list[Row]) -> tuple[list[int], set[int]]:
@@ -264,9 +330,8 @@ def _row_rules(eqs: list[Row], ineqs: list[Row]) -> tuple[list[int], set[int]]:
     the inequality indices rule 1 leaves, and those of them rule 2 keeps.
 
     Both rules read the inequalities with the equalities substituted out
-    (integer Gaussian elimination, positive scaling only, no
-    floor-tightening: the same rational set), each as a primitive slope
-    over the free columns and a rational constant.
+    (:func:`substitute_equalities`), each as a primitive slope over the free
+    columns and a rational constant.
 
     *Rule 1.*  A row that became a non-negative constant is implied by
     anything; of the rows sharing a slope only the one with the smallest
@@ -284,23 +349,9 @@ def _row_rules(eqs: list[Row], ineqs: list[Row]) -> tuple[list[int], set[int]]:
     A visibly empty system (an inconsistent equality or a negative constant
     row) makes every redundancy question moot: all rows are kept.
     """
-    pivots: list[tuple[int, tuple[int, ...]]] = []
-    reduced: list[tuple[tuple[int, ...], Fraction]] = []
-    for coeffs, equality in eqs + ineqs:
-        for col, piv in pivots:
-            if coeffs[col]:
-                scale = abs(piv[col])
-                back = coeffs[col] if piv[col] > 0 else -coeffs[col]
-                coeffs = tuple(scale * c - back * p for c, p in zip(coeffs, piv))
-        g = gcd(*coeffs[:-1])
-        if g == 0 and (coeffs[-1] < 0 or (equality and coeffs[-1])):
-            return list(range(len(ineqs))), set(range(len(ineqs)))
-        if not equality:
-            slope = tuple(c // g for c in coeffs[:-1]) if g else ()
-            reduced.append((slope, Fraction(coeffs[-1], g or 1)))
-        elif g:
-            pivots.append((next(i for i, c in enumerate(coeffs) if c), coeffs))
-
+    reduced = substitute_equalities(eqs + ineqs)[1]
+    if reduced is None:
+        return list(range(len(ineqs))), set(range(len(ineqs)))
     tightest: dict[tuple[int, ...], int] = {}
     for i, (slope, const) in enumerate(reduced):
         if slope and (slope not in tightest or const <= reduced[tightest[slope]][1]):

@@ -13,12 +13,19 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin
-from repro.ilp.highs_backend import solve_ilp_highs
+import numpy as np
+
+from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin, solve_ilp
+from repro.ilp.highs_backend import solve_rows
 from repro.polyhedra.affine import AffExpr, Space
 from repro.polyhedra.cache import MISS as MISS_, active_cache
 from repro.polyhedra.constraints import Constraint
-from repro.polyhedra.fourier_motzkin import Row, eliminate_columns, normalize_rows
+from repro.polyhedra.fourier_motzkin import (
+    Row,
+    cancel,
+    eliminate_columns,
+    substitute_equalities,
+)
 
 __all__ = ["BasicSet", "UnionSet"]
 
@@ -33,8 +40,8 @@ class BasicSet:
         self.space = space
         self.constraints: list[Constraint] = []
         self._conset: set[Constraint] = set()
-        self._key: Optional[tuple] = None
-        self._key_n = -1
+        self._memo: dict = {}
+        self._memo_n = -1
         for con in constraints:
             self.add(con)
 
@@ -77,19 +84,38 @@ class BasicSet:
         out._conset = set(self._conset)
         return out
 
+    def _memoised(self, name: str, compute):
+        """``compute()`` once per constraint list: ``add`` only ever appends,
+        so the constraint count is a valid staleness token."""
+        if self._memo_n != len(self.constraints):
+            self._memo, self._memo_n = {}, len(self.constraints)
+        if name not in self._memo:
+            self._memo[name] = compute()
+        return self._memo[name]
+
     def content_key(self) -> tuple:
         """Hashable content identity: the space plus the constraint rows.
 
         Order-insensitive (constraints are a conjunction), so syntactically
-        reordered but identical systems share memo entries.  ``add`` only
-        ever appends, so the constraint count is a valid staleness token for
-        the lazily computed key.
+        reordered but identical systems share memo entries.
         """
-        if self._key is None or self._key_n != len(self.constraints):
-            rows = frozenset((c.coeffs, c.equality) for c in self.constraints)
-            self._key = (self.space, rows)
-            self._key_n = len(self.constraints)
-        return self._key
+        return self._memoised("key", lambda: (self.space, frozenset(self._to_rows())))
+
+    def reduced(self):
+        """The exact integer reduced form (:func:`substitute_equalities`):
+        pivots, and the reduced inequalities or ``None`` if visibly empty."""
+        return self._memoised("reduced", lambda: substitute_equalities(
+            sorted(self._to_rows(), key=lambda row: not row[1])
+        ))
+
+    def constant_value(self, expr: AffExpr) -> Optional[Fraction]:
+        """The value ``expr`` takes on the whole set when the equalities
+        alone fix it (a uniform dependence says ``target = source + d``, so
+        a schedule difference across it is a number), else ``None``."""
+        coeffs = expr.coeffs + (1,)  # the extra column collects the scaling
+        for col, piv in self.reduced()[0]:
+            coeffs = cancel(coeffs, piv + (0,), col)
+        return None if any(coeffs[:-2]) else Fraction(coeffs[-2], coeffs[-1])
 
     def intersect(self, other: "BasicSet") -> "BasicSet":
         out = self.copy()
@@ -120,16 +146,29 @@ class BasicSet:
             model.add_constraint(terms, con.expr.const_term, con.equality)
         return model
 
-    def _solve(self, objective) -> object:
-        """Integer optimization over the set.
+    def _arrays(self):
+        """The rows as integer arrays ``a @ x >= rhs`` (``==`` where ``eq``)."""
+        rows = np.array([con.coeffs for con in self.constraints], dtype=np.int64)
+        rows = rows.reshape(-1, self.space.ncols)
+        eq = np.array([con.equality for con in self.constraints], dtype=bool)
+        return rows[:, :-1], -rows[:, -1], eq
 
-        HiGHS decides these tiny integer-coefficient systems quickly; its
-        rounded solutions are verified against the model, and it hands a
-        point that fails verification to the pure-Python exact
-        branch-and-bound itself (orders of magnitude slower, so not the
-        first choice).
+    def _solve(self, coeffs: Sequence[int] = (), arrays=None):
+        """Integer minimum of ``coeffs . x`` over the set: ``(status, value)``.
+
+        HiGHS decides these tiny systems from the integer rows alone; only a
+        rounded point that fails verification is handed, as a model, to the
+        pure-Python exact branch-and-bound (orders of magnitude slower).
         """
-        return solve_ilp_highs(self._build_model(), objective)
+        c = np.zeros(len(self.space.names))
+        c[: len(coeffs)] = coeffs
+        status, x, _ = solve_rows(c, *(arrays or self._arrays()))
+        if status is None:
+            res = solve_ilp(self._build_model(), dict(zip(self.space.names, coeffs)))
+            return res.status, res.objective
+        if status != ILPStatus.OPTIMAL:
+            return status, None
+        return status, Fraction(sum(k * int(v) for k, v in zip(coeffs, x)))
 
     def is_empty(self) -> bool:
         """Exact integer emptiness (memoized on the constraint content)."""
@@ -137,12 +176,12 @@ class BasicSet:
             return True
         cache = active_cache()
         if cache is None:
-            return self._solve({}).status == ILPStatus.INFEASIBLE
+            return self._solve()[0] == ILPStatus.INFEASIBLE
         key = self.content_key()
         hit = cache.get_empty(key)
         if hit is not MISS_:
             return hit
-        empty = self._solve({}).status == ILPStatus.INFEASIBLE
+        empty = self._solve()[0] == ILPStatus.INFEASIBLE
         cache.put_empty(key, empty)
         return empty
 
@@ -150,7 +189,10 @@ class BasicSet:
         """Integer minimum of ``expr`` over the set (memoized).
 
         Returns ``None`` when the set is empty; raises on an unbounded
-        direction (callers ask about bounded quantities only).
+        direction (callers ask about bounded quantities only).  When the
+        equalities fix ``expr`` (:meth:`constant_value`) and the emptiness
+        memo records the set non-empty, that constant is the answer; an
+        unknown or empty set still goes to the solver.
         """
         cache = active_cache()
         key = None
@@ -161,15 +203,18 @@ class BasicSet:
                 if hit is _UNBOUNDED:
                     raise ValueError(f"min of {expr} is unbounded over {self}")
                 return hit
-        res = self._solve(expr.terms())
-        if res.status == ILPStatus.INFEASIBLE:
-            value = None
-        elif res.status == ILPStatus.UNBOUNDED:
+            value = self.constant_value(expr)
+            if value is not None and cache.get_empty(key[0]) is False:
+                cache.stats.min_by_rule += 1
+                cache.put_min(key, value)
+                return value
+        status, value = self._solve(expr.coeffs[:-1])
+        if status == ILPStatus.UNBOUNDED:
             if cache is not None:
                 cache.put_min(key, _UNBOUNDED)
             raise ValueError(f"min of {expr} is unbounded over {self}")
-        else:
-            value = res.objective + expr.const_term
+        if status == ILPStatus.OPTIMAL:
+            value += expr.const_term
         if cache is not None:
             cache.put_min(key, value)
         return value

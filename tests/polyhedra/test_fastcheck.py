@@ -36,6 +36,29 @@ class TestLpFeasible:
         s.add(ineq(sp, {"x": 1}, -3))
         assert lp_feasible(s)
 
+    def test_undecided_is_not_infeasible(self, sp, monkeypatch):
+        """HiGHS status 4 ("unbounded or infeasible") and 1 (work limit)
+        decide nothing: the set is not read as empty, the exact check runs."""
+        from types import SimpleNamespace
+
+        from repro.polyhedra import fastcheck
+        from repro.polyhedra.cache import cache_disabled, global_cache
+
+        s = BasicSet.from_bounds(sp, {"x": (0, 5)})
+        hole = BasicSet(sp)
+        hole.add(eq(sp, {"x": 2, "y": 2}, -1))  # 2x + 2y == 1: integer-empty
+        hole.add(ineq(sp, {"x": 1, "y": -1}))
+        for status in (4, 1):
+            monkeypatch.setattr(
+                fastcheck, "highs", lambda *a, **k: SimpleNamespace(status=status, x=None)
+            )
+            assert lp_feasible(s) and lp_feasible(hole)
+            global_cache().clear()
+            assert not set_is_empty(s.copy())
+            with cache_disabled():
+                assert not set_is_empty(s.copy())
+                assert set_is_empty(hole.copy())  # decided by the exact check
+
 
 class TestSetIsEmpty:
     def test_agrees_with_exact_on_integer_gap(self, sp):

@@ -192,11 +192,36 @@ class TestPolyCache:
             + stats.lexmin_lookups + stats.project_lookups
 
 
+    def test_totals_name_their_tables(self):
+        """``hits`` / ``lookups`` sum the five tables of ``TABLES``, not every
+        field whose name happens to end that way: counters are in neither."""
+        from dataclasses import fields, replace
+
+        from repro.polyhedra.cache import TABLES
+
+        stats = PolyCacheStats(
+            **{f.name: 10 * (i + 1) for i, f in enumerate(fields(PolyCacheStats))}
+        )
+        assert stats.hits + stats.misses == stats.lookups
+        assert stats.lookups == sum(getattr(stats, f"{t}_lookups") for t in TABLES)
+        assert stats.hits == sum(getattr(stats, f"{t}_hits") for t in TABLES)
+        assert set(PolyCache()._tables) == set(TABLES)
+        counters = {f.name for f in fields(PolyCacheStats)} - {
+            f"{t}_{kind}" for t in TABLES for kind in ("lookups", "hits")
+        }
+        assert {"min_by_rule", "fast_rejects", "prune_lp_solves"} <= counters
+        bumped = replace(stats, **{name: 10**6 for name in counters})
+        assert (bumped.hits, bumped.lookups, bumped.misses) == (
+            stats.hits, stats.lookups, stats.misses
+        )
+
+
 class TestPruneTable:
     """The fifth table: ``prune_redundant_rows`` on the ordered row tuple."""
 
     #: a box whose x <= 5 face is alone on its side (rule 2), a
-    #: same-slope-dominated row (rule 1), and two diagonals only an LP judges
+    #: same-slope-dominated row (rule 1), and two diagonals only an LP judges:
+    #: five undecided rows, one chunk, two HiGHS entries (flag, then confirm)
     ROWS = [
         ((1, 0, 0), False), ((-1, 0, 5), False),
         ((0, 1, 0), False), ((0, -1, 5), False),
@@ -211,7 +236,7 @@ class TestPruneTable:
         assert out == self.ROWS[:4]
         cold = stats.snapshot()
         assert (cold.prune_lookups, cold.prune_hits) == (1, 0)
-        assert cold.prune_rule_rows == 2 and cold.prune_lp_solves == 5
+        assert cold.prune_rule_rows == 2 and cold.prune_lp_solves == 2
         hit = prune_redundant_rows(self.ROWS)
         assert hit == out and hit is not out
         warm = stats.delta_since(cold)
@@ -233,7 +258,7 @@ class TestPruneTable:
             assert prune_redundant_rows(self.ROWS) == self.ROWS[:4]
         # no memo traffic, but the rule and LP work is still counted
         assert stats.prune_lookups == 0 and len(global_cache()) == 0
-        assert stats.prune_rule_rows == 4 and stats.prune_lp_solves == 10
+        assert stats.prune_rule_rows == 4 and stats.prune_lp_solves == 4
 
         prune_redundant_rows(self.ROWS)
         assert len(global_cache()) == 1

@@ -11,34 +11,57 @@ code with the rules or with HiGHS:
   (or the system is empty and the question is moot);
 * the output is idempotent, and a memo hit, a cold call and a call with the
   cache disabled agree.
+
+The rows neither rule decides go to HiGHS in block LPs (flag, confirm,
+sequential fallback); ``TestBatchedSweep`` requires the same list in the same
+order as the row-by-row sweep kept in ``tests/polyhedra/reference_prune.py``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import ILPModel, LPStatus
+import pytest
+
+from repro.ilp import LPStatus
+from repro.polyhedra import fourier_motzkin
 from repro.polyhedra.cache import cache_disabled, global_cache
 from repro.polyhedra.fourier_motzkin import _row_rules, prune_redundant_rows
-from tests.ilp.reference_lp import solve_lp_fraction
+from tests.polyhedra.reference_prune import exact_min as _exact_min, sweep_prune
+
+
+#: slack of an anchored inequality over the witness point; often zero, so
+#: opposed pairs often close into an implicit equality
+_SLACK = st.sampled_from([0, 0, 0, 1, 2, 4])
 
 
 @st.composite
 def row_systems(draw):
-    """Small integer systems with equalities, duplicates and scaled copies.
+    """Small integer systems with equalities, duplicates, scaled copies,
+    opposed pairs (``a.x >= lo`` beside ``a.x <= hi``: with no slack an
+    implicit equality) and sums of two rows — which their parents imply,
+    and which across an implicit equality imply a parent back.
 
     Most are feasible by construction (constants anchored on a witness
-    point, inequalities with slack); one in five draws free constants so
-    empty systems occur too.
+    point, inequalities with slack) until an opposed row cuts the witness
+    off; one in five draws free constants, so empty systems occur too.
     """
     n = draw(st.integers(1, 6))
     witness = [draw(st.integers(-3, 3)) for _ in range(n)]
     anchored = draw(st.integers(0, 4)) > 0
     rows = []
     for _ in range(draw(st.integers(2, 12))):
-        kind = draw(st.sampled_from(["new", "new", "new", "copy", "scaled", "shifted"]))
+        kind = draw(st.sampled_from(
+            ["new", "new", "new", "copy", "scaled", "shifted", "opposed", "sum"]
+        ))
         if rows and kind != "new":
             coeffs, equality = draw(st.sampled_from(rows))
-            if kind == "scaled":
+            if kind == "opposed" and not equality:
+                width = draw(st.sampled_from([0, 0, 1, 3]))
+                coeffs = tuple(-c for c in coeffs[:-1]) + (width - coeffs[-1],)
+            elif kind == "sum" and not equality:
+                other, _ = draw(st.sampled_from(rows))
+                coeffs = tuple(a + b for a, b in zip(coeffs, other))
+            elif kind == "scaled":
                 k = draw(st.integers(2, 3))
                 coeffs = tuple(k * c for c in coeffs)
             elif kind == "shifted" and not equality:
@@ -49,22 +72,33 @@ def row_systems(draw):
         equality = draw(st.integers(0, 5)) == 0
         at = sum(c * w for c, w in zip(slope, witness))
         if anchored:
-            const = -at + (0 if equality else draw(st.integers(0, 4)))
+            const = -at + (0 if equality else draw(_SLACK))
         else:
             const = draw(st.integers(-6, 6))
         rows.append((tuple(slope) + (const,), equality))
     return rows
 
 
-def _exact_min(rows, objective):
-    """Exact ``min objective.x`` over ``rows`` (free rational variables)."""
-    model = ILPModel()
-    names = [f"x{i}" for i in range(len(objective))]
-    for name in names:
-        model.add_variable(name, lower=None, upper=None, integer=False)
-    for coeffs, equality in rows:
-        model.add_constraint(dict(zip(names, coeffs[:-1])), coeffs[-1], equality)
-    return solve_lp_fraction(model, dict(zip(names, objective)))
+@st.composite
+def sheared_systems(draw):
+    """Systems in which rows imply each other in turn: an implicit equality
+    ``p.x == 0`` written as two inequalities, and beside some rows ``r`` the
+    sheared ``r + k p`` — equivalent to ``r`` given the pair, implied by
+    nothing else.  Both get flagged, the confirming LP fails, and only the
+    sweep's order says which one goes.
+    """
+    n = draw(st.integers(2, 4))
+    coeff = st.integers(-2, 2)
+    p = draw(st.lists(coeff, min_size=n, max_size=n).filter(any)) + [0]
+    rows = [(tuple(p), False), (tuple(-c for c in p), False)]
+    for _ in range(draw(st.integers(1, 4))):
+        r = draw(st.lists(coeff, min_size=n, max_size=n).filter(any))
+        r.append(draw(st.integers(0, 3)))
+        rows.append((tuple(r), False))
+        if draw(st.booleans()):
+            k = draw(st.sampled_from([-2, -1, 1, 2]))
+            rows.append((tuple(a + k * b for a, b in zip(r, p)), False))
+    return draw(st.permutations(rows))
 
 
 def _implied(rows, row) -> bool:
@@ -168,4 +202,55 @@ class TestRules:
         before = global_cache().stats.snapshot()
         assert prune_redundant_rows(rows) == rows[:3]
         delta = global_cache().stats.delta_since(before)
-        assert (delta.prune_rule_rows, delta.prune_lp_solves) == (1, 3)
+        # three undecided rows in one chunk: one entry flags the diagonal,
+        # one confirms it against the triangle
+        assert (delta.prune_rule_rows, delta.prune_lp_solves) == (1, 2)
+
+
+class TestBatchedSweep:
+    """Flag + confirm + fallback keeps exactly what the row-by-row sweep keeps."""
+
+    @given(st.one_of(row_systems(), sheared_systems()))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_same_list_same_order_as_the_sweep(self, rows):
+        want = sweep_prune(rows)
+        with cache_disabled():
+            assert prune_redundant_rows(rows) == want, rows
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @given(st.one_of(row_systems(), sheared_systems()))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_any_chunking_is_the_sweep(self, chunk, rows):
+        want = sweep_prune(rows)
+        old = fourier_motzkin.PRUNE_CHUNK
+        fourier_motzkin.PRUNE_CHUNK = chunk
+        try:
+            with cache_disabled():
+                assert prune_redundant_rows(rows) == want, rows
+        finally:
+            fourier_motzkin.PRUNE_CHUNK = old
+
+    def test_mutually_implying_rows_fall_back_to_the_sweep(self):
+        # x == y written as two inequalities: x >= 0 and y >= 0 each follow
+        # from the other, so both are flagged, the confirming LP (neither
+        # present) fails, and the sweep drops the earlier one only
+        opposed = [((1, -1, 0), False), ((-1, 1, 0), False)]
+        first, second = ((1, 0, 0), False), ((0, 1, 0), False)
+        global_cache().clear()
+        before = global_cache().stats.snapshot()
+        assert prune_redundant_rows(opposed + [first, second]) == opposed + [second]
+        # flag, failed confirm, then one entry per flagged row
+        assert global_cache().stats.delta_since(before).prune_lp_solves == 4
+        assert prune_redundant_rows(opposed + [second, first]) == opposed + [first]
+        assert sweep_prune(opposed + [first, second]) == opposed + [second]
+
+    def test_unbounded_and_empty_systems_keep_their_rows(self):
+        # no row bounds the others' minima: nothing is implied, nothing drops
+        fan = [((1, 0, 0), False), ((1, 1, 0), False), ((1, -1, 0), False),
+               ((2, 1, 3), False)]
+        assert prune_redundant_rows(fan) == sweep_prune(fan)
+        # empty but not visibly so (x + y >= 1, x <= 0, y <= 0): every LP is
+        # infeasible, which decides nothing, so the undecided rows all stay
+        empty = [((1, 1, -1), False), ((-1, 0, 0), False), ((0, -1, 0), False),
+                 ((1, 2, 5), False), ((2, 1, 5), False)]
+        assert prune_redundant_rows(empty) == sweep_prune(empty) == empty

@@ -260,6 +260,8 @@ class TestCLIDepsCache:
         assert "# dependence stats:" in err
         assert "pairs_tested" in err
         assert "fast_rejects" in err
+        (line,) = [l for l in err.splitlines() if "min_by_rule" in l]
+        assert int(line.split()[-1]) >= 0 and err.index(line) < err.index("# pruning")
         # the pruning block CI's smoke job greps (prune_lp_solves ceiling)
         assert "# pruning stats:" in err
         for field in ("prune_lookups", "prune_hits", "prune_rule_rows"):

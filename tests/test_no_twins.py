@@ -6,8 +6,13 @@ bare-bracket lines skipped; at least 150 characters in all — may occur in
 two different modules under ``src/repro``.  ``workloads/`` is exempt: kernel
 descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
+
+Two narrower guards of the same kind: one module imports ``scipy.optimize``
+and calls ``milp`` once, and ``repro.polyhedra`` cancels a column through
+an equality in one function.
 """
 
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -46,3 +51,35 @@ def test_no_module_repeats_six_lines_of_another():
         f"{a} == {b}\n    " + "\n    ".join(window) for a, b, window in twins[:5]
     )
     assert not twins, f"{len(twins)} duplicated window(s), first ones:\n{report}"
+
+
+# -- one door to HiGHS, one equality elimination (ISSUE 18) -------------------
+
+_SCIPY_OPTIMIZE = re.compile(
+    r"^\s*(import scipy\.optimize|from scipy\.optimize\b|from scipy import .*\boptimize\b)",
+    re.MULTILINE,
+)
+#: the positive-scaling cancel step ``scale * c - back * e for c, e in zip(...)``
+_CANCEL = re.compile(r"\w+ \* \w+ - [\w ]+(\* \w+ )+for \w+, \w+ in zip\(")
+
+
+def test_highs_backend_is_the_only_door_to_scipy_optimize():
+    """At 4ce864d ``polyhedra/fastcheck.py`` and ``polyhedra/fourier_motzkin.py``
+    imported ``scipy.optimize`` and called ``linprog`` themselves."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    importers = [m for m, text in sources.items() if _SCIPY_OPTIMIZE.search(text)]
+    assert importers == ["ilp/highs_backend.py"]
+    assert sum(text.count("optimize.milp(") for text in sources.values()) == 1
+    assert not [m for m, text in sources.items() if "linprog" in text]
+
+
+def test_polyhedra_eliminates_equalities_in_one_place():
+    """At 4ce864d ``fourier_motzkin.eliminate_column`` and ``_row_rules`` each
+    carried the cancel step; ``fourier_motzkin.cancel`` is the one copy."""
+    sites = [
+        f"{path.name}:{text.count(chr(10), 0, match.start()) + 1}"
+        for path in sorted((SRC / "polyhedra").glob("*.py"))
+        for text in [path.read_text()]
+        for match in _CANCEL.finditer(text)
+    ]
+    assert len(sites) == 1, sites
