@@ -1,20 +1,24 @@
 """Count entries into HiGHS on a cold polybench sweep.
 
 Every entry goes through ``scipy.optimize.milp`` (the one door,
-``repro.ilp.highs_backend.highs``).  The small questions — emptiness,
-``min_of``, feasibility LPs, pruning blocks — cost ~0.9 ms of scipy wrapper
-around a fraction of a millisecond of HiGHS each, the lexmin MIPs ~6 ms of
-native HiGHS; either way the entry count is the cold-compile cost of the
-scheduler in a unit that repeats exactly on any machine.  The sweep is
-``polybench-compile``'s: all 27 registered kernels, ``plutoplus`` options,
-PolyCache cleared before each.
+``repro.ilp.highs_backend.highs``).  What one costs depends on its kind, so
+the table is split three ways: an LP (emptiness, feasibility, a pruning
+block) is ~1.2 ms, most of it scipy's wrapper; a MIP that presolve finishes
+~1.9 ms; a MIP that reaches the search ~3.8 ms.  The "~6 ms of native HiGHS"
+this docstring used to quote for a lexmin MIP was 4.8 ms of feasibility-jump
+heuristic in front of a dozen-column model (a searched MIP cost ~10 ms
+then); the door switches it off.  Either way the entry count is the
+cold-compile cost of the scheduler in a unit that repeats exactly on any
+machine.  The sweep is ``polybench-compile``'s: all 27 registered kernels,
+``plutoplus`` options, PolyCache cleared before each.
 
 Usage (from the repository root)::
 
     PYTHONPATH=src python -m benchmarks.solver_entries [kernel ...]
 
-Prints one row per kernel (seconds, entries, slowest first) and the totals
-with the PolyCache's pruning and rule counters beside them.  Kernel names
+Prints one row per kernel (seconds, entries, slowest first), the totals,
+``ms/entry`` by kind, and the PolyCache's pruning, cone and rule counters
+(a ``cone`` miss is one Farkas multiplier elimination).  Kernel names
 are looked up across all categories, so ``heat-2dp`` works too.
 """
 
@@ -22,23 +26,40 @@ from __future__ import annotations
 
 import sys
 import time
+import warnings
 
+import numpy as np
 from scipy import optimize as scipy_optimize
 
 from repro.api import optimize
 from repro.polyhedra.cache import global_cache
 from repro.workloads import all_workloads, get_workload
 
+KINDS = ("LP", "presolved MIP", "searched MIP")
+
 
 def main(argv=None) -> int:
     wanted = list(sys.argv[1:] if argv is None else argv)
     entries = 0
+    kinds = {kind: [0, 0.0] for kind in KINDS}  # kind -> [entries, seconds]
     real = scipy_optimize.milp
+    # scipy attributes its "passed to HiGHS verbatim" remark to milp's caller:
+    # the wrapper below, not the module whose own filter expects it
+    warnings.filterwarnings(
+        "ignore", "Unrecognized options detected", RuntimeWarning, module=__name__
+    )
 
-    def counting(*args, **kwargs):
+    def counting(c, **kwargs):
         nonlocal entries
         entries += 1
-        return real(*args, **kwargs)
+        t0 = time.perf_counter()
+        res = real(c, **kwargs)
+        # HiGHS counts the nodes it searched: none when presolve finished the MIP
+        mip = np.any(kwargs["integrality"])
+        kind = KINDS[bool(res.get("mip_node_count")) + 1 if mip else 0]
+        kinds[kind][0] += 1
+        kinds[kind][1] += time.perf_counter() - t0
+        return res
 
     workloads = [get_workload(n) for n in wanted] or all_workloads("polybench")
     programs = {w.name: w.program() for w in workloads}
@@ -59,8 +80,11 @@ def main(argv=None) -> int:
     for seconds, name, count in sorted(rows, reverse=True):
         print(f"{name:<20} {seconds:>8.3f} {count:>8}")
     print(f"{'total':<20} {sum(r[0] for r in rows):>8.3f} {entries:>8}")
+    print(f"{'kind':<20} {'seconds':>8} {'entries':>8} {'ms/entry':>9}")
+    for kind, (count, seconds) in kinds.items():
+        print(f"{kind:<20} {seconds:>8.3f} {count:>8} {1e3 * seconds / max(count, 1):>9.2f}")
     delta = global_cache().stats.delta_since(counters).as_dict()
-    shown = ("prune_", "min_by_rule", "fast_rejects")
+    shown = ("prune_", "cone_", "min_by_rule", "fast_rejects")
     print("counters:", {k: v for k, v in delta.items() if k.startswith(shown)})
     return 0
 

@@ -425,8 +425,10 @@ def _cmd_opt(args) -> int:
         print(format_stats(st.solve.as_dict(), indent="#   "), file=sys.stderr)
         if result.dep_stats is not None:
             print("# dependence stats:", file=sys.stderr)
-            # min_by_rule: this process's count, like the pruning block's
-            dep = {**result.dep_stats.as_dict(), "min_by_rule": poly["min_by_rule"]}
+            # this process's counts, like the pruning block's; a cone miss
+            # is one Farkas multiplier elimination
+            dep = {**result.dep_stats.as_dict(), **{
+                k: poly[k] for k in ("min_by_rule", "cone_lookups", "cone_hits")}}
             print(format_stats(dep, indent="#   "), file=sys.stderr)
         # this process's pruning work: all zero when the schedule cache answered
         print("# pruning stats:", file=sys.stderr)

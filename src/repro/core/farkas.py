@@ -10,13 +10,14 @@ constraints plus a non-negative constant:
 
 (equality constraints of ``P`` get sign-free multipliers).  Matching the
 coefficient of every product-space dimension, every parameter, and the
-constant yields linear *equalities* relating the unknown ``c/d/c0``
-coefficients and the multipliers; Fourier–Motzkin elimination of the
-multipliers leaves constraints purely over the coefficients, which are added
-to the scheduling ILP.
+constant yields linear *equalities* relating the form's coefficients and the
+multipliers; Fourier–Motzkin elimination of the multipliers, once per
+polyhedron over a generic form (:func:`cone`), leaves the forms that qualify.
+Substituting the unknown ``c/d/c0`` combinations for the form's coefficients
+gives constraints purely over the unknowns, which are added to the
+scheduling ILP.
 
-Bounding (eq. (3)) is the same construction applied to
-``u.p + w - (phi_t - phi_s)``.
+Bounding (eq. (3)) substitutes ``u.p + w - (phi_t - phi_s)`` into the same cone.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.core.names import W_NAME, c0_name, c_name, d_name, u_name
 from repro.deps.analysis import Dependence
 from repro.frontend.ir import Statement
 from repro.ilp import LinearConstraint
+from repro.polyhedra.cache import MISS, active_cache
 from repro.polyhedra.fourier_motzkin import (
     eliminate_columns,
     normalize_rows,
@@ -81,9 +83,9 @@ def bound_minus_delta_form(dep: Dependence) -> SymbolicForm:
     return _add_form(bound, neg)
 
 
-def _pruned_polyhedron(dep: Dependence):
-    """The dependence polyhedron with redundant rows removed (cached on the
-    dependence object).
+def _pruned_rows(dep: Dependence) -> tuple:
+    """The dependence polyhedron's rows with redundant ones removed (cached
+    on the dependence object).
 
     Every constraint becomes a Farkas multiplier, and Fourier–Motzkin cost
     grows steeply with the multiplier count, so shrinking the polyhedron to
@@ -92,18 +94,52 @@ def _pruned_polyhedron(dep: Dependence):
     ~25 heavily redundant rows each).  Pruning preserves the rational hull,
     which is exactly the object the affine Farkas lemma reasons over.
     """
-    cached = getattr(dep, "_pruned_polyhedron", None)
-    if cached is not None:
-        return cached
-    from repro.polyhedra import AffExpr, BasicSet, Constraint
+    cached = getattr(dep, "_pruned_rows", None)
+    if cached is None:
+        rows = [(con.coeffs, con.equality) for con in dep.polyhedron.constraints]
+        cached = dep._pruned_rows = tuple(prune_redundant_rows(normalize_rows(rows)))
+    return cached
 
-    poly = dep.polyhedron
-    rows = [(con.coeffs, con.equality) for con in poly.constraints]
-    pruned = prune_redundant_rows(normalize_rows(rows))
-    out = BasicSet(poly.space)
-    for coeffs, equality in pruned:
-        out.add(Constraint(AffExpr(poly.space, coeffs), equality))
-    dep._pruned_polyhedron = out
+
+def cone(poly: tuple, n: int) -> tuple:
+    """The affine forms non-negative on the polyhedron ``poly`` (rows over
+    ``n`` columns, constant last), as rows over the form's own ``n``
+    coefficients ``e`` and a constant the homogeneous system leaves at 0:
+    ``e . (x, 1) == l0 + sum_k l_k * poly_k(x)``, one equation per column,
+    multipliers eliminated.  It knows nothing of a schedule, so legality,
+    bounding and every dependence whose polyhedron has the same rows share
+    one elimination, memoised in the :class:`PolyCache`.
+    """
+    cache = active_cache()
+    if cache is not None:
+        hit = cache.get_cone((n, poly))
+        if hit is not MISS:
+            return hit
+    width = n + len(poly) + 2  # e | one multiplier per row | l0 | constant
+    rows: list[tuple[tuple[int, ...], bool]] = []
+    for j in range(n):
+        row = [0] * width
+        row[j] = 1
+        for k, (coeffs, _) in enumerate(poly):
+            row[n + k] = -coeffs[j]
+        row[-2] = -1 if j == n - 1 else 0  # l0 enters the constant's equation only
+        rows.append((tuple(row), True))
+    for k in range(len(poly) + 1):  # l_k >= 0 for inequalities, l0 >= 0
+        if k == len(poly) or not poly[k][1]:
+            row = [0] * width
+            row[n + k] = 1
+            rows.append((tuple(row), False))
+
+    # Eliminate all multipliers; prune redundant intermediate rows so the
+    # FM cascade stays small (safe here: pruning preserves the rational set,
+    # and the final constraints are over coefficients the verifier and the
+    # validation harness independently check).
+    reduced = eliminate_columns(
+        normalize_rows(rows), range(n, width - 1), prune_threshold=80
+    )
+    out = tuple((coeffs[:n] + coeffs[-1:], equality) for coeffs, equality in reduced)
+    if cache is not None:
+        cache.put_cone((n, poly), out)
     return out
 
 
@@ -111,76 +147,26 @@ def farkas_constraints(dep: Dependence, form: SymbolicForm) -> list[LinearConstr
     """Constraints on the unknowns making ``form`` non-negative on the polyhedron.
 
     The returned :class:`LinearConstraint` objects reference only unknown
-    coefficient variable names (``c.*``, ``d.*``, ``c0.*``, ``u.*``, ``w``).
+    coefficient variable names (``c.*``, ``d.*``, ``c0.*``, ``u.*``, ``w``):
+    each row of the polyhedron's :func:`cone` with ``form``'s entry for
+    column ``j`` substituted for ``e_j``.
     """
-    poly = _pruned_polyhedron(dep)
-    space = poly.space
-    cols = list(space.names) + ["1"]
-
-    # Unknown variables appearing in the form.
-    unknowns: list[str] = []
-    seen = set()
-    for terms in form.values():
-        for name in terms:
-            if name not in seen:
-                seen.add(name)
-                unknowns.append(name)
-
-    lambdas = [f"~l{k}" for k in range(len(poly.constraints))]
-    lambda0 = "~l_const"
-    all_cols = unknowns + lambdas + [lambda0]  # + implicit const (always 0 here)
-    col_index = {name: i for i, name in enumerate(all_cols)}
-    width = len(all_cols) + 1  # + const column
-
-    rows: list[tuple[tuple[int, ...], bool]] = []
-
-    # One equality per product-space column: form[col] - sum_k l_k C_k[col]
-    # ( - l0 for the constant column ) == 0.
-    for ci, col in enumerate(cols):
-        row = [0] * width
-        for name, coef in form.get(col, {}).items():
-            row[col_index[name]] += coef
-        for k, con in enumerate(poly.constraints):
-            coeff = con.coeffs[ci] if ci < len(con.coeffs) else 0
-            if col == "1":
-                coeff = con.coeffs[-1]
-            row[col_index[lambdas[k]]] -= coeff
-        if col == "1":
-            row[col_index[lambda0]] -= 1
-        rows.append((tuple(row), True))
-
-    # Multiplier sign constraints: l_k >= 0 for inequalities, l0 >= 0.
-    for k, con in enumerate(poly.constraints):
-        if not con.equality:
-            row = [0] * width
-            row[col_index[lambdas[k]]] = 1
-            rows.append((tuple(row), False))
-    row = [0] * width
-    row[col_index[lambda0]] = 1
-    rows.append((tuple(row), False))
-
-    # Eliminate all multipliers; prune redundant intermediate rows so the
-    # FM cascade stays small (safe here: pruning preserves the rational set,
-    # and the final constraints are over coefficients the verifier and the
-    # validation harness independently check).
-    elim_cols = [col_index[l] for l in lambdas] + [col_index[lambda0]]
-    reduced = eliminate_columns(normalize_rows(rows), elim_cols, prune_threshold=80)
-
+    cols = [*dep.space.names, "1"]
     out: list[LinearConstraint] = []
-    for coeffs, equality in reduced:
-        terms = {
-            name: coeffs[col_index[name]]
-            for name in unknowns
-            if coeffs[col_index[name]] != 0
-        }
+    for coeffs, equality in cone(_pruned_rows(dep), len(cols)):
+        terms: dict[str, int] = {}
+        for g, col in zip(coeffs, cols):
+            if g:
+                for name, coef in form.get(col, {}).items():
+                    terms[name] = terms.get(name, 0) + g * coef
+        terms = {name: v for name, v in terms.items() if v}
         const = coeffs[-1]
-        if not terms:
-            if (equality and const != 0) or (not equality and const < 0):
-                # Contradiction: the form cannot be non-negative on P.  Keep
-                # it so the ILP becomes infeasible (callers rely on this).
-                out.append(LinearConstraint({}, const, equality, label="farkas-infeasible"))
-            continue
-        out.append(LinearConstraint(terms, const, equality, label="farkas"))
+        if terms:
+            out.append(LinearConstraint(terms, const, equality, label="farkas"))
+        elif const < 0 or (equality and const):
+            # Contradiction: the form cannot be non-negative on P.  Keep
+            # it so the ILP becomes infeasible (callers rely on this).
+            out.append(LinearConstraint({}, const, equality, label="farkas-infeasible"))
     return out
 
 

@@ -213,7 +213,8 @@ class WarmStart:
         self.hits = 0
         self.misses = 0
         self.dirty = False
-        #: informational Farkas row-skeleton sizes, label → [legal, bound]
+        #: informational Farkas row counts, label → [legal, bound]: the rows
+        #: the cone leaves after substitution; never compared, only recorded
         self.farkas: dict[str, list[int]] = {}
         #: shared dependence-digest memo across this run's solve keys
         self.digest_memo: dict = {}

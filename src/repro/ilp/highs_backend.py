@@ -26,7 +26,10 @@ binding is a one-function change.
 
 from __future__ import annotations
 
+import threading
+import warnings
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import Mapping, Sequence
 
@@ -39,11 +42,50 @@ from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 __all__ = ["HighsSession", "block_minima", "highs", "solve_ilp_highs", "solve_rows"]
 
 
+#: What :func:`highs` adds to an entry that has an integer column.  HiGHS runs
+#: its feasibility-jump heuristic in front of every MIP presolve does not
+#: finish, at a fixed cost that dwarfs the models sent here: 4.8 of the 6.0 ms
+#: of 3mm's level-1 ``min u.NI`` (174 x 75, 12 x 12 after presolve, optimal at
+#: node 1).  It only supplies an early incumbent; the bound proof is the same
+#: without it.  Off, the polybench sweep's 563 lexmin MIPs take 1.7 s instead
+#: of 3.7 (the 330 that reach the search 3.8 ms each instead of 9.9), and
+#: swim, heat-3dp and lbm are no slower.  Every further option costs ~0.09 ms
+#: of scipy's ``check_option`` and none measured pays it back (ROADMAP item 6).
+MIP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
+
+# scipy forwards a HiGHS option it does not list "verbatim" and says so on
+# every call.  Filtered once, here: a ``catch_warnings`` per call is not
+# thread-safe and resets every module's warning registry.
+warnings.filterwarnings(
+    "ignore", r"Unrecognized options detected: \{'%s'\}" % tuple(MIP_OPTIONS),
+    RuntimeWarning, r"repro\.ilp\.highs_backend$",
+)
+_probe_lock = threading.Lock()
+
+
+@cache
+def _mip_options() -> dict:
+    """:data:`MIP_OPTIONS` if the bundled HiGHS knows them, else nothing (an
+    older one predates feasibility jump and would warn on every entry): asked
+    once per process, with one LP that carries them."""
+    with _probe_lock, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        highs([0.0], np.ones((1, 1)), 0, 0, **MIP_OPTIONS)
+    unknown = any(issubclass(w.category, optimize.OptimizeWarning) for w in caught)
+    return {} if unknown else MIP_OPTIONS
+
+
 def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
     """The one entry into HiGHS: minimise ``c . x`` over ``lo <= a @ x <= hi``
     and ``lb <= x <= ub``, the columns flagged ``integral`` integer.  Returns
     scipy's result: ``status`` 0 optimal, 1 work limit, 2 infeasible,
-    3 unbounded, 4 undecided ("unbounded or infeasible")."""
+    3 unbounded, 4 undecided ("unbounded or infeasible").
+
+    ``options`` are the caller's; an entry with an integer column also gets
+    :data:`MIP_OPTIONS` (feasibility jump off).  An LP gets nothing extra:
+    the heuristic never runs on one, and each option costs a check."""
+    if np.any(integral):
+        options.update(_mip_options())
     return optimize.milp(
         c, constraints=optimize.LinearConstraint(a, lo, hi),
         bounds=optimize.Bounds(lb, ub), integrality=integral, options=options,

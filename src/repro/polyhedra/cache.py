@@ -61,8 +61,9 @@ class PolyCacheStats(Record):
     (:func:`~repro.polyhedra.fourier_motzkin.prune_redundant_rows`): memo
     lookups and hits, rows decided by the two exact rules, and the HiGHS
     entries the undecided rest still cost.  ``min_by_rule`` counts ``min_of``
-    questions answered from the set's equalities.  ``lookups`` / ``hits``
-    total the tables in :data:`TABLES`, not every field ending in ``_hits``.
+    questions answered from the set's equalities.  A ``cone`` miss is one
+    Farkas multiplier elimination (:func:`repro.core.farkas.cone`).  ``lookups``
+    / ``hits`` total the tables in :data:`TABLES`, not every ``*_hits`` field.
     """
 
     empty_lookups: int = 0
@@ -80,6 +81,8 @@ class PolyCacheStats(Record):
     prune_rule_rows: int = 0
     prune_lp_solves: int = 0
     min_by_rule: int = 0
+    cone_lookups: int = 0
+    cone_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -96,7 +99,7 @@ class PolyCacheStats(Record):
 
 #: the memo tables: each has a ``<name>_lookups`` / ``<name>_hits`` pair in
 #: :class:`PolyCacheStats` and an LRU in :class:`PolyCache`
-TABLES = ("empty", "min", "lexmin", "project", "prune")
+TABLES = ("empty", "min", "lexmin", "project", "prune", "cone")
 
 #: per-table LRU capacity when neither the env override nor the constructor
 #: argument is given; generous enough that single pipeline runs never evict

@@ -2,21 +2,31 @@
 
 Every entry goes through ``scipy.optimize.milp`` (``linprog`` must never be
 entered: ``repro.ilp.highs_backend.highs`` is the one door).  What an entry
-costs depends on what it asks.  The small questions — emptiness and
-``min_of`` over a dependence polyhedron, a feasibility LP, a pruning block —
-are ~0.9 ms of scipy wrapper around a fraction of a millisecond of HiGHS, so
-for them the count *is* the cost; the scheduler's lexmin MIPs are the
-opposite, ~6 ms of native HiGHS under ~1 ms of wrapper.  Either way the
-count repeats exactly, on any machine, which a timing does not.
+costs depends on what it asks (cold polybench sweep, scipy 1.17.1 / HiGHS
+1.12.0, ``python -m benchmarks.solver_entries``): an LP — emptiness, a
+pruning block — ~1.2 ms, most of it scipy's wrapper; a MIP that presolve
+finishes (most ``min_of`` questions, 233 of the 563 lexmin MIPs) ~1.9 ms; a
+MIP that reaches the search ~3.8 ms.  The "~6 ms of native HiGHS" this
+docstring used to quote for a lexmin MIP was not search: 4.8 ms of it was
+the feasibility-jump heuristic, a fixed cost in front of models presolve had
+already cut to a dozen columns (a searched MIP cost ~10 ms then), which the
+door now switches off.  Either way the count repeats exactly, on any
+machine, which a timing does not.
 
 The all-LP pruning sweep and the one-variable-per-solve lexmin made
 90 / 364 / 698 entries on the three polybench kernels below; the row rules,
 the prune memo and radix-folded objectives made 27 / 81 / 177; answering
 ``min_of`` and emptiness from the equality-reduced form and batching the
-pruning LPs makes 19 / 53 / 114.  On the periodic kernels the same three
+pruning LPs makes 19 / 48 / 91.  On the periodic kernels the same three
 steps took heat-1dp 120 -> 57 and heat-2dp 1 299 -> 231 (pruning entries
-967 -> 128).  Each ceiling sits between the last two readings, so any one
-optimisation falling out fails here, whatever the clock says.
+967 -> 128).  The first MIP of a process adds one entry, the door's
+capability probe.  Each ceiling sits between the last two readings, so any
+one optimisation falling out fails here, whatever the clock says.
+
+Farkas multiplier eliminations are counted the same way: a ``cone`` lookup
+that misses is one elimination.  Legality and bounding of a dependence share
+one, so at least half the lookups must hit (gemm 5 of 6, jacobi-2d 30 of 40,
+fdtd-2d 55 of 74, heat-1dp 10 of 20, heat-2dp 36 of 72).
 """
 
 import pytest
@@ -31,8 +41,8 @@ from repro.workloads import get_workload
 #: so a refreshed ceiling does not rename the test.
 CEILINGS = {
     "gemm": (24, 4),              # pruning entries 6 -> 2
-    "jacobi-2d-imper": (70, 27),  # 35 -> 19
-    "fdtd-2d": (150, 60),         # 95 -> 35
+    "jacobi-2d-imper": (65, 27),  # 35 -> 19
+    "fdtd-2d": (130, 60),         # 95 -> 35
     "heat-1dp": (90, 25),         # 33 -> 18
     "heat-2dp": (420, 200),       # 967 -> 128
 }
@@ -66,3 +76,5 @@ def test_cold_compile_solver_entries(name, monkeypatch):
     assert 0 < delta.prune_lp_solves <= min(counted, prune_ceiling)
     assert delta.prune_rule_rows > 0 and delta.prune_lookups > delta.prune_hits
     assert delta.min_by_rule > 0
+    # legality + bounding substitute into one multiplier elimination
+    assert 0 < delta.cone_lookups <= 2 * delta.cone_hits

@@ -7,9 +7,10 @@ two different modules under ``src/repro``.  ``workloads/`` is exempt: kernel
 descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
 
-Two narrower guards of the same kind: one module imports ``scipy.optimize``
-and calls ``milp`` once, and ``repro.polyhedra`` cancels a column through
-an equality in one function.
+Three narrower guards of the same kind: one module imports
+``scipy.optimize`` and calls ``milp`` once, ``repro.polyhedra`` cancels a
+column through an equality in one function, and ``core/farkas.py``
+eliminates multipliers in one place.
 """
 
 import re
@@ -83,3 +84,9 @@ def test_polyhedra_eliminates_equalities_in_one_place():
         for match in _CANCEL.finditer(text)
     ]
     assert len(sites) == 1, sites
+
+
+def test_farkas_eliminates_multipliers_in_one_place():
+    """``core/farkas.py`` eliminates once per polyhedron, over a generic form
+    (``cone``); a per-form elimination kept beside it would be a second call."""
+    assert (SRC / "core" / "farkas.py").read_text().count("eliminate_columns(") == 1
