@@ -7,9 +7,14 @@ block) is ~1.2 ms, most of it scipy's wrapper; a MIP that presolve finishes
 ~1.9 ms; a MIP that reaches the search ~3.8 ms.  The "~6 ms of native HiGHS"
 this docstring used to quote for a lexmin MIP was 4.8 ms of feasibility-jump
 heuristic in front of a dozen-column model (a searched MIP cost ~10 ms
-then); the door switches it off.  Either way the entry count is the
-cold-compile cost of the scheduler in a unit that repeats exactly on any
-machine.  The sweep is ``polybench-compile``'s: all 27 registered kernels,
+then); the door switches it off.  Pruning entries come from Farkas only on
+these kernels (``farkas._pruned_rows`` and ``cone`` above 80 rows): the
+code generator's projections are one history-tracked chain per statement
+(``project_lookups``; a hit is a statement whose scan system recurred) and
+decide redundancy from ancestry, so emission enters HiGHS 0 times where
+heat-2dp's used to make 56 of its 231 entries.  Either way the entry count
+is the cold-compile cost of the scheduler in a unit that repeats exactly on
+any machine.  The sweep is ``polybench-compile``'s: all 27 registered kernels,
 ``plutoplus`` options, PolyCache cleared before each.
 
 Usage (from the repository root)::
@@ -17,8 +22,8 @@ Usage (from the repository root)::
     PYTHONPATH=src python -m benchmarks.solver_entries [kernel ...]
 
 Prints one row per kernel (seconds, entries, slowest first), the totals,
-``ms/entry`` by kind, and the PolyCache's pruning, cone and rule counters
-(a ``cone`` miss is one Farkas multiplier elimination).  Kernel names
+``ms/entry`` by kind, and the PolyCache's pruning, projection, cone and rule
+counters (a ``cone`` miss is one Farkas multiplier elimination).  Kernel names
 are looked up across all categories, so ``heat-2dp`` works too.
 """
 
@@ -84,7 +89,7 @@ def main(argv=None) -> int:
     for kind, (count, seconds) in kinds.items():
         print(f"{kind:<20} {seconds:>8.3f} {count:>8} {1e3 * seconds / max(count, 1):>9.2f}")
     delta = global_cache().stats.delta_since(counters).as_dict()
-    shown = ("prune_", "cone_", "min_by_rule", "fast_rejects")
+    shown = ("prune_", "project_", "cone_", "min_by_rule", "fast_rejects")
     print("counters:", {k: v for k, v in delta.items() if k.startswith(shown)})
     return 0
 

@@ -158,14 +158,12 @@ class ScanSystem:
     # -- projections --------------------------------------------------------
 
     def _compute_z_projections(self) -> list[BasicSet]:
-        """``R[l]`` = system projected onto ``z0..z_l`` (+ params)."""
-        chain: list[BasicSet] = [None] * self.depth  # type: ignore[list-item]
-        current = self.system.project_out(list(self.stmt.space.dims))
-        for l in range(self.depth - 1, -1, -1):
-            chain[l] = current
-            if l > 0:
-                current = current.project_out([z_name(l)])
-        return chain
+        """``R[l]`` = system projected onto ``z0..z_l`` (+ params): one chain
+        that drops the iterators, then ``z_{D-1}, ..., z_1``; its last ``D``
+        systems, the start included, are the levels innermost first."""
+        inner = [z_name(l) for l in range(self.depth - 1, 0, -1)]
+        chain = self.system.project_chain([*self.stmt.space.dims, *inner])
+        return [self.system, *chain][: -self.depth - 1 : -1]
 
     def z_bounds(self, level: int) -> tuple[list[Bound], list[Bound]]:
         """(lower, upper) bounds for ``z_level`` over outer z's and params."""

@@ -60,12 +60,15 @@ RESULT_FORMAT_VERSION = 1
 #: tiling defaults, codegen changes.  The serving layer's content-addressed
 #: schedule cache folds this into every key, so stale entries from an older
 #: pipeline can never be served (see ``docs/API.md``, "Cache-key contract").
-PIPELINE_VERSION = 2
+#: 3: loop bounds come from one history-tracked projection chain per
+#: statement — leaner hulls, so emitted source (never a schedule) moved on
+#: the time-tiled stencils (heat-1dp/2dp, seidel-2d, fdtd-2d, jacobi-1d/2d).
+PIPELINE_VERSION = 3
 
 #: the scheduling half of :data:`PIPELINE_VERSION`: bumped only when
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
-#: invert schedules instead of searching) leaves warm-start records valid.
+#: invert schedules instead of searching; 3) leaves warm-start records valid.
 SCHEDULE_VERSION = 1
 
 #: bumped whenever the quick-permutation heuristic (``repro.core.quick``)

@@ -6,12 +6,15 @@ some column order with the constant last — the same layout used by
 same routine serve set projection (:mod:`repro.polyhedra.sets`) and Farkas
 multiplier elimination (:mod:`repro.core.farkas`), which use different spaces.
 
-Elimination is rational (the standard FM shadow); for the purposes of this
-system that is the right over-approximation: projections are used for loop
-bound generation and for Farkas systems, both of which tolerate (indeed
-expect) the rational shadow.  Rows are GCD-normalized and de-duplicated after
-every elimination step, and pairwise-subsumption pruning keeps growth in
-check on scheduler-sized systems.
+Elimination is rational (the standard FM shadow), which is what both
+consumers want: Farkas systems are rational objects, and loop bounds only
+need a superset of the integer projection.  Rows are GCD-normalized (which
+floors an inequality's constant), de-duplicated and same-slope-subsumed
+after every step.  What keeps the cascade from squaring: set projection
+(:func:`eliminate_chain`) remembers each row's source rows and drops what
+that ancestry proves redundant; multiplier elimination
+(:func:`eliminate_columns`) picks a min-growth order and LP-prunes
+(:func:`prune_redundant_rows`) above a row threshold.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from repro.polyhedra.cache import MISS, active_cache, global_cache
 
 __all__ = [
     "cancel",
+    "eliminate_chain",
     "eliminate_column",
     "eliminate_columns",
     "normalize_row",
@@ -139,41 +143,37 @@ def substitute_equalities(rows: Sequence[Row]) -> tuple[list, list | None]:
     return pivots, reduced
 
 
+def _combine(rows: list[Row], hist: list[int], col: int) -> tuple[list[Row], list[int], int]:
+    """One elimination step, un-normalised: ``(rows, ancestries, combined)``.
+    An equality containing the column is substituted through (``combined``
+    0, ancestries as they were); otherwise each lower bound is combined with
+    each upper bound (1), the new row descending from both parents' sources."""
+    for piv, equality in rows:
+        if equality and piv[col]:
+            kept = [(r, h) for r, h in zip(rows, hist) if r != (piv, True)]
+            return [(cancel(c, piv, col), e) for (c, e), _ in kept], [h for _, h in kept], 0
+    out: list[Row] = []
+    out_hist: list[int] = []
+    lower, upper = [], []  # (coeffs, ancestry) by sign: a x >= -rest, a x <= rest
+    for row, h in zip(rows, hist):
+        c = row[0][col]
+        if c == 0:
+            out.append(row)
+            out_hist.append(h)
+        else:
+            (lower if c > 0 else upper).append((row[0], h))
+    for lo, lo_hist in lower:
+        a = lo[col]
+        for up, up_hist in upper:
+            b = -up[col]
+            out.append((tuple(b * lc + a * uc for lc, uc in zip(lo, up)), False))
+            out_hist.append(lo_hist | up_hist)
+    return out, out_hist, 1
+
+
 def eliminate_column(rows: list[Row], col: int) -> list[Row]:
     """Eliminate one column (existential projection, rational shadow)."""
-    # Prefer substitution through an equality containing the column.
-    eq_row = None
-    for coeffs, equality in rows:
-        if equality and coeffs[col] != 0:
-            eq_row = (coeffs, equality)
-            break
-    if eq_row is not None:
-        out: list[Row] = [
-            (cancel(coeffs, eq_row[0], col), equality)
-            for coeffs, equality in rows
-            if (coeffs, equality) != eq_row
-        ]
-        return normalize_rows(out)
-
-    lower: list[tuple[int, ...]] = []   # coeff > 0:  a x >= -rest
-    upper: list[tuple[int, ...]] = []   # coeff < 0
-    keep: list[Row] = []
-    for coeffs, equality in rows:
-        c = coeffs[col]
-        if c == 0:
-            keep.append((coeffs, equality))
-        elif c > 0:
-            lower.append(coeffs)
-        else:
-            upper.append(coeffs)
-
-    for lo in lower:
-        a = lo[col]
-        for up in upper:
-            b = -up[col]
-            combined = tuple(b * lc + a * uc for lc, uc in zip(lo, up))
-            keep.append((combined, False))
-    return normalize_rows(keep)
+    return normalize_rows(_combine(rows, [0] * len(rows), col)[0])
 
 
 def _elimination_cost(rows: list[Row], col: int) -> int:
@@ -209,10 +209,9 @@ def eliminate_columns(
     smallest ``pos*neg`` fan-out), which keeps the intermediate systems small
     on the Farkas systems this routine spends most of its time on.
 
-    ``prune_threshold > 0`` enables LP-based redundancy elimination whenever
-    an intermediate system exceeds that many rows — essential for deep
-    projections (the code generator's scan systems over tiled diamond
-    schedules), where plain FM cascades exponentially.
+    ``prune_threshold > 0`` LP-prunes whenever an intermediate system exceeds
+    that many rows.  Set projection does not come here: an order it may not
+    choose and a level it needs after every column are :func:`eliminate_chain`.
     """
     out = normalize_rows(rows)
     remaining = list(cols)
@@ -223,6 +222,77 @@ def eliminate_columns(
         if prune_threshold and len(out) > prune_threshold:
             out = prune_redundant_rows(out)
     return out
+
+
+def _settle(rows: list[Row], hist: list[int], steps: int) -> tuple[list[Row], list[int]]:
+    """Normalise a tracked system and drop what ancestry proves redundant.
+
+    After ``steps`` combining eliminations an irredundant row descends from
+    at most ``steps + 1`` sources (Kohler's count rule) and from no proper
+    superset of another row's (the subset rule); of rows sharing a slope
+    only the tightest matters.  Equal rows of incomparable ancestry both
+    stay: either may be the parent that keeps a later ancestry minimal.
+    """
+    eqs: dict[Row, None] = {}
+    tight: dict[tuple[int, ...], list[int]] = {}  # slope -> [constant, *ancestries]
+    for row, h in zip(rows, hist):
+        row = normalize_row(row)
+        if row is None:
+            continue
+        if row[1]:
+            eqs[row] = None
+            continue
+        group = tight.setdefault(row[0][:-1], [])  # a slope sits where first seen
+        if h.bit_count() <= steps + 1 and (not group or row[0][-1] <= group[0]):
+            if not group or row[0][-1] < group[0]:
+                group[:] = [row[0][-1]]
+            if h not in group[1:]:
+                group.append(h)
+    tags = {h for group in tight.values() for h in group[1:]}
+    live = [
+        ((slope + (group[0],), False), h)
+        for slope, group in tight.items()
+        for h in group[1:]
+        if not any(t != h and t & h == t for t in tags)
+    ]
+    return list(eqs) + [r for r, _ in live], [0] * len(eqs) + [h for _, h in live]
+
+
+#: Rows above which :func:`eliminate_chain` asks the LP after all: a guard
+#: against a cascade, dear when it trips (the step after a restart is plain
+#: FM).  Peaks under the ancestry rules: heat-2dp / lbm-*-d2q9 44, heat-3dp /
+#: lbm-ldc-d3q27 129, nothing registered higher.  heat-3dp's emission reads
+#: 7.6 / 6.0 / 0.68 / 0.23 s at 40 / 64 / 128 / 256 (EXPERIMENTS.md, PR 23).
+CHAIN_PRUNE_THRESHOLD = 256
+
+
+def eliminate_chain(
+    rows: list[Row], cols: Sequence[int], prune_threshold: int = CHAIN_PRUNE_THRESHOLD
+) -> list[list[Row]]:
+    """Eliminate ``cols`` in the order given: the system after each one.
+
+    Every row carries the set of source rows it descends from (a bitmask),
+    so :func:`_settle` decides redundancy without an LP.  Substituting an
+    equality restricts all rows alike and leaves ancestries alone.  The
+    rules hold from any starting system: while nothing has been combined,
+    or once :func:`prune_redundant_rows` has cut a system that outgrew
+    ``prune_threshold``, the rows at hand become the sources.  Every system
+    lies between the integer projection and the rational shadow.
+    """
+    out = normalize_rows(rows)
+    hist, steps = [1 << i for i in range(len(out))], 0
+    chain: list[list[Row]] = []
+    for col in cols:
+        out, hist, combined = _combine(out, hist, col)
+        steps += combined
+        out, hist = _settle(out, hist, steps)
+        if steps and len(out) > prune_threshold:
+            out, steps = prune_redundant_rows(out), 0
+        level = list(dict.fromkeys(out))
+        if not steps:  # nothing combined since: the rows at hand are the sources
+            out, hist = level, [1 << i for i in range(len(level))]
+        chain.append(list(level))
+    return chain
 
 
 #: Undecided rows per block LP.  An entry costs ~0.9 ms of scipy wrapper
@@ -258,12 +328,19 @@ def prune_redundant_rows(rows: list[Row]) -> list[Row]:
        ones imply every flagged row: then so does the larger system the
        sweep tests each against, and the sweep drops exactly those.
        Failing that (mutually-implying rows, a non-optimal block) the sweep
-       itself runs over the rows in question, one entry each.  Dropping a
-       weakly-touching row keeps the same rational set; floating-point
-       tolerance can only make the result an *over*-approximation of the
-       projection, which every consumer of deep projections (loop bounds,
-       guards) tolerates by construction — inner levels re-check exact
-       constraints pointwise.
+       itself runs over the rows in question, one entry each.
+
+    Dropping a weakly-touching row keeps the same rational set; where the
+    ``1e-9`` margin of :func:`_implied` errs, it errs toward dropping — a
+    superset.  The scan (:func:`eliminate_chain` above its threshold, the
+    rarest caller) asks for no more than a superset of the integer
+    projection: inner loop levels re-check exact bounds pointwise.  Farkas
+    relies on the *same* rational set: ``farkas._pruned_rows`` prunes a
+    dependence polyhedron, where a superset narrows the cone of legal forms
+    (safe, but a lost schedule), and ``farkas.cone`` above 80 rows prunes
+    the multiplier system, where a superset widens it — an illegal schedule
+    admitted.  What stands behind the margin there is ``repro.core.verify``,
+    the golden corpus and the exact oracle of ``tests/core/test_farkas_cone.py``.
     """
     eqs = [r for r in rows if r[1]]
     ineqs = [r for r in rows if not r[1]]

@@ -23,7 +23,7 @@ from repro.polyhedra.constraints import Constraint
 from repro.polyhedra.fourier_motzkin import (
     Row,
     cancel,
-    eliminate_columns,
+    eliminate_chain,
     substitute_equalities,
 )
 
@@ -247,39 +247,36 @@ class BasicSet:
         return point
 
     def project_out(self, names: Sequence[str]) -> "BasicSet":
-        """Existentially project out the named dims (rational FM shadow).
+        """Existentially project out the named dims: the last set of
+        :meth:`project_chain` (the set itself when there is nothing to do)."""
+        return self.project_chain(names)[-1] if names else self.copy()
 
-        Deep projections (code generation) enable LP-based redundancy
-        pruning so the FM cascade stays polynomial in practice.  Results are
-        memoized on ``(content, projected names)`` — identical scan systems
-        recur across tiles/statements, and each hit saves a full FM cascade.
-        """
+    def project_chain(self, names: Sequence[str]) -> list["BasicSet"]:
+        """The set with ``names[:1]``, ``names[:2]``, ... projected out: one
+        history-tracked elimination in the order given (``eliminate_chain``),
+        every set between the integer projection and the rational shadow.
+        Memoized on ``(content, names)`` — identical scan systems recur
+        across tiles/statements — and a hit returns copies."""
         cache = active_cache()
         key = None
         if cache is not None:
             key = (self.content_key(), tuple(names))
             hit = cache.get_project(key)
             if hit is not MISS_:
-                out = BasicSet(hit.space)
-                out.constraints = list(hit.constraints)
-                out._conset = set(hit._conset)
-                return out
+                return [bset.copy() for bset in hit]
         cols = [self.space.column_of(n) for n in names]
-        rows = eliminate_columns(self._to_rows(), cols, prune_threshold=40)
-        new_space = self.space.drop_dims(names)
-        out = BasicSet(new_space)
-        keep_cols = [
-            i
-            for i, _ in enumerate(self.space.names)
-            if self.space.names[i] not in set(names)
-        ] + [self.space.const_col]
-        for coeffs, equality in rows:
-            assert all(coeffs[c] == 0 for c in cols)
-            sub = tuple(coeffs[i] for i in keep_cols)
-            out.add(Constraint(AffExpr(new_space, sub), equality))
+        chain: list[BasicSet] = []
+        for done, rows in enumerate(eliminate_chain(self._to_rows(), cols), 1):
+            space = self.space.drop_dims(names[:done])
+            keep_cols = [self.space.column_of(n) for n in space.names] + [-1]
+            out = BasicSet(space)
+            for coeffs, equality in rows:
+                assert not any(coeffs[c] for c in cols[:done])
+                out.add(Constraint(AffExpr(space, [coeffs[i] for i in keep_cols]), equality))
+            chain.append(out)
         if cache is not None:
-            cache.put_project(key, out.copy())
-        return out
+            cache.put_project(key, tuple(bset.copy() for bset in chain))
+        return chain
 
     def bounds_for(self, name: str) -> tuple[list[tuple[AffExpr, int]], list[tuple[AffExpr, int]]]:
         """Per-constraint bounds on ``name`` in terms of the other columns.

@@ -19,6 +19,7 @@ the same set of coefficient vectors:
 import itertools
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,11 +31,15 @@ from repro.core.farkas import (
 )
 from repro.deps import compute_dependences
 from repro.deps.analysis import Dependence
+from repro.ilp import LPStatus
+from repro.pipeline import optimize
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra import cache as poly_cache
 from repro.polyhedra.cache import PolyCache, cache_disabled, global_cache
+from repro.polyhedra.fourier_motzkin import normalize_rows
 from repro.workloads import get_workload
 from tests.core.reference_farkas import reference_farkas_constraints
+from tests.polyhedra.reference_prune import exact_min
 
 SP = Space(("s", "t"), ("N",))
 COLS = [*SP.names, "1"]
@@ -147,6 +152,40 @@ def test_real_dependences_agree_with_the_reference():
                 assert ok == _holds(want, values), (dep, values)
                 verdicts.add(ok)
             assert verdicts == {True, False}  # the sample exercises both sides
+
+
+@pytest.mark.parametrize(
+    "name", ["gemm", "jacobi-2d-imper", "fdtd-2d", "heat-1dp", "heat-2dp"]
+)
+def test_pruned_rows_drops_only_what_the_kept_rows_imply(name):
+    """The cone is taken over the *pruned* polyhedron, and a row dropped in
+    error would widen the cone — admit a schedule the dependence forbids.
+    ``prune_redundant_rows``' LP stage errs that way if it errs (its
+    tolerance favours dropping), so on the kernels ``test_solver_entries``
+    counts, post-ISS, every dropped row is put to the exact ``Fraction``
+    simplex: the kept rows must imply it."""
+    workload = get_workload(name)
+    program = optimize(workload.program(), workload.pipeline_options("plutoplus")).program
+    dropped = 0
+    by_rows = {_polyhedron_rows(dep): dep for dep in compute_dependences(program)}
+    for rows, dep in by_rows.items():
+        kept = list(_pruned_rows(dep))
+        assert set(kept) <= set(rows)
+        for coeffs, equality in set(rows) - set(kept):
+            assert not equality
+            res = exact_min(kept, coeffs[:-1])
+            assert res.status == LPStatus.INFEASIBLE or (
+                res.status == LPStatus.OPTIMAL and res.objective >= -coeffs[-1]
+            ), (coeffs, kept)
+            dropped += 1
+    assert dropped
+
+
+def _polyhedron_rows(dep) -> tuple:
+    """What ``farkas._pruned_rows`` prunes."""
+    return tuple(normalize_rows(
+        [(con.coeffs, con.equality) for con in dep.polyhedron.constraints]
+    ))
 
 
 def test_one_elimination_serves_both_forms_and_the_memo_changes_nothing(monkeypatch):

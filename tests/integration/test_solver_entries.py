@@ -19,9 +19,12 @@ the prune memo and radix-folded objectives made 27 / 81 / 177; answering
 ``min_of`` and emptiness from the equality-reduced form and batching the
 pruning LPs makes 19 / 48 / 91.  On the periodic kernels the same three
 steps took heat-1dp 120 -> 57 and heat-2dp 1 299 -> 231 (pruning entries
-967 -> 128).  The first MIP of a process adds one entry, the door's
-capability probe.  Each ceiling sits between the last two readings, so any
-one optimisation falling out fails here, whatever the clock says.
+967 -> 128); the scan's history-tracked projection chain, which decides
+redundancy from each row's ancestry, takes heat-2dp to 175 (pruning entries
+72, all of them Farkas' now: emitting Python and C for any of the five adds
+none).  The first MIP of a process adds one entry, the door's capability
+probe.  Each ceiling sits between the last two readings, so any one
+optimisation falling out fails here, whatever the clock says.
 
 Farkas multiplier eliminations are counted the same way: a ``cone`` lookup
 that misses is one elimination.  Legality and bounding of a dependence share
@@ -33,6 +36,7 @@ import pytest
 from scipy import optimize as scipy_optimize
 
 from repro.api import optimize, verify
+from repro.codegen import generate_c_kernel, generate_python
 from repro.polyhedra.cache import global_cache
 from repro.workloads import get_workload
 
@@ -44,7 +48,7 @@ CEILINGS = {
     "jacobi-2d-imper": (65, 27),  # 35 -> 19
     "fdtd-2d": (130, 60),         # 95 -> 35
     "heat-1dp": (90, 25),         # 33 -> 18
-    "heat-2dp": (420, 200),       # 967 -> 128
+    "heat-2dp": (200, 100),       # 128 -> 72 (entries 231 -> 175)
 }
 
 
@@ -78,3 +82,9 @@ def test_cold_compile_solver_entries(name, monkeypatch):
     assert delta.min_by_rule > 0
     # legality + bounding substitute into one multiplier elimination
     assert 0 < delta.cone_lookups <= 2 * delta.cone_hits
+    # the emitters' projections are pruned by ancestry, never by an LP
+    global_cache().clear()
+    before = global_cache().stats.snapshot()
+    generate_python(result.tiled)
+    generate_c_kernel(result.tiled)
+    assert global_cache().stats.delta_since(before).prune_lp_solves == 0

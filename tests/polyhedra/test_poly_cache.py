@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.polyhedra import AffExpr, BasicSet, Space, eq, ineq
+from repro.polyhedra import AffExpr, BasicSet, Constraint, Space, eq, ineq
 from repro.polyhedra.cache import (
     DEFAULT_MAX_ENTRIES,
     MISS,
@@ -140,6 +140,18 @@ class TestPolyCache:
         p2.add(ineq(p2.space, {"x": 1}, -4))
         p3 = s.project_out(["y"])
         assert set(p3.constraints) == set(p1.constraints)
+
+        # the memo holds the whole chain: every level of a hit is a copy
+        first = s.project_chain(["y", "x"])
+        second = s.project_chain(["y", "x"])
+        assert global_cache().stats.project_hits == 3
+        assert first == second and first[0] == p1
+        for level in second:
+            level.add(Constraint(AffExpr.const(level.space, -1)))
+        assert s.project_chain(["y", "x"]) == first
+        # another order is another question
+        s.project_chain(["x", "y"])
+        assert global_cache().stats.project_hits == 4
 
     def test_lexmin_memoized(self, sp):
         s = BasicSet.from_bounds(sp, {"x": (3, 7), "y": (1, 2)})

@@ -125,6 +125,20 @@ def _client(daemon, **kwargs) -> ServerClient:
     return ServerClient(socket_path=daemon.config.socket_path, **kwargs)
 
 
+def _await_load(daemon, **gauges) -> None:
+    """Poll the daemon's own ``stats`` until its gauges read ``gauges``: a
+    scripted slow job runs 0.6 s, so a fixed sleep before the next request
+    either wastes most of that window or, on a loaded box, outlasts it."""
+    deadline = time.time() + 10
+    with _client(daemon) as client:
+        while True:
+            server = client.stats()["stats"]["server"]
+            if all(server[name] == value for name, value in gauges.items()):
+                return
+            assert time.time() < deadline, f"never read {gauges}: {server}"
+            time.sleep(0.005)
+
+
 class TestBasics:
     def test_ping_carries_versions(self, daemon_factory):
         with _client(daemon_factory()) as client:
@@ -334,7 +348,7 @@ class TestFaultIsolation:
 
         slow_thread = threading.Thread(target=ask_slow)
         slow_thread.start()
-        time.sleep(0.25)  # let the slow job occupy the only slot
+        _await_load(daemon, in_flight=1)  # the slow job occupies the only slot
         with _client(daemon) as client:
             busy = client.optimize(program=_program("ok-rejected"))
         slow_thread.join(timeout=30)
@@ -357,9 +371,9 @@ class TestFaultIsolation:
             threading.Thread(target=ask, args=(f"slow-q{i}",)) for i in range(2)
         ]
         threads[0].start()
-        time.sleep(0.25)  # first job occupies the slot
+        _await_load(daemon, in_flight=1)  # first job occupies the slot
         threads[1].start()
-        time.sleep(0.25)  # second job sits in the queue
+        _await_load(daemon, in_flight=1, queue_depth=1)  # second job sits in the queue
         with _client(daemon) as client:
             busy = client.optimize(program=_program("ok-overflow"))
             server = client.stats()["stats"]["server"]

@@ -7,10 +7,12 @@ two different modules under ``src/repro``.  ``workloads/`` is exempt: kernel
 descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
 
-Three narrower guards of the same kind: one module imports
+Four narrower guards of the same kind: one module imports
 ``scipy.optimize`` and calls ``milp`` once, ``repro.polyhedra`` cancels a
-column through an equality in one function, and ``core/farkas.py``
-eliminates multipliers in one place.
+column through an equality in one function, ``core/farkas.py`` eliminates
+multipliers in one place, and Fourier–Motzkin combines a lower with an
+upper bound in one expression, which the scan reaches through one
+``project_chain`` call.
 """
 
 import re
@@ -90,3 +92,17 @@ def test_farkas_eliminates_multipliers_in_one_place():
     """``core/farkas.py`` eliminates once per polyhedron, over a generic form
     (``cone``); a per-form elimination kept beside it would be a second call."""
     assert (SRC / "core" / "farkas.py").read_text().count("eliminate_columns(") == 1
+
+
+#: the Fourier–Motzkin step ``b * lc + a * uc for lc, uc in zip(lo, up)``
+_COMBINE = re.compile(r"\w+ \* \w+ \+ \w+ \* \w+ for \w+, \w+ in zip\(")
+
+
+def test_fourier_motzkin_combines_in_one_place():
+    """The history-tracked chain and the untracked elimination (Farkas') share
+    ``_combine``; the scan asks for all its levels at once and never projects
+    one level at a time again."""
+    text = (SRC / "polyhedra" / "fourier_motzkin.py").read_text()
+    assert len(_COMBINE.findall(text)) == 1
+    scan = (SRC / "codegen" / "scan.py").read_text()
+    assert scan.count("project_chain(") == 1 and scan.count("project_out(") == 0
