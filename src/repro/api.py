@@ -79,16 +79,18 @@ def verify(
 ) -> VerificationReport:
     """Independently check schedule legality against fresh dependences.
 
-    Accepts an :class:`OptimizationResult` (verifies its schedule against
-    its post-ISS program) or a bare ``Schedule``/``TiledSchedule`` plus the
-    ``program`` it schedules.  The check never trusts scheduler bookkeeping:
-    dependences are recomputed from the program.
+    Accepts an :class:`OptimizationResult` (verifies its *tiled* schedule —
+    the rows the generated code executes, whose point rows need not be the
+    schedule's — against its post-ISS program) or a bare
+    ``Schedule``/``TiledSchedule`` plus the ``program`` it schedules.  The
+    check never trusts scheduler bookkeeping: dependences are recomputed
+    from the program.
     """
     from repro.deps import DependenceGraph, compute_dependences
 
     if isinstance(result_or_schedule, OptimizationResult):
         program_obj = result_or_schedule.program
-        schedule = result_or_schedule.schedule
+        schedule = result_or_schedule.tiled
     else:
         if program is None:
             raise TypeError(

@@ -495,7 +495,7 @@ def _cmd_verify(args) -> int:
     else:
         result = optimize(program, _pipeline_options(args, workload))
         program = result.program  # post-ISS program actually scheduled
-        schedule = result.schedule
+        schedule = result.tiled   # the rows the generated code executes
     deps = compute_dependences(program)
     if getattr(args, "parallel_reductions", "off") != "off":
         # The schedule was computed against the relaxed legality set; a

@@ -342,6 +342,10 @@ class _CRenderer(TreeRenderer):
         self.line(ind, "{")
         super().open_let(node, ind + 1)
 
+    def open_region(self, ind: int) -> None:
+        self.line(ind, "#pragma omp parallel")
+        self.line(ind, "{")
+
     def open_loop(self, node: Loop, ind: int, header: str) -> None:
         if not self.kernel and node.reduction:
             # display mode never rewrites the body, so the textual C races
@@ -359,6 +363,8 @@ class _CRenderer(TreeRenderer):
                 self.line(ind, f"#pragma omp parallel for reduction({split.op}:{acc})")
         elif node.pragma:
             self.line(ind, "#pragma omp parallel for")
+        elif node.workshare:
+            self.line(ind, "#pragma omp for")
         self.line(ind, header)
 
     def close_loop(self, node: Loop, ind: int) -> None:

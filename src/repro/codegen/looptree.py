@@ -8,8 +8,12 @@ of its statement on that dimension (``ScanSystem.image_bounds``) and, where
 the enclosing loops are shared with other statements, a guard over the
 outer dimensions — both hoisted out of the loop by the renderer — so the
 only per-point work is a divisibility test on non-unimodular schedules and
-``it = num / den``.  Every emission decision that is not syntax lives on
-the nodes: where an OpenMP region opens, how a relaxed reduction is
+``it = num / den``.  Where the statements of an innermost loop provably run
+one after the other (:func:`repro.core.tiling.distributes`: the pieces of an
+index-set-split statement, whose ranges the cut keeps apart) the loop is
+*distributed*: one loop per statement over its own range, no per-point range
+test, the same execution order.  Every emission decision that is not syntax
+lives on the nodes: where an OpenMP region opens, how a relaxed reduction is
 discharged (privatized fold / atomic update), whether instances trace.
 
 :class:`TreeRenderer` walks the tree once; the Python, C-kernel and
@@ -18,7 +22,7 @@ C-display renderers supply syntax and the statement body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Optional
 
@@ -30,11 +34,11 @@ from repro.codegen.emit_common import (
 )
 from repro.codegen.scan import Bound, build_scan_systems, z_name
 from repro.core.reductions import ReductionSplit, reduction_split
-from repro.core.tiling import TiledSchedule
+from repro.core.tiling import TiledSchedule, distributes
 from repro.frontend.ir import Statement
 from repro.polyhedra import AffExpr, Constraint
 
-__all__ = ["Instance", "Let", "Loop", "TreeRenderer", "build_loop_tree"]
+__all__ = ["Instance", "Let", "Loop", "Region", "TreeRenderer", "build_loop_tree"]
 
 
 @dataclass
@@ -75,6 +79,15 @@ class Loop:
     pragma: bool = False           # an OpenMP region opens here
     fold: Optional[tuple[str, ReductionSplit]] = None   # privatized partial sum
     body: list = field(default_factory=list)
+    workshare: bool = False        # shares the enclosing :class:`Region`
+
+
+@dataclass
+class Region:
+    """The loops a parallel loop was distributed into, in one OpenMP region:
+    each is workshared, the barrier between them keeps their order."""
+
+    body: list[Loop]
 
 
 def _divisibility(nums: list[AffExpr], dens: list[int]) -> list[tuple[AffExpr, int]]:
@@ -176,6 +189,15 @@ def build_loop_tree(tsched: TiledSchedule, trace: bool = False) -> list:
         loop.body = emit_level(
             level + 1, stmts, shared or len(stmts) > 1, par_depth + loop.pragma, discharged
         )
+        if level == inner and len(loop.body) > 1 and distributes(
+            tsched.program, rows, level, [inst.stmt for inst in loop.body]
+        ):
+            # one region for the nest, as before: its pieces workshare it
+            pieces = [
+                replace(loop, body=[inst], pragma=False, workshare=loop.pragma)
+                for inst in loop.body
+            ]
+            return [Region(pieces)] if loop.pragma else pieces
         return [loop]
 
     return emit_level(0, list(tsched.program.statements), False, 0, {})
@@ -216,11 +238,18 @@ class TreeRenderer:
                 self.open_let(node, ind)
                 self.render(node.body, ind + bool(self.CLOSE))
                 self.close(ind)
+            elif isinstance(node, Region):
+                self.open_region(ind)
+                self.render(node.body, ind + bool(self.CLOSE))
+                self.close(ind)
             else:
                 self.loop(node, ind)
 
     def open_let(self, node: Let, ind: int) -> None:
         self.declare(ind, z_name(node.level), str(node.value))
+
+    def open_region(self, ind: int) -> None:
+        pass
 
     def merge(self, bounds: list[Bound], outermost: str) -> str:
         render = render_lower if outermost == "max" else render_upper

@@ -1,51 +1,10 @@
-"""Reconstruct a scanning order for the *original* program (identity codegen).
+"""Source order as a scanning order (identity codegen).
 
-The builder records each statement's original 2d+1 interleaving (scalar
-positions alternating with iterator dimensions).  Rendering that directly as
-a :class:`TiledSchedule` gives a generated kernel that executes the program
-in source order — the reference side of the validation harness, and the
-"code icc compiles" side of the performance comparison.
+The definition lives in :mod:`repro.core.tiling`, where
+:func:`~repro.core.tiling.tile_schedule` needs it for the point space of a
+diamond band; this module keeps the name importable from the code generator.
 """
 
-from __future__ import annotations
-
-from repro.core.tiling import TiledRow, TiledSchedule
-from repro.frontend.ir import Program
-from repro.polyhedra import AffExpr
+from repro.core.tiling import original_schedule
 
 __all__ = ["original_schedule"]
-
-
-def original_schedule(program: Program) -> TiledSchedule:
-    """The program's source order as a scannable schedule.
-
-    2d+1 schedules alternate scalar and loop levels uniformly across
-    statements; shorter statements are padded with constant zeros of the
-    level's kind.
-    """
-    depth = max((len(s.sched) for s in program.statements), default=0)
-    out = TiledSchedule(program)
-    for level in range(depth):
-        kinds = set()
-        exprs: dict[str, AffExpr] = {}
-        for s in program.statements:
-            if level < len(s.sched):
-                entry = s.sched[level]
-                if isinstance(entry, int):
-                    kinds.add("scalar")
-                    exprs[s.name] = AffExpr.const(s.space, entry)
-                else:
-                    kinds.add("loop")
-                    exprs[s.name] = entry
-            else:
-                exprs[s.name] = AffExpr.const(s.space, 0)
-        if not kinds:
-            kind = "scalar"
-        elif len(kinds) > 1:
-            raise ValueError(
-                f"inconsistent 2d+1 schedules at level {level} of {program.name}"
-            )
-        else:
-            kind = kinds.pop()
-        out.rows.append(TiledRow(kind, exprs))
-    return out

@@ -122,7 +122,10 @@ def index_set_split(
 
     Returns ``(new_program, changed)``.  When no long dependence exists the
     original program is returned unchanged (``changed = False``).
-    Dependences must be recomputed on the new program by the caller.
+    Dependences must be recomputed on the new program by the caller; ``deps``
+    — all of ``compute_dependences(program)`` — rides along on it
+    (``live_candidates``, each statement's ``origin``), so that analysis
+    tests only what was non-empty before the cut.
     """
     if deps is None:
         deps = compute_dependences(program)
@@ -139,6 +142,9 @@ def index_set_split(
     global_dims = sorted({d for dims in cut_dims.values() for d in dims})
 
     out = Program(program.name, program.params, program.param_min)
+    out.live_candidates = frozenset(
+        (d.source.name, d.target.name, *d.candidate) for d in deps
+    )
     for stmt in program.statements:
         dims = [d for d in global_dims if d in stmt.space.dims]
         cuts = []
@@ -156,6 +162,7 @@ def index_set_split(
                     body=stmt.body,
                     text=stmt.text,
                     sched=list(stmt.sched),
+                    origin=stmt.name,
                 )
             )
             continue
@@ -175,6 +182,7 @@ def index_set_split(
                     body=stmt.body,
                     text=stmt.text,
                     sched=list(stmt.sched),
+                    origin=stmt.name,
                 )
             )
     return out, True

@@ -7,6 +7,20 @@ the band has non-negative dependence components (the scheduler construction),
 executing tiles atomically in lexicographic order is legal — the classic
 validity argument of the Pluto paper.
 
+**Tile space and point space.**  The tile rows decide which tile an
+iteration belongs to and in which order tiles run; the point rows only
+order the iterations *inside* one tile.  The two need not be the same
+hyperplanes.  On a ``concurrent_start`` (diamond) band they are not: the
+tile rows keep ``floor(h_k / ts)`` over the diamond hyperplanes ``t ± i``,
+and the point rows are the program's *source order*
+(:func:`original_schedule`).  That is legal by the definition of a
+dependence — its source runs before its target in source order — as long as
+tiles run atomically, which the tile rows' non-negativity guarantees; it
+needs no solve, and it replaces a determinant-2/3 map (a lattice of density
+1/2–1/3, a divisibility test per scan point, stride 2–3 through memory) by
+the identity on the iterators.  See :func:`tile_schedule` for when a band
+keeps its hyperplanes as point rows instead.
+
 The result is a :class:`TiledSchedule` whose rows extend the base schedule
 rows with ``kind == "tile"`` entries; the code generator scans them exactly
 like loop rows but with inequality (rather than equality) binding
@@ -16,8 +30,9 @@ constraints.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.core.transform import (
     Band,
@@ -26,14 +41,19 @@ from repro.core.transform import (
     exprs_from_dict,
     rows_to_dicts,
 )
-from repro.frontend.ir import Program
+from repro.deps.analysis import product_domain
+from repro.frontend.ir import Program, Statement
+from repro.polyhedra import AffExpr, Constraint
+from repro.polyhedra.fastcheck import set_is_empty
 
 __all__ = [
     "DEFAULT_TILE_SIZE",
     "TiledRow",
     "TiledSchedule",
+    "distributes",
     "l2_tile_schedule",
     "optimize_intra_tile",
+    "original_schedule",
     "tile_schedule",
     "untiled_schedule",
 ]
@@ -145,6 +165,127 @@ def _as_tiled_row(row: ScheduleRow) -> TiledRow:
     )
 
 
+def original_schedule(program: Program) -> TiledSchedule:
+    """The program's source order as a scannable schedule.
+
+    2d+1 schedules alternate scalar and loop levels uniformly across
+    statements; shorter statements are padded with constant zeros of the
+    level's kind.  Rendered directly it is the reference side of the
+    validation harness and the "code icc compiles" side of the performance
+    comparison; :func:`tile_schedule` uses its rows as the point space of a
+    diamond band.
+    """
+    depth = max((len(s.sched) for s in program.statements), default=0)
+    out = TiledSchedule(program)
+    for level in range(depth):
+        kinds = set()
+        exprs: dict[str, AffExpr] = {}
+        for s in program.statements:
+            if level < len(s.sched):
+                entry = s.sched[level]
+                if isinstance(entry, int):
+                    kinds.add("scalar")
+                    exprs[s.name] = AffExpr.const(s.space, entry)
+                else:
+                    kinds.add("loop")
+                    exprs[s.name] = entry
+            else:
+                exprs[s.name] = AffExpr.const(s.space, 0)
+        if not kinds:
+            kind = "scalar"
+        elif len(kinds) > 1:
+            raise ValueError(
+                f"inconsistent 2d+1 schedules at level {level} of {program.name}"
+            )
+        else:
+            kind = kinds.pop()
+        out.rows.append(TiledRow(kind, exprs))
+    return out
+
+
+def distributes(
+    program: Program,
+    rows: Sequence[TiledRow],
+    level: int,
+    body: Sequence[Statement],
+) -> bool:
+    """Whether the loop at ``level`` over ``body`` — the statements sharing
+    it, in the order they run at one scan point — may run as one loop per
+    statement instead of one loop over the union of their ranges.
+
+    Distribution runs every instance of an earlier statement before every
+    instance of a later one, so it preserves the execution order iff for each
+    pair ``a`` before ``b`` no instance of ``b`` lies strictly below an
+    instance of ``a`` on ``level`` while the two agree on every enclosing
+    loop row: one emptiness question per pair over the product of their
+    domains.  (Tile rows are left out — instances of one tile agree on them,
+    so the set asked about only grows.)  It is asked of index-set-split
+    programs only, recognised by two statements sharing a source position:
+    there the pieces of a statement sit half a domain apart, the union loop
+    would test every piece at every point of the hull, and the cut itself
+    is what proves the order.  Any other program keeps its union loop
+    unasked, so its emitted source cannot move.
+    """
+    if len(body) < 2:
+        return True
+    if len({tuple(s.sched) for s in program.statements}) == len(program.statements):
+        return False
+    return all(
+        _keeps_order(program, rows, level, a, b)
+        for a, b in itertools.combinations(body, 2)
+    )
+
+
+def _keeps_order(
+    program: Program, rows: Sequence[TiledRow], level: int, a: Statement, b: Statement
+) -> bool:
+    """No instance of ``b`` strictly below one of ``a`` on ``rows[level]``
+    where they agree on the loop rows above it."""
+    pairs, ra, rb = product_domain(program, a, b)
+    space = pairs.space
+    for row in rows[: level + 1]:
+        if row.kind != "loop":
+            continue
+        ahead = row.expr_for(a).rebase(space, ra) - row.expr_for(b).rebase(space, rb)
+        if row is rows[level]:
+            pairs.add(Constraint(ahead - 1))
+        else:
+            pairs.add(Constraint(ahead, equality=True))
+    return set_is_empty(pairs)
+
+
+def _source_point_rows(
+    sched: Schedule, band: Band, outer: list[TiledRow]
+) -> Optional[list[TiledRow]]:
+    """Source-order point rows for a diamond band below the rows ``outer``,
+    or ``None`` where the band keeps its hyperplanes (:func:`tile_schedule`)."""
+    if not band.concurrent_start:
+        return None
+    if any(r.kind != "scalar" for r in sched.rows[band.end + 1:]):
+        return None
+    program = sched.program
+    rows = [
+        dataclasses.replace(r, parallel=False, band_role="point")
+        for r in original_schedule(program).rows
+        # a scalar level every statement agrees on orders nothing
+        if r.kind == "loop" or len({e.const_term for e in r.exprs.values()}) > 1
+    ]
+    scan = outer + rows
+    inner = max(l for l, r in enumerate(scan) if r.kind != "scalar")
+
+    def scalars(s: Statement, part: list[TiledRow]) -> list[int]:
+        return [r.expr_for(s).const_term for r in part if r.kind == "scalar"]
+
+    # the loop tree's grouping: statements share the innermost loop when the
+    # scalar levels above it agree, and run there in trailing-scalar order
+    bodies: dict[tuple, list[Statement]] = {}
+    for s in sorted(program.statements, key=lambda s: scalars(s, scan[inner:])):
+        bodies.setdefault(tuple(scalars(s, scan[:inner])), []).append(s)
+    if all(distributes(program, scan, inner, body) for body in bodies.values()):
+        return rows
+    return None
+
+
 def tile_schedule(
     sched: Schedule,
     tile_size: int | dict[int, int] = DEFAULT_TILE_SIZE,
@@ -162,8 +303,18 @@ def tile_schedule(
     ``exec_threads`` bit-compat gate).  True concurrent start needs a
     wavefront over the *tile indices* (``z1+z2`` sequential, ``z1``
     parallel), which the scan cannot express yet — the band keeps its
-    ``concurrent_start`` flag for the analytic machine layer, and point
-    rows keep whatever parallel marks the scheduler proved.
+    ``concurrent_start`` flag for the analytic machine layer.
+
+    A ``concurrent_start`` band's point rows are the program's source order
+    (module docstring), sequential, and replace every row from the band's
+    first point row on — which is why the band must be the schedule's last
+    loop rows.  Two halves of one decision: in iterator space the pieces of
+    an index-set-split statement sit half a domain apart, so the innermost
+    loop must run once per piece (:func:`distributes`; over the union of the
+    pieces' ranges it was measured 65x slower than the hyperplane rows);
+    the band is re-based only if that holds, and keeps its hyperplanes as
+    point rows — like every other band, with whatever parallel marks the
+    scheduler proved — if not.
     """
     out = TiledSchedule(sched.program, source_schedule=sched)
     sizes = tile_size if isinstance(tile_size, dict) else None
@@ -198,10 +349,6 @@ def tile_schedule(
                     )
                 )
             point_start = len(out.rows)
-            for lv in next_band.levels():
-                r = _as_tiled_row(sched.rows[lv])
-                r.band_role = "point"
-                out.rows.append(r)
             out.bands.append(
                 Band(
                     tile_start,
@@ -210,6 +357,16 @@ def tile_schedule(
                     concurrent_start=next_band.concurrent_start,
                 )
             )
+            source = _source_point_rows(sched, next_band, out.rows)
+            if source is not None:
+                # source order is one fixed order, not a permutable band
+                out.rows.extend(source)
+                out.bands.append(Band(point_start, len(out.rows) - 1, permutable=False))
+                break
+            for lv in next_band.levels():
+                r = _as_tiled_row(sched.rows[lv])
+                r.band_role = "point"
+                out.rows.append(r)
             out.bands.append(
                 Band(
                     point_start,

@@ -53,10 +53,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _rows_of(sched: Union[Schedule, TiledSchedule]):
-    return sched.rows
-
-
 def verify_schedule(
     sched: Union[Schedule, TiledSchedule],
     ddg: DependenceGraph,
@@ -64,22 +60,33 @@ def verify_schedule(
 ) -> VerificationReport:
     """Exactly verify that ``sched`` respects every dependence of ``ddg``.
 
-    Tile rows are ignored for ordering purposes (they coarsen the point
-    rows that follow; legality of tiling itself follows from band
-    permutability, which the point rows establish here because tile rows of
-    a legal band never order pairs backwards that the point rows order
-    forwards).  With ``require_total_order`` every dependence must be
-    *strictly* ordered by some level; otherwise weak order suffices.
+    Loop and scalar rows must order every dependence: walking the rows, each
+    dependence's not-yet-ordered set may never run backwards, and with
+    ``require_total_order`` some row must order it *strictly* (otherwise weak
+    order suffices).  A tile row ``floor(h / ts)`` orders nothing strictly —
+    it only groups — but tiles run atomically, so ``h`` must be non-negative
+    on every pair not strictly ordered before it.  Where a later loop row
+    repeats ``h`` (a band tiled over its own hyperplanes) that loop row's
+    check on the pairs reaching it is taken as the band's, as it always was;
+    where none does (a diamond band scanned in source order) the tile row is
+    checked itself.
     """
     violations: list[Violation] = []
     unordered: list[Dependence] = []
+    rows = sched.rows
+    grouping = {
+        level for level, row in enumerate(rows)
+        if row.kind == "tile" and not any(
+            r.kind == "loop" and r.exprs == row.exprs for r in rows[level + 1:]
+        )
+    }
 
     for dep in ddg.deps:
         remaining: Optional[BasicSet] = dep.polyhedron
-        for level, row in enumerate(_rows_of(sched)):
+        for level, row in enumerate(rows):
             if remaining is None:
                 break
-            if getattr(row, "kind", "loop") == "tile":
+            if row.kind == "tile" and level not in grouping:
                 continue
             if row.kind == "scalar":
                 src_pos = row.expr_for(dep.source).const_term
@@ -111,6 +118,8 @@ def verify_schedule(
                 )
                 remaining = None
                 continue
+            if row.kind == "tile":
+                continue  # never backwards; which pairs it separates is not known
             if mn >= 1:
                 remaining = None  # every remaining pair strictly ordered
             else:

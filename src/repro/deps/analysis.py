@@ -30,6 +30,7 @@ __all__ = [
     "Dependence",
     "compute_dependences",
     "enumerate_relations",
+    "product_domain",
     "product_space",
 ]
 
@@ -90,6 +91,9 @@ class Dependence:
     tgt_rename: dict[str, str]
     satisfaction_level: Optional[int] = None
     satisfied_by_cut: bool = False
+    #: which candidate of its statement pair this is: (position among the
+    #: pair's access pairs, happens-before case)
+    candidate: tuple[int, int] = (0, 0)
 
     @property
     def space(self) -> Space:
@@ -158,6 +162,22 @@ def product_space(src: Statement, tgt: Statement) -> tuple[Space, dict, dict]:
         tgt_rename[i] for i in tgt.space.dims
     )
     return Space(dims, src.space.params), src_rename, tgt_rename
+
+
+def product_domain(
+    program: Program, src: Statement, tgt: Statement
+) -> tuple[BasicSet, dict, dict]:
+    """Every pair of one ``src`` and one ``tgt`` instance under the parameter
+    context: the rows all questions about the two statements share."""
+    space, src_rename, tgt_rename = product_space(src, tgt)
+    pairs = BasicSet(space)
+    for con in src.domain.constraints:
+        pairs.add(con.rebase(space, src_rename))
+    for con in tgt.domain.constraints:
+        pairs.add(con.rebase(space, tgt_rename))
+    for con in program.context_constraints(space):
+        pairs.add(con)
+    return pairs, src_rename, tgt_rename
 
 
 def _happens_before_cases(
@@ -260,8 +280,16 @@ def _dependence_polyhedron(
 def compute_dependences(
     program: Program, stats: Optional[DepStats] = None
 ) -> list[Dependence]:
-    """All memory-based RAW/WAR/WAW dependences of ``program``."""
-    return enumerate_relations(program, _access_pairs, "deps_found", stats)
+    """All memory-based RAW/WAR/WAW dependences of ``program``.
+
+    A program fresh from index-set splitting carries the candidates its
+    source program's analysis found non-empty (``Program.live_candidates``);
+    a candidate between pieces whose origins' candidate was empty is a
+    subset of an empty set and is skipped untested, uncounted.
+    """
+    return enumerate_relations(
+        program, _access_pairs, "deps_found", stats, program.live_candidates
+    )
 
 
 def enumerate_relations(
@@ -271,6 +299,7 @@ def enumerate_relations(
     ],
     counter: str,
     stats: Optional[DepStats] = None,
+    live: Optional[frozenset] = None,
 ) -> list[Dependence]:
     """Every non-empty access-pair relation ``access_pairs`` selects.
 
@@ -284,7 +313,11 @@ def enumerate_relations(
     the access-pair / happens-before-case specifics are layered on copies —
     the construction-side half of the fast path, the query side being
     :func:`~repro.polyhedra.fastcheck.set_is_empty`'s fast-reject and memo.
-    ``stats``, when given, accumulates :class:`DepStats` counters.
+    ``stats``, when given, accumulates :class:`DepStats` counters.  ``live``,
+    when given, holds the ``(source origin, target origin, *candidate)`` keys
+    worth testing between statements that have an origin — it must come from
+    the same ``access_pairs``; :func:`_dependence_polyhedron` stays the
+    specification of every candidate, tested or skipped.
     """
     t_start = time.perf_counter()
     cache_stats = global_cache().stats
@@ -298,16 +331,19 @@ def enumerate_relations(
         )
         if not cases:
             continue
+        inherits = live is not None and src.origin and tgt.origin
+        wanted = every = range(len(cases))
         pair_base: Optional[BasicSet] = None
-        for kind, acc_s, acc_t in access_pairs(src, tgt):
+        for n_pair, (kind, acc_s, acc_t) in enumerate(access_pairs(src, tgt)):
+            if inherits:
+                wanted = [
+                    n_case for n_case in every
+                    if (src.origin, tgt.origin, n_pair, n_case) in live
+                ]
+                if not wanted:
+                    continue
             if pair_base is None:
-                pair_base = BasicSet(space)
-                for con in src.domain.constraints:
-                    pair_base.add(con.rebase(space, src_rename))
-                for con in tgt.domain.constraints:
-                    pair_base.add(con.rebase(space, tgt_rename))
-                for con in program.context_constraints(space):
-                    pair_base.add(con)
+                pair_base = product_domain(program, src, tgt)[0]
             acc_base = pair_base.copy()
             if acc_s.guard is not None:
                 for con in acc_s.guard.constraints:
@@ -323,9 +359,9 @@ def enumerate_relations(
                         equality=True,
                     )
                 )
-            for case in cases:
+            for n_case in wanted:
                 poly = acc_base.copy()
-                for con in case:
+                for con in cases[n_case]:
                     poly.add(con)
                 pairs_tested += 1
                 if set_is_empty(poly):
@@ -339,6 +375,7 @@ def enumerate_relations(
                         polyhedron=poly,
                         src_rename=src_rename,
                         tgt_rename=tgt_rename,
+                        candidate=(n_pair, n_case),
                     )
                 )
     if stats is not None:

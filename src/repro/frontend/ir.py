@@ -55,6 +55,10 @@ class Statement:
     body: str = ""                 # executable Python (numpy) statement
     text: str = ""                 # C-like display text
     sched: list[SchedDim] = field(default_factory=list)  # 2d+1 interleaving
+    #: the statement this one was cut from by index-set splitting (itself if
+    #: it came through uncut); in-process bookkeeping for dependence analysis
+    #: (``Program.live_candidates``): not compared, not serialized
+    origin: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def space(self) -> Space:
@@ -85,6 +89,14 @@ class Program:
     in every emptiness/satisfaction query so that dependences that only exist
     for degenerate sizes do not pollute scheduling.
     """
+
+    #: set by index-set splitting: the dependence candidates ``(source
+    #: origin, target origin, access pair, happens-before case)`` that were
+    #: non-empty before the split.  A piece keeps its origin's accesses and
+    #: ``sched`` and a subset of its domain, so every other candidate between
+    #: pieces is empty without being tested.  Like ``Statement.origin``, not
+    #: compared and not serialized.
+    live_candidates: Optional[frozenset] = None
 
     def __init__(
         self,

@@ -63,12 +63,17 @@ RESULT_FORMAT_VERSION = 1
 #: 3: loop bounds come from one history-tracked projection chain per
 #: statement — leaner hulls, so emitted source (never a schedule) moved on
 #: the time-tiled stencils (heat-1dp/2dp, seidel-2d, fdtd-2d, jacobi-1d/2d).
-PIPELINE_VERSION = 3
+#: 4: a diamond band's point rows are the source order (tile rows keep the
+#: hyperplanes), so the *tiled* schedule of every concurrent-start kernel
+#: moved, and an innermost loop over index-set-split pieces runs once per
+#: piece, so the emitted source of every split program moved.  Schedules,
+#: solve keys and skeleton records did not.
+PIPELINE_VERSION = 4
 
 #: the scheduling half of :data:`PIPELINE_VERSION`: bumped only when
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
-#: invert schedules instead of searching; 3) leaves warm-start records valid.
+#: invert schedules instead of searching; 3; 4) leaves warm-start records valid.
 SCHEDULE_VERSION = 1
 
 #: bumped whenever the quick-permutation heuristic (``repro.core.quick``)

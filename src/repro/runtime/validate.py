@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.original import original_schedule
+from repro.core.tiling import original_schedule
 from repro.codegen.python_emit import GeneratedCode, generate_python
 from repro.core.tiling import TiledSchedule
 from repro.frontend.ir import Program

@@ -138,3 +138,66 @@ class TestVerifier:
         mark_parallelism(s, ddg)
         ts = tile_schedule(s, tile_size=4)
         assert verify_schedule(ts, ddg).legal
+
+
+class TestTileRows:
+    """A tile row no loop row repeats is checked itself: point rows in source
+    order say nothing about the hyperplanes the tiles were cut along."""
+
+    @staticmethod
+    def tiled(p, tile_rows):
+        from repro.core.tiling import TiledRow, TiledSchedule, original_schedule
+
+        stmt = p.statements[0]
+        out = TiledSchedule(p)
+        for terms in tile_rows:
+            expr = AffExpr.from_terms(stmt.space, terms)
+            out.rows.append(TiledRow("tile", {stmt.name: expr}, tile_size=4))
+        out.rows += original_schedule(p).rows
+        return out
+
+    def test_source_order_inside_legal_tiles(self):
+        p, ddg = setup(FIG1)  # distance (1, 1): i + j and i are both forward
+        assert verify_schedule(self.tiled(p, [{"i": 1, "j": 1}, {"i": 1}]), ddg).legal
+
+    def test_backward_tile_row_is_rejected(self):
+        from repro.core.tiling import TiledSchedule
+
+        p, ddg = setup(FIG1)  # i - 2j runs backwards across (1, 1)
+        ts = self.tiled(p, [{"i": 1}, {"i": 1, "j": -2}])
+        assert verify_schedule(TiledSchedule(p, ts.rows[2:]), ddg).legal
+        report = verify_schedule(ts, ddg)
+        assert not report.legal
+        assert [v.level for v in report.violations] == [1]
+        assert report.violations[0].witness is not None
+
+    def test_mirrored_tile_rows_cost_nothing(self):
+        from repro.core import mark_parallelism, tile_schedule
+        from repro.polyhedra.cache import global_cache
+
+        p, ddg = setup(FIG1)
+        s = PlutoScheduler(p, ddg, SchedulerOptions()).schedule()
+        mark_parallelism(s, ddg)
+
+        def lookups(sched):
+            global_cache().clear()
+            before = global_cache().stats.snapshot()
+            assert verify_schedule(sched, ddg).legal
+            return global_cache().stats.delta_since(before).min_lookups
+
+        assert lookups(tile_schedule(s, tile_size=4)) == lookups(s)
+
+    @pytest.mark.parametrize("name", ["heat-1dp", "fig4-periodic-stencil"])
+    def test_result_is_verified_as_executed(self, name):
+        from repro import api
+        from repro.workloads import get_workload
+
+        result = api.optimize(name, get_workload(name).pipeline_options("plutoplus"))
+        assert result.used_diamond
+        assert [r.kind for r in result.tiled.rows] == ["tile", "tile", "loop", "loop"]
+        assert api.verify(result).legal
+        # swapping in a hyperplane that runs against the time axis is caught,
+        # though the point rows (source order) alone are legal
+        stmt_exprs = result.tiled.rows[0].exprs
+        result.tiled.rows[0].exprs = {n: -e for n, e in stmt_exprs.items()}
+        assert not api.verify(result).legal

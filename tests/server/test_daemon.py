@@ -631,3 +631,23 @@ class TestRealPipeline:
         local = optimize(program, PipelineOptions(tile=False))
         assert result.schedule.to_dict() == local.schedule.to_dict()
         assert result.code.python_source == local.code.python_source
+
+    def test_diamond_response_rebuilds_the_same_kernel(self, daemon_factory):
+        # tile space and point space differ (hyperplanes vs source order) and
+        # the pieces' bookkeeping does not travel: the rebuilt tiled schedule
+        # must still emit the C the worker's own would
+        from repro.codegen import generate_c_kernel
+        from repro.workloads import get_workload
+
+        daemon = daemon_factory(scripted=False)
+        with _client(daemon) as client:
+            result = client.optimize_result("heat-1dp")
+        workload = get_workload("heat-1dp")
+        local = optimize(workload.program(), workload.pipeline_options())
+        assert [r.kind for r in result.tiled.rows] == ["tile", "tile", "loop", "loop"]
+        assert result.tiled.to_dict() == local.tiled.to_dict()
+        assert result.code.python_source == local.code.python_source
+        assert (
+            generate_c_kernel(result.tiled).source
+            == generate_c_kernel(local.tiled).source
+        )
