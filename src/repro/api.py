@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.core.verify import VerificationReport, verify_schedule
+from repro.core.verify import VerificationReport, verification_graph, verify_schedule
 from repro.exec import ExecStats, ExecutionOptions
 from repro.frontend.ir import Program
 from repro.pipeline import (
@@ -84,13 +84,15 @@ def verify(
     schedule's — against its post-ISS program) or a bare
     ``Schedule``/``TiledSchedule`` plus the ``program`` it schedules.  The
     check never trusts scheduler bookkeeping: dependences are recomputed
-    from the program.
+    from the program, and a result's reduction self-dependences are relaxed
+    exactly when its ``options.parallel_reductions`` scheduled them relaxed.
     """
-    from repro.deps import DependenceGraph, compute_dependences
-
+    mode = "off"
     if isinstance(result_or_schedule, OptimizationResult):
         program_obj = result_or_schedule.program
         schedule = result_or_schedule.tiled
+        if result_or_schedule.options is not None:
+            mode = result_or_schedule.options.parallel_reductions
     else:
         if program is None:
             raise TypeError(
@@ -99,8 +101,7 @@ def verify(
             )
         program_obj = resolve_program(program)
         schedule = result_or_schedule
-    ddg = DependenceGraph(program_obj, compute_dependences(program_obj))
-    return verify_schedule(schedule, ddg)
+    return verify_schedule(schedule, verification_graph(program_obj, mode)[0])
 
 
 def list_workloads(category: Optional[str] = None) -> list[str]:

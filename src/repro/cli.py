@@ -477,8 +477,7 @@ def _cmd_verify(args) -> int:
     a crash inside the checker — exits nonzero, so CI can gate on it.
     """
     from repro.core.transform import Schedule
-    from repro.core.verify import verify_schedule
-    from repro.deps import DependenceGraph, compute_dependences
+    from repro.core.verify import verification_graph, verify_schedule
 
     program, workload = _load_program(args)
     result = None
@@ -496,19 +495,13 @@ def _cmd_verify(args) -> int:
         result = optimize(program, _pipeline_options(args, workload))
         program = result.program  # post-ISS program actually scheduled
         schedule = result.tiled   # the rows the generated code executes
-    deps = compute_dependences(program)
-    if getattr(args, "parallel_reductions", "off") != "off":
-        # The schedule was computed against the relaxed legality set; a
-        # reduction's self-dependences are discharged at emission (partial
-        # sums / reduction clauses), so legality is checked against the
-        # same relaxed set — the execution leg below covers the rest.
-        from repro.core.reductions import detect_reductions, relax_reduction_deps
-
-        deps, relaxed = relax_reduction_deps(deps, detect_reductions(program))
-        if relaxed:
-            print(f"# relaxed {len(relaxed)} reduction self-dependences "
-                  f"before legality checking", file=sys.stderr)
-    ddg = DependenceGraph(program, deps)
+    # the execution leg below covers what the relaxed legality set leaves
+    ddg, relaxed = verification_graph(
+        program, getattr(args, "parallel_reductions", "off")
+    )
+    if relaxed:
+        print(f"# relaxed {len(relaxed)} reduction self-dependences "
+              f"before legality checking", file=sys.stderr)
     report = verify_schedule(schedule, ddg)
     print(report)
     rc = 0 if report.legal else 1
@@ -594,7 +587,8 @@ def _cmd_suite(args) -> int:
 
     from repro.reporting import format_suite_report
     from repro.suite import SuiteManifest, run_suite
-    from repro.suite.runner import DEFAULT_RETRIES, DEFAULT_TIMEOUT
+    from repro.suite.runner import DEFAULT_RETRIES
+    from repro.workers import DEFAULT_TIMEOUT
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     timeout = args.timeout if args.timeout is not None else DEFAULT_TIMEOUT
@@ -629,7 +623,7 @@ def _cmd_serve(args) -> int:
     import os
 
     from repro.server import Daemon, DaemonConfig
-    from repro.server.pool import DEFAULT_RECYCLE, DEFAULT_TIMEOUT as SERVE_TIMEOUT
+    from repro.workers import DEFAULT_RECYCLE, DEFAULT_TIMEOUT
 
     if args.socket is None and args.port is None:
         raise SystemExit("error: serve needs --socket PATH or --port N")
@@ -644,7 +638,7 @@ def _cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             jobs=args.jobs if args.jobs is not None else (os.cpu_count() or 1),
-            timeout=args.timeout if args.timeout is not None else SERVE_TIMEOUT,
+            timeout=args.timeout if args.timeout is not None else DEFAULT_TIMEOUT,
             backlog=args.backlog,
             cache_dir=cache_dir,
             skeleton_dir=skeleton_dir or None,

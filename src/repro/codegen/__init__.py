@@ -6,7 +6,6 @@ from repro.codegen.c_emit import (
     generate_c,
     generate_c_kernel,
 )
-from repro.codegen.original import original_schedule
 from repro.codegen.python_emit import (
     GeneratedCode,
     generate_python,
@@ -19,7 +18,7 @@ from repro.codegen.scan import (
     build_scan_systems,
     z_name,
 )
-from repro.core.tiling import TiledSchedule
+from repro.core.tiling import TiledSchedule, original_schedule
 
 __all__ = [
     "Bound",

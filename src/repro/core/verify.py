@@ -16,13 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from repro.core.reductions import detect_reductions, relax_reduction_deps
 from repro.core.tiling import TiledSchedule
 from repro.core.transform import Schedule
-from repro.deps.analysis import Dependence
+from repro.deps.analysis import Dependence, compute_dependences
 from repro.deps.ddg import DependenceGraph
+from repro.frontend.ir import Program
 from repro.polyhedra import BasicSet, Constraint
 
-__all__ = ["VerificationReport", "verify_schedule"]
+__all__ = ["VerificationReport", "verification_graph", "verify_schedule"]
 
 
 @dataclass
@@ -51,6 +53,22 @@ class VerificationReport:
         lines += [f"  {v}" for v in self.violations[:10]]
         lines += [f"  unordered: {d}" for d in self.unordered[:10]]
         return "\n".join(lines)
+
+
+def verification_graph(
+    program: Program, parallel_reductions: str = "off"
+) -> tuple[DependenceGraph, list[Dependence]]:
+    """Fresh dependences of ``program`` as a schedule built under
+    ``parallel_reductions`` must respect them: ``(graph, relaxed)``.
+
+    A mode other than ``"off"`` scheduled against the relaxed legality set;
+    a reduction's self-dependences are discharged at emission (partial sums
+    / reduction clauses), so legality is checked against the same set.
+    """
+    deps, relaxed = compute_dependences(program), []
+    if parallel_reductions != "off":
+        deps, relaxed = relax_reduction_deps(deps, detect_reductions(program))
+    return DependenceGraph(program, deps), relaxed
 
 
 def verify_schedule(

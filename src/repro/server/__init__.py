@@ -12,14 +12,15 @@ run.  The pieces:
   cache (in-memory LRU over an atomic on-disk store, both from
   :mod:`repro.store`), keyed by
   ``sha256(canonical IR + options + pipeline version)``;
-* :mod:`repro.server.pool`     — the worker pool: pre-forked persistent
-  warm workers behind a bounded queue;
 * :mod:`repro.server.listener` — the one JSON-lines socket server (one
   asyncio loop) under both the daemon and the router: claim + staged bind,
   connection loop, ``bad-request`` answers, graceful drain on SIGTERM;
 * :mod:`repro.server.daemon`   — what an ``optimize`` request means:
   single-flight request coalescing, admission control with explicit busy
-  responses, the warm pool's drain;
+  responses, the warm pool's drain; the pool itself —
+  pre-forked persistent workers behind a bounded queue — is
+  :class:`repro.workers.WarmWorkerPool`, the one the suite engine runs on
+  too (re-exported here);
 * :mod:`repro.server.resolve`  — request → (program, options, key)
   resolution, memoized for workload-name requests on the warm path;
 * :mod:`repro.server.shard`    — consistent-hash cache sharding across N
@@ -41,10 +42,10 @@ from repro.server.cache import ScheduleCache, cache_key
 from repro.server.client import ServerClient
 from repro.server.daemon import Daemon, DaemonConfig, SocketInUse
 from repro.server.metrics import ServerMetrics
-from repro.server.pool import WarmWorkerPool
 from repro.server.protocol import PROTOCOL_VERSION, ProtocolError
 from repro.server.shard import Router, RouterConfig, ShardRing
 from repro.server.warm import WarmReport, warm_cache
+from repro.workers import WarmWorkerPool
 
 __all__ = [
     "Daemon",

@@ -7,8 +7,9 @@ every client connection — hundreds of
 concurrent sockets cost one thread, and the warm path (memoized request
 resolution, memory cache hit, pre-serialized response splice) never leaves
 the loop.  Seconds-long scheduling work never runs on the loop — it runs
-in the pre-forked warm workers of :class:`~repro.server.pool.WarmWorkerPool`
-— so the GIL is irrelevant to miss latency.
+in the pre-forked warm workers of :class:`~repro.workers.WarmWorkerPool`
+(:func:`run_optimize_job`, forked after :func:`preload_pipeline`) — so the
+GIL is irrelevant to miss latency.
 
 Request path for ``optimize``:
 
@@ -58,14 +59,14 @@ from repro.server.listener import (
     claim_unix_path,
 )
 from repro.server.metrics import ServerMetrics
-from repro.server.pool import (
+from repro.server.resolve import ResolveMemo
+from repro.workers import (
     DEFAULT_RECYCLE,
     DEFAULT_TIMEOUT,
     PoolJob,
     WarmWorkerPool,
+    WorkerEvent,
 )
-from repro.server.resolve import ResolveMemo
-from repro.workers import WorkerEvent
 
 # STREAM_LIMIT, SocketInUse and claim_unix_path live in the listener beside
 # the bind code; they are re-exported because callers import them from here.
@@ -80,6 +81,27 @@ __all__ = [
 #: optimize() waiters give the pool this much slack past the worker
 #: deadline before declaring the daemon itself wedged
 _WAIT_GRACE = 30.0
+
+
+def preload_pipeline() -> None:
+    """Import the heavy modules once in the parent, pre-fork.
+
+    Forked warm workers inherit the loaded pipeline, workload registry,
+    and serializers, so their first request pays no import cost.
+    """
+    import repro.frontend.serialize  # noqa: F401
+    import repro.pipeline  # noqa: F401
+    import repro.workloads  # noqa: F401
+
+
+def run_optimize_job(payload: dict) -> str:
+    """Worker job body: serialized IR + options in, result JSON text out."""
+    from repro.frontend.serialize import program_from_dict
+    from repro.pipeline import PipelineOptions, optimize
+
+    program = program_from_dict(payload["program"])
+    options = PipelineOptions.from_dict(payload["options"])
+    return optimize(program, options).to_json()
 
 
 @dataclass
@@ -152,7 +174,8 @@ class Daemon(LineServer):
         )
         self.pool = WarmWorkerPool(
             config.jobs, timeout=config.timeout, backlog=config.backlog,
-            recycle=config.pool_recycle, metrics=self.metrics,
+            recycle=config.pool_recycle, target=run_optimize_job,
+            metrics=self.metrics, preload=preload_pipeline,
         )
         self._memo = ResolveMemo()
         self._flights: dict[str, _Flight] = {}

@@ -1,9 +1,10 @@
 """The parallel suite engine: bounded worker slots, timeouts, retries.
 
-Each run executes ``optimize(workload, options)`` in its own worker
-process and reports a JSON-shaped record back over a pipe.  The parent is
-a single-threaded event loop over the shared worker-supervision layer
-(:mod:`repro.workers`, also used by the serving daemon's pool):
+Each run executes ``optimize(workload, options)`` in a forked worker of
+the one pool (:class:`repro.workers.WarmWorkerPool`, also under the
+serving daemon) and reports a JSON-shaped record back over a pipe.  The
+pool runs at ``recycle=1``: every run gets a fresh worker, so no run sees
+another run's process state (``worker_pid`` in its record served it alone).
 
 * a worker that *reports* is recorded (``ok`` or ``error``);
 * a worker that *dies silently* (signal, hard exit) is a ``crash``;
@@ -11,29 +12,25 @@ a single-threaded event loop over the shared worker-supervision layer
 
 crashes and timeouts are retried on a fresh worker up to ``retries``
 times; every terminal outcome — success or :class:`RunFailure` — is
-persisted to the manifest immediately, so the suite degrades gracefully
-and ``--resume`` picks up from exactly what finished.
-
-Workers are forked where available (Linux): the child inherits the loaded
-workload registry and warm polyhedral caches, which is both faster than a
-cold import and what lets tests inject hostile workloads.
+persisted to the manifest immediately, on the calling thread, so the
+suite degrades gracefully and ``--resume`` picks up from exactly what
+finished.
 """
 
 from __future__ import annotations
 
+import queue
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from repro.suite.failures import RunFailure
 from repro.suite.manifest import SuiteManifest
 from repro.suite.matrix import RunSpec
-from repro.workers import WorkerEvent, WorkerSupervisor
+from repro.workers import DEFAULT_TIMEOUT, PoolJob, WarmWorkerPool, WorkerEvent
 
 __all__ = ["SuiteResult", "run_suite"]
 
-DEFAULT_TIMEOUT = 900.0
 DEFAULT_RETRIES = 1
 
 
@@ -128,7 +125,7 @@ def _ok_record(spec: RunSpec, result) -> dict:
 
 
 def _run_one(spec_dict: dict) -> dict:
-    """Child process job body (under :func:`repro.workers.worker_main`)."""
+    """Worker job body (under :func:`repro.workers.warm_worker_main`)."""
     from repro.pipeline import optimize
 
     spec = RunSpec.from_dict(spec_dict)
@@ -140,7 +137,7 @@ def _run_one(spec_dict: dict) -> dict:
 
 @dataclass
 class _Attempt:
-    """Supervisor key for one run attempt (carries the retry bookkeeping)."""
+    """One run attempt (carries the retry bookkeeping)."""
 
     spec: RunSpec
     attempt: int
@@ -183,7 +180,7 @@ def run_suite(
     out = SuiteResult(manifest)
 
     done = manifest.completed_ok() if resume else set()
-    pending: deque[_Attempt] = deque()
+    pending: list[_Attempt] = []
     for spec in manifest.specs:
         if spec.run_id in done:
             out.skipped.append(spec.run_id)
@@ -193,18 +190,20 @@ def run_suite(
     if out.skipped:
         say(f"resume: skipping {len(out.skipped)} completed run(s)")
 
-    jobs = max(1, int(jobs))
-    sup = WorkerSupervisor(_run_one)
+    # backlog=runs admits every first attempt at once; a retry is submitted
+    # only after its predecessor settled, so try_submit never refuses one
+    runs = len(pending)
+    pool = WarmWorkerPool(
+        min(jobs, runs), timeout=timeout, backlog=runs,
+        recycle=1, target=_run_one, preload=None,
+    )
+    settled: queue.SimpleQueue = queue.SimpleQueue()  # (attempt, event)
 
-    def spawn(attempt: _Attempt) -> None:
-        handle = sup.spawn(
-            attempt,
-            attempt.spec.to_dict(),
-            timeout=timeout,
-            name=f"repro-suite-{attempt.spec.run_id}",
-        )
-        say(f"start {attempt.spec.run_id} "
-            f"(attempt {attempt.attempt}, pid {handle.proc.pid})")
+    def submit(attempt: _Attempt) -> None:
+        pool.try_submit(PoolJob(
+            attempt.spec.run_id, attempt.spec.to_dict(),
+            lambda ev: settled.put((attempt, ev)),
+        ))
 
     def settle(run: _Attempt, ev: WorkerEvent) -> None:
         """A crash/timeout/error outcome: retry or record a RunFailure."""
@@ -213,7 +212,7 @@ def run_suite(
         if retryable:
             say(f"retry {run.spec.run_id} after {ev.kind} "
                 f"(attempt {run.attempt} of {1 + retries})")
-            pending.append(_Attempt(run.spec, run.attempt + 1, elapsed))
+            submit(_Attempt(run.spec, run.attempt + 1, elapsed))
             return
         failure = RunFailure(
             run_id=run.spec.run_id,
@@ -247,21 +246,24 @@ def run_suite(
         record["worker_pid"] = ev.pid
         manifest.write_record(record)
         out.records.append(record)
-        say(f"ok {run.spec.run_id} in {elapsed:.1f}s")
+        say(f"ok {run.spec.run_id} in {elapsed:.1f}s "
+            f"(attempt {run.attempt}, pid {ev.pid})")
 
+    if pending:
+        pool.start()
+        say(f"queued {runs} run(s) on {pool.jobs} worker(s)")
     try:
-        while pending or sup.live_count:
-            while pending and sup.live_count < jobs:
-                spawn(pending.popleft())
-
-            events = sup.poll()
-            for ev in events:
-                if ev.kind == "ok":
-                    finish_ok(ev.key, ev)
-                else:
-                    settle(ev.key, ev)
+        for attempt in pending:
+            submit(attempt)
+        # every run ends in exactly one record; a retry adds none
+        while len(out.records) < len(out.skipped) + runs:
+            run, ev = settled.get()
+            if ev.kind == "ok":
+                finish_ok(run, ev)
+            else:
+                settle(run, ev)
     finally:
-        sup.shutdown()  # interrupted: leave no orphans
+        pool.stop()  # interrupted: leave no orphans
 
     out.wall_seconds = time.perf_counter() - t_start
     return out

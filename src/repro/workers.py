@@ -1,48 +1,63 @@
-"""Shared worker-process supervision: spawn, report, deadline kill.
+"""The one worker pool: pre-forked workers, deadline kill, crash classification.
 
 Two subsystems run jobs in child processes — the parallel suite engine
-(:mod:`repro.suite.runner`, one short-lived process per run on
-:class:`WorkerSupervisor`) and the serving daemon's pool
-(:mod:`repro.server.pool`, persistent workers on
-:func:`warm_worker_main`).  Both need the same machinery: fork a child
-that reports ``("ok" | "error", payload)`` over a pipe, wait on many
-children at once, kill the ones that outlive their deadline, and classify
-a silent death as a *crash* rather than a result.  That machinery lives
-here so the two callers cannot drift apart; policy — retries, manifests,
-caches, admission control — stays with the caller.
+(:mod:`repro.suite.runner`) and the serving daemon
+(:mod:`repro.server.daemon`) — and both run them on :class:`WarmWorkerPool`,
+so the spawn → wait → deadline-kill → crash-classify loop exists once.
+Policy — retries, manifests, caches, admission replies — stays with the
+caller.  The daemon keeps ``jobs`` persistent warm workers, forked after its
+``preload`` hook has imported the pipeline and recycled after ``recycle``
+requests (bounding leak accumulation); the suite runs at ``recycle=1``, one
+fresh fork per run, so no run sees another run's process state.
 
-Child contract (:func:`worker_main`): the spawn target runs
-``fn(payload)`` and sends ``("ok", result)``; any raise is caught and sent
-as ``("error", traceback_text)``; a child that dies without sending (signal,
-``os._exit``, broken pipe) surfaces as a ``crash`` event.  ``fn`` must be a
-module-level callable so the spawn start method keeps working where fork is
-unavailable.
+Child contract (:func:`warm_worker_main`): the worker runs ``fn(payload)``
+per job and replies ``(seq, "ok", result)``; any raise is caught and sent as
+``(seq, "error", traceback_text)``; a child that dies without replying
+(signal, ``os._exit``, broken pipe) surfaces as a ``crash`` event and is
+replaced, as is a child that outlives its deadline (a ``timeout`` event).
+``fn`` must be a module-level callable so the spawn start method keeps
+working where fork is unavailable.
 
-Parent contract (:class:`WorkerSupervisor`): :meth:`~WorkerSupervisor.spawn`
-starts one child per job, :meth:`~WorkerSupervisor.poll` performs one
-``multiprocessing.connection.wait`` round and returns settled
-:class:`WorkerEvent` records (``ok``/``error``/``crash``/``timeout``).
+Backpressure is the bounded queue: ``try_submit`` returns ``False`` once
+``live + queued`` reaches ``jobs + backlog``, which the daemon turns into
+an explicit ``busy`` response instead of unbounded latency.
+
+The dispatcher thread blocks on the worker pipes *plus* a self-pipe;
+``try_submit`` writes one byte to wake it, so submission latency is a pipe
+write, not a poll interval.  Only the dispatcher thread ever touches worker
+processes — kills and respawns included — so there is no cross-thread
+process management anywhere.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
+import threading
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as conn_wait
 from typing import Callable, Optional
 
 __all__ = [
+    "DEFAULT_RECYCLE",
+    "DEFAULT_TIMEOUT",
+    "PoolJob",
+    "WarmWorkerPool",
     "WorkerEvent",
-    "WorkerHandle",
-    "WorkerSupervisor",
     "kill_process",
     "mp_context",
     "warm_worker_main",
-    "worker_main",
 ]
+
+#: per-job worker deadline, in seconds (suite runs and daemon requests alike)
+DEFAULT_TIMEOUT = 900.0
+
+#: warm workers are retired (and replaced by a fresh fork) after this many
+#: requests, so slow leaks in scheduling code cannot accumulate forever
+DEFAULT_RECYCLE = 64
 
 
 def mp_context():
@@ -62,30 +77,15 @@ def kill_process(proc) -> None:
         proc.join()
 
 
-def worker_main(fn: Callable, payload, conn) -> None:
-    """Child process body: run ``fn(payload)``, report exactly one message."""
-    try:
-        result = fn(payload)
-        conn.send(("ok", result))
-    except BaseException:
-        # A raising job is a structured outcome, not a crash.
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass  # parent gone or pipe broken: dying reads as a crash
-    finally:
-        conn.close()
-
-
 def warm_worker_main(fn, conn) -> None:
-    """Persistent child body: serve jobs off the pipe until retired.
+    """Worker body: serve jobs off the pipe until retired.
 
     The parent sends ``(seq, payload)`` tuples and reads back
     ``(seq, "ok" | "error", result)`` — the sequence number lets it match
     replies to dispatches.  A ``None`` message is the retirement sentinel;
-    pipe EOF (parent died) retires the worker too.  As with
-    :func:`worker_main`, a raising job is a structured ``error`` outcome
-    and only a silent death (signal, ``os._exit``) reads as a crash.
+    pipe EOF (parent died) retires the worker too.  A raising job is a
+    structured ``error`` outcome and only a silent death (signal,
+    ``os._exit``) reads as a crash.
     """
     while True:
         try:
@@ -110,26 +110,12 @@ def warm_worker_main(fn, conn) -> None:
 
 
 @dataclass
-class WorkerHandle:
-    """One live child: its identity token plus process bookkeeping."""
-
-    key: object
-    proc: object
-    conn: object
-    started: float
-    timeout: Optional[float]
-
-    def deadline(self) -> float:
-        return math.inf if self.timeout is None else self.started + self.timeout
-
-
-@dataclass
 class WorkerEvent:
-    """A settled worker, classified.
+    """A settled job, classified.
 
-    ``kind`` is ``ok`` (child reported a result, in ``payload``), ``error``
-    (child reported a traceback), ``crash`` (child died without reporting),
-    or ``timeout`` (parent killed it past its deadline).  ``elapsed`` is
+    ``kind`` is ``ok`` (worker replied a result, in ``payload``), ``error``
+    (worker replied a traceback), ``crash`` (worker died without replying),
+    or ``timeout`` (the pool killed it past its deadline).  ``elapsed`` is
     the wall time of this attempt only.
     """
 
@@ -140,102 +126,320 @@ class WorkerEvent:
     pid: Optional[int] = None
 
 
-class WorkerSupervisor:
-    """Owns the live worker processes for one event loop.
+@dataclass
+class PoolJob:
+    key: str
+    payload: dict
+    on_done: Callable[[WorkerEvent], None]
 
-    Single-threaded by design: one thread spawns and polls.  Callers layer
-    their own policy (slot limits, retries, queues) on top.
+
+@dataclass
+class _PoolState:
+    queued: list = field(default_factory=list)
+    live: int = 0
+    stopping: bool = False   # no new submissions; finish what is queued
+    kill: bool = False       # abandon everything now
+
+
+@dataclass
+class _WarmWorker:
+    """One persistent child: its pipe, its load history, its current job."""
+
+    proc: object
+    conn: object
+    jobs_done: int = 0
+    job: Optional[PoolJob] = None
+    seq: int = 0
+    started: float = 0.0
+    deadline: float = math.inf
+
+
+class WarmWorkerPool:
+    """Bounded pool of pre-forked persistent workers with recycling.
+
+    ``on_done`` callbacks run on the dispatcher thread and must be quick
+    (a cache store plus a waiter wake-up); anything slow would serialize
+    job completions behind it.
+
+    ``fn`` (the ``target``) is captured at each fork, so swapping it (tests
+    inject scripted behavior this way) affects workers forked afterwards —
+    including the replacements forked after a crash, timeout, or recycle.
+    ``preload``, when given, runs once in the parent before the first fork.
+
+    ``metrics``, when given, receives pool-reuse accounting:
+    ``count_pool_spawn()`` per fork, ``count_pool_dispatch(reused=...)``
+    per job handed to a worker (``reused`` when that worker has already
+    served at least one request), and ``count_pool_recycle()`` per worker
+    retired at the ``recycle`` limit.
     """
 
-    def __init__(self, fn: Callable, ctx=None):
-        self.fn = fn
-        self.ctx = ctx or mp_context()
-        self._live: dict[object, WorkerHandle] = {}  # read-conn -> handle
-
-    @property
-    def live_count(self) -> int:
-        return len(self._live)
-
-    def spawn(
+    def __init__(
         self,
-        key,
-        payload,
+        jobs: int = 2,
         *,
-        timeout: Optional[float] = None,
-        name: Optional[str] = None,
-    ) -> WorkerHandle:
-        """Start one child running ``fn(payload)``; never blocks."""
-        parent_conn, child_conn = self.ctx.Pipe(duplex=False)
-        proc = self.ctx.Process(
-            target=worker_main,
-            args=(self.fn, payload, child_conn),
-            name=name or "repro-worker",
+        timeout: float = DEFAULT_TIMEOUT,
+        backlog: Optional[int] = None,
+        recycle: int = DEFAULT_RECYCLE,
+        target: Callable,
+        metrics=None,
+        preload: Optional[Callable] = None,
+    ):
+        self.jobs = max(1, int(jobs))
+        self.timeout = timeout
+        self.backlog = 2 * self.jobs if backlog is None else max(0, int(backlog))
+        self.recycle = max(1, int(recycle))
+        self.fn = target
+        self.metrics = metrics
+        self.preload = preload
+        self._ctx = mp_context()
+        self._lock = threading.Lock()
+        self._state = _PoolState()
+        self._drained = threading.Condition(self._lock)
+        self._workers: list[_WarmWorker] = []  # dispatcher thread only
+        self._seq = 0
+        self._wake_r: Optional[int] = None
+        self._wake_w: Optional[int] = None
+        self._thread: Optional[threading.Thread] = None
+
+    # -- lifecycle ---------------------------------------------------------
+
+    def start(self) -> None:
+        if self.preload is not None:
+            self.preload()
+        self._wake_r, self._wake_w = os.pipe()
+        self._workers = [self._spawn_worker() for _ in range(self.jobs)]
+        self._thread = threading.Thread(
+            target=self._dispatch, name="repro-warm-pool", daemon=True
+        )
+        self._thread.start()
+
+    def _wake(self) -> None:
+        try:
+            os.write(self._wake_w, b"x")
+        except (OSError, TypeError):
+            pass  # dispatcher already gone (or never started)
+
+    def drain(self, timeout: Optional[float] = None) -> bool:
+        """Stop accepting work and wait for queued + live jobs to settle.
+
+        Returns ``False`` if jobs were still running when ``timeout``
+        expired; call :meth:`stop` afterwards to kill the stragglers.
+        """
+        with self._lock:
+            self._state.stopping = True
+        self._wake()
+        with self._lock:
+            settled = self._drained.wait_for(
+                lambda: not self._state.queued and not self._state.live,
+                timeout=timeout,
+            )
+        if settled and self._thread is not None:
+            self._thread.join(timeout=5.0)
+        return settled
+
+    def stop(self) -> None:
+        """Hard stop: kill live workers, fail queued and in-flight jobs."""
+        with self._lock:
+            self._state.stopping = True
+            self._state.kill = True
+        self._wake()
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+
+    # -- submission --------------------------------------------------------
+
+    def load(self) -> tuple[int, int]:
+        """Point-in-time ``(in_flight, queued)`` for metrics gauges."""
+        with self._lock:
+            return self._state.live, len(self._state.queued)
+
+    def try_submit(self, job: PoolJob) -> bool:
+        """Queue one job; ``False`` means over capacity (caller says busy)."""
+        with self._lock:
+            if self._state.stopping:
+                return False
+            if self._state.live + len(self._state.queued) >= self.jobs + self.backlog:
+                return False
+            self._state.queued.append(job)
+        self._wake()
+        return True
+
+    # -- dispatcher thread -------------------------------------------------
+
+    def _spawn_worker(self) -> _WarmWorker:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        proc = self._ctx.Process(
+            target=warm_worker_main,
+            args=(self.fn, child_conn),
+            name="repro-warm-worker",
             daemon=True,
         )
         proc.start()
-        child_conn.close()  # parent keeps only the read end
-        handle = WorkerHandle(key, proc, parent_conn, time.perf_counter(), timeout)
-        self._live[parent_conn] = handle
-        return handle
+        child_conn.close()
+        if self.metrics is not None:
+            self.metrics.count_pool_spawn()
+        return _WarmWorker(proc=proc, conn=parent_conn)
 
-    def poll(self, timeout: Optional[float] = None) -> list[WorkerEvent]:
-        """One wait round: reap reporters, kill the overdue, return events.
-
-        Blocks until a worker settles, the earliest worker deadline
-        passes, or ``timeout`` elapses — whichever is first.
-        """
-        if not self._live:
-            return []
-
-        deadlines = [
-            h.deadline() for h in self._live.values() if h.timeout is not None
-        ]
-        wait_for = timeout
-        if deadlines:
-            until_deadline = max(0.0, min(deadlines) - time.perf_counter()) + 0.01
-            wait_for = (
-                until_deadline if wait_for is None else min(wait_for, until_deadline)
-            )
-
-        ready = conn_wait(list(self._live), timeout=wait_for)
-
-        events: list[WorkerEvent] = []
-        for conn in ready:
-            handle = self._live.pop(conn)
-            elapsed = time.perf_counter() - handle.started
-            pid = handle.proc.pid
+    def _retire_worker(self, worker: _WarmWorker, graceful: bool = True) -> None:
+        """Stop one child and reap it; the caller replaces it if needed."""
+        if graceful and worker.proc.is_alive():
             try:
-                status, payload = conn.recv()
-            except (EOFError, OSError):
-                handle.proc.join()
-                code = handle.proc.exitcode
-                events.append(WorkerEvent(
-                    handle.key, "crash",
+                worker.conn.send(None)
+            except (OSError, ValueError):
+                pass
+            worker.proc.join(1.0)
+        if worker.proc.is_alive():
+            kill_process(worker.proc)
+        else:
+            worker.proc.join()
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+
+    def _settle(self, job: PoolJob, ev: WorkerEvent) -> None:
+        with self._lock:
+            self._state.live -= 1
+            self._drained.notify_all()
+        try:
+            job.on_done(ev)
+        except Exception:
+            pass  # a broken callback must not kill the pool
+
+    def _assign_locked(self) -> None:
+        """Hand queued jobs to idle workers (caller holds the lock)."""
+        for worker in self._workers:
+            if worker.job is not None or not self._state.queued:
+                continue
+            job = self._state.queued.pop(0)
+            self._seq += 1
+            worker.job = job
+            worker.seq = self._seq
+            worker.started = time.perf_counter()
+            worker.deadline = (
+                math.inf if self.timeout is None
+                else worker.started + self.timeout
+            )
+            self._state.live += 1
+            try:
+                worker.conn.send((worker.seq, job.payload))
+            except (OSError, ValueError):
+                # dead worker discovered at dispatch: fail over in place
+                worker.job = None
+                self._state.queued.insert(0, job)
+                self._state.live -= 1
+                self._replace(worker)
+                continue
+            if self.metrics is not None:
+                self.metrics.count_pool_dispatch(reused=worker.jobs_done > 0)
+
+    def _replace(self, worker: _WarmWorker, graceful: bool = False) -> None:
+        self._retire_worker(worker, graceful=graceful)
+        self._workers.remove(worker)
+        self._workers.append(self._spawn_worker())
+
+    def _on_readable(self, worker: _WarmWorker) -> None:
+        try:
+            msg = worker.conn.recv()
+        except (EOFError, OSError):
+            # the child died: a crash if it owed us a result, otherwise a
+            # silent idle death — either way, replace it
+            job, started = worker.job, worker.started
+            worker.job = None
+            worker.proc.join()
+            code = worker.proc.exitcode
+            pid = worker.proc.pid
+            self._replace(worker)
+            if job is not None:
+                self._settle(job, WorkerEvent(
+                    job, "crash",
                     f"worker died without reporting (exit code {code})",
-                    elapsed, pid,
+                    time.perf_counter() - started, pid,
                 ))
-            else:
-                handle.proc.join()
-                events.append(WorkerEvent(handle.key, status, payload, elapsed, pid))
-            finally:
-                conn.close()
+            return
+        seq, status, payload = msg
+        if worker.job is None or seq != worker.seq:
+            return  # stale reply from a job we already killed
+        job, elapsed = worker.job, time.perf_counter() - worker.started
+        worker.job = None
+        worker.jobs_done += 1
+        if worker.jobs_done >= self.recycle:
+            if self.metrics is not None:
+                self.metrics.count_pool_recycle()
+            self._replace(worker, graceful=True)
+        self._settle(job, WorkerEvent(job, status, payload, elapsed,
+                                      worker.proc.pid))
 
+    def _kill_overdue(self) -> None:
         now = time.perf_counter()
-        overdue = [h for h in self._live.values() if now >= h.deadline()]
-        for handle in overdue:
-            del self._live[handle.conn]
-            kill_process(handle.proc)
-            handle.conn.close()
-            events.append(WorkerEvent(
-                handle.key, "timeout",
-                f"exceeded {handle.timeout:.0f}s deadline",
-                now - handle.started, handle.proc.pid,
+        for worker in list(self._workers):
+            if worker.job is None or now < worker.deadline:
+                continue
+            job, pid = worker.job, worker.proc.pid
+            worker.job = None
+            self._replace(worker)
+            self._settle(job, WorkerEvent(
+                job, "timeout",
+                f"exceeded {self.timeout:.0f}s deadline",
+                now - worker.started, pid,
             ))
-        return events
 
-    def shutdown(self) -> None:
-        """Kill every live worker; leaves no orphans behind."""
-        for handle in self._live.values():
-            kill_process(handle.proc)
-            handle.conn.close()
-        self._live.clear()
+    def _dispatch(self) -> None:
+        try:
+            while True:
+                with self._lock:
+                    if self._state.kill:
+                        break
+                    self._assign_locked()
+                    if (
+                        self._state.stopping
+                        and not self._state.queued
+                        and not self._state.live
+                    ):
+                        break
+                busy_deadlines = [
+                    w.deadline for w in self._workers
+                    if w.job is not None and w.deadline is not math.inf
+                ]
+                wait_for = None
+                if busy_deadlines:
+                    wait_for = max(
+                        0.0, min(busy_deadlines) - time.perf_counter()
+                    ) + 0.01
+                ready = conn_wait(
+                    [w.conn for w in self._workers] + [self._wake_r],
+                    timeout=wait_for,
+                )
+                if self._wake_r in ready:
+                    try:
+                        os.read(self._wake_r, 4096)
+                    except OSError:
+                        pass
+                ready_set = set(ready)
+                for worker in list(self._workers):
+                    if worker.conn in ready_set:
+                        self._on_readable(worker)
+                self._kill_overdue()
+        finally:
+            # Kill path (or an unexpected dispatcher error): fail whatever
+            # is left so no waiter blocks forever, then reap the children.
+            abandoned = [w.job for w in self._workers if w.job is not None]
+            with self._lock:
+                abandoned += self._state.queued
+                self._state.queued = []
+                self._state.live = 0
+                graceful = not self._state.kill
+                self._drained.notify_all()
+            for worker in self._workers:
+                self._retire_worker(worker, graceful=graceful)
+            self._workers = []
+            for job in abandoned:
+                try:
+                    job.on_done(WorkerEvent(job, "error", "pool stopped", 0.0))
+                except Exception:
+                    pass
+            try:
+                os.close(self._wake_r)
+                os.close(self._wake_w)
+            except (OSError, TypeError):
+                pass

@@ -1,10 +1,12 @@
 """Reduction detection, relaxation, tagging, and emission (PR 10)."""
 
 import ast
+import dataclasses
 
 import numpy as np
 import pytest
 
+from repro import api
 from repro.codegen import generate_c, generate_python
 from repro.core.reductions import (
     REDUCTION_IDENTITY,
@@ -170,6 +172,18 @@ class TestEndToEnd:
         relaxed.run(out, params)
         for k in sorted(base):
             assert np.allclose(ref[k], out[k], rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("mode", ["privatize", "omp"])
+    @pytest.mark.parametrize("name", ["dot", "l2norm", "tensor-contract"])
+    def test_api_verify_checks_the_relaxed_set(self, name, mode):
+        """``repro.api.verify`` relaxes what the result's options scheduled
+        relaxed, as ``repro verify`` does; a result without options (or with
+        ``"off"``) is checked against every dependence."""
+        w = get_workload(name)
+        result = api.optimize(w.name, w.pipeline_options(parallel_reductions=mode))
+        assert api.verify(result).legal
+        assert not api.verify(dataclasses.replace(result, options=None)).legal
+        assert api.verify(api.optimize(w.name, w.pipeline_options())).legal
 
     def test_c_kernel_reduction_clause(self):
         result = _opt("dot", parallel_reductions="omp")

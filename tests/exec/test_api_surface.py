@@ -2,8 +2,7 @@
 
 import numpy as np
 
-from repro.codegen import make_generated_code
-from repro.codegen.original import original_schedule
+from repro.codegen import make_generated_code, original_schedule
 from repro.codegen.python_emit import GeneratedCode, generate_python
 from repro.frontend import parse_program
 

@@ -11,7 +11,7 @@ makes achievable on real hardware.
 import numpy as np
 import pytest
 
-from repro.codegen.original import original_schedule
+from repro.codegen import original_schedule
 from repro.exec import ExecutionOptions
 from repro.runtime.arrays import random_arrays
 from repro.runtime.validate import backend_compat_check

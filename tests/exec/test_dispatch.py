@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.codegen import generate_python
-from repro.codegen.original import original_schedule
+from repro.codegen import generate_python, original_schedule
 from repro.exec import (
     CompiledKernel,
     ExecBackendError,

@@ -7,9 +7,8 @@ any future backend build against.
 
 import pytest
 
-from repro.codegen import generate_c, generate_c_kernel
+from repro.codegen import generate_c, generate_c_kernel, original_schedule
 from repro.codegen.c_emit import KERNEL_ENTRY
-from repro.codegen.original import original_schedule
 from repro.frontend import parse_program
 from repro.pipeline import PipelineOptions, optimize
 from repro.workloads import get_workload

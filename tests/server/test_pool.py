@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.server.pool import PoolJob, WarmWorkerPool
+from repro.workers import PoolJob, WarmWorkerPool
 
 pytestmark = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -26,6 +26,10 @@ def _slow(payload):
 
 def _crash(payload):
     os._exit(7)
+
+
+def _boom(payload):
+    raise RuntimeError(f"boom on {payload}")
 
 
 def _crash_if_told(payload):
@@ -87,6 +91,7 @@ class TestCompletion:
         (ev,) = done.wait()
         assert ev.kind == "crash"
         assert "without reporting" in ev.payload
+        assert "exit code 7" in ev.payload
 
         # the pool keeps dispatching after a worker death
         done2 = _Collector(1)
@@ -101,6 +106,15 @@ class TestCompletion:
         (ev,) = done.wait()
         assert time.perf_counter() - t0 < 30
         assert ev.kind == "timeout"
+
+    def test_raising_job_settles_as_error_with_traceback(self, pool_factory):
+        pool = pool_factory(jobs=1, target=_boom)
+        done = _Collector(1)
+        assert pool.try_submit(PoolJob("k-err", "input-7", done))
+        (ev,) = done.wait()
+        assert ev.kind == "error"
+        assert "Traceback" in ev.payload
+        assert "RuntimeError: boom on input-7" in ev.payload
 
     def test_broken_callback_does_not_kill_dispatcher(self, pool_factory):
         pool = pool_factory(jobs=1, target=_echo)
@@ -160,6 +174,16 @@ class TestShutdown:
         events = done.wait(timeout=10.0)
         assert all(ev.kind == "error" for ev in events)
         assert {ev.key.key for ev in events} == {"k0", "k1", "k2"}
+
+    def test_no_worker_outlives_stop(self, pool_factory):
+        pool = pool_factory(jobs=2, target=_slow)
+        done = _Collector(1)
+        assert pool.try_submit(PoolJob("k-hang", {"seconds": 60}, done))
+        pool.stop()
+        done.wait(timeout=10.0)
+        alive = [p for p in multiprocessing.active_children()
+                 if p.name == "repro-warm-worker"]
+        assert alive == []
 
 
 class TestWarmPool:

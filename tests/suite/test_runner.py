@@ -155,3 +155,16 @@ class TestMatrixIntegration:
         # fig3 is the smallest registry workload with a nontrivial flag set
         specs = build_matrix(category="motivation", filters=["fig3-*"])
         assert len(specs) == 1 and specs[0].options.iss
+
+
+def test_each_run_gets_a_fresh_process(tmp_path, hostile_registry):
+    """recycle=1: one slot, three runs, three worker processes."""
+    specs = [
+        RunSpec(run_id=f"suite-test-tiny--{i}", workload="suite-test-tiny",
+                variant="plutoplus", options=PipelineOptions(tile=False))
+        for i in range(3)
+    ]
+    res = _run(tmp_path, specs, jobs=1, timeout=60)
+    assert res.ok
+    pids = [record["worker_pid"] for record in res.records]
+    assert len(set(pids)) == 3 and os.getpid() not in pids

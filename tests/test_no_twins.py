@@ -12,7 +12,7 @@ Four narrower guards of the same kind: one module imports
 column through an equality in one function, ``core/farkas.py`` eliminates
 multipliers in one place, and Fourier–Motzkin combines a lower with an
 upper bound in one expression, which the scan reaches through one
-``project_chain`` call.
+``project_chain`` call.  And one worker pool forks and waits on children.
 """
 
 import re
@@ -106,3 +106,13 @@ def test_fourier_motzkin_combines_in_one_place():
     assert len(_COMBINE.findall(text)) == 1
     scan = (SRC / "codegen" / "scan.py").read_text()
     assert scan.count("project_chain(") == 1 and scan.count("project_out(") == 0
+
+
+def test_one_worker_pool_forks_and_waits():
+    """At 8285a09 the suite forked its runs through
+    ``repro.workers.WorkerSupervisor`` (with ``WorkerHandle`` and the child
+    body ``worker_main``) beside the daemon's ``repro.server.pool``: two
+    spawn → wait → deadline-kill loops.  ``WarmWorkerPool`` is the one."""
+    sources = [p.read_text() for p in SRC.rglob("*.py")]
+    assert sum(text.count(".Process(") for text in sources) == 1
+    assert sum(text.count("conn_wait(") for text in sources) == 1
