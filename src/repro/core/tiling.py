@@ -300,7 +300,7 @@ def tile_schedule(
     tile granularity: a dependence can advance ``h1`` across a tile
     boundary while ``floor((h1+h2)/ts)`` stays put, so annotating the
     first tile loop parallel races under real threads (caught by the
-    ``exec_threads`` bit-compat gate).  True concurrent start needs a
+    bit-compat check across 1/2/4 threads).  True concurrent start needs a
     wavefront over the *tile indices* (``z1+z2`` sequential, ``z1``
     parallel), which the scan cannot express yet — the band keeps its
     ``concurrent_start`` flag for the analytic machine layer.

@@ -5,9 +5,7 @@ from repro.machine.model import MachineModel, XEON_E5_2680
 from repro.machine.perf import (
     ExecutionMode,
     PerfEstimate,
-    RooflineComparison,
     classify_result,
-    compare_roofline,
     estimate,
     speedup,
 )
@@ -18,10 +16,8 @@ __all__ = [
     "ExecutionMode",
     "MachineModel",
     "PerfEstimate",
-    "RooflineComparison",
     "XEON_E5_2680",
     "classify_result",
-    "compare_roofline",
     "estimate",
     "simulate_schedule_misses",
     "speedup",

@@ -21,7 +21,6 @@ untiled runs past one socket.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -32,9 +31,7 @@ from repro.workloads.base import PerfSpec, Workload
 __all__ = [
     "PerfEstimate",
     "ExecutionMode",
-    "RooflineComparison",
     "classify_result",
-    "compare_roofline",
     "estimate",
     "speedup",
 ]
@@ -195,68 +192,3 @@ def speedup(a: PerfEstimate, b: PerfEstimate) -> float:
     """How much faster ``b`` is than ``a``."""
     return a.seconds / b.seconds
 
-
-@dataclass
-class RooflineComparison:
-    """Predicted-vs-measured for one executed schedule (EXPERIMENTS.md)."""
-
-    workload: str
-    mode: str                           # classify_result() verdict
-    bound: str                          # "memory" | "compute" (predicted)
-    cores: int
-    predicted_seconds: float
-    measured_seconds: float
-
-    @property
-    def ratio(self) -> float:
-        """measured / predicted: > 1 means the model was optimistic."""
-        return self.measured_seconds / self.predicted_seconds
-
-    def as_dict(self) -> dict:
-        return {**dataclasses.asdict(self), "ratio": round(self.ratio, 3)}
-
-
-def compare_roofline(
-    result,
-    exec_seconds: float,
-    cores: int = 1,
-    machine: MachineModel = XEON_E5_2680,
-    sizes: Optional[Mapping[str, int]] = None,
-) -> RooflineComparison:
-    """Feed one measured execution time back into the roofline model.
-
-    ``result`` is an :class:`~repro.pipeline.OptimizationResult` whose
-    source program is a registered workload (the name resolves the
-    :class:`~repro.workloads.base.PerfSpec`); ``exec_seconds`` is the
-    measured wall time for one run over ``sizes`` (defaulting to the
-    workload's registered sizes).  The schedule is classified into its
-    execution mode exactly as Fig. 6 does, the analytic model predicts a
-    time for that mode, and the comparison — including the
-    measured/predicted ratio — comes back ready for the EXPERIMENTS.md
-    table.  Raises ``ValueError`` for unregistered workloads or ones
-    without a :class:`PerfSpec`.
-    """
-    from repro.workloads import get_workload
-
-    name = result.source_program.name
-    try:
-        workload = get_workload(name)
-    except KeyError:
-        raise ValueError(
-            f"compare_roofline needs a registered workload; "
-            f"{name!r} is not one"
-        ) from None
-    mode = classify_result(result)
-    tile_size = result.options.tile_size if result.options is not None else 32
-    predicted = estimate(
-        workload, mode, cores, machine=machine, sizes=sizes,
-        tile_size=tile_size,
-    )
-    return RooflineComparison(
-        workload=name,
-        mode=mode,
-        bound=predicted.bound,
-        cores=cores,
-        predicted_seconds=predicted.seconds,
-        measured_seconds=exec_seconds,
-    )

@@ -1,9 +1,9 @@
-"""Table and series formatting for the benchmark harness.
+"""Table formatting for the suite report and the CLI's stats blocks.
 
-Small, dependency-free helpers that render the paper's tables and figure
-series as monospace text: aligned tables with geometric-mean footers
-(Table 3), normalized stacked fractions (Fig. 5), and ASCII line series
-(Fig. 6).  Kept separate from the benches so the formatting is unit-testable.
+Small, dependency-free helpers that render the paper's tables as monospace
+text: aligned tables with geometric-mean footers (Table 3) and normalized
+stacked fractions (Fig. 5).  Kept separate from their callers so the
+formatting is unit-testable.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ __all__ = [
     "format_stats",
     "format_suite_report",
     "normalized_breakdown",
-    "ascii_series",
 ]
 
 
@@ -172,46 +171,3 @@ def normalized_breakdown(parts: Mapping[str, float]) -> dict[str, float]:
         return {k: 0.0 for k in parts}
     return {k: v / total for k, v in parts.items()}
 
-
-def ascii_series(
-    xs: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    width: int = 48,
-    height: int = 12,
-    logy: bool = False,
-) -> str:
-    """Plot one or more series as ASCII art (Fig. 6 panels in a terminal).
-
-    Each series gets a marker character; points are scattered on a
-    ``height`` x ``width`` grid with linear (or log) y scaling.
-    """
-    markers = "*o+x#@%&"
-    all_vals = [v for vs in series.values() for v in vs if v is not None]
-    if not all_vals or len(xs) < 2:
-        return "(no data)"
-    ymin, ymax = min(all_vals), max(all_vals)
-    if logy:
-        if ymin <= 0:
-            raise ValueError("log scale requires positive values")
-        ymin, ymax = math.log(ymin), math.log(ymax)
-    if ymax == ymin:
-        ymax = ymin + 1.0
-    xmin, xmax = min(xs), max(xs)
-
-    grid = [[" "] * width for _ in range(height)]
-    for si, (name, vs) in enumerate(series.items()):
-        mark = markers[si % len(markers)]
-        for x, v in zip(xs, vs):
-            if v is None:
-                continue
-            yv = math.log(v) if logy else v
-            col = round((x - xmin) / (xmax - xmin) * (width - 1))
-            row = round((yv - ymin) / (ymax - ymin) * (height - 1))
-            grid[height - 1 - row][col] = mark
-    lines = ["|" + "".join(r) for r in grid]
-    lines.append("+" + "-" * width)
-    legend = "  ".join(
-        f"{markers[i % len(markers)]}={name}" for i, name in enumerate(series)
-    )
-    lines.append(" " + legend)
-    return "\n".join(lines)

@@ -5,8 +5,8 @@ exact dependence model every loop carries the accumulator self-dependence
 and the scheduler finds *no* parallel hyperplane.  They exist to exercise
 ``parallel_reductions``: with relaxation enabled, the accumulation
 dimension becomes parallel and the emitters discharge it with privatized
-partial sums / ``reduction(..)`` clauses.  ``benchmarks/reductions.py``
-gates execution speedup and tolerance-correctness on them.
+partial sums / ``reduction(..)`` clauses.  Tier-1 tests check the tag on
+each of them and their results at 1/2/4 threads.
 """
 
 from __future__ import annotations

@@ -36,6 +36,14 @@ class TestDiamondOnPeriodicHeat:
         # the reversed half carries the parametric shift N
         assert any(e.coeff_of("N") != 0 for e in minus_half)
 
+    @pytest.mark.parametrize("bound", [1, 2, 4, 8])
+    def test_found_at_every_coefficient_bound(self, split_heat, bound):
+        """Ablation A1: the diamond needs only +-1 coefficients, so every
+        bound ``b`` of the sweep admits it (the paper's b = 4 is headroom)."""
+        p, ddg = split_heat
+        opts = SchedulerOptions(algorithm="plutoplus", coeff_bound=bound)
+        assert find_diamond_schedule(p, ddg, opts) is not None
+
     def test_band_is_concurrent_start(self, split_heat):
         p, ddg = split_heat
         s = find_diamond_schedule(p, ddg, SchedulerOptions(algorithm="plutoplus"))

@@ -115,6 +115,10 @@ class TestRadixEncodings:
             if k.startswith("dl.")
         }
         assert big_ms == {9}
+        # ablation A2: one binary delta^l per statement covers the whole
+        # orthogonal sub-space (an orthant encoding needs two per row)
+        deltas = {k for con in cons for k in con.coeffs if k.startswith("dl.")}
+        assert deltas == {f"dl.{stmt.name}"}
 
     def test_independence_excludes_exactly_dependents(self):
         b = 2

@@ -131,6 +131,12 @@ class TestRelaxation:
         assert kept == list(deps) and relaxed == []
 
 
+#: the reduction-tagged levels of each kernel's tiled schedule when relaxed
+REDUCTION_LEVELS = {
+    "dot": [0], "l2norm": [0], "tensor-contract": [2, 3], "gemm": [6],
+}
+
+
 def _opt(workload, **overrides):
     w = get_workload(workload)
     return optimize(w.program(), w.pipeline_options("plutoplus", **overrides))
@@ -146,6 +152,17 @@ class TestEndToEnd:
         result = _opt("dot", parallel_reductions="privatize")
         assert result.tiled.reduction_levels() == [0]
         assert 0 in result.tiled.parallel_levels()
+        assert result.scheduler_stats.reductions_detected == 1
+        assert result.scheduler_stats.reductions_relaxed >= 1
+
+    @pytest.mark.parametrize("name", sorted(REDUCTION_LEVELS))
+    def test_relaxation_tags_every_reduction_kernel(self, name):
+        """Each reduction-bound kernel gains a reduction-tagged parallel
+        level under the OpenMP discharge, not only dot."""
+        levels = REDUCTION_LEVELS[name]
+        result = _opt(name, parallel_reductions="omp")
+        assert result.tiled.reduction_levels() == levels
+        assert set(levels) <= set(result.tiled.parallel_levels())
         assert result.scheduler_stats.reductions_detected == 1
         assert result.scheduler_stats.reductions_relaxed >= 1
 

@@ -131,6 +131,21 @@ class TestPlutoCoefficientSign:
             for st_ in p.statements:
                 assert all(abs(c) <= 4 for c in row.coeff_rows(st_))
 
+    def test_csum_objective_keeps_coefficients_small(self):
+        """Ablation A4 (Section 3.6): with the csum objective the loop rows'
+        total |c| is no larger than with the lexmin tie-break alone."""
+
+        def magnitude(csum):
+            p, _, s = schedule_src(FIG1, "plutoplus", csum_objective=csum)
+            return sum(
+                abs(c)
+                for row in s.rows if row.kind == "loop"
+                for st_ in p.statements
+                for c in row.coeff_rows(st_)
+            )
+
+        assert magnitude(True) <= magnitude(False)
+
 
 class TestJacobiStructure:
     def test_time_skewed_band(self):

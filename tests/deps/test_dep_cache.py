@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.iss import index_set_split
 from repro.deps import DepStats, compute_dependences
 from repro.deps.analysis import (
     _access_pairs,
@@ -72,11 +73,16 @@ class TestCachedEqualsUncached:
         assert _signature(cached) == _signature(uncached)
 
     def test_workload_relations_identical(self):
-        program = get_workload("fig1-skew").program()
-        cached = compute_dependences(program)
-        with cache_disabled():
-            uncached = compute_dependences(program)
-        assert _signature(cached) == _signature(uncached)
+        # heat-1dp after index-set splitting: the re-analysis ISS forces,
+        # four times the statement pairs of the source program
+        heat = get_workload("heat-1dp").program()
+        split, used_iss = index_set_split(heat, compute_dependences(heat))
+        assert used_iss
+        for program in (get_workload("fig1-skew").program(), split):
+            cached = compute_dependences(program)
+            with cache_disabled():
+                uncached = compute_dependences(program)
+            assert _signature(cached) == _signature(uncached)
 
     def test_incremental_construction_matches_reference(self):
         # The one enumerator layers shared rows on copies; the standalone

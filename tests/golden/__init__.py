@@ -38,7 +38,8 @@ CORPUS_PATH = Path(__file__).with_name("schedules.json")
 #: suite variants (``repro.suite.matrix.VARIANTS``) frozen per workload
 VARIANTS = ("plutoplus", "pluto", "quick", "auto", "rar", "redpar")
 
-#: the ``benchmarks/solver_baseline.py`` set, also frozen on the exact backend
+#: the Polybench kernels the seed's exact solver finished in minutes, also
+#: frozen on the exact backend
 EXACT_WORKLOADS = (
     "floyd-warshall", "mvt", "gemm", "syrk", "trisolv", "lu", "seidel-2d",
 )

@@ -5,12 +5,18 @@ job (``python -m tests.golden --check --tier full``), not here — except the
 ``@exact`` cells: their stored cost is the deleted seed solver's (5-93 s, so
 tier ``"full"``) but they take well under a second each now, and they are
 the only end-to-end run of the exact backend against the corpus.
+
+Two of the paper's qualitative claims are read off the stored pretty
+schedules of every tier: the cell checks (here for tier 1, ``golden-full``
+for the rest) keep those lines current, so the claims recompute nothing.
 """
 
 import copy
+import re
 
 import pytest
 
+from repro.workloads import all_workloads
 from tests.golden import (
     EXACT_WORKLOADS,
     cell_specs,
@@ -23,6 +29,10 @@ CORPUS = load_corpus()
 CELLS = CORPUS["cells"]
 SPECS = cell_specs()
 DIGESTS = ("schedule_digest", "tiled_digest")
+
+#: the marker ``Schedule.pretty()`` puts on the first row of a band of
+#: width >= 2: ``<- band[start..end] (flags)``
+BAND_MARKER = re.compile(r"<- band\[(\d+)\.\.(\d+)\] \(([^)]*)\)")
 
 
 def test_corpus_covers_every_workload_variant_cell():
@@ -68,3 +78,38 @@ def test_mismatch_report_names_the_cell_and_diffs_the_schedule():
     assert "schedule_digest differ" in report and "tiled_digest" not in report
     assert "-  t0: [scalar] a row the scheduler never emitted" in report
     assert "+" + golden["pretty"][1] in report
+
+
+def _bands(cell_id):
+    """``(start, end, flags)`` of every band the cell's stored pretty marks."""
+    return [
+        (int(m[1]), int(m[2]), m[3])
+        for m in map(BAND_MARKER.search, CELLS[cell_id]["pretty"])
+        if m
+    ]
+
+
+def test_pluto_and_plutoplus_bands_agree_on_polybench():
+    """Section 4.2: on Polybench, Pluto+ finds the same (or an equivalent)
+    transformation as Pluto: the same tilable bands, level for level, on
+    all 27 kernels.  Catches a scheduler change, once regenerated into the
+    corpus, that gives one algorithm another band structure, e.g. Pluto+
+    closing its band at a reversed (negative-coefficient) row."""
+    names = [w.name for w in all_workloads("polybench")]
+    assert len(names) == 27
+    differ = [n for n in names if _bands(f"{n}--pluto") != _bands(f"{n}--plutoplus")]
+    assert differ == []
+
+
+def test_only_plutoplus_time_tiles_the_periodic_suite():
+    """Fig. 6: Pluto+ time-tiles all 9 periodic kernels (a band starting at
+    the outermost, time, level), with concurrent start on all but swim;
+    classic Pluto time-tiles none of them.  Catches a scheduler change, once
+    regenerated into the corpus, that loses a diamond, e.g. a diamond band no
+    longer flagged concurrent-start."""
+    names = [w.name for w in all_workloads("periodic")]
+    assert len(names) == 9
+    outer = {n: [b for b in _bands(f"{n}--plutoplus") if b[0] == 0] for n in names}
+    assert [n for n in names if not outer[n]] == []
+    assert [n for n in names if "concurrent-start" not in outer[n][0][2]] == ["swim"]
+    assert [n for n in names if any(b[0] == 0 for b in _bands(f"{n}--pluto"))] == []

@@ -6,7 +6,6 @@ from repro.machine import (
     ExecutionMode,
     XEON_E5_2680,
     classify_result,
-    compare_roofline,
     estimate,
     speedup,
 )
@@ -128,6 +127,14 @@ class TestEstimates:
         pts = 1024 * 1024 * 50000
         assert e.mlups == pytest.approx(pts / e.seconds / 1e6)
 
+    def test_tile_size_changes_the_estimate(self):
+        # the tile size sets the reuse model, hence the prediction
+        w = get_workload("heat-1dp")
+        sizes = {"N": 512, "T": 64}
+        a = estimate(w, ExecutionMode.DIAMOND, 1, sizes=sizes, tile_size=32)
+        b = estimate(w, ExecutionMode.DIAMOND, 1, sizes=sizes, tile_size=8)
+        assert a.seconds != b.seconds
+
     def test_unknown_mode_rejected(self):
         w = get_workload("heat-1dp")
         with pytest.raises(ValueError):
@@ -156,43 +163,3 @@ class TestClassify:
         mode = classify_result(res)
         assert mode in (ExecutionMode.SPACE_PARALLEL, ExecutionMode.WAVEFRONT)
 
-
-class TestCompareRoofline:
-    def test_measured_feeds_back_into_the_model(self):
-        from repro.pipeline import optimize
-
-        w = get_workload("heat-1dp")
-        res = optimize(w.program(), w.pipeline_options("plutoplus"))
-        cmp = compare_roofline(res, 0.01, cores=1, sizes={"N": 512, "T": 64})
-        assert cmp.workload == "heat-1dp"
-        assert cmp.mode == ExecutionMode.DIAMOND
-        assert cmp.predicted_seconds > 0
-        assert cmp.ratio == pytest.approx(0.01 / cmp.predicted_seconds)
-        d = cmp.as_dict()
-        assert d["ratio"] == round(cmp.ratio, 3)
-        assert d["cores"] == 1 and d["bound"] in ("memory", "compute")
-
-    def test_tile_size_comes_from_the_result(self):
-        from repro.pipeline import optimize
-
-        w = get_workload("heat-1dp")
-        sizes = {"N": 512, "T": 64}
-        a = optimize(w.program(), w.pipeline_options("plutoplus"))
-        b = optimize(
-            w.program(), w.pipeline_options("plutoplus", tile_size=8)
-        )
-        ca = compare_roofline(a, 1.0, sizes=sizes)
-        cb = compare_roofline(b, 1.0, sizes=sizes)
-        # a different tile size changes the reuse model, hence the prediction
-        assert ca.predicted_seconds != cb.predicted_seconds
-
-    def test_unregistered_workload_rejected(self):
-        from repro.frontend import parse_program
-        from repro.pipeline import PipelineOptions, optimize
-
-        p = parse_program(
-            "for (i = 1; i < N; i++) A[i] = A[i-1];", "anon", params=("N",)
-        )
-        res = optimize(p, PipelineOptions(tile=False))
-        with pytest.raises(ValueError, match="registered workload"):
-            compare_roofline(res, 1.0)

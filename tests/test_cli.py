@@ -1,6 +1,8 @@
 """Tests for the command-line driver."""
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -10,6 +12,8 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.server import ServerClient
+from repro.workloads import all_workloads
 
 FIG1 = """
 for (i = 0; i < N; i++)
@@ -441,29 +445,48 @@ class TestCLIServeParsing:
         assert precious.read_text() == "data"
 
 
+def _repro_env():
+    return dict(
+        os.environ,
+        PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+    )
+
+
+def _spawn(sock, *args):
+    """A ``repro`` subprocess listening on ``sock`` (not yet bound), in a
+    session of its own so :func:`_kill` reaches the workers it forks."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", *args, "--socket", sock],
+        env=_repro_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+
+
+def _kill(proc):
+    """Kill whatever is left of ``proc``'s session; a worker outliving its
+    daemon would hold the pipes open and hang ``communicate``."""
+    with contextlib.suppress(ProcessLookupError):
+        os.killpg(proc.pid, signal.SIGKILL)
+    proc.communicate()
+
+
+def _await_socket(proc, sock):
+    deadline = time.time() + 30
+    while not os.path.exists(sock):
+        assert proc.poll() is None, proc.stderr.read()
+        assert time.time() < deadline, f"{sock} was never bound"
+        time.sleep(0.05)
+
+
 class TestCLIServeEndToEnd:
-    """One real daemon subprocess driven through the client commands."""
+    """Real daemon, router and warm subprocesses driven through the CLI."""
 
     def test_serve_ping_opt_shutdown(self, tmp_path, capsys):
         sock = str(tmp_path / "repro.sock")
-        env = dict(
-            os.environ,
-            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-        )
-        daemon = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", "--socket", sock,
-             "--jobs", "1", "--cache-dir", str(tmp_path / "cache"),
-             "--report"],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-            text=True,
-        )
+        daemon = _spawn(sock, "serve", "--jobs", "1",
+                        "--cache-dir", str(tmp_path / "cache"), "--report")
         try:
-            deadline = time.time() + 30
-            while not os.path.exists(sock):
-                assert daemon.poll() is None, daemon.stderr.read()
-                assert time.time() < deadline, "daemon never bound its socket"
-                time.sleep(0.05)
-
+            _await_socket(daemon, sock)
             assert main(["client", "ping", "--socket", sock]) == 0
             assert "ok: server" in capsys.readouterr().out
 
@@ -487,7 +510,71 @@ class TestCLIServeEndToEnd:
             _, err = daemon.communicate(timeout=30)
             assert daemon.returncode == 0, err
             assert "# served 2 optimize request(s)" in err
+            assert not os.path.exists(sock)
         finally:
-            if daemon.poll() is None:
-                daemon.kill()
-                daemon.communicate()
+            _kill(daemon)
+
+    def test_serve_drains_on_sigterm(self, tmp_path):
+        """SIGTERM drains like ``client shutdown``: exit 0, report printed,
+        socket gone.  Catches a daemon that no longer handles SIGTERM
+        (killed by the default action, socket left behind)."""
+        sock = str(tmp_path / "repro.sock")
+        daemon = _spawn(sock, "serve", "--jobs", "1",
+                        "--cache-dir", str(tmp_path / "cache"), "--report")
+        try:
+            _await_socket(daemon, sock)
+            with ServerClient(socket_path=sock) as client:
+                assert client.optimize("fig1-skew")["cache"] == "miss"
+            daemon.send_signal(signal.SIGTERM)
+            assert daemon.wait(timeout=30) == 0
+            _, err = daemon.communicate(timeout=30)
+            assert "# served 1 optimize request(s)" in err
+            assert not os.path.exists(sock)
+        finally:
+            _kill(daemon)
+
+    def test_fleet_answers_like_one_daemon(self, tmp_path):
+        """Two shards behind ``repro route``, warmed by ``repro warm``: each
+        motivation workload is a cache hit through the router and carries
+        the schedule, tiled schedule and code one ``repro serve`` computes
+        cold.  Catches ``repro warm`` filling entries that plain lookups
+        never hit (e.g. a default variant other than ``client opt``'s)."""
+        socks = {n: str(tmp_path / f"{n}.sock")
+                 for n in ("one", "s0", "s1", "router")}
+        procs = [
+            _spawn(socks[n], "serve", "--jobs", "1",
+                   "--cache-dir", str(tmp_path / n))
+            for n in ("one", "s0", "s1")
+        ]
+        procs.append(_spawn(socks["router"], "route",
+                            "--shard", socks["s0"], "--shard", socks["s1"]))
+        try:
+            for proc, sock in zip(procs, socks.values()):
+                _await_socket(proc, sock)
+            warm = subprocess.run(
+                [sys.executable, "-m", "repro", "warm",
+                 "--socket", socks["router"], "--category", "motivation",
+                 "--jobs", "2", "--quiet"],
+                env=_repro_env(), capture_output=True, text=True, timeout=300,
+            )
+            assert warm.returncode == 0, warm.stdout + warm.stderr
+            with ServerClient(socket_path=socks["router"]) as fleet, \
+                    ServerClient(socket_path=socks["one"]) as one:
+                for w in all_workloads("motivation"):
+                    routed = fleet.optimize(w.name)
+                    direct = one.optimize(w.name)
+                    assert routed["cache"].startswith("hit"), (w.name, routed["cache"])
+                    assert direct["cache"] == "miss"
+                    for field in ("schedule", "tiled", "code"):
+                        assert routed["result"][field] == direct["result"][field], \
+                            (w.name, field)
+            # the router's shutdown fans out to both shards
+            for sock in (socks["router"], socks["one"]):
+                with ServerClient(socket_path=sock) as client:
+                    client.shutdown()
+            for proc in procs:
+                _, err = proc.communicate(timeout=60)
+                assert proc.returncode == 0, err
+        finally:
+            for proc in procs:
+                _kill(proc)

@@ -1,8 +1,8 @@
-"""Tests for the benchmark-report formatting helpers."""
+"""Tests for the report formatting helpers."""
 
 import pytest
 
-from repro.reporting import ascii_series, format_table, geomean, normalized_breakdown
+from repro.reporting import format_table, geomean, normalized_breakdown
 
 
 class TestGeomean:
@@ -43,29 +43,6 @@ class TestNormalizedBreakdown:
 
     def test_zero_total(self):
         assert normalized_breakdown({"a": 0.0}) == {"a": 0.0}
-
-
-class TestAsciiSeries:
-    def test_plot_shape(self):
-        text = ascii_series([1, 2, 4, 8], {"pluto": [4, 3, 2, 2], "plus": [4, 2, 1, 0.5]})
-        lines = text.splitlines()
-        assert lines[-2].startswith("+")
-        assert "*=pluto" in lines[-1]
-
-    def test_markers_present(self):
-        text = ascii_series([1, 16], {"a": [1, 2], "b": [2, 4]})
-        assert "*" in text and "o" in text
-
-    def test_log_scale(self):
-        text = ascii_series([1, 2], {"a": [1, 1000]}, logy=True)
-        assert "(no data)" not in text
-
-    def test_log_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ascii_series([1, 2], {"a": [0, 1]}, logy=True)
-
-    def test_no_data(self):
-        assert ascii_series([1], {"a": [1]}) == "(no data)"
 
 
 class TestSuiteReportColumns:
