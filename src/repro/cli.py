@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
@@ -38,7 +39,7 @@ from repro.codegen import generate_c
 from repro.frontend import parse_program
 from repro.frontend.ir import Program
 from repro.pipeline import PipelineOptions, optimize
-from repro.polyhedra.cache import global_cache
+from repro.polyhedra.cache import cache_disabled, global_cache
 
 __all__ = ["main", "build_parser"]
 
@@ -426,9 +427,13 @@ def _cmd_opt(args) -> int:
         if result.dep_stats is not None:
             print("# dependence stats:", file=sys.stderr)
             # this process's counts, like the pruning block's; a cone miss
-            # is one Farkas multiplier elimination
+            # is one Farkas multiplier elimination, a relations miss one
+            # whole dependence analysis
             dep = {**result.dep_stats.as_dict(), **{
-                k: poly[k] for k in ("min_by_rule", "cone_lookups", "cone_hits")}}
+                k: poly[k] for k in (
+                    "min_by_rule", "cone_lookups", "cone_hits",
+                    "relations_lookups", "relations_hits",
+                )}}
             print(format_stats(dep, indent="#   "), file=sys.stderr)
         # this process's pruning work: all zero when the schedule cache answered
         print("# pruning stats:", file=sys.stderr)
@@ -495,14 +500,17 @@ def _cmd_verify(args) -> int:
         result = optimize(program, _pipeline_options(args, workload))
         program = result.program  # post-ISS program actually scheduled
         schedule = result.tiled   # the rows the generated code executes
-    # the execution leg below covers what the relaxed legality set leaves
-    ddg, relaxed = verification_graph(
-        program, getattr(args, "parallel_reductions", "off")
-    )
+    # the execution leg below covers what the relaxed legality set leaves;
+    # --no-deps-cache re-analyses from scratch here too, instead of reusing
+    # the relations the pipeline just found
+    with _deps_cache_guard(args):
+        ddg, relaxed = verification_graph(
+            program, getattr(args, "parallel_reductions", "off")
+        )
+        report = verify_schedule(schedule, ddg)
     if relaxed:
         print(f"# relaxed {len(relaxed)} reduction self-dependences "
               f"before legality checking", file=sys.stderr)
-    report = verify_schedule(schedule, ddg)
     print(report)
     rc = 0 if report.legal else 1
     if args.backend != "python" and report.legal:
@@ -563,15 +571,16 @@ def _exec_params(args, program) -> dict:
     return {p: max(floor, 8) for p in program.params}
 
 
-def _cmd_deps(args) -> int:
-    from contextlib import nullcontext
+def _deps_cache_guard(args):
+    """``cache_disabled()`` under ``--no-deps-cache``, else a no-op."""
+    return cache_disabled() if args.no_deps_cache else nullcontext()
 
+
+def _cmd_deps(args) -> int:
     from repro.deps import compute_dependences
-    from repro.polyhedra.cache import cache_disabled
 
     program, _ = _load_program(args)
-    guard = cache_disabled() if getattr(args, "no_deps_cache", False) else nullcontext()
-    with guard:
+    with _deps_cache_guard(args):
         deps = compute_dependences(program)
     print(f"{len(deps)} dependences:")
     for d in deps:

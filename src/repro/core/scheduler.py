@@ -466,8 +466,7 @@ class PlutoScheduler:
             from repro.core.skeleton import scheduler_solve_key
 
             skey = scheduler_solve_key(
-                self.program, self.options, sched, active,
-                memo=self.warm.digest_memo, extra=key_extra,
+                self.program, self.options, sched, active, extra=key_extra
             )
             record = self.warm.lookup(skey)
             if record is not None:

@@ -130,18 +130,20 @@ def structural_fingerprint(program_dict: Mapping, options_dict: Mapping) -> str:
     })
 
 
-def dependence_digest(dep, memo: Optional[dict] = None) -> str:
+def dependence_digest(dep) -> str:
     """Content identity of one dependence edge (hex sha256).
 
     Hashes the raw product-space polyhedron (constraint rows, order
     insensitive) plus the edge's endpoints and renames — everything the
-    Farkas elimination consumes.  ``memo`` (keyed by ``id(dep)``) amortizes
-    the hash across the per-level solve keys of one scheduler run.
+    Farkas elimination consumes.  All of it is fixed by the program's
+    content, so the digest is stored on the edge's
+    :class:`~repro.deps.analysis.Relation` and computed once per memo entry
+    of the PolyCache ``relations`` table: once for every level, run and
+    request that analyses an equal program.
     """
-    if memo is not None:
-        cached = memo.get(id(dep))
-        if cached is not None:
-            return cached
+    relation = dep.relation
+    if relation is not None and relation.digest is not None:
+        return relation.digest
     space = dep.polyhedron.space
     rows = sorted(
         (tuple(str(x) for x in c.coeffs), c.equality)
@@ -152,14 +154,12 @@ def dependence_digest(dep, memo: Optional[dict] = None) -> str:
         sorted(dep.src_rename.items()), sorted(dep.tgt_rename.items()),
         list(space.dims), list(space.params), rows,
     ])
-    if memo is not None:
-        memo[id(dep)] = digest
+    if relation is not None:
+        relation.digest = digest
     return digest
 
 
-def scheduler_solve_key(
-    program, options, sched, active, memo: Optional[dict] = None, extra=None
-) -> str:
+def scheduler_solve_key(program, options, sched, active, extra=None) -> str:
     """Identity of one ``find_hyperplane`` ILP solve (hex sha256).
 
     Covers every input the per-level model is built from — scheduler
@@ -190,7 +190,7 @@ def scheduler_solve_key(
             ]
             for s in program.statements
         ],
-        "deps": sorted(dependence_digest(d, memo) for d in active),
+        "deps": sorted(dependence_digest(d) for d in active),
         "extra": extra,
     }
     return _canonical_hash(payload)
@@ -216,8 +216,6 @@ class WarmStart:
         #: informational Farkas row counts, label → [legal, bound]: the rows
         #: the cone leaves after substitution; never compared, only recorded
         self.farkas: dict[str, list[int]] = {}
-        #: shared dependence-digest memo across this run's solve keys
-        self.digest_memo: dict = {}
 
     def lookup(self, skey: str) -> Optional[dict]:
         rec = self.solves.get(skey)

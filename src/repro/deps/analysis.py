@@ -14,20 +14,24 @@ choices match; DESIGN.md records this substitution.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from repro.frontend.ir import Access, Program, Statement
+from repro.frontend.serialize import program_to_dict
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
-from repro.polyhedra.cache import global_cache
+from repro.polyhedra.cache import MISS, active_cache, global_cache
 from repro.polyhedra.fastcheck import set_is_empty
 from repro.records import Record, omit_at_default
 
 __all__ = [
     "DepStats",
     "Dependence",
+    "Relation",
     "compute_dependences",
     "enumerate_relations",
     "product_domain",
@@ -72,6 +76,28 @@ class DepStats(Record):
         return self.cache_hits + self.cache_misses
 
 
+class Relation:
+    """One non-empty relation as the PolyCache ``relations`` table holds it.
+
+    Statement *positions* stand in for statements, so one entry serves every
+    program with the same content; :func:`enumerate_relations` binds it to
+    the caller's statements as a new :class:`Dependence`.  ``digest`` is the
+    solve-key digest (:func:`repro.core.skeleton.dependence_digest`), filled
+    in on first use and shared by every dependence bound to the relation.
+    """
+
+    __slots__ = (
+        "source", "target", "kind", "array", "polyhedron", "candidate", "digest"
+    )
+
+    def __init__(self, source: int, target: int, kind: str, array: str,
+                 polyhedron: BasicSet, candidate: tuple[int, int]):
+        self.source, self.target = source, target
+        self.kind, self.array = kind, array
+        self.polyhedron, self.candidate = polyhedron, candidate
+        self.digest: Optional[str] = None
+
+
 @dataclass
 class Dependence:
     """One dependence edge with its polyhedron.
@@ -79,7 +105,10 @@ class Dependence:
     ``polyhedron`` lives in the product space; ``src_rename``/``tgt_rename``
     map original iterator names of source/target statements into it.
     ``satisfaction_level`` is filled in by the scheduler: the depth at which
-    the dependence became strongly satisfied.
+    the dependence became strongly satisfied.  ``polyhedron`` is shared with
+    the :class:`Relation` the edge was bound from, and through it with every
+    other edge bound from the same memo entry: it is never mutated (the
+    scheduler and the verifier narrow copies).
     """
 
     source: Statement
@@ -94,6 +123,8 @@ class Dependence:
     #: which candidate of its statement pair this is: (position among the
     #: pair's access pairs, happens-before case)
     candidate: tuple[int, int] = (0, 0)
+    #: the memo entry's record this edge was bound from (carries the digest)
+    relation: Optional[Relation] = field(default=None, compare=False)
 
     @property
     def space(self) -> Space:
@@ -318,13 +349,78 @@ def enumerate_relations(
     worth testing between statements that have an origin — it must come from
     the same ``access_pairs``; :func:`_dependence_polyhedron` stays the
     specification of every candidate, tested or skipped.
+
+    The whole answer is memoised in the PolyCache ``relations`` table, keyed
+    on ``access_pairs`` and the sha256 of canonical
+    :func:`~repro.frontend.serialize.program_to_dict` — every IR field the
+    analysis reads, and the program name.  ``live`` and the statements'
+    ``origin`` stay out of the key: they decide which candidates are tested,
+    not the answer.  A hit tests nothing (``pairs_tested`` 0, the lookup
+    counted in ``cache_hits``) and returns new :class:`Dependence` objects
+    bound to ``program``'s statements, so nothing a caller does to them
+    reaches the entry.
     """
     t_start = time.perf_counter()
     cache_stats = global_cache().stats
     base_snapshot = cache_stats.snapshot()
-    deps: list[Dependence] = []
+    cache = active_cache()
+    relations = MISS
+    if cache is not None:
+        key = (access_pairs, _content_digest(program))
+        relations = cache.get_relations(key)
     pairs_tested = 0
-    for src, tgt in itertools.product(program.statements, repeat=2):
+    if relations is MISS:
+        relations, pairs_tested = _relations(program, access_pairs, live)
+        if cache is not None:
+            cache.put_relations(key, relations)
+    deps = _bind(program, relations)
+    if stats is not None:
+        delta = cache_stats.delta_since(base_snapshot)
+        stats.pairs_tested += pairs_tested
+        setattr(stats, counter, getattr(stats, counter) + len(deps))
+        stats.fast_rejects += delta.fast_rejects
+        stats.cache_hits += delta.hits
+        stats.cache_misses += delta.misses
+        stats.fm_saved += delta.project_hits
+        stats.cache_evictions += delta.evictions
+        stats.analysis_seconds += time.perf_counter() - t_start
+    return deps
+
+
+def _content_digest(program: Program) -> str:
+    text = json.dumps(
+        program_to_dict(program), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _bind(program: Program, relations: Iterable[Relation]) -> list[Dependence]:
+    """New :class:`Dependence` objects for ``relations`` over ``program``."""
+    statements = program.statements
+    renames: dict[tuple[int, int], tuple] = {}
+    deps = []
+    for rel in relations:
+        src, tgt = statements[rel.source], statements[rel.target]
+        pair = renames.get((rel.source, rel.target))
+        if pair is None:
+            pair = renames[rel.source, rel.target] = product_space(src, tgt)[1:]
+        deps.append(Dependence(
+            source=src, target=tgt, kind=rel.kind, array=rel.array,
+            polyhedron=rel.polyhedron, src_rename=pair[0], tgt_rename=pair[1],
+            candidate=rel.candidate, relation=rel,
+        ))
+    return deps
+
+
+def _relations(
+    program: Program, access_pairs, live: Optional[frozenset]
+) -> tuple[tuple[Relation, ...], int]:
+    """The analysis itself: every non-empty relation, and the number of
+    candidates tested to find them."""
+    relations: list[Relation] = []
+    pairs_tested = 0
+    numbered = list(enumerate(program.statements))
+    for (i_src, src), (i_tgt, tgt) in itertools.product(numbered, repeat=2):
         space, src_rename, tgt_rename = product_space(src, tgt)
         cases = list(
             _happens_before_cases(src, tgt, space, src_rename, tgt_rename)
@@ -366,26 +462,7 @@ def enumerate_relations(
                 pairs_tested += 1
                 if set_is_empty(poly):
                     continue
-                deps.append(
-                    Dependence(
-                        source=src,
-                        target=tgt,
-                        kind=kind,
-                        array=acc_s.array,
-                        polyhedron=poly,
-                        src_rename=src_rename,
-                        tgt_rename=tgt_rename,
-                        candidate=(n_pair, n_case),
-                    )
-                )
-    if stats is not None:
-        delta = cache_stats.delta_since(base_snapshot)
-        stats.pairs_tested += pairs_tested
-        setattr(stats, counter, getattr(stats, counter) + len(deps))
-        stats.fast_rejects += delta.fast_rejects
-        stats.cache_hits += delta.hits
-        stats.cache_misses += delta.misses
-        stats.fm_saved += delta.project_hits
-        stats.cache_evictions += delta.evictions
-        stats.analysis_seconds += time.perf_counter() - t_start
-    return deps
+                relations.append(Relation(
+                    i_src, i_tgt, kind, acc_s.array, poly, (n_pair, n_case)
+                ))
+    return tuple(relations), pairs_tested

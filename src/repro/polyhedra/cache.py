@@ -8,7 +8,10 @@ again per schedule level, per diamond attempt, and once more in
 ``mark_parallelism``.  All of these queries are pure functions of the
 constraint *content*, so they are memoized here behind a process-global
 :class:`PolyCache` keyed on ``(space, constraint rows)`` — the polyhedral
-analogue of the solver-side warm-start/dedup work (`repro.ilp`).
+analogue of the solver-side warm-start/dedup work (`repro.ilp`).  One level
+up, the ``relations`` table keeps a program's whole dependence set, keyed on
+the program's content, so a recompile of an unchanged program (another tile
+size, another backend) analyses nothing.
 
 Keys are content-addressed, so no invalidation is ever needed: a mutated
 :class:`~repro.polyhedra.sets.BasicSet` simply produces a new key.  The cache
@@ -62,8 +65,10 @@ class PolyCacheStats(Record):
     lookups and hits, rows decided by the two exact rules, and the HiGHS
     entries the undecided rest still cost.  ``min_by_rule`` counts ``min_of``
     questions answered from the set's equalities.  A ``cone`` miss is one
-    Farkas multiplier elimination (:func:`repro.core.farkas.cone`).  ``lookups``
-    / ``hits`` total the tables in :data:`TABLES`, not every ``*_hits`` field.
+    Farkas multiplier elimination (:func:`repro.core.farkas.cone`), a
+    ``relations`` miss one whole dependence analysis
+    (:func:`repro.deps.analysis.enumerate_relations`).  ``lookups`` / ``hits``
+    total the tables in :data:`TABLES`, not every ``*_hits`` field.
     """
 
     empty_lookups: int = 0
@@ -83,6 +88,8 @@ class PolyCacheStats(Record):
     min_by_rule: int = 0
     cone_lookups: int = 0
     cone_hits: int = 0
+    relations_lookups: int = 0
+    relations_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -99,7 +106,7 @@ class PolyCacheStats(Record):
 
 #: the memo tables: each has a ``<name>_lookups`` / ``<name>_hits`` pair in
 #: :class:`PolyCacheStats` and an LRU in :class:`PolyCache`
-TABLES = ("empty", "min", "lexmin", "project", "prune", "cone")
+TABLES = ("empty", "min", "lexmin", "project", "prune", "cone", "relations")
 
 #: per-table LRU capacity when neither the env override nor the constructor
 #: argument is given; generous enough that single pipeline runs never evict

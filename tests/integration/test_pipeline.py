@@ -5,6 +5,7 @@ import pytest
 from repro.codegen import generate_c
 from repro.frontend import parse_program
 from repro.pipeline import PipelineOptions, optimize
+from repro.polyhedra.cache import global_cache
 from repro.workloads import get_workload
 
 SIMPLE = """
@@ -78,6 +79,7 @@ class TestPipelineInputs:
 
     def test_dep_stats_populated(self):
         p = parse_program(SIMPLE, "p", params=("N",))
+        global_cache().clear()  # an earlier test's analysis would be a hit
         res = optimize(p, PipelineOptions(tile=False))
         assert res.dep_stats is not None
         assert res.dep_stats.pairs_tested > 0

@@ -514,6 +514,36 @@ class TestCLIServeEndToEnd:
         finally:
             _kill(daemon)
 
+    def test_a_retiled_request_reuses_the_workers_analysis(self, tmp_path, capsys):
+        """Another tile size is a schedule-cache miss but the same program:
+        the worker answers it from its relations memo (nothing tested) and
+        schedules exactly as it did the first time."""
+        import json
+
+        sock = str(tmp_path / "repro.sock")
+        daemon = _spawn(sock, "serve", "--jobs", "1",
+                        "--cache-dir", str(tmp_path / "cache"))
+        results = []
+        try:
+            _await_socket(daemon, sock)
+            for extra in ([], ["--tile", "64"]):
+                out = tmp_path / f"heat{len(results)}.json"
+                assert main(["client", "opt", "--workload", "heat-1dp",
+                             "--socket", sock, "--emit", "json",
+                             "-o", str(out), *extra]) == 0
+                assert "# cache: miss" in capsys.readouterr().err
+                results.append(json.loads(out.read_text()))
+            assert main(["client", "shutdown", "--socket", sock]) == 0
+            assert daemon.wait(timeout=30) == 0
+        finally:
+            _kill(daemon)
+        first, retiled = results
+        assert first["dep_stats"]["pairs_tested"] > 0
+        assert retiled["dep_stats"]["pairs_tested"] == 0
+        assert retiled["dep_stats"]["deps_found"] == first["dep_stats"]["deps_found"]
+        assert retiled["schedule"] == first["schedule"]
+        assert retiled["tiled"] != first["tiled"]
+
     def test_serve_drains_on_sigterm(self, tmp_path):
         """SIGTERM drains like ``client shutdown``: exit 0, report printed,
         socket gone.  Catches a daemon that no longer handles SIGTERM

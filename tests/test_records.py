@@ -91,14 +91,15 @@ FULL = {
             lexmin_lookups=5, lexmin_hits=6, project_lookups=7, project_hits=8,
             fast_rejects=9, evictions=10, prune_lookups=11, prune_hits=12,
             prune_rule_rows=13, prune_lp_solves=14, min_by_rule=15,
-            cone_lookups=16, cone_hits=17,
+            cone_lookups=16, cone_hits=17, relations_lookups=18,
+            relations_hits=19,
         ),
         '{"empty_lookups": 1, "empty_hits": 2, "min_lookups": 3, "min_hits": 4, '
         '"lexmin_lookups": 5, "lexmin_hits": 6, "project_lookups": 7, '
         '"project_hits": 8, "fast_rejects": 9, "evictions": 10, '
         '"prune_lookups": 11, "prune_hits": 12, "prune_rule_rows": 13, '
         '"prune_lp_solves": 14, "min_by_rule": 15, "cone_lookups": 16, '
-        '"cone_hits": 17}',
+        '"cone_hits": 17, "relations_lookups": 18, "relations_hits": 19}',
     ),
     "StoreStats": (
         StoreStats(
