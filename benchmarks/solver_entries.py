@@ -1,11 +1,12 @@
 """Count entries into HiGHS on a cold polybench sweep.
 
-Every entry goes through ``scipy.optimize.milp`` (the one door,
-``repro.ilp.highs_backend.highs``).  What one costs depends on its kind, so
-the table is split three ways: an LP (emptiness, feasibility, a pruning
-block) is ~1.2 ms, most of it scipy's wrapper; a MIP that presolve finishes
-~1.9 ms; a MIP that reaches the search ~3.8 ms.  The "~6 ms of native HiGHS"
-this docstring used to quote for a lexmin MIP was 4.8 ms of feasibility-jump
+Every entry goes through ``repro.ilp.highs_backend.highs``, the one door,
+and is counted and timed there.  What one costs depends on its kind, so the
+table is split three ways: an LP (emptiness, feasibility, a pruning block)
+is ~0.5 ms; a MIP that presolve finishes ~0.9 ms; a MIP that reaches the
+search ~3 ms (through ``scipy.optimize.milp``, until v1.19.0, each paid
+0.5–0.9 ms more of scipy's wrapper).  The "~6 ms of native HiGHS" this
+docstring once quoted for a lexmin MIP was 4.8 ms of feasibility-jump
 heuristic in front of a dozen-column model (a searched MIP cost ~10 ms
 then); the door switches it off.  Pruning entries come from Farkas only on
 these kernels (``farkas._pruned_rows`` and ``cone`` above 80 rows): the
@@ -31,12 +32,11 @@ from __future__ import annotations
 
 import sys
 import time
-import warnings
 
 import numpy as np
-from scipy import optimize as scipy_optimize
 
 from repro.api import optimize
+from repro.ilp import highs_backend
 from repro.polyhedra.cache import global_cache
 from repro.workloads import all_workloads, get_workload
 
@@ -47,21 +47,16 @@ def main(argv=None) -> int:
     wanted = list(sys.argv[1:] if argv is None else argv)
     entries = 0
     kinds = {kind: [0, 0.0] for kind in KINDS}  # kind -> [entries, seconds]
-    real = scipy_optimize.milp
-    # scipy attributes its "passed to HiGHS verbatim" remark to milp's caller:
-    # the wrapper below, not the module whose own filter expects it
-    warnings.filterwarnings(
-        "ignore", "Unrecognized options detected", RuntimeWarning, module=__name__
-    )
+    real = highs_backend.highs
 
-    def counting(c, **kwargs):
+    def counting(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
         nonlocal entries
         entries += 1
         t0 = time.perf_counter()
-        res = real(c, **kwargs)
+        res = real(c, a, lo, hi, lb, ub, integral, **options)
         # HiGHS counts the nodes it searched: none when presolve finished the MIP
-        mip = np.any(kwargs["integrality"])
-        kind = KINDS[bool(res.get("mip_node_count")) + 1 if mip else 0]
+        mip = np.any(integral)
+        kind = KINDS[bool(res.mip_node_count) + 1 if mip else 0]
         kinds[kind][0] += 1
         kinds[kind][1] += time.perf_counter() - t0
         return res
@@ -70,7 +65,7 @@ def main(argv=None) -> int:
     programs = {w.name: w.program() for w in workloads}
     counters = global_cache().stats.snapshot()
     rows = []
-    scipy_optimize.milp = counting
+    highs_backend.highs = counting
     try:
         for w in workloads:
             global_cache().clear()
@@ -79,7 +74,7 @@ def main(argv=None) -> int:
             optimize(programs[w.name], w.pipeline_options("plutoplus"))
             rows.append((time.perf_counter() - t0, w.name, entries - before))
     finally:
-        scipy_optimize.milp = real
+        highs_backend.highs = real
 
     print(f"{'kernel':<20} {'seconds':>8} {'entries':>8}")
     for seconds, name, count in sorted(rows, reverse=True):

@@ -1,4 +1,4 @@
-"""MILP backend on scipy's HiGHS (:func:`scipy.optimize.milp`).
+"""MILP backend on HiGHS, through the bindings scipy ships.
 
 This plays the role GLPK plays in the paper: a fast floating-point MILP
 solver used for the large scheduling ILPs (the paper switched to GLPK above
@@ -17,24 +17,25 @@ objectives over it; the lexmin driver keeps one per call, pins by setting
 ``lb = ub``, and runs its lower-bound probe as one exact integer mat-vec.
 :func:`solve_ilp_highs` is a session of one solve.
 
-This is the only module that imports :mod:`scipy.optimize`, and
-:func:`highs` its only call: sessions, ``BasicSet``'s anonymous integer
+This is the only module that imports :mod:`scipy.optimize` — HiGHS's own
+pybind11 module, which scipy builds as ``scipy.optimize._highspy._core`` —
+and :func:`highs` its only entry: sessions, ``BasicSet``'s anonymous integer
 questions (:func:`solve_rows`), ``fastcheck``'s feasibility LP and the
-pruning LPs (:func:`block_minima`) all enter HiGHS through it, so a thinner
-binding is a one-function change.
+pruning LPs (:func:`block_minima`) all enter HiGHS through it.
 """
 
 from __future__ import annotations
 
-import threading
-import warnings
 from fractions import Fraction
-from functools import cache
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import sparse
+from scipy.optimize._highspy._core import (
+    HighsLp, HighsModelStatus, HighsStatus, HighsVarType, MatrixFormat, _Highs,
+    kHighsInf,
+)
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
@@ -49,46 +50,96 @@ __all__ = ["HighsSession", "block_minima", "highs", "solve_ilp_highs", "solve_ro
 #: node 1).  It only supplies an early incumbent; the bound proof is the same
 #: without it.  Off, the polybench sweep's 563 lexmin MIPs take 1.7 s instead
 #: of 3.7 (the 330 that reach the search 3.8 ms each instead of 9.9), and
-#: swim, heat-3dp and lbm are no slower.  Every further option costs ~0.09 ms
-#: of scipy's ``check_option`` and none measured pays it back (ROADMAP item 6).
+#: swim, heat-3dp and lbm are no slower.  An option costs ~1 us of
+#: ``setOptionValue``; a HiGHS that does not know one says so in the status
+#: it returns, and the entry goes on without it.
 MIP_OPTIONS = {"mip_heuristic_run_feasibility_jump": False}
 
-# scipy forwards a HiGHS option it does not list "verbatim" and says so on
-# every call.  Filtered once, here: a ``catch_warnings`` per call is not
-# thread-safe and resets every module's warning registry.
-warnings.filterwarnings(
-    "ignore", r"Unrecognized options detected: \{'%s'\}" % tuple(MIP_OPTIONS),
-    RuntimeWarning, r"repro\.ilp\.highs_backend$",
+#: HiGHS's model status -> the status :func:`highs` reports, mapped as scipy's
+#: own MILP front end maps it; every other one (``kUnboundedOrInfeasible``,
+#: ``kSolutionLimit``, ...) is 4, undecided
+_STATUS = {
+    HighsModelStatus.kOptimal: 0,
+    HighsModelStatus.kTimeLimit: 1,
+    HighsModelStatus.kIterationLimit: 1,
+    HighsModelStatus.kModelError: 2,
+    HighsModelStatus.kInfeasible: 2,
+    HighsModelStatus.kUnbounded: 3,
+}
+#: the stops at which a MIP still has a point, if its objective is finite
+_LIMITS = (
+    HighsModelStatus.kTimeLimit,
+    HighsModelStatus.kIterationLimit,
+    HighsModelStatus.kSolutionLimit,
 )
-_probe_lock = threading.Lock()
+_VAR_TYPES = (HighsVarType.kContinuous, HighsVarType.kInteger)
 
 
-@cache
-def _mip_options() -> dict:
-    """:data:`MIP_OPTIONS` if the bundled HiGHS knows them, else nothing (an
-    older one predates feasibility jump and would warn on every entry): asked
-    once per process, with one LP that carries them."""
-    with _probe_lock, warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        highs([0.0], np.ones((1, 1)), 0, 0, **MIP_OPTIONS)
-    unknown = any(issubclass(w.category, optimize.OptimizeWarning) for w in caught)
-    return {} if unknown else MIP_OPTIONS
+class HighsResult(NamedTuple):
+    """What one entry answers: ``status`` 0 optimal, 1 work limit,
+    2 infeasible, 3 unbounded, 4 undecided; ``x`` and ``fun`` when HiGHS has
+    a point; ``mip_node_count`` too when the entry is a MIP."""
+
+    status: int
+    x: np.ndarray | None = None
+    fun: float | None = None
+    mip_node_count: int | None = None
+
+    @property
+    def success(self) -> bool:
+        return self.status == 0
 
 
 def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
     """The one entry into HiGHS: minimise ``c . x`` over ``lo <= a @ x <= hi``
     and ``lb <= x <= ub``, the columns flagged ``integral`` integer.  Returns
-    scipy's result: ``status`` 0 optimal, 1 work limit, 2 infeasible,
-    3 unbounded, 4 undecided ("unbounded or infeasible").
+    a :class:`HighsResult`, statuses and points as scipy's MILP front end
+    reports them.
 
-    ``options`` are the caller's; an entry with an integer column also gets
+    ``options`` are HiGHS options; an entry with an integer column also gets
     :data:`MIP_OPTIONS` (feasibility jump off).  An LP gets nothing extra:
-    the heuristic never runs on one, and each option costs a check."""
-    if np.any(integral):
-        options.update(_mip_options())
-    return optimize.milp(
-        c, constraints=optimize.LinearConstraint(a, lo, hi),
-        bounds=optimize.Bounds(lb, ub), integrality=integral, options=options,
+    the heuristic never runs on one."""
+    c = np.asarray(c, dtype=np.float64)
+    a = sparse.csc_array(a)
+    n, m = len(c), a.shape[0]
+    integral = np.broadcast_to(integral, n)
+    mip = bool(integral.any())
+    lp = HighsLp()
+    lp.num_col_, lp.num_row_ = n, m
+    lp.col_cost_ = c
+    # contiguous float64 arrays: the bindings copy those in one go
+    lp.col_lower_ = np.broadcast_to(lb, n).astype(np.float64)
+    lp.col_upper_ = np.broadcast_to(ub, n).astype(np.float64)
+    lp.row_lower_ = np.broadcast_to(lo, m).astype(np.float64)
+    lp.row_upper_ = np.broadcast_to(hi, m).astype(np.float64)
+    matrix = lp.a_matrix_
+    matrix.format_ = MatrixFormat.kColwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_, matrix.index_ = a.indptr, a.indices
+    matrix.value_ = a.data.astype(np.float64)
+    if mip:
+        lp.integrality_ = [_VAR_TYPES[i] for i in integral.tolist()]
+        options.update(MIP_OPTIONS)
+
+    solver = _Highs()
+    solver.setOptionValue("log_to_console", False)
+    for name, value in options.items():
+        solver.setOptionValue(name, value)
+    if solver.passModel(lp) == HighsStatus.kError:
+        return HighsResult(2)  # kModelError
+    ran = solver.run()
+    model_status = solver.getModelStatus()
+    status = _STATUS.get(model_status, 4)
+    if ran == HighsStatus.kError:
+        return HighsResult(status)
+    info = solver.getInfo()
+    # a MIP stopped at a limit keeps its incumbent, if it has one
+    if not (status == 0 or (mip and model_status in _LIMITS
+                            and info.objective_function_value != kHighsInf)):
+        return HighsResult(status)
+    return HighsResult(
+        status, np.array(solver.getSolution().col_value),
+        info.objective_function_value, info.mip_node_count if mip else None,
     )
 
 
@@ -125,7 +176,7 @@ def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=2
     # objective (magnitudes up to 1e5) several units from its optimum.
     res = highs(
         c, a, rhs, np.where(eq, rhs, np.inf), lb, ub, integral,
-        node_limit=node_limit, mip_rel_gap=0,
+        mip_max_nodes=node_limit, mip_rel_gap=0,
     )
     if res.status == 2:
         return ILPStatus.INFEASIBLE, None, 1

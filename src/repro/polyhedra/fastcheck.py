@@ -20,8 +20,7 @@ from math import gcd, inf
 
 import numpy as np
 
-from repro.ilp import ILPStatus
-from repro.ilp.highs_backend import highs
+from repro.ilp import ILPStatus, highs_backend
 from repro.polyhedra.cache import MISS, active_cache
 from repro.polyhedra.sets import BasicSet
 
@@ -29,8 +28,8 @@ __all__ = ["fast_reject", "lp_feasible", "reduced_reject", "set_is_empty"]
 
 
 def _lp_solve(a, rhs, eq):
-    """Solve the rational feasibility LP; returns the scipy result."""
-    return highs(np.zeros(a.shape[1]), a, rhs, np.where(eq, rhs, np.inf))
+    """Solve the rational feasibility LP; returns the door's result."""
+    return highs_backend.highs(np.zeros(a.shape[1]), a, rhs, np.where(eq, rhs, np.inf))
 
 
 def lp_feasible(bs: BasicSet) -> bool:

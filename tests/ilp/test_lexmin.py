@@ -136,7 +136,8 @@ class TestHighsVerification:
         """A HiGHS point that violates the model is not evidence of
         infeasibility: ``BasicSet.is_empty`` would drop a dependence."""
         import numpy as np
-        from scipy import optimize
+
+        from repro.ilp import highs_backend
 
         m = ILPModel()
         m.add_variable("x", lower=0, upper=10)
@@ -144,15 +145,16 @@ class TestHighsVerification:
         m.add_constraint({"x": 1, "y": 1}, -3)   # x + y >= 3
         obj = {"x": 1, "y": 2}
 
-        real = optimize.milp
+        real, injected = highs_backend.highs, []
 
         def off_by_a_row(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.x = np.zeros_like(res.x)         # violates x + y >= 3
-            return res
+            injected.append(res.status)
+            return res._replace(x=np.zeros_like(res.x))  # violates x + y >= 3
 
-        monkeypatch.setattr(optimize, "milp", off_by_a_row)
+        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
         got = solve_ilp_highs(m, obj)
+        assert injected == [0]  # the one HiGHS entry ran, and its point was replaced
         want = solve_ilp(m, obj)
         assert (got.status, got.objective, got.assignment) == (
             want.status, want.objective, want.assignment

@@ -176,20 +176,22 @@ class TestSession:
         """A rounded point that fails verification goes to the exact solver
         with the session's pins as equality rows, not without them."""
         import numpy as np
-        from scipy import optimize
+
+        from repro.ilp import highs_backend
 
         model = _box_model(3)
         session = HighsSession(model)
         session.pin("x0", Fraction(1))
-        real = optimize.milp
+        real, injected = highs_backend.highs, []
 
         def off_by_a_row(*args, **kwargs):
             res = real(*args, **kwargs)
-            res.x = np.zeros_like(res.x)  # violates the pin and sum >= 3
-            return res
+            injected.append(res.status)
+            return res._replace(x=np.zeros_like(res.x))  # violates the pin and sum >= 3
 
-        monkeypatch.setattr(optimize, "milp", off_by_a_row)
+        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
         got = session.solve({"x1": 3, "x2": 1})
+        assert injected == [0]  # the one HiGHS entry ran, and its point was replaced
         assert got.is_optimal
         assert [got.assignment[n] for n in ("x0", "x1", "x2")] == [1, 1, 1]
 

@@ -1,12 +1,13 @@
 """How often a cold compile enters HiGHS: counted, not timed.
 
-Every entry goes through ``scipy.optimize.milp`` (``linprog`` must never be
-entered: ``repro.ilp.highs_backend.highs`` is the one door).  What an entry
-costs depends on what it asks (cold polybench sweep, scipy 1.17.1 / HiGHS
-1.12.0, ``python -m benchmarks.solver_entries``): an LP — emptiness, a
-pruning block — ~1.2 ms, most of it scipy's wrapper; a MIP that presolve
-finishes (most ``min_of`` questions, 233 of the 563 lexmin MIPs) ~1.9 ms; a
-MIP that reaches the search ~3.8 ms.  The "~6 ms of native HiGHS" this
+Every entry goes through ``repro.ilp.highs_backend.highs``, the one door,
+and is counted there (``scipy.optimize.milp`` and ``linprog`` must never be
+entered).  What an entry costs depends on what it asks (cold polybench
+sweep, scipy 1.17.1 / HiGHS 1.12.0, ``python -m benchmarks.solver_entries``):
+an LP — emptiness, a pruning block — ~0.5 ms; a MIP that presolve finishes
+(most ``min_of`` questions, 233 of the 563 lexmin MIPs) ~0.9 ms; a MIP that
+reaches the search ~3 ms.  Through ``optimize.milp`` each paid 0.5–0.9 ms
+more of scipy's wrapper (1.0 / 1.8 / 3.7 ms).  The "~6 ms of native HiGHS" this
 docstring used to quote for a lexmin MIP was not search: 4.8 ms of it was
 the feasibility-jump heuristic, a fixed cost in front of models presolve had
 already cut to a dozen columns (a searched MIP cost ~10 ms then), which the
@@ -22,8 +23,7 @@ steps took heat-1dp 120 -> 57 and heat-2dp 1 299 -> 231 (pruning entries
 967 -> 128); the scan's history-tracked projection chain, which decides
 redundancy from each row's ancestry, takes heat-2dp to 175 (pruning entries
 72, all of them Farkas' now: emitting Python and C for any of the five adds
-none).  The first MIP of a process adds one entry, the door's capability
-probe.  Each ceiling sits between the last two readings, so any one
+none).  Each ceiling sits between the last two readings, so any one
 optimisation falling out fails here, whatever the clock says.
 
 Farkas multiplier eliminations are counted the same way: a ``cone`` lookup
@@ -37,6 +37,7 @@ from scipy import optimize as scipy_optimize
 
 from repro.api import optimize, verify
 from repro.codegen import generate_c_kernel, generate_python
+from repro.ilp import highs_backend
 from repro.polyhedra.cache import global_cache
 from repro.workloads import get_workload
 
@@ -55,24 +56,26 @@ CEILINGS = {
 @pytest.mark.parametrize("name", CEILINGS)
 def test_cold_compile_solver_entries(name, monkeypatch):
     ceiling, prune_ceiling = CEILINGS[name]
-    entries = {"milp": 0}
-    real = scipy_optimize.milp
+    entries = 0
+    real = highs_backend.highs
 
     def counting(*args, **kwargs):
-        entries["milp"] += 1
+        nonlocal entries
+        entries += 1
         return real(*args, **kwargs)
 
     def never(*args, **kwargs):
-        raise AssertionError("linprog entered: milp is the one door")
+        raise AssertionError("scipy.optimize entered: highs_backend.highs is the one door")
 
-    monkeypatch.setattr(scipy_optimize, "milp", counting)
+    monkeypatch.setattr(highs_backend, "highs", counting)
+    monkeypatch.setattr(scipy_optimize, "milp", never)
     monkeypatch.setattr(scipy_optimize, "linprog", never)
     workload = get_workload(name)
     program = workload.program()
     global_cache().clear()
     before = global_cache().stats.snapshot()
     result = optimize(program, workload.pipeline_options("plutoplus"))
-    counted = entries["milp"]  # verify() below solves too
+    counted = entries  # verify() below solves too
     assert verify(result).legal
     assert 0 < counted <= ceiling
     # pruning's share of the entries is visible in the stats, not only here

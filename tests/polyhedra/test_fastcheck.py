@@ -50,7 +50,7 @@ class TestLpFeasible:
         hole.add(ineq(sp, {"x": 1, "y": -1}))
         for status in (4, 1):
             monkeypatch.setattr(
-                fastcheck, "highs", lambda *a, **k: SimpleNamespace(status=status, x=None)
+                fastcheck, "_lp_solve", lambda *a: SimpleNamespace(status=status, x=None)
             )
             assert lp_feasible(s) and lp_feasible(hole)
             global_cache().clear()

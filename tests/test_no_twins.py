@@ -8,7 +8,7 @@ descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
 
 Four narrower guards of the same kind: one module imports
-``scipy.optimize`` and calls ``milp`` once, ``repro.polyhedra`` cancels a
+``scipy.optimize`` and passes HiGHS a model once, ``repro.polyhedra`` cancels a
 column through an equality in one function, ``core/farkas.py`` eliminates
 multipliers in one place, and Fourier–Motzkin combines a lower with an
 upper bound in one expression, which the scan reaches through one
@@ -58,8 +58,10 @@ def test_no_module_repeats_six_lines_of_another():
 
 # -- one door to HiGHS, one equality elimination (ISSUE 18) -------------------
 
+#: any import of ``scipy.optimize`` or of the HiGHS bindings under it (``_highspy``)
 _SCIPY_OPTIMIZE = re.compile(
-    r"^\s*(import scipy\.optimize|from scipy\.optimize\b|from scipy import .*\boptimize\b)",
+    r"^\s*(import scipy\.optimize|from scipy\.optimize\b|from scipy import .*\boptimize\b"
+    r"|(from|import) .*\b_highspy\b)",
     re.MULTILINE,
 )
 #: the positive-scaling cancel step ``scale * c - back * e for c, e in zip(...)``
@@ -68,12 +70,14 @@ _CANCEL = re.compile(r"\w+ \* \w+ - [\w ]+(\* \w+ )+for \w+, \w+ in zip\(")
 
 def test_highs_backend_is_the_only_door_to_scipy_optimize():
     """At 4ce864d ``polyhedra/fastcheck.py`` and ``polyhedra/fourier_motzkin.py``
-    imported ``scipy.optimize`` and called ``linprog`` themselves."""
+    imported ``scipy.optimize`` and called ``linprog`` themselves; until
+    v1.19.0 the door went through ``optimize.milp``'s wrapper.  Now one
+    module imports HiGHS's bindings and hands HiGHS a model in one place."""
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     importers = [m for m, text in sources.items() if _SCIPY_OPTIMIZE.search(text)]
     assert importers == ["ilp/highs_backend.py"]
-    assert sum(text.count("optimize.milp(") for text in sources.values()) == 1
-    assert not [m for m, text in sources.items() if "linprog" in text]
+    assert sum(text.count("passModel(") for text in sources.values()) == 1
+    assert not [m for m, text in sources.items() if re.search(r"milp|linprog", text)]
 
 
 def test_polyhedra_eliminates_equalities_in_one_place():
