@@ -72,9 +72,6 @@ _PIPELINE_FLAGS = (
     ("--intra-tile", "intra_tile", ("opt",),
      dict(action="store_true",
           help="rotate a parallel loop innermost in point bands")),
-    ("--ilp-backend", "ilp_backend", _OPT_CLIENT,
-     dict(choices=("auto", "exact", "highs"), default="highs",
-          help="lexmin ILP backend (auto switches on model size)")),
     ("--scheduler", "scheduler", _ALL,
      dict(choices=("auto", "exact", "quick"), default="exact",
           help="hyperplane search: exact per-level ILPs, the quick fusion "

@@ -80,7 +80,6 @@ SCHEDULE_RELEVANT_OPTIONS = (
     "algorithm",
     "scheduler",
     "coeff_bound",
-    "ilp_backend",
     "fuse",
     "iss",
     "diamond",
@@ -114,10 +113,11 @@ def structural_fingerprint(program_dict: Mapping, options_dict: Mapping) -> str:
     could schedule differently are never consulted.
     """
     from repro.frontend.serialize import structural_program_dict
-    from repro.pipeline import pipeline_fingerprint
+    from repro.pipeline import RETIRED_OPTIONS, pipeline_fingerprint
 
+    # the retired options still enter, as they did when they were choices
     options = {
-        k: options_dict[k] for k in SCHEDULE_RELEVANT_OPTIONS
+        k: options_dict[k] for k in (*SCHEDULE_RELEVANT_OPTIONS, *RETIRED_OPTIONS)
         if k in options_dict
     }
     return _canonical_hash({
@@ -163,7 +163,7 @@ def scheduler_solve_key(program, options, sched, active, extra=None) -> str:
     """Identity of one ``find_hyperplane`` ILP solve (hex sha256).
 
     Covers every input the per-level model is built from — scheduler
-    options that shape the model or pick the solver, statement spaces,
+    options that shape the model, statement spaces,
     current ranks and hyperplane rows, the active dependences' polyhedra,
     and the parameter lower bounds (they enter the dependence context and
     hence the Farkas system).  ``extra`` tags variants that add side
@@ -176,8 +176,9 @@ def scheduler_solve_key(program, options, sched, active, extra=None) -> str:
         "alg": options.algorithm,
         "b": options.coeff_bound,
         "csum": options.csum_objective,
-        "ilp": options.ilp_backend,
-        "auto": options.auto_threshold,
+        # the retired ILP-backend choice, at the values every request hashed
+        "ilp": "highs",
+        "auto": 25,
         "params": list(program.params),
         "pmin": sorted(program.param_min.items()),
         "stmts": [

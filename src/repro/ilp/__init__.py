@@ -1,7 +1,9 @@
 """Integer linear programming with a lexicographic objective.
 
-The exact backend (integer-scaled simplex + branch-and-bound) plays the role
-PIP plays in the paper; the HiGHS backend plays GLPK's role for large models.
+HiGHS answers every lexmin the pipeline asks, in the roles PIP and GLPK
+share in the paper.  The exact solver (integer-scaled simplex +
+branch-and-bound) verifies the rounded HiGHS points it cannot confirm, and
+is the reference the tests compare HiGHS against.
 """
 
 from repro.ilp.branch_bound import (
@@ -11,14 +13,8 @@ from repro.ilp.branch_bound import (
     solve_ilp,
     solve_ilp_warm,
 )
-from repro.ilp.highs_backend import HighsSession, solve_ilp_highs
-from repro.ilp.lexmin import (
-    AUTO_CONSTRAINT_THRESHOLD,
-    AUTO_THRESHOLD,
-    LexminResult,
-    lexmin,
-    pick_backend,
-)
+from repro.ilp.highs_backend import HighsSession
+from repro.ilp.lexmin import LexminResult, lexmin
 from repro.ilp.model import (
     ILPModel,
     LinearConstraint,
@@ -28,8 +24,6 @@ from repro.ilp.model import (
 from repro.ilp.simplex import IncrementalLP, LPResult, LPStatus, solve_lp
 
 __all__ = [
-    "AUTO_CONSTRAINT_THRESHOLD",
-    "AUTO_THRESHOLD",
     "BranchAndBoundError",
     "HighsSession",
     "ILPModel",
@@ -43,8 +37,6 @@ __all__ = [
     "SolveStats",
     "Variable",
     "lexmin",
-    "pick_backend",
     "solve_ilp",
-    "solve_ilp_highs",
     "solve_lp",
 ]

@@ -1,10 +1,10 @@
 """MILP backend on HiGHS, through the bindings scipy ships.
 
-This plays the role GLPK plays in the paper: a fast floating-point MILP
-solver used for the large scheduling ILPs (the paper switched to GLPK above
-roughly one hundred variables; swim's Pluto+ model had 219).  The interface
-matches :func:`repro.ilp.branch_bound.solve_ilp` so the lexmin driver can
-switch backends transparently.
+This plays the roles PIP and GLPK share in the paper (GLPK took the models
+above roughly one hundred variables; swim's Pluto+ model had 219): every
+lexmin the pipeline asks is solved here, whatever its size, and a
+:meth:`HighsSession.solve` answers with the :class:`ILPResult` that
+:func:`repro.ilp.branch_bound.solve_ilp` returns.
 
 All scheduler models have pure-integer data and modest magnitudes, so the
 floating-point optimum is rounded to the nearest integer vector and verified
@@ -15,7 +15,6 @@ A :class:`HighsSession` assembles one model for HiGHS once — names, bounds,
 integrality, an integer CSC matrix — and then answers any number of
 objectives over it; the lexmin driver keeps one per call, pins by setting
 ``lb = ub``, and runs its lower-bound probe as one exact integer mat-vec.
-:func:`solve_ilp_highs` is a session of one solve.
 
 This is the only module that imports :mod:`scipy.optimize` — HiGHS's own
 pybind11 module, which scipy builds as ``scipy.optimize._highspy._core`` —
@@ -40,7 +39,7 @@ from scipy.optimize._highspy._core import (
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 
-__all__ = ["HighsSession", "block_minima", "highs", "solve_ilp_highs", "solve_rows"]
+__all__ = ["HighsSession", "block_minima", "highs", "solve_rows"]
 
 
 #: What :func:`highs` adds to an entry that has an integer column.  HiGHS runs
@@ -266,7 +265,12 @@ class HighsSession:
     def solve(
         self, objective: Mapping[str, int | Fraction], node_limit: int = 20000
     ) -> ILPResult:
-        """Minimize ``objective . x`` over the model under the current pins."""
+        """Minimize ``objective . x`` over the model under the current pins.
+
+        When the rounded optimum fails verification the pure-Python exact
+        solver answers instead, with the same ``node_limit``: correct, but
+        slow on a large model, and it can raise ``BranchAndBoundError``.
+        """
         c = np.zeros(len(self.names))
         for name, coef in objective.items():
             c[self.index[name]] = float(coef)
@@ -294,19 +298,3 @@ class HighsSession:
             Fraction(0),
         )
         return ILPResult(ILPStatus.OPTIMAL, obj_val, assignment, stats)
-
-
-def solve_ilp_highs(
-    model: ILPModel,
-    objective: Mapping[str, int | Fraction],
-    extra: Sequence[LinearConstraint] = (),
-    node_limit: int = 20000,
-) -> ILPResult:
-    """Minimize ``objective . x`` using HiGHS.  Mirrors ``solve_ilp``.
-
-    When the rounded optimum fails verification the pure-Python exact solver
-    answers instead, with the same ``node_limit`` (already x100 on the
-    work-limit retry path): correct, but on the large models ``auto`` routes
-    here it can be slow, and it can raise ``BranchAndBoundError``.
-    """
-    return HighsSession(model, extra).solve(objective, node_limit)

@@ -6,14 +6,14 @@ formulation, eq. (8) — the driver minimizes each variable in turn, pinning
 the optimum before moving to the next.  This is the standard reduction of
 ``lexmin`` to a sequence of single-objective ILPs.
 
-Two backends are available, mirroring the paper's PIP/GLPK split:
-
-* ``"exact"`` — integer-scaled simplex + branch-and-bound
-  (:mod:`repro.ilp.simplex` / :mod:`repro.ilp.branch_bound`);
-* ``"highs"`` — scipy/HiGHS (:mod:`repro.ilp.highs_backend`);
-* ``"auto"`` — exact below :data:`AUTO_THRESHOLD` variables *and*
-  :data:`AUTO_CONSTRAINT_THRESHOLD` constraints, HiGHS beyond (the paper
-  switched to GLPK for models with 100+ variables, e.g. swim's 219).
+The paper solves small models with PIP and large ones with GLPK (swim's
+219 variables).  Here HiGHS answers every lexmin (``backend="highs"``, the
+default and the pipeline's only choice, :mod:`repro.ilp.highs_backend`),
+whatever the model's size: each rounded optimum is verified exactly, and
+the exact solver answers when the check fails.  ``backend="exact"`` runs
+the same loop on the integer-scaled simplex + branch-and-bound
+(:mod:`repro.ilp.simplex` / :mod:`repro.ilp.branch_bound`); no pipeline
+code selects it — it is the reference the tests compare HiGHS against.
 
 The exact backend is **warm-started**: one :class:`IncrementalLP` tableau is
 built (one phase 1) and persists across the whole objective sequence — after
@@ -48,24 +48,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp, solve_ilp_warm
-from repro.ilp.highs_backend import HighsSession, solve_ilp_highs
+from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp_warm
+from repro.ilp.highs_backend import HighsSession
 from repro.ilp.model import ILPModel, SolveStats
 from repro.ilp.simplex import IncrementalLP
 
-__all__ = [
-    "LexminResult",
-    "lexmin",
-    "pick_backend",
-    "AUTO_THRESHOLD",
-    "AUTO_CONSTRAINT_THRESHOLD",
-]
-
-AUTO_THRESHOLD = 80
-#: beyond this many constraints the pure-Python exact simplex is too slow
-AUTO_CONSTRAINT_THRESHOLD = 60
+__all__ = ["LexminResult", "lexmin"]
 
 #: A folded objective spans at most this many values.  HiGHS accepts an
 #: integer column within 1e-6 of an integer (``mip_feasibility_tolerance``),
@@ -75,13 +65,6 @@ AUTO_CONSTRAINT_THRESHOLD = 60
 #: c x 3)`` at coefficient bound 4 spans 13 * 9**3 = 9477; a 4-deep
 #: statement (17 * 9**4 = 111537) splits after its third coefficient.
 FOLD_LIMIT = 10**5
-
-Backend = Callable[..., ILPResult]
-
-_BACKENDS: dict[str, Backend] = {
-    "exact": solve_ilp,
-    "highs": solve_ilp_highs,
-}
 
 
 @dataclass
@@ -99,33 +82,6 @@ class LexminResult:
 
     def value_of(self, name: str) -> Fraction:
         return self.assignment[name]
-
-
-def pick_backend(
-    model: ILPModel,
-    backend: str,
-    auto_threshold: int = AUTO_THRESHOLD,
-    auto_constraint_threshold: int = AUTO_CONSTRAINT_THRESHOLD,
-):
-    """Resolve a backend name to (callable, resolved-name).
-
-    ``"auto"`` mirrors the paper's solver split (PIP for ordinary models,
-    GLPK for large ones, e.g. swim's 219 variables): the exact backend is
-    used for small models, HiGHS beyond ``auto_threshold`` variables **or**
-    ``auto_constraint_threshold`` constraints — the exact simplex cost grows
-    with the row count as much as with the column count, so both axes gate
-    the switch.
-    """
-    if backend == "auto":
-        small = (
-            model.num_variables <= auto_threshold
-            and model.num_constraints <= auto_constraint_threshold
-        )
-        backend = "exact" if small else "highs"
-    try:
-        return _BACKENDS[backend], backend
-    except KeyError:
-        raise ValueError(f"unknown ILP backend {backend!r}") from None
 
 
 def _probe_lower_bounds(
@@ -212,23 +168,22 @@ def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
 
 
 def lexmin(
-    model: ILPModel,
-    backend: str = "auto",
-    auto_threshold: int = AUTO_THRESHOLD,
-    node_limit: int = 20000,
+    model: ILPModel, node_limit: int = 20000, backend: str = "highs"
 ) -> LexminResult:
     """Lexicographically minimize ``model.objective_order`` over the model.
 
     Returns the optimal assignment (covering *all* model variables) or an
     infeasible/unbounded status.  Variables outside the objective order take
-    whatever value the final solve produced.
+    whatever value the final solve produced.  ``backend`` is ``"highs"`` or
+    the tests' ``"exact"`` reference.
     """
     if not model.objective_order:
         raise ValueError("model has no objective order set")
-    _, backend_name = pick_backend(model, backend, auto_threshold)
+    if backend not in ("highs", "exact"):
+        raise ValueError(f"unknown ILP backend {backend!r}")
     stats = SolveStats()
     session = HighsSession(model)  # also the probe's exact integer rows
-    if backend_name == "exact":
+    if backend == "exact":
         solve, pin = _warm_exact_steps(model, node_limit, stats)
     else:
         solve, pin = partial(session.solve, node_limit=node_limit), session.pin
@@ -258,7 +213,7 @@ def lexmin(
             stats.merge(result.stats)
             if not result.is_optimal:
                 return LexminResult(
-                    result.status, stats=stats, solves=solves, backend=backend_name
+                    result.status, stats=stats, solves=solves, backend=backend
                 )
             current = result.assignment
             solved = list(objective)
@@ -273,5 +228,5 @@ def lexmin(
     for name, value in zip(order, values):
         current[name] = value
     return LexminResult(
-        ILPStatus.OPTIMAL, dict(current), values, stats, solves, backend_name
+        ILPStatus.OPTIMAL, dict(current), values, stats, solves, backend
     )

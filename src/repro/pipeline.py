@@ -20,7 +20,7 @@ import json
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.codegen import generate_python
 from repro.core.diamond import find_diamond_schedule
@@ -48,6 +48,8 @@ __all__ = [
     "PIPELINE_VERSION",
     "SCHEDULE_VERSION",
     "RESULT_FORMAT_VERSION",
+    "RETIRED_OPTIONS",
+    "drop_retired_options",
     "optimize",
     "pipeline_fingerprint",
 ]
@@ -82,6 +84,28 @@ SCHEDULE_VERSION = 1
 #: fingerprint only for ``scheduler="quick"|"auto"`` requests, so tuning
 #: the heuristic never invalidates cached exact results.
 QUICK_SCHEDULER_VERSION = 1
+
+#: Options that are no longer fields, with the one value each may still carry.
+#: HiGHS answers every lexmin, so the ILP backend is no longer a choice, but
+#: :meth:`PipelineOptions.as_dict` keeps writing the pair (after
+#: ``coeff_bound``, where the field sat): server cache keys, skeleton
+#: fingerprints, suite manifests and result JSON stay byte-identical.
+RETIRED_OPTIONS = {"ilp_backend": "highs"}
+
+
+def drop_retired_options(data: Mapping) -> dict:
+    """``data`` without the :data:`RETIRED_OPTIONS` pairs — the one reader
+    of them, for :meth:`PipelineOptions.from_dict` and the daemon's request
+    resolution.  A retired option at any other value is a ``ValueError``."""
+    data = dict(data)
+    for key, kept in RETIRED_OPTIONS.items():
+        value = data.pop(key, kept)
+        if value != kept:
+            raise ValueError(
+                f"{key}={value!r} is retired: HiGHS answers every lexmin "
+                f"(only {kept!r} is accepted)"
+            )
+    return data
 
 
 def pipeline_fingerprint(
@@ -135,7 +159,6 @@ class PipelineOptions:
     iss: bool = False                 # --iss
     diamond: bool = False             # --partlbtile
     coeff_bound: int = 4              # Pluto+ b
-    ilp_backend: str = "highs"
     min_band_width: int = 2
     fuse: str = "smart"               # --fuse: smart | max | no
     l2tile: bool = False              # --l2tile: second level of tiling
@@ -175,8 +198,6 @@ class PipelineOptions:
                 f"unknown scheduler {self.scheduler!r} "
                 f"(expected 'auto', 'exact', or 'quick')"
             )
-        if self.ilp_backend not in ("exact", "highs", "auto"):
-            raise ValueError(f"unknown ilp_backend {self.ilp_backend!r}")
         if self.fuse not in ("smart", "max", "no"):
             raise ValueError(f"unknown fusion policy {self.fuse!r}")
         if self.coeff_bound < 1:
@@ -206,7 +227,6 @@ class PipelineOptions:
         return SchedulerOptions(
             algorithm=self.algorithm,
             coeff_bound=self.coeff_bound,
-            ilp_backend=self.ilp_backend,
             fuse=self.fuse,
         )
 
@@ -218,9 +238,14 @@ class PipelineOptions:
         a non-default backend *is* folded in, giving backend-specific
         server cache entries their own keys.  ``rar`` and
         ``parallel_reductions`` follow the same rule: absent at their
-        defaults, folded in when enabled.
+        defaults, folded in when enabled.  The :data:`RETIRED_OPTIONS` pairs
+        are always written, in their old place.
         """
-        d = dataclasses.asdict(self)
+        d = {}
+        for key, value in dataclasses.asdict(self).items():
+            d[key] = value
+            if key == "coeff_bound":
+                d.update(RETIRED_OPTIONS)
         if d.get("backend") == "python":
             del d["backend"]
         if d.get("rar") is False:
@@ -232,6 +257,7 @@ class PipelineOptions:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineOptions":
         """Inverse of :meth:`as_dict`; unknown keys are rejected loudly."""
+        data = drop_retired_options(data)
         known = set(cls.__dataclass_fields__)
         extra = set(data) - known
         if extra:

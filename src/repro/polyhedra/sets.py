@@ -234,7 +234,7 @@ class BasicSet:
                 return dict(hit) if hit is not None else None
         model = self._build_model()
         model.set_objective_order(list(self.space.dims))
-        res = ilp_lexmin(model, backend="highs")
+        res = ilp_lexmin(model)
         point = None
         if res.is_optimal:
             point = {d: int(res.assignment[d]) for d in self.space.dims}

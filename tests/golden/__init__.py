@@ -1,9 +1,8 @@
 """Golden schedule corpus: the schedules this repo must keep producing.
 
 ``schedules.json`` holds, for every registered workload under each of
-:data:`VARIANTS` on the default ILP backend — plus :data:`EXACT_WORKLOADS`
-on ``ilp_backend="exact"`` — the ``Schedule.pretty()`` text and the sha256
-digests of ``Schedule.to_dict()`` and ``TiledSchedule.to_dict()``.  It
+:data:`VARIANTS`, the ``Schedule.pretty()`` text and the sha256 digests of
+``Schedule.to_dict()`` and ``TiledSchedule.to_dict()``.  It
 replaces the ``REPRO_EXACT_LEGACY`` seed-reproduction switch: the file was
 first written at the last commit that still had the switch, with the switch
 on (each cell records its generating commit and the ``REPRO_*`` environment
@@ -22,7 +21,6 @@ or ``QUICK_SCHEDULER_VERSION`` bump) and review the pretty-schedule diff.
 
 from __future__ import annotations
 
-import dataclasses
 import difflib
 import hashlib
 import json
@@ -38,12 +36,6 @@ CORPUS_PATH = Path(__file__).with_name("schedules.json")
 #: suite variants (``repro.suite.matrix.VARIANTS``) frozen per workload
 VARIANTS = ("plutoplus", "pluto", "quick", "auto", "rar", "redpar")
 
-#: the Polybench kernels the seed's exact solver finished in minutes, also
-#: frozen on the exact backend
-EXACT_WORKLOADS = (
-    "floyd-warshall", "mvt", "gemm", "syrk", "trisolv", "lu", "seidel-2d",
-)
-
 #: generation cost up to which a cell runs under the ordinary ``pytest``
 TIER1_MAX_SECONDS = 1.0
 
@@ -51,19 +43,12 @@ TIER1_MAX_SECONDS = 1.0
 def cell_specs() -> dict[str, tuple[str, PipelineOptions]]:
     """Every corpus cell: ``id -> (workload name, resolved options)``.
 
-    Ids are the suite's run ids (``<workload>--<variant>``); the exact-backend
-    cells append ``@exact``.
+    Ids are the suite's run ids (``<workload>--<variant>``).
     """
-    specs = {
+    return {
         s.run_id: (s.workload, s.options)
         for s in build_matrix(category="all", variants=VARIANTS)
     }
-    for name in EXACT_WORKLOADS:
-        workload, options = specs[f"{name}--plutoplus"]
-        specs[f"{name}--plutoplus@exact"] = (
-            workload, dataclasses.replace(options, ilp_backend="exact")
-        )
-    return specs
 
 
 def _digest(data: dict) -> str:
@@ -101,8 +86,7 @@ def mismatch(cell_id: str, expected: dict, got: dict) -> Optional[str]:
     ]
     if not differing:
         return None
-    run_id, _, backend = cell_id.partition("@")
-    workload, _, variant = run_id.rpartition("--")
+    workload, _, variant = cell_id.rpartition("--")
     diff = list(
         difflib.unified_diff(
             expected["pretty"], got["pretty"], "golden", "computed", lineterm=""
@@ -113,8 +97,7 @@ def mismatch(cell_id: str, expected: dict, got: dict) -> Optional[str]:
     return "\n".join(
         [
             f"golden schedule mismatch: workload {workload!r}, variant "
-            f"{variant!r}, ilp backend {backend or 'default'!r} "
-            f"({', '.join(differing)} differ; golden cell written at "
+            f"{variant!r} ({', '.join(differing)} differ; golden cell written at "
             f"{expected.get('commit', '?')})"
         ]
         + diff

@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import (
-    ILPModel,
-    ILPStatus,
-    lexmin,
-    pick_backend,
-    solve_ilp,
-    solve_ilp_highs,
-)
+from repro.ilp import HighsSession, ILPModel, ILPStatus, lexmin, solve_ilp
 
 
 def _chain_model():
@@ -76,17 +69,14 @@ class TestLexmin:
         assert res.solves == 1  # x1..x4 resolved by the lower-bound shortcut
         assert [int(v) for v in res.values] == [1, 0, 0, 0, 0]
 
-    def test_backend_selection_auto(self):
-        m = _chain_model()
-        _, name = pick_backend(m, "auto", auto_threshold=100)
-        assert name == "exact"
-        _, name = pick_backend(m, "auto", auto_threshold=1)
-        assert name == "highs"
-
     def test_unknown_backend_rejected(self):
         m = _chain_model()
-        with pytest.raises(ValueError):
-            pick_backend(m, "gurobi")
+        for name in ("gurobi", "auto"):
+            with pytest.raises(ValueError, match="unknown ILP backend"):
+                lexmin(m, backend=name)
+
+    def test_default_backend_is_highs(self):
+        assert lexmin(_chain_model()).backend == "highs"
 
     def test_highs_backend_agrees(self):
         m = _chain_model()
@@ -153,7 +143,7 @@ class TestHighsVerification:
             return res._replace(x=np.zeros_like(res.x))  # violates x + y >= 3
 
         monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
-        got = solve_ilp_highs(m, obj)
+        got = HighsSession(m).solve(obj)
         assert injected == [0]  # the one HiGHS entry ran, and its point was replaced
         want = solve_ilp(m, obj)
         assert (got.status, got.objective, got.assignment) == (
@@ -168,7 +158,7 @@ class TestBackendAgreement:
     def test_exact_vs_highs_single_objective(self, m):
         obj = {m.var_names()[0]: 1}
         exact = solve_ilp(m, obj)
-        fast = solve_ilp_highs(m, obj)
+        fast = HighsSession(m).solve(obj)
         assert exact.status == fast.status
         if exact.is_optimal:
             assert exact.objective == fast.objective

@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import ILPModel, LinearConstraint, lexmin, solve_ilp, solve_ilp_highs
-from repro.ilp.highs_backend import HighsSession
+from repro.ilp import HighsSession, ILPModel, LinearConstraint, lexmin, solve_ilp
 from repro.ilp.lexmin import FOLD_LIMIT, _fold
 from repro.workloads import all_workloads
 from tests.ilp.test_warm_solver import _level0_model
 
 #: the module, not the function of the same name ``repro.ilp`` re-exports
 lexmin_module = sys.modules["repro.ilp.lexmin"]
+
+
+def _solve_highs(model, objective, extra=()):
+    """One HiGHS solve with ``solve_ilp``'s signature."""
+    return HighsSession(model, extra).solve(objective)
 
 
 def _one_at_a_time(model: ILPModel, solver) -> list[Fraction]:
@@ -64,7 +68,7 @@ class TestFoldedAgreesWithSequential:
     @settings(max_examples=60, deadline=None)
     def test_random_bounded_models(self, model):
         want = _one_at_a_time(model, solve_ilp)
-        assert _one_at_a_time(model, solve_ilp_highs) == want
+        assert _one_at_a_time(model, _solve_highs) == want
         for backend in ("highs", "exact"):
             res = lexmin(model, backend=backend)
             assert res.is_optimal and res.values == want
@@ -167,7 +171,7 @@ class TestSession:
             rows.append(LinearConstraint({name: 1}, -value, equality=True))
             for objective in ({"x2": 1}, {"x3": 1}, {"x2": 9, "x3": 1}):
                 a = session.solve(objective)
-                b = solve_ilp_highs(model, objective, extra=tuple(rows))
+                b = HighsSession(model, tuple(rows)).solve(objective)
                 assert (a.status, a.objective) == (b.status, b.objective)
         session.pin("x2", Fraction(-4))  # x2 >= x1 = 1 now fails
         assert not session.solve({"x3": 1}).is_optimal

@@ -1,17 +1,17 @@
-"""Backend agreement, engine agreement, and auto-threshold tests.
+"""The exact solver as the reference HiGHS is checked against.
 
-Three concerns around the exact solver:
+HiGHS answers every lexmin the pipeline asks; the exact solver verifies
+its rounded points and is the reference here, so it must itself be right:
 
-* ``pick_backend("auto")`` must gate on *both* the variable and the
-  constraint count (the simplex cost grows with the row count too);
 * the integer-scaled tableau must agree with the dense ``Fraction``
   oracle (``tests/ilp/reference_lp.py``) on random feasible LPs (property
   test);
 * the exact backend (one warm tableau across the objective sequence) must
   produce the same lexicographic optimum as HiGHS (one cold solve per
   objective) — two independent solvers driven by the one lexmin loop — on
-  every Polybench and periodic scheduler model the exact backend finishes
-  in about a second; the rest assert the auto routing that shields them.
+  every Polybench and periodic level-0 scheduler model the exact backend
+  finishes in about a second.  The larger models are checked against the
+  model itself: the pure-Python simplex is too slow to be their reference.
 """
 
 from fractions import Fraction
@@ -23,58 +23,14 @@ from hypothesis import strategies as st
 from repro.core.scheduler import PlutoScheduler
 from repro.core.transform import Schedule
 from repro.deps import DependenceGraph, compute_dependences
-from repro.ilp import (
-    AUTO_CONSTRAINT_THRESHOLD,
-    AUTO_THRESHOLD,
-    ILPModel,
-    IncrementalLP,
-    lexmin,
-    pick_backend,
-    solve_lp,
-)
+from repro.ilp import ILPModel, IncrementalLP, lexmin, solve_lp
 from repro.workloads import all_workloads
 from tests.ilp.reference_lp import solve_lp_fraction
 
-#: warm exact lexmin stays around a second up to this many constraints — well
-#: past ``AUTO_CONSTRAINT_THRESHOLD``, so everything ``auto`` routes to the
-#: exact backend is compared
-_EXACT_LIMIT = 150
-
-
-def _model_with(nvars: int, ncons: int) -> ILPModel:
-    m = ILPModel()
-    for i in range(nvars):
-        m.add_variable(f"x{i}", lower=0, upper=3)
-    for _ in range(ncons):
-        m.add_constraint({"x0": 1}, 0)
-    m.set_objective_order(["x0"])
-    return m
-
-
-class TestAutoThresholds:
-    def test_variable_threshold(self):
-        m = _model_with(5, 2)
-        kw = dict(auto_threshold=5, auto_constraint_threshold=100)
-        assert pick_backend(m, "auto", **kw)[1] == "exact"
-        assert pick_backend(_model_with(6, 2), "auto", **kw)[1] == "highs"
-
-    def test_constraint_threshold(self):
-        kw = dict(auto_threshold=100, auto_constraint_threshold=4)
-        assert pick_backend(_model_with(3, 4), "auto", **kw)[1] == "exact"
-        assert pick_backend(_model_with(3, 5), "auto", **kw)[1] == "highs"
-
-    def test_default_thresholds(self):
-        small = _model_with(3, 2)
-        assert pick_backend(small, "auto")[1] == "exact"
-        wide = _model_with(AUTO_THRESHOLD + 1, 2)
-        assert pick_backend(wide, "auto")[1] == "highs"
-        tall = _model_with(3, AUTO_CONSTRAINT_THRESHOLD + 1)
-        assert pick_backend(tall, "auto")[1] == "highs"
-
-    def test_explicit_backend_ignores_size(self):
-        wide = _model_with(AUTO_THRESHOLD + 1, 2)
-        assert pick_backend(wide, "exact")[1] == "exact"
-        assert pick_backend(_model_with(2, 1), "highs")[1] == "highs"
+#: warm exact lexmin stays around a second up to this many variables and
+#: constraints; past either, the exact reference is not run
+_EXACT_VARIABLES = 80
+_EXACT_CONSTRAINTS = 150
 
 
 # ---------------------------------------------------------------------------
@@ -179,17 +135,15 @@ def test_warm_vs_cold_lexmin(workload):
     loop.  The id predates the removal of the exact backend's own cold
     sequence and is kept so the per-workload test ids stay stable."""
     model = _level0_model(workload)
-    if model.num_variables > AUTO_THRESHOLD or model.num_constraints > _EXACT_LIMIT:
-        # Too slow for the pure-Python simplex: ``auto`` must route to HiGHS,
-        # which is the property that keeps the pipeline fast here.
-        assert pick_backend(model, "auto")[1] == "highs"
-        return
-    exact = lexmin(model, backend="exact")
     highs = lexmin(model, backend="highs")
-    assert exact.is_optimal and highs.is_optimal
-    assert (exact.backend, highs.backend) == ("exact", "highs")
+    assert highs.is_optimal and highs.backend == "highs"
+    assert model.check(highs.assignment)
+    if (model.num_variables > _EXACT_VARIABLES
+            or model.num_constraints > _EXACT_CONSTRAINTS):
+        return  # too slow for the pure-Python simplex to be the reference
+    exact = lexmin(model, backend="exact")
+    assert exact.is_optimal and exact.backend == "exact"
     assert exact.values == highs.values
     for name in model.objective_order:
         assert exact.assignment[name] == highs.assignment[name]
     assert model.check(exact.assignment)
-    assert model.check(highs.assignment)

@@ -214,6 +214,49 @@ class TestBadRequests:
         assert "unknown request type" in resp["message"]
 
 
+class TestRetiredOptions:
+    def test_serialized_options_contract(self, daemon_factory):
+        """``ilp_backend`` left the options, not their serialized form: the
+        dicts still carry ``"ilp_backend": "highs"``, so the digests the
+        parent wrote stay warm, and any other value is refused."""
+        from repro.core.skeleton import scheduler_solve_key, structural_fingerprint
+        from repro.core.transform import Schedule
+        from repro.deps import compute_dependences
+        from repro.server.cache import cache_key
+        from repro.server.resolve import resolve_optimize
+        from repro.workloads import get_workload
+
+        program_dict, options_dict = resolve_optimize({"workload": "fig1-skew"})
+        assert options_dict["ilp_backend"] == "highs"
+        assert cache_key(program_dict, options_dict) == (
+            "d2c9ea59fb08605708b26b15b0ce614be6a1ce1a76405894c3550f607805d6ba"
+        )
+        assert structural_fingerprint(program_dict, options_dict) == (
+            "2b93b32ebc7f5ba0e610272636886eecdfabb11a22f57f477149b685c7f84035"
+        )
+        # the retired pair, sent explicitly, is the default request
+        assert resolve_optimize(
+            {"workload": "fig1-skew", "options": {"ilp_backend": "highs"}}
+        ) == (program_dict, options_dict)
+        workload = get_workload("fig1-skew")
+        program = workload.program()
+        options = workload.pipeline_options()
+        assert scheduler_solve_key(
+            program, options.scheduler_options(), Schedule(program),
+            compute_dependences(program),
+        ) == "ad3097d8bec06ed8e72fdcb1624f8316d71c32a05b50019a125dfdf1f2c141c1"
+
+        assert PipelineOptions.from_dict(options.as_dict()) == options
+        for retired in ("exact", "auto"):
+            with pytest.raises(ValueError, match="retired"):
+                PipelineOptions.from_dict({"ilp_backend": retired})
+        with _client(daemon_factory()) as client:
+            resp = client.optimize("fig1-skew", options={"ilp_backend": "exact"})
+        assert resp["status"] == "error"
+        assert resp["kind"] == "bad-request"
+        assert "retired" in resp["message"]
+
+
 class TestCachePath:
     def test_miss_then_memory_hit_byte_identical(self, daemon_factory):
         daemon = daemon_factory()

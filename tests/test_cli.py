@@ -287,7 +287,6 @@ class TestCLIPipelineFlagTable:
         (["--diamond"], {"diamond": True}),
         (["--bound", "7"], {"coeff_bound": 7}),
         (["--fuse", "max"], {"fuse": "max"}),
-        (["--ilp-backend", "exact"], {"ilp_backend": "exact"}),
         (["--scheduler", "auto"], {"scheduler": "auto"}),
         (["--backend", "c"], {"backend": "c"}),
         (["--rar"], {"rar": True}),
