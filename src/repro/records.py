@@ -1,8 +1,9 @@
 """One serialization rule for the stats records (leaf module).
 
 ``SolveStats``, ``DepStats``, ``SchedulerStats``, ``ExecStats``,
-``TimingBreakdown``, ``PolyCacheStats`` and ``StoreStats`` are dataclasses
-deriving from :class:`Record`, which reads ``as_dict`` / ``from_dict`` /
+``TimingBreakdown``, ``PolyCacheStats``, ``StoreStats`` and ``ServerMetrics``
+(with its pool counters nested as ``PoolCounts``) are dataclasses deriving
+from :class:`Record`, which reads ``as_dict`` / ``from_dict`` /
 ``merge`` / ``snapshot`` / ``delta_since`` off :func:`dataclasses.fields`
 instead of each class spelling its fields out once per method.
 
@@ -15,7 +16,8 @@ metadata=omit_at_default("group"))`` leaves the key out of ``as_dict()``
 while every field of that group still holds its default, so records written
 with the feature off keep their historical shape.  Value shapes need no
 metadata: a nested record serializes through its own ``as_dict``, a set as
-a sorted list, a list of groups as a list of lists.
+a sorted list, a list of groups as a list of lists, a dict of counters as a
+copy.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ def _plain(value):
         return sorted(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     return value
 
 

@@ -58,7 +58,9 @@ from repro.server.listener import (
     SocketInUse,
     claim_unix_path,
 )
-from repro.server.metrics import ServerMetrics
+from repro.server.metrics import (
+    OUTCOME_COUNTERS, STRUCTURAL_COUNTERS, ServerMetrics,
+)
 from repro.server.resolve import ResolveMemo
 from repro.workers import (
     DEFAULT_RECYCLE,
@@ -210,7 +212,7 @@ class Daemon(LineServer):
             return protocol.encode_message(self._handle_control(request, rtype))
 
         program_dict, options_dict, key = self._memo.resolve(request)
-        self.metrics.count_backend(options_dict.get("backend", "python"))
+        self.metrics.count("backends", key=options_dict.get("backend", "python"))
 
         text, tier = self.cache.get(key)
         self.metrics.observe("lookup", time.perf_counter() - t_arrival)
@@ -218,18 +220,18 @@ class Daemon(LineServer):
             return self._ok_bytes(request, key, f"hit-{tier}", text, t_arrival)
 
         if self._stop.is_set():
-            self.metrics.count_error("shutting-down")
+            self.metrics.count("errors", key="shutting-down")
             return protocol.encode_message(protocol.error_response(
                 request, "shutting-down", "daemon is draining; not accepting work"
             ))
 
         flight, owner = self._join_flight(key, program_dict, options_dict)
         if flight is None:
-            self.metrics.count_busy()
+            self.metrics.count("busy")
             return protocol.encode_message(self._busy_response(request))
 
         if not await flight.wait_async(self.config.timeout + _WAIT_GRACE):
-            self.metrics.count_error("wedged")
+            self.metrics.count("errors", key="wedged")
             return protocol.encode_message(protocol.error_response(
                 request, "error", "internal: flight never settled"
             ))
@@ -248,7 +250,7 @@ class Daemon(LineServer):
         t_arrival: float,
     ) -> bytes:
         elapsed = time.perf_counter() - t_arrival
-        self.metrics.count_outcome(cache_tag)
+        self.metrics.count(OUTCOME_COUNTERS[cache_tag])
         self.metrics.observe("total", elapsed)
         head = {
             **protocol.response_header(request),
@@ -296,18 +298,16 @@ class Daemon(LineServer):
         # quick heuristic bowed out (if it did), and how the structural
         # skeleton store fared (hit / miss / fallback; None when disabled).
         data = json.loads(result_text)
-        sched_stats = data.get("scheduler_stats") or {}
-        self.metrics.count_scheduler(
-            sched_stats.get("scheduler_path"),
-            sched_stats.get("fallback_reason"),
-        )
-        self.metrics.count_structural(sched_stats.get("structural_path"))
+        sched = data.get("scheduler_stats") or {}
+        self.metrics.count("scheduler_paths", key=sched.get("scheduler_path"))
+        self.metrics.count("fallback_reasons", key=sched.get("fallback_reason"))
+        self.metrics.count(STRUCTURAL_COUNTERS.get(sched.get("structural_path")))
         # "reduction" appears on tiled rows only when relaxation actually
         # bought a parallel dimension (the serialization rule), so its
         # presence is exactly the "reduction-parallel schedule" signal.
         tiled = data.get("tiled") or {}
         if any(r.get("reduction") for r in tiled.get("rows", ())):
-            self.metrics.count_reduction_parallel()
+            self.metrics.count("reduction_parallel")
 
     # -- single-flight -----------------------------------------------------
 
@@ -360,7 +360,7 @@ class Daemon(LineServer):
                     "message": message,
                     "key": key,
                 }
-                self.metrics.count_error(ev.kind)
+                self.metrics.count("errors", key=ev.kind)
         finally:
             flight.settle()
 
@@ -371,7 +371,7 @@ class Daemon(LineServer):
         with self._conns_lock:
             connections = len(self._open_conns)
         return {
-            "server": self.metrics.snapshot(
+            "server": self.metrics.as_dict(
                 in_flight=in_flight,
                 queue_depth=queued,
                 connections=connections,

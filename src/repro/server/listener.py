@@ -219,7 +219,7 @@ class LineServer:
                     os.unlink(path)
 
     def _bad_request(self, request: Optional[dict], error: Exception) -> bytes:
-        self.metrics.count_error("bad-request")
+        self.metrics.count("errors", key="bad-request")
         return protocol.encode_message(
             protocol.error_response(request, "bad-request", str(error))
         )
@@ -245,7 +245,10 @@ class LineServer:
                 self._busy_requests += 1
                 try:
                     protocol.validate_request(request)
-                    self.metrics.count_request(request["type"])
+                    optimize = request["type"] == "optimize"
+                    self.metrics.count(
+                        "requests", "optimize_requests" if optimize else None
+                    )
                     response = await self.handle(request, line)
                 except protocol.ProtocolError as e:
                     response = self._bad_request(request, e)

@@ -1,13 +1,19 @@
 """Serving metrics: request counters, gauges, latency percentiles.
 
-A single :class:`ServerMetrics` instance is shared by every connection
-thread and the pool dispatcher, so everything is guarded by one lock —
-contention is irrelevant next to seconds-long scheduling requests.
+:class:`ServerMetrics` is a :class:`~repro.records.Record`: its counters
+are dataclass fields, so ``as_dict()`` writes the ``stats`` payload in
+field order, the four pool counters as a nested :class:`PoolCounts`.
+Every counter moves through one method, :meth:`ServerMetrics.count`;
+``ok`` and ``hit_rate`` are derived from the outcome counters, never
+stored.  One instance is shared by the event loop and the pool's
+dispatcher thread, so ``count``, ``observe`` and ``as_dict`` each take
+one lock — contention is irrelevant next to seconds-long scheduling
+requests.
 
 Latencies are recorded per stage into bounded reservoirs (the most recent
-``window`` observations): ``lookup`` is resolve + cache probe, ``compute``
+``DEFAULT_WINDOW`` observations): ``lookup`` is resolve + cache probe, ``compute``
 is worker wall time on a miss, ``total`` is request arrival to response
-ready.  Percentiles are computed on demand from a sorted copy — a few
+ready.  Percentiles are computed on demand from one sorted copy — a few
 thousand floats, microseconds — rather than maintained incrementally.
 """
 
@@ -17,13 +23,40 @@ import json
 import threading
 import time
 from collections import deque
+from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["LatencyWindow", "ServerMetrics"]
+from repro.records import Record
+
+__all__ = [
+    "LatencyWindow", "OUTCOME_COUNTERS", "PoolCounts", "STRUCTURAL_COUNTERS",
+    "ServerMetrics",
+]
 
 DEFAULT_WINDOW = 4096
 
 PERCENTILES = (0.5, 0.9, 0.99)
+
+#: response ``cache`` tag -> the outcome counter it bumps
+OUTCOME_COUNTERS = {
+    "hit-memory": "hits_memory",
+    "hit-disk": "hits_disk",
+    "coalesced": "coalesced",   # waited on another request's computation
+    "miss": "misses",           # actually computed by a worker
+}
+
+#: ``SchedulerStats.structural_path`` -> the counter it bumps; a skeleton
+#: record replayed every solve (hit), none existed (miss), or one existed
+#: but some level solved cold (fallback)
+STRUCTURAL_COUNTERS = {
+    "hit": "structural_hits",
+    "miss": "structural_misses",
+    "fallback": "structural_fallbacks",
+}
+
+
+def _nearest_rank(ordered: list, q: float) -> float:
+    return ordered[min(len(ordered) - 1, int(q * len(ordered)))]
 
 
 class LatencyWindow:
@@ -40,166 +73,90 @@ class LatencyWindow:
     def percentile(self, q: float) -> Optional[float]:
         if not self._samples:
             return None
-        ordered = sorted(self._samples)
-        idx = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[idx]
+        return _nearest_rank(sorted(self._samples), q)
 
     def as_dict(self) -> dict:
+        ordered = sorted(self._samples)
         out: dict = {"count": self.count}
         for q in PERCENTILES:
-            value = self.percentile(q)
-            key = f"p{int(q * 100)}"
-            out[key] = None if value is None else round(value, 6)
-        if self._samples:
-            out["max"] = round(max(self._samples), 6)
-        else:
-            out["max"] = None
+            out[f"p{int(q * 100)}"] = (
+                round(_nearest_rank(ordered, q), 6) if ordered else None
+            )
+        out["max"] = round(ordered[-1], 6) if ordered else None
         return out
 
 
-class ServerMetrics:
-    """Counters + latency windows; ``snapshot()`` is the ``stats`` payload."""
+@dataclass
+class PoolCounts(Record):
+    """Warm worker pool accounting."""
 
-    def __init__(self, window: int = DEFAULT_WINDOW):
+    spawns: int = 0       # workers forked (initial + replacements)
+    dispatches: int = 0   # jobs handed to a worker
+    reuses: int = 0       # ... to a worker that had served before
+    recycles: int = 0     # workers retired at the recycle limit
+
+
+@dataclass
+class ServerMetrics(Record):
+    """Counters + latency windows; ``as_dict()`` is the ``stats`` payload."""
+
+    requests: int = 0            # every parsed request, any type
+    optimize_requests: int = 0
+    hits_memory: int = 0
+    hits_disk: int = 0
+    coalesced: int = 0
+    misses: int = 0
+    busy: int = 0                # admission control rejections
+    errors: dict[str, int] = field(default_factory=dict)
+    # scheduler arbitration on computed (miss) responses:
+    # path -> count, e.g. {"quick": 3, "fallback": 1, "exact": 2}
+    scheduler_paths: dict[str, int] = field(default_factory=dict)
+    # fallback reason -> count, e.g. {"untilable-band": 1}
+    fallback_reasons: dict[str, int] = field(default_factory=dict)
+    # skeleton-store outcomes on computed responses (STRUCTURAL_COUNTERS);
+    # requests served with the store disabled count nowhere
+    structural_hits: int = 0
+    structural_misses: int = 0
+    structural_fallbacks: int = 0
+    # computed responses whose schedule carries at least one
+    # reduction-parallel row (parallel_reductions relaxation paid off);
+    # cache hits reuse a previously counted computation
+    reduction_parallel: int = 0
+    # resolved execution backend -> optimize requests, e.g.
+    # {"python": 40, "c": 2}; requests predating the knob count as
+    # "python" (the resolved-options default)
+    backends: dict[str, int] = field(default_factory=dict)
+    pool: PoolCounts = field(default_factory=PoolCounts)
+    # router-side: shard endpoint -> forwarded optimize requests
+    shard_routes: dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
         self._lock = threading.Lock()
         self.started = time.time()
-        self.requests = 0            # every parsed request, any type
-        self.optimize_requests = 0
-        self.ok = 0
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.coalesced = 0           # waited on another request's computation
-        self.misses = 0              # actually computed by a worker
-        self.busy = 0                # admission control rejections
-        self.errors: dict[str, int] = {}
-        # scheduler arbitration on computed (miss) responses:
-        # path -> count, e.g. {"quick": 3, "fallback": 1, "exact": 2}
-        self.scheduler_paths: dict[str, int] = {}
-        # fallback reason -> count, e.g. {"untilable-band": 1}
-        self.fallback_reasons: dict[str, int] = {}
-        # structural warm-start outcomes on computed (miss) responses,
-        # from the result's SchedulerStats.structural_path: a skeleton
-        # record replayed every solve (hit), no record existed (miss), or
-        # a record existed but some level solved cold (fallback).
-        # Requests served with the store disabled count nowhere.
-        self.structural_hits = 0
-        self.structural_misses = 0
-        self.structural_fallbacks = 0
-        # computed responses whose schedule carries at least one
-        # reduction-parallel row (parallel_reductions relaxation paid off);
-        # cache hits reuse a previously counted computation
-        self.reduction_parallel = 0
-        # resolved execution backend -> optimize requests, e.g.
-        # {"python": 40, "c": 2}; requests predating the knob count as
-        # "python" (the resolved-options default)
-        self.backends: dict[str, int] = {}
-        # warm worker pool accounting
-        self.pool_spawns = 0       # workers forked (initial + replacements)
-        self.pool_dispatches = 0   # jobs handed to a worker
-        self.pool_reuses = 0       # ... to a worker that had served before
-        self.pool_recycles = 0     # workers retired at the recycle limit
-        # router-side: shard endpoint -> forwarded optimize requests
-        self.shard_routes: dict[str, int] = {}
         self._latency = {
-            "lookup": LatencyWindow(window),
-            "compute": LatencyWindow(window),
-            "total": LatencyWindow(window),
+            stage: LatencyWindow() for stage in ("lookup", "compute", "total")
         }
 
     # -- recording ---------------------------------------------------------
 
-    def count_request(self, rtype: str) -> None:
-        with self._lock:
-            self.requests += 1
-            if rtype == "optimize":
-                self.optimize_requests += 1
+    def count(self, *names: str, key: Optional[str] = None) -> None:
+        """Add one to each counter in ``names``, under one lock.
 
-    def count_outcome(self, cache: Optional[str]) -> None:
-        """One served optimize response: ``cache`` is the response tag."""
-        with self._lock:
-            self.ok += 1
-            if cache == "hit-memory":
-                self.hits_memory += 1
-            elif cache == "hit-disk":
-                self.hits_disk += 1
-            elif cache == "coalesced":
-                self.coalesced += 1
-            elif cache == "miss":
-                self.misses += 1
-
-    def count_scheduler(self, path: Optional[str], reason: Optional[str] = None) -> None:
-        """One computed response's scheduler arbitration outcome.
-
-        ``path`` is ``scheduler_path`` from the result's SchedulerStats
-        (``"quick"``, ``"fallback"``, or ``"exact"``); ``reason`` is the
-        fallback reason when the quick heuristic bowed out.  Cache hits are
-        not recorded — they reuse a previously counted computation.
+        A name is a field (``"busy"``) or a pool counter (``"pool.reuses"``);
+        for a dict counter (``errors``, ``backends``, ``shard_routes``, ...)
+        ``key`` picks the entry.  A ``None`` name, or a ``None`` key of a
+        dict counter, counts nothing: a result payload that predates a
+        field (or a store that is off) leaves no trace.
         """
-        if path is None:
-            return
         with self._lock:
-            self.scheduler_paths[path] = self.scheduler_paths.get(path, 0) + 1
-            if reason is not None:
-                self.fallback_reasons[reason] = (
-                    self.fallback_reasons.get(reason, 0) + 1
-                )
-
-    def count_structural(self, path: Optional[str]) -> None:
-        """One computed response's skeleton-store outcome.
-
-        ``path`` is ``structural_path`` from the result's SchedulerStats;
-        ``None`` (store disabled, or a record predating the field) is not
-        counted.  Like :meth:`count_scheduler`, exact-cache hits are never
-        recorded — they reuse a previously counted computation.
-        """
-        if path is None:
-            return
-        with self._lock:
-            if path == "hit":
-                self.structural_hits += 1
-            elif path == "fallback":
-                self.structural_fallbacks += 1
-            else:
-                self.structural_misses += 1
-
-    def count_reduction_parallel(self) -> None:
-        """One computed response whose schedule has reduction-parallel rows."""
-        with self._lock:
-            self.reduction_parallel += 1
-
-    def count_backend(self, backend: str) -> None:
-        """One resolved optimize request's execution backend."""
-        with self._lock:
-            self.backends[backend] = self.backends.get(backend, 0) + 1
-
-    def count_pool_spawn(self) -> None:
-        with self._lock:
-            self.pool_spawns += 1
-
-    def count_pool_dispatch(self, reused: bool) -> None:
-        """One job handed to a warm worker; ``reused`` when that worker
-        had already served at least one request (the pre-fork payoff)."""
-        with self._lock:
-            self.pool_dispatches += 1
-            if reused:
-                self.pool_reuses += 1
-
-    def count_pool_recycle(self) -> None:
-        with self._lock:
-            self.pool_recycles += 1
-
-    def count_shard_route(self, shard: str) -> None:
-        """One optimize request forwarded to ``shard`` (router only)."""
-        with self._lock:
-            self.shard_routes[shard] = self.shard_routes.get(shard, 0) + 1
-
-    def count_busy(self) -> None:
-        with self._lock:
-            self.busy += 1
-
-    def count_error(self, kind: str) -> None:
-        with self._lock:
-            self.errors[kind] = self.errors.get(kind, 0) + 1
+            for name in filter(None, names):
+                owner, _, attr = name.rpartition(".")
+                record = getattr(self, owner) if owner else self
+                value = getattr(record, attr)
+                if not isinstance(value, dict):
+                    setattr(record, attr, value + 1)
+                elif key is not None:
+                    value[key] = value.get(key, 0) + 1
 
     def observe(self, stage: str, seconds: float) -> None:
         with self._lock:
@@ -208,44 +165,30 @@ class ServerMetrics:
     # -- reporting ---------------------------------------------------------
 
     @property
-    def hit_rate(self) -> float:
-        served = self.hits_memory + self.hits_disk + self.coalesced + self.misses
-        if not served:
-            return 0.0
-        return (self.hits_memory + self.hits_disk + self.coalesced) / served
+    def ok(self) -> int:
+        """Served optimize responses, any cache outcome."""
+        return self.hits_memory + self.hits_disk + self.coalesced + self.misses
 
-    def snapshot(self, **gauges) -> dict:
-        """Everything, as one JSON-shaped dict.
+    @property
+    def hit_rate(self) -> float:
+        served = self.ok
+        return 0.0 if not served else (served - self.misses) / served
+
+    def as_dict(self, **gauges) -> dict:
+        """Everything, as one JSON-shaped dict (a copy: safe to encode
+        outside the lock).
 
         ``gauges`` lets the daemon splice in point-in-time values it owns
         (``queue_depth``, ``in_flight``, ``connections``).
         """
         with self._lock:
+            counters = super().as_dict()
             return {
                 "uptime_seconds": round(time.time() - self.started, 3),
-                "requests": self.requests,
-                "optimize_requests": self.optimize_requests,
+                "requests": counters.pop("requests"),
+                "optimize_requests": counters.pop("optimize_requests"),
                 "ok": self.ok,
-                "hits_memory": self.hits_memory,
-                "hits_disk": self.hits_disk,
-                "coalesced": self.coalesced,
-                "misses": self.misses,
-                "busy": self.busy,
-                "errors": dict(self.errors),
-                "scheduler_paths": dict(self.scheduler_paths),
-                "fallback_reasons": dict(self.fallback_reasons),
-                "structural_hits": self.structural_hits,
-                "structural_misses": self.structural_misses,
-                "structural_fallbacks": self.structural_fallbacks,
-                "reduction_parallel": self.reduction_parallel,
-                "backends": dict(self.backends),
-                "pool": {
-                    "spawns": self.pool_spawns,
-                    "dispatches": self.pool_dispatches,
-                    "reuses": self.pool_reuses,
-                    "recycles": self.pool_recycles,
-                },
-                "shard_routes": dict(self.shard_routes),
+                **counters,
                 "hit_rate": round(self.hit_rate, 4),
                 "latency": {
                     name: window.as_dict()
@@ -256,9 +199,9 @@ class ServerMetrics:
 
     def summary_line(self) -> str:
         """The one-liner ``repro serve --report`` prints on exit."""
-        snap = self.snapshot()
+        snap = self.as_dict()
         p50 = snap["latency"]["total"]["p50"]
-        return (
+        line = (
             f"served {snap['optimize_requests']} optimize request(s): "
             f"{snap['hits_memory']}+{snap['hits_disk']} cache hits "
             f"(mem+disk), {snap['coalesced']} coalesced, "
@@ -272,3 +215,6 @@ class ServerMetrics:
             f"hit rate {snap['hit_rate']:.2f}, "
             f"p50 total {('%.3fs' % p50) if p50 is not None else 'n/a'}"
         )
+        if snap["shard_routes"]:
+            line += f", routes {json.dumps(snap['shard_routes'])}"
+        return line

@@ -86,8 +86,6 @@ class ResolveMemo:
         self.entries = max(0, int(entries))
         self._memo: OrderedDict[str, tuple[dict, dict, str]] = OrderedDict()
         self._lock = Lock()
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def _memo_key(request: dict) -> Optional[str]:
@@ -111,13 +109,11 @@ class ResolveMemo:
                 hit = self._memo.get(mkey)
                 if hit is not None:
                     self._memo.move_to_end(mkey)
-                    self.hits += 1
                     return hit
         program_dict, options_dict = resolve_optimize(request)
         key = cache_key(program_dict, options_dict)
         if mkey is not None:
             with self._lock:
-                self.misses += 1
                 if mkey not in self._memo:
                     while len(self._memo) >= self.entries:
                         self._memo.popitem(last=False)

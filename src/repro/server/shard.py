@@ -201,11 +201,11 @@ class Router(LineServer):
     async def _route_optimize(self, line: bytes, request: dict) -> bytes:
         _, _, key = self._memo.resolve(request)
         endpoint = self.ring.owner(key)
-        self.metrics.count_shard_route(endpoint)
+        self.metrics.count("shard_routes", key=endpoint)
         try:
             return await self._links[endpoint].roundtrip(line)
         except (OSError, ConnectionError, asyncio.TimeoutError) as e:
-            self.metrics.count_error("shard-unreachable")
+            self.metrics.count("errors", key="shard-unreachable")
             return protocol.encode_message(protocol.error_response(
                 request, "error",
                 f"shard {endpoint!r} unreachable: {e}",
@@ -224,7 +224,7 @@ class Router(LineServer):
             **protocol.response_header(request),
             "status": "ok",
             "stats": {
-                "router": self.metrics.snapshot(
+                "router": self.metrics.as_dict(
                     shards=list(self.ring.endpoints),
                 ),
                 "shards": shards,

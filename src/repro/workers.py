@@ -166,10 +166,10 @@ class WarmWorkerPool:
     including the replacements forked after a crash, timeout, or recycle.
     ``preload``, when given, runs once in the parent before the first fork.
 
-    ``metrics``, when given, receives pool-reuse accounting:
-    ``count_pool_spawn()`` per fork, ``count_pool_dispatch(reused=...)``
-    per job handed to a worker (``reused`` when that worker has already
-    served at least one request), and ``count_pool_recycle()`` per worker
+    ``metrics``, when given, receives pool-reuse accounting through
+    ``metrics.count``: ``pool.spawns`` per fork, ``pool.dispatches`` per
+    job handed to a worker (plus ``pool.reuses`` when that worker has
+    already served at least one request), and ``pool.recycles`` per worker
     retired at the ``recycle`` limit.
     """
 
@@ -277,7 +277,7 @@ class WarmWorkerPool:
         proc.start()
         child_conn.close()
         if self.metrics is not None:
-            self.metrics.count_pool_spawn()
+            self.metrics.count("pool.spawns")
         return _WarmWorker(proc=proc, conn=parent_conn)
 
     def _retire_worker(self, worker: _WarmWorker, graceful: bool = True) -> None:
@@ -331,7 +331,9 @@ class WarmWorkerPool:
                 self._replace(worker)
                 continue
             if self.metrics is not None:
-                self.metrics.count_pool_dispatch(reused=worker.jobs_done > 0)
+                self.metrics.count(
+                    "pool.dispatches", "pool.reuses" if worker.jobs_done else None
+                )
 
     def _replace(self, worker: _WarmWorker, graceful: bool = False) -> None:
         self._retire_worker(worker, graceful=graceful)
@@ -365,7 +367,7 @@ class WarmWorkerPool:
         worker.jobs_done += 1
         if worker.jobs_done >= self.recycle:
             if self.metrics is not None:
-                self.metrics.count_pool_recycle()
+                self.metrics.count("pool.recycles")
             self._replace(worker, graceful=True)
         self._settle(job, WorkerEvent(job, status, payload, elapsed,
                                       worker.proc.pid))

@@ -209,7 +209,7 @@ class TestWarmPool:
         for i in range(3):
             assert pool.try_submit(PoolJob(f"k{i}", {"n": i}, done))
         done.wait()
-        snap = metrics.snapshot()
+        snap = metrics.as_dict()
         assert snap["pool"]["spawns"] == 1
         assert snap["pool"]["dispatches"] == 3
         # the first job went to a never-used worker; the next two reused it
@@ -230,7 +230,7 @@ class TestWarmPool:
         # two jobs per worker: the first worker retired after k1, its
         # replacement served k2/k3
         assert len({ev.pid for ev in events}) == 2
-        snap = metrics.snapshot()
+        snap = metrics.as_dict()
         assert snap["pool"]["recycles"] >= 1
         assert snap["pool"]["spawns"] >= 2
 

@@ -180,7 +180,7 @@ class TestRouter:
         assert sum(routed.values()) == n
         assert len(routed) == 2
         shard_served = [
-            d.metrics.snapshot()["optimize_requests"] for d in daemons
+            d.metrics.optimize_requests for d in daemons
         ]
         assert sum(shard_served) == n
         assert all(n > 0 for n in shard_served)

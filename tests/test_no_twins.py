@@ -13,8 +13,12 @@ column through an equality in one function, ``core/farkas.py`` eliminates
 multipliers in one place, and Fourier–Motzkin combines a lower with an
 upper bound in one expression, which the scan reaches through one
 ``project_chain`` call.  And one worker pool forks and waits on children.
+And every stats record (a class named ``*Stats`` or ``*Metrics``, plus
+``TimingBreakdown``) derives from ``repro.records.Record``: serialized by
+one rule, never spelled out field by field again.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -120,3 +124,20 @@ def test_one_worker_pool_forks_and_waits():
     sources = [p.read_text() for p in SRC.rglob("*.py")]
     assert sum(text.count(".Process(") for text in sources) == 1
     assert sum(text.count("conn_wait(") for text in sources) == 1
+
+
+def test_every_stats_record_derives_from_record():
+    """Until v1.21.0 ``ServerMetrics`` was the one stats record written by
+    hand: 21 counters initialised one by one, a method per counter and a
+    ``snapshot()`` that listed every field again."""
+    records = {}
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and (
+                node.name.endswith(("Stats", "Metrics"))
+                or node.name == "TimingBreakdown"
+            ):
+                bases = {b.id for b in node.bases if isinstance(b, ast.Name)}
+                records[node.name] = "Record" in bases
+    assert len(records) >= 8, sorted(records)
+    assert all(records.values()), sorted(n for n, ok in records.items() if not ok)
