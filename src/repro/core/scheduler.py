@@ -466,9 +466,10 @@ class PlutoScheduler:
             if record is not None:
                 # Only an *exact* solve-key match gets here, where the lexmin
                 # optimum is a unique vector (every model variable is in the
-                # objective order) — so this is the same row a cold solve
-                # would produce, including the no-hyperplane (non-optimal /
-                # all-zero) outcomes.
+                # objective order or, like diamond's ``ds.<S>`` binaries
+                # added by ``constrain``, forced by the ``c``s) — so this is
+                # the same row a cold solve would produce, including the
+                # no-hyperplane (non-optimal / all-zero) outcomes.
                 try:
                     row = None
                     if record.get("status") == "optimal":

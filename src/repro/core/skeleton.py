@@ -23,7 +23,8 @@ This module turns those misses into warm solves, in three pieces:
   solver's answer (algorithm, bounds, backend, statement spaces, current
   ranks and hyperplane rows, the active dependences' polyhedra, parameter
   lower bounds).  Because every model variable appears in the lexmin
-  objective order, the lexicographic optimum is a *unique* vector — so a
+  objective order or is forced by the ``c``s (diamond's ``ds.<S>`` sign
+  binaries), the lexicographic optimum is a *unique* vector — so a
   recorded solution vector for an identical solve key can be replayed
   verbatim and is bit-identical to re-solving by construction.  Any key
   mismatch (e.g. rescaled ``param_min`` changes the Farkas system) falls

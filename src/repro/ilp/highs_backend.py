@@ -15,25 +15,31 @@ A :class:`HighsSession` assembles one model for HiGHS once — names, bounds,
 integrality, an integer CSC matrix — and then answers any number of
 objectives over it; the lexmin driver keeps one per call, pins by setting
 ``lb = ub``, and runs its lower-bound probe as one exact integer mat-vec.
+Given a feasible point, a session hands HiGHS only the objective's
+component of the model, the other columns held at the point's values.
 
 This is the only module that imports :mod:`scipy.optimize` — HiGHS's own
 pybind11 module, which scipy builds as ``scipy.optimize._highspy._core`` —
 and :func:`highs` its only entry: sessions, ``BasicSet``'s anonymous integer
 questions (:func:`solve_rows`), ``fastcheck``'s feasibility LP and the
-pruning LPs (:func:`block_minima`) all enter HiGHS through it.
+pruning LPs (:func:`block_minima`) all enter HiGHS through it.  Each thread
+keeps one HiGHS across its entries, cleared and reset to HiGHS's defaults at
+each.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize._highspy._core import (
-    HighsLp, HighsModelStatus, HighsStatus, HighsVarType, MatrixFormat, _Highs,
-    kHighsInf,
+    HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs, kHighsInf,
 )
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
@@ -71,7 +77,27 @@ _LIMITS = (
     HighsModelStatus.kIterationLimit,
     HighsModelStatus.kSolutionLimit,
 )
-_VAR_TYPES = (HighsVarType.kContinuous, HighsVarType.kInteger)
+
+#: this thread's HiGHS (``_local.solver``), made on its first entry
+_local = threading.local()
+
+
+def _forget_solvers() -> None:
+    """A forked child starts without its parent's solvers: their state is
+    the parent's, and the child makes its own on its first entry."""
+    global _local
+    _local = threading.local()
+
+
+os.register_at_fork(after_in_child=_forget_solvers)
+
+
+def _solver() -> _Highs:
+    """This thread's HiGHS, made on its first entry and reused after."""
+    solver = getattr(_local, "solver", None)
+    if solver is None:
+        solver = _local.solver = _Highs()
+    return solver
 
 
 class HighsResult(NamedTuple):
@@ -103,28 +129,26 @@ def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
     n, m = len(c), a.shape[0]
     integral = np.broadcast_to(integral, n)
     mip = bool(integral.any())
-    lp = HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.col_cost_ = c
-    # contiguous float64 arrays: the bindings copy those in one go
-    lp.col_lower_ = np.broadcast_to(lb, n).astype(np.float64)
-    lp.col_upper_ = np.broadcast_to(ub, n).astype(np.float64)
-    lp.row_lower_ = np.broadcast_to(lo, m).astype(np.float64)
-    lp.row_upper_ = np.broadcast_to(hi, m).astype(np.float64)
-    matrix = lp.a_matrix_
-    matrix.format_ = MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_, matrix.index_ = a.indptr, a.indices
-    matrix.value_ = a.data.astype(np.float64)
     if mip:
-        lp.integrality_ = [_VAR_TYPES[i] for i in integral.tolist()]
         options.update(MIP_OPTIONS)
 
-    solver = _Highs()
+    solver = _solver()
+    # the last entry's model and options go; what is left is a new _Highs
+    solver.clearModel()
+    solver.resetOptions()
     solver.setOptionValue("log_to_console", False)
     for name, value in options.items():
         solver.setOptionValue(name, value)
-    if solver.passModel(lp) == HighsStatus.kError:
+    # contiguous float64 / int32 arrays: the bindings copy those in one go
+    if solver.passModel(
+        n, m, a.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0, c,
+        np.broadcast_to(lb, n).astype(np.float64),
+        np.broadcast_to(ub, n).astype(np.float64),
+        np.broadcast_to(lo, m).astype(np.float64),
+        np.broadcast_to(hi, m).astype(np.float64),
+        a.indptr.astype(np.int32), a.indices.astype(np.int32),
+        a.data.astype(np.float64), integral.astype(np.int32),
+    ) == HighsStatus.kError:
         return HighsResult(2)  # kModelError
     ran = solver.run()
     model_status = solver.getModelStatus()
@@ -249,34 +273,105 @@ class HighsSession:
         self.lb[self.index[name]] = self.ub[self.index[name]] = value
         self.pins[name] = value
 
+    def _integer_point(self, assignment: Mapping[str, Fraction]) -> np.ndarray | None:
+        """``assignment`` as an exact int64 vector; ``None`` when a value is
+        not an integer or is large enough for a row of ``a @ x`` to wrap."""
+        values = [assignment[n] for n in self.names]
+        if any(v.denominator != 1 for v in values):
+            return None
+        x = [v.numerator for v in values]
+        if max(map(abs, x), default=0) > self._x_limit:
+            return None
+        return np.array(x, dtype=np.int64)
+
     def satisfies(self, assignment: Mapping[str, Fraction]) -> bool:
         """Exact feasibility of an integer ``assignment`` (bounds, pins and
         rows) in one integer mat-vec; ``False`` for a point it cannot
         decide exactly (a non-integer value, or one large enough to wrap)."""
-        values = [assignment[n] for n in self.names]
-        if any(v.denominator != 1 for v in values):
-            return False
-        x = [v.numerator for v in values]
-        if max(map(abs, x), default=0) > self._x_limit:
-            return False
-        x = np.array(x, dtype=np.int64)
-        return _holds(self.a, self.rhs, self.eq, self.lb, self.ub, x, 0)
+        x = self._integer_point(assignment)
+        return x is not None and _holds(self.a, self.rhs, self.eq, self.lb, self.ub, x, 0)
+
+    @cached_property
+    def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which columns each row holds, both ways round: dense booleans,
+        ``rows x columns`` and its transpose, for :meth:`_component`."""
+        holds = self.a.toarray() != 0
+        return holds, np.ascontiguousarray(holds.T)
+
+    def _component(self, c: np.ndarray, at: Mapping[str, Fraction]):
+        """``c``'s component as a model of its own: ``(columns, a, rhs, eq)``.
+
+        A column fixed by its bounds or a pin is a constant, so the free
+        columns fall into groups that share no row; ``c``'s component is
+        every free column its own columns reach through shared rows.  Its
+        rows hold no other free column, so under the pins the feasible set is
+        the component's times the rest's, and the minimum of ``c`` is the
+        component's.  Every column outside it is substituted at ``at``,
+        exactly, into the rows that touch it.  ``None`` when the component is
+        every free column, or ``at`` is not an integer point within
+        ``_x_limit``.
+        """
+        holds, held_by = self._incidence
+        free = self.lb != self.ub
+        reach = free & (c != 0)
+        while True:
+            rows = held_by[reach].any(axis=0)
+            grown = reach | (free & holds[rows].any(axis=0))
+            if np.array_equal(grown, reach):
+                break
+            reach = grown
+        if not reach.any() or np.array_equal(reach, free):
+            return None
+        x = self._integer_point(at)
+        if x is None:
+            return None
+        # the reached columns, whole: every entry of one lies in a reached row
+        counts = np.diff(self.a.indptr)
+        entries = np.repeat(reach, counts)
+        row_number = np.cumsum(rows) - 1
+        starts = np.concatenate(([0], np.cumsum(counts[reach])))
+        a = sparse.csc_array(
+            (self.a.data[entries], row_number[self.a.indices[entries]], starts),
+            shape=(np.count_nonzero(rows), np.count_nonzero(reach)),
+        )
+        rhs = self.rhs - self.a @ np.where(reach, 0, x)
+        return reach, a, rhs[rows], self.eq[rows]
 
     def solve(
-        self, objective: Mapping[str, int | Fraction], node_limit: int = 20000
+        self,
+        objective: Mapping[str, int | Fraction],
+        node_limit: int = 20000,
+        at: Mapping[str, Fraction] | None = None,
     ) -> ILPResult:
         """Minimize ``objective . x`` over the model under the current pins.
 
+        ``at``, a feasible assignment under those pins, lets HiGHS see the
+        objective's component only (:meth:`_component`): every column
+        outside it keeps its value from ``at``.  Anything but an optimum
+        there is asked again of the whole model.
+
         When the rounded optimum fails verification the pure-Python exact
-        solver answers instead, with the same ``node_limit``: correct, but
-        slow on a large model, and it can raise ``BranchAndBoundError``.
+        solver answers instead, on the whole model with the pins and the
+        same ``node_limit``: correct, but slow on a large model, and it can
+        raise ``BranchAndBoundError``.
         """
         c = np.zeros(len(self.names))
         for name, coef in objective.items():
             c[self.index[name]] = float(coef)
-        status, x, entries = solve_rows(
-            c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit
-        )
+        part = None if at is None else self._component(c, at)
+        status, entries = None, 0
+        if part is not None:
+            cols, a, rhs, eq = part
+            status, x, entries = solve_rows(
+                c[cols], a, rhs, eq, self.lb[cols], self.ub[cols], self.integral[cols],
+                node_limit,
+            )
+        if part is None or status not in (ILPStatus.OPTIMAL, None):
+            cols = np.ones(len(self.names), dtype=bool)
+            status, x, more = solve_rows(
+                c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit
+            )
+            entries += more
         stats = SolveStats(lp_solves=entries)
         if status is None:
             pins = tuple(
@@ -288,13 +383,18 @@ class HighsSession:
             return exact
         if status != ILPStatus.OPTIMAL:
             return ILPResult(status, stats=stats)
+        solved = zip(x, self.integral[cols])
         assignment = {
-            name: Fraction(int(v)) if integral
-            else Fraction(float(v)).limit_denominator(10**9)
-            for name, v, integral in zip(self.names, x, self.integral)
+            name: _as_fraction(*next(solved)) if inside else at[name]
+            for name, inside in zip(self.names, cols)
         }
         obj_val = sum(
             (Fraction(coef) * assignment[name] for name, coef in objective.items()),
             Fraction(0),
         )
         return ILPResult(ILPStatus.OPTIMAL, obj_val, assignment, stats)
+
+
+def _as_fraction(value: float, integral: bool) -> Fraction:
+    """One coordinate of a rounded HiGHS point as an exact value."""
+    return Fraction(int(value)) if integral else Fraction(value).limit_denominator(10**9)

@@ -33,7 +33,13 @@ applied warm on snapshots.  Two solve-avoidance shortcuts run first:
 There is one objective loop (shortcut, probe, fold, solve, pin); a backend
 only supplies how one objective is solved and how its optimum is pinned —
 the exact backend on its live tableau, HiGHS on a :class:`HighsSession`
-(one assembled matrix per call, pins as ``lb = ub``).
+(one assembled matrix per call, pins as ``lb = ub``).  Every solve after
+the first is handed the feasible assignment the loop holds; HiGHS then
+sees only the objective's component of the model — the free columns it
+reaches through shared rows — with every other column held at its value
+(:meth:`HighsSession.solve`).  The pinned columns are what split the model:
+in eq. (8) the statements share only ``u`` and ``w``, and once those are
+pinned each group of statements linked by a dependence is a block of its own.
 
 A solve does not ask about one variable when it can ask about several: each
 maximal run of *bounded integer* variables in the order — ``(csum_S,
@@ -152,7 +158,8 @@ def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
     stats.lp_solves += 1  # the shared phase 1
     stats.simplex_pivots += inc.pivots
 
-    def solve(objective: Mapping[str, int]) -> ILPResult:
+    def solve(objective: Mapping[str, int], at=None) -> ILPResult:
+        # the tableau holds the whole model; ``at`` only narrows HiGHS's
         if not inc.is_feasible:
             return ILPResult(ILPStatus.INFEASIBLE)
         result, at_root = solve_ilp_warm(inc, model, objective, node_limit)
@@ -208,7 +215,7 @@ def lexmin(
                     values.extend(probe[n] for n in order[k:])
                     break
             objective = _fold(model, order, k)
-            result = solve(objective)
+            result = solve(objective, at=current)
             solves += 1
             stats.merge(result.stats)
             if not result.is_optimal:

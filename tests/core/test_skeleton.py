@@ -32,6 +32,7 @@ from repro.core.skeleton import (
 )
 from repro.frontend import parse_program
 from repro.frontend.serialize import program_to_dict
+from repro.ilp.highs_backend import HighsSession
 from repro.ilp.model import SolveStats
 from repro.pipeline import PipelineOptions, optimize
 from repro.workloads import get_workload
@@ -307,6 +308,37 @@ class TestReplayParity:
         assert warm.scheduler_stats.structural_path == "hit"
         assert warm.used_diamond
         self._same(cold, warm)
+
+    @pytest.mark.parametrize("name", ["heat-1dp", "heat-2dp"])
+    def test_records_do_not_depend_on_component_steps(self, name, monkeypatch, tmp_path):
+        """Each recorded assignment is the lexmin's one optimum: diamond's
+        ``ds.<S>`` binaries sit outside the objective order, but the ``c``s
+        force them.  So a run whose lexmin steps ask HiGHS about the
+        objective's component only records what whole-model steps record."""
+        w = get_workload(name)
+        opts = w.pipeline_options("plutoplus")
+        fp = structural_fingerprint(program_to_dict(w.program()), opts.as_dict())
+        component, restricted = HighsSession._component, []
+
+        def counted(self, c, at):
+            part = component(self, c, at)
+            restricted.append(part is not None)
+            return part
+
+        def recorded(directory):
+            monkeypatch.setenv("REPRO_SKELETON_CACHE", str(directory))
+            result = optimize(w.program(), opts)
+            assert result.used_diamond
+            return skeleton_store_from_env().get(fp)["solves"]
+
+        monkeypatch.setattr(HighsSession, "_component", counted)
+        steps = recorded(tmp_path / "component")
+        assert any(restricted)
+        monkeypatch.setattr(HighsSession, "_component", lambda self, c, at: None)
+        assert recorded(tmp_path / "whole") == steps
+        assert any(
+            var.startswith("ds.") for rec in steps.values() for var in rec.get("assignment", {})
+        )
 
     def test_store_survives_poisoned_record(self, monkeypatch, tmp_path):
         """A corrupt stored assignment must fall back, not crash or skew."""

@@ -2,11 +2,14 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import HighsSession, ILPModel, ILPStatus, lexmin, solve_ilp
+from repro.ilp import (
+    HighsSession, ILPModel, ILPStatus, LinearConstraint, highs_backend, lexmin, solve_ilp,
+)
 
 
 def _chain_model():
@@ -186,3 +189,101 @@ class TestBackendAgreement:
         first = m.objective_order[0]
         single = solve_ilp(m, {first: 1})
         assert res.assignment[first] == single.objective
+
+
+def _two_blocks():
+    """``b`` first, then two blocks that share no row but ``b``'s:
+    lexmin ``(b, x0, y0, x1, y1) = (1, 2, 3, 2, 3)``.  No variable has an
+    upper bound, so no objective folds and each is asked about alone."""
+    m = ILPModel()
+    for name in ("b", "x0", "y0", "x1", "y1"):
+        m.add_variable(name)
+    m.add_constraint({"b": 1}, -1)                 # b >= 1
+    m.add_constraint({"x0": 1, "b": -1}, -1)       # x0 >= b + 1
+    m.add_constraint({"x0": 1, "y0": 1}, -5)       # x0 + y0 >= 5
+    m.add_constraint({"x1": 1, "b": 1}, -3)        # x1 >= 3 - b
+    m.add_constraint({"y1": 1, "x1": -1}, -1)      # y1 >= x1 + 1
+    m.set_objective_order(["b", "x0", "y0", "x1", "y1"])
+    return m
+
+
+@st.composite
+def blocks_behind_a_bound(draw):
+    """Random models of 2-3 blocks of integers that share no row, coupled
+    only by a leading bound variable ``b``, feasible by construction.  Every
+    variable is in the order (so the lexmin is one vector); a variable
+    without an upper bound is asked about alone, so the later steps ask
+    about one block at a time."""
+    m = ILPModel()
+    m.add_variable("b", 0, None)
+    witness = {"b": draw(st.integers(0, 4))}
+    names = []
+    for k in range(draw(st.integers(2, 3))):
+        block = [f"x{k}_{i}" for i in range(draw(st.integers(1, 3)))]
+        for name in block:
+            lower = draw(st.integers(-3, 0))
+            upper = draw(st.one_of(st.none(), st.integers(1, 4)))
+            m.add_variable(name, lower, upper)
+            witness[name] = draw(st.integers(lower, 4 if upper is None else upper))
+        for _ in range(draw(st.integers(1, 4))):
+            coeffs = {n: draw(st.integers(-3, 3)) for n in ["b", *block] if draw(st.booleans())}
+            coeffs = {n: c for n, c in coeffs.items() if c}
+            if coeffs:
+                at = sum(c * witness[n] for n, c in coeffs.items())
+                m.add_constraint(coeffs, -at + draw(st.integers(0, 2)))
+        names += block
+    m.set_objective_order(["b", *draw(st.permutations(names))])
+    return m
+
+
+class TestComponentSteps:
+    """After its first solve ``lexmin`` asks HiGHS about the
+    objective's component only, every other column held at its value."""
+
+    @given(blocks_behind_a_bound())
+    @settings(max_examples=60, deadline=None)
+    def test_highs_agrees_with_exact_on_every_variable(self, m):
+        exact = lexmin(m, backend="exact")
+        fast = lexmin(m, backend="highs")
+        assert exact.status == fast.status == ILPStatus.OPTIMAL
+        assert fast.assignment == exact.assignment
+        assert m.check(fast.assignment)
+
+    def test_later_steps_hand_over_fewer_columns(self, monkeypatch):
+        real, sent = highs_backend.highs, []
+
+        def spy(c, *args, **kwargs):
+            sent.append(len(c))
+            return real(c, *args, **kwargs)
+
+        monkeypatch.setattr(highs_backend, "highs", spy)
+        m = _two_blocks()
+        res = lexmin(m)
+        assert res.values == [1, 2, 3, 2, 3]
+        # x0 and y0 are asked over their block; once it is pinned, the other
+        # block is every free column, and the whole model is handed over
+        assert sent == [m.num_variables, 2, 1, m.num_variables, m.num_variables]
+
+    def test_a_failed_restricted_point_goes_to_the_exact_solver(self, monkeypatch):
+        """The restricted entry answers a point that violates ``x0 >= b + 1``:
+        the exact solver decides, over the whole model with the pins."""
+        m = _two_blocks()
+        session = HighsSession(m)
+        first = session.solve({"b": 1})
+        session.pin("b", first.assignment["b"])
+        real, sent = highs_backend.highs, []
+
+        def off_by_a_row(c, *args, **kwargs):
+            res = real(c, *args, **kwargs)
+            sent.append(len(c))
+            return res._replace(x=np.zeros_like(res.x))
+
+        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
+        got = session.solve({"x0": 1}, at=first.assignment)
+        assert sent == [2]  # one entry, over x0's block only
+        pin = LinearConstraint({"b": 1}, -first.assignment["b"], equality=True)
+        want = solve_ilp(m, {"x0": 1}, (pin,))
+        assert (got.status, got.objective, got.assignment) == (
+            want.status, want.objective, want.assignment
+        )
+        assert got.is_optimal and got.objective == 2

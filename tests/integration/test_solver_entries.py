@@ -26,43 +26,59 @@ redundancy from each row's ancestry, takes heat-2dp to 175 (pruning entries
 none).  Each ceiling sits between the last two readings, so any one
 optimisation falling out fails here, whatever the clock says.
 
+What a lexmin MIP hands over is counted too, in columns.  Since each step
+after a lexmin's first asks about the objective's component only (the free
+columns it reaches through shared rows, every other column held at its
+value), the five kernels' MIP entries carry gemm 303 -> 185, jacobi-2d-imper
+321 -> 281, fdtd-2d 974 -> 924, heat-1dp 215 -> 195 and heat-2dp 1 012 -> 819
+columns.  heat-2dp makes 178 entries, one more than before, still under its
+ceiling of 200: a step's answer keeps the other columns at the values the
+lexmin loop held, and in one of its lexmins a later variable is then no longer
+at its lower bound there, so it is solved instead of read off.
+
 Farkas multiplier eliminations are counted the same way: a ``cone`` lookup
 that misses is one elimination.  Legality and bounding of a dependence share
 one, so at least half the lookups must hit (gemm 5 of 6, jacobi-2d 30 of 40,
 fdtd-2d 55 of 74, heat-1dp 10 of 20, heat-2dp 36 of 72).
 """
 
+import os
+
+import numpy as np
 import pytest
 from scipy import optimize as scipy_optimize
 
 from repro.api import optimize, verify
 from repro.codegen import generate_c_kernel, generate_python
-from repro.ilp import highs_backend
+from repro.ilp import highs_backend, lexmin
 from repro.polyhedra.cache import global_cache
 from repro.workloads import get_workload
+from tests.ilp.test_warm_solver import _level0_model
 
 
-#: kernel -> (ceiling on entries, ceiling on pruning entries).  Keyed by name
-#: so a refreshed ceiling does not rename the test.
+#: kernel -> (ceiling on entries, ceiling on pruning entries, ceiling on the
+#: columns of MIP entries).  Keyed by name so a refreshed ceiling does not
+#: rename the test.
 CEILINGS = {
-    "gemm": (24, 4),              # pruning entries 6 -> 2
-    "jacobi-2d-imper": (65, 27),  # 35 -> 19
-    "fdtd-2d": (130, 60),         # 95 -> 35
-    "heat-1dp": (90, 25),         # 33 -> 18
-    "heat-2dp": (200, 100),       # 128 -> 72 (entries 231 -> 175)
+    "gemm": (24, 4, 240),               # pruning entries 6 -> 2; columns 303 -> 185
+    "jacobi-2d-imper": (65, 27, 300),   # 35 -> 19; 321 -> 281
+    "fdtd-2d": (130, 60, 950),          # 95 -> 35; 974 -> 924
+    "heat-1dp": (90, 25, 205),          # 33 -> 18; 215 -> 195
+    "heat-2dp": (200, 100, 900),        # 128 -> 72 (entries 231 -> 178); 1 012 -> 819
 }
 
 
 @pytest.mark.parametrize("name", CEILINGS)
 def test_cold_compile_solver_entries(name, monkeypatch):
-    ceiling, prune_ceiling = CEILINGS[name]
-    entries = 0
+    ceiling, prune_ceiling, column_ceiling = CEILINGS[name]
+    entries = columns = 0
     real = highs_backend.highs
 
-    def counting(*args, **kwargs):
-        nonlocal entries
+    def counting(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
+        nonlocal entries, columns
         entries += 1
-        return real(*args, **kwargs)
+        columns += len(c) if np.any(integral) else 0
+        return real(c, a, lo, hi, lb, ub, integral, **options)
 
     def never(*args, **kwargs):
         raise AssertionError("scipy.optimize entered: highs_backend.highs is the one door")
@@ -75,9 +91,10 @@ def test_cold_compile_solver_entries(name, monkeypatch):
     global_cache().clear()
     before = global_cache().stats.snapshot()
     result = optimize(program, workload.pipeline_options("plutoplus"))
-    counted = entries  # verify() below solves too
+    counted, handed = entries, columns  # verify() below solves too
     assert verify(result).legal
     assert 0 < counted <= ceiling
+    assert 0 < handed <= column_ceiling
     # pruning's share of the entries is visible in the stats, not only here
     delta = global_cache().stats.delta_since(before)
     assert 0 < delta.prune_lp_solves <= min(counted, prune_ceiling)
@@ -91,3 +108,26 @@ def test_cold_compile_solver_entries(name, monkeypatch):
     generate_python(result.tiled)
     generate_c_kernel(result.tiled)
     assert global_cache().stats.delta_since(before).prune_lp_solves == 0
+
+
+def test_a_forked_child_solves_after_its_parent_used_the_door():
+    """Each thread keeps one HiGHS across entries; a child forked after its
+    parent has used it starts without it, makes its own, and answers a
+    lexmin as its parent does."""
+    model = _level0_model(get_workload("gemm"))
+    want = lexmin(model).values
+    assert highs_backend._local.solver is not None
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child: report, and leave without pytest's teardown
+        try:
+            fresh = getattr(highs_backend._local, "solver", None) is None
+            got = lexmin(model).values == want
+            os.write(write, bytes([fresh, got]))
+        finally:
+            os._exit(0)
+    os.close(write)
+    report = os.read(read, 2)
+    os.close(read)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert report == bytes([True, True])

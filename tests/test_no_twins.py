@@ -8,7 +8,7 @@ descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
 
 Four narrower guards of the same kind: one module imports
-``scipy.optimize`` and passes HiGHS a model once, ``repro.polyhedra`` cancels a
+``scipy.optimize``, makes a HiGHS in one place and passes it a model once, ``repro.polyhedra`` cancels a
 column through an equality in one function, ``core/farkas.py`` eliminates
 multipliers in one place, and Fourier–Motzkin combines a lower with an
 upper bound in one expression, which the scan reaches through one
@@ -75,11 +75,14 @@ _CANCEL = re.compile(r"\w+ \* \w+ - [\w ]+(\* \w+ )+for \w+, \w+ in zip\(")
 def test_highs_backend_is_the_only_door_to_scipy_optimize():
     """At 4ce864d ``polyhedra/fastcheck.py`` and ``polyhedra/fourier_motzkin.py``
     imported ``scipy.optimize`` and called ``linprog`` themselves; until
-    v1.19.0 the door went through ``optimize.milp``'s wrapper.  Now one
-    module imports HiGHS's bindings and hands HiGHS a model in one place."""
+    v1.19.0 the door went through ``optimize.milp``'s wrapper, and until
+    v1.22.0 it made a new ``_Highs`` per entry.  Now one module imports
+    HiGHS's bindings, makes each thread's one HiGHS in one place and hands
+    it a model in one place."""
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
     importers = [m for m, text in sources.items() if _SCIPY_OPTIMIZE.search(text)]
     assert importers == ["ilp/highs_backend.py"]
+    assert sum(text.count("_Highs(") for text in sources.values()) == 1
     assert sum(text.count("passModel(") for text in sources.values()) == 1
     assert not [m for m, text in sources.items() if re.search(r"milp|linprog", text)]
 
