@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-import networkx as nx
-
 from repro.deps.analysis import Dependence, DepStats
 from repro.frontend.ir import Program, Statement
 
@@ -35,11 +33,6 @@ class DependenceGraph:
         self.program = program
         self.deps = list(deps)
         self.dep_stats = stats
-        self.graph = nx.MultiDiGraph()
-        for s in program.statements:
-            self.graph.add_node(s.name)
-        for d in self.deps:
-            self.graph.add_edge(d.source.name, d.target.name, dep=d)
 
     # -- queries -------------------------------------------------------------
 
@@ -50,30 +43,23 @@ class DependenceGraph:
         return [d for d in self.deps if d.source is not d.target]
 
     def sccs(self, restrict_to_unsatisfied: bool = True) -> list[list[Statement]]:
-        """SCCs in a stable topological order of the condensation.
+        """SCCs in a stable topological order of the condensation, each
+        SCC's statements in program order.
 
         When ``restrict_to_unsatisfied`` is set, only edges whose dependence
         is still unsatisfied contribute to connectivity — satisfied edges no
         longer force statements to stay fused.
         """
-        g = nx.MultiDiGraph()
-        g.add_nodes_from(self.graph.nodes)
+        statements = self.program.statements
+        index = {s.name: i for i, s in enumerate(statements)}
+        succ: list[dict[int, None]] = [{} for _ in statements]
         for d in self.deps:
-            if restrict_to_unsatisfied and d.is_satisfied:
-                continue
-            g.add_edge(d.source.name, d.target.name)
-        comp = list(nx.strongly_connected_components(g))
-        cond = nx.condensation(g, comp)
-        order = list(nx.topological_sort(cond))
-        name_to_stmt = {s.name: s for s in self.program.statements}
-        out: list[list[Statement]] = []
-        for idx in order:
-            members = sorted(
-                cond.nodes[idx]["members"],
-                key=lambda n: self.program.statements.index(name_to_stmt[n]),
-            )
-            out.append([name_to_stmt[n] for n in members])
-        return out
+            if not (restrict_to_unsatisfied and d.is_satisfied):
+                succ[index[d.source.name]][index[d.target.name]] = None
+        return [
+            [statements[i] for i in sorted(comp)]
+            for comp in _condensation_order([list(s) for s in succ])
+        ]
 
     def deps_between(
         self, a: Iterable[Statement], b: Iterable[Statement]
@@ -110,6 +96,70 @@ class DependenceGraph:
 
     def __str__(self) -> str:
         return (
-            f"DDG({self.graph.number_of_nodes()} stmts, {len(self.deps)} deps, "
+            f"DDG({len(self.program.statements)} stmts, {len(self.deps)} deps, "
             f"{len(self.unsatisfied())} unsatisfied)"
         )
+
+
+def _condensation_order(succ: list[list[int]]) -> list[list[int]]:
+    """The strongly connected components of the graph ``v -> succ[v]``
+    (successors in first-edge order), in a topological order of the
+    condensation.
+
+    The order is the one the scalar dimensions of the schedule encode, so it
+    is pinned: networkx's ``strongly_connected_components`` -> ``condensation``
+    -> ``topological_sort``, which this reproduces without the dependency.
+    Components are numbered as an iterative Tarjan (Nuutila's variant) emits
+    them, visiting sources and successors in order; the condensation's edges
+    follow the first edge between two components in source order; the
+    components come out in Kahn generations, each in the order its members
+    became sources.
+    """
+    preorder: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    comp_of: dict[int, int] = {}
+    comps: list[list[int]] = []
+    stack: list[int] = []
+    pending = [iter(s) for s in succ]
+    for source in range(len(succ)):
+        if source in comp_of:
+            continue
+        path = [source]
+        while path:
+            v = path[-1]
+            preorder.setdefault(v, len(preorder))
+            w = next((w for w in pending[v] if w not in preorder), None)
+            if w is not None:
+                path.append(w)
+                continue
+            path.pop()
+            lowlink[v] = min(
+                [preorder[v]]
+                + [lowlink[w] if preorder[w] > preorder[v] else preorder[w]
+                   for w in succ[v] if w not in comp_of]
+            )
+            if lowlink[v] < preorder[v]:
+                stack.append(v)
+                continue
+            comp = [v]
+            while stack and preorder[stack[-1]] > preorder[v]:
+                comp.append(stack.pop())
+            comp_of.update((u, len(comps)) for u in comp)
+            comps.append(comp)
+
+    edges: list[dict[int, None]] = [{} for _ in comps]
+    for v, targets in enumerate(succ):
+        for w in targets:
+            if comp_of[v] != comp_of[w]:
+                edges[comp_of[v]][comp_of[w]] = None
+    indegree = [0] * len(comps)
+    for targets in edges:
+        for c in targets:
+            indegree[c] += 1
+    order = [c for c, d in enumerate(indegree) if d == 0]
+    for c in order:  # grows as components become sources: Kahn's generations
+        for t in edges[c]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                order.append(t)
+    return [comps[c] for c in order]

@@ -68,13 +68,15 @@ def _array_refs(text: str) -> list[tuple[str, list[str]]]:
     return out
 
 
-def _scalar_names(text: str, space: Space, arrays_seen: set[str]) -> set[str]:
-    """Names that are data scalars: not iterators/params/functions/arrays."""
+def _scalar_names(text: str, space: Space, arrays_seen: set[str]) -> list[str]:
+    """Names that are data scalars: not iterators/params/functions/arrays,
+    in order of first appearance (the program's IR, and every key hashed
+    from it, must not follow the interpreter's string hashing)."""
     reserved = set(space.names) | KNOWN_FUNCTIONS | arrays_seen
-    names = set(_NAME.findall(text))
+    names = dict.fromkeys(_NAME.findall(text))
     # strip names that are immediately followed by '[' (array refs) — they
     # are collected by _array_refs — and names followed by '(' (calls).
-    out = set()
+    out = []
     for name in names:
         if name in reserved:
             continue
@@ -87,7 +89,7 @@ def _scalar_names(text: str, space: Space, arrays_seen: set[str]) -> set[str]:
                 is_data = False  # array ref, handled elsewhere
                 break
         if is_data:
-            out.add(name)
+            out.append(name)
     return out
 
 

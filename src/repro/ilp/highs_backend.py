@@ -12,40 +12,86 @@ against the model before being returned; if the rounded point fails that
 check the exact solver (:func:`repro.ilp.branch_bound.solve_ilp`) answers.
 
 A :class:`HighsSession` assembles one model for HiGHS once — names, bounds,
-integrality, an integer CSC matrix — and then answers any number of
+integrality, an integer matrix and its CSC — and then answers any number of
 objectives over it; the lexmin driver keeps one per call, pins by setting
 ``lb = ub``, and runs its lower-bound probe as one exact integer mat-vec.
 Given a feasible point, a session hands HiGHS only the objective's
 component of the model, the other columns held at the point's values.
 
-This is the only module that imports :mod:`scipy.optimize` — HiGHS's own
-pybind11 module, which scipy builds as ``scipy.optimize._highspy._core`` —
-and :func:`highs` its only entry: sessions, ``BasicSet``'s anonymous integer
-questions (:func:`solve_rows`), ``fastcheck``'s feasibility LP and the
-pruning LPs (:func:`block_minima`) all enter HiGHS through it.  Each thread
+This is the only module that loads HiGHS's own pybind11 module, which scipy
+builds as ``scipy.optimize._highspy._core`` (:func:`_load_highs`: from its
+file, so that ``scipy.optimize``'s package never runs), and :func:`highs` its
+only entry: sessions, ``BasicSet``'s anonymous integer questions
+(:func:`solve_rows`), ``fastcheck``'s feasibility LP and the pruning LPs
+(:func:`block_minima`) all enter HiGHS through it.  The door builds the
+column-wise matrix HiGHS takes itself (:class:`CSC`), in numpy.  Each thread
 keeps one HiGHS across its entries, cleared and reset to HiGHS's defaults at
 each.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import sys
 import threading
 from fractions import Fraction
 from functools import cached_property
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from math import lcm
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize._highspy._core import (
-    HighsModelStatus, HighsStatus, MatrixFormat, ObjSense, _Highs, kHighsInf,
-)
 
 from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
 from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
 
-__all__ = ["HighsSession", "block_minima", "highs", "solve_rows"]
+__all__ = ["CSC", "HighsSession", "block_minima", "highs", "solve_rows"]
+
+
+def _load_highs():
+    """HiGHS's bindings, ``scipy.optimize._highspy._core``, loaded from
+    their file under scipy's install.
+
+    Imported by name, the module first runs ``scipy.optimize``'s package
+    ``__init__``, which imports linalg, special, sparse, spatial, fft and
+    ``numpy.f2py``: ~0.4 s of every process's start, for nothing the door
+    uses (``_highspy``'s own ``__init__`` is empty).  The module goes into
+    ``sys.modules`` under its own name before it runs, so a later ``import
+    scipy.optimize`` reuses this very module and ``_Highs`` keeps one class
+    identity.  Where the file is not where scipy >= 1.15 puts it, the
+    ordinary import loads the same module, only slower."""
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")  # finds the package, runs nothing
+    roots = scipy.submodule_search_locations if scipy else None
+    paths = (
+        os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+        for root in roots or () for suffix in EXTENSION_SUFFIXES
+    )
+    path = next(filter(os.path.isfile, paths), None)
+    if path is None:
+        return importlib.import_module(name)
+    loader = ExtensionFileLoader(name, path)
+    spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
+
+
+_core = _load_highs()
+HighsModelStatus = _core.HighsModelStatus
+HighsStatus = _core.HighsStatus
+MatrixFormat = _core.MatrixFormat
+ObjSense = _core.ObjSense
+_Highs = _core._Highs
+kHighsInf = _core.kHighsInf
 
 
 #: What :func:`highs` adds to an entry that has an integer column.  HiGHS runs
@@ -100,6 +146,40 @@ def _solver() -> _Highs:
     return solver
 
 
+class CSC(NamedTuple):
+    """A matrix as HiGHS takes it, column by column: the nonzeros ``data``,
+    their row ``indices`` (ascending within a column) and each column's
+    start in them, ``indptr``; ``rows`` is the row count."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    rows: int
+
+    @classmethod
+    def of(cls, a) -> CSC:
+        """The nonzeros of the dense matrix ``a``: the entries, in the
+        order, that ``scipy.sparse.csc_array(a)`` holds."""
+        a = np.asarray(a)
+        cols, rows = np.nonzero(a.T)
+        indptr = np.zeros(a.shape[1] + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=a.shape[1]), out=indptr[1:])
+        return cls(
+            a.T[cols, rows].astype(np.float64), rows.astype(np.int32), indptr, a.shape[0]
+        )
+
+    def block_diagonal(self, k: int) -> CSC:
+        """``k`` copies of this matrix down a diagonal: the entries, in the
+        order, of ``scipy.sparse.kron(identity(k), a, format="csc")``."""
+        nnz, copies = len(self.data), np.arange(k, dtype=np.int32)[:, None]
+        return CSC(
+            np.tile(self.data, k),
+            (self.indices + self.rows * copies).ravel(),
+            np.concatenate(([0], (self.indptr[1:] + nnz * copies).ravel())).astype(np.int32),
+            self.rows * k,
+        )
+
+
 class HighsResult(NamedTuple):
     """What one entry answers: ``status`` 0 optimal, 1 work limit,
     2 infeasible, 3 unbounded, 4 undecided; ``x`` and ``fun`` when HiGHS has
@@ -121,12 +201,13 @@ def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
     a :class:`HighsResult`, statuses and points as scipy's MILP front end
     reports them.
 
-    ``options`` are HiGHS options; an entry with an integer column also gets
-    :data:`MIP_OPTIONS` (feasibility jump off).  An LP gets nothing extra:
-    the heuristic never runs on one."""
+    ``a`` is a dense matrix or its :class:`CSC`.  ``options`` are HiGHS
+    options; an entry with an integer column also gets :data:`MIP_OPTIONS`
+    (feasibility jump off).  An LP gets nothing extra: the heuristic never
+    runs on one."""
     c = np.asarray(c, dtype=np.float64)
-    a = sparse.csc_array(a)
-    n, m = len(c), a.shape[0]
+    a = a if isinstance(a, CSC) else CSC.of(a)
+    n, m = len(c), a.rows
     integral = np.broadcast_to(integral, n)
     mip = bool(integral.any())
     if mip:
@@ -139,15 +220,15 @@ def highs(c, a, lo, hi, lb=-np.inf, ub=np.inf, integral=False, **options):
     solver.setOptionValue("log_to_console", False)
     for name, value in options.items():
         solver.setOptionValue(name, value)
-    # contiguous float64 / int32 arrays: the bindings copy those in one go
+    # contiguous float64 / int32 arrays (a CSC's already are): the bindings
+    # copy those in one go
     if solver.passModel(
-        n, m, a.nnz, int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0, c,
+        n, m, len(a.data), int(MatrixFormat.kColwise), int(ObjSense.kMinimize), 0.0, c,
         np.broadcast_to(lb, n).astype(np.float64),
         np.broadcast_to(ub, n).astype(np.float64),
         np.broadcast_to(lo, m).astype(np.float64),
         np.broadcast_to(hi, m).astype(np.float64),
-        a.indptr.astype(np.int32), a.indices.astype(np.int32),
-        a.data.astype(np.float64), integral.astype(np.int32),
+        a.indptr, a.indices, a.data, integral.astype(np.int32),
     ) == HighsStatus.kError:
         return HighsResult(2)  # kModelError
     ran = solver.run()
@@ -172,8 +253,7 @@ def block_minima(objectives, a, lo, hi):
     or ``None`` unless every block has one (the block-diagonal whole is
     optimal only then)."""
     k, n = objectives.shape
-    blocks = a if k == 1 else sparse.kron(sparse.identity(k), a, format="csc")
-    res = highs(objectives.ravel(), blocks, lo.ravel(), np.tile(hi, k))
+    res = highs(objectives.ravel(), CSC.of(a).block_diagonal(k), lo.ravel(), np.tile(hi, k))
     return None if res.status else (res.x.reshape(k, n) * objectives).sum(axis=1)
 
 
@@ -185,9 +265,12 @@ def _holds(a, rhs, eq, lb, ub, x, tol) -> bool:
     )
 
 
-def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=20000):
+def solve_rows(
+    c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=20000, csc=None
+):
     """Minimise ``c . x`` over the integer rows ``a @ x >= rhs`` (``==``
-    where ``eq``): ``(status, x, entries)``.
+    where ``eq``): ``(status, x, entries)``.  ``csc``, the :class:`CSC` of
+    the dense ``a`` when the caller keeps one, is what HiGHS is handed.
 
     An optimal ``x`` is rounded on its integral columns and verified
     against the rows.  A point that fails says nothing about feasibility —
@@ -198,7 +281,7 @@ def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=2
     # mip_rel_gap 0: the default 1e-4 would accept a folded lexmin
     # objective (magnitudes up to 1e5) several units from its optimum.
     res = highs(
-        c, a, rhs, np.where(eq, rhs, np.inf), lb, ub, integral,
+        c, a if csc is None else csc, rhs, np.where(eq, rhs, np.inf), lb, ub, integral,
         mip_max_nodes=node_limit, mip_rel_gap=0,
     )
     if res.status == 2:
@@ -210,7 +293,9 @@ def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=2
         # One retry with a raised ceiling; a second failure is surfaced.
         if node_limit >= 10_000_000:
             raise RuntimeError(f"HiGHS hit its work limit on a {len(c)}-variable model")
-        status, x, entries = solve_rows(c, a, rhs, eq, lb, ub, integral, node_limit * 100)
+        status, x, entries = solve_rows(
+            c, a, rhs, eq, lb, ub, integral, node_limit * 100, csc
+        )
         return status, x, entries + 1
     if res.status == 4 or not res.success or res.x is None:
         # HiGHS reports "unbounded or infeasible" without deciding which
@@ -218,7 +303,7 @@ def solve_rows(c, a, rhs, eq, lb=-np.inf, ub=np.inf, integral=True, node_limit=2
         # feasibility solve: feasible + undecided => unbounded.
         if not np.any(c):
             return ILPStatus.INFEASIBLE, None, 1
-        status, _, entries = solve_rows(0 * c, a, rhs, eq, lb, ub, integral, node_limit)
+        status, _, entries = solve_rows(0 * c, a, rhs, eq, lb, ub, integral, node_limit, csc)
         if status == ILPStatus.OPTIMAL:
             status = ILPStatus.UNBOUNDED
         return status, None, entries + 1
@@ -245,7 +330,9 @@ class HighsSession:
         self.pins: dict[str, Fraction] = {}
 
         # Rows are scaled to integers (a no-op on scheduler models), so a
-        # mat-vec on an integer point is exact.
+        # mat-vec on an integer point is exact.  The matrix stays dense
+        # (int64) for those mat-vecs and the component slices; HiGHS gets its
+        # CSC, made once.
         rows, cols, data, rhs, eq = [], [], [], [], []
         for r, con in enumerate((*model.constraints, *self.extra)):
             scale = lcm(
@@ -260,10 +347,9 @@ class HighsSession:
             eq.append(con.equality)
         self.rhs = np.array(rhs, dtype=np.int64)
         self.eq = np.array(eq, dtype=bool)
-        self.a = sparse.csc_matrix(
-            (np.array(data, dtype=np.int64), (rows, cols)),
-            shape=(len(rhs), len(self.names)),
-        )
+        self.a = np.zeros((len(rhs), len(self.names)), dtype=np.int64)
+        self.a[rows, cols] = data
+        self.csc = CSC.of(self.a)
         #: no row of ``a @ x`` can wrap int64 while every ``|x_i|`` is below this
         widest = len(self.names) * max(map(abs, data), default=0)
         self._x_limit = 2.0**62 / max(1, widest)
@@ -295,7 +381,7 @@ class HighsSession:
     def _incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """Which columns each row holds, both ways round: dense booleans,
         ``rows x columns`` and its transpose, for :meth:`_component`."""
-        holds = self.a.toarray() != 0
+        holds = self.a != 0
         return holds, np.ascontiguousarray(holds.T)
 
     def _component(self, c: np.ndarray, at: Mapping[str, Fraction]):
@@ -325,17 +411,9 @@ class HighsSession:
         x = self._integer_point(at)
         if x is None:
             return None
-        # the reached columns, whole: every entry of one lies in a reached row
-        counts = np.diff(self.a.indptr)
-        entries = np.repeat(reach, counts)
-        row_number = np.cumsum(rows) - 1
-        starts = np.concatenate(([0], np.cumsum(counts[reach])))
-        a = sparse.csc_array(
-            (self.a.data[entries], row_number[self.a.indices[entries]], starts),
-            shape=(np.count_nonzero(rows), np.count_nonzero(reach)),
-        )
         rhs = self.rhs - self.a @ np.where(reach, 0, x)
-        return reach, a, rhs[rows], self.eq[rows]
+        # the reached columns, whole: every entry of one lies in a reached row
+        return reach, self.a[rows][:, reach], rhs[rows], self.eq[rows]
 
     def solve(
         self,
@@ -369,7 +447,8 @@ class HighsSession:
         if part is None or status not in (ILPStatus.OPTIMAL, None):
             cols = np.ones(len(self.names), dtype=bool)
             status, x, more = solve_rows(
-                c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit
+                c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit,
+                self.csc,
             )
             entries += more
         stats = SolveStats(lp_solves=entries)

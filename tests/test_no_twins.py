@@ -7,9 +7,10 @@ two different modules under ``src/repro``.  ``workloads/`` is exempt: kernel
 descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
 ``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
 
-Four narrower guards of the same kind: one module imports
-``scipy.optimize``, makes a HiGHS in one place and passes it a model once, ``repro.polyhedra`` cancels a
-column through an equality in one function, ``core/farkas.py`` eliminates
+Four narrower guards of the same kind: one module loads HiGHS's bindings
+(and nothing imports ``scipy.optimize``, ``scipy.sparse`` or networkx),
+makes a HiGHS in one place and passes it a model once, ``repro.polyhedra``
+cancels a column through an equality in one function, ``core/farkas.py`` eliminates
 multipliers in one place, and Fourier–Motzkin combines a lower with an
 upper bound in one expression, which the scan reaches through one
 ``project_chain`` call.  And one worker pool forks and waits on children.
@@ -62,10 +63,10 @@ def test_no_module_repeats_six_lines_of_another():
 
 # -- one door to HiGHS, one equality elimination (ISSUE 18) -------------------
 
-#: any import of ``scipy.optimize`` or of the HiGHS bindings under it (``_highspy``)
-_SCIPY_OPTIMIZE = re.compile(
-    r"^\s*(import scipy\.optimize|from scipy\.optimize\b|from scipy import .*\boptimize\b"
-    r"|(from|import) .*\b_highspy\b)",
+#: any import of ``scipy.optimize``'s package, ``scipy.sparse`` or networkx
+_HEAVY_IMPORT = re.compile(
+    r"^\s*((import|from) (scipy\.optimize|scipy\.sparse|networkx)\b"
+    r"|from scipy import .*\b(optimize|sparse)\b)",
     re.MULTILINE,
 )
 #: the positive-scaling cancel step ``scale * c - back * e for c, e in zip(...)``
@@ -76,12 +77,15 @@ def test_highs_backend_is_the_only_door_to_scipy_optimize():
     """At 4ce864d ``polyhedra/fastcheck.py`` and ``polyhedra/fourier_motzkin.py``
     imported ``scipy.optimize`` and called ``linprog`` themselves; until
     v1.19.0 the door went through ``optimize.milp``'s wrapper, and until
-    v1.22.0 it made a new ``_Highs`` per entry.  Now one module imports
-    HiGHS's bindings, makes each thread's one HiGHS in one place and hands
-    it a model in one place."""
+    v1.22.0 it made a new ``_Highs`` per entry.  Until v1.23.0 it imported
+    the bindings through ``scipy.optimize``'s package, the CSC came from
+    ``scipy.sparse`` and the SCCs from networkx.  Now one module names
+    HiGHS's bindings (``_highspy``) and loads them by file, nothing imports
+    ``scipy.optimize``, ``scipy.sparse`` or networkx, and the door makes
+    each thread's one HiGHS in one place and hands it a model in one place."""
     sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
-    importers = [m for m, text in sources.items() if _SCIPY_OPTIMIZE.search(text)]
-    assert importers == ["ilp/highs_backend.py"]
+    assert [m for m, text in sources.items() if "_highspy" in text] == ["ilp/highs_backend.py"]
+    assert not [m for m, text in sources.items() if _HEAVY_IMPORT.search(text)]
     assert sum(text.count("_Highs(") for text in sources.values()) == 1
     assert sum(text.count("passModel(") for text in sources.values()) == 1
     assert not [m for m, text in sources.items() if re.search(r"milp|linprog", text)]
