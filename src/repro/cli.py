@@ -30,12 +30,14 @@ matrix; and ``client`` talks to any of them.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
 from repro.codegen import generate_c
+from repro.exec.options import BACKENDS
 from repro.frontend import parse_program
 from repro.frontend.ir import Program
 from repro.pipeline import PipelineOptions, optimize
@@ -44,94 +46,62 @@ from repro.polyhedra.cache import cache_disabled, global_cache
 __all__ = ["main", "build_parser"]
 
 
-#: The pipeline flags shared by ``opt``, ``verify`` and ``client opt``, in
-#: one place: ``(flag, PipelineOptions field, subcommands that take it,
-#: argparse kwargs carrying the *local* default and the help text)``.
-#: ``client opt`` registers the same flags with ``default=None`` — "unset",
-#: so the daemon's own resolution (workload paper flags, then its defaults)
-#: shows through — and :func:`_pipeline_fields` is the one mapping from a
-#: parsed namespace to ``PipelineOptions`` fields for all three.
-_ALL = ("opt", "verify", "client")
-_OPT_CLIENT = ("opt", "client")
-_PIPELINE_FLAGS = (
-    ("--algorithm", "algorithm", _ALL,
-     dict(choices=("pluto", "plutoplus"), default="plutoplus")),
-    ("--tile", "tile", _OPT_CLIENT,
-     dict(type=int, default=32, metavar="SIZE",
-          help="tile size (0 disables tiling)")),
-    ("--iss", "iss", _ALL,
-     dict(action="store_true", help="enable index-set splitting")),
-    ("--diamond", "diamond", _ALL,
-     dict(action="store_true", help="enable diamond tiling (--partlbtile)")),
-    ("--bound", "coeff_bound", _OPT_CLIENT,
-     dict(type=int, default=4, help="Pluto+ coefficient bound b")),
-    ("--fuse", "fuse", _OPT_CLIENT,
-     dict(choices=("smart", "max", "no"), default="smart")),
-    ("--l2tile", "l2tile", ("opt",),
-     dict(action="store_true", help="second-level tiling")),
-    ("--intra-tile", "intra_tile", ("opt",),
-     dict(action="store_true",
-          help="rotate a parallel loop innermost in point bands")),
-    ("--scheduler", "scheduler", _ALL,
-     dict(choices=("auto", "exact", "quick"), default="exact",
-          help="hyperplane search: exact per-level ILPs, the quick fusion "
-               "+ dimension-matching heuristic, or auto (quick with exact "
-               "fallback)")),
-    ("--backend", "backend", _OPT_CLIENT,
-     dict(choices=("python", "c", "auto"), default="python",
-          help="execution backend for the generated kernel: python, c "
-               "(compile the emitted C natively), or auto (fastest "
-               "available); c/auto compile eagerly and fall back to python "
-               "when no compiler is present; non-default backends get "
-               "their own daemon cache keys")),
-    ("--rar", "rar", _ALL,
-     dict(action="store_true",
-          help="feed read-after-read reuse into the exact scheduler's "
-               "locality objective (never legality)")),
-    ("--parallel-reductions", "parallel_reductions", _ALL,
-     dict(choices=("off", "privatize", "omp"), default="off",
-          help="relax commutative-associative reduction self-dependences "
-               "so the reduction dimension can run in parallel; omp also "
-               "emits reduction clauses/atomics in C (verification drops "
-               "to tolerance comparison)")),
-)
+def _pipeline_flags():
+    """``(flag, argparse dest, field)`` for every :class:`PipelineOptions`
+    field that declares a flag — the flags ``opt``, ``verify`` and
+    ``client opt`` share."""
+    for f in dataclasses.fields(PipelineOptions):
+        flag = f.metadata.get("flag")
+        if flag:
+            yield flag, flag.lstrip("-").replace("-", "_"), f
 
 
-def _add_pipeline_flags(p, command: str) -> None:
-    for flag, field, commands, kwargs in _PIPELINE_FLAGS:
-        if command not in commands:
-            continue
-        if command == "client":
-            text = kwargs.get("help", field)
-            if "default" in kwargs:
-                text += f" (daemon default: {kwargs['default']})"
-            kwargs = {**kwargs, "default": None, "help": text}
+def _add_pipeline_flags(p, client: bool = False) -> None:
+    """Register the pipeline flags, each from its field's declaration.
+    ``client opt`` registers them with ``default=None`` — "unset", so the
+    daemon's own resolution (workload paper flags, then its defaults) shows
+    through."""
+    for flag, _dest, f in _pipeline_flags():
+        kwargs = {"help": f.metadata["help"]}
+        if isinstance(f.default, bool):
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["default"] = f.default
+            if f.metadata["values"]:
+                kwargs["choices"] = f.metadata["values"]
+            else:
+                kwargs["type"] = type(f.default)
+            if client:
+                kwargs["help"] += f" (daemon default: {f.default})"
+        if client:
+            kwargs["default"] = None
         p.add_argument(flag, **kwargs)
 
 
 def _pipeline_fields(args) -> dict:
-    """``PipelineOptions`` fields for every table flag ``args`` carries.
+    """``PipelineOptions`` fields for every pipeline flag ``args`` carries.
 
     ``None`` means unset and is left out, so for ``client opt`` this is
     exactly the overrides the user typed — the daemon fills in the
     workload's paper flags underneath, like local ``repro opt`` does.
     """
     fields: dict = {}
-    for flag, field, commands, _kwargs in _PIPELINE_FLAGS:
-        dest = flag.lstrip("-").replace("-", "_")
-        value = getattr(args, dest, None)
-        if args.command not in commands or value is None:
+    for _flag, dest, f in _pipeline_flags():
+        value = getattr(args, dest)
+        if value is None:
             continue
-        if field == "tile":  # one flag, two fields: 0 disables, N sizes
+        if f.name == "tile_size":  # --tile 0 disables tiling, N sizes it
             fields["tile"] = value != 0
             if value:
                 fields["tile_size"] = value
         else:
-            fields[field] = value
+            fields[f.name] = value
     return fields
 
 
 def _add_matrix_args(p, verb: str) -> None:
+    from repro.suite.matrix import VARIANTS
+
     p.add_argument("--filter", action="append", default=[], metavar="GLOB",
                    help="keep only workloads/run-ids matching this glob "
                         "(repeatable)")
@@ -142,9 +112,8 @@ def _add_matrix_args(p, verb: str) -> None:
                    help=f"workload category to {verb} (default: periodic, "
                         f"the paper's Table 2 suite)")
     p.add_argument("--variants", default="plutoplus",
-                   help="comma-separated option variants "
-                        "(plutoplus, pluto, notile, l2tile, quick, "
-                        "auto, rar, redpar)")
+                   help=f"comma-separated option variants "
+                        f"({', '.join(VARIANTS)})")
 
 
 def _matrix_specs(args, **extra) -> list:
@@ -176,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input_args(p):
+    def add_input_args(p, local: bool = True):
         p.add_argument("source", nargs="?",
                        help="C-like loop nest file or registered workload name")
         p.add_argument("--workload", help="registered workload name instead of a file")
@@ -185,19 +154,20 @@ def build_parser() -> argparse.ArgumentParser:
             "--param-min", type=int, default=2,
             help="context lower bound on every parameter (default 2)",
         )
-        p.add_argument(
-            "--no-deps-cache", action="store_true",
-            help="disable the dependence-analysis fast path (memoized "
-                 "polyhedral primitives and fast-reject)",
-        )
+        if local:
+            p.add_argument(
+                "--no-deps-cache", action="store_true",
+                help="disable the dependence-analysis fast path (memoized "
+                     "polyhedral primitives and fast-reject)",
+            )
 
     opt = sub.add_parser("opt", help="optimize a loop nest")
     add_input_args(opt)
-    _add_pipeline_flags(opt, "opt")
+    _add_pipeline_flags(opt)
     opt.add_argument("--stats", action="store_true",
-                     help="print solver counters (pivots, B&B nodes, "
-                          "warm-start hits, ...) to stderr; with a native "
-                          "--backend also the execution stats")
+                     help="print solver, dependence and pruning counters "
+                          "to stderr; with a native --backend also the "
+                          "execution stats")
     opt.add_argument("--threads", type=int, default=None, metavar="N",
                      help="OpenMP threads for native execution "
                           "(default: the OpenMP runtime's choice)")
@@ -210,19 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
                      default="c")
     opt.add_argument("-o", "--output", help="write emitted code to a file")
 
-    ver = sub.add_parser("verify", help="verify schedule legality independently")
+    ver = sub.add_parser(
+        "verify", help="verify schedule legality independently",
+        description="Check the tiled schedule `opt` would emit under the "
+                    "same flags. With a native --backend, also execute it "
+                    "on that backend and require bit-compatible agreement "
+                    "with the Python kernel (skipped with a note when no "
+                    "compiler is available).",
+    )
     add_input_args(ver)
-    _add_pipeline_flags(ver, "verify")
+    _add_pipeline_flags(ver)
     ver.add_argument("--schedule", metavar="FILE",
                      help="verify this exported schedule (JSON from "
                           "`opt --emit schedule-json`) instead of running "
                           "the scheduler")
-    ver.add_argument("--backend", choices=("python", "c", "auto"),
-                     default="python",
-                     help="additionally execute the schedule on this "
-                          "backend and require bit-compatible agreement "
-                          "with the Python kernel (skipped with a note "
-                          "when no compiler is available)")
 
     deps = sub.add_parser("deps", help="print dependence analysis")
     add_input_args(deps)
@@ -240,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     suite.add_argument("--retries", type=int, default=None, metavar="N",
                        help="re-attempts after a crash/timeout (default 1)")
     _add_matrix_args(suite, "run")
-    suite.add_argument("--backend", choices=("python", "c", "auto"),
-                       default="python",
+    suite.add_argument("--backend", choices=BACKENDS,
+                       default=PipelineOptions.backend,
                        help="execution backend recorded on every spec; "
                             "c/auto additionally compiles and smoke-runs "
                             "each kernel, recording exec_stats in the "
@@ -320,14 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     copt = csub.add_parser("opt", help="request one optimization")
     add_endpoint_args(copt)
-    copt.add_argument("source", nargs="?",
-                      help="C-like loop nest file or registered workload name")
-    copt.add_argument("--workload", help="registered workload name")
-    copt.add_argument("--params", nargs="*", default=[],
-                      help="program parameters (file input only)")
-    copt.add_argument("--param-min", type=int, default=2,
-                      help="context lower bound on every parameter (default 2)")
-    _add_pipeline_flags(copt, "client")
+    add_input_args(copt, local=False)
+    _add_pipeline_flags(copt, client=True)
     copt.add_argument("--emit", choices=("schedule-json", "json", "summary"),
                       default="schedule-json",
                       help="what to print: the schedule export (default), "
@@ -501,9 +466,7 @@ def _cmd_verify(args) -> int:
     # --no-deps-cache re-analyses from scratch here too, instead of reusing
     # the relations the pipeline just found
     with _deps_cache_guard(args):
-        ddg, relaxed = verification_graph(
-            program, getattr(args, "parallel_reductions", "off")
-        )
+        ddg, relaxed = verification_graph(program, args.parallel_reductions)
         report = verify_schedule(schedule, ddg)
     if relaxed:
         print(f"# relaxed {len(relaxed)} reduction self-dependences "

@@ -63,6 +63,8 @@ from repro.records import Record, omit_at_default
 __all__ = ["SchedulerOptions", "SchedulerError", "PlutoScheduler", "SchedulerStats"]
 
 DEFAULT_COEFF_BOUND = 4  # the paper's b (Section 3.3 uses b = 4)
+ALGORITHMS = ("pluto", "plutoplus")
+FUSE_POLICIES = ("smart", "max", "no")
 
 
 class SchedulerError(RuntimeError):
@@ -71,7 +73,7 @@ class SchedulerError(RuntimeError):
 
 @dataclass
 class SchedulerOptions:
-    algorithm: str = "plutoplus"          # "pluto" | "plutoplus"
+    algorithm: str = "plutoplus"          # one of ALGORITHMS
     coeff_bound: int = DEFAULT_COEFF_BOUND
     max_levels: int = 32                  # safety valve
     #: Section 3.6 smallest-coefficients objective; disabled only by the
@@ -85,11 +87,11 @@ class SchedulerOptions:
     fuse: str = "smart"
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ("pluto", "plutoplus"):
+        if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
-        if self.fuse not in ("smart", "max", "no"):
+        if self.fuse not in FUSE_POLICIES:
             raise ValueError(f"unknown fusion policy {self.fuse!r}")
 
 

@@ -26,7 +26,14 @@ from repro.codegen import generate_python
 from repro.core.diamond import find_diamond_schedule
 from repro.core.iss import index_set_split
 from repro.core.properties import mark_parallelism
-from repro.core.scheduler import PlutoScheduler, SchedulerOptions, SchedulerStats
+from repro.core.scheduler import (
+    ALGORITHMS,
+    DEFAULT_COEFF_BOUND,
+    FUSE_POLICIES,
+    PlutoScheduler,
+    SchedulerOptions,
+    SchedulerStats,
+)
 from repro.core.tiling import (
     TiledSchedule,
     l2_tile_schedule,
@@ -49,8 +56,8 @@ __all__ = [
     "SCHEDULE_VERSION",
     "RESULT_FORMAT_VERSION",
     "RETIRED_OPTIONS",
-    "drop_retired_options",
     "optimize",
+    "option_kwargs",
     "pipeline_fingerprint",
 ]
 
@@ -93,21 +100,6 @@ QUICK_SCHEDULER_VERSION = 1
 RETIRED_OPTIONS = {"ilp_backend": "highs"}
 
 
-def drop_retired_options(data: Mapping) -> dict:
-    """``data`` without the :data:`RETIRED_OPTIONS` pairs — the one reader
-    of them, for :meth:`PipelineOptions.from_dict` and the daemon's request
-    resolution.  A retired option at any other value is a ``ValueError``."""
-    data = dict(data)
-    for key, kept in RETIRED_OPTIONS.items():
-        value = data.pop(key, kept)
-        if value != kept:
-            raise ValueError(
-                f"{key}={value!r} is retired: HiGHS answers every lexmin "
-                f"(only {kept!r} is accepted)"
-            )
-    return data
-
-
 def pipeline_fingerprint(
     scheduler: Optional[str] = None, *, schedule_only: bool = False
 ) -> str:
@@ -134,6 +126,19 @@ def pipeline_fingerprint(
     return base + tail
 
 
+def _option(default, *, values=(), flag=None, help=None, omit=False):
+    """A :class:`PipelineOptions` field with its option facts, stated once:
+    its value set (checked on construction, the flag's choices), its
+    command-line ``flag`` with ``help`` (``repro opt``, ``verify`` and
+    ``client opt`` all generate theirs from these), and whether
+    :meth:`~PipelineOptions.as_dict` leaves it out at its default
+    (``omit``)."""
+    return dataclasses.field(
+        default=default,
+        metadata={"values": values, "flag": flag, "help": help, "omit": omit},
+    )
+
+
 @dataclass(kw_only=True)
 class PipelineOptions:
     """Pipeline configuration (the paper's command-line flags).
@@ -147,59 +152,73 @@ class PipelineOptions:
     boundaries (suite manifests) where that ambiguity is fatal.
     """
 
-    algorithm: str = "plutoplus"      # "pluto" | "plutoplus"
-    #: hyperplane search strategy: "exact" is the per-level Farkas/lexmin
-    #: ILP (the paper's algorithm); "quick" is the permutation heuristic
-    #: (fusion + dimension matching, arXiv:1803.10726) with exact legality
-    #: validation; "auto" tries quick first and falls back to exact when
-    #: the heuristic fails or its tilability bound is worse
-    scheduler: str = "exact"          # "auto" | "exact" | "quick"
-    tile: bool = True
-    tile_size: int = 32
-    iss: bool = False                 # --iss
-    diamond: bool = False             # --partlbtile
-    coeff_bound: int = 4              # Pluto+ b
+    algorithm: str = _option(
+        "plutoplus", values=ALGORITHMS, flag="--algorithm",
+        help="Pluto's scheduler or Pluto+'s (negative coefficients)",
+    )
+    scheduler: str = _option(        # quick: arXiv:1803.10726
+        "exact", values=("auto", "exact", "quick"), flag="--scheduler",
+        help="hyperplane search: exact per-level ILPs, the quick fusion "
+             "+ dimension-matching heuristic, or auto (quick with exact "
+             "fallback)",
+    )
+    tile: bool = True                 # --tile 0 clears it
+    tile_size: int = _option(32, flag="--tile", help="tile size (0 disables tiling)")
+    iss: bool = _option(False, flag="--iss", help="enable index-set splitting")
+    diamond: bool = _option(
+        False, flag="--diamond", help="enable diamond tiling (--partlbtile)"
+    )
+    coeff_bound: int = _option(
+        DEFAULT_COEFF_BOUND, flag="--bound", help="Pluto+ coefficient bound b"
+    )
     min_band_width: int = 2
-    fuse: str = "smart"               # --fuse: smart | max | no
-    l2tile: bool = False              # --l2tile: second level of tiling
+    fuse: str = _option(
+        "smart", values=FUSE_POLICIES, flag="--fuse",
+        help="fusion policy: smart cuts SCCs of different dimensionality, "
+             "max fuses while a common hyperplane exists, no distributes",
+    )
+    l2tile: bool = _option(False, flag="--l2tile", help="second-level tiling")
     l2_ratio: int = 8
-    intra_tile: bool = False          # post-pass: rotate parallel loop inward
+    intra_tile: bool = _option(
+        False, flag="--intra-tile",
+        help="rotate a parallel loop innermost in point bands",
+    )
     deps_cache: bool = True           # --no-deps-cache disables the fast path
-    #: execution backend for ``OptimizationResult.run()``: "python" (the
-    #: exec'd numpy kernel, the historical behavior), "c" (compile the
-    #: emitted C natively), or "auto" (fastest available).  Purely an
-    #: execution-time knob — the schedule and generated sources are
-    #: identical across backends.
-    backend: str = "python"
-    #: read-after-read reuse as a locality signal (``repro.deps.rar``):
-    #: RAR relations join the exact scheduler's bounding objective — and
-    #: only the objective, never legality — steering between equally-legal
-    #: schedules.  Quick/diamond searches ignore it (they have no distance
-    #: objective to feed).
-    rar: bool = False
-    #: reduction handling (``repro.core.reductions``): "off" keeps the
-    #: exact dependence model; "privatize" and "omp" both relax
-    #: commutative-associative self-dependences so the reduction dimension
-    #: can be marked parallel, and differ at emission — "privatize" keeps
-    #: native loops sequential (Python partial sums only), "omp" also
-    #: emits ``#pragma omp .. reduction(..)``/atomic C.  Either value
-    #: trades bitwise reproducibility for parallelism: verification drops
-    #: to tolerance comparison (FP reassociation).
-    parallel_reductions: str = "off"  # "off" | "privatize" | "omp"
+    #: execution only (``OptimizationResult.run()``): no schedule or source moves
+    backend: str = _option(
+        "python", values=BACKENDS, flag="--backend", omit=True,
+        help="execution backend for the generated kernel: python, c "
+             "(compile the emitted C natively), or auto (fastest "
+             "available); c/auto fall back to python when no compiler is "
+             "present; non-default backends get their own daemon cache keys",
+    )
+    rar: bool = _option(             # repro.deps.rar; quick/diamond ignore it
+        False, flag="--rar", omit=True,
+        help="feed read-after-read reuse into the exact scheduler's "
+             "locality objective (never legality)",
+    )
+    #: ``repro.core.reductions``: "privatize" keeps native loops sequential
+    #: (Python partial sums only); "omp" also emits reduction pragmas/atomics
+    parallel_reductions: str = _option(
+        "off", values=("off", "privatize", "omp"),
+        flag="--parallel-reductions", omit=True,
+        help="relax commutative-associative reduction self-dependences "
+             "so the reduction dimension can run in parallel; omp also "
+             "emits reduction clauses/atomics in C (verification drops "
+             "to tolerance comparison)",
+    )
 
     def __post_init__(self) -> None:
         """Validate up front — bad values otherwise surface as cryptic
         failures deep in codegen (``tile_size=0`` used to die with an
         "unbounded scan dimension" RuntimeError)."""
-        if self.algorithm not in ("pluto", "plutoplus"):
-            raise ValueError(f"unknown algorithm {self.algorithm!r}")
-        if self.scheduler not in ("auto", "exact", "quick"):
-            raise ValueError(
-                f"unknown scheduler {self.scheduler!r} "
-                f"(expected 'auto', 'exact', or 'quick')"
-            )
-        if self.fuse not in ("smart", "max", "no"):
-            raise ValueError(f"unknown fusion policy {self.fuse!r}")
+        for f in _FIELDS:
+            values, value = f.metadata.get("values"), getattr(self, f.name)
+            if values and value not in values:
+                raise ValueError(
+                    f"unknown {f.name} {value!r} "
+                    f"(expected one of {', '.join(map(repr, values))})"
+                )
         if self.coeff_bound < 1:
             raise ValueError("coeff_bound must be >= 1")
         if self.tile_size < 1:
@@ -210,18 +229,8 @@ class PipelineOptions:
             raise ValueError("l2_ratio must be >= 1")
         if self.min_band_width < 1:
             raise ValueError("min_band_width must be >= 1")
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r} "
-                f"(expected one of {', '.join(map(repr, BACKENDS))})"
-            )
         if not isinstance(self.rar, bool):
             raise ValueError(f"rar must be a bool, got {self.rar!r}")
-        if self.parallel_reductions not in ("off", "privatize", "omp"):
-            raise ValueError(
-                f"unknown parallel_reductions {self.parallel_reductions!r} "
-                f"(expected 'off', 'privatize', or 'omp')"
-            )
 
     def scheduler_options(self) -> SchedulerOptions:
         return SchedulerOptions(
@@ -231,38 +240,52 @@ class PipelineOptions:
         )
 
     def as_dict(self) -> dict:
-        """Dict form for manifests and cache keys.
+        """Dict form for manifests and cache keys, in field order.
 
-        ``backend`` is omitted at its default ("python") so every cache key
-        and manifest written before the knob existed stays bit-identical;
-        a non-default backend *is* folded in, giving backend-specific
-        server cache entries their own keys.  ``rar`` and
-        ``parallel_reductions`` follow the same rule: absent at their
-        defaults, folded in when enabled.  The :data:`RETIRED_OPTIONS` pairs
-        are always written, in their old place.
+        A field declared ``omit`` (``backend``, ``rar``,
+        ``parallel_reductions``) is left out while it holds its default, so
+        every cache key and manifest written before the knob existed stays
+        bit-identical; a non-default value *is* folded in, giving e.g.
+        backend-specific server cache entries their own keys.  The
+        :data:`RETIRED_OPTIONS` pairs are always written, in their old
+        place after ``coeff_bound``.
         """
         d = {}
-        for key, value in dataclasses.asdict(self).items():
-            d[key] = value
-            if key == "coeff_bound":
+        for f in _FIELDS:
+            value = getattr(self, f.name)
+            if not (f.metadata.get("omit") and value == f.default):
+                d[f.name] = value
+            if f.name == "coeff_bound":
                 d.update(RETIRED_OPTIONS)
-        if d.get("backend") == "python":
-            del d["backend"]
-        if d.get("rar") is False:
-            del d["rar"]
-        if d.get("parallel_reductions") == "off":
-            del d["parallel_reductions"]
         return d
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineOptions":
         """Inverse of :meth:`as_dict`; unknown keys are rejected loudly."""
-        data = drop_retired_options(data)
-        known = set(cls.__dataclass_fields__)
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown PipelineOptions fields: {sorted(extra)}")
-        return cls(**data)
+        return cls(**option_kwargs(data))
+
+
+_FIELDS = dataclasses.fields(PipelineOptions)
+
+
+def option_kwargs(data: Mapping) -> dict:
+    """``data`` as :class:`PipelineOptions` keyword arguments — the one key
+    rule, for :meth:`PipelineOptions.from_dict` and the daemon's request
+    resolution: the :data:`RETIRED_OPTIONS` pairs are dropped (a retired
+    option at any other value is a ``ValueError``), and so is any key that
+    is not a field."""
+    data = dict(data)
+    for key, kept in RETIRED_OPTIONS.items():
+        value = data.pop(key, kept)
+        if value != kept:
+            raise ValueError(
+                f"{key}={value!r} is retired: HiGHS answers every lexmin "
+                f"(only {kept!r} is accepted)"
+            )
+    extra = set(data) - set(PipelineOptions.__dataclass_fields__)
+    if extra:
+        raise ValueError(f"unknown PipelineOptions fields: {sorted(extra)}")
+    return data
 
 
 @dataclass

@@ -41,17 +41,12 @@ def resolve_optimize(request: dict) -> tuple[dict, dict]:
     caller got wrong: unknown workload, malformed IR, bad option values.
     """
     from repro.frontend.serialize import program_from_dict, program_to_dict
-    from repro.pipeline import PipelineOptions, drop_retired_options
+    from repro.pipeline import PipelineOptions, option_kwargs
 
     try:
-        overrides = drop_retired_options(request.get("options") or {})
+        overrides = option_kwargs(request.get("options") or {})
     except ValueError as e:
         raise protocol.ProtocolError(str(e)) from None
-    unknown = set(overrides) - set(PipelineOptions.__dataclass_fields__)
-    if unknown:
-        raise protocol.ProtocolError(
-            f"unknown PipelineOptions fields: {sorted(unknown)}"
-        )
     try:
         if "workload" in request:
             from repro.workloads import get_workload

@@ -1,6 +1,7 @@
 """Tests for the command-line driver."""
 
 import contextlib
+import dataclasses
 import os
 import signal
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.pipeline import PipelineOptions
 from repro.server import ServerClient
 from repro.workloads import all_workloads
 
@@ -275,8 +277,8 @@ class TestCLIDepsCache:
 
 
 class TestCLIPipelineFlagTable:
-    """`opt`, `verify` and `client opt` share one flag table and one
-    namespace -> PipelineOptions mapping (repro.cli._PIPELINE_FLAGS)."""
+    """`opt`, `verify` and `client opt` take the flags the PipelineOptions
+    fields declare, through one namespace -> PipelineOptions mapping."""
 
     #: (argv, the PipelineOptions fields it must set)
     CASES = [
@@ -328,21 +330,63 @@ class TestCLIPipelineFlagTable:
             args = build_parser().parse_args([command, "--workload", "gemm"])
             assert _pipeline_options(args) == PipelineOptions()
 
-    def test_verify_takes_only_schedule_shaping_flags(self):
-        # verify's own --backend is an execution check, not a pipeline field
-        from repro.cli import _pipeline_options
-        from repro.pipeline import PipelineOptions
+    FLAGGED = [
+        f for f in dataclasses.fields(PipelineOptions) if f.metadata.get("flag")
+    ]
+    COMMANDS = (["opt"], ["verify"], ["client", "opt", "--socket", "/x"])
 
-        args = build_parser().parse_args(
-            ["verify", "--workload", "gemm", "--scheduler", "quick",
-             "--rar", "--backend", "c"]
-        )
-        assert _pipeline_options(args) == PipelineOptions(
-            scheduler="quick", rar=True
-        )
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["verify", "--workload", "gemm",
-                                       "--tile", "8"])
+    @staticmethod
+    def _non_default(field):
+        """argv after ``field``'s flag, and the value it must set."""
+        if isinstance(field.default, bool):
+            return [], True
+        values = field.metadata["values"]
+        value = (next(v for v in values if v != field.default) if values
+                 else field.default + 1)
+        return [str(value)], value
+
+    @pytest.mark.parametrize("field", FLAGGED, ids=lambda f: f.name)
+    def test_every_flag_sets_its_field_under_every_command(self, field):
+        from repro.cli import _pipeline_fields
+
+        argv, value = self._non_default(field)
+        expected = PipelineOptions(**{field.name: value})
+        for command in self.COMMANDS:
+            args = build_parser().parse_args(
+                [*command, "--workload", "gemm", field.metadata["flag"], *argv]
+            )
+            assert PipelineOptions(**_pipeline_fields(args)) == expected
+
+    @pytest.mark.parametrize(
+        "field", [f for f in FLAGGED if f.metadata["values"]],
+        ids=lambda f: f.name,
+    )
+    def test_out_of_set_value_names_the_field(self, field):
+        with pytest.raises(ValueError, match=f"unknown {field.name} 'bogus'"):
+            PipelineOptions(**{field.name: "bogus"})
+        for command in self.COMMANDS:
+            with pytest.raises(SystemExit):  # argparse choices
+                build_parser().parse_args(
+                    [*command, "--workload", "gemm",
+                     field.metadata["flag"], "bogus"]
+                )
+
+
+class TestVerifyChecksWhatOptEmits:
+    """`verify` takes every pipeline flag `opt` does, so it checks the tiled
+    schedule of each configuration `opt` can emit."""
+
+    @pytest.mark.parametrize("workload", ["gemm", "seidel-2d", "fdtd-2d",
+                                          "heat-1dp"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--l2tile"], ["--intra-tile"], ["--fuse", "no"], ["--fuse", "max"],
+         ["--bound", "2"], ["--tile", "16"]],
+        ids="=".join,
+    )
+    def test_legal(self, workload, flags, capsys):
+        assert main(["verify", "--workload", workload, *flags]) == 0
+        assert "legal" in capsys.readouterr().out
 
 
 class TestCLIVersion:

@@ -1,5 +1,9 @@
 """The docs/USAGE.md recipes, as regression tests (docs must stay runnable)."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 from repro import PipelineOptions, ProgramBuilder, optimize, parse_program
 from repro.frontend import Access
 from repro.polyhedra import AffExpr, AffineMap
@@ -134,3 +138,17 @@ def test_parallel_reductions_recipe():
         PipelineOptions(algorithm="plutoplus", rar=True),
     )
     assert rar.dep_stats.rar_deps > 0
+
+
+def test_knobs_table_names_each_declared_flag():
+    """The USAGE.md "Knobs" table shows the flag each field declares."""
+    text = (Path(__file__).parents[1] / "docs" / "USAGE.md").read_text()
+    table = text.split("## Knobs", 1)[1].split("\n\n", 2)[1]
+    flags = {}
+    for row in table.splitlines()[2:]:
+        option, _meaning, flag, _paper = row.strip("| ").split(" | ")
+        flags.update(dict.fromkeys(re.findall(r"`(\w+)", option), flag))
+    for f in dataclasses.fields(PipelineOptions):
+        assert f.name in flags, f.name
+        if f.metadata.get("flag"):
+            assert flags[f.name].startswith(f"`{f.metadata['flag']}`"), f.name
