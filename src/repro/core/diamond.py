@@ -32,6 +32,7 @@ from repro.core.names import c_name, u_name
 from repro.core.scheduler import PlutoScheduler, SchedulerOptions, SchedulerStats
 from repro.core.transform import Band, Schedule, ScheduleRow
 from repro.deps.ddg import DependenceGraph
+from repro.deps.ordering import UNBOUNDED, Ordering
 from repro.frontend.ir import Program
 from repro.ilp import ILPModel
 from repro.polyhedra import AffExpr
@@ -77,7 +78,6 @@ def find_diamond_schedule(
     scheduler = PlutoScheduler(program, ddg, options, warm=warm)
     if stats is not None:
         scheduler.stats = stats
-    ddg.reset()
     sched = Schedule(program)
     active = list(ddg.deps)
 
@@ -86,38 +86,30 @@ def find_diamond_schedule(
         if row is None:
             return None
         sched.add_row(row)
-        scheduler._update_ranks(sched)
         scheduler.stats.hyperplanes_found += 1
 
     last = _complete_band(program, ddg, sched, time_iter, ndim)
     if last is None:
         return None
     sched.add_row(last)
-    scheduler._update_ranks(sched)
-    if not scheduler._all_full_rank(sched):
+    if not sched.full_rank():
         return None
 
-    # Replay satisfaction over the diamond rows.
-    ddg.reset()
-    scheduler._remaining = {id(d): d.polyhedron for d in ddg.deps}
+    # Replay satisfaction over the diamond rows through a fresh Ordering.
+    scheduler.order = order = Ordering(ddg.deps)
     for level in range(sched.depth):
         scheduler._update_satisfaction(sched, level)
     sched.bands.append(Band(0, sched.depth - 1, permutable=True, concurrent_start=True))
 
-    if ddg.unsatisfied():
-        # Same-iteration inter-statement deps: order by original position.
-        positions = {s.name: i for i, s in enumerate(program.statements)}
-        ok = all(
-            positions[d.source.name] < positions[d.target.name]
-            for d in ddg.unsatisfied()
-        )
-        if not ok:
-            return None
-        sched.add_scalar_row(positions)
-        for d in ddg.unsatisfied():
-            d.satisfied_by_cut = True
-    else:
-        scheduler._finalize_order(sched)
+    left = order.unsatisfied()
+    if not left:
+        sched.finalize_order()
+        return sched
+    # Same-iteration inter-statement deps: order by original position.
+    positions = {s.name: i for i, s in enumerate(program.statements)}
+    if order.cut(positions) < len(left):
+        return None
+    sched.add_scalar_row(positions)
     return sched
 
 
@@ -197,13 +189,11 @@ def _complete_band(
 
 
 def _row_is_legal(ddg: DependenceGraph, row: ScheduleRow) -> bool:
+    """No instance pair of any dependence runs backwards on ``row``."""
+    order = Ordering(ddg.deps)
     for d in ddg.deps:
-        mn = None
-        try:
-            mn = d.min_distance(row.expr_for(d.source), row.expr_for(d.target))
-        except ValueError:
-            return False
-        if mn is not None and mn < 0:
+        low = order.low(d, row)
+        if low is UNBOUNDED or (low is not None and low < 0):
             return False
     return True
 

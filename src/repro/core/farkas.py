@@ -32,7 +32,6 @@ from repro.polyhedra.cache import MISS, active_cache
 from repro.polyhedra.fourier_motzkin import (
     eliminate_columns,
     normalize_rows,
-    prune_redundant_rows,
 )
 
 __all__ = ["farkas_constraints", "legality_constraints", "bounding_constraints"]
@@ -84,8 +83,9 @@ def bound_minus_delta_form(dep: Dependence) -> SymbolicForm:
 
 
 def _pruned_rows(dep: Dependence) -> tuple:
-    """The dependence polyhedron's rows with redundant ones removed (cached
-    on the dependence object).
+    """The dependence polyhedron's rows with redundant ones removed
+    (memoised on the polyhedron, which is never mutated: the dependence
+    itself is not written to).
 
     Every constraint becomes a Farkas multiplier, and Fourier–Motzkin cost
     grows steeply with the multiplier count, so shrinking the polyhedron to
@@ -94,11 +94,7 @@ def _pruned_rows(dep: Dependence) -> tuple:
     ~25 heavily redundant rows each).  Pruning preserves the rational hull,
     which is exactly the object the affine Farkas lemma reasons over.
     """
-    cached = getattr(dep, "_pruned_rows", None)
-    if cached is None:
-        rows = [(con.coeffs, con.equality) for con in dep.polyhedron.constraints]
-        cached = dep._pruned_rows = tuple(prune_redundant_rows(normalize_rows(rows)))
-    return cached
+    return dep.polyhedron.irredundant_rows()
 
 
 def cone(poly: tuple, n: int) -> tuple:

@@ -9,29 +9,24 @@ compile-time breakdown (Section 4.1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.transform import Schedule
 from repro.deps.ddg import DependenceGraph
-from repro.polyhedra import BasicSet, Constraint
+from repro.deps.ordering import UNBOUNDED, Ordering, distance
 
 __all__ = ["mark_parallelism"]
 
-_UNBOUNDED = object()
 
-
-def _try_min(rem: BasicSet, expr):
+def _carries(order: Ordering, dep, row) -> bool:
+    """``row`` orders some pair of ``dep`` not ordered before it."""
+    low = order.low(dep, row)
+    if low is None:
+        return False
+    if low is UNBOUNDED or low >= 1:
+        return True
     try:
-        return rem.min_of(expr)
+        return order.remaining[id(dep)].max_of(distance(dep, row)) >= 1
     except ValueError:
-        return _UNBOUNDED
-
-
-def _try_max(rem: BasicSet, expr):
-    try:
-        return rem.max_of(expr)
-    except ValueError:
-        return _UNBOUNDED
+        return True  # no greatest distance: some pair certainly ordered
 
 
 def mark_parallelism(
@@ -39,76 +34,30 @@ def mark_parallelism(
 ) -> dict[int, list]:
     """Fill ``row.parallel`` for every loop level of ``sched``.
 
-    Works on the dependences' full polyhedra, re-deriving the ordering state
-    level by level (satisfaction levels recorded by the scheduler are not
-    reused, so this pass also works on hand-built schedules).
+    Walks a fresh :class:`~repro.deps.ordering.Ordering` level by level,
+    advancing it as the scheduler does (nothing the scheduler recorded is
+    reused, so this pass also works on hand-built schedules).  A level is
+    sequential when it orders some pair of a dependence not ordered before
+    it.
 
     ``relaxed`` — relaxed reduction self-dependences excluded from the DDG
-    (:mod:`repro.core.reductions`) — are tracked with the same level-by-level
-    machinery but never influence ``row.parallel``; the return value maps
-    each level index to the relaxed dependences it would carry, so the
-    pipeline can tag reduction-parallel rows for the emitters.  Empty when
-    ``relaxed`` is empty (the default path).
+    (:mod:`repro.core.reductions`) — walk along but never influence
+    ``row.parallel``; the return value maps each level index to the relaxed
+    dependences it would carry, so the pipeline can tag reduction-parallel
+    rows for the emitters.  Empty when ``relaxed`` is empty (the default
+    path).
     """
-    remaining: dict[int, Optional[BasicSet]] = {
-        id(d): d.polyhedron for d in ddg.deps
-    }
-    remaining.update({id(d): d.polyhedron for d in relaxed})
+    order = Ordering(list(ddg.deps) + list(relaxed))
     relaxed_ids = {id(d) for d in relaxed}
     relaxed_carried: dict[int, list] = {}
     for level, row in enumerate(sched.rows):
         if row.kind == "scalar":
-            for d in list(ddg.deps) + list(relaxed):
-                rem = remaining.get(id(d))
-                if rem is None:
-                    continue
-                if (
-                    row.expr_for(d.source).const_term
-                    < row.expr_for(d.target).const_term
-                ):
-                    remaining[id(d)] = None  # strictly ordered here
+            order.cut({name: e.const_term for name, e in row.exprs.items()})
             continue
-
-        carried = False
-        for d in list(ddg.deps) + list(relaxed):
-            key = id(d)
-            is_relaxed = key in relaxed_ids
-            rem = remaining.get(key)
-            if rem is None:
-                continue
-            expr = d.distance_expr(
-                row.expr_for(d.source), row.expr_for(d.target)
-            )
-            mn = _try_min(rem, expr)
-            if mn is None:
-                remaining[key] = None  # remaining part is empty
-                continue
-            if mn is _UNBOUNDED:
-                # Negative distances on unordered pairs only arise for
-                # hand-built (possibly illegal) schedules; the level
-                # certainly reorders/carries the dependence.
-                if is_relaxed:
-                    relaxed_carried.setdefault(level, []).append(d)
-                else:
-                    carried = True
-                continue
-            if mn >= 1:
-                if is_relaxed:
-                    relaxed_carried.setdefault(level, []).append(d)
-                else:
-                    carried = True
-                remaining[key] = None
-                continue
-            mx = _try_max(rem, expr)
-            if mx is _UNBOUNDED or (mx is not None and mx >= 1):
-                # Mixed: some pairs strictly ordered here, some not.
-                if is_relaxed:
-                    relaxed_carried.setdefault(level, []).append(d)
-                else:
-                    carried = True
-                zero = rem.copy()
-                zero.add(Constraint(expr, equality=True))
-                remaining[key] = None if zero.is_empty() else zero
-            # else distance uniformly zero: not carried, remaining unchanged
-        row.parallel = not carried
+        carried = [d for d in order.unsatisfied() if _carries(order, d, row)]
+        order.advance(level, row)
+        row.parallel = all(id(d) in relaxed_ids for d in carried)
+        hit = [d for d in carried if id(d) in relaxed_ids]
+        if hit:
+            relaxed_carried[level] = hit
     return relaxed_carried

@@ -20,9 +20,10 @@
     dimensions, i.e. the schedule cannot be meaningfully tiled).  Forced
     ``quick`` skips this gate and keeps the legal permutation schedule.
 
-Because fallback re-runs the exact scheduler on a reset dependence graph,
-an ``auto`` run that falls back is bit-compatible with ``scheduler="exact"``
-— same schedule, same generated code.
+Because every scheduler run owns its :class:`~repro.deps.ordering.Ordering`
+and never writes to the dependence graph, an ``auto`` run that falls back
+is bit-compatible with ``scheduler="exact"`` — same schedule, same
+generated code.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
 """The quick scheduler: candidate permutation rows instead of per-level ILPs.
 
 :class:`QuickScheduler` subclasses :class:`~repro.core.scheduler.PlutoScheduler`
-and inherits its entire band-growth loop — active-dependence tracking, exact
-satisfaction bookkeeping over shrinking "remaining" polyhedra, SCC fusion
-cuts (``--fuse``), rank accounting, and the final total-order dimension.
+and inherits its entire band-growth loop — active-dependence tracking, the
+run's :class:`~repro.deps.ordering.Ordering` (exact satisfaction over
+shrinking "remaining" polyhedra), SCC fusion cuts (``--fuse``), the
+schedule's rank accounting, and the final total-order dimension.
 Only :meth:`find_hyperplane` is replaced: instead of building and lexmin-
 solving an ILP, it proposes *candidate rows* — unit dimension vectors chosen
 by dimension matching and nesting position — and accepts the first one that
 is exactly legal against every active dependence.
 
-Legality of a candidate is checked the same way the exact scheduler checks
-satisfaction: the minimum of the dependence distance over the dependence's
-remaining polyhedron must be ``>= 0`` (weak legality keeps the band
-permutable; the shared satisfaction pass retires dependences that become
-strongly satisfied).  These minima are rational LPs memoized by the
+Legality of a candidate is asked of the same ``Ordering`` the exact
+scheduler advances: :meth:`~repro.deps.ordering.Ordering.low`, the minimum
+of the dependence distance over the dependence's remaining pairs, must be
+``>= 0`` (weak legality keeps the band permutable; the shared
+``Ordering.advance`` retires dependences that become strongly satisfied).  These minima are rational LPs memoized by the
 polyhedral cache — orders of magnitude cheaper than the per-level lexmin
 ILPs they replace, and sound: a schedule assembled from accepted rows is
 legal by construction, so it always passes ``repro verify``.
@@ -34,6 +35,7 @@ from repro.core.scheduler import PlutoScheduler, SchedulerOptions
 from repro.core.transform import Schedule, ScheduleRow
 from repro.deps.analysis import Dependence
 from repro.deps.ddg import DependenceGraph
+from repro.deps.ordering import UNBOUNDED
 from repro.frontend.ir import Program
 from repro.polyhedra import AffExpr
 
@@ -176,15 +178,8 @@ class QuickScheduler(PlutoScheduler):
         """Exact weak legality: distance >= 0 over every active dependence's
         remaining (not-yet-ordered) instance pairs."""
         for dep in active:
-            remaining = self._remaining[id(dep)]
-            expr = dep.distance_expr(
-                row.expr_for(dep.source), row.expr_for(dep.target)
-            )
             self.stats.quick_validations += 1
-            try:
-                mn = remaining.min_of(expr)
-            except ValueError:
-                return False  # unbounded below: a backwards pair exists
-            if mn is not None and mn < 0:
+            low = self.order.low(dep, row)
+            if low is UNBOUNDED or (low is not None and low < 0):
                 return False
         return True

@@ -53,10 +53,10 @@ from repro.core.ortho import (
 from repro.core.transform import Band, Schedule, ScheduleRow
 from repro.deps.analysis import Dependence
 from repro.deps.ddg import DependenceGraph
+from repro.deps.ordering import Ordering
 from repro.frontend.ir import Program, Statement
 from repro.ilp import ILPModel, LinearConstraint, SolveStats, lexmin
-from repro.linalg import FMatrix
-from repro.polyhedra import AffExpr, Constraint
+from repro.polyhedra import AffExpr
 from repro.polyhedra.fourier_motzkin import normalize_row
 from repro.records import Record, omit_at_default
 
@@ -108,8 +108,13 @@ class SchedulerStats(Record):
     sat_batched: int = 0
     solve_seconds: float = 0.0
     backends_used: set = field(default_factory=set)
-    #: aggregated solver counters (pivots, B&B nodes, warm-start hits,
-    #: dedup savings, ...) across every lexmin issued by this scheduler
+    #: aggregated solver counters across every lexmin issued by this
+    #: scheduler: HiGHS door entries (``lp_solves``), steps skipped
+    #: (``shortcut_hits``, ``probe_hits``), model rows collapsed and
+    #: skeletons reused (``dedup_rows``, ``models_reused``) and levels
+    #: replayed (``structural_warm_start``).  The exact solver's
+    #: ``simplex_pivots`` / ``bb_nodes`` / ``warm_starts`` stay 0 unless a
+    #: rounded HiGHS point fails verification and it answers instead.
     solve: SolveStats = field(default_factory=SolveStats)
     #: which scheduler was requested ("exact" | "quick" | "auto") and which
     #: path produced the final schedule ("exact" | "quick" | "fallback");
@@ -177,15 +182,13 @@ class PlutoScheduler:
         # active dependence set: within a band the active set is constant,
         # so only the per-level independence/avoidance rows are rebuilt.
         self._skeleton_cache: dict[tuple, tuple[ILPModel, set]] = {}
-        # Exact satisfaction tracking: the sub-polyhedron of instance pairs
-        # not yet strictly ordered by earlier levels.
-        self._remaining = {id(d): d.polyhedron for d in ddg.deps}
+        # Which instance pairs the rows so far order; each run owns one.
+        self.order = Ordering(ddg.deps)
 
     # -- public API -----------------------------------------------------------
 
     def schedule(self) -> Schedule:
-        self.ddg.reset()
-        self._remaining = {id(d): d.polyhedron for d in self.ddg.deps}
+        self.order = Ordering(self.ddg.deps)
         sched = Schedule(self.program)
         band_start = 0
         stuck_guard = 0
@@ -201,13 +204,12 @@ class PlutoScheduler:
                     f"exceeded {self.options.max_levels} schedule levels"
                 )
             row = None
-            if not self._all_full_rank(sched):
+            if not sched.full_rank():
                 active = self._active_deps(sched, band_start)
                 row = self.find_hyperplane(sched, active)
             if row is not None:
                 level = sched.depth
                 sched.add_row(row)
-                self._update_ranks(sched)
                 self._update_satisfaction(sched, level)
                 self.stats.hyperplanes_found += 1
                 stuck_guard = 0
@@ -219,7 +221,7 @@ class PlutoScheduler:
                 band_start = sched.depth
                 stuck_guard = 0
                 # Retrying with the shrunken active set may now succeed.
-                if not self._all_full_rank(sched):
+                if not sched.full_rank():
                     continue
 
             if self._cut(sched):
@@ -231,35 +233,29 @@ class PlutoScheduler:
             if stuck_guard > 1:
                 raise SchedulerError(
                     f"scheduler stuck on {self.program.name}: "
-                    f"{len(self.ddg.unsatisfied())} unsatisfied deps, "
+                    f"{len(self.order.unsatisfied())} unsatisfied deps, "
                     f"ranks {sched.rank}"
                 )
 
         if sched.depth > band_start:
             sched.bands.append(Band(band_start, sched.depth - 1))
-        self._finalize_order(sched)
+        sched.finalize_order()
         return sched
 
     # -- pieces ------------------------------------------------------------------
 
     def _done(self, sched: Schedule) -> bool:
-        return not self.ddg.unsatisfied() and self._all_full_rank(sched)
-
-    def _all_full_rank(self, sched: Schedule) -> bool:
-        return all(
-            sched.rank[s.name] >= s.dim for s in self.program.statements
-        )
+        return not self.order.unsatisfied() and sched.full_rank()
 
     def _active_deps(self, sched: Schedule, band_start: int) -> list[Dependence]:
         """Deps constraining the next hyperplane: unsatisfied, or satisfied
         within the current band (keeps the band permutable)."""
-        out = []
-        for d in self.ddg.deps:
-            if d.satisfied_by_cut:
-                continue
-            if d.satisfaction_level is None or d.satisfaction_level >= band_start:
-                out.append(d)
-        return out
+        order = self.order
+        return [
+            d for d in self.ddg.deps
+            if id(d) not in order.by_cut
+            and order.level.get(id(d), band_start) >= band_start
+        ]
 
     def _farkas(self, dep: Dependence) -> tuple[list, list]:
         key = id(dep)
@@ -285,9 +281,9 @@ class PlutoScheduler:
         Rows are gcd-normalized (reusing the Fourier–Motzkin row machinery)
         before keying, so dependences with the same shape — or scaled
         variants of the same facet — collapse to one row; trivially-true
-        rows are dropped outright.  The exact backend's cost grows with the
-        row count, so every collapsed row is a direct solver saving
-        (counted in ``stats.solve.dedup_rows``).
+        rows are dropped outright.  Every collapsed row is one row fewer in
+        each HiGHS entry the lexmin makes over this model (counted in
+        ``stats.solve.dedup_rows``).
         """
         key = None
         items = sorted(con.coeffs.items())
@@ -511,59 +507,17 @@ class PlutoScheduler:
 
     # -- progress bookkeeping ----------------------------------------------------------
 
-    def _update_ranks(self, sched: Schedule) -> None:
-        for s in self.program.statements:
-            rows = sched.h_rows(s)
-            sched.rank[s.name] = FMatrix(rows).rank() if rows else 0
-
     def _update_satisfaction(self, sched: Schedule, level: int) -> None:
-        """Exact per-dependence satisfaction at the new ``level``.
-
-        A dependence is satisfied once every not-yet-ordered instance pair
-        has distance >= 1 at this level; pairs with distance exactly 0 remain
-        in the dependence's *remaining* polyhedron for deeper levels.
-
-        Dependences sharing an identical ``(remaining polyhedron, distance
-        expression)`` pair — e.g. the per-array copies of one stencil pattern
-        in LBM — are batched: the minimum is computed once per group.
-        """
-        row = sched.rows[level]
-        groups: dict[tuple, list] = {}
-        for dep in self.ddg.deps:
-            if dep.is_satisfied:
-                continue
-            remaining = self._remaining[id(dep)]
-            expr = dep.distance_expr(
-                row.expr_for(dep.source), row.expr_for(dep.target)
-            )
-            key = (remaining.content_key(), expr.coeffs)
-            groups.setdefault(key, []).append((dep, remaining, expr))
-        for members in groups.values():
-            _, rem0, expr0 = members[0]
-            mn = rem0.min_of(expr0)
-            self.stats.sat_batched += len(members) - 1
-            for dep, remaining, expr in members:
-                if mn is None:  # remaining part already empty: fully ordered
-                    dep.satisfaction_level = level
-                    continue
-                if mn >= 1:
-                    dep.satisfaction_level = level
-                    continue
-                # Keep only the instance pairs this level fails to order.
-                # For active deps legality guarantees expr >= 0, so that is
-                # expr == 0; for retired deps the distance may be negative —
-                # those pairs were already ordered by an earlier level of a
-                # previous band.
-                zero = remaining.copy()
-                zero.add(Constraint(expr, equality=True))
-                self._remaining[id(dep)] = zero
+        """Account the new loop row at ``level`` (:meth:`Ordering.advance`);
+        questions shared between dependences count in ``sat_batched``."""
+        self.stats.sat_batched += self.order.advance(level, sched.rows[level])
 
     def _cut_dim_based(self, sched: Schedule) -> bool:
         """Pluto's smartfuse opening move: order SCCs whose statements have
         different nesting depth before searching for common hyperplanes
         (statements of unequal dimensionality rarely profit from fusion and
         inflate the ILP)."""
-        sccs = self.ddg.sccs(restrict_to_unsatisfied=True)
+        sccs = self.ddg.sccs(self.order.unsatisfied())
         if len(sccs) <= 1:
             return False
         dims = [max(s.dim for s in scc) for scc in sccs]
@@ -579,7 +533,7 @@ class PlutoScheduler:
                 index[s.name] = pos
         if len(set(index.values())) <= 1:
             return False
-        if self.ddg.mark_cut_satisfied(index) == 0:
+        if self.order.cut(index) == 0:
             return False
         sched.add_scalar_row(index)
         self.stats.cuts += 1
@@ -587,39 +541,20 @@ class PlutoScheduler:
 
     def _cut(self, sched: Schedule) -> bool:
         """Insert a scalar dimension ordering the SCCs of the unsatisfied DDG."""
-        sccs = self.ddg.sccs(restrict_to_unsatisfied=True)
+        sccs = self.ddg.sccs(self.order.unsatisfied())
         if len(sccs) <= 1:
             return False
         index: dict[str, int] = {}
         for pos, scc in enumerate(sccs):
             for s in scc:
                 index[s.name] = pos
-        if self.ddg.mark_cut_satisfied(index) == 0 and self.ddg.unsatisfied():
+        if self.order.cut(index) == 0 and self.order.unsatisfied():
             # The cut would order nothing that matters; cutting again cannot
             # make progress, so report failure to the driver.
             return False
         sched.add_scalar_row(index)
         self.stats.cuts += 1
         return True
-
-    def _finalize_order(self, sched: Schedule) -> None:
-        """Append a final scalar dimension when distinct statements share an
-        identical schedule prefix (the 2d+1 "beta" role), so code generation
-        has a total order."""
-        if len(self.program.statements) < 2:
-            return
-        maps = {
-            s.name: tuple(
-                tuple(row.expr_for(s).coeffs) for row in sched.rows
-            )
-            for s in self.program.statements
-        }
-        if len(set(maps.values())) == len(maps):
-            return
-        positions = {
-            s.name: i for i, s in enumerate(self.program.statements)
-        }
-        sched.add_scalar_row(positions)
 
 
 def _csum_constraints(stmt: Statement, bound: int) -> list[LinearConstraint]:

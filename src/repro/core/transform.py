@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.frontend.ir import Program, Statement
+from repro.linalg import FMatrix
 from repro.polyhedra import AffExpr, AffineMap
 
 __all__ = ["ScheduleRow", "Band", "Schedule"]
@@ -47,9 +48,6 @@ class ScheduleRow:
         """Dimension coefficients (no params/const) for ``stmt``."""
         e = self.expr_for(stmt)
         return [e.coeff_of(d) for d in stmt.space.dims]
-
-    def is_constant_for(self, stmt: Statement) -> bool:
-        return self.expr_for(stmt).is_constant()
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k}: {e}" for k, e in self.exprs.items())
@@ -119,6 +117,11 @@ class Schedule:
 
     def add_row(self, row: ScheduleRow) -> None:
         self.rows.append(row)
+        if row.kind != "loop":
+            return
+        for s in self.program.statements:
+            if any(row.coeff_rows(s)):
+                self.rank[s.name] = FMatrix(self.h_rows(s)).rank()
 
     def add_scalar_row(self, positions: dict[str, int]) -> None:
         exprs = {
@@ -126,6 +129,18 @@ class Schedule:
             for s in self.program.statements
         }
         self.rows.append(ScheduleRow("scalar", exprs))
+
+    def finalize_order(self) -> None:
+        """Append a final scalar dimension when distinct statements share an
+        identical schedule prefix (the 2d+1 "beta" role), so code generation
+        has a total order."""
+        statements = self.program.statements
+        maps = {
+            tuple(tuple(row.expr_for(s).coeffs) for row in self.rows)
+            for s in statements
+        }
+        if len(maps) < len(statements):
+            self.add_scalar_row({s.name: i for i, s in enumerate(statements)})
 
     # -- queries -------------------------------------------------------------
 
@@ -147,8 +162,9 @@ class Schedule:
                 out.append(coeffs)
         return out
 
-    def is_full_rank(self, stmt: Statement) -> bool:
-        return self.rank[stmt.name] >= stmt.dim
+    def full_rank(self) -> bool:
+        """Every statement's transformation is one-to-one."""
+        return all(self.rank[s.name] >= s.dim for s in self.program.statements)
 
     def map_for(self, stmt: Statement | str) -> AffineMap:
         s = self.program.statement(stmt) if isinstance(stmt, str) else stmt
@@ -158,12 +174,6 @@ class Schedule:
         for band in self.bands:
             if band.start <= level <= band.end:
                 return band
-        return None
-
-    def outermost_parallel_level(self) -> Optional[int]:
-        for i, row in enumerate(self.rows):
-            if row.kind == "loop" and row.parallel:
-                return i
         return None
 
     # -- serialization ----------------------------------------------------
@@ -197,12 +207,6 @@ class Schedule:
             sched.bands.append(
                 Band(b["start"], b["end"], b["permutable"], b["concurrent_start"])
             )
-        for stmt in program.statements:
-            rows = sched.h_rows(stmt)
-            if rows:
-                from repro.linalg import FMatrix
-
-                sched.rank[stmt.name] = FMatrix(rows).rank()
         return sched
 
     def __eq__(self, other) -> bool:

@@ -104,11 +104,11 @@ class Dependence:
 
     ``polyhedron`` lives in the product space; ``src_rename``/``tgt_rename``
     map original iterator names of source/target statements into it.
-    ``satisfaction_level`` is filled in by the scheduler: the depth at which
-    the dependence became strongly satisfied.  ``polyhedron`` is shared with
-    the :class:`Relation` the edge was bound from, and through it with every
-    other edge bound from the same memo entry: it is never mutated (the
-    scheduler and the verifier narrow copies).
+    ``polyhedron`` is shared with the :class:`Relation` the edge was bound
+    from, and through it with every other edge bound from the same memo
+    entry: it is never mutated (:class:`repro.deps.ordering.Ordering` and the
+    verifier narrow copies).  Which of its pairs a schedule orders, and
+    where, is an ``Ordering``'s to track, not the edge's.
     """
 
     source: Statement
@@ -118,8 +118,6 @@ class Dependence:
     polyhedron: BasicSet
     src_rename: dict[str, str]
     tgt_rename: dict[str, str]
-    satisfaction_level: Optional[int] = None
-    satisfied_by_cut: bool = False
     #: which candidate of its statement pair this is: (position among the
     #: pair's access pairs, happens-before case)
     candidate: tuple[int, int] = (0, 0)
@@ -129,14 +127,6 @@ class Dependence:
     @property
     def space(self) -> Space:
         return self.polyhedron.space
-
-    @property
-    def is_satisfied(self) -> bool:
-        return self.satisfaction_level is not None or self.satisfied_by_cut
-
-    def reset(self) -> None:
-        self.satisfaction_level = None
-        self.satisfied_by_cut = False
 
     def distance_expr(self, phi_src: AffExpr, phi_tgt: AffExpr) -> AffExpr:
         """``phi_tgt(t) - phi_src(s)`` in the product space.

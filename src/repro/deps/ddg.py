@@ -36,69 +36,31 @@ class DependenceGraph:
 
     # -- queries -------------------------------------------------------------
 
-    def unsatisfied(self) -> list[Dependence]:
-        return [d for d in self.deps if not d.is_satisfied]
-
-    def inter_statement(self) -> list[Dependence]:
-        return [d for d in self.deps if d.source is not d.target]
-
-    def sccs(self, restrict_to_unsatisfied: bool = True) -> list[list[Statement]]:
+    def sccs(
+        self, deps: Optional[Iterable[Dependence]] = None
+    ) -> list[list[Statement]]:
         """SCCs in a stable topological order of the condensation, each
         SCC's statements in program order.
 
-        When ``restrict_to_unsatisfied`` is set, only edges whose dependence
-        is still unsatisfied contribute to connectivity — satisfied edges no
-        longer force statements to stay fused.
+        Only the edges of ``deps`` (default: every dependence) contribute to
+        connectivity — the scheduler passes the ones not satisfied yet, since
+        satisfied edges no longer force statements to stay fused.
         """
         statements = self.program.statements
         index = {s.name: i for i, s in enumerate(statements)}
         succ: list[dict[int, None]] = [{} for _ in statements]
-        for d in self.deps:
-            if not (restrict_to_unsatisfied and d.is_satisfied):
-                succ[index[d.source.name]][index[d.target.name]] = None
+        for d in self.deps if deps is None else deps:
+            succ[index[d.source.name]][index[d.target.name]] = None
         return [
             [statements[i] for i in sorted(comp)]
             for comp in _condensation_order([list(s) for s in succ])
         ]
 
-    def deps_between(
-        self, a: Iterable[Statement], b: Iterable[Statement]
-    ) -> list[Dependence]:
-        a_names = {s.name for s in a}
-        b_names = {s.name for s in b}
-        return [
-            d
-            for d in self.deps
-            if d.source.name in a_names and d.target.name in b_names
-        ]
-
-    def mark_cut_satisfied(self, scc_index: dict[str, int]) -> int:
-        """Mark unsatisfied cross-SCC edges as satisfied by an ordering cut.
-
-        ``scc_index`` maps statement name to its position in the SCC order;
-        edges from a lower position to a strictly higher one are satisfied by
-        the scalar dimension that encodes that order.  Returns the number of
-        newly satisfied dependences.
-        """
-        n = 0
-        for d in self.unsatisfied():
-            if scc_index[d.source.name] < scc_index[d.target.name]:
-                d.satisfied_by_cut = True
-                n += 1
-        return n
-
-    def reset(self) -> None:
-        for d in self.deps:
-            d.reset()
-
     def __len__(self) -> int:
         return len(self.deps)
 
     def __str__(self) -> str:
-        return (
-            f"DDG({len(self.program.statements)} stmts, {len(self.deps)} deps, "
-            f"{len(self.unsatisfied())} unsatisfied)"
-        )
+        return f"DDG({len(self.program.statements)} stmts, {len(self.deps)} deps)"
 
 
 def _condensation_order(succ: list[list[int]]) -> list[list[int]]:

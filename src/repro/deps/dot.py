@@ -33,7 +33,7 @@ def ddg_to_dot(ddg: DependenceGraph, include_distances: bool = True) -> str:
         '  node [shape=box, style=filled, fontname="monospace"];',
     ]
     scc_of: dict[str, int] = {}
-    for idx, scc in enumerate(ddg.sccs(restrict_to_unsatisfied=False)):
+    for idx, scc in enumerate(ddg.sccs()):
         for stmt in scc:
             scc_of[stmt.name] = idx
     for stmt in ddg.program.statements:

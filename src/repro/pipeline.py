@@ -623,9 +623,10 @@ def _optimize(program: Program, options: PipelineOptions) -> OptimizationResult:
         stats.scheduler_path = "quick"
     else:
         # The exact Pluto+ path — either requested outright or the quick
-        # heuristic's fallback (stats.fallback_reason says why).  Both
-        # schedulers reset the DDG, so a failed quick attempt leaves no
-        # residue and the fallback is bit-compatible with scheduler="exact".
+        # heuristic's fallback (stats.fallback_reason says why).  Each
+        # scheduler run tracks ordering in its own Ordering and never writes
+        # to the DDG, so a failed quick attempt leaves no residue and the
+        # fallback is bit-compatible with scheduler="exact".
         stats.scheduler_path = (
             "exact" if options.scheduler == "exact" else "fallback"
         )

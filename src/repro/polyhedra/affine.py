@@ -53,9 +53,6 @@ class Space:
     def const_col(self) -> int:
         return self.ncols - 1
 
-    def with_dims(self, dims: Sequence[str]) -> "Space":
-        return Space(tuple(dims), self.params)
-
     def add_dims(self, new: Sequence[str]) -> "Space":
         return Space(self.dims + tuple(new), self.params)
 
@@ -142,9 +139,6 @@ class AffExpr:
 
     def is_constant(self) -> bool:
         return all(c == 0 for c in self.coeffs[:-1])
-
-    def depends_on(self, name: str) -> bool:
-        return self.coeff_of(name) != 0
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         total = self.coeffs[-1]

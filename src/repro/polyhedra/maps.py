@@ -33,15 +33,6 @@ class AffineMap:
         return cls(domain, [AffExpr.var(domain, d) for d in domain.dims])
 
     @classmethod
-    def from_rows(
-        cls,
-        domain: Space,
-        rows: Iterable[Sequence[int]],
-    ) -> "AffineMap":
-        """Rows are full coefficient vectors (dims + params + const)."""
-        return cls(domain, [AffExpr(domain, row) for row in rows])
-
-    @classmethod
     def from_terms(
         cls,
         domain: Space,

@@ -24,6 +24,8 @@ from repro.polyhedra.fourier_motzkin import (
     Row,
     cancel,
     eliminate_chain,
+    normalize_rows,
+    prune_redundant_rows,
     substitute_equalities,
 )
 
@@ -46,10 +48,6 @@ class BasicSet:
             self.add(con)
 
     # -- construction ---------------------------------------------------------
-
-    @classmethod
-    def universe(cls, space: Space) -> "BasicSet":
-        return cls(space)
 
     @classmethod
     def from_bounds(
@@ -106,6 +104,13 @@ class BasicSet:
         pivots, and the reduced inequalities or ``None`` if visibly empty."""
         return self._memoised("reduced", lambda: substitute_equalities(
             sorted(self._to_rows(), key=lambda row: not row[1])
+        ))
+
+    def irredundant_rows(self) -> tuple[Row, ...]:
+        """The normalised rows without the redundant ones
+        (:func:`prune_redundant_rows`): the same rational set."""
+        return self._memoised("irredundant", lambda: tuple(
+            prune_redundant_rows(normalize_rows(self._to_rows()))
         ))
 
     def constant_value(self, expr: AffExpr) -> Optional[Fraction]:

@@ -1,19 +1,17 @@
 """The SCC order ``DependenceGraph.sccs`` computed through networkx until
 v1.23.0, kept as the reference for ``tests/deps/test_scc_order.py``:
 ``strongly_connected_components`` -> ``condensation`` -> ``topological_sort``
-over a multigraph of the (unsatisfied) dependences, each SCC's statements
-in program order."""
+over a multigraph of the given (by default all) dependences, each SCC's
+statements in program order."""
 
 import networkx as nx
 
 
-def reference_sccs(ddg, restrict_to_unsatisfied=True):
+def reference_sccs(ddg, deps=None):
     statements = ddg.program.statements
     g = nx.MultiDiGraph()
     g.add_nodes_from(s.name for s in statements)
-    for d in ddg.deps:
-        if restrict_to_unsatisfied and d.is_satisfied:
-            continue
+    for d in ddg.deps if deps is None else deps:
         g.add_edge(d.source.name, d.target.name)
     comp = list(nx.strongly_connected_components(g))
     cond = nx.condensation(g, comp)

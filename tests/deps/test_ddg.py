@@ -1,6 +1,7 @@
 """Tests for the dependence graph and SCC machinery."""
 
 from repro.deps import DependenceGraph, compute_dependences
+from repro.deps.ordering import Ordering
 from repro.frontend import parse_program
 
 
@@ -42,7 +43,7 @@ class TestDDG:
 
     def test_unsatisfied_initially_all(self):
         ddg = make_ddg(PIPELINE)
-        assert len(ddg.unsatisfied()) == len(ddg.deps)
+        assert Ordering(ddg.deps).unsatisfied() == ddg.deps
 
     def test_mark_cut_satisfied(self):
         ddg = make_ddg(PIPELINE)
@@ -51,31 +52,18 @@ class TestDDG:
         for pos, scc in enumerate(sccs):
             for s in scc:
                 index[s.name] = pos
-        n = ddg.mark_cut_satisfied(index)
+        order = Ordering(ddg.deps)
+        n = order.cut(index)
         assert n == len(ddg.deps)  # all edges cross SCC boundaries here
-        assert ddg.unsatisfied() == []
+        assert order.unsatisfied() == []
 
     def test_satisfied_edges_release_scc(self):
         ddg = make_ddg(CYCLE, params=("T", "N"), param_min=4)
+        order = Ordering(ddg.deps)
         for d in ddg.deps:
-            d.satisfaction_level = 0
-        sccs = ddg.sccs()
+            order.level[id(d)] = 0
+        sccs = ddg.sccs(order.unsatisfied())
         assert len(sccs) == 2  # cycle broken once edges are satisfied
-
-    def test_reset(self):
-        ddg = make_ddg(PIPELINE)
-        for d in ddg.deps:
-            d.satisfied_by_cut = True
-        ddg.reset()
-        assert len(ddg.unsatisfied()) == len(ddg.deps)
-
-    def test_deps_between(self):
-        ddg = make_ddg(PIPELINE)
-        p = ddg.program
-        a = [p.statement("S0")]
-        b = [p.statement("S1")]
-        edges = ddg.deps_between(a, b)
-        assert edges and all(d.source.name == "S0" for d in edges)
 
     def test_str(self):
         ddg = make_ddg(PIPELINE)

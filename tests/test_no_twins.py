@@ -16,7 +16,9 @@ upper bound in one expression, which the scan reaches through one
 ``project_chain`` call.  And one worker pool forks and waits on children.
 And every stats record (a class named ``*Stats`` or ``*Metrics``, plus
 ``TimingBreakdown``) derives from ``repro.records.Record``: serialized by
-one rule, never spelled out field by field again.
+one rule, never spelled out field by field again.  And outside the
+independent verifier, one module narrows a dependence's unordered pairs to
+the ones a row leaves at distance 0 (``repro.deps.ordering``).
 """
 
 import ast
@@ -148,3 +150,29 @@ def test_every_stats_record_derives_from_record():
                 records[node.name] = "Record" in bases
     assert len(records) >= 8, sorted(records)
     assert all(records.values()), sorted(n for n, ok in records.items() if not ok)
+
+
+#: the zero-distance narrowing ``zero = rem.copy()`` / ``zero.add(Constraint(
+#: expr, equality=True))`` of a dependence's not-yet-ordered pairs
+_NARROW = re.compile(
+    r"(\w+) = [\w.\[\]()]+\.copy\(\)\n\s*\1\.add\(Constraint\(\w+, equality=True\)\)"
+)
+
+
+def test_one_module_narrows_the_unordered_pairs():
+    """Until v1.25.0 ``core/scheduler.py`` and ``core/properties.py`` each
+    narrowed the pairs a row leaves unordered, kept them in private dicts
+    (``_remaining``) and wrote ``satisfaction_level`` / ``satisfied_by_cut``
+    onto the dependences.  ``repro.deps.ordering.Ordering`` is the one walk;
+    ``core/verify.py`` keeps its own on purpose, as the independent check."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    sites = [
+        module
+        for module, text in sorted(sources.items())
+        if module != "core/verify.py"
+        for _ in _NARROW.finditer(text)
+    ]
+    assert sites == ["deps/ordering.py"], sites
+    assert _NARROW.search(sources["core/verify.py"])
+    names = re.compile(r"\b(satisfaction_level|satisfied_by_cut|_remaining)\b")
+    assert not [m for m, text in sources.items() if names.search(text)]
