@@ -402,10 +402,14 @@ def _cmd_opt(args) -> int:
         pruning = {k: v for k, v in poly.items() if k.startswith("prune_")}
         print(format_stats(pruning, indent="#   "), file=sys.stderr)
     if args.backend != "python":
-        from repro.exec import ExecutionOptions
+        from repro.exec import ExecStats, ExecutionOptions, compile_kernel
 
-        _, cstats, _ = result._compiled(
-            ExecutionOptions(backend=args.backend, threads=args.threads)
+        cstats = ExecStats()
+        compile_kernel(
+            result.tiled,
+            ExecutionOptions(backend=args.backend, threads=args.threads),
+            cstats,
+            code=result.code,
         )
         if cstats.fallback_reason:
             print(f"# exec backend: python "

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -83,10 +84,21 @@ class GeneratedCode:
             self._func = ns["kernel"]
         return self._func
 
-    def run(self, arrays: dict, params: dict, trace: Optional[list] = None):
-        if self.traced:
-            return self.function(arrays, params, [] if trace is None else trace)
-        return self.function(arrays, params)
+    def run(
+        self,
+        arrays: dict,
+        params: dict,
+        trace: Optional[list] = None,
+        threads: Optional[int] = None,
+        stats=None,
+    ) -> None:
+        """Execute in place, adding the wall time to ``stats.exec_seconds``;
+        ``threads`` is a native setting this serial kernel ignores."""
+        extra = ([] if trace is None else trace,) if self.traced else ()
+        t0 = time.perf_counter()
+        self.function(arrays, params, *extra)
+        if stats is not None:
+            stats.exec_seconds += time.perf_counter() - t0
 
 
 class _PyRenderer(TreeRenderer):

@@ -44,7 +44,6 @@ from repro.core.transform import (
 from repro.deps.analysis import product_domain
 from repro.frontend.ir import Program, Statement
 from repro.polyhedra import AffExpr, Constraint
-from repro.polyhedra.fastcheck import set_is_empty
 
 __all__ = [
     "DEFAULT_TILE_SIZE",
@@ -251,7 +250,7 @@ def _keeps_order(
             pairs.add(Constraint(ahead - 1))
         else:
             pairs.add(Constraint(ahead, equality=True))
-    return set_is_empty(pairs)
+    return pairs.is_empty()
 
 
 def _source_point_rows(

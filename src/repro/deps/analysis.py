@@ -25,7 +25,6 @@ from repro.frontend.ir import Access, Program, Statement
 from repro.frontend.serialize import program_to_dict
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra.cache import MISS, active_cache, global_cache
-from repro.polyhedra.fastcheck import set_is_empty
 from repro.records import Record, omit_at_default
 
 __all__ = [
@@ -333,7 +332,7 @@ def enumerate_relations(
     the parameter context), so those are rebased once per statement pair and
     the access-pair / happens-before-case specifics are layered on copies —
     the construction-side half of the fast path, the query side being
-    :func:`~repro.polyhedra.fastcheck.set_is_empty`'s fast-reject and memo.
+    :meth:`~repro.polyhedra.sets.BasicSet.is_empty`'s fast-reject and memo.
     ``stats``, when given, accumulates :class:`DepStats` counters.  ``live``,
     when given, holds the ``(source origin, target origin, *candidate)`` keys
     worth testing between statements that have an origin — it must come from
@@ -450,7 +449,7 @@ def _relations(
                 for con in cases[n_case]:
                     poly.add(con)
                 pairs_tested += 1
-                if set_is_empty(poly):
+                if poly.is_empty():
                     continue
                 relations.append(Relation(
                     i_src, i_tgt, kind, acc_s.array, poly, (n_pair, n_case)

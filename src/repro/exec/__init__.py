@@ -5,9 +5,12 @@ The public surface of the execution subsystem:
 * :class:`ExecutionOptions` / :class:`ExecStats` — configuration and
   per-run accounting (re-exported from :mod:`repro.api` for stability).
 * :class:`CompiledKernel` — the protocol both the Python emitter's
-  ``GeneratedCode`` and the native backend's :class:`CKernel` satisfy.
-* :func:`compile_kernel` — the dispatch point ``OptimizationResult.run``
-  (and everything above it) goes through.
+  ``GeneratedCode`` and the native backend's :class:`CKernel` satisfy:
+  one in-place ``run(arrays, params, threads=None, stats=None)`` that
+  records its own time.
+* :func:`compile_kernel` — the one place that picks the backend and fills
+  the compile half of :class:`ExecStats`; ``OptimizationResult.run``, the
+  CLI and everything above them go through it.
 * :class:`ArtifactCache` / :func:`find_compiler` — the content-addressed
   ``.so`` store and compiler discovery, for tooling and tests.
 """

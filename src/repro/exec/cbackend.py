@@ -27,16 +27,15 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.codegen.c_emit import CKernelSource, generate_c_kernel
+from repro.codegen.c_emit import CEmitError, CKernelSource, generate_c_kernel
 from repro.core.tiling import TiledSchedule
-from repro.exec.artifacts import ArtifactCache, artifact_key, find_compiler
+from repro.exec.artifacts import ArtifactCache, find_compiler
 from repro.exec.options import ExecBackendError, ExecStats, ExecutionOptions
 
 __all__ = ["CKernel", "build_c_kernel"]
 
 #: loaded shared objects per artifact key (process lifetime) — dlopen'ing
-#: the same path repeatedly is legal but wasteful, and the memo is what
-#: makes ``artifact_cache == "memory"`` observable
+#: the same path repeatedly is legal but wasteful
 _LOADED: dict[str, ctypes.CDLL] = {}
 
 
@@ -68,10 +67,6 @@ class CKernel:
     def source(self) -> str:
         return self.ksrc.source
 
-    @property
-    def omp_enabled(self) -> Optional[bool]:
-        return self._omp
-
     def run(
         self,
         arrays: Mapping[str, np.ndarray],
@@ -79,7 +74,9 @@ class CKernel:
         threads: Optional[int] = None,
         stats: Optional[ExecStats] = None,
     ) -> None:
-        """Execute in place over ``arrays`` at ``params``."""
+        """Execute in place over ``arrays`` at ``params``; ``stats`` gets
+        the marshalling and kernel wall times, the thread count and
+        whether OpenMP is on."""
         self._ensure_loaded()
         t0 = time.perf_counter()
         bufs, writeback = self._marshal(arrays)
@@ -202,32 +199,32 @@ class CKernel:
 
 def build_c_kernel(
     tsched: TiledSchedule,
-    options: Optional[ExecutionOptions] = None,
-    stats: Optional[ExecStats] = None,
+    options: ExecutionOptions,
+    stats: ExecStats,
 ) -> CKernel:
     """Emit + compile (or reuse) the native kernel for ``tsched``.
 
-    Raises :class:`ExecBackendError` when no compiler is available or the
-    source does not compile; the artifact tier (``memory``/``disk``/
-    ``compiled``) is recorded on ``stats``.
+    Raises :class:`ExecBackendError` when no compiler is available, the
+    program has a body C cannot express, or the source does not compile;
+    the artifact key, compiler and tier (``disk``/``compiled``) are
+    recorded on ``stats``.
     """
-    options = options or ExecutionOptions()
     compiler = find_compiler(options.cc)
     if compiler is None:
         raise ExecBackendError(
             "no C compiler found (tried $REPRO_CC, cc, gcc, clang)"
         )
-    ksrc = generate_c_kernel(tsched)  # CEmitError is an ExecBackendError peer
-    cache = ArtifactCache(options.cache_dir)
-    key = artifact_key(ksrc.source, compiler)
-    path, tier = cache.ensure(ksrc.source, compiler, stats)
-    if stats is not None:
-        already_loaded = key in _LOADED and tier == "disk"
-        stats.artifact_cache = "memory" if already_loaded else tier
+    try:
+        ksrc = generate_c_kernel(tsched)
+    except CEmitError as e:
+        raise ExecBackendError(str(e)) from e
+    path, stats.artifact_cache = ArtifactCache(options.cache_dir).ensure(
+        ksrc.source, compiler, stats
+    )
     return CKernel(
         ksrc,
         path,
-        artifact_key=key,
+        artifact_key=stats.artifact_key,
         cache_dir=options.cache_dir,
         cc=options.cc,
     )

@@ -23,7 +23,8 @@ from typing import Optional
 
 from repro.records import Record
 
-__all__ = ["ExecutionOptions", "ExecStats", "ExecBackendError", "BACKENDS"]
+__all__ = ["ExecutionOptions", "ExecStats", "ExecBackendError", "BACKENDS",
+           "COMPILE_HALF"]
 
 #: the execution backends OptimizationResult.run() dispatches over
 BACKENDS = ("python", "c", "auto")
@@ -46,9 +47,9 @@ class ExecutionOptions:
         ``"python"`` — the exec'd-Python kernel (default; always works);
         ``"c"``/``"auto"`` — compile the emitted C with the system compiler
         and run at hardware speed.  Both degrade to Python when no
-        compiler/body is available unless ``strict`` is set; the difference
-        is intent: ``"c"`` is an explicit request (CLI ``--backend c``),
-        ``"auto"`` asks for the fastest available backend.
+        compiler/body is available unless ``strict`` is set;
+        :func:`repro.exec.compile_kernel` treats them alike (the difference
+        is only intent: ``"c"`` is an explicit request, CLI ``--backend c``).
     ``threads``
         OpenMP thread count for native kernels (``None`` = the OpenMP
         runtime default).
@@ -98,9 +99,11 @@ class ExecStats(Record):
     ``backend_requested`` is what the caller asked for; ``backend`` is what
     actually ran — they differ exactly when ``fallback_reason`` is set.
     ``artifact_cache`` records how the compiled ``.so`` was obtained:
-    ``"memory"`` (already loaded in this process), ``"disk"`` (reused from
-    the content-addressed store, surviving restarts), ``"compiled"`` (cold
-    compile), or ``None`` for pure-Python runs.
+    ``"memory"`` (a kernel ``OptimizationResult.run`` already built and
+    reuses), ``"disk"`` (reused from the content-addressed store, surviving
+    restarts), ``"compiled"`` (cold compile), or ``None`` for pure-Python
+    runs.  :func:`repro.exec.compile_kernel` fills the fields named in
+    :data:`COMPILE_HALF`; the kernel's ``run`` fills the rest.
     """
 
     backend_requested: str = "python"
@@ -114,3 +117,8 @@ class ExecStats(Record):
     compiler: Optional[str] = None
     omp: Optional[bool] = None
     threads: Optional[int] = None
+
+
+#: the :class:`ExecStats` fields :func:`repro.exec.compile_kernel` fills
+COMPILE_HALF = ("backend_requested", "backend", "fallback_reason",
+                "artifact_key", "compiler", "compile_seconds", "artifact_cache")

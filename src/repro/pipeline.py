@@ -43,7 +43,7 @@ from repro.core.tiling import (
 )
 from repro.core.transform import Schedule
 from repro.deps import DependenceGraph, DepStats, compute_dependences
-from repro.exec.options import BACKENDS, ExecStats, ExecutionOptions
+from repro.exec.options import BACKENDS, COMPILE_HALF, ExecStats, ExecutionOptions
 from repro.frontend.ir import Program
 from repro.polyhedra.cache import cache_disabled
 from repro.records import Record
@@ -351,73 +351,37 @@ class OptimizationResult:
     ) -> ExecStats:
         """Execute the optimized kernel in place over ``arrays``.
 
-        The backend-neutral entry point: dispatches on
-        ``exec_options.backend`` (defaulting to the pipeline's
-        ``options.backend``, i.e. ``--backend``).  Native kernels are
-        compiled lazily on first call and memoized on the result; a missing
-        compiler degrades to the Python kernel with the reason in the
-        returned :class:`ExecStats.fallback_reason` (unless
-        ``exec_options.strict``).
+        :func:`repro.exec.compile_kernel` picks the backend
+        ``exec_options.backend`` names (default: the pipeline's
+        ``options.backend``, i.e. ``--backend``), falling back to Python
+        with the reason in ``fallback_reason`` unless ``strict``.  The
+        kernel is memoized per ``(backend, cc, cache_dir, strict)`` and
+        dropped by :meth:`__getstate__` (a pickled result recompiles through
+        the artifact cache); a repeat reports the first compile half with
+        ``compile_seconds`` 0 and, for a native kernel, the ``"memory"`` tier.
         """
-        if exec_options is None:
-            backend = self.options.backend if self.options is not None else "python"
-            exec_options = ExecutionOptions(backend=backend)
-        if stats is None:
-            stats = ExecStats()
-        stats.backend_requested = exec_options.backend
-        if exec_options.backend == "python":
-            stats.backend = "python"
-            t0 = time.perf_counter()
-            self.code.run(arrays, params)
-            stats.exec_seconds += time.perf_counter() - t0
-            return stats
-        kernel, cstats, fresh = self._compiled(exec_options)
-        stats.backend = kernel.backend
-        stats.fallback_reason = cstats.fallback_reason
-        stats.artifact_key = cstats.artifact_key
-        stats.compiler = cstats.compiler
-        if fresh:
-            stats.compile_seconds = cstats.compile_seconds
-            stats.artifact_cache = cstats.artifact_cache
-        elif stats.backend == "c":
-            # the kernel object is already built and loaded in this process
-            stats.artifact_cache = "memory"
-        if kernel.backend == "c":
-            kernel.run(
-                arrays, params, threads=exec_options.threads, stats=stats
-            )
-        else:
-            t0 = time.perf_counter()
-            kernel.run(arrays, params)
-            stats.exec_seconds += time.perf_counter() - t0
-        return stats
-
-    def _compiled(self, exec_options: ExecutionOptions):
-        """The memoized ``(kernel, compile-time stats)`` for these options.
-
-        The memo lives outside the dataclass fields and is dropped by
-        :meth:`__getstate__`: after a pickle round-trip the first ``run()``
-        recompiles through the content-addressed artifact cache (a disk
-        hit, not a rebuild, when the cache survived)."""
         from repro.exec import compile_kernel
 
+        opts = exec_options or ExecutionOptions(
+            backend=self.options.backend if self.options is not None else "python"
+        )
         memo = self.__dict__.setdefault("_kernels", {})
-        key = (
-            exec_options.backend,
-            exec_options.cc,
-            exec_options.cache_dir,
-            exec_options.strict,
-        )
-        hit = memo.get(key)
-        if hit is not None:
-            kernel, cstats = hit
-            return kernel, cstats, False
-        cstats = ExecStats(backend_requested=exec_options.backend)
-        kernel = compile_kernel(
-            self.tiled, exec_options, cstats, code=self.code
-        )
-        memo[key] = (kernel, cstats)
-        return kernel, cstats, True
+        key = (opts.backend, opts.cc, opts.cache_dir, opts.strict)
+        if key in memo:
+            kernel, built = memo[key]
+        else:
+            built = ExecStats()
+            kernel = compile_kernel(self.tiled, opts, built, code=self.code)
+            # a repeat compiles nothing; its artifact, if any, is loaded
+            memo[key] = kernel, dataclasses.replace(
+                built, compile_seconds=0.0,
+                artifact_cache=built.artifact_cache and "memory",
+            )
+        stats = stats if stats is not None else ExecStats()
+        for name in COMPILE_HALF:
+            setattr(stats, name, getattr(built, name))
+        kernel.run(arrays, params, threads=opts.threads, stats=stats)
+        return stats
 
     def __getstate__(self) -> dict:
         """Compiled native kernels are caches, not state (the

@@ -10,21 +10,27 @@ of a millisecond:
   integer points).  HiGHS determines infeasibility with a certificate; on
   unit-scale integer data a wrong answer would require pathological
   conditioning that these systems cannot exhibit.
-* **LP feasible**  -> fall back to the exact integer check; the relaxation
-  may still be integer-empty.
+* **LP feasible**  -> a rounded LP point that lies in the set proves it
+  non-empty; otherwise the exact integer check decides (the relaxation may
+  still be integer-empty).
+
+:meth:`BasicSet.is_empty <repro.polyhedra.sets.BasicSet.is_empty>` runs
+these checks in that order, around the PolyCache ``empty`` memo.
 """
 
 from __future__ import annotations
 
 from math import gcd, inf
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.ilp import ILPStatus, highs_backend
-from repro.polyhedra.cache import MISS, active_cache
-from repro.polyhedra.sets import BasicSet
+from repro.ilp import highs_backend
 
-__all__ = ["fast_reject", "lp_feasible", "reduced_reject", "set_is_empty"]
+if TYPE_CHECKING:
+    from repro.polyhedra.sets import BasicSet
+
+__all__ = ["fast_reject", "lp_feasible", "reduced_reject"]
 
 
 def _lp_solve(a, rhs, eq):
@@ -131,38 +137,3 @@ def reduced_reject(bs: BasicSet) -> bool:
         const + tightest.get(tuple(-c for c in slope), inf) < 0
         for slope, const in tightest.items()
     )
-
-
-def set_is_empty(bs: BasicSet) -> bool:
-    """Exact integer emptiness: fast-reject, memo, reduced reject, LP, exact ILP.
-
-    With the fast path disabled (``REPRO_DEPS_NO_CACHE=1`` or
-    :func:`repro.polyhedra.cache.cache_disabled`) this degrades to the seed
-    behavior: LP pre-filter plus exact fallback, nothing skipped or reused.
-    """
-    if any(c.is_contradiction() for c in bs.constraints):
-        return True
-    cache = active_cache()
-    if cache is None:
-        return not lp_feasible(bs) or bs.is_empty()
-    if fast_reject(bs):
-        cache.stats.fast_rejects += 1
-        return True
-    key = bs.content_key()
-    hit = cache.get_empty(key)
-    if hit is not MISS:
-        return hit
-    if reduced_reject(bs):
-        cache.stats.fast_rejects += 1
-        empty = True
-    else:
-        arrays = bs._arrays()
-        res = _lp_solve(*arrays)
-        if res.status == 2:
-            empty = True
-        elif _integer_witness(bs, res.x):
-            empty = False
-        else:  # the LP point proves nothing: the integer solve decides
-            empty = bs._solve(arrays=arrays)[0] == ILPStatus.INFEASIBLE
-    cache.put_empty(key, empty)
-    return empty

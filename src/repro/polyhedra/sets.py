@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin, solve_ilp
 from repro.ilp.highs_backend import solve_rows
+from repro.polyhedra import fastcheck
 from repro.polyhedra.affine import AffExpr, Space
 from repro.polyhedra.cache import MISS as MISS_, active_cache
 from repro.polyhedra.constraints import Constraint
@@ -176,17 +177,40 @@ class BasicSet:
         return status, Fraction(sum(k * int(v) for k, v in zip(coeffs, x)))
 
     def is_empty(self) -> bool:
-        """Exact integer emptiness (memoized on the constraint content)."""
+        """Exact integer emptiness: fast reject, memo, reduced reject, LP,
+        integer solve (:mod:`repro.polyhedra.fastcheck`).
+
+        With the PolyCache disabled (``REPRO_DEPS_NO_CACHE=1`` or
+        :func:`repro.polyhedra.cache.cache_disabled`) only the LP pre-filter
+        runs before the integer solve: nothing is skipped or reused.
+        """
         if any(con.is_contradiction() for con in self.constraints):
             return True
         cache = active_cache()
         if cache is None:
-            return self._solve()[0] == ILPStatus.INFEASIBLE
+            return (
+                not fastcheck.lp_feasible(self)
+                or self._solve()[0] == ILPStatus.INFEASIBLE
+            )
+        if fastcheck.fast_reject(self):
+            cache.stats.fast_rejects += 1
+            return True
         key = self.content_key()
         hit = cache.get_empty(key)
         if hit is not MISS_:
             return hit
-        empty = self._solve()[0] == ILPStatus.INFEASIBLE
+        if fastcheck.reduced_reject(self):
+            cache.stats.fast_rejects += 1
+            empty = True
+        else:
+            arrays = self._arrays()
+            res = fastcheck._lp_solve(*arrays)
+            if res.status == 2:
+                empty = True
+            elif fastcheck._integer_witness(self, res.x):
+                empty = False
+            else:  # the LP point proves nothing: the integer solve decides
+                empty = self._solve(arrays=arrays)[0] == ILPStatus.INFEASIBLE
         cache.put_empty(key, empty)
         return empty
 

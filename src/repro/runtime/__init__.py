@@ -1,17 +1,12 @@
-"""Execution runtime: array allocation, kernel execution, validation."""
+"""Execution runtime: array allocation and transformation validation."""
 
 from repro.runtime.arrays import allocate_arrays, infer_shapes, random_arrays
-from repro.runtime.validate import (
-    ValidationResult,
-    run_schedule,
-    validate_transformation,
-)
+from repro.runtime.validate import ValidationResult, validate_transformation
 
 __all__ = [
     "ValidationResult",
     "allocate_arrays",
     "infer_shapes",
     "random_arrays",
-    "run_schedule",
     "validate_transformation",
 ]

@@ -15,9 +15,8 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from repro.core.tiling import original_schedule
-from repro.codegen.python_emit import GeneratedCode, generate_python
-from repro.core.tiling import TiledSchedule
+from repro.codegen.python_emit import generate_python
+from repro.core.tiling import TiledSchedule, original_schedule
 from repro.frontend.ir import Program
 from repro.runtime.arrays import random_arrays
 
@@ -26,7 +25,6 @@ __all__ = [
     "ValidationResult",
     "backend_compat_check",
     "validate_transformation",
-    "run_schedule",
 ]
 
 
@@ -39,32 +37,6 @@ class ValidationResult:
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def run_schedule(
-    tsched: TiledSchedule,
-    params: Mapping[str, int],
-    arrays: Optional[dict] = None,
-    seed: int = 0,
-    exec_options=None,
-    stats=None,
-) -> dict:
-    """Generate, compile, and run a schedule; returns the (mutated) arrays.
-
-    ``exec_options`` (an :class:`repro.exec.ExecutionOptions`) selects the
-    execution backend; the default is the historical Python path.
-    """
-    if arrays is None:
-        arrays = random_arrays(tsched.program, params, seed=seed)
-    if exec_options is None or exec_options.backend == "python":
-        code = generate_python(tsched)
-        code.run(arrays, dict(params))
-    else:
-        from repro.exec import compile_kernel
-
-        kernel = compile_kernel(tsched, exec_options, stats)
-        kernel.run(arrays, dict(params))
-    return arrays
 
 
 def _max_ulp(a: np.ndarray, b: np.ndarray) -> int:

@@ -193,10 +193,10 @@ def test_exclusive_guards_distribute_overlapping_ranges():
 
 
 def test_programs_that_were_not_split_are_not_asked(monkeypatch):
-    def never(bset):
+    def never(*args):
         raise AssertionError("distribution asked of a program that was not split")
 
-    monkeypatch.setattr(tiling, "set_is_empty", never)
+    monkeypatch.setattr(tiling, "_keeps_order", never)
     p = parse_program(
         "for (i = 0; i < N; i++) { A[i] = 1.0; B[i] = A[i]; }", "p", params=("N",)
     )

@@ -90,8 +90,6 @@ class TestCachedEqualsUncached:
         # for the real dependences and for the read×read (RAR) pair filter.
         import itertools
 
-        from repro.polyhedra.fastcheck import set_is_empty
-
         for workload, pairs, compute in (
             ("fig1-skew", _access_pairs, compute_dependences),
             ("gemm", _access_pairs, compute_dependences),
@@ -110,7 +108,7 @@ class TestCachedEqualsUncached:
                             program, src, tgt, acc_s, acc_t, case,
                             space, s_ren, t_ren,
                         )
-                        if set_is_empty(poly):
+                        if poly.is_empty():
                             continue
                         reference.append(
                             (

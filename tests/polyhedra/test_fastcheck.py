@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ilp import ILPStatus
 from repro.polyhedra import BasicSet, Space, eq, ineq
-from repro.polyhedra.fastcheck import lp_feasible, set_is_empty
+from repro.polyhedra.fastcheck import lp_feasible
 
 
 @pytest.fixture
@@ -54,10 +55,10 @@ class TestLpFeasible:
             )
             assert lp_feasible(s) and lp_feasible(hole)
             global_cache().clear()
-            assert not set_is_empty(s.copy())
+            assert not s.copy().is_empty()
             with cache_disabled():
-                assert not set_is_empty(s.copy())
-                assert set_is_empty(hole.copy())  # decided by the exact check
+                assert not s.copy().is_empty()
+                assert hole.copy().is_empty()  # decided by the exact check
 
 
 class TestSetIsEmpty:
@@ -65,16 +66,16 @@ class TestSetIsEmpty:
         s = BasicSet(sp)
         s.add(eq(sp, {"x": 2}, -1))  # 2x == 1: rational only
         assert lp_feasible(s)        # the fast filter cannot decide this
-        assert set_is_empty(s)       # the exact fallback does
+        assert s.is_empty()          # the exact fallback does
 
     def test_nonempty(self, sp):
         s = BasicSet.from_bounds(sp, {"x": (0, 5)})
-        assert not set_is_empty(s)
+        assert not s.is_empty()
 
     def test_syntactic_contradiction_short_circuit(self, sp):
         s = BasicSet(sp)
         s.add(ineq(sp, {}, -2))
-        assert set_is_empty(s)
+        assert s.is_empty()
 
     @given(
         st.lists(
@@ -93,4 +94,4 @@ class TestSetIsEmpty:
         s.add(ineq(sp, {"y": -1}, 4))
         for a, b, c in rows:
             s.add(ineq(sp, {"x": a, "y": b}, c))
-        assert set_is_empty(s) == s.is_empty()
+        assert s.is_empty() == (s._solve()[0] == ILPStatus.INFEASIBLE)

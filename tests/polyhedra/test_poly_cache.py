@@ -15,7 +15,7 @@ from repro.polyhedra.cache import (
     cache_enabled,
     global_cache,
 )
-from repro.polyhedra.fastcheck import fast_reject, set_is_empty
+from repro.polyhedra.fastcheck import fast_reject
 
 
 @pytest.fixture
@@ -315,6 +315,6 @@ class TestEscapeHatch:
         s3.add(eq(sp, {"x": 2}, -1))
         cases.append(s3)
         for s in cases:
-            fast = set_is_empty(s)
+            fast = s.is_empty()
             with cache_disabled():
-                assert set_is_empty(s) == fast
+                assert s.is_empty() == fast

@@ -2,7 +2,7 @@
 
 ``BasicSet.reduced()`` substitutes the equalities out of the inequalities;
 ``min_of`` answers from it when the objective is constant on the set *and*
-the emptiness memo already says non-empty, ``set_is_empty`` runs a per-slope
+the emptiness memo already says non-empty, ``is_empty`` runs a per-slope
 clash on it.  Both are shortcuts: every answer here is compared with the
 solver's (``cache_disabled()``) or with a brute-forced box.
 """
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra.cache import MISS, cache_disabled, global_cache
-from repro.polyhedra.fastcheck import fast_reject, reduced_reject, set_is_empty
+from repro.polyhedra.fastcheck import fast_reject, reduced_reject
 
 SP = Space(("a", "b", "c", "d"))
 BOX = 3
@@ -67,9 +67,7 @@ class TestMinOfRule:
         expr = AffExpr(SP, tuple(vector) + (const,))
         cache = global_cache()
         cache.clear()
-        if warm == "s":        # as dependence analysis leaves it
-            set_is_empty(s)
-        elif warm == "e":      # as a direct query leaves it
+        if warm != "n":  # as dependence analysis or a direct query leaves it
             s.is_empty()
         known = cache._tables["empty"].get(s.content_key(), MISS)
         before = cache.stats.snapshot()
@@ -101,7 +99,7 @@ class TestMinOfRule:
         before = stats.snapshot()
         assert s.copy().min_of(phi) == 0                 # emptiness unknown: solver
         assert stats.delta_since(before).min_by_rule == 0
-        assert not set_is_empty(s)
+        assert not s.is_empty()
         other = AffExpr(SP, (-1, 0, 1, 0, 5))            # (c - a) + 5
         assert s.min_of(other) == 6
         assert stats.delta_since(before).min_by_rule == 1
@@ -122,7 +120,7 @@ class TestReducedReject:
         if reduced_reject(s):
             assert empty
         global_cache().clear()
-        assert set_is_empty(s) == empty
+        assert s.is_empty() == empty
 
     @given(
         st.lists(st.tuples(_vector, st.integers(-3, 3)), max_size=2),
@@ -156,10 +154,10 @@ class TestReducedReject:
         global_cache().clear()
         stats = global_cache().stats
         before = stats.snapshot()
-        assert set_is_empty(s)
+        assert s.is_empty()
         delta = stats.delta_since(before)
         assert (delta.fast_rejects, delta.empty_lookups, delta.empty_hits) == (1, 1, 0)
-        assert set_is_empty(s.copy()) and stats.delta_since(before).empty_hits == 1
+        assert s.copy().is_empty() and stats.delta_since(before).empty_hits == 1
         with cache_disabled():  # the seed path: LP, nothing skipped
-            assert set_is_empty(s.copy())
+            assert s.copy().is_empty()
         assert stats.delta_since(before).fast_rejects == 1

@@ -168,3 +168,25 @@ def test_each_run_gets_a_fresh_process(tmp_path, hostile_registry):
     assert res.ok
     pids = [record["worker_pid"] for record in res.records]
     assert len(set(pids)) == 3 and os.getpid() not in pids
+
+
+def test_a_failed_native_smoke_run_fails_the_run(
+    tmp_path, monkeypatch, hostile_registry, compiler
+):
+    """The smoke-run is no fallback: a kernel that raises raises out of the
+    record, so the worker reports an error and the suite a failure."""
+    from repro.exec import CKernel
+    from repro.suite.runner import _ok_record
+
+    def boom(self, *args, **kwargs):
+        raise RuntimeError("injected kernel failure")
+
+    monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "kernels"))
+    monkeypatch.setattr(CKernel, "run", boom)
+    options = PipelineOptions(backend="c")
+    spec = RunSpec(
+        run_id="tiny-c", workload=hostile_registry[0], variant="c", options=options
+    )
+    result = optimize(hostile_registry[0], options)
+    with pytest.raises(RuntimeError, match="injected kernel failure"):
+        _ok_record(spec, result)
