@@ -32,7 +32,7 @@ from repro.core.names import c_name, u_name
 from repro.core.scheduler import PlutoScheduler, SchedulerOptions, SchedulerStats
 from repro.core.transform import Band, Schedule, ScheduleRow
 from repro.deps.ddg import DependenceGraph
-from repro.deps.ordering import UNBOUNDED, Ordering
+from repro.deps.ordering import UNBOUNDED, Ordering, distance
 from repro.frontend.ir import Program
 from repro.ilp import ILPModel
 from repro.polyhedra import AffExpr
@@ -192,7 +192,7 @@ def _row_is_legal(ddg: DependenceGraph, row: ScheduleRow) -> bool:
     """No instance pair of any dependence runs backwards on ``row``."""
     order = Ordering(ddg.deps)
     for d in ddg.deps:
-        low = order.low(d, row)
+        low = order.low(d, distance(d, row))
         if low is UNBOUNDED or (low is not None and low < 0):
             return False
     return True

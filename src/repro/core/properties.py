@@ -11,20 +11,21 @@ from __future__ import annotations
 
 from repro.core.transform import Schedule
 from repro.deps.ddg import DependenceGraph
-from repro.deps.ordering import UNBOUNDED, Ordering, distance
+from repro.deps.ordering import UNBOUNDED, Ordering
 
 __all__ = ["mark_parallelism"]
 
 
-def _carries(order: Ordering, dep, row) -> bool:
-    """``row`` orders some pair of ``dep`` not ordered before it."""
-    low = order.low(dep, row)
+def _carries(order: Ordering, dep, expr) -> bool:
+    """The row putting distance ``expr`` on ``dep`` orders some pair of it
+    not ordered before."""
+    low = order.low(dep, expr)
     if low is None:
         return False
     if low is UNBOUNDED or low >= 1:
         return True
     try:
-        return order.remaining[id(dep)].max_of(distance(dep, row)) >= 1
+        return order.remaining[id(dep)].max_of(expr) >= 1
     except ValueError:
         return True  # no greatest distance: some pair certainly ordered
 
@@ -54,8 +55,11 @@ def mark_parallelism(
         if row.kind == "scalar":
             order.cut({name: e.const_term for name, e in row.exprs.items()})
             continue
-        carried = [d for d in order.unsatisfied() if _carries(order, d, row)]
-        order.advance(level, row)
+        dists = order.distances(row)
+        carried = [
+            d for d in order.unsatisfied() if _carries(order, d, dists[id(d)])
+        ]
+        order.advance(level, dists)
         row.parallel = all(id(d) in relaxed_ids for d in carried)
         hit = [d for d in carried if id(d) in relaxed_ids]
         if hit:

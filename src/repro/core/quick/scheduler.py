@@ -35,7 +35,7 @@ from repro.core.scheduler import PlutoScheduler, SchedulerOptions
 from repro.core.transform import Schedule, ScheduleRow
 from repro.deps.analysis import Dependence
 from repro.deps.ddg import DependenceGraph
-from repro.deps.ordering import UNBOUNDED
+from repro.deps.ordering import UNBOUNDED, distance
 from repro.frontend.ir import Program
 from repro.polyhedra import AffExpr
 
@@ -179,7 +179,7 @@ class QuickScheduler(PlutoScheduler):
         remaining (not-yet-ordered) instance pairs."""
         for dep in active:
             self.stats.quick_validations += 1
-            low = self.order.low(dep, row)
+            low = self.order.low(dep, distance(dep, row))
             if low is UNBOUNDED or (low is not None and low < 0):
                 return False
         return True

@@ -153,6 +153,19 @@ class SchedulerStats(Record):
     )
 
 
+def _integer_row(values: list) -> tuple[int, ...] | None:
+    """``values`` as a tuple of ints when every one is integral, else ``None``
+    (a rational row).  Farkas rows are ints: ``Fraction`` is only built for
+    a value that is not one."""
+    for i, v in enumerate(values):
+        if type(v) is not int:
+            f = Fraction(v)
+            if f.denominator != 1:
+                return None
+            values[i] = int(f)
+    return tuple(values)
+
+
 class PlutoScheduler:
     def __init__(
         self,
@@ -287,18 +300,9 @@ class PlutoScheduler:
         """
         key = None
         items = sorted(con.coeffs.items())
-        vals: list[int] = []
-        integral = True
-        for _, v in items:
-            f = Fraction(v)
-            if f.denominator != 1:
-                integral = False
-                break
-            vals.append(int(f))
-        const = Fraction(con.const)
-        if integral and const.denominator == 1:
-            raw = (tuple(vals) + (int(const),), con.equality)
-            norm = normalize_row(raw)
+        raw = _integer_row([v for _, v in items] + [con.const])
+        if raw is not None:
+            norm = normalize_row((raw, con.equality))
             if norm is None:
                 self.stats.solve.dedup_rows += 1
                 return  # trivially satisfied
@@ -307,7 +311,7 @@ class PlutoScheduler:
                 name: c for (name, _), c in zip(items, nrow[:-1]) if c
             }
             con = LinearConstraint(coeffs, nrow[-1], neq, con.label)
-            key = (tuple(sorted(coeffs.items())), nrow[-1], neq)
+            key = (tuple(coeffs.items()), nrow[-1], neq)
         if key is None:
             key = (tuple(sorted(con.coeffs.items())), con.const, con.equality)
         if key in seen:
@@ -510,7 +514,8 @@ class PlutoScheduler:
     def _update_satisfaction(self, sched: Schedule, level: int) -> None:
         """Account the new loop row at ``level`` (:meth:`Ordering.advance`);
         questions shared between dependences count in ``sat_batched``."""
-        self.stats.sat_batched += self.order.advance(level, sched.rows[level])
+        dists = self.order.distances(sched.rows[level])
+        self.stats.sat_batched += self.order.advance(level, dists)
 
     def _cut_dim_based(self, sched: Schedule) -> bool:
         """Pluto's smartfuse opening move: order SCCs whose statements have

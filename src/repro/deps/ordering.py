@@ -51,17 +51,24 @@ class Ordering:
     def unsatisfied(self) -> list[Dependence]:
         return [d for d in self.deps if not self.satisfied(d)]
 
-    def low(self, dep: Dependence, row):
-        """The least distance ``row`` puts between the pairs of ``dep`` not
-        ordered yet: ``None`` when no pair remains, :data:`UNBOUNDED` when
-        there is no least value (some pair runs backwards without bound)."""
+    def low(self, dep: Dependence, expr: AffExpr):
+        """The least of ``expr`` — the :func:`distance` a row puts between
+        ``dep``'s instances — over the pairs not ordered yet: ``None`` when
+        no pair remains, :data:`UNBOUNDED` when there is no least value
+        (some pair runs backwards without bound)."""
         try:
-            return self.remaining[id(dep)].min_of(distance(dep, row))
+            return self.remaining[id(dep)].min_of(expr)
         except ValueError:
             return UNBOUNDED
 
-    def advance(self, level: int, row) -> int:
-        """Account loop ``row`` at ``level`` for every unsatisfied dependence.
+    def distances(self, row) -> dict[int, AffExpr]:
+        """:func:`distance` of ``row`` for every unsatisfied dependence, by
+        ``id``: what :meth:`advance` takes, built once per row."""
+        return {id(d): distance(d, row) for d in self.unsatisfied()}
+
+    def advance(self, level: int, dists: dict[int, AffExpr]) -> int:
+        """Account a loop row at ``level`` for every unsatisfied dependence,
+        given its :meth:`distances`.
 
         A dependence whose remaining pairs are all at distance >= 1 (or
         none remain) is satisfied at ``level``; otherwise only its pairs at
@@ -72,11 +79,11 @@ class Ordering:
         """
         groups: dict[tuple, list] = {}
         for dep in self.unsatisfied():
-            expr = distance(dep, row)
+            expr = dists[id(dep)]
             key = (self.remaining[id(dep)].content_key(), expr.coeffs)
             groups.setdefault(key, []).append((dep, expr))
         for members in groups.values():
-            low = self.low(members[0][0], row)
+            low = self.low(*members[0])
             for dep, expr in members:
                 if low is None or (low is not UNBOUNDED and low >= 1):
                     self.level[id(dep)] = level

@@ -334,16 +334,24 @@ class HighsSession:
         # (int64) for those mat-vecs and the component slices; HiGHS gets its
         # CSC, made once.
         rows, cols, data, rhs, eq = [], [], [], [], []
+        index = self.index
         for r, con in enumerate((*model.constraints, *self.extra)):
-            scale = lcm(
-                con.const.denominator, *(c.denominator for c in con.coeffs.values())
-            )
-            for name, coef in con.coeffs.items():
-                rows.append(r)
-                cols.append(self.index[name])
-                data.append(int(coef * scale))
-            # expr + const >= 0  =>  expr >= -const;  equality pins both sides.
-            rhs.append(-int(con.const * scale))
+            coeffs, const = con.coeffs, con.const
+            if type(const) is int and all(type(c) is int for c in coeffs.values()):
+                rows.extend([r] * len(coeffs))
+                cols.extend([index[name] for name in coeffs])
+                data.extend(coeffs.values())
+                # expr + const >= 0  =>  expr >= -const;  equality pins both sides.
+                rhs.append(-const)
+            else:
+                scale = lcm(
+                    const.denominator, *(c.denominator for c in coeffs.values())
+                )
+                for name, coef in coeffs.items():
+                    rows.append(r)
+                    cols.append(index[name])
+                    data.append(int(coef * scale))
+                rhs.append(-int(const * scale))
             eq.append(con.equality)
         self.rhs = np.array(rhs, dtype=np.int64)
         self.eq = np.array(eq, dtype=bool)

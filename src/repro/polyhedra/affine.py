@@ -6,18 +6,26 @@ column.  Affine expressions and constraints are coefficient vectors over that
 column order — ``dims + params + (1,)`` — which keeps every downstream
 operation (Fourier–Motzkin, Farkas elimination, code generation) a matter of
 integer vector arithmetic.
+
+Coefficients are Python ints from construction on.  The public
+``AffExpr(space, coeffs)`` checks its input (length, and every coefficient
+an exact integer); arithmetic, :meth:`AffExpr.rebase` and the normalizers,
+whose results are tuples of ints already, build through :func:`_make`, which
+checks nothing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 __all__ = ["Space", "AffExpr"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Space:
     """An ordered coordinate system: dims, then params, then the constant."""
 
@@ -26,12 +34,30 @@ class Space:
 
     def __post_init__(self) -> None:
         names = list(self.dims) + list(self.params)
-        if len(set(names)) != len(names):
+        columns = {name: i for i, name in enumerate(names)}
+        if len(columns) != len(names):
             raise ValueError(f"duplicate names in space: {names}")
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(self, "_hash", hash((self.dims, self.params)))
+        #: the number of columns: dims, params and the constant
+        object.__setattr__(self, "ncols", len(names) + 1)
 
-    @property
-    def ncols(self) -> int:
-        return len(self.dims) + len(self.params) + 1
+    # Equality and hash are the field-tuple ones a dataclass generates, with
+    # an identity shortcut: most compares are of a space with itself.
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dims == other.dims and self.params == other.params
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # ``_columns``, ``_hash`` and ``ncols`` are derived (and a str hash
+        # is salted per process): rebuild them rather than pickle them.
+        return (Space, (self.dims, self.params))
 
     @property
     def ndim(self) -> int:
@@ -43,11 +69,10 @@ class Space:
 
     def column_of(self, name: str) -> int:
         """Column index of a dim or param; the constant column is ``ncols - 1``."""
-        if name in self.dims:
-            return self.dims.index(name)
-        if name in self.params:
-            return len(self.dims) + self.params.index(name)
-        raise KeyError(f"{name!r} not in space {self}")
+        try:
+            return self._columns[name]
+        except KeyError:
+            raise KeyError(f"{name!r} not in space {self}") from None
 
     @property
     def const_col(self) -> int:
@@ -72,6 +97,33 @@ class Space:
         return f"[{', '.join(self.dims)}{p}]"
 
 
+def _integral(value) -> int:
+    """``value`` as a Python int, when it is an exact integer.
+
+    ``2``, ``numpy.int64(2)`` and ``Fraction(4, 2)`` pass; ``1.9``,
+    ``Fraction(1, 2)``, ``"2"`` and ``True`` raise — a coefficient that is
+    not an integer is an error, never truncated.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool):
+        raise TypeError(f"coefficient {value!r} is a bool, not an integer")
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            raise ValueError(f"coefficient {value} is not an integer")
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"coefficient {value!r} is not an integer "
+            f"({type(value).__name__})"
+        ) from None
+
+
+_INT_ONLY = {int}
+
+
 class AffExpr:
     """An integer affine expression over a :class:`Space`.
 
@@ -86,8 +138,11 @@ class AffExpr:
             raise ValueError(
                 f"expected {space.ncols} coefficients, got {len(coeffs)}"
             )
+        coeffs = tuple(coeffs)
+        if {*map(type, coeffs)} != _INT_ONLY:
+            coeffs = tuple(map(_integral, coeffs))
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("AffExpr is immutable")
@@ -96,29 +151,33 @@ class AffExpr:
 
     @classmethod
     def zero(cls, space: Space) -> "AffExpr":
-        return cls(space, (0,) * space.ncols)
+        return _make(space, (0,) * space.ncols)
 
     @classmethod
     def const(cls, space: Space, value: int) -> "AffExpr":
         coeffs = [0] * space.ncols
-        coeffs[-1] = int(value)
-        return cls(space, coeffs)
+        coeffs[-1] = _integral(value)
+        return _make(space, tuple(coeffs))
 
     @classmethod
     def var(cls, space: Space, name: str, coeff: int = 1) -> "AffExpr":
         coeffs = [0] * space.ncols
-        coeffs[space.column_of(name)] = int(coeff)
-        return cls(space, coeffs)
+        coeffs[space.column_of(name)] = _integral(coeff)
+        return _make(space, tuple(coeffs))
 
     @classmethod
     def from_terms(
         cls, space: Space, terms: Mapping[str, int], const: int = 0
     ) -> "AffExpr":
         coeffs = [0] * space.ncols
+        columns = space._columns
         for name, c in terms.items():
-            coeffs[space.column_of(name)] += int(c)
-        coeffs[-1] += int(const)
-        return cls(space, coeffs)
+            try:
+                coeffs[columns[name]] += _integral(c)
+            except KeyError:
+                raise KeyError(f"{name!r} not in space {space}") from None
+        coeffs[-1] += _integral(const)
+        return _make(space, tuple(coeffs))
 
     # -- accessors -------------------------------------------------------------
 
@@ -138,7 +197,7 @@ class AffExpr:
         }
 
     def is_constant(self) -> bool:
-        return all(c == 0 for c in self.coeffs[:-1])
+        return not any(self.coeffs[:-1])
 
     def evaluate(self, values: Mapping[str, int]) -> int:
         total = self.coeffs[-1]
@@ -161,22 +220,23 @@ class AffExpr:
 
     def __add__(self, other) -> "AffExpr":
         o = self._coerce(other)
-        return AffExpr(self.space, [a + b for a, b in zip(self.coeffs, o.coeffs)])
+        return _make(self.space, tuple([a + b for a, b in zip(self.coeffs, o.coeffs)]))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "AffExpr":
         o = self._coerce(other)
-        return AffExpr(self.space, [a - b for a, b in zip(self.coeffs, o.coeffs)])
+        return _make(self.space, tuple([a - b for a, b in zip(self.coeffs, o.coeffs)]))
 
     def __rsub__(self, other) -> "AffExpr":
         return self._coerce(other) - self
 
     def __neg__(self) -> "AffExpr":
-        return AffExpr(self.space, [-a for a in self.coeffs])
+        return _make(self.space, tuple([-a for a in self.coeffs]))
 
     def __mul__(self, k: int) -> "AffExpr":
-        return AffExpr(self.space, [a * int(k) for a in self.coeffs])
+        k = _integral(k)
+        return _make(self.space, tuple([a * k for a in self.coeffs]))
 
     __rmul__ = __mul__
 
@@ -198,21 +258,36 @@ class AffExpr:
     # -- rebasing ------------------------------------------------------------------
 
     def rebase(self, target: Space, rename: Mapping[str, str] | None = None) -> "AffExpr":
-        """Express this expression in ``target`` (a superspace), renaming dims."""
-        rename = rename or {}
-        terms = {
-            rename.get(name, name): coeff for name, coeff in self.terms().items()
-        }
-        return AffExpr.from_terms(target, terms, self.const_term)
+        """Express this expression in ``target`` (a superspace), renaming dims.
+
+        A nonzero coefficient on a name ``target`` lacks raises ``KeyError``;
+        a zero one is dropped.  When ``rename`` sends two names to one, the
+        later nonzero coefficient (in column order) is the one kept.
+        """
+        key = (self.space, target, tuple(rename.items()) if rename else ())
+        columns = _EMBEDDINGS.get(key)
+        if columns is None:
+            columns = _embedding(self.space, target, rename or {})
+            if len(_EMBEDDINGS) >= EMBEDDING_CAP:
+                _EMBEDDINGS.clear()
+            _EMBEDDINGS[key] = columns
+        out = [0] * target.ncols
+        coeffs = self.coeffs
+        for i, j in enumerate(columns):
+            c = coeffs[i]
+            if c:
+                if j.__class__ is str:  # the name target lacks
+                    raise KeyError(f"{j!r} not in space {target}")
+                out[j] = c
+        out[-1] = coeffs[-1]
+        return _make(target, tuple(out))
 
     def normalized(self) -> "AffExpr":
         """Divide by the GCD of all coefficients (sign preserved)."""
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
+        g = gcd(*self.coeffs)
         if g <= 1:
             return self
-        return AffExpr(self.space, [c // g for c in self.coeffs])
+        return _make(self.space, tuple([c // g for c in self.coeffs]))
 
     def __str__(self) -> str:
         parts = []
@@ -238,3 +313,35 @@ class AffExpr:
         return text[2:] if text.startswith("+ ") else "-" + text[2:] if text.startswith("- ") else text
 
     __repr__ = __str__
+
+
+_new_expr = object.__new__
+_set_space = AffExpr.space.__set__
+_set_coeffs = AffExpr.coeffs.__set__
+
+
+def _make(space: Space, coeffs: tuple) -> AffExpr:
+    """An :class:`AffExpr` from a tuple of ``space.ncols`` Python ints,
+    unchecked: the path of every result this module computes itself."""
+    expr = _new_expr(AffExpr)
+    _set_space(expr, space)
+    _set_coeffs(expr, coeffs)
+    return expr
+
+
+#: most (source space, target space, rename) embeddings :meth:`AffExpr.rebase`
+#: remembers; the memo is emptied when full (long-lived daemon workers)
+EMBEDDING_CAP = 4096
+
+_EMBEDDINGS: dict[tuple, tuple] = {}
+
+
+def _embedding(source: Space, target: Space, rename: Mapping[str, str]) -> tuple:
+    """Per non-constant column of ``source``: its column in ``target``
+    after ``rename``, or the renamed name itself when ``target`` lacks it."""
+    columns = target._columns
+    out = []
+    for name in source.names:
+        name = rename.get(name, name)
+        out.append(columns.get(name, name))
+    return tuple(out)

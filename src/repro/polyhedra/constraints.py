@@ -9,10 +9,10 @@ tightened to the integer hull of the single constraint
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Mapping, Sequence
 
-from repro.polyhedra.affine import AffExpr, Space
+from repro.polyhedra.affine import AffExpr, Space, _make
+from repro.polyhedra.fourier_motzkin import _gcd_normalize
 
 __all__ = ["Constraint", "ineq", "eq"]
 
@@ -92,23 +92,10 @@ class Constraint:
 
 
 def _normalize(expr: AffExpr, equality: bool) -> AffExpr:
-    """GCD-normalize; for inequalities, tighten the constant by floor division."""
-    var_gcd = 0
-    for c in expr.coeffs[:-1]:
-        var_gcd = gcd(var_gcd, abs(c))
-    if var_gcd <= 1:
-        return expr
-    const = expr.const_term
-    if equality:
-        # An equality with const not divisible by the gcd has no integer
-        # solutions; keep it as-is so emptiness checks see the contradiction.
-        if const % var_gcd != 0:
-            return expr
-        new_const = const // var_gcd
-    else:
-        new_const = const // var_gcd  # floor: sound integer tightening
-    coeffs = [c // var_gcd for c in expr.coeffs[:-1]] + [new_const]
-    return AffExpr(expr.space, coeffs)
+    """GCD-normalize; for inequalities, tighten the constant by floor division
+    (:func:`~repro.polyhedra.fourier_motzkin.normalize_row`'s rule)."""
+    coeffs = _gcd_normalize(expr.coeffs, equality)
+    return expr if coeffs is expr.coeffs else _make(expr.space, coeffs)
 
 
 def ineq(space: Space, terms: Mapping[str, int], const: int = 0) -> Constraint:

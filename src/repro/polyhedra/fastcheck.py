@@ -83,19 +83,16 @@ def fast_reject(bs: BasicSet) -> bool:
         coeffs = con.coeffs
         var = coeffs[:-1]
         c = coeffs[-1]
-        first = next((v for v in var if v != 0), 0)
+        first = next(filter(None, var), 0)
         if first == 0:
             if con.is_contradiction():
                 return True
             continue
         if con.equality:
-            g = 0
-            for v in var:
-                g = gcd(g, abs(v))
-            if c % g != 0:
+            if c % gcd(*var) != 0:
                 return True
         if first < 0:
-            slope = tuple(-v for v in var)
+            slope = tuple([-v for v in var])
             flipped = True
         else:
             slope = var

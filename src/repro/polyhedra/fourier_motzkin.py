@@ -44,14 +44,15 @@ Row = tuple[tuple[int, ...], bool]  # (coefficients with constant last, equality
 
 
 def _gcd_normalize(coeffs: Sequence[int], equality: bool) -> tuple[int, ...]:
-    g = 0
-    for c in coeffs[:-1]:
-        g = gcd(g, abs(c))
-    if g <= 1:
+    """``coeffs`` divided by the gcd of its variable coefficients, the
+    constant floored (sound integer tightening of an inequality); ``coeffs``
+    itself when that gcd is 0 or 1, or when it does not divide an
+    equality's constant (no integer solution: the row stays visible for
+    ``fastcheck``'s gcd rule)."""
+    g = gcd(*coeffs[:-1])
+    if g <= 1 or (equality and coeffs[-1] % g != 0):
         return tuple(coeffs)
-    if equality and coeffs[-1] % g != 0:
-        return tuple(coeffs)  # integer-infeasible equality; keep visible
-    return tuple(c // g for c in coeffs[:-1]) + (coeffs[-1] // g,)
+    return tuple([c // g for c in coeffs])
 
 
 def normalize_row(row: Row) -> Row | None:
@@ -63,7 +64,7 @@ def normalize_row(row: Row) -> Row | None:
     """
     coeffs, equality = row
     norm = _gcd_normalize(coeffs, equality)
-    if all(c == 0 for c in norm[:-1]):
+    if not any(norm[:-1]):
         c = norm[-1]
         if (equality and c != 0) or (not equality and c < 0):
             return (norm, equality)
@@ -113,7 +114,7 @@ def cancel(coeffs: tuple[int, ...], eq: tuple[int, ...], col: int) -> tuple[int,
         return coeffs
     scale = abs(eq[col])
     back = coeffs[col] if eq[col] > 0 else -coeffs[col]
-    return tuple(scale * c - back * e for c, e in zip(coeffs, eq))
+    return tuple([scale * c - back * e for c, e in zip(coeffs, eq)])
 
 
 def substitute_equalities(rows: Sequence[Row]) -> tuple[list, list | None]:
@@ -124,11 +125,12 @@ def substitute_equalities(rows: Sequence[Row]) -> tuple[list, list | None]:
     the same rational set.  ``pivots`` lists the ``(column, equality)`` to
     cancel through, in order; ``reduced`` holds each inequality as a
     primitive slope over the free columns (``()`` for a constant row) and
-    its rational constant, and is ``None`` when the system is visibly empty
-    — an inconsistent equality or a negative constant row.
+    its rational constant (an int when the slope's gcd divides it, else a
+    ``Fraction``), and is ``None`` when the system is visibly empty — an
+    inconsistent equality or a negative constant row.
     """
     pivots: list[tuple[int, tuple[int, ...]]] = []
-    reduced: list[tuple[tuple[int, ...], Fraction]] = []
+    reduced: list[tuple[tuple[int, ...], int | Fraction]] = []
     for coeffs, equality in rows:
         for col, piv in pivots:
             coeffs = cancel(coeffs, piv, col)
@@ -136,8 +138,11 @@ def substitute_equalities(rows: Sequence[Row]) -> tuple[list, list | None]:
         if g == 0 and (coeffs[-1] < 0 or (equality and coeffs[-1])):
             return pivots, None
         if not equality:
-            slope = tuple(c // g for c in coeffs[:-1]) if g else ()
-            reduced.append((slope, Fraction(coeffs[-1], g or 1)))
+            const = coeffs[-1]
+            if g > 1:
+                const = const // g if const % g == 0 else Fraction(const, g)
+            slope = tuple([c // g for c in coeffs[:-1]]) if g else ()
+            reduced.append((slope, const))
         elif g:
             pivots.append((next(i for i, c in enumerate(coeffs) if c), coeffs))
     return pivots, reduced
@@ -166,7 +171,7 @@ def _combine(rows: list[Row], hist: list[int], col: int) -> tuple[list[Row], lis
         a = lo[col]
         for up, up_hist in upper:
             b = -up[col]
-            out.append((tuple(b * lc + a * uc for lc, uc in zip(lo, up)), False))
+            out.append((tuple([b * lc + a * uc for lc, uc in zip(lo, up)]), False))
             out_hist.append(lo_hist | up_hist)
     return out, out_hist, 1
 

@@ -15,7 +15,7 @@ from repro.core import (
 from repro.core.quick import attempt_quick_schedule
 from repro.core.transform import ScheduleRow
 from repro.deps import DependenceGraph, compute_dependences
-from repro.deps.ordering import UNBOUNDED, Ordering
+from repro.deps.ordering import UNBOUNDED, Ordering, distance
 from repro.frontend import parse_program
 from repro.polyhedra import AffExpr
 from repro.workloads import get_workload
@@ -39,15 +39,16 @@ class TestOrdering:
         order = Ordering(deps)
         assert order.unsatisfied() == deps
         row = _row(p, i=1)
-        assert all(order.low(d, row) >= 1 for d in deps)
-        order.advance(0, row)
+        assert all(order.low(d, distance(d, row)) >= 1 for d in deps)
+        order.advance(0, order.distances(row))
         assert order.unsatisfied() == []
         assert set(order.level.values()) == {0}
 
     def test_a_backwards_row_has_no_least_distance(self):
         p, deps = _deps("for (i = 0; i < N; i++) x[0] = x[0] + A[i];")
         order = Ordering(deps)
-        assert all(order.low(d, _row(p, i=-1)) is UNBOUNDED for d in deps)
+        back = _row(p, i=-1)
+        assert all(order.low(d, distance(d, back)) is UNBOUNDED for d in deps)
 
     def test_distance_zero_pairs_stay_for_deeper_levels(self):
         p, deps = _deps(
@@ -57,12 +58,13 @@ class TestOrdering:
         (dep,) = deps
         order = Ordering(deps)
         skew = _row(p, i=1, j=-1)
-        assert order.low(dep, skew) == 0
-        order.advance(0, skew)
+        assert order.low(dep, distance(dep, skew)) == 0
+        order.advance(0, order.distances(skew))
         assert order.unsatisfied() == [dep]
         assert order.remaining[id(dep)] is not dep.polyhedron
-        assert order.low(dep, skew) == 0  # every remaining pair sits at 0
-        order.advance(1, _row(p, j=1))
+        # every remaining pair sits at 0
+        assert order.low(dep, distance(dep, skew)) == 0
+        order.advance(1, order.distances(_row(p, j=1)))
         assert order.level == {id(dep): 1}
 
     def test_dependences_asking_the_same_question_share_one_minimum(self):
@@ -70,7 +72,7 @@ class TestOrdering:
             "for (i = 0; i < N; i++) { A[i+1] = A[i]; B[i+1] = B[i]; }"
         )
         order = Ordering(deps)
-        assert order.advance(0, _row(p, i=1)) == len(deps) - len(
+        assert order.advance(0, order.distances(_row(p, i=1))) == len(deps) - len(
             {d.polyhedron.content_key() for d in deps}
         ) > 0
         assert order.unsatisfied() == []

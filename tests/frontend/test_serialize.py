@@ -1,7 +1,9 @@
 """Tests for the IR JSON serializer (repro.frontend.serialize)."""
 
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.frontend import parse_program, program_from_dict, program_to_dict
@@ -48,6 +50,31 @@ class TestProgramRoundTrip:
         d["version"] = 0
         with pytest.raises(ValueError, match="format v0"):
             program_from_dict(d)
+
+
+def _with_read_coefficient(value) -> dict:
+    """jacobi-1d-imper's IR with the coefficient of ``i`` in its first read
+    access replaced by ``value``."""
+    d = program_to_dict(get_workload("jacobi-1d-imper").program())
+    d["statements"][0]["reads"][0]["map"]["rows"][0][1] = value
+    return d
+
+
+class TestNonIntegralCoefficients:
+    """Until 1.27.0 every coefficient went through ``int()``: a program
+    with ``1.9`` in an access was read as the program with ``1``."""
+
+    @pytest.mark.parametrize("value", [1.9, 0.5, Fraction(1, 2), "2", True])
+    def test_rejected(self, value):
+        with pytest.raises((TypeError, ValueError)):
+            program_from_dict(_with_read_coefficient(value))
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), Fraction(4, 2)])
+    def test_integral_values_read_as_ints(self, value):
+        q = program_from_dict(_with_read_coefficient(value))
+        assert q == program_from_dict(_with_read_coefficient(2))
+        row = q.statements[0].reads[0].map.exprs[0].coeffs
+        assert type(row[1]) is int and row[1] == 2
 
 
 class TestBasicSetRoundTrip:

@@ -10,7 +10,9 @@ it was computed under), so "no schedule drifted from the seed solver" is a
 data comparison instead of a second solver kept alive in ``src/``.
 
 ``python -m tests.golden --check | --write`` is the one check/regen entry
-point; ``tests/golden/test_corpus.py`` asserts the tier-1 cells under the
+point (``--digest`` prints the whole-result fingerprints of
+:func:`digest_lines` instead: the byte-identity check of a change that must
+move nothing); ``tests/golden/test_corpus.py`` asserts the tier-1 cells under the
 ordinary ``pytest -x -q``.  A cell's tier is stored in the file (1 when the
 cell cost at most :data:`TIER1_MAX_SECONDS` to generate, ``"full"``
 otherwise) — never chosen at run time.
@@ -29,7 +31,9 @@ from pathlib import Path
 from typing import Optional
 
 from repro.pipeline import OptimizationResult, PipelineOptions, optimize
+from repro.polyhedra.cache import global_cache
 from repro.suite.matrix import build_matrix
+from repro.workloads import all_workloads, get_workload
 
 CORPUS_PATH = Path(__file__).with_name("schedules.json")
 
@@ -102,3 +106,48 @@ def mismatch(cell_id: str, expected: dict, got: dict) -> Optional[str]:
         ]
         + diff
     )
+
+
+#: what ``--digest`` runs beside the polybench category, under each of
+#: :data:`DIGEST_SCHEDULERS`
+DIGEST_EXTRA = ("heat-1dp", "heat-2dp", "fig1-skew")
+DIGEST_SCHEDULERS = ("exact", "auto")
+
+
+def _timeless(data):
+    """``data`` without wall-clock values: every ``*seconds`` key, at any
+    depth.  Counters stay."""
+    if isinstance(data, dict):
+        return {
+            k: _timeless(v) for k, v in data.items() if not k.endswith("seconds")
+        }
+    if isinstance(data, list):
+        return [_timeless(v) for v in data]
+    return data
+
+
+def result_digest(result: OptimizationResult) -> str:
+    """sha256 of ``result.to_json()`` minus ``timing`` and every
+    ``*seconds`` field: programs, schedules, emitted code, options and the
+    solver / dependence counters."""
+    payload = json.loads(result.to_json())
+    del payload["timing"]
+    return _digest(_timeless(payload))
+
+
+def digest_lines():
+    """One ``workload scheduler sha256`` line per request: the polybench
+    kernels plus :data:`DIGEST_EXTRA`, each under every scheduler of
+    :data:`DIGEST_SCHEDULERS`, the PolyCache cleared before each request so
+    a line does not depend on the ones before it.  Counters and
+    ``min_of`` order follow set iteration order: run under
+    ``PYTHONHASHSEED=0`` (``python -m tests.golden --digest`` does)."""
+    names = [w.name for w in all_workloads("polybench")] + list(DIGEST_EXTRA)
+    for name in names:
+        workload = get_workload(name)
+        for scheduler in DIGEST_SCHEDULERS:
+            global_cache().clear()
+            result = optimize(
+                workload.program(), workload.pipeline_options(scheduler=scheduler)
+            )
+            yield f"{name} {scheduler} {result_digest(result)}"

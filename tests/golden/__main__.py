@@ -1,10 +1,15 @@
-"""``python -m tests.golden [--check | --write]`` — check or regenerate the corpus.
+"""``python -m tests.golden [--check | --write | --digest]`` — check or
+regenerate the corpus, or fingerprint whole results.
 
 Run from the repository root with ``PYTHONPATH=src``.  ``--check`` (the
 default) recomputes the selected cells, prints each ``tests.golden.mismatch``
 report to standard error and exits 1 if there was one; ``--write``
 always recomputes every cell and rewrites the whole of ``schedules.json``
 (checkpointed after every cell), so the header describes every cell in it.
+``--digest`` prints one ``workload scheduler sha256`` line per request of
+``tests.golden.digest_lines`` (~1 min): two checkouts whose files are equal
+produce the same programs, schedules, code, options and counters.  It runs
+itself under ``PYTHONHASHSEED=0`` with no ``REPRO_*`` variable set.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from tests.golden import (
     TIER1_MAX_SECONDS,
     cell_specs,
     compute_cell,
+    digest_lines,
     load_corpus,
     mismatch,
 )
@@ -81,17 +87,35 @@ def _check(selected: dict, cells: dict) -> int:
     return 1 if reports else 0
 
 
+def _digest_main(argv) -> int:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONHASHSEED"] = "0"
+    if env != dict(os.environ):
+        args = sys.argv[1:] if argv is None else argv
+        cmd = [sys.executable, "-m", "tests.golden", *args]
+        return subprocess.run(cmd, env=env).returncode
+    for line in digest_lines():
+        print(line, flush=True)
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="python -m tests.golden")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--check", action="store_true", help="(default)")
     mode.add_argument("--write", action="store_true")
+    mode.add_argument(
+        "--digest", action="store_true",
+        help="print a whole-result sha256 per request instead",
+    )
     parser.add_argument(
         "--tier", choices=["1", "full", "all"], default="all",
         help="--check only: which stored tier to recompute",
     )
     args = parser.parse_args(argv)
 
+    if args.digest:
+        return _digest_main(argv)
     selected = cell_specs()
     if args.write:
         if args.tier != "all":

@@ -20,12 +20,14 @@ import pytest
 
 from repro.core import scheduler
 from repro.ilp import lexmin
+from repro.pipeline import optimize
 from repro.workloads import all_workloads
 from tests.golden import (
     cell_specs,
     compute_cell,
     load_corpus,
     mismatch,
+    result_digest,
 )
 
 CORPUS = load_corpus()
@@ -123,3 +125,16 @@ def test_only_plutoplus_time_tiles_the_periodic_suite():
     assert [n for n in names if not outer[n]] == []
     assert [n for n in names if "concurrent-start" not in outer[n][0][2]] == ["swim"]
     assert [n for n in names if any(b[0] == 0 for b in _bands(f"{n}--pluto"))] == []
+
+
+def test_result_digest_drops_wall_clock_fields_only():
+    """``python -m tests.golden --digest`` fingerprints everything a result
+    serializes but its timings: a moved counter moves the digest."""
+    result = optimize("fig1-skew")
+    digest = result_digest(result)
+    result.timing.code_generation += 1.0
+    result.scheduler_stats.solve_seconds += 1.0
+    result.dep_stats.analysis_seconds += 1.0
+    assert result_digest(result) == digest
+    result.dep_stats.pairs_tested += 1
+    assert result_digest(result) != digest

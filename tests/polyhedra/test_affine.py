@@ -1,8 +1,19 @@
 """Tests for spaces and affine expressions."""
 
-import pytest
+import pickle
+from fractions import Fraction
+from math import gcd
 
-from repro.polyhedra import AffExpr, Space
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
+from repro.polyhedra import affine
+from repro.polyhedra.constraints import _normalize
+from repro.polyhedra.fastcheck import fast_reject
+from repro.polyhedra.fourier_motzkin import normalize_row
 
 
 @pytest.fixture
@@ -108,3 +119,240 @@ class TestAffExpr:
     def test_wrong_length_rejected(self, sp):
         with pytest.raises(ValueError):
             AffExpr(sp, (1, 2, 3))
+
+    @pytest.mark.parametrize("value", [1.9, 0.5, Fraction(1, 2), "2", True])
+    def test_non_integral_coefficient_rejected(self, sp, value):
+        with pytest.raises((TypeError, ValueError)):
+            AffExpr(sp, (value, 0, 0, 0))
+        with pytest.raises((TypeError, ValueError)):
+            AffExpr.from_terms(sp, {"i": value})
+        with pytest.raises((TypeError, ValueError)):
+            AffExpr.from_terms(sp, {}, value)
+        with pytest.raises((TypeError, ValueError)):
+            AffExpr.const(sp, value)
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), Fraction(4, 2)])
+    def test_integral_coefficient_becomes_an_int(self, sp, value):
+        for e in (
+            AffExpr(sp, (value, 0, 0, value)),
+            AffExpr.from_terms(sp, {"i": value}, value),
+        ):
+            assert e.coeffs == (2, 0, 0, 2)
+            assert all(type(c) is int for c in e.coeffs)
+        assert AffExpr.const(sp, value).coeffs == (0, 0, 0, 2)
+
+
+# -- the row kernel against its definitions before 1.27.0 ----------------------
+#
+# Each ``_old_*`` below is the code the fast path replaced, kept verbatim in
+# substance: name lookups by tuple scan, ``rebase`` through a terms dict, and
+# one ``gcd`` call per coefficient.
+
+NAMES = ("a", "b", "c", "d", "e", "f")
+PARAMS = ("M", "N")
+
+
+def _old_column_of(space, name):
+    if name in space.dims:
+        return space.dims.index(name)
+    if name in space.params:
+        return len(space.dims) + space.params.index(name)
+    raise KeyError(f"{name!r} not in space {space}")
+
+
+def _old_rebase(expr, target, rename=None):
+    rename = rename or {}
+    terms = {rename.get(name, name): coeff for name, coeff in expr.terms().items()}
+    coeffs = [0] * target.ncols
+    for name, c in terms.items():
+        coeffs[_old_column_of(target, name)] += int(c)
+    coeffs[-1] += int(expr.const_term)
+    return tuple(coeffs)
+
+
+def _old_gcd(values):
+    g = 0
+    for c in values:
+        g = gcd(g, abs(c))
+    return g
+
+
+def _old_normalized(coeffs):
+    g = _old_gcd(coeffs)
+    return coeffs if g <= 1 else tuple(c // g for c in coeffs)
+
+
+def _old_constraint_normalize(coeffs, equality):
+    var_gcd = _old_gcd(coeffs[:-1])
+    if var_gcd <= 1 or (equality and coeffs[-1] % var_gcd != 0):
+        return coeffs
+    return tuple(c // var_gcd for c in coeffs[:-1]) + (coeffs[-1] // var_gcd,)
+
+
+def _old_normalize_row(coeffs, equality):
+    g = _old_gcd(coeffs[:-1])
+    if g > 1 and not (equality and coeffs[-1] % g != 0):
+        coeffs = tuple(c // g for c in coeffs[:-1]) + (coeffs[-1] // g,)
+    if all(c == 0 for c in coeffs[:-1]):
+        c = coeffs[-1]
+        if (equality and c != 0) or (not equality and c < 0):
+            return (coeffs, equality)
+        return None
+    return (coeffs, equality)
+
+
+def _old_fast_reject(bs):
+    intervals = {}
+    for con in bs.constraints:
+        coeffs = con.coeffs
+        var = coeffs[:-1]
+        c = coeffs[-1]
+        first = next((v for v in var if v != 0), 0)
+        if first == 0:
+            if con.is_contradiction():
+                return True
+            continue
+        if con.equality:
+            g = 0
+            for v in var:
+                g = gcd(g, abs(v))
+            if c % g != 0:
+                return True
+        if first < 0:
+            slope = tuple(-v for v in var)
+            flipped = True
+        else:
+            slope = var
+            flipped = False
+        bounds = intervals.setdefault(slope, [None, None])
+        if con.equality:
+            value = c if flipped else -c
+            if bounds[0] is None or value > bounds[0]:
+                bounds[0] = value
+            if bounds[1] is None or value < bounds[1]:
+                bounds[1] = value
+        elif flipped:
+            if bounds[1] is None or c < bounds[1]:
+                bounds[1] = c
+        else:
+            if bounds[0] is None or -c > bounds[0]:
+                bounds[0] = -c
+        if bounds[0] is not None and bounds[1] is not None and bounds[0] > bounds[1]:
+            return True
+    return False
+
+
+@st.composite
+def spaces(draw):
+    dims = draw(st.lists(st.sampled_from(NAMES), unique=True, max_size=4))
+    params = draw(st.lists(st.sampled_from(PARAMS), unique=True, max_size=2))
+    return Space(tuple(dims), tuple(params))
+
+
+def coefficient_rows(n):
+    return st.lists(
+        st.one_of(st.just(0), st.integers(-12, 12)), min_size=n, max_size=n
+    ).map(tuple)
+
+
+@st.composite
+def expressions(draw):
+    space = draw(spaces())
+    return AffExpr(space, draw(coefficient_rows(space.ncols)))
+
+
+@st.composite
+def rebase_cases(draw):
+    """An expression, a target space and a rename: renames may send two
+    names onto one, or onto a name the target lacks."""
+    expr = draw(expressions())
+    rename = draw(st.dictionaries(
+        st.sampled_from(expr.space.dims) if expr.space.dims else st.nothing(),
+        st.sampled_from(NAMES + ("x", "y")),
+        max_size=len(expr.space.dims),
+    ))
+    wanted = [rename.get(n, n) for n in expr.space.names]
+    extra = draw(st.lists(st.sampled_from(NAMES + ("x", "y")), max_size=3))
+    pool = [n for n in dict.fromkeys(wanted + extra) if n not in PARAMS]
+    keep = [n for n in pool if draw(st.booleans()) or draw(st.booleans())]
+    keep = draw(st.permutations(keep))
+    return expr, Space(tuple(keep), expr.space.params), rename
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except KeyError as e:
+        return ("KeyError", str(e))
+
+
+class TestRowKernel:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(rebase_cases())
+    def test_rebase_matches_terms_based_rebase(self, case):
+        expr, target, rename = case
+        old = _outcome(lambda: _old_rebase(expr, target, rename))
+        new = _outcome(lambda: expr.rebase(target, rename).coeffs)
+        assert new == old
+        # a second call answers from the embedding memo
+        assert _outcome(lambda: expr.rebase(target, rename).coeffs) == old
+
+    def test_rebase_edge_cases(self):
+        src = Space(("i", "j"), ("N",))
+        target = Space(("j", "k"), ("N",))
+        e = AffExpr.from_terms(src, {"i": 3, "j": 5}, 1)
+        # two names onto one column: the later nonzero one is kept
+        assert e.rebase(target, {"i": "j"}).coeffs == _old_rebase(e, target, {"i": "j"})
+        assert e.rebase(target, {"i": "j"}).coeffs == (5, 0, 0, 1)
+        zero_j = AffExpr.from_terms(src, {"i": 3}, 1)
+        assert zero_j.rebase(target, {"i": "j"}).coeffs == (3, 0, 0, 1)
+        # a nonzero coefficient on a missing column raises, naming it;
+        # a zero one is dropped
+        with pytest.raises(KeyError, match="'i' not in space"):
+            e.rebase(target)
+        assert AffExpr.from_terms(src, {"j": 2}).rebase(target).coeffs == (2, 0, 0, 0)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.integers(1, 6).flatmap(coefficient_rows), st.booleans())
+    def test_gcd_normalizers_match_the_gcd_loop(self, row, equality):
+        # rows with zeros, negative entries, one column, all zeros
+        space = Space(tuple(NAMES[: len(row) - 1]))
+        expr = AffExpr(space, row)
+        assert expr.normalized().coeffs == _old_normalized(row)
+        assert _normalize(expr, equality).coeffs == _old_constraint_normalize(
+            row, equality
+        )
+        assert normalize_row((row, equality)) == _old_normalize_row(row, equality)
+
+    @pytest.mark.parametrize("row", [(0,), (5,), (-5,), (0, 0, 0), (0, -4, 6), (7, 0, -14)])
+    @pytest.mark.parametrize("equality", [False, True])
+    def test_gcd_normalizers_on_edge_rows(self, row, equality):
+        expr = AffExpr(Space(tuple(NAMES[: len(row) - 1])), row)
+        assert expr.normalized().coeffs == _old_normalized(row)
+        assert _normalize(expr, equality).coeffs == _old_constraint_normalize(
+            row, equality
+        )
+        assert normalize_row((row, equality)) == _old_normalize_row(row, equality)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(coefficient_rows(3), st.booleans()), max_size=4))
+    def test_fast_reject_matches_the_gcd_loop(self, rows):
+        space = Space(("i", "j"))
+        bs = BasicSet(space, [Constraint(AffExpr(space, r), eq) for r, eq in rows])
+        assert fast_reject(bs) == _old_fast_reject(bs)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(spaces(), spaces())
+    def test_space_equality_and_hash_are_the_field_tuples(self, a, b):
+        assert (a == b) == ((a.dims, a.params) == (b.dims, b.params))
+        assert hash(a) == hash((a.dims, a.params))
+        copy = pickle.loads(pickle.dumps(a))
+        assert copy == a and hash(copy) == hash(a) and copy.ncols == a.ncols
+        assert a.__eq__(object()) is NotImplemented
+
+    def test_embedding_memo_stays_under_its_cap(self):
+        target = Space(("z",), ("N",))
+        for k in range(affine.EMBEDDING_CAP + 50):
+            source = Space((f"y{k}",), ("N",))  # a new embedding each time
+            assert AffExpr.var(source, "N").rebase(target).coeffs == (0, 1, 0)
+            assert len(affine._EMBEDDINGS) <= affine.EMBEDDING_CAP

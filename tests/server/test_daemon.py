@@ -207,6 +207,25 @@ class TestBadRequests:
         assert resp["status"] == "error"
         assert "frobnicate" in resp["message"]
 
+    def test_non_integral_coefficient(self, daemon_factory):
+        """A program whose IR carries a coefficient that is not an integer
+        is refused, not truncated into the program with ``1`` (which
+        shared its cache key until 1.27.0)."""
+        from repro.server.protocol import ProtocolError
+        from repro.server.resolve import ResolveMemo
+        from repro.workloads import get_workload
+
+        program = program_to_dict(get_workload("jacobi-1d-imper").program())
+        assert program["statements"][0]["reads"][0]["map"]["rows"][0][1] == 1
+        program["statements"][0]["reads"][0]["map"]["rows"][0][1] = 1.9
+        with pytest.raises(ProtocolError, match="not an integer"):
+            ResolveMemo().resolve({"type": "optimize", "program": program})
+        with _client(daemon_factory()) as client:
+            resp = client.optimize(program=program)
+        assert resp["status"] == "error"
+        assert resp["kind"] == "bad-request"
+        assert "not an integer" in resp["message"]
+
     def test_unknown_request_type(self, daemon_factory):
         with _client(daemon_factory()) as client:
             resp = client.request({"type": "frobnicate"})
