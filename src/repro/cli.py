@@ -455,6 +455,16 @@ def _cmd_verify(args) -> int:
     if args.schedule:
         import json
 
+        if _pipeline_options(args, workload).iss:
+            # an export names the statements of the program the pipeline
+            # scheduled: split it the way ``optimize`` does
+            from repro.core.iss import index_set_split
+            from repro.deps import compute_dependences
+
+            with _deps_cache_guard(args):
+                program, _ = index_set_split(
+                    program, compute_dependences(program)
+                )
         try:
             data = json.loads(Path(args.schedule).read_text())
             schedule = Schedule.from_dict(program, data)

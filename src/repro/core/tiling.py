@@ -92,6 +92,8 @@ class TiledSchedule:
     program: Program
     rows: list[TiledRow] = field(default_factory=list)
     bands: list[Band] = field(default_factory=list)     # over *row* indices
+    #: the schedule these rows tile; in an OptimizationResult it *is* the
+    #: result's ``schedule``, so its ``to_json`` leaves this key out
     source_schedule: Optional[Schedule] = None
 
     @property

@@ -61,8 +61,14 @@ __all__ = [
     "pipeline_fingerprint",
 ]
 
-#: bumped whenever OptimizationResult.to_json()'s shape changes incompatibly
-RESULT_FORMAT_VERSION = 1
+#: bumped whenever OptimizationResult.to_json()'s shape changes incompatibly.
+#: 2: each structure is written once — ``source_program`` is ``null`` when
+#: index-set splitting left the program as it was, and ``tiled`` has no
+#: ``source_schedule`` when it is the result's ``schedule``.
+#: :meth:`OptimizationResult.from_json` reads every version in
+#: :data:`_READABLE_RESULT_FORMATS`.
+RESULT_FORMAT_VERSION = 2
+_READABLE_RESULT_FORMATS = (1, 2)
 
 #: bumped whenever ``optimize()`` may emit a *different* schedule or code for
 #: the same ``(program, options)`` input — new scheduler heuristics, changed
@@ -83,6 +89,10 @@ PIPELINE_VERSION = 4
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
 #: invert schedules instead of searching; 3; 4) leaves warm-start records valid.
+#: Its stamp (:func:`pipeline_fingerprint` with ``schedule_only``) keeps the
+#: literal ``result-v1`` it has always hashed: skeleton records hold solves,
+#: not result payloads, so a :data:`RESULT_FORMAT_VERSION` bump must not turn
+#: them all into misses.
 SCHEDULE_VERSION = 1
 
 #: bumped whenever the quick-permutation heuristic (``repro.core.quick``)
@@ -115,7 +125,7 @@ def pipeline_fingerprint(
 
     base = (
         f"pipeline-v{SCHEDULE_VERSION if schedule_only else PIPELINE_VERSION}"
-        f"/result-v{RESULT_FORMAT_VERSION}"
+        f"/result-v{1 if schedule_only else RESULT_FORMAT_VERSION}"
         f"/ir-v{IR_FORMAT_VERSION}"
     )
     if scheduler is None:
@@ -400,15 +410,27 @@ class OptimizationResult:
         worker land in manifests unchanged and :meth:`from_json` rebuilds an
         object equal to the original.  The compiled kernel handle is a cache
         and is rebuilt lazily on first use after deserialization.
+
+        Each structure is written once: ``source_program`` is ``null`` when
+        it *is* ``program`` (index-set splitting did not split), and
+        ``tiled`` leaves out ``source_schedule`` when it *is* ``schedule``
+        (every result :func:`optimize` makes); :meth:`from_json` re-links
+        both.
         """
         from repro.frontend.serialize import program_to_dict
 
+        tiled = self.tiled.to_dict()
+        if self.tiled.source_schedule is self.schedule:
+            del tiled["source_schedule"]
         payload = {
             "version": RESULT_FORMAT_VERSION,
             "program": program_to_dict(self.program),
-            "source_program": program_to_dict(self.source_program),
+            "source_program": (
+                None if self.source_program is self.program
+                else program_to_dict(self.source_program)
+            ),
             "schedule": self.schedule.to_dict(),
-            "tiled": self.tiled.to_dict(),
+            "tiled": tiled,
             "code": {
                 "python_source": self.code.python_source,
                 "traced": self.code.traced,
@@ -429,29 +451,40 @@ class OptimizationResult:
 
     @classmethod
     def from_json(cls, text: str) -> "OptimizationResult":
-        """Inverse of :meth:`to_json`."""
+        """Inverse of :meth:`to_json`; reads format v1 (both copies
+        written out) and v2 (each structure once), refuses any other."""
+        return cls._from_payload(json.loads(text))
+
+    @classmethod
+    def _from_payload(cls, data: dict) -> "OptimizationResult":
+        """:meth:`from_json` of an already parsed payload."""
         from repro.codegen import make_generated_code
         from repro.core.scheduler import SchedulerStats
         from repro.deps import DepStats
         from repro.frontend.serialize import program_from_dict
 
-        data = json.loads(text)
         version = data.get("version")
-        if version != RESULT_FORMAT_VERSION:
+        if version not in _READABLE_RESULT_FORMATS:
             raise ValueError(
-                f"result serialized with format v{version}, "
-                f"this build reads v{RESULT_FORMAT_VERSION}"
+                f"result serialized with format v{version}, this build "
+                f"reads v{' and v'.join(map(str, _READABLE_RESULT_FORMATS))}"
             )
         program = program_from_dict(data["program"])
-        source_program = program_from_dict(data["source_program"])
+        source_program = (
+            program if data["source_program"] is None
+            else program_from_dict(data["source_program"])
+        )
+        schedule = Schedule.from_dict(program, data["schedule"])
         tiled = TiledSchedule.from_dict(program, data["tiled"])
+        if "source_schedule" not in data["tiled"]:
+            tiled.source_schedule = schedule
         code = make_generated_code(
             data["code"]["python_source"], tiled, traced=data["code"]["traced"]
         )
         return cls(
             program=program,
             source_program=source_program,
-            schedule=Schedule.from_dict(program, data["schedule"]),
+            schedule=schedule,
             tiled=tiled,
             code=code,
             timing=TimingBreakdown.from_dict(data["timing"]),

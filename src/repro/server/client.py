@@ -19,7 +19,6 @@ inspect ``cache`` tags, ``server_version``, and structured errors;
 
 from __future__ import annotations
 
-import json
 import socket
 from typing import Optional
 
@@ -143,4 +142,5 @@ class ServerClient:
         response = self.optimize(*args, **kwargs)
         if response.get("status") != "ok":
             raise ServerError(response)
-        return OptimizationResult.from_json(json.dumps(response["result"]))
+        # the response line is parsed already: rebuild from the dict
+        return OptimizationResult._from_payload(response["result"])

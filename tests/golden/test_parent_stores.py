@@ -8,7 +8,9 @@ wrote the same keys.  The emitted kernel text changed since, so
 served (its ``python_source`` is the old emitter's) — the request is a miss
 and is filled next to it.  ``SKELETON_FORMAT_VERSION`` did not move (no
 schedule changed), so every per-level solve is still replayed from the
-parent's skeleton record.
+parent's skeleton record.  ``RESULT_FORMAT_VERSION`` 2 moved the cache key
+again but not the skeleton stamp (it keeps ``result-v1``), and
+``OptimizationResult.from_json`` still reads the parent's v1 entry.
 """
 
 import shutil

@@ -1,10 +1,20 @@
 """Tests for the end-to-end pipeline module and the C emitter."""
 
+import json
+import pickle
+from pathlib import Path
+
 import pytest
 
 from repro.codegen import generate_c
 from repro.frontend import parse_program
-from repro.pipeline import PipelineOptions, optimize
+from repro.frontend.serialize import program_to_dict
+from repro.pipeline import (
+    RESULT_FORMAT_VERSION,
+    OptimizationResult,
+    PipelineOptions,
+    optimize,
+)
 from repro.polyhedra.cache import global_cache
 from repro.workloads import get_workload
 
@@ -159,3 +169,75 @@ class TestCEmitter:
         # exact range pins it (the scan searches for nothing)
         assert "for (int z2 = 0; z2 <= 0; z2++) {" in c
         assert "const int i = -z1;" in c
+
+
+PARENT_CACHE = Path(__file__).parents[1] / "golden" / "parent_stores" / "cache"
+
+
+@pytest.fixture(scope="module")
+def results():
+    """gemm (ISS leaves it alone) and heat-1dp (ISS splits it)."""
+    return {
+        name: optimize(name, get_workload(name).pipeline_options("plutoplus"))
+        for name in ("gemm", "heat-1dp")
+    }
+
+
+class TestResultPayload:
+    """Format v2 writes each structure of a result once."""
+
+    def test_unsplit_program_and_schedule_written_once(self, results):
+        payload = json.loads(results["gemm"].to_json())
+        assert payload["version"] == RESULT_FORMAT_VERSION == 2
+        assert payload["source_program"] is None
+        assert "source_schedule" not in payload["tiled"]
+
+    def test_split_program_keeps_its_source(self, results):
+        result = results["heat-1dp"]
+        assert result.used_iss
+        payload = json.loads(result.to_json())
+        assert payload["source_program"] == program_to_dict(result.source_program)
+        assert payload["source_program"] != payload["program"]
+        assert "source_schedule" not in payload["tiled"]
+
+    @pytest.mark.parametrize("name", ["gemm", "heat-1dp"])
+    def test_from_json_restores_identities(self, results, name):
+        result = results[name]
+        text = result.to_json()
+        rebuilt = OptimizationResult.from_json(text)
+        assert rebuilt == result
+        assert rebuilt.tiled.source_schedule is rebuilt.schedule
+        assert (rebuilt.source_program is rebuilt.program) == (not result.used_iss)
+        assert rebuilt.tiled.to_dict() == result.tiled.to_dict()
+        assert rebuilt.to_json() == text
+
+    def test_tiled_to_dict_alone_keeps_source_schedule(self, results):
+        result = results["gemm"]
+        assert result.tiled.to_dict()["source_schedule"] == result.schedule.to_dict()
+
+    def test_reads_parent_v1_payload(self):
+        (path,) = PARENT_CACHE.rglob("*.json")
+        text = path.read_text()
+        data = json.loads(text)
+        assert data["version"] == 1
+        rebuilt = OptimizationResult.from_json(text)
+        # v1 carries both copies: parsed exactly as written, equal not shared
+        assert program_to_dict(rebuilt.source_program) == data["source_program"]
+        assert rebuilt.source_program == rebuilt.program
+        assert rebuilt.tiled.to_dict() == data["tiled"]
+        assert rebuilt.tiled.source_schedule == rebuilt.schedule
+
+    def test_refuses_version_3(self, results):
+        payload = json.loads(results["gemm"].to_json())
+        payload["version"] = 3
+        with pytest.raises(ValueError, match="format v3, this build reads v1 and v2"):
+            OptimizationResult.from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("name", ["gemm", "heat-1dp"])
+    def test_pickle_round_trip_unchanged(self, results, name):
+        result = results[name]
+        rebuilt = pickle.loads(pickle.dumps(result))
+        assert rebuilt == result
+        assert rebuilt.tiled.source_schedule is rebuilt.schedule
+        assert (rebuilt.source_program is rebuilt.program) == (not result.used_iss)
+        assert rebuilt.to_json() == result.to_json()

@@ -247,8 +247,10 @@ class TestRetiredOptions:
 
         program_dict, options_dict = resolve_optimize({"workload": "fig1-skew"})
         assert options_dict["ilp_backend"] == "highs"
+        # the cache key moved with RESULT_FORMAT_VERSION 2 (the format is part
+        # of every key); the skeleton stamp, and so the fingerprint, did not
         assert cache_key(program_dict, options_dict) == (
-            "d2c9ea59fb08605708b26b15b0ce614be6a1ce1a76405894c3550f607805d6ba"
+            "de55cba44304e15b3d9ef4901651aad0344cf2939cb68c858387963b39d0a69d"
         )
         assert structural_fingerprint(program_dict, options_dict) == (
             "2b93b32ebc7f5ba0e610272636886eecdfabb11a22f57f477149b685c7f84035"

@@ -164,6 +164,36 @@ class TestCLIVerifyExitCodes:
              "--schedule", str(sched_file)]
         ) == 0
 
+    @pytest.mark.parametrize("workload", ["heat-1dp", "heat-2dp"])
+    def test_verify_exported_split_schedule_exits_zero(
+        self, workload, tmp_path, capsys
+    ):
+        # the export names the index-set-split statements (S0_m, ...);
+        # verify splits the source program the same way before loading it
+        sched_file = tmp_path / "sched.json"
+        assert main(
+            ["opt", "--workload", workload, "--emit", "schedule-json",
+             "-o", str(sched_file)]
+        ) == 0
+        assert "_m" in sched_file.read_text()
+        assert main(
+            ["verify", "--workload", workload, "--schedule", str(sched_file)]
+        ) == 0
+        assert "schedule is legal" in capsys.readouterr().out
+
+    def test_verify_export_of_another_program_exits_two(
+        self, tmp_path, capsys
+    ):
+        sched_file = tmp_path / "sched.json"
+        assert main(
+            ["opt", "--workload", "heat-1dp", "--emit", "schedule-json",
+             "-o", str(sched_file)]
+        ) == 0
+        assert main(
+            ["verify", "--workload", "heat-2dp", "--schedule", str(sched_file)]
+        ) == 2
+        assert "cannot load schedule" in capsys.readouterr().err
+
     def test_verify_unreadable_schedule_exits_two(self, kernel_file, tmp_path,
                                                    capsys):
         bad = tmp_path / "nope.json"
