@@ -20,10 +20,9 @@ runner (:mod:`repro.suite`).
 Everything else — :mod:`repro.polyhedra` (integer sets), :mod:`repro.ilp`
 (lexmin ILP), :mod:`repro.frontend` (IR/builder/parser), :mod:`repro.deps`
 (dependence analysis), :mod:`repro.core` (the Pluto/Pluto+ schedulers, ISS,
-diamond tiling), :mod:`repro.codegen`, :mod:`repro.runtime`,
-:mod:`repro.machine`, :mod:`repro.workloads`, :mod:`repro.apps` — is
-internal; deep imports keep working but carry no stability promise
-(``docs/API.md``).
+diamond tiling), :mod:`repro.codegen`, :mod:`repro.exec`, :mod:`repro.runtime`,
+:mod:`repro.server`, :mod:`repro.workloads` — is internal; deep imports
+keep working but carry no stability promise (``docs/API.md``).
 """
 
 from importlib import metadata as _metadata
@@ -47,7 +46,7 @@ try:
     # the daemon's response header, and `pip show repro` can never disagree.
     __version__ = _metadata.version("repro")
 except _metadata.PackageNotFoundError:  # running from a source checkout
-    __version__ = "1.28.0"
+    __version__ = "1.29.0"
 
 __all__ = [
     "ExecStats",

@@ -112,9 +112,8 @@ class SchedulerStats(Record):
     #: scheduler: HiGHS door entries (``lp_solves``), steps skipped
     #: (``shortcut_hits``, ``probe_hits``), model rows collapsed and
     #: skeletons reused (``dedup_rows``, ``models_reused``) and levels
-    #: replayed (``structural_warm_start``).  The exact solver's
-    #: ``simplex_pivots`` / ``bb_nodes`` / ``warm_starts`` stay 0 unless a
-    #: rounded HiGHS point fails verification and it answers instead.
+    #: replayed (``structural_warm_start``).  ``simplex_pivots`` /
+    #: ``bb_nodes`` / ``warm_starts`` read 0: HiGHS answers every solve.
     solve: SolveStats = field(default_factory=SolveStats)
     #: which scheduler was requested ("exact" | "quick" | "auto") and which
     #: path produced the final schedule ("exact" | "quick" | "fallback");

@@ -3,13 +3,15 @@
 This plays the roles PIP and GLPK share in the paper (GLPK took the models
 above roughly one hundred variables; swim's Pluto+ model had 219): every
 lexmin the pipeline asks is solved here, whatever its size, and a
-:meth:`HighsSession.solve` answers with the :class:`ILPResult` that
-:func:`repro.ilp.branch_bound.solve_ilp` returns.
+:meth:`HighsSession.solve` answers with an :class:`ILPResult`.
 
 All scheduler models have pure-integer data and modest magnitudes, so the
 floating-point optimum is rounded to the nearest integer vector and verified
-against the model before being returned; if the rounded point fails that
-check the exact solver (:func:`repro.ilp.branch_bound.solve_ilp`) answers.
+against the model before being returned.  A point that fails that check is
+asked once more of the whole model; if that point fails too the session
+raises :class:`~repro.ilp.model.SolverError`, never "infeasible".  The
+exact simplex and branch-and-bound are the tests' oracle (``tests/ilp/``),
+not a fallback.
 
 A :class:`HighsSession` assembles one model for HiGHS once — names, bounds,
 integrality, an integer matrix and its CSC — and then answers any number of
@@ -39,12 +41,11 @@ from fractions import Fraction
 from functools import cached_property
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from math import lcm
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp
-from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
+from repro.ilp.model import ILPModel, ILPResult, ILPStatus, SolveStats, SolverError
 
 __all__ = ["CSC", "HighsSession", "block_minima", "highs", "solve_rows"]
 
@@ -275,8 +276,9 @@ def solve_rows(
     An optimal ``x`` is rounded on its integral columns and verified
     against the rows.  A point that fails says nothing about feasibility —
     answering "infeasible" would make ``BasicSet.is_empty`` drop a
-    dependence — so its status is ``None`` and the caller's exact solver
-    decides.
+    dependence — so its status is ``None``, and the caller asks again or
+    raises :class:`SolverError`.  The work limit reached at
+    ``node_limit`` and again at 100 times it raises :class:`SolverError`.
     """
     # mip_rel_gap 0: the default 1e-4 would accept a folded lexmin
     # objective (magnitudes up to 1e5) several units from its optimum.
@@ -292,7 +294,10 @@ def solve_rows(
         # Iteration/node limit: must NOT be conflated with infeasibility.
         # One retry with a raised ceiling; a second failure is surfaced.
         if node_limit >= 10_000_000:
-            raise RuntimeError(f"HiGHS hit its work limit on a {len(c)}-variable model")
+            raise SolverError(
+                f"HiGHS hit its work limit ({node_limit} nodes) on a "
+                f"{len(rhs)}-row, {len(c)}-column model"
+            )
         status, x, entries = solve_rows(
             c, a, rhs, eq, lb, ub, integral, node_limit * 100, csc
         )
@@ -313,10 +318,10 @@ def solve_rows(
 
 
 class HighsSession:
-    """``model`` (plus ``extra`` rows) assembled for HiGHS once."""
+    """``model`` assembled for HiGHS once."""
 
-    def __init__(self, model: ILPModel, extra: Sequence[LinearConstraint] = ()):
-        self.model, self.extra = model, tuple(extra)
+    def __init__(self, model: ILPModel):
+        self.model = model
         self.names = model.var_names()
         self.index = {n: i for i, n in enumerate(self.names)}
         variables = model.variables.values()
@@ -335,7 +340,7 @@ class HighsSession:
         # CSC, made once.
         rows, cols, data, rhs, eq = [], [], [], [], []
         index = self.index
-        for r, con in enumerate((*model.constraints, *self.extra)):
+        for r, con in enumerate(model.constraints):
             coeffs, const = con.coeffs, con.const
             if type(const) is int and all(type(c) is int for c in coeffs.values()):
                 rows.extend([r] * len(coeffs))
@@ -433,13 +438,10 @@ class HighsSession:
 
         ``at``, a feasible assignment under those pins, lets HiGHS see the
         objective's component only (:meth:`_component`): every column
-        outside it keeps its value from ``at``.  Anything but an optimum
-        there is asked again of the whole model.
-
-        When the rounded optimum fails verification the pure-Python exact
-        solver answers instead, on the whole model with the pins and the
-        same ``node_limit``: correct, but slow on a large model, and it can
-        raise ``BranchAndBoundError``.
+        outside it keeps its value from ``at``.  Anything but a verified
+        optimum there — a rounded point that fails the exact check included
+        — is asked again of the whole model.  A whole-model point that fails
+        the check raises :class:`SolverError`, carrying the model.
         """
         c = np.zeros(len(self.names))
         for name, coef in objective.items():
@@ -452,22 +454,21 @@ class HighsSession:
                 c[cols], a, rhs, eq, self.lb[cols], self.ub[cols], self.integral[cols],
                 node_limit,
             )
-        if part is None or status not in (ILPStatus.OPTIMAL, None):
+        if status != ILPStatus.OPTIMAL:
             cols = np.ones(len(self.names), dtype=bool)
             status, x, more = solve_rows(
                 c, self.a, self.rhs, self.eq, self.lb, self.ub, self.integral, node_limit,
                 self.csc,
             )
             entries += more
-        stats = SolveStats(lp_solves=entries)
         if status is None:
-            pins = tuple(
-                LinearConstraint({n: 1}, -v, equality=True, label=f"fix:{n}")
-                for n, v in self.pins.items()
+            raise SolverError(
+                f"HiGHS's rounded minimum of {dict(objective)} fails the exact check "
+                f"on the whole {len(self.rhs)}-row, {len(self.names)}-column model "
+                f"({len(self.pins)} pinned)",
+                self.model,
             )
-            exact = solve_ilp(self.model, objective, self.extra + pins, node_limit)
-            exact.stats.merge(stats)
-            return exact
+        stats = SolveStats(lp_solves=entries)
         if status != ILPStatus.OPTIMAL:
             return ILPResult(status, stats=stats)
         solved = zip(x, self.integral[cols])

@@ -7,19 +7,12 @@ the optimum before moving to the next.  This is the standard reduction of
 ``lexmin`` to a sequence of single-objective ILPs.
 
 The paper solves small models with PIP and large ones with GLPK (swim's
-219 variables).  Here HiGHS answers every lexmin (``backend="highs"``, the
-default and the pipeline's only choice, :mod:`repro.ilp.highs_backend`),
-whatever the model's size: each rounded optimum is verified exactly, and
-the exact solver answers when the check fails.  ``backend="exact"`` runs
-the same loop on the integer-scaled simplex + branch-and-bound
-(:mod:`repro.ilp.simplex` / :mod:`repro.ilp.branch_bound`); no pipeline
-code selects it — it is the reference the tests compare HiGHS against.
-
-The exact backend is **warm-started**: one :class:`IncrementalLP` tableau is
-built (one phase 1) and persists across the whole objective sequence — after
-objective ``k`` is pinned via :meth:`IncrementalLP.fix`, objective ``k+1``
-re-optimizes from the previous optimal basis, and branch-and-bound cuts are
-applied warm on snapshots.  Two solve-avoidance shortcuts run first:
+219 variables).  Here HiGHS answers every lexmin, whatever the model's
+size, on one :class:`HighsSession` per call (:mod:`repro.ilp.highs_backend`:
+one assembled matrix, pins as ``lb = ub``, each rounded optimum verified
+exactly).  The tests check it against an independent reference, a plain
+loop over the exact simplex (``tests/ilp/reference_lexmin.py``).  Two
+solve-avoidance shortcuts run first:
 
 * the driver holds a feasible assignment satisfying all fixings; when the
   next objective variable already sits at its lower bound there, its minimum
@@ -30,16 +23,14 @@ applied warm on snapshots.  Two solve-avoidance shortcuts run first:
   every remaining minimum is known and the sequence finishes with no further
   solves.
 
-There is one objective loop (shortcut, probe, fold, solve, pin); a backend
-only supplies how one objective is solved and how its optimum is pinned —
-the exact backend on its live tableau, HiGHS on a :class:`HighsSession`
-(one assembled matrix per call, pins as ``lb = ub``).  Every solve after
-the first is handed the feasible assignment the loop holds; HiGHS then
-sees only the objective's component of the model — the free columns it
-reaches through shared rows — with every other column held at its value
-(:meth:`HighsSession.solve`).  The pinned columns are what split the model:
-in eq. (8) the statements share only ``u`` and ``w``, and once those are
-pinned each group of statements linked by a dependence is a block of its own.
+There is one objective loop (shortcut, probe, fold, solve, pin).  Every
+solve after the first is handed the feasible assignment the loop holds;
+HiGHS then sees only the objective's component of the model — the free
+columns it reaches through shared rows — with every other column held at
+its value (:meth:`HighsSession.solve`).  The pinned columns are what split
+the model: in eq. (8) the statements share only ``u`` and ``w``, and once
+those are pinned each group of statements linked by a dependence is a block
+of its own.
 
 A solve does not ask about one variable when it can ask about several: each
 maximal run of *bounded integer* variables in the order — ``(csum_S,
@@ -53,13 +44,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from typing import Mapping, Optional, Sequence
 
-from repro.ilp.branch_bound import ILPResult, ILPStatus, solve_ilp_warm
 from repro.ilp.highs_backend import HighsSession
-from repro.ilp.model import ILPModel, SolveStats
-from repro.ilp.simplex import IncrementalLP
+from repro.ilp.model import ILPModel, ILPStatus, SolveStats
 
 __all__ = ["LexminResult", "lexmin"]
 
@@ -80,7 +68,7 @@ class LexminResult:
     values: list[Fraction] = field(default_factory=list)  # per objective var
     stats: SolveStats = field(default_factory=SolveStats)
     solves: int = 0
-    backend: str = ""
+    backend: str = "highs"
 
     @property
     def is_optimal(self) -> bool:
@@ -150,50 +138,18 @@ def _fold(model: ILPModel, order: Sequence[str], k: int) -> dict[str, int]:
     return weights
 
 
-def _warm_exact_steps(model: ILPModel, node_limit: int, stats: SolveStats):
-    """The exact backend's ``(solve, pin)`` pair: one persistent tableau
-    (one phase 1), warm phase 2 per objective, warm branch-and-bound when a
-    relaxation is fractional, and pins applied as in-place fixes."""
-    inc = IncrementalLP(model)
-    stats.lp_solves += 1  # the shared phase 1
-    stats.simplex_pivots += inc.pivots
-
-    def solve(objective: Mapping[str, int], at=None) -> ILPResult:
-        # the tableau holds the whole model; ``at`` only narrows HiGHS's
-        if not inc.is_feasible:
-            return ILPResult(ILPStatus.INFEASIBLE)
-        result, at_root = solve_ilp_warm(inc, model, objective, node_limit)
-        stats.warm_starts += at_root
-        return result
-
-    def pin(name: str, value: Fraction) -> None:
-        before = inc.pivots
-        inc.fix(name, value)
-        stats.simplex_pivots += inc.pivots - before
-
-    return solve, pin
-
-
-def lexmin(
-    model: ILPModel, node_limit: int = 20000, backend: str = "highs"
-) -> LexminResult:
+def lexmin(model: ILPModel, node_limit: int = 20000) -> LexminResult:
     """Lexicographically minimize ``model.objective_order`` over the model.
 
     Returns the optimal assignment (covering *all* model variables) or an
     infeasible/unbounded status.  Variables outside the objective order take
-    whatever value the final solve produced.  ``backend`` is ``"highs"`` or
-    the tests' ``"exact"`` reference.
+    whatever value the final solve produced.  Raises
+    :class:`~repro.ilp.model.SolverError` when HiGHS cannot answer a step.
     """
     if not model.objective_order:
         raise ValueError("model has no objective order set")
-    if backend not in ("highs", "exact"):
-        raise ValueError(f"unknown ILP backend {backend!r}")
     stats = SolveStats()
     session = HighsSession(model)  # also the probe's exact integer rows
-    if backend == "exact":
-        solve, pin = _warm_exact_steps(model, node_limit, stats)
-    else:
-        solve, pin = partial(session.solve, node_limit=node_limit), session.pin
 
     values: list[Fraction] = []
     current: Optional[dict[str, Fraction]] = None
@@ -215,17 +171,15 @@ def lexmin(
                     values.extend(probe[n] for n in order[k:])
                     break
             objective = _fold(model, order, k)
-            result = solve(objective, at=current)
+            result = session.solve(objective, node_limit, at=current)
             solves += 1
             stats.merge(result.stats)
             if not result.is_optimal:
-                return LexminResult(
-                    result.status, stats=stats, solves=solves, backend=backend
-                )
+                return LexminResult(result.status, stats=stats, solves=solves)
             current = result.assignment
             solved = list(objective)
         for name in solved:
-            pin(name, current[name])
+            session.pin(name, current[name])
             values.append(current[name])
 
     assert current is not None
@@ -234,6 +188,4 @@ def lexmin(
     # consistent by construction).
     for name, value in zip(order, values):
         current[name] = value
-    return LexminResult(
-        ILPStatus.OPTIMAL, dict(current), values, stats, solves, backend
-    )
+    return LexminResult(ILPStatus.OPTIMAL, dict(current), values, stats, solves)

@@ -1,4 +1,4 @@
-"""ILP model container shared by the exact and HiGHS solver backends.
+"""The ILP model HiGHS is asked about, and what a solve answers.
 
 The scheduler builds one :class:`ILPModel` per hyperplane search.  A model is
 a list of named variables (with bounds and integrality), linear constraints in
@@ -9,7 +9,7 @@ paper eq. (4)/(8)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
@@ -19,7 +19,10 @@ __all__ = [
     "Variable",
     "LinearConstraint",
     "ILPModel",
+    "ILPResult",
+    "ILPStatus",
     "SolveStats",
+    "SolverError",
     "INF",
 ]
 
@@ -159,15 +162,17 @@ class ILPModel:
 class SolveStats(Record):
     """Counters reported by the solver stack (``--stats``, ablation benches).
 
-    ``simplex_pivots``/``bb_nodes``/``lp_solves`` come from the backends;
-    ``warm_starts``/``shortcut_hits``/``probe_hits`` from the lexmin driver
-    (objectives resolved from a warm tableau, the at-lower-bound shortcut,
-    and the all-remaining-at-lower-bounds feasibility probe); ``dedup_rows``/
+    ``lp_solves`` counts HiGHS entries; ``shortcut_hits``/``probe_hits``
+    come from the lexmin driver (the at-lower-bound shortcut and the
+    all-remaining-at-lower-bounds feasibility probe); ``dedup_rows``/
     ``models_reused`` from the scheduler's model construction;
     ``structural_warm_start`` counts whole per-level solves answered by
     replaying a cross-request skeleton record (``repro.core.skeleton``)
     without building or solving a model at all; and ``solve_seconds`` is
-    wall time spent inside ILP solves.
+    wall time spent inside ILP solves.  ``simplex_pivots``, ``bb_nodes`` and
+    ``warm_starts`` count the pure-Python exact solver's work; HiGHS answers
+    every solve, so they read 0 (kept because reports and benchmarks read
+    them).
     """
 
     simplex_pivots: int = 0
@@ -180,3 +185,32 @@ class SolveStats(Record):
     models_reused: int = 0
     structural_warm_start: int = 0
     solve_seconds: float = 0.0
+
+
+class ILPStatus:
+    OPTIMAL = "optimal"
+    INFEASIBLE = "infeasible"
+    UNBOUNDED = "unbounded"
+
+
+@dataclass
+class ILPResult:
+    status: str
+    objective: Optional[Fraction] = None
+    assignment: dict[str, Fraction] = field(default_factory=dict)
+    stats: SolveStats = field(default_factory=SolveStats)
+
+    @property
+    def is_optimal(self) -> bool:
+        return self.status == ILPStatus.OPTIMAL
+
+
+class SolverError(RuntimeError):
+    """The solver could not answer: a point that fails the exact check
+    twice, or HiGHS's work limit reached twice.  Never a verdict on the
+    model: answering "infeasible" instead would make ``BasicSet.is_empty``
+    drop a dependence.  ``model`` is what was asked, when there is one."""
+
+    def __init__(self, message: str, model: Optional[ILPModel] = None):
+        super().__init__(message)
+        self.model = model

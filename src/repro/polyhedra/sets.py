@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.ilp import ILPModel, ILPStatus, lexmin as ilp_lexmin, solve_ilp
+from repro.ilp import ILPModel, ILPStatus, SolverError, lexmin as ilp_lexmin
 from repro.ilp.highs_backend import solve_rows
 from repro.polyhedra import fastcheck
 from repro.polyhedra.affine import AffExpr, Space
@@ -162,16 +162,18 @@ class BasicSet:
     def _solve(self, coeffs: Sequence[int] = (), arrays=None):
         """Integer minimum of ``coeffs . x`` over the set: ``(status, value)``.
 
-        HiGHS decides these tiny systems from the integer rows alone; only a
-        rounded point that fails verification is handed, as a model, to the
-        pure-Python exact branch-and-bound (orders of magnitude slower).
+        HiGHS decides these tiny systems from the integer rows alone.  A
+        rounded point that fails verification raises :class:`SolverError`,
+        carrying the set as a model: it is never read as "empty".
         """
         c = np.zeros(len(self.space.names))
         c[: len(coeffs)] = coeffs
         status, x, _ = solve_rows(c, *(arrays or self._arrays()))
         if status is None:
-            res = solve_ilp(self._build_model(), dict(zip(self.space.names, coeffs)))
-            return res.status, res.objective
+            raise SolverError(
+                f"HiGHS's rounded minimum fails the exact check on {self}",
+                self._build_model(),
+            )
         if status != ILPStatus.OPTIMAL:
             return status, None
         return status, Fraction(sum(k * int(v) for k, v in zip(coeffs, x)))

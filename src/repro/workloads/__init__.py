@@ -4,7 +4,6 @@ Importing this package populates the registry (:data:`WORKLOADS`).
 """
 
 from repro.workloads.base import (
-    PerfSpec,
     Workload,
     WORKLOADS,
     all_workloads,
@@ -25,7 +24,6 @@ from repro.workloads.motivation import MOTIVATION  # noqa: F401
 from repro.workloads.reduction_kernels import REDUCTION_KERNELS  # noqa: F401
 
 __all__ = [
-    "PerfSpec",
     "Workload",
     "WORKLOADS",
     "all_workloads",

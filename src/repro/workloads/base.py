@@ -2,9 +2,8 @@
 
 A :class:`Workload` bundles a polyhedral program factory with the pipeline
 flags the paper uses for it (``--iss --partlbtile`` for the periodic suite),
-its evaluation problem sizes (Table 2 / Polybench standard datasets), small
-sizes for execution-based validation, and the per-point operation counts the
-performance model needs (Fig. 6).
+its evaluation problem sizes (Table 2 / Polybench standard datasets) and
+small sizes for execution-based validation.
 """
 
 from __future__ import annotations
@@ -15,29 +14,7 @@ from typing import Callable, Optional
 from repro.frontend.ir import Program
 from repro.pipeline import PipelineOptions
 
-__all__ = ["PerfSpec", "Workload", "register", "get_workload", "all_workloads", "WORKLOADS"]
-
-
-@dataclass(frozen=True)
-class PerfSpec:
-    """Per-point work/traffic characteristics for the machine model.
-
-    ``flops_per_point``  — floating point operations per grid-point update;
-    ``bytes_per_point``  — main-memory traffic per point for one untiled
-    sweep (reads + writes, accounting for streaming reuse within a sweep);
-    ``time_param``       — parameter naming the time-step count (time-
-    iterated codes only);
-    ``space_params``     — parameters whose product is the grid size;
-    ``vector_efficiency``— fraction of SIMD peak reachable in the innermost
-    loop (3-d stencils vectorize poorly, Section 4.2).
-    """
-
-    flops_per_point: float
-    bytes_per_point: float
-    time_param: Optional[str] = None
-    space_params: tuple[str, ...] = ()
-    vector_efficiency: float = 1.0
-    mlups: bool = False  # report MLUPS (LBM convention) instead of seconds
+__all__ = ["Workload", "register", "get_workload", "all_workloads", "WORKLOADS"]
 
 
 @dataclass
@@ -49,7 +26,6 @@ class Workload:
     small_sizes: dict[str, int] = field(default_factory=dict)
     iss: bool = False
     diamond: bool = False
-    perf: Optional[PerfSpec] = None
     notes: str = ""
 
     def program(self) -> Program:

@@ -3,9 +3,8 @@
 The *compiler's view* of an LBM time step is a periodic stencil: every site
 update reads neighbor distributions (pull scheme) and writes the site's own.
 The polyhedral models here use a single time-expanded logical array with one
-read per distinct *dependence direction*; per-site flop and byte counts of
-the real d2q9/d3q27 updates live in the :class:`PerfSpec` (the physics
-itself is implemented in :mod:`repro.apps.lbm_d2q9` / ``lbm_d3q27``).
+read per distinct *dependence direction* (the runnable physics, D2Q9 and
+D3Q27, is a test-side oracle under ``tests/apps/``).
 
 Dependence-cone reductions (sound, see DESIGN.md): for d3q27 the 12 edge
 directions ``(1, ±1, ±1, 0)…`` are omitted because each is a convex
@@ -14,16 +13,16 @@ legal (and bounded) for those is legal for the edges.
 
 The four d2q9 applications (lid-driven cavity, its MRT variant, flow past
 cylinder, Poiseuille flow) share one dependence structure; they differ in
-boundary handling and per-site work, which only the performance
-characteristics observe — hence one model parameterized by a
-:class:`PerfSpec` each, exactly how the paper's numbers differ per variant.
+boundary handling and per-site work, which the compiler does not observe —
+hence one model, registered under each application's name and Table 2
+size.
 """
 
 from __future__ import annotations
 
 from repro.frontend import Access, ProgramBuilder
 from repro.polyhedra import AffExpr, AffineMap
-from repro.workloads.base import PerfSpec, Workload, register
+from repro.workloads.base import Workload, register
 from repro.workloads.periodic_util import periodic_reads
 
 __all__ = ["lbm_d2q9_model", "lbm_d3q27_model", "LBM_WORKLOADS"]
@@ -114,17 +113,6 @@ def lbm_d3q27_model(name: str = "lbm-ldc-d3q27"):
     return b.build()
 
 
-# Per-variant work characteristics for the real LBM updates: a d2q9 BGK
-# site update is ~200 flops over 19 distribution loads + 9 stores; the MRT
-# collision roughly doubles the arithmetic (higher operational intensity,
-# Section 4); d3q27 scales the distribution count.
-# Per-site sweep traffic of real implementations: pull + push of every
-# distribution plus write-allocate fills (and, for fpc, the obstacle mask and
-# bounce-back re-reads; for d3q27, heavily strided AoS access wastes most of
-# each cache line).
-_D2Q9_BYTES = 256
-_D3Q27_BYTES = 1700
-
 LBM_WORKLOADS = [
     register(
         Workload(
@@ -135,14 +123,6 @@ LBM_WORKLOADS = [
             small_sizes={"NX": 6, "NY": 6, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=200,
-                bytes_per_point=_D2Q9_BYTES,
-                time_param="T",
-                space_params=("NX", "NY"),
-                vector_efficiency=0.45,
-                mlups=True,
-            ),
             notes="lid-driven cavity flow [8]",
         )
     ),
@@ -155,14 +135,6 @@ LBM_WORKLOADS = [
             small_sizes={"NX": 6, "NY": 6, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=400,       # multiple relaxation times [11]
-                bytes_per_point=_D2Q9_BYTES,
-                time_param="T",
-                space_params=("NX", "NY"),
-                vector_efficiency=0.90,    # dense matrix collision: good SIMD
-                mlups=True,
-            ),
             notes="lid-driven cavity, MRT collision (higher operational intensity)",
         )
     ),
@@ -175,14 +147,6 @@ LBM_WORKLOADS = [
             small_sizes={"NX": 6, "NY": 5, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=230,       # obstacle handling adds work
-                bytes_per_point=416,       # + obstacle mask, bounce-back rereads
-                time_param="T",
-                space_params=("NX", "NY"),
-                vector_efficiency=0.33,    # branchy boundary handling
-                mlups=True,
-            ),
             notes="flow past cylinder",
         )
     ),
@@ -195,14 +159,6 @@ LBM_WORKLOADS = [
             small_sizes={"NX": 6, "NY": 5, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=210,
-                bytes_per_point=213,       # pressure-bc variant streams less
-                time_param="T",
-                space_params=("NX", "NY"),
-                vector_efficiency=0.56,
-                mlups=True,
-            ),
             notes="Poiseuille flow [43]",
         )
     ),
@@ -215,14 +171,6 @@ LBM_WORKLOADS = [
             small_sizes={"N": 5, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=600,
-                bytes_per_point=_D3Q27_BYTES,
-                time_param="T",
-                space_params=("N", "N", "N"),
-                vector_efficiency=0.14,    # 3-d LBM vectorizes poorly (Sec. 4.2)
-                mlups=True,
-            ),
             notes="3-d lid-driven cavity; NUMA effects dominate at high core counts",
         )
     ),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from repro.frontend import Access, ProgramBuilder
 from repro.polyhedra import AffExpr, AffineMap
-from repro.workloads.base import PerfSpec, Workload, register
+from repro.workloads.base import Workload, register
 from repro.workloads.periodic_util import periodic_reads
 
 __all__ = ["heat_1dp", "heat_2dp", "heat_3dp", "PERIODIC_HEAT"]
@@ -113,16 +113,6 @@ PERIODIC_HEAT = [
             small_sizes={"N": 12, "T": 6},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=4,
-                # read + write + write-allocate, inflated ~1.6x: a single-
-                # array 1-d sweep offers one stream per thread and sustains
-                # well below the multi-stream STREAM rate.
-                bytes_per_point=38,
-                time_param="T",
-                space_params=("N",),
-                vector_efficiency=0.12,    # 1-d: bound by load/store slots
-            ),
         )
     ),
     register(
@@ -134,13 +124,6 @@ PERIODIC_HEAT = [
             small_sizes={"N": 8, "T": 4},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=7,
-                bytes_per_point=24,
-                time_param="T",
-                space_params=("N", "N"),
-                vector_efficiency=0.85,    # 2-d: near-ideal SIMD sweep
-            ),
         )
     ),
     register(
@@ -152,13 +135,6 @@ PERIODIC_HEAT = [
             small_sizes={"N": 6, "T": 3},
             iss=True,
             diamond=True,
-            perf=PerfSpec(
-                flops_per_point=9,
-                bytes_per_point=24,
-                time_param="T",
-                space_params=("N", "N", "N"),
-                vector_efficiency=0.125,   # 3-d stencils vectorize poorly (Sec. 4.2)
-            ),
         )
     ),
 ]

@@ -12,7 +12,7 @@ each of them and their results at 1/2/4 threads.
 from __future__ import annotations
 
 from repro.frontend import parse_program
-from repro.workloads.base import PerfSpec, Workload, register
+from repro.workloads.base import Workload, register
 
 __all__ = ["dot", "l2norm", "tensor_contract", "REDUCTION_KERNELS"]
 
@@ -60,11 +60,6 @@ REDUCTION_KERNELS = [
             factory=dot,
             sizes={"N": 4000000},
             small_sizes={"N": 9},
-            perf=PerfSpec(
-                flops_per_point=2.0,
-                bytes_per_point=16.0,
-                space_params=("N",),
-            ),
         )
     ),
     register(
@@ -74,11 +69,6 @@ REDUCTION_KERNELS = [
             factory=l2norm,
             sizes={"N": 4000000},
             small_sizes={"N": 9},
-            perf=PerfSpec(
-                flops_per_point=2.0,
-                bytes_per_point=8.0,
-                space_params=("N",),
-            ),
         )
     ),
     register(
@@ -88,11 +78,6 @@ REDUCTION_KERNELS = [
             factory=tensor_contract,
             sizes={"N": 2000},
             small_sizes={"N": 7},
-            perf=PerfSpec(
-                flops_per_point=4.0,
-                bytes_per_point=8.0,
-                space_params=("N", "N"),
-            ),
         )
     ),
 ]

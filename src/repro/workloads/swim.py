@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from repro.frontend import Access, ProgramBuilder
 from repro.polyhedra import AffExpr, AffineMap
-from repro.workloads.base import PerfSpec, Workload, register
+from repro.workloads.base import Workload, register
 from repro.workloads.periodic_util import periodic_reads
 
 __all__ = ["swim_model", "SWIM"]
@@ -200,13 +200,6 @@ SWIM = register(
         small_sizes={"N": 5, "T": 3},
         iss=True,
         diamond=True,
-        perf=PerfSpec(
-            flops_per_point=65,
-            bytes_per_point=14 * 8 * 2,   # ~14 double fields streamed per sweep
-            time_param="T",
-            space_params=("N", "N"),
-            vector_efficiency=0.48,   # wavefront (pipelined) tiling variant
-        ),
         notes="C translation with calc1/calc2/calc3 inlined (Section 4.2)",
     )
 )

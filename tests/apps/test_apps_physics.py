@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import LidDrivenCavity, LidDrivenCavity3D, ShallowWater, run_heat
+from tests.apps import LidDrivenCavity, LidDrivenCavity3D, ShallowWater, run_heat
 
 
 class TestConservation:

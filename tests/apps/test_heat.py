@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import run_heat, step_1d, step_2d, step_3d
+from tests.apps import run_heat, step_1d, step_2d, step_3d
 
 
 class TestHeatSolvers:

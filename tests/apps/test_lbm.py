@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import (
+from tests.apps import (
     D2Q9,
     D3Q27,
     FlowPastCylinder,

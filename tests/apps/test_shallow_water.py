@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apps import ShallowWater
+from tests.apps import ShallowWater
 
 
 class TestShallowWater:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.core import bounding_constraints, c0_name, c_name, legality_constraints
 from repro.deps import compute_dependences
 from repro.frontend import parse_program
-from repro.ilp import ILPModel, ILPStatus, solve_ilp
+from repro.ilp import ILPModel, ILPStatus
+from tests.ilp.branch_bound import solve_ilp
 
 
 def single_dep(src, params=("N",), kind="raw"):

@@ -31,7 +31,6 @@ from repro.core.farkas import (
 )
 from repro.deps import compute_dependences
 from repro.deps.analysis import Dependence
-from repro.ilp import LPStatus
 from repro.pipeline import optimize
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra import cache as poly_cache
@@ -39,6 +38,7 @@ from repro.polyhedra.cache import PolyCache, cache_disabled, global_cache
 from repro.polyhedra.fourier_motzkin import normalize_rows
 from repro.workloads import get_workload
 from tests.core.reference_farkas import reference_farkas_constraints
+from tests.ilp.simplex import LPStatus
 from tests.polyhedra.reference_prune import exact_min
 
 SP = Space(("s", "t"), ("N",))

@@ -4,9 +4,10 @@ Cells whose stored tier is ``"full"`` are recomputed by CI's ``golden-full``
 job (``python -m tests.golden --check --tier full``), not here.
 
 The corpus stores one schedule per cell, the one HiGHS finds.  Seven
-Polybench cells are also recomputed with the exact lexmin (the warm simplex
-+ branch-and-bound reference) substituted into the scheduler: the only
-end-to-end run of the exact solver, which must find the same schedules.
+Polybench cells are also recomputed with the exact reference lexmin
+(``tests/ilp/reference_lexmin.py``: the warm simplex + branch-and-bound, one
+objective at a time) substituted into the scheduler: the only end-to-end run
+of the exact solver, which must find the same schedules.
 
 Two of the paper's qualitative claims are read off the stored pretty
 schedules of every tier: the cell checks (here for tier 1, ``golden-full``
@@ -19,7 +20,6 @@ import re
 import pytest
 
 from repro.core import scheduler
-from repro.ilp import lexmin
 from repro.pipeline import optimize
 from repro.workloads import all_workloads
 from tests.golden import (
@@ -29,6 +29,7 @@ from tests.golden import (
     mismatch,
     result_digest,
 )
+from tests.ilp.reference_lexmin import reference_lexmin
 
 CORPUS = load_corpus()
 CELLS = CORPUS["cells"]
@@ -67,7 +68,7 @@ def test_exact_backend_cell_matches_golden(name, monkeypatch):
     backends = []
 
     def exact_lexmin(model):
-        result = lexmin(model, backend="exact")
+        result = reference_lexmin(model)
         backends.append(result.backend)
         return result
 

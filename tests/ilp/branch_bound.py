@@ -1,8 +1,9 @@
 """Branch-and-bound integer programming on top of the exact simplex.
 
-Together with :mod:`repro.ilp.simplex` this forms the exact (PIP-role) ILP
-backend.  The scheduler's relaxations are usually integral or nearly so —
-most Pluto/Pluto+ models have totally-unimodular-looking structure — so the
+Together with :mod:`tests.ilp.simplex` this forms the exact ILP solver the
+tests check HiGHS against (:mod:`tests.ilp.reference_lexmin`).  The
+scheduler's relaxations are usually integral or nearly so — most
+Pluto/Pluto+ models have totally-unimodular-looking structure — so the
 tree stays tiny in practice, but the implementation is a complete DFS with
 integral-bound pruning and a node-limit safeguard.  There is one loop,
 :func:`solve_ilp_warm`, which works on a live tableau; :func:`solve_ilp` runs
@@ -12,12 +13,11 @@ it on a fresh one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from repro.ilp.model import ILPModel, LinearConstraint, SolveStats
-from repro.ilp.simplex import IncrementalLP, LPStatus
+from repro.ilp.model import ILPModel, ILPResult, ILPStatus, LinearConstraint, SolveStats
+from tests.ilp.simplex import IncrementalLP, LPStatus
 
 __all__ = [
     "ILPResult",
@@ -28,26 +28,8 @@ __all__ = [
 ]
 
 
-class ILPStatus:
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
-
-
 class BranchAndBoundError(RuntimeError):
     """Raised when the node limit is exhausted without proving optimality."""
-
-
-@dataclass
-class ILPResult:
-    status: str
-    objective: Optional[Fraction] = None
-    assignment: dict[str, Fraction] = field(default_factory=dict)
-    stats: SolveStats = field(default_factory=SolveStats)
-
-    @property
-    def is_optimal(self) -> bool:
-        return self.status == ILPStatus.OPTIMAL
 
 
 def _first_fractional(

@@ -1,6 +1,6 @@
 """Reference LP oracle: the seed's dense ``Fraction`` simplex.
 
-This was ``repro.ilp.simplex``'s second tableau (``solve_lp(engine=
+This was the exact simplex's second tableau (``solve_lp(engine=
 "fraction")``) until the seed-reproduction switch was retired; it now exists
 only so the hypothesis tests in ``test_warm_solver.py`` can pin the
 integer-scaled engine against an independently pivoted one.  It shares the
@@ -14,8 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from repro.ilp import ILPModel, LinearConstraint, LPResult, LPStatus
-from repro.ilp.simplex import _StandardForm
+from repro.ilp import ILPModel, LinearConstraint
+from tests.ilp.simplex import LPResult, LPStatus, _StandardForm
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -102,7 +102,7 @@ def solve_lp_fraction(
     extra: Sequence[LinearConstraint] = (),
 ) -> LPResult:
     """Two-phase solve on a dense Fraction tableau built from scratch; same
-    signature and result type as :func:`repro.ilp.solve_lp`."""
+    signature and result type as :func:`tests.ilp.simplex.solve_lp`."""
     sf = _StandardForm(model)
     raw = []
     for con in list(model.constraints) + list(extra) + sf.bound_rows:

@@ -1,6 +1,7 @@
 """Exact two-phase primal simplex over integer-scaled rows.
 
-This is the reproduction's stand-in for PIP's exact LP core.  Every tableau
+The LP core of the exact solver the tests check HiGHS against (the role
+PIP's exact LP core plays in the paper).  Every tableau
 row is kept as a sparse integer vector with one shared positive denominator
 (``row / den``), gcd-normalized after each pivot, so arithmetic stays exact
 without paying :class:`fractions.Fraction` overhead on every entry.  Pivot
@@ -12,14 +13,15 @@ Two entry points:
 
 * :class:`IncrementalLP` — a persistent standard-form tableau supporting
   ``minimize`` / ``fix`` / ``add_constraint`` cycles and snapshots, which is
-  what lets the lexmin driver warm-start each objective from the previous
-  optimal basis and branch-and-bound apply its cuts without rebuilding;
+  what lets the reference lexmin (:mod:`tests.ilp.reference_lexmin`)
+  warm-start each objective from the previous optimal basis and
+  branch-and-bound apply its cuts without rebuilding;
 * :func:`solve_lp` — one-shot solve of an :class:`~repro.ilp.model.ILPModel`
   relaxation (integrality flags ignored) on a fresh :class:`IncrementalLP`.
 
-This is the only tableau in ``src/``.  The seed's dense ``Fraction`` tableau
-lives on as a test-side oracle (``tests/ilp/reference_lp.py``) that the
-property tests pin the integer-scaled pivoting against.
+The seed's dense ``Fraction`` tableau is a second, slower oracle
+(``tests/ilp/reference_lp.py``) that the property tests pin the
+integer-scaled pivoting against.
 """
 
 from __future__ import annotations

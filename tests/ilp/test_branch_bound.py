@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import ILPModel, ILPStatus, solve_ilp
-from repro.ilp.branch_bound import BranchAndBoundError
+from repro.ilp import ILPModel, ILPStatus
+from tests.ilp.branch_bound import BranchAndBoundError, solve_ilp
 
 
 class TestILP:

@@ -1,6 +1,5 @@
-"""Unit and property tests for the lexmin driver and backend agreement."""
-
-from fractions import Fraction
+"""Unit and property tests for the lexmin driver, its agreement with the
+exact reference, and what a point HiGHS gets wrong leads to."""
 
 import numpy as np
 import pytest
@@ -8,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ilp import (
-    HighsSession, ILPModel, ILPStatus, LinearConstraint, highs_backend, lexmin, solve_ilp,
+    HighsSession, ILPModel, ILPStatus, SolverError, highs_backend, lexmin,
 )
+from repro.polyhedra import BasicSet, Space, ineq
+from repro.polyhedra.cache import cache_disabled, global_cache
+from tests.ilp.branch_bound import solve_ilp
+from tests.ilp.reference_lexmin import reference_lexmin
 
 
 def _chain_model():
@@ -26,7 +29,7 @@ def _chain_model():
 class TestLexmin:
     def test_orders_matter(self):
         m = _chain_model()
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.is_optimal
         # u minimized first: u >= w - 2 and u + w >= 3 -> min u is ceil(1/2)=1? u=w-2,u+w=3 -> u=1/2 -> integer: u=1,w=2
         assert res.assignment["u"] == 1
@@ -36,7 +39,7 @@ class TestLexmin:
     def test_reverse_order_changes_solution(self):
         m = _chain_model()
         m.set_objective_order(["w", "u"])
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.assignment["w"] == 0
         assert res.assignment["u"] == 3
 
@@ -51,45 +54,40 @@ class TestLexmin:
         m.add_variable("x", lower=0, upper=1)
         m.add_constraint({"x": 1}, -2)
         m.set_objective_order(["x"])
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.status == ILPStatus.INFEASIBLE
 
     def test_unbounded(self):
         m = ILPModel()
         m.add_variable("x", lower=None)
         m.set_objective_order(["x"])
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.status == ILPStatus.UNBOUNDED
 
     def test_lower_bound_shortcut_skips_solves(self):
         m = ILPModel()
         for i in range(5):
-            m.add_variable(f"x{i}", lower=0, upper=4)
+            m.add_variable(f"x{i}", lower=0)  # no upper bound: nothing folds
         m.add_constraint({"x0": 1}, -1)  # only x0 is pushed off its bound
         m.set_objective_order([f"x{i}" for i in range(5)])
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.is_optimal
         assert res.solves == 1  # x1..x4 resolved by the lower-bound shortcut
+        assert res.stats.shortcut_hits + res.stats.probe_hits >= 1
         assert [int(v) for v in res.values] == [1, 0, 0, 0, 0]
-
-    def test_unknown_backend_rejected(self):
-        m = _chain_model()
-        for name in ("gurobi", "auto"):
-            with pytest.raises(ValueError, match="unknown ILP backend"):
-                lexmin(m, backend=name)
 
     def test_default_backend_is_highs(self):
         assert lexmin(_chain_model()).backend == "highs"
 
     def test_highs_backend_agrees(self):
         m = _chain_model()
-        exact = lexmin(m, backend="exact")
-        fast = lexmin(m, backend="highs")
+        exact = reference_lexmin(m)
+        fast = lexmin(m)
         assert exact.values == fast.values
 
     def test_result_satisfies_model(self):
         m = _chain_model()
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert m.check(res.assignment)
 
 
@@ -124,35 +122,78 @@ def random_ilp(draw):
     return m
 
 
+def _zero_every_point(monkeypatch):
+    """Stub the door so every point it returns is the zero vector; the
+    statuses it saw are returned, one per entry."""
+    real, statuses = highs_backend.highs, []
+
+    def zeroed(*args, **kwargs):
+        res = real(*args, **kwargs)
+        statuses.append(res.status)
+        return res._replace(x=np.zeros_like(res.x))
+
+    monkeypatch.setattr(highs_backend, "highs", zeroed)
+    return statuses
+
+
+def _above_three():
+    """``x + y >= 3`` in a box: the zero point violates it."""
+    m = ILPModel()
+    m.add_variable("x", lower=0, upper=10)
+    m.add_variable("y", lower=0, upper=10)
+    m.add_constraint({"x": 1, "y": 1}, -3)
+    m.set_objective_order(["x", "y"])
+    return m
+
+
 class TestHighsVerification:
-    def test_failed_verification_is_decided_by_the_exact_solver(self, monkeypatch):
-        """A HiGHS point that violates the model is not evidence of
-        infeasibility: ``BasicSet.is_empty`` would drop a dependence."""
-        import numpy as np
+    """A HiGHS point that violates the model is not evidence of
+    infeasibility: ``BasicSet.is_empty`` would drop a dependence.  A point
+    that fails its check on the whole model raises :class:`SolverError`."""
 
-        from repro.ilp import highs_backend
+    def test_a_point_that_fails_twice_raises_never_infeasible(self, monkeypatch):
+        m = _above_three()
+        statuses = _zero_every_point(monkeypatch)
+        with pytest.raises(SolverError, match="fails the exact check") as err:
+            HighsSession(m).solve({"x": 1, "y": 2})
+        assert err.value.model is m and isinstance(err.value, RuntimeError)
+        assert statuses == [0]  # the whole model was asked once, never the exact solver
+        with pytest.raises(SolverError):
+            lexmin(m)
 
-        m = ILPModel()
-        m.add_variable("x", lower=0, upper=10)
-        m.add_variable("y", lower=0, upper=10)
-        m.add_constraint({"x": 1, "y": 1}, -3)   # x + y >= 3
-        obj = {"x": 1, "y": 2}
+    def test_a_failed_point_on_a_set_raises_rather_than_reads_empty(self, monkeypatch):
+        sp = Space(("x", "y"), ())
+        s = BasicSet(sp)
+        s.add(ineq(sp, {"x": 1, "y": 1}, -3))   # x + y >= 3: 0 is outside
+        s.add(ineq(sp, {"x": -1, "y": 1}, 1))   # y >= x - 1
+        s.add(ineq(sp, {"x": 1, "y": -1}, 1))   # y <= x + 1
+        assert s.contains({"x": 2, "y": 2})
+        _zero_every_point(monkeypatch)
+        with pytest.raises(SolverError) as err:
+            s._solve()
+        assert err.value.model.num_variables == 2
+        global_cache().clear()
+        for check in (s.is_empty, lambda: s.min_of(s.constraints[0].expr)):
+            with pytest.raises(SolverError):
+                check()
+        with cache_disabled(), pytest.raises(SolverError):
+            s.is_empty()
 
-        real, injected = highs_backend.highs, []
+    def test_the_work_limit_reached_twice_raises(self, monkeypatch):
+        asked = []
 
-        def off_by_a_row(*args, **kwargs):
-            res = real(*args, **kwargs)
-            injected.append(res.status)
-            return res._replace(x=np.zeros_like(res.x))  # violates x + y >= 3
+        def at_the_limit(c, a, lo, hi, lb, ub, integral, **options):
+            asked.append(options["mip_max_nodes"])
+            return highs_backend.HighsResult(1)
 
-        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
-        got = HighsSession(m).solve(obj)
-        assert injected == [0]  # the one HiGHS entry ran, and its point was replaced
-        want = solve_ilp(m, obj)
-        assert (got.status, got.objective, got.assignment) == (
-            want.status, want.objective, want.assignment
-        )
-        assert got.is_optimal and got.objective == 3
+        monkeypatch.setattr(highs_backend, "highs", at_the_limit)
+        limit = r"work limit \(10000000 nodes\) on a 1-row, 2-column"
+        with pytest.raises(SolverError, match=limit):
+            highs_backend.solve_rows(
+                np.ones(2), np.ones((1, 2), dtype=np.int64), np.array([3]),
+                np.array([False]), 0, 10, node_limit=100_000,
+            )
+        assert asked == [100_000, 10_000_000]
 
 
 class TestBackendAgreement:
@@ -169,8 +210,8 @@ class TestBackendAgreement:
     @given(random_ilp())
     @settings(max_examples=30, deadline=None)
     def test_exact_vs_highs_lexmin(self, m):
-        exact = lexmin(m, backend="exact")
-        fast = lexmin(m, backend="highs")
+        exact = reference_lexmin(m)
+        fast = lexmin(m)
         assert exact.status == fast.status
         if exact.is_optimal:
             assert exact.values == fast.values
@@ -178,14 +219,14 @@ class TestBackendAgreement:
     @given(random_ilp())
     @settings(max_examples=30, deadline=None)
     def test_lexmin_solution_feasible(self, m):
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         assert res.is_optimal  # constructed to be feasible
         assert m.check(res.assignment)
 
     @given(random_ilp())
     @settings(max_examples=30, deadline=None)
     def test_lexmin_first_component_is_global_min(self, m):
-        res = lexmin(m, backend="exact")
+        res = lexmin(m)
         first = m.objective_order[0]
         single = solve_ilp(m, {first: 1})
         assert res.assignment[first] == single.objective
@@ -243,8 +284,8 @@ class TestComponentSteps:
     @given(blocks_behind_a_bound())
     @settings(max_examples=60, deadline=None)
     def test_highs_agrees_with_exact_on_every_variable(self, m):
-        exact = lexmin(m, backend="exact")
-        fast = lexmin(m, backend="highs")
+        exact = reference_lexmin(m)
+        fast = lexmin(m)
         assert exact.status == fast.status == ILPStatus.OPTIMAL
         assert fast.assignment == exact.assignment
         assert m.check(fast.assignment)
@@ -264,26 +305,27 @@ class TestComponentSteps:
         # block is every free column, and the whole model is handed over
         assert sent == [m.num_variables, 2, 1, m.num_variables, m.num_variables]
 
-    def test_a_failed_restricted_point_goes_to_the_exact_solver(self, monkeypatch):
+    def test_a_failed_restricted_point_is_asked_of_the_whole_model(self, monkeypatch):
         """The restricted entry answers a point that violates ``x0 >= b + 1``:
-        the exact solver decides, over the whole model with the pins."""
+        the whole model, with the pins, is asked once more and answers."""
         m = _two_blocks()
         session = HighsSession(m)
         first = session.solve({"b": 1})
         session.pin("b", first.assignment["b"])
         real, sent = highs_backend.highs, []
 
-        def off_by_a_row(c, *args, **kwargs):
+        def restricted_off_by_a_row(c, *args, **kwargs):
             res = real(c, *args, **kwargs)
             sent.append(len(c))
-            return res._replace(x=np.zeros_like(res.x))
+            if len(c) < m.num_variables:
+                res = res._replace(x=np.zeros_like(res.x))
+            return res
 
-        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
+        monkeypatch.setattr(highs_backend, "highs", restricted_off_by_a_row)
         got = session.solve({"x0": 1}, at=first.assignment)
-        assert sent == [2]  # one entry, over x0's block only
-        pin = LinearConstraint({"b": 1}, -first.assignment["b"], equality=True)
-        want = solve_ilp(m, {"x0": 1}, (pin,))
-        assert (got.status, got.objective, got.assignment) == (
-            want.status, want.objective, want.assignment
-        )
+        assert sent == [2, m.num_variables]  # x0's block, then the whole model
+        m.set_objective_order(["b", "x0"])
+        want = reference_lexmin(m)
+        assert (got.status, got.objective) == (want.status, want.values[-1])
+        assert got.assignment["b"] == first.assignment["b"] and m.check(got.assignment)
         assert got.is_optimal and got.objective == 2

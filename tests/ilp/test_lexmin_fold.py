@@ -3,9 +3,10 @@
 The lexmin driver folds each maximal run of bounded integer variables into
 one mixed-radix objective.  These tests pin that against asking about one
 variable at a time — through the same loop with folding switched off
-(``FOLD_LIMIT = 1``) and through an independent reference that pins with
-equality *rows* — on random models and on real level-0 scheduler models,
-for both backends; and they pin where a run must stop.
+(``FOLD_LIMIT = 1``), through a reference that pins with equality *rows*,
+and through the exact reference lexmin (``reference_lexmin.py``) — on
+random models and on real level-0 scheduler models; and they pin where a
+run must stop.
 """
 
 import sys
@@ -15,18 +16,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import HighsSession, ILPModel, LinearConstraint, lexmin, solve_ilp
+from repro.ilp import HighsSession, ILPModel, LinearConstraint, lexmin
 from repro.ilp.lexmin import FOLD_LIMIT, _fold
 from repro.workloads import all_workloads
+from tests.ilp.branch_bound import solve_ilp
+from tests.ilp.reference_lexmin import reference_lexmin
 from tests.ilp.test_warm_solver import _level0_model
 
 #: the module, not the function of the same name ``repro.ilp`` re-exports
 lexmin_module = sys.modules["repro.ilp.lexmin"]
 
 
+def _with_rows(model: ILPModel, rows) -> ILPModel:
+    """``model`` with ``rows`` appended to its constraints."""
+    out = model.clone()
+    out.constraints += rows
+    return out
+
+
 def _solve_highs(model, objective, extra=()):
     """One HiGHS solve with ``solve_ilp``'s signature."""
-    return HighsSession(model, extra).solve(objective)
+    return HighsSession(_with_rows(model, extra)).solve(objective)
 
 
 def _one_at_a_time(model: ILPModel, solver) -> list[Fraction]:
@@ -69,11 +79,11 @@ class TestFoldedAgreesWithSequential:
     def test_random_bounded_models(self, model):
         want = _one_at_a_time(model, solve_ilp)
         assert _one_at_a_time(model, _solve_highs) == want
-        for backend in ("highs", "exact"):
-            res = lexmin(model, backend=backend)
-            assert res.is_optimal and res.values == want
-            assert model.check(res.assignment)
-            assert res.solves <= 2  # at most 9**6 values: one fold, maybe two
+        assert reference_lexmin(model).values == want
+        res = lexmin(model)
+        assert res.is_optimal and res.values == want
+        assert model.check(res.assignment)
+        assert res.solves <= 2  # at most 9**6 values: one fold, maybe two
 
     @pytest.mark.parametrize(
         "name", ["gemm", "jacobi-2d-imper", "fdtd-2d", "heat-1dp"]
@@ -81,15 +91,13 @@ class TestFoldedAgreesWithSequential:
     def test_level0_scheduler_models(self, name, monkeypatch):
         (workload,) = [w for w in all_workloads() if w.name == name]
         model = _level0_model(workload)
-        folded = {b: lexmin(model, backend=b) for b in ("highs", "exact")}
+        folded = lexmin(model)
         monkeypatch.setattr(lexmin_module, "FOLD_LIMIT", 1)
-        single = {b: lexmin(model, backend=b) for b in ("highs", "exact")}
-        for backend in ("highs", "exact"):
-            assert folded[backend].is_optimal
-            assert folded[backend].values == single["highs"].values
-            assert single[backend].values == single["highs"].values
-            assert folded[backend].solves < single[backend].solves
-            assert model.check(folded[backend].assignment)
+        single = lexmin(model)
+        assert folded.is_optimal
+        assert folded.values == single.values == reference_lexmin(model).values
+        assert folded.solves < single.solves
+        assert model.check(folded.assignment)
 
 
 def _box_model(n) -> ILPModel:
@@ -123,10 +131,9 @@ class TestWhereARunStops:
         assert first["x0"] * 9 <= FOLD_LIMIT
         assert list(_fold(model, order, 5)) == order[5:]
         want = _one_at_a_time(model, solve_ilp)
-        for backend in ("highs", "exact"):
-            res = lexmin(model, backend=backend)
-            assert res.values == want
-            assert res.solves == 2
+        res = lexmin(model)
+        assert res.values == want == reference_lexmin(model).values
+        assert res.solves == 2
 
     def test_a_four_deep_statement_splits(self):
         m = ILPModel()
@@ -156,9 +163,7 @@ class TestWhereARunStops:
         m.add_variable("y", 0, 3)
         m.add_constraint({"u": 1, "x": 1, "y": 1}, -5)
         m.set_objective_order(["u", "x", "y"])
-        for backend in ("highs", "exact"):
-            res = lexmin(m, backend=backend)
-            assert res.values == [0, 2, 3]
+        assert lexmin(m).values == reference_lexmin(m).values == [0, 2, 3]
 
 
 class TestSession:
@@ -171,33 +176,38 @@ class TestSession:
             rows.append(LinearConstraint({name: 1}, -value, equality=True))
             for objective in ({"x2": 1}, {"x3": 1}, {"x2": 9, "x3": 1}):
                 a = session.solve(objective)
-                b = HighsSession(model, tuple(rows)).solve(objective)
+                b = HighsSession(_with_rows(model, rows)).solve(objective)
                 assert (a.status, a.objective) == (b.status, b.objective)
         session.pin("x2", Fraction(-4))  # x2 >= x1 = 1 now fails
         assert not session.solve({"x3": 1}).is_optimal
 
-    def test_exact_fallback_honours_the_pins(self, monkeypatch):
-        """A rounded point that fails verification goes to the exact solver
-        with the session's pins as equality rows, not without them."""
+    def test_the_whole_model_retry_honours_the_pins(self, monkeypatch):
+        """A restricted point that fails verification is asked again of the
+        whole model with the session's pins as bounds, not without them."""
         import numpy as np
 
         from repro.ilp import highs_backend
 
         model = _box_model(3)
+        model.add_variable("z", 0, 4)
+        model.add_constraint({"z": 1}, -2)  # z >= 2, a block of its own
         session = HighsSession(model)
         session.pin("x0", Fraction(1))
-        real, injected = highs_backend.highs, []
+        at = {"x0": Fraction(1), "x1": Fraction(1), "x2": Fraction(1), "z": Fraction(4)}
+        real, sent = highs_backend.highs, []
 
-        def off_by_a_row(*args, **kwargs):
-            res = real(*args, **kwargs)
-            injected.append(res.status)
-            return res._replace(x=np.zeros_like(res.x))  # violates the pin and sum >= 3
+        def restricted_off_by_a_row(c, *args, **kwargs):
+            res = real(c, *args, **kwargs)
+            sent.append(len(c))
+            if len(c) == 1:
+                res = res._replace(x=np.zeros_like(res.x))  # violates z >= 2
+            return res
 
-        monkeypatch.setattr(highs_backend, "highs", off_by_a_row)
-        got = session.solve({"x1": 3, "x2": 1})
-        assert injected == [0]  # the one HiGHS entry ran, and its point was replaced
-        assert got.is_optimal
-        assert [got.assignment[n] for n in ("x0", "x1", "x2")] == [1, 1, 1]
+        monkeypatch.setattr(highs_backend, "highs", restricted_off_by_a_row)
+        got = session.solve({"z": 1}, at=at)
+        assert sent == [1, 4]  # z's block, then the whole model
+        assert got.is_optimal and got.assignment["z"] == 2
+        assert got.assignment["x0"] == 1 and model.check(got.assignment)
 
     def test_satisfies_is_the_models_exact_check(self):
         model = _box_model(3)

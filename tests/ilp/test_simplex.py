@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro.ilp import ILPModel, LPStatus, solve_lp
+from repro.ilp import ILPModel
+from tests.ilp.simplex import LPStatus, solve_lp
 
 
 def _model_2d(lower=0):

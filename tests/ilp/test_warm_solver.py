@@ -1,17 +1,19 @@
 """The exact solver as the reference HiGHS is checked against.
 
-HiGHS answers every lexmin the pipeline asks; the exact solver verifies
-its rounded points and is the reference here, so it must itself be right:
+HiGHS answers every lexmin the pipeline asks; the exact solver
+(``tests/ilp/simplex.py`` + ``branch_bound.py``) is the reference here, so
+it must itself be right:
 
 * the integer-scaled tableau must agree with the dense ``Fraction``
   oracle (``tests/ilp/reference_lp.py``) on random feasible LPs (property
   test);
-* the exact backend (one warm tableau across the objective sequence) must
-  produce the same lexicographic optimum as HiGHS (one cold solve per
-  objective) — two independent solvers driven by the one lexmin loop — on
-  every Polybench and periodic level-0 scheduler model the exact backend
-  finishes in about a second.  The larger models are checked against the
-  model itself: the pure-Python simplex is too slow to be their reference.
+* the reference lexmin (``reference_lexmin.py``: one warm tableau, one
+  objective at a time) must produce the same lexicographic optimum as
+  ``repro.ilp.lexmin`` on HiGHS — two independent solvers through two
+  independent loops — on every Polybench and periodic level-0 scheduler
+  model the reference finishes in about a second.  The larger models are
+  checked against the model itself: the pure-Python simplex is too slow to
+  be their reference.
 """
 
 from fractions import Fraction
@@ -23,11 +25,13 @@ from hypothesis import strategies as st
 from repro.core.scheduler import PlutoScheduler
 from repro.core.transform import Schedule
 from repro.deps import DependenceGraph, compute_dependences
-from repro.ilp import ILPModel, IncrementalLP, lexmin, solve_lp
+from repro.ilp import ILPModel, lexmin
 from repro.workloads import all_workloads
+from tests.ilp.reference_lexmin import reference_lexmin
 from tests.ilp.reference_lp import solve_lp_fraction
+from tests.ilp.simplex import IncrementalLP, solve_lp
 
-#: warm exact lexmin stays around a second up to this many variables and
+#: the reference lexmin stays around a second up to this many variables and
 #: constraints; past either, the exact reference is not run
 _EXACT_VARIABLES = 80
 _EXACT_CONSTRAINTS = 150
@@ -111,7 +115,7 @@ class TestEngineAgreement:
 
 
 # ---------------------------------------------------------------------------
-# Exact (warm) vs HiGHS (cold) lexmin on the Polybench / periodic models
+# The exact reference lexmin vs HiGHS on the Polybench / periodic models
 # ---------------------------------------------------------------------------
 
 
@@ -131,17 +135,17 @@ _WORKLOADS = [
 
 @pytest.mark.parametrize("workload", _WORKLOADS, ids=lambda w: w.name)
 def test_warm_vs_cold_lexmin(workload):
-    """Exact (warm tableau) vs HiGHS (cold solves) through the one lexmin
-    loop.  The id predates the removal of the exact backend's own cold
-    sequence and is kept so the per-workload test ids stay stable."""
+    """The exact reference (warm tableau) vs HiGHS through the lexmin loop.
+    The id predates the exact solver's move into the tests and is kept so the
+    per-workload test ids stay stable."""
     model = _level0_model(workload)
-    highs = lexmin(model, backend="highs")
+    highs = lexmin(model)
     assert highs.is_optimal and highs.backend == "highs"
     assert model.check(highs.assignment)
     if (model.num_variables > _EXACT_VARIABLES
             or model.num_constraints > _EXACT_CONSTRAINTS):
         return  # too slow for the pure-Python simplex to be the reference
-    exact = lexmin(model, backend="exact")
+    exact = reference_lexmin(model)
     assert exact.is_optimal and exact.backend == "exact"
     assert exact.values == highs.values
     for name in model.objective_order:

@@ -1,14 +1,13 @@
 """A small set-associative cache simulator, driven by real execution traces.
 
-The Fig. 6 performance model rests on one mechanism: time tiling divides a
-sweep's main-memory traffic by the tile's time-height because the tile
-working set stays cache-resident.  This module lets the repository *check*
-that mechanism instead of asserting it: the code generator's trace mode
-yields the exact statement instances executed, the statements' access maps
-turn each instance into the array cells it touches, and the simulator counts
-misses under an LRU set-associative cache.  The cache-behavior tests and the
-A5 ablation bench compare untiled vs tiled schedules of the same program at
-equal work.
+Fig. 6's speedups rest on one mechanism: time tiling divides a sweep's
+main-memory traffic by the tile's time-height because the tile working set
+stays cache-resident.  This test-side oracle *checks* that mechanism on the
+compiler's own schedules: the code generator's trace mode yields the exact
+statement instances executed, the statements' access maps turn each
+instance into the array cells it touches, and the simulator counts misses
+under an LRU set-associative cache.  ``test_cache.py`` (ablation A5)
+compares untiled vs tiled schedules of the same program at equal work.
 """
 
 from __future__ import annotations

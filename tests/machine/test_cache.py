@@ -11,7 +11,7 @@ from repro.core import (
 )
 from repro.deps import DependenceGraph, compute_dependences
 from repro.frontend import parse_program
-from repro.machine.cache import CacheConfig, CacheSim, simulate_schedule_misses
+from tests.machine.cache import CacheConfig, CacheSim, simulate_schedule_misses
 
 
 class TestCacheSim:

@@ -16,8 +16,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from repro.ilp import ILPModel, LPStatus
+from repro.ilp import ILPModel
 from tests.ilp.reference_lp import solve_lp_fraction
+from tests.ilp.simplex import LPStatus
 
 
 def exact_min(rows, objective):

@@ -24,7 +24,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ilp import LPStatus
 from repro.polyhedra import BasicSet, Space
 from repro.polyhedra.cache import global_cache
 from repro.polyhedra.affine import AffExpr
@@ -34,6 +33,7 @@ from repro.polyhedra.fourier_motzkin import (
     eliminate_column,
     normalize_rows,
 )
+from tests.ilp.simplex import LPStatus
 from tests.polyhedra.reference_prune import exact_min
 
 

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 
 import pytest
 
-from repro.ilp import LPStatus
 from repro.polyhedra import fourier_motzkin
 from repro.polyhedra.cache import cache_disabled, global_cache
 from repro.polyhedra.fourier_motzkin import _row_rules, prune_redundant_rows
+from tests.ilp.simplex import LPStatus
 from tests.polyhedra.reference_prune import exact_min as _exact_min, sweep_prune
 
 

@@ -41,7 +41,6 @@ class TestRegistry:
     def test_periodic_flags(self):
         for w in all_workloads("periodic"):
             assert w.iss and w.diamond, w.name
-            assert w.perf is not None
 
     def test_polybench_has_no_iss(self):
         for w in all_workloads("polybench"):
@@ -90,7 +89,7 @@ class TestModelStructure:
         """The polyhedral heat model (original order) matches the numpy app."""
         import numpy as np
 
-        from repro.apps import run_heat
+        from tests.apps import run_heat
         from repro.codegen import generate_python, original_schedule
         from repro.runtime import random_arrays
 
@@ -106,7 +105,7 @@ class TestModelStructure:
     def test_heat2d_model_matches_reference(self):
         import numpy as np
 
-        from repro.apps import run_heat
+        from tests.apps import run_heat
         from repro.codegen import generate_python, original_schedule
         from repro.runtime import random_arrays
 
