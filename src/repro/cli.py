@@ -10,9 +10,6 @@ Usage::
     python -m repro list
     python -m repro suite --jobs 4 --filter 'heat-*'
     python -m repro serve --socket /tmp/repro.sock --jobs 4 --cache-dir cache
-    python -m repro route --socket /tmp/router.sock --shard /tmp/s0.sock \
-        --shard /tmp/s1.sock
-    python -m repro warm --socket /tmp/repro.sock --category motivation
     python -m repro client opt --workload heat-2dp --socket /tmp/repro.sock
 
 ``opt`` parses an affine C-like loop nest (or loads a registered workload),
@@ -22,9 +19,7 @@ illegal schedule); ``deps`` prints the dependence analysis; ``list``
 enumerates registered workloads; ``suite`` fans the workload matrix out
 over worker processes and writes a ``runs/<suite-id>/`` manifest; ``serve``
 runs the pipeline as a persistent daemon with a content-addressed schedule
-cache; ``route`` shards that cache across several daemons behind a
-consistent-hash router; ``warm`` pre-populates the cache over the suite
-matrix; and ``client`` talks to any of them.
+cache; and ``client`` talks to it.
 """
 
 from __future__ import annotations
@@ -99,7 +94,7 @@ def _pipeline_fields(args) -> dict:
     return fields
 
 
-def _add_matrix_args(p, verb: str) -> None:
+def _add_matrix_args(p) -> None:
     from repro.suite.matrix import VARIANTS
 
     p.add_argument("--filter", action="append", default=[], metavar="GLOB",
@@ -109,8 +104,8 @@ def _add_matrix_args(p, verb: str) -> None:
                    choices=("periodic", "polybench", "motivation",
                             "reduction", "all"),
                    default="periodic",
-                   help=f"workload category to {verb} (default: periodic, "
-                        f"the paper's Table 2 suite)")
+                   help="workload category to run (default: periodic, "
+                        "the paper's Table 2 suite)")
     p.add_argument("--variants", default="plutoplus",
                    help=f"comma-separated option variants "
                         f"({', '.join(VARIANTS)})")
@@ -210,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-run deadline in seconds (default 900)")
     suite.add_argument("--retries", type=int, default=None, metavar="N",
                        help="re-attempts after a crash/timeout (default 1)")
-    _add_matrix_args(suite, "run")
+    _add_matrix_args(suite)
     suite.add_argument("--backend", choices=BACKENDS,
                        default=PipelineOptions.backend,
                        help="execution backend recorded on every spec; "
@@ -260,31 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 64)")
     serve.add_argument("--report", action="store_true",
                        help="print a metrics summary line on exit")
-
-    route = sub.add_parser(
-        "route",
-        help="shard the schedule cache across daemons behind a router",
-    )
-    add_endpoint_args(route)
-    route.add_argument("--shard", action="append", default=[],
-                       metavar="ENDPOINT", required=True,
-                       help="a shard daemon endpoint: a Unix socket path or "
-                            "host:port (repeatable; order is irrelevant — "
-                            "key placement depends only on the endpoint "
-                            "strings)")
-    route.add_argument("--report", action="store_true",
-                       help="print a metrics summary line on exit")
-
-    warm = sub.add_parser(
-        "warm",
-        help="pre-populate the schedule cache over the suite matrix",
-    )
-    add_endpoint_args(warm)
-    warm.add_argument("--jobs", type=int, default=4, metavar="N",
-                      help="concurrent client connections (default 4)")
-    _add_matrix_args(warm, "warm")
-    warm.add_argument("--quiet", action="store_true",
-                      help="suppress per-spec progress lines")
 
     client = sub.add_parser("client", help="talk to a running repro daemon")
     csub = client.add_subparsers(dest="client_command", required=True)
@@ -605,7 +575,8 @@ def _cmd_serve(args) -> int:
     """Run the scheduling daemon until SIGTERM/SIGINT, then drain."""
     import os
 
-    from repro.server import Daemon, DaemonConfig
+    from repro import __version__
+    from repro.server import Daemon, DaemonConfig, SocketInUse
     from repro.workers import DEFAULT_RECYCLE, DEFAULT_TIMEOUT
 
     if args.socket is None and args.port is None:
@@ -632,79 +603,21 @@ def _cmd_serve(args) -> int:
         )
     except ValueError as e:
         raise SystemExit(f"error: {e}")
-    return _serve_until_stopped(
-        Daemon(config), args, "serving",
-        f"(jobs {config.jobs}, "
-        f"cache {config.cache_dir or 'memory-only'}, "
-        f"skeletons {config.skeleton_dir or 'off'})",
-    )
-
-
-def _serve_until_stopped(server, args, verb: str, detail: str) -> int:
-    """Run a :class:`~repro.server.listener.LineServer` to its drain."""
-    from repro import __version__
-    from repro.server import SocketInUse
-
-    server.install_signal_handlers()
-    print(f"# repro {__version__} {verb} on "
-          f"{args.socket or f'{args.host}:{args.port}'} {detail}",
+    daemon = Daemon(config)
+    daemon.install_signal_handlers()
+    print(f"# repro {__version__} serving on "
+          f"{args.socket or f'{args.host}:{args.port}'} "
+          f"(jobs {config.jobs}, "
+          f"cache {config.cache_dir or 'memory-only'}, "
+          f"skeletons {config.skeleton_dir or 'off'})",
           file=sys.stderr, flush=True)
     try:
-        server.serve()
+        daemon.serve()
     except SocketInUse as e:
         raise SystemExit(f"error: {e}")
     if args.report:
-        print(f"# {server.metrics.summary_line()}", file=sys.stderr)
+        print(f"# {daemon.metrics.summary_line()}", file=sys.stderr)
     return 0
-
-
-def _cmd_route(args) -> int:
-    """Run the shard router until SIGTERM/SIGINT."""
-    from repro.server import Router, RouterConfig
-
-    if args.socket is None and args.port is None:
-        raise SystemExit("error: route needs --socket PATH or --port N")
-    try:
-        config = RouterConfig(
-            shards=args.shard,
-            socket_path=args.socket,
-            host=args.host,
-            port=args.port,
-        )
-    except ValueError as e:
-        raise SystemExit(f"error: {e}")
-    return _serve_until_stopped(
-        Router(config), args, "routing",
-        f"across {len(config.shards)} shard(s)",
-    )
-
-
-def _cmd_warm(args) -> int:
-    """Pre-populate the cache over the matrix; exit nonzero on failures."""
-    from repro.server import warm_cache
-
-    if args.socket is None and args.port is None:
-        raise SystemExit("error: warm needs --socket PATH or --port N")
-    specs = _matrix_specs(args)
-    progress = None if args.quiet else (
-        lambda o: print(
-            f"# {o['run_id']}: {o.get('cache') or o.get('status')}"
-            + (f" ({o['elapsed']:.3f}s)" if o.get("elapsed") is not None else ""),
-            file=sys.stderr, flush=True,
-        )
-    )
-    report = warm_cache(
-        specs,
-        socket_path=args.socket, host=args.host, port=args.port,
-        jobs=args.jobs,
-        progress=progress,
-    )
-    print(report.summary_line())
-    for failure in report.failed:
-        print(f"  failed: {failure['run_id']}: "
-              f"{failure.get('message') or failure.get('status')}",
-              file=sys.stderr)
-    return 0 if not report.failed else 1
 
 
 def _client_connect(args):
@@ -811,8 +724,6 @@ _COMMANDS = {
     "list": _cmd_list,
     "suite": _cmd_suite,
     "serve": _cmd_serve,
-    "route": _cmd_route,
-    "warm": _cmd_warm,
     "client": _cmd_client,
 }
 

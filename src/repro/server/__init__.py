@@ -12,9 +12,9 @@ run.  The pieces:
   cache (in-memory LRU over an atomic on-disk store, both from
   :mod:`repro.store`), keyed by
   ``sha256(canonical IR + options + pipeline version)``;
-* :mod:`repro.server.listener` — the one JSON-lines socket server (one
-  asyncio loop) under both the daemon and the router: claim + staged bind,
-  connection loop, ``bad-request`` answers, graceful drain on SIGTERM;
+* :mod:`repro.server.listener` — the daemon's JSON-lines socket
+  transport (one asyncio loop): claim + staged bind, connection loop,
+  ``bad-request`` answers, graceful drain on SIGTERM;
 * :mod:`repro.server.daemon`   — what an ``optimize`` request means:
   single-flight request coalescing, admission control with explicit busy
   responses, the warm pool's drain; the pool itself —
@@ -23,13 +23,9 @@ run.  The pieces:
   too (re-exported here);
 * :mod:`repro.server.resolve`  — request → (program, options, key)
   resolution, memoized for workload-name requests on the warm path;
-* :mod:`repro.server.shard`    — consistent-hash cache sharding across N
-  daemons behind a thin router (``repro route``);
-* :mod:`repro.server.warm`     — ``repro warm``: pre-populate the cache
-  over the suite engine's workload × variant matrix;
 * :mod:`repro.server.metrics`  — hit rates, queue depth, in-flight count,
-  pool reuse and shard routing counters, per-stage latency percentiles,
-  exposed via ``stats`` requests;
+  pool reuse counters, per-stage latency percentiles, exposed via
+  ``stats`` requests;
 * :mod:`repro.server.client`   — the blocking client used by
   ``repro client`` and scripts.
 
@@ -43,8 +39,6 @@ from repro.server.client import ServerClient
 from repro.server.daemon import Daemon, DaemonConfig, SocketInUse
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.server.shard import Router, RouterConfig, ShardRing
-from repro.server.warm import WarmReport, warm_cache
 from repro.workers import WarmWorkerPool
 
 __all__ = [
@@ -52,15 +46,10 @@ __all__ = [
     "DaemonConfig",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "Router",
-    "RouterConfig",
     "ScheduleCache",
     "ServerClient",
     "ServerMetrics",
-    "ShardRing",
     "SocketInUse",
-    "WarmReport",
     "WarmWorkerPool",
     "cache_key",
-    "warm_cache",
 ]

@@ -1,13 +1,14 @@
-"""The one JSON-lines listener under ``repro serve`` and ``repro route``.
+"""The JSON-lines socket transport under ``repro serve``.
 
-:class:`LineServer` owns everything the daemon and the shard router share:
-claiming and binding a Unix path or TCP port, the per-connection loop (read
-a line, parse, validate, answer ``bad-request``, skip blank lines, close
-after ``shutdown``), the stop flag and signal handlers, and the drain
-(stop accepting, let in-flight requests answer, close connections, unlink
-the socket).  A subclass supplies :meth:`~LineServer.handle` — one validated
-request in, one encoded response line out — plus the optional
-:meth:`~LineServer.start` and :meth:`~LineServer.drain` hooks.
+:class:`LineServer` owns everything about the socket that is not what a
+request means: claiming and binding a Unix path or TCP port, the
+per-connection loop (read a line, parse, validate, answer ``bad-request``,
+skip blank lines, close after ``shutdown``), the stop flag and signal
+handlers, and the drain (stop accepting, let in-flight requests answer,
+close connections, unlink the socket).  The daemon subclasses it and
+supplies :meth:`~LineServer.handle` — one validated request in, one encoded
+response line out — plus the :meth:`~LineServer.start` and
+:meth:`~LineServer.drain` hooks.
 
 Binding a Unix socket never clobbers a live daemon: the path is
 probe-connected first, and only a genuinely stale socket (connection

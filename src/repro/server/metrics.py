@@ -127,8 +127,6 @@ class ServerMetrics(Record):
     # "python" (the resolved-options default)
     backends: dict[str, int] = field(default_factory=dict)
     pool: PoolCounts = field(default_factory=PoolCounts)
-    # router-side: shard endpoint -> forwarded optimize requests
-    shard_routes: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._lock = threading.Lock()
@@ -143,7 +141,7 @@ class ServerMetrics(Record):
         """Add one to each counter in ``names``, under one lock.
 
         A name is a field (``"busy"``) or a pool counter (``"pool.reuses"``);
-        for a dict counter (``errors``, ``backends``, ``shard_routes``, ...)
+        for a dict counter (``errors``, ``backends``, ...)
         ``key`` picks the entry.  A ``None`` name, or a ``None`` key of a
         dict counter, counts nothing: a result payload that predates a
         field (or a store that is off) leaves no trace.
@@ -201,7 +199,7 @@ class ServerMetrics(Record):
         """The one-liner ``repro serve --report`` prints on exit."""
         snap = self.as_dict()
         p50 = snap["latency"]["total"]["p50"]
-        line = (
+        return (
             f"served {snap['optimize_requests']} optimize request(s): "
             f"{snap['hits_memory']}+{snap['hits_disk']} cache hits "
             f"(mem+disk), {snap['coalesced']} coalesced, "
@@ -215,6 +213,3 @@ class ServerMetrics(Record):
             f"hit rate {snap['hit_rate']:.2f}, "
             f"p50 total {('%.3fs' % p50) if p50 is not None else 'n/a'}"
         )
-        if snap["shard_routes"]:
-            line += f", routes {json.dumps(snap['shard_routes'])}"
-        return line

@@ -1,4 +1,4 @@
-"""Resolving optimize requests — shared by the daemon and the shard router.
+"""Resolving optimize requests: what the daemon does before its cache probe.
 
 :func:`resolve_optimize` turns one validated ``optimize`` request into
 ``(serialized program, resolved options dict)``: a registered workload name

@@ -64,19 +64,6 @@ class RunSpec:
             options=PipelineOptions.from_dict(data["options"]),
         )
 
-    def client_request(self) -> dict:
-        """This spec as one daemon ``optimize`` request (``repro warm``).
-
-        The options dict is the fully-resolved spec options, so the daemon
-        computes the same cache key a direct request for this cell would —
-        warming populates exactly the entries real lookups hit.
-        """
-        return {
-            "type": "optimize",
-            "workload": self.workload,
-            "options": self.options.as_dict(),
-        }
-
 
 def _matches(name: str, run_id: str, patterns: Sequence[str]) -> bool:
     return any(fnmatch(name, p) or fnmatch(run_id, p) for p in patterns)

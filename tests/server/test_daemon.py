@@ -616,6 +616,111 @@ class TestBindSafety:
         claim_unix_path(str(tmp_path / "never-existed.sock"))
 
 
+# -- the transport under the daemon (repro.server.listener.LineServer) ------
+
+
+def test_line_protocol(tmp_path):
+    """What ``LineServer`` answers before a request reaches ``handle`` —
+    and around it: malformed line → ``bad-request`` with the connection
+    still usable, blank line ignored, an unresolvable request →
+    ``bad-request``, ``shutdown`` closes."""
+    server = Daemon(DaemonConfig(
+        socket_path=str(tmp_path / "d.sock"), jobs=1, drain_seconds=2.0,
+        cache_dir=str(tmp_path / "cache"),
+    ))
+    _inject(server, _scripted)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    thread.start()
+    deadline = time.time() + 10
+    while server.bound_address is None:
+        assert thread.is_alive(), "daemon died during startup"
+        assert time.time() < deadline, "daemon never bound its socket"
+        time.sleep(0.01)
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+            raw.settimeout(15)
+            raw.connect(server.config.socket_path)
+            rfile = raw.makefile("rb")
+
+            def ask(line: bytes) -> dict:
+                raw.sendall(line)
+                return json.loads(rfile.readline())
+
+            resp = ask(b"{this is not json\n")
+            assert (resp["status"], resp["kind"]) == ("error", "bad-request")
+            # the connection is still usable afterwards, and a blank line
+            # draws no response: the next line read is the ping's answer
+            raw.sendall(b"\n")
+            resp = ask(b'{"type": "ping", "id": "after-blank"}\n')
+            assert (resp["status"], resp["id"]) == ("ok", "after-blank")
+            resp = ask(b'{"type": "frobnicate"}\n')
+            assert resp["kind"] == "bad-request"
+            assert "unknown request type" in resp["message"]
+            resp = ask(
+                b'{"type": "optimize", "workload": "no-such-workload-anywhere"}\n'
+            )
+            assert (resp["status"], resp["kind"]) == ("error", "bad-request")
+            assert "no-such-workload-anywhere" in resp["message"]
+            assert server.metrics.errors["bad-request"] == 3
+            resp = ask(b'{"type": "shutdown"}\n')
+            assert resp["status"] == "ok" and resp["draining"] is True
+            assert rfile.readline() == b""  # closed after the shutdown answer
+    finally:
+        server.shutdown()
+        thread.join(timeout=20)
+    assert not thread.is_alive()
+
+
+def test_socket_path_is_never_refused(tmp_path, monkeypatch):
+    """The bind→listen window is closed: whoever sees the socket *path*
+    can connect.  ``listen()`` is slowed so a plain ``bind(path)`` would
+    leave the path visible but refusing for 0.1 s."""
+    real_listen = socket.socket.listen
+
+    def slow_listen(self, *args):
+        time.sleep(0.1)
+        return real_listen(self, *args)
+
+    monkeypatch.setattr(socket.socket, "listen", slow_listen)
+    path = str(tmp_path / "s.sock")
+    # a staging file left by a process killed mid-start must not be in the way
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as dead:
+        dead.bind(path + "~")
+    server = Daemon(DaemonConfig(
+        socket_path=path, jobs=1, cache_dir=str(tmp_path / "cache"),
+    ))
+    _inject(server, _scripted)
+    outcome = []
+
+    def connect_the_instant_the_path_appears():
+        deadline = time.time() + 20
+        while not os.path.exists(path):
+            if time.time() > deadline:
+                outcome.append("path never appeared")
+                return
+            time.sleep(0.0005)
+        try:
+            with ServerClient(socket_path=path) as client:
+                outcome.append(client.ping()["status"])
+        except OSError as e:
+            outcome.append(repr(e))
+
+    poller = threading.Thread(target=connect_the_instant_the_path_appears)
+    thread = threading.Thread(target=server.serve, daemon=True)
+    poller.start()
+    thread.start()
+    try:
+        poller.join(timeout=30)
+        assert not poller.is_alive()
+        assert outcome == ["ok"]
+        assert not os.path.exists(path + "~")
+    finally:
+        server.shutdown()
+        thread.join(timeout=20)
+    assert not thread.is_alive()
+    assert not os.path.exists(path), "shutdown still unlinks the socket"
+
+
 class TestRealPipeline:
     def test_program_request_matches_in_process_optimize(self, daemon_factory):
         daemon = daemon_factory(scripted=False)

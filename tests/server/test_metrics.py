@@ -174,16 +174,6 @@ class TestServerMetrics:
             "spawns": 0, "dispatches": 0, "reuses": 0, "recycles": 0,
         }
 
-    def test_shard_route_counters(self):
-        m = ServerMetrics()
-        m.count("shard_routes", key="/tmp/s0.sock")
-        m.count("shard_routes", key="/tmp/s1.sock")
-        m.count("shard_routes", key="/tmp/s0.sock")
-        assert m.shard_routes == {"/tmp/s0.sock": 2, "/tmp/s1.sock": 1}
-        assert m.as_dict()["shard_routes"] == {
-            "/tmp/s0.sock": 2, "/tmp/s1.sock": 1,
-        }
-
 
 class TestReductionParallelCounter:
     def test_counter_and_snapshot(self):
@@ -216,7 +206,6 @@ def _pinned_sequence() -> ServerMetrics:
     m.count("pool.spawns")
     m.count("pool.dispatches", "pool.reuses")
     m.count("pool.recycles")
-    m.count("shard_routes", key="a.sock")
     m.count("busy")
     m.count("errors", key="crash")
     m.observe("total", 0.25)
@@ -224,7 +213,8 @@ def _pinned_sequence() -> ServerMetrics:
 
 
 #: the ``stats`` payload of :func:`_pinned_sequence` (minus ``uptime_seconds``)
-#: as the hand-written ``ServerMetrics`` of 1.20.0 produced it
+#: as the hand-written ``ServerMetrics`` of 1.20.0 produced it, less the
+#: ``shard_routes`` key that left with the router in 1.30.0
 _PINNED_PAYLOAD = (
     '{"requests": 2, "optimize_requests": 1, "ok": 2, "hits_memory": 1, '
     '"hits_disk": 0, "coalesced": 0, "misses": 1, "busy": 1, '
@@ -233,7 +223,7 @@ _PINNED_PAYLOAD = (
     '"structural_misses": 0, "structural_fallbacks": 0, '
     '"reduction_parallel": 1, "backends": {"python": 1}, '
     '"pool": {"spawns": 1, "dispatches": 1, "reuses": 1, "recycles": 1}, '
-    '"shard_routes": {"a.sock": 1}, "hit_rate": 0.5, '
+    '"hit_rate": 0.5, '
     '"latency": {"lookup": {"count": 0, "p50": null, "p90": null, '
     '"p99": null, "max": null}, "compute": {"count": 0, "p50": null, '
     '"p90": null, "p99": null, "max": null}, "total": {"count": 1, '
@@ -255,9 +245,7 @@ class TestPayloadShape:
         assert list(payload)[0] == "uptime_seconds"
         del payload["uptime_seconds"]
         assert json.dumps(payload) == _PINNED_PAYLOAD
-        # the daemon's line is unchanged; only a router's routes are new
-        assert (_pinned_sequence().summary_line()
-                == _PINNED_SUMMARY + ', routes {"a.sock": 1}')
+        assert _pinned_sequence().summary_line() == _PINNED_SUMMARY
 
     def test_payload_is_a_copy(self):
         # the daemon JSON-encodes the payload outside the metrics lock
@@ -270,16 +258,6 @@ class TestPayloadShape:
         assert payload["errors"] == {"crash": 1}
         assert payload["backends"] == {"python": 1}
         assert payload["pool"]["spawns"] == 1
-
-    def test_router_summary_line_names_its_routes(self):
-        router = ServerMetrics()
-        for endpoint in ("s0.sock", "s1.sock", "s0.sock"):
-            router.count("requests", "optimize_requests")
-            router.count("shard_routes", key=endpoint)
-        line = router.summary_line()
-        assert line.startswith("served 3 optimize request(s): ")
-        assert line.endswith(', routes {"s0.sock": 2, "s1.sock": 1}')
-        assert "routes" not in ServerMetrics().summary_line()
 
 
 def test_concurrent_counts_lose_no_update():

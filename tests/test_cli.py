@@ -15,7 +15,6 @@ import repro
 from repro.cli import build_parser, main
 from repro.pipeline import PipelineOptions
 from repro.server import ServerClient
-from repro.workloads import all_workloads
 
 FIG1 = """
 for (i = 0; i < N; i++)
@@ -477,36 +476,25 @@ class TestCLIServeParsing:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_route_parser(self):
-        args = build_parser().parse_args(
-            ["route", "--socket", "/tmp/r.sock",
-             "--shard", "/tmp/s0.sock", "--shard", "/tmp/s1.sock"]
-        )
-        assert args.command == "route"
-        assert args.shard == ["/tmp/s0.sock", "/tmp/s1.sock"]
+    @pytest.mark.parametrize("command", ["route", "warm"])
+    def test_fleet_commands_are_gone(self, command, capsys):
+        # one daemon serves; the shard router and the cache warmer went in
+        # 1.30.0 (two shards behind the router served half of what one
+        # daemon serves)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--socket", "/tmp/x.sock"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
-    def test_route_requires_shards(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["route", "--socket", "/tmp/r.sock"])
+    def test_fleet_layer_is_gone_from_the_api(self):
+        import repro.server
+        from repro.server import ServerMetrics
 
-    def test_route_needs_endpoint(self):
-        with pytest.raises(SystemExit, match="route needs"):
-            main(["route", "--shard", "/tmp/s0.sock"])
-
-    def test_warm_parser(self):
-        args = build_parser().parse_args(
-            ["warm", "--socket", "/tmp/x.sock", "--category", "motivation",
-             "--variants", "plutoplus,quick", "--jobs", "8",
-             "--filter", "fig1*"]
-        )
-        assert args.command == "warm"
-        assert args.category == "motivation"
-        assert args.variants == "plutoplus,quick"
-        assert args.jobs == 8 and args.filter == ["fig1*"]
-
-    def test_warm_needs_endpoint(self):
-        with pytest.raises(SystemExit, match="warm needs"):
-            main(["warm"])
+        gone = {"Router", "RouterConfig", "ShardRing", "WarmReport",
+                "warm_cache"}
+        assert not gone & set(dir(repro.server))
+        assert not gone & set(repro.server.__all__)
+        assert "shard_routes" not in ServerMetrics().as_dict()
 
     def test_serve_refuses_occupied_socket(self, tmp_path):
         # the path exists and is not a socket: serve must not unlink it
@@ -552,7 +540,7 @@ def _await_socket(proc, sock):
 
 
 class TestCLIServeEndToEnd:
-    """Real daemon, router and warm subprocesses driven through the CLI."""
+    """Real daemon subprocesses driven through the CLI."""
 
     def test_serve_ping_opt_shutdown(self, tmp_path, capsys):
         sock = str(tmp_path / "repro.sock")
@@ -635,49 +623,3 @@ class TestCLIServeEndToEnd:
             assert not os.path.exists(sock)
         finally:
             _kill(daemon)
-
-    def test_fleet_answers_like_one_daemon(self, tmp_path):
-        """Two shards behind ``repro route``, warmed by ``repro warm``: each
-        motivation workload is a cache hit through the router and carries
-        the schedule, tiled schedule and code one ``repro serve`` computes
-        cold.  Catches ``repro warm`` filling entries that plain lookups
-        never hit (e.g. a default variant other than ``client opt``'s)."""
-        socks = {n: str(tmp_path / f"{n}.sock")
-                 for n in ("one", "s0", "s1", "router")}
-        procs = [
-            _spawn(socks[n], "serve", "--jobs", "1",
-                   "--cache-dir", str(tmp_path / n))
-            for n in ("one", "s0", "s1")
-        ]
-        procs.append(_spawn(socks["router"], "route",
-                            "--shard", socks["s0"], "--shard", socks["s1"]))
-        try:
-            for proc, sock in zip(procs, socks.values()):
-                _await_socket(proc, sock)
-            warm = subprocess.run(
-                [sys.executable, "-m", "repro", "warm",
-                 "--socket", socks["router"], "--category", "motivation",
-                 "--jobs", "2", "--quiet"],
-                env=_repro_env(), capture_output=True, text=True, timeout=300,
-            )
-            assert warm.returncode == 0, warm.stdout + warm.stderr
-            with ServerClient(socket_path=socks["router"]) as fleet, \
-                    ServerClient(socket_path=socks["one"]) as one:
-                for w in all_workloads("motivation"):
-                    routed = fleet.optimize(w.name)
-                    direct = one.optimize(w.name)
-                    assert routed["cache"].startswith("hit"), (w.name, routed["cache"])
-                    assert direct["cache"] == "miss"
-                    for field in ("schedule", "tiled", "code"):
-                        assert routed["result"][field] == direct["result"][field], \
-                            (w.name, field)
-            # the router's shutdown fans out to both shards
-            for sock in (socks["router"], socks["one"]):
-                with ServerClient(socket_path=sock) as client:
-                    client.shutdown()
-            for proc in procs:
-                _, err = proc.communicate(timeout=60)
-                assert proc.returncode == 0, err
-        finally:
-            for proc in procs:
-                _kill(proc)

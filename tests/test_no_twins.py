@@ -5,7 +5,8 @@ of 6 consecutive code lines — stripped; blank, comment-only and
 bare-bracket lines skipped; at least 150 characters in all — may occur in
 two different modules under ``src/repro``.  ``workloads/`` is exempt: kernel
 descriptions are data.  At ca78b9e this named ``deps/analysis.py`` ×
-``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``.
+``deps/rar.py`` and ``server/daemon.py`` × ``server/shard.py``; the
+second pair is gone with the shard router (1.30.0).
 
 Four narrower guards of the same kind: one module loads HiGHS's bindings
 (and nothing imports ``scipy.optimize``, ``scipy.sparse`` or networkx),
