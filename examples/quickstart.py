@@ -5,7 +5,7 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro.codegen import generate_c, generate_python
+from repro.codegen import generate_c_kernel
 from repro.frontend import parse_program
 from repro.pipeline import PipelineOptions, optimize
 from repro.runtime import random_arrays, validate_transformation
@@ -37,8 +37,8 @@ def main() -> None:
 
     print("== generated Python (Pluto+, tiled) ==")
     print(result.code.python_source)
-    print("== generated C (Pluto+, tiled) ==")
-    print(generate_c(result.tiled))
+    print("== generated C kernel (Pluto+, tiled; what --backend c compiles) ==")
+    print(generate_c_kernel(result.tiled).source)
 
     # Execute the transformed code and check it against the original order.
     params = {"N": 64}

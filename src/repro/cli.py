@@ -31,7 +31,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional
 
-from repro.codegen import generate_c
+from repro.codegen import CEmitError, generate_c_kernel
 from repro.exec.options import BACKENDS
 from repro.frontend import parse_program
 from repro.frontend.ir import Program
@@ -172,7 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "REPRO_SKELETON_CACHE for this run; default: "
                           "disabled)")
     opt.add_argument("--emit", choices=("c", "py", "schedule", "schedule-json"),
-                     default="c")
+                     default="c",
+                     help="c: the C kernel `--backend c` compiles (default); "
+                          "py: the Python kernel")
     opt.add_argument("-o", "--output", help="write emitted code to a file")
 
     ver = sub.add_parser(
@@ -402,7 +404,12 @@ def _cmd_opt(args) -> int:
     elif args.emit == "py":
         out = result.code.python_source
     else:
-        out = generate_c(result.tiled)
+        try:
+            out = generate_c_kernel(result.tiled).source
+        except CEmitError as e:
+            print(f"error: {program.name} cannot be rendered as C: {e}",
+                  file=sys.stderr)
+            return 2
     if args.output:
         Path(args.output).write_text(out)
         print(f"# wrote {args.output}", file=sys.stderr)

@@ -3,7 +3,6 @@
 from repro.codegen.c_emit import (
     CEmitError,
     CKernelSource,
-    generate_c,
     generate_c_kernel,
 )
 from repro.codegen.python_emit import (
@@ -29,7 +28,6 @@ __all__ = [
     "ScanSystem",
     "build_loop_tree",
     "build_scan_systems",
-    "generate_c",
     "generate_c_kernel",
     "generate_python",
     "make_generated_code",

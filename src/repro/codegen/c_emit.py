@@ -1,23 +1,19 @@
 """Emit C source (with OpenMP pragmas) from a tiled schedule.
 
-Two modes render the one loop tree (:mod:`repro.codegen.looptree`):
-
-* **display** (:func:`generate_c`) renders the same scanning structure as
-  the C a Pluto-style source-to-source tool would hand to icc — loop nests
-  with ``#pragma omp parallel for`` on parallel dimensions and the
-  statements' original C bodies.  It is what ``repro opt --emit c`` prints.
-* **kernel** (:func:`generate_c_kernel`) renders a *complete, compilable
-  translation unit*: a ``repro_kernel(double **arrays, const int64_t
-  *shapes, const int64_t *params)`` entry point that the native execution
-  backend (:mod:`repro.exec`) compiles with the system compiler and calls
-  through ctypes.  Arrays are marshalled as flat ``double`` buffers in
-  sorted-name order (the same order the Python emitter binds them) and
-  rebound to C99 variable-length-array pointers.  Statement bodies are
-  translated from their *Python* form (the semantics the Python emitter
-  actually executes — including periodic ``% N`` wraparound the display
-  text elides) with Python's floor-mod/floor-div mapped onto helpers, and
-  ``a % m`` reduced to a compare-and-add wherever the statement's domain
-  proves the range (:func:`mod_form`).
+:func:`generate_c_kernel` renders the loop tree
+(:mod:`repro.codegen.looptree`) as a *complete, compilable translation
+unit*: a ``repro_kernel(double **arrays, const int64_t *shapes, const
+int64_t *params)`` entry point that the native execution backend
+(:mod:`repro.exec`) compiles with the system compiler and calls through
+ctypes, and that ``repro opt --emit c`` prints.  Arrays are marshalled as
+flat ``double`` buffers in sorted-name order (the same order the Python
+emitter binds them) and rebound to C99 variable-length-array pointers.
+Statement bodies are translated from their *Python* form (the semantics
+the Python emitter actually executes — including periodic ``% N``
+wraparound the statement's ``text`` elides) with Python's
+floor-mod/floor-div mapped onto helpers, and ``a % m`` reduced to a
+compare-and-add wherever the statement's domain proves the range
+(:func:`mod_form`).
 
 The bound helpers are ``static inline`` functions, so every argument is
 evaluated once (as macros, nested ``max(max(..))`` chains expanded
@@ -45,7 +41,6 @@ __all__ = [
     "CKernelSource",
     "KERNEL_ENTRY",
     "CEmitError",
-    "generate_c",
     "generate_c_kernel",
 ]
 
@@ -284,10 +279,10 @@ def _c_body(stmt: Statement, ranks: dict[str, int]) -> str:
     """The statement's computation as compilable C.
 
     Translates the *Python* body — the authoritative semantics the Python
-    emitter executes — rather than the display-oriented ``stmt.text``,
-    which drops details like periodic ``% N`` wraparound.  Raises
-    :class:`CEmitError` for anything outside the affine-kernel body
-    language (the caller falls back to the Python backend).
+    emitter executes — rather than ``stmt.text``, which drops details
+    like periodic ``% N`` wraparound.  Raises :class:`CEmitError` for
+    anything outside the affine-kernel body language (the native backend
+    falls back to Python; ``repro opt --emit c`` exits 2).
     """
     src = (stmt.body or "").strip()
     if not src:
@@ -320,7 +315,7 @@ def _c_body(stmt: Statement, ranks: dict[str, int]) -> str:
 
 
 class _CRenderer(TreeRenderer):
-    """C syntax; ``kernel=True`` renders the compilable translation unit."""
+    """C syntax of the compilable translation unit."""
 
     lang = "c"
     indent = "  "
@@ -331,12 +326,11 @@ class _CRenderer(TreeRenderer):
     FOR = "for ({int_t} {z} = {lb}; {z} <= {ub}; {z}++) {{"
     IF = "if ({c}) {{"
     CLOSE = "}"
+    int_t = "int64_t"
 
-    def __init__(self, program: Program, kernel: bool):
+    def __init__(self, program: Program):
         super().__init__()
-        self.kernel = kernel
-        self.int_t = "int64_t" if kernel else "int"
-        self.ranks = array_ranks(program) if kernel else {}
+        self.ranks = array_ranks(program)
 
     def open_let(self, node, ind: int) -> None:
         self.line(ind, "{")
@@ -347,16 +341,7 @@ class _CRenderer(TreeRenderer):
         self.line(ind, "{")
 
     def open_loop(self, node: Loop, ind: int, header: str) -> None:
-        if not self.kernel and node.reduction:
-            # display mode never rewrites the body, so the textual C races
-            # as written: advertising ``parallel for`` there would be a lie
-            arrs = ", ".join(sorted({t["array"] for t in node.reduction}))
-            self.line(
-                ind,
-                f"/* parallel reduction ({arrs}): discharged by the native "
-                f"kernel via reduction clause / atomics */",
-            )
-        elif node.fold:
+        if node.fold:
             acc, split = node.fold
             self.line(ind, f"double {acc} = {REDUCTION_IDENTITY[split.op]};")
             if node.pragma:
@@ -368,17 +353,14 @@ class _CRenderer(TreeRenderer):
         self.line(ind, header)
 
     def close_loop(self, node: Loop, ind: int) -> None:
-        if self.kernel and node.fold:
+        if node.fold:
             acc, split = node.fold
             target = _expr_c(split.target, self.ranks)
             self.line(ind, f"{target} = {target} {split.op} {acc};")
 
     def statement(self, inst: Instance, ind: int) -> None:
         stmt = inst.stmt
-        if not self.kernel:
-            body = stmt.text or stmt.body
-            self.line(ind, body if body.rstrip().endswith(";") else f"{body};")
-        elif inst.split is None:
+        if inst.split is None:
             self.line(ind, _c_body(stmt, self.ranks))
         else:
             update = _expr_c(inst.split.update, self.ranks, stmt.domain)
@@ -391,7 +373,7 @@ class _CRenderer(TreeRenderer):
 
 def _emit_kernel(tsched: TiledSchedule) -> str:
     program = tsched.program
-    out = _CRenderer(program, kernel=True)
+    out = _CRenderer(program)
     out.line(0, f"/* {program.name}: repro native kernel */")
     out.line(0, "#include <math.h>")
     out.lines.append(_HEADER)
@@ -420,15 +402,6 @@ def _emit_kernel(tsched: TiledSchedule) -> str:
     out.render(build_loop_tree(tsched), 1)
     out.line(0, "}")
     return "\n".join(out.lines) + "\n" + _KERNEL_EPILOGUE
-
-
-def generate_c(tsched: TiledSchedule) -> str:
-    """Render ``tsched`` as C-like source with OpenMP annotations."""
-    out = _CRenderer(tsched.program, kernel=False)
-    out.lines.append(_HEADER)
-    out.line(0, f"/* {tsched.program.name}: generated scanning code */")
-    out.render(build_loop_tree(tsched), 0)
-    return "\n".join(out.lines) + "\n"
 
 
 def generate_c_kernel(tsched: TiledSchedule) -> CKernelSource:

@@ -1,4 +1,4 @@
-"""The loop tree: one scanning structure, built once, rendered three ways.
+"""The loop tree: one scanning structure, built once, rendered two ways.
 
 :func:`build_loop_tree` turns a tiled schedule into nested :class:`Loop` /
 :class:`Let` nodes over the scan dimensions with :class:`Instance` leaves.
@@ -16,8 +16,8 @@ test, the same execution order.  Every emission decision that is not syntax
 lives on the nodes: where an OpenMP region opens, how a relaxed reduction is
 discharged (privatized fold / atomic update), whether instances trace.
 
-:class:`TreeRenderer` walks the tree once; the Python, C-kernel and
-C-display renderers supply syntax and the statement body.
+:class:`TreeRenderer` walks the tree once; the Python and C-kernel
+renderers supply syntax and the statement body.
 """
 
 from __future__ import annotations

@@ -205,7 +205,7 @@ class Daemon(LineServer):
 
     # -- one request -------------------------------------------------------
 
-    async def handle(self, request: dict, line: bytes) -> bytes:
+    async def handle(self, request: dict) -> bytes:
         t_arrival = time.perf_counter()
         rtype = request["type"]
         if rtype != "optimize":

@@ -157,10 +157,10 @@ class LineServer:
 
     # -- what a server adds ------------------------------------------------
 
-    async def handle(self, request: dict, line: bytes) -> bytes:
-        """Answer one validated, counted request (``line`` is its raw
-        form).  A :class:`~protocol.ProtocolError` raised in here is
-        answered as ``bad-request``."""
+    async def handle(self, request: dict) -> bytes:
+        """Answer one validated, counted request.  A
+        :class:`~protocol.ProtocolError` raised in here is answered as
+        ``bad-request``."""
         raise NotImplementedError
 
     def start(self) -> None:
@@ -261,7 +261,7 @@ class LineServer:
                     self.metrics.count(
                         "requests", "optimize_requests" if optimize else None
                     )
-                    response = await self.handle(request, line)
+                    response = await self.handle(request)
                 except protocol.ProtocolError as e:
                     response = self._bad_request(request, e)
                 finally:

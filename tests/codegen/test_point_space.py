@@ -21,7 +21,6 @@ import pytest
 from repro.codegen import (
     build_loop_tree,
     build_scan_systems,
-    generate_c,
     generate_c_kernel,
     generate_python,
     original_schedule,
@@ -87,7 +86,6 @@ def test_point_space_is_the_iterators(name):
     for source in (
         generate_python(tiled).python_source,
         generate_c_kernel(tiled).source,
-        generate_c(tiled),
     ):
         assert not DIVISIBILITY.search(source)
         assert not re.search(r"\blb_S", source)  # no per-point range test either

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.codegen import generate_c, generate_python
+from repro.codegen import generate_python
 from repro.core.reductions import (
     REDUCTION_IDENTITY,
     detect_reductions,
@@ -208,14 +208,6 @@ class TestEndToEnd:
 
         src = generate_c_kernel(result.tiled).source
         assert "reduction(+:" in src
-
-    def test_c_display_source_has_no_racy_pragma(self):
-        # display mode never rewrites the body, so a reduction row must not
-        # carry a parallel pragma there — only the explanatory comment
-        result = _opt("dot", parallel_reductions="omp")
-        src = generate_c(result.tiled)
-        assert "parallel reduction" in src
-        assert "#pragma omp parallel for" not in src
 
 
 class TestStatsCompat:

@@ -96,18 +96,18 @@ class TestHeadlineBehaviors:
         assert not classic.schedule.rows[0].parallel
 
     def test_c_code_emitted_for_transformed(self):
-        from repro.codegen import generate_c
+        from repro.codegen import generate_c_kernel
 
         # heat-1dp's diamond band emits tiled-but-sequential code: neither
         # diamond hyperplane is carried-free at tile granularity, so the
         # pragma its first tile row used to carry was a data race
         w = get_workload("heat-1dp")
         result = optimize(w.program(), w.pipeline_options("plutoplus"))
-        c = generate_c(result.tiled)
+        c = generate_c_kernel(result.tiled).source
         assert "#pragma omp parallel for" not in c
-        assert "floord" in c or "for (int z0" in c
+        assert "floord" in c or "for (int64_t z0" in c
 
         # a sound inner-parallel point loop still gets the pragma
         w = get_workload("fig1-skew")
         result = optimize(w.program(), w.pipeline_options("plutoplus"))
-        assert "#pragma omp parallel for" in generate_c(result.tiled)
+        assert "#pragma omp parallel for" in generate_c_kernel(result.tiled).source

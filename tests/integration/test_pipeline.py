@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.codegen import generate_c
+from repro.codegen import generate_c_kernel
 from repro.frontend import parse_program
 from repro.frontend.serialize import program_to_dict
 from repro.pipeline import (
@@ -142,16 +142,16 @@ class TestCEmitter:
     def test_structure(self):
         p = parse_program(SIMPLE, "p", params=("N",))
         res = optimize(p, PipelineOptions(algorithm="plutoplus", tile_size=16))
-        c = generate_c(res.tiled)
+        c = generate_c_kernel(res.tiled).source
         assert "int64_t ceild(" in c
         assert c.count("{") == c.count("}")
-        assert "for (int z0" in c
-        assert "A[i + 1][j + 1]" in c  # original C body preserved
+        assert "for (int64_t z0" in c
+        assert "A[(i + 1)][(j + 1)]" in c  # the statement body
 
     def test_parallel_pragma(self):
         p = parse_program(SIMPLE, "p", params=("N",))
         res = optimize(p, PipelineOptions(algorithm="plutoplus", tile=False))
-        c = generate_c(res.tiled)
+        c = generate_c_kernel(res.tiled).source
         assert "#pragma omp parallel for" in c
 
     def test_multi_statement_guards(self):
@@ -164,11 +164,11 @@ class TestCEmitter:
         """
         p = parse_program(src, "p", params=("N",))
         res = optimize(p, PipelineOptions(tile=False))
-        c = generate_c(res.tiled)
+        c = generate_c_kernel(res.tiled).source
         # INIT's schedule is constant at the level S1 iterates over: its own
         # exact range pins it (the scan searches for nothing)
-        assert "for (int z2 = 0; z2 <= 0; z2++) {" in c
-        assert "const int i = -z1;" in c
+        assert "for (int64_t z2 = 0; z2 <= 0; z2++) {" in c
+        assert "const int64_t i = -z1;" in c
 
 
 PARENT_CACHE = Path(__file__).parents[1] / "golden" / "parent_stores" / "cache"
