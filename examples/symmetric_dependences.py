@@ -23,7 +23,7 @@ def show(name: str) -> None:
     print("=" * 72)
     print(f"{name}:")
     for stmt in program.statements:
-        print(f"    {stmt.text}")
+        print(f"    {stmt.body}")
     for algorithm in ("pluto", "plutoplus"):
         result = optimize(program, workload.pipeline_options(algorithm, tile=False))
         sched = result.schedule

@@ -414,7 +414,7 @@ def _cmd_opt(args) -> int:
         Path(args.output).write_text(out)
         print(f"# wrote {args.output}", file=sys.stderr)
     else:
-        print(out)
+        sys.stdout.write(out)
     return 0
 
 

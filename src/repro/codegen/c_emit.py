@@ -9,11 +9,10 @@ ctypes, and that ``repro opt --emit c`` prints.  Arrays are marshalled as
 flat ``double`` buffers in sorted-name order (the same order the Python
 emitter binds them) and rebound to C99 variable-length-array pointers.
 Statement bodies are translated from their *Python* form (the semantics
-the Python emitter actually executes — including periodic ``% N``
-wraparound the statement's ``text`` elides) with Python's
-floor-mod/floor-div mapped onto helpers, and ``a % m`` reduced to a
-compare-and-add wherever the statement's domain proves the range
-(:func:`mod_form`).
+the Python emitter actually executes, periodic ``% N`` wraparound
+included) with Python's floor-mod/floor-div mapped onto helpers, and
+``a % m`` reduced to a compare-and-add wherever the statement's domain
+proves the range (:func:`mod_form`).
 
 The bound helpers are ``static inline`` functions, so every argument is
 evaluated once (as macros, nested ``max(max(..))`` chains expanded
@@ -278,11 +277,10 @@ def _expr_c(
 def _c_body(stmt: Statement, ranks: dict[str, int]) -> str:
     """The statement's computation as compilable C.
 
-    Translates the *Python* body — the authoritative semantics the Python
-    emitter executes — rather than ``stmt.text``, which drops details
-    like periodic ``% N`` wraparound.  Raises :class:`CEmitError` for
-    anything outside the affine-kernel body language (the native backend
-    falls back to Python; ``repro opt --emit c`` exits 2).
+    Translates the *Python* body, the semantics the Python emitter
+    executes.  Raises :class:`CEmitError` for anything outside the
+    affine-kernel body language (the native backend falls back to Python;
+    ``repro opt --emit c`` exits 2).
     """
     src = (stmt.body or "").strip()
     if not src:

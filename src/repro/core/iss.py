@@ -160,7 +160,6 @@ def index_set_split(
                     reads=list(stmt.reads),
                     writes=list(stmt.writes),
                     body=stmt.body,
-                    text=stmt.text,
                     sched=list(stmt.sched),
                     origin=stmt.name,
                 )
@@ -180,7 +179,6 @@ def index_set_split(
                     reads=[Access(a.array, a.map, a.guard) for a in stmt.reads],
                     writes=[Access(a.array, a.map, a.guard) for a in stmt.writes],
                     body=stmt.body,
-                    text=stmt.text,
                     sched=list(stmt.sched),
                     origin=stmt.name,
                 )

@@ -13,13 +13,13 @@ dependences at emission time (privatized partial sums on the Python
 backend, ``#pragma omp .. reduction(..)`` clauses on the C backend), and
 verification switches from bitwise to tolerance comparison.
 
-Detection works on the authoritative executable ``stmt.body`` (the Python
-form the validation runtime runs), not on the display text: a statement is
-a reduction when its body is ``T[idx] = T[idx] op expr`` (or the compound
-``T[idx] op= expr``) with ``op`` commutative-associative (``+``/``*``;
-``-`` is folded into ``+`` of the negated update) and ``expr`` never
-reading ``T``, and at least one statement iterator is absent from the
-written subscripts — those iterators are the reduction dimensions.
+Detection works on the executable ``stmt.body`` (the Python form the
+validation runtime runs): a statement is a reduction when its body is
+``T[idx] = T[idx] op expr`` (or the compound ``T[idx] op= expr``) with
+``op`` commutative-associative (``+``/``*``; ``-`` is folded into ``+`` of
+the negated update) and ``expr`` never reading ``T``, and at least one
+statement iterator is absent from the written subscripts — those
+iterators are the reduction dimensions.
 """
 
 from __future__ import annotations

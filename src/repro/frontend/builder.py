@@ -12,10 +12,11 @@ the sequential execution order precisely::
                 b.stmt("C[i][j] = C[i][j] + alpha * A[i][k] * B[k][j]")
     prog = b.build()
 
-Accesses are extracted automatically from the C-like body.  For accesses the
-affine surface language cannot express (periodic wraparound), pass explicit
-``reads=``/``writes=`` lists of :class:`~repro.frontend.ir.Access` and a
-``body_py=`` executable body.
+Accesses and the executable Python body are derived from the C-like body.
+For accesses the affine surface language cannot express (periodic
+wraparound), pass the executable ``body_py=`` with explicit
+``reads=``/``writes=`` lists of :class:`~repro.frontend.ir.Access` instead
+of a C-like body.
 """
 
 from __future__ import annotations
@@ -122,19 +123,26 @@ class ProgramBuilder:
 
     def stmt(
         self,
-        body: str,
+        body: Optional[str] = None,
         name: Optional[str] = None,
+        *,
         body_py: Optional[str] = None,
         reads: Optional[list[Access]] = None,
         writes: Optional[list[Access]] = None,
-        extra_reads: Optional[list[Access]] = None,
     ) -> Statement:
-        """Add a statement under the currently open loops.
-
-        ``body`` is the C-like text.  When ``reads``/``writes`` are omitted
-        they are extracted from the body; ``extra_reads`` appends guarded
-        accesses on top of the extracted ones (for periodic boundaries).
+        """Add a statement under the currently open loops, in one of two
+        forms: the C-like ``body``, from which the accesses and the
+        executable Python body are derived; or ``body_py`` with its
+        ``reads`` and ``writes`` stated, and no C text.  Any other
+        combination raises :class:`TypeError`.
         """
+        stated = [x is not None for x in (body_py, reads, writes)]
+        if not (all(stated) if body is None else not any(stated)):
+            raise TypeError(
+                "stmt() takes either a C-like body or body_py, reads and "
+                "writes together"
+            )
+
         iters = [f.iter_name for f in self._stack if f.iter_name]
         space = self.program.space_for(iters)
 
@@ -152,20 +160,13 @@ class ProgramBuilder:
             name = f"S{self._counter}"
         self._counter += 1
 
-        if reads is None or writes is None:
+        if body is not None:
             w_pairs, r_pairs = extract_accesses(body, space)
-            auto_writes = [Access(a, m) for a, m in w_pairs]
-            auto_reads = [Access(a, m) for a, m in r_pairs]
-            if writes is None:
-                writes = auto_writes
-            if reads is None:
-                reads = auto_reads
-        if extra_reads:
-            reads = list(reads) + list(extra_reads)
-
-        if body_py is None:
-            arrays = {a.array for a in reads} | {a.array for a in writes}
-            body_py = to_python(body, space, sorted(arrays))
+            writes = [Access(a, m) for a, m in w_pairs]
+            reads = [Access(a, m) for a, m in r_pairs]
+            body_py = to_python(
+                body, space, sorted({a for a, _ in w_pairs + r_pairs})
+            )
 
         # 2d+1 schedule: (beta0, i1, beta1, ..., ik, betak)
         sched: list = []
@@ -184,7 +185,6 @@ class ProgramBuilder:
             reads=list(reads),
             writes=list(writes),
             body=body_py,
-            text=body.strip(),
             sched=sched,
         )
         return self.program.add_statement(st)

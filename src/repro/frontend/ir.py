@@ -53,7 +53,6 @@ class Statement:
     reads: list[Access] = field(default_factory=list)
     writes: list[Access] = field(default_factory=list)
     body: str = ""                 # executable Python (numpy) statement
-    text: str = ""                 # C-like display text
     sched: list[SchedDim] = field(default_factory=list)  # 2d+1 interleaving
     #: the statement this one was cut from by index-set splitting (itself if
     #: it came through uncut); in-process bookkeeping for dependence analysis
@@ -79,7 +78,7 @@ class Statement:
         return {a.array for a in self.writes}
 
     def __str__(self) -> str:
-        return f"{self.name}: {self.text or self.body} over {self.domain}"
+        return f"{self.name}: {self.body} over {self.domain}"
 
 
 class Program:

@@ -13,8 +13,6 @@ the IR's structural equality.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Mapping
 
 from repro.frontend.ir import Access, Program, Statement
@@ -25,7 +23,6 @@ __all__ = [
     "program_to_dict",
     "program_from_dict",
     "structural_program_dict",
-    "structural_program_fingerprint",
     "space_to_dict",
     "space_from_dict",
     "basicset_to_dict",
@@ -34,8 +31,13 @@ __all__ = [
     "affmap_from_dict",
 ]
 
-#: bumped whenever the on-disk shape changes incompatibly
-IR_FORMAT_VERSION = 1
+#: bumped whenever the on-disk shape changes incompatibly; 2 dropped each
+#: statement's C-like ``text``
+IR_FORMAT_VERSION = 2
+
+#: what :func:`program_from_dict` reads: v1 is v2 plus a ``text`` key per
+#: statement, which is ignored
+_READABLE_IR_FORMATS = (1, 2)
 
 
 # -- spaces ------------------------------------------------------------------
@@ -112,7 +114,6 @@ def _statement_to_dict(stmt: Statement) -> dict:
         "reads": [_access_to_dict(a) for a in stmt.reads],
         "writes": [_access_to_dict(a) for a in stmt.writes],
         "body": stmt.body,
-        "text": stmt.text,
         "sched": sched,
     }
 
@@ -129,7 +130,6 @@ def _statement_from_dict(data: Mapping) -> Statement:
         reads=[_access_from_dict(a) for a in data["reads"]],
         writes=[_access_from_dict(a) for a in data["writes"]],
         body=data["body"],
-        text=data["text"],
         sched=sched,
     )
 
@@ -164,24 +164,12 @@ def structural_program_dict(data: Mapping) -> dict:
     }
 
 
-def structural_program_fingerprint(data: Mapping) -> str:
-    """Canonical hash (hex sha256) of :func:`structural_program_dict`.
-
-    Invariant under program renaming and parameter-value rescaling; any
-    edit to a statement body, domain, or access changes it.
-    """
-    text = json.dumps(
-        structural_program_dict(data), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def program_from_dict(data: Mapping) -> Program:
     version = data.get("version", IR_FORMAT_VERSION)
-    if version != IR_FORMAT_VERSION:
+    if version not in _READABLE_IR_FORMATS:
         raise ValueError(
-            f"program serialized with format v{version}, "
-            f"this build reads v{IR_FORMAT_VERSION}"
+            f"program serialized with format v{version}, this build "
+            f"reads v{' and v'.join(map(str, _READABLE_IR_FORMATS))}"
         )
     program = Program(data["name"], tuple(data["params"]), dict(data["param_min"]))
     for sd in data["statements"]:

@@ -58,7 +58,6 @@ def lbm_d2q9_model(name: str = "lbm-d2q9"):
                         sp, "F", t, {"i": si, "j": sj}, {"i": "NX", "j": "NY"}
                     )
                 b.stmt(
-                    "F[t+1][i][j] = collide(F[t][i..][j..])",
                     body_py=(
                         "F[t+1, i, j] = 0.2*F[t, i, j] + 0.1*("
                         "F[t, (i+1) % NX, j] + F[t, (i-1) % NX, j] + "
@@ -92,7 +91,6 @@ def lbm_d3q27_model(name: str = "lbm-ldc-d3q27"):
                             {"i": "N", "j": "N", "k": "N"},
                         )
                     b.stmt(
-                        "F[t+1][i][j][k] = collide(F[t][i..][j..][k..])",
                         body_py=(
                             "F[t+1, i, j, k] = 0.3*F[t, i, j, k] + 0.05*("
                             "F[t, (i+1) % N, j, k] + F[t, (i-1) % N, j, k] + "

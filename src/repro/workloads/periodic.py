@@ -27,7 +27,6 @@ def heat_1dp():
             for s in (-1, 0, 1):
                 reads += periodic_reads(sp, "A", t, {"i": s}, {"i": "N"})
             b.stmt(
-                "A[t+1][i] = 0.125 * A[t][i+1] + 0.75 * A[t][i] + 0.125 * A[t][i-1]",
                 body_py=(
                     "A[t+1, i] = 0.125 * A[t, (i+1) % N] + 0.75 * A[t, i] "
                     "+ 0.125 * A[t, (i-1) % N]"
@@ -53,8 +52,6 @@ def heat_2dp():
                         sp, "A", t, {"i": si, "j": sj}, {"i": "N", "j": "N"}
                     )
                 b.stmt(
-                    "A[t+1][i][j] = 0.125*(A[t][i+1][j] + A[t][i-1][j] + "
-                    "A[t][i][j+1] + A[t][i][j-1]) + 0.5*A[t][i][j]",
                     body_py=(
                         "A[t+1, i, j] = 0.125*(A[t, (i+1) % N, j] + A[t, (i-1) % N, j] "
                         "+ A[t, i, (j+1) % N] + A[t, i, (j-1) % N]) + 0.5*A[t, i, j]"
@@ -89,9 +86,6 @@ def heat_3dp():
                             {"i": "N", "j": "N", "k": "N"},
                         )
                     b.stmt(
-                        "A[t+1][i][j][k] = 0.1*(A[t][i+1][j][k] + A[t][i-1][j][k] "
-                        "+ A[t][i][j+1][k] + A[t][i][j-1][k] + A[t][i][j][k+1] "
-                        "+ A[t][i][j][k-1]) + 0.4*A[t][i][j][k]",
                         body_py=(
                             "A[t+1, i, j, k] = 0.1*(A[t, (i+1) % N, j, k] + A[t, (i-1) % N, j, k] "
                             "+ A[t, i, (j+1) % N, k] + A[t, i, (j-1) % N, k] "

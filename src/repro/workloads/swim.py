@@ -44,21 +44,18 @@ def swim_model():
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
                 b.stmt(
-                    "CU[i][j] = .5*(P[i+1][j]+P[i][j])*U[i][j]",
                     name="S_cu",
                     body_py=f"CU[t, i, j] = 0.5*(P[t, {ip}, j] + P[t, i, j]) * U[t, i, j]",
                     writes=wr("CU", t),
                     reads=rd("P", t, 1, 0) + rd("P", t) + rd("U", t),
                 )
                 b.stmt(
-                    "CV[i][j] = .5*(P[i][j+1]+P[i][j])*V[i][j]",
                     name="S_cv",
                     body_py=f"CV[t, i, j] = 0.5*(P[t, i, {jp}] + P[t, i, j]) * V[t, i, j]",
                     writes=wr("CV", t),
                     reads=rd("P", t, 0, 1) + rd("P", t) + rd("V", t),
                 )
                 b.stmt(
-                    "Z[i][j] = (fsdx*(V[i+1][j]-V[i][j]) - fsdy*(U[i][j+1]-U[i][j])) / Ptot",
                     name="S_z",
                     body_py=(
                         f"Z[t, i, j] = (0.0002*(V[t, {ip}, j] - V[t, i, j]) "
@@ -72,7 +69,6 @@ def swim_model():
                     ),
                 )
                 b.stmt(
-                    "H[i][j] = P[i][j] + .25*(U[i+1][j]*U[i+1][j] + ... )",
                     name="S_h",
                     body_py=(
                         f"H[t, i, j] = P[t, i, j] + 0.25*(U[t, {ip}, j]*U[t, {ip}, j] "
@@ -90,7 +86,6 @@ def swim_model():
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
                 b.stmt(
-                    "UNEW[i][j] = UOLD[i][j] + tdts8*(Z[i][j-1]+Z[i][j])*(CV..) - tdtsdx*(H[i][j]-H[i-1][j])",
                     name="S_unew",
                     body_py=(
                         f"UNEW[t+1, i, j] = UOLD[t, i, j] "
@@ -105,7 +100,6 @@ def swim_model():
                     ),
                 )
                 b.stmt(
-                    "VNEW[i][j] = VOLD[i][j] - tdts8*(Z[i-1][j]+Z[i][j])*(CU..) - tdtsdy*(H[i][j]-H[i][j-1])",
                     name="S_vnew",
                     body_py=(
                         f"VNEW[t+1, i, j] = VOLD[t, i, j] "
@@ -120,7 +114,6 @@ def swim_model():
                     ),
                 )
                 b.stmt(
-                    "PNEW[i][j] = POLD[i][j] - tdtsdx*(CU[i][j]-CU[i-1][j]) - tdtsdy*(CV[i][j]-CV[i][j-1])",
                     name="S_pnew",
                     body_py=(
                         f"PNEW[t+1, i, j] = POLD[t, i, j] "
@@ -138,7 +131,6 @@ def swim_model():
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
                 b.stmt(
-                    "UOLD[i][j] = U[i][j] + alpha*(UNEW[i][j] - 2*U[i][j] + UOLD[i][j])",
                     name="S_uold",
                     body_py=(
                         "UOLD[t+1, i, j] = U[t, i, j] + 0.001*(UNEW[t+1, i, j] "
@@ -148,7 +140,6 @@ def swim_model():
                     reads=rd("U", t) + rd("UNEW", t + 1) + rd("UOLD", t),
                 )
                 b.stmt(
-                    "VOLD[i][j] = V[i][j] + alpha*(VNEW[i][j] - 2*V[i][j] + VOLD[i][j])",
                     name="S_vold",
                     body_py=(
                         "VOLD[t+1, i, j] = V[t, i, j] + 0.001*(VNEW[t+1, i, j] "
@@ -158,7 +149,6 @@ def swim_model():
                     reads=rd("V", t) + rd("VNEW", t + 1) + rd("VOLD", t),
                 )
                 b.stmt(
-                    "POLD[i][j] = P[i][j] + alpha*(PNEW[i][j] - 2*P[i][j] + POLD[i][j])",
                     name="S_pold",
                     body_py=(
                         "POLD[t+1, i, j] = P[t, i, j] + 0.001*(PNEW[t+1, i, j] "
@@ -168,21 +158,18 @@ def swim_model():
                     reads=rd("P", t) + rd("PNEW", t + 1) + rd("POLD", t),
                 )
                 b.stmt(
-                    "U[i][j] = UNEW[i][j]",
                     name="S_u",
                     body_py="U[t+1, i, j] = UNEW[t+1, i, j]",
                     writes=wr("U", t + 1),
                     reads=rd("UNEW", t + 1),
                 )
                 b.stmt(
-                    "V[i][j] = VNEW[i][j]",
                     name="S_v",
                     body_py="V[t+1, i, j] = VNEW[t+1, i, j]",
                     writes=wr("V", t + 1),
                     reads=rd("VNEW", t + 1),
                 )
                 b.stmt(
-                    "P[i][j] = PNEW[i][j]",
                     name="S_p",
                     body_py="P[t+1, i, j] = PNEW[t+1, i, j]",
                     writes=wr("P", t + 1),

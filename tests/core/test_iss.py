@@ -97,7 +97,6 @@ class TestSplitting:
                 t = AffExpr.var(sp, "t")
                 i = AffExpr.var(sp, "i")
                 b.stmt(
-                    "A[t+1][i] = A[t][(i+1)%N]",
                     body_py="A[t+1, i] = A[t, (i+1) % N]",
                     writes=[Access("A", AffineMap(sp, [t + 1, i]))],
                     reads=periodic_reads(sp, "A", t, {"i": 1}, {"i": "N"}),

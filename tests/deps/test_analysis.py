@@ -126,7 +126,6 @@ class TestGuardedAccess:
                 interior = BasicSet(sp, [ineq(sp, {"i": -1, "N": 1}, -2)])  # i <= N-2
                 boundary = BasicSet(sp, [ineq(sp, {"i": 1, "N": -1}, 1)])   # i >= N-1
                 b.stmt(
-                    "A[t+1][i] = A[t][i] + A[t][(i+1)%N]",
                     body_py="A[t+1, i] = A[t, i] + A[t, (i+1) % N]",
                     writes=[
                         Access("A", AffineMap.from_terms(sp, [({"t": 1}, 1), ({"i": 1}, 0)]))

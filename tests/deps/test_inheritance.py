@@ -87,7 +87,7 @@ def test_a_statement_without_an_origin_is_always_tested():
     donor = work.statements[0]
     work.add_statement(Statement(
         name="S_late", domain=donor.domain.copy(), reads=list(donor.reads),
-        writes=list(donor.writes), body=donor.body, text=donor.text,
+        writes=list(donor.writes), body=donor.body,
         sched=[1, *donor.sched[1:]],
     ))
     inherited = compute_dependences(work)

@@ -13,7 +13,8 @@ from repro.exec import (
     ExecutionOptions,
     compile_kernel,
 )
-from repro.frontend import ProgramBuilder, parse_program
+from repro.frontend import Access, ProgramBuilder, parse_program
+from repro.polyhedra import AffExpr, AffineMap
 from repro.runtime.arrays import random_arrays
 
 SRC = """
@@ -30,7 +31,13 @@ def _not_c_tsched():
     """A body the Python kernel runs and the C emitter cannot express."""
     b = ProgramBuilder("not_c", params=("N",))
     with b.loop("i", 0, "N-1"):
-        b.stmt("A[i] = B[i];", body_py="A[i] = float(not B[i])")
+        sp = b.program.space_for(["i"])
+        i = AffExpr.var(sp, "i")
+        b.stmt(
+            body_py="A[i] = float(not B[i])",
+            writes=[Access("A", AffineMap(sp, [i]))],
+            reads=[Access("B", AffineMap(sp, [i]))],
+        )
     return original_schedule(b.build())
 
 

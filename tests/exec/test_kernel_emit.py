@@ -82,8 +82,7 @@ class TestKernelStructure:
         assert "#pragma omp parallel for" in ksrc.source
 
     def test_periodic_wraparound_survives(self):
-        # stmt.text drops the periodic % N; the kernel body must come
-        # from stmt.body, where it is present
+        # the periodic % N of stmt.body survives into the kernel
         w = get_workload("heat-1dp")
         ksrc = generate_c_kernel(original_schedule(w.program()))
         # as the compare-and-add the statement's domain proves

@@ -85,7 +85,6 @@ class TestBuilder:
             from repro.polyhedra import ineq
             wrap.add(ineq(sp, {"i": 1, "N": -1}, 1))  # i == N-1 (with ub)
             b.stmt(
-                "A2[i] = A[(i+1) % N]",
                 body_py="A2[i] = A[(i+1) % N]",
                 writes=[Access("A2", AffineMap.from_terms(sp, [({"i": 1}, 0)]))],
                 reads=[
@@ -105,6 +104,24 @@ class TestBuilder:
         s = p.statements[0]
         assert len(s.reads) == 2
         assert s.reads[0].guard is not None
+
+    @pytest.mark.parametrize("form", [
+        {},
+        {"body": "A[i] = B[i]", "body_py": "A[i] = B[i]"},
+        {"body": "A[i] = B[i]", "reads": [], "writes": []},
+        {"body_py": "A[i] = B[i]", "writes": []},
+        {"body_py": "A[i] = B[i]", "reads": [], "writes": [], "body": "A[i] = B[i]"},
+    ], ids=["nothing", "body+body_py", "body+accesses", "partial", "both"])
+    def test_one_form_or_the_other(self, form):
+        b = ProgramBuilder("forms", params=("N",))
+        with b.loop("i", 0, "N-1"):
+            with pytest.raises(TypeError):
+                b.stmt(**form)
+            b.stmt("A[i] = B[i]")
+        # a refused call names and orders nothing
+        (s,) = b.build().statements
+        assert (s.name, s.sched[-1]) == ("S0", 0)
+        assert s.body == "A[i] = B[i]"
 
     def test_unclosed_loop_rejected(self):
         b = ProgramBuilder("bad")

@@ -1,12 +1,18 @@
 """Tests for the IR JSON serializer (repro.frontend.serialize)."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from repro.frontend import parse_program, program_from_dict, program_to_dict
+from repro.frontend import (
+    Statement,
+    parse_program,
+    program_from_dict,
+    program_to_dict,
+)
 from repro.frontend.serialize import (
     IR_FORMAT_VERSION,
     basicset_from_dict,
@@ -42,14 +48,32 @@ class TestProgramRoundTrip:
         p = get_workload("heat-1dp").program()
         d = program_to_dict(p)
         assert json.loads(json.dumps(d)) == d
-        assert d["version"] == IR_FORMAT_VERSION
+        assert d["version"] == IR_FORMAT_VERSION == 2
 
     def test_version_gate(self):
         p = parse_program(GUARDED, "guarded", params=("N",))
         d = program_to_dict(p)
-        d["version"] = 0
-        with pytest.raises(ValueError, match="format v0"):
-            program_from_dict(d)
+        # v1 is v2 plus a C-like text per statement, which is ignored
+        v1 = {**d, "version": 1, "statements": [
+            {**s, "text": "A[i][j] = 1.5 * A[j][i];"} for s in d["statements"]
+        ]}
+        assert program_from_dict(v1) == p
+        assert program_to_dict(program_from_dict(v1)) == d
+        for version in (0, 3):
+            d["version"] = version
+            with pytest.raises(
+                ValueError, match=f"format v{version}, this build reads v1 and v2"
+            ):
+                program_from_dict(d)
+
+    def test_a_statement_is_its_body(self):
+        p = get_workload("heat-1dp").program()
+        assert "text" not in {f.name for f in dataclasses.fields(Statement)}
+        (sd,) = program_to_dict(p)["statements"]
+        assert set(sd) == {"name", "domain", "reads", "writes", "body", "sched"}
+        assert str(p.statements[0]).startswith(
+            "S0: A[t+1, i] = 0.125 * A[t, (i+1) % N]"
+        )
 
 
 def _with_read_coefficient(value) -> dict:

@@ -11,8 +11,13 @@ schedule changed), so every per-level solve is still replayed from the
 parent's skeleton record.  ``RESULT_FORMAT_VERSION`` 2 moved the cache key
 again but not the skeleton stamp (it keeps ``result-v1``), and
 ``OptimizationResult.from_json`` still reads the parent's v1 entry.
+``IR_FORMAT_VERSION`` 2 (statements lost their C-like ``text``) moved every
+structural fingerprint, so the parent's skeleton record is a miss too; the
+per-level solve keys read no text, and the record filled beside it holds
+the parent's solves.
 """
 
+import json
 import shutil
 from pathlib import Path
 
@@ -47,7 +52,12 @@ def test_parent_schedule_cache_directory_is_a_miss_and_refilled(tmp_path):
 
 def test_parent_skeleton_store_replays_every_solve(tmp_path, monkeypatch):
     root = shutil.copytree(PARENT / "skeleton", tmp_path / "skeleton")
+    (parent_file,) = root.rglob("*.json")
+    parent = json.loads(parent_file.read_text())
     monkeypatch.setenv("REPRO_SKELETON_CACHE", str(root))
+    assert optimize("fig1-skew").scheduler_stats.structural_path == "miss"
+    (refilled,) = set(root.rglob("*.json")) - {parent_file}
+    assert json.loads(refilled.read_text())["solves"] == parent["solves"]
     stats = optimize("fig1-skew").scheduler_stats
     assert stats.structural_path == "hit"
     assert stats.structural_warm_start == 2

@@ -221,8 +221,17 @@ class TestResultPayload:
         data = json.loads(text)
         assert data["version"] == 1
         rebuilt = OptimizationResult.from_json(text)
-        # v1 carries both copies: parsed exactly as written, equal not shared
-        assert program_to_dict(rebuilt.source_program) == data["source_program"]
+        # v1 carries both copies: parsed as written (modulo the IR v1 header
+        # and each statement's C-like text, which IR v2 dropped), equal not
+        # shared
+        parent = data["source_program"]
+        assert parent["version"] == 1
+        assert program_to_dict(rebuilt.source_program) == {
+            **parent, "version": 2, "statements": [
+                {k: v for k, v in s.items() if k != "text"}
+                for s in parent["statements"]
+            ],
+        }
         assert rebuilt.source_program == rebuilt.program
         assert rebuilt.tiled.to_dict() == data["tiled"]
         assert rebuilt.tiled.source_schedule == rebuilt.schedule

@@ -21,14 +21,20 @@ from tests.ilp.reference_lp import solve_lp_fraction
 from tests.ilp.simplex import LPStatus
 
 
-def exact_min(rows, objective):
-    """Exact ``min objective.x`` over ``rows`` (free rational variables)."""
+def free_model(rows, n):
+    """``(model, names)``: ``rows`` over ``n`` free rational variables."""
     model = ILPModel()
-    names = [f"x{i}" for i in range(len(objective))]
+    names = [f"x{i}" for i in range(n)]
     for name in names:
         model.add_variable(name, lower=None, upper=None, integer=False)
     for coeffs, equality in rows:
         model.add_constraint(dict(zip(names, coeffs[:-1])), coeffs[-1], equality)
+    return model, names
+
+
+def exact_min(rows, objective):
+    """Exact ``min objective.x`` over ``rows`` (free rational variables)."""
+    model, names = free_model(rows, len(objective))
     return solve_lp_fraction(model, dict(zip(names, objective)))
 
 

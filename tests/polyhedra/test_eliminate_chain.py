@@ -3,12 +3,13 @@
 ``eliminate_chain`` decides redundancy from each row's ancestry (Kohler's
 count rule, the subset rule) instead of an LP.  The reference is the
 untracked ``eliminate_column`` in a loop — every pairwise combination kept,
-nothing but normalisation — and implication is decided by the dense
-``Fraction`` simplex of ``tests/ilp/reference_lp.py``, which shares no code
-with the rules or with HiGHS.  What must hold is a sandwich, not row
-identity: ``_gcd_normalize`` floors constants, so a row that is redundant
-over the rationals can be tighter over the integers, and the tracked chain
-may rightly drop it (``TestHeat1dpRegression``).
+nothing but normalisation — and implication is decided by the exact
+integer-scaled simplex of ``tests/ilp/simplex.py`` (``IncrementalLP``, held
+equal to the dense ``Fraction`` LP by ``tests/ilp/test_warm_solver.py``),
+which shares no code with the rules or with HiGHS.  What must hold is a
+sandwich, not row identity: ``_gcd_normalize`` floors constants, so a row
+that is redundant over the rationals can be tighter over the integers, and
+the tracked chain may rightly drop it (``TestHeat1dpRegression``).
 
 * *Sound*: every integer point of the input projects into every level.
 * *Tight*: every row of every level is implied by the reference rows of
@@ -33,8 +34,8 @@ from repro.polyhedra.fourier_motzkin import (
     eliminate_column,
     normalize_rows,
 )
-from tests.ilp.simplex import LPStatus
-from tests.polyhedra.reference_prune import exact_min
+from tests.ilp.simplex import IncrementalLP, LPStatus
+from tests.polyhedra.reference_prune import free_model
 
 
 def plain_chain(rows, cols):
@@ -50,8 +51,10 @@ def implied(rows, row) -> bool:
     """Whether ``row`` holds on every rational point of ``rows``."""
     coeffs, equality = row
     sides = [coeffs, tuple(-c for c in coeffs)] if equality else [coeffs]
+    model, names = free_model(rows, len(coeffs) - 1)
+    lp = IncrementalLP(model)
     for side in sides:
-        res = exact_min(rows, side[:-1])
+        res = lp.minimize(dict(zip(names, side[:-1])))
         if res.status == LPStatus.INFEASIBLE:
             return True
         if res.status != LPStatus.OPTIMAL or res.objective < -side[-1]:

@@ -248,12 +248,13 @@ class TestRetiredOptions:
         program_dict, options_dict = resolve_optimize({"workload": "fig1-skew"})
         assert options_dict["ilp_backend"] == "highs"
         # the cache key moved with RESULT_FORMAT_VERSION 2 (the format is part
-        # of every key); the skeleton stamp, and so the fingerprint, did not
+        # of every key; the skeleton stamp, and so the fingerprint, did not);
+        # both moved with IR_FORMAT_VERSION 2, whose statements have no text
         assert cache_key(program_dict, options_dict) == (
-            "de55cba44304e15b3d9ef4901651aad0344cf2939cb68c858387963b39d0a69d"
+            "0926c8ffc72f3291deee783e6240a16dfe9b6ed27da919a7c503254b94d19d44"
         )
         assert structural_fingerprint(program_dict, options_dict) == (
-            "2b93b32ebc7f5ba0e610272636886eecdfabb11a22f57f477149b685c7f84035"
+            "f4c48a5040514b796b98510776db19a9d2622b881ef2c67c8a0cf0ae26ea8349"
         )
         # the retired pair, sent explicitly, is the default request
         assert resolve_optimize(
@@ -288,6 +289,26 @@ class TestCachePath:
         assert cold["cache"] == "miss"
         assert warm["cache"] == "hit-memory"
         assert warm["key"] == cold["key"]
+        assert warm["result"] == cold["result"]
+
+    def test_v1_program_is_its_v2_form(self, daemon_factory):
+        """A v1 program dict (a C-like ``text`` per statement) resolves to
+        the program dict and cache key of its v2 form."""
+        from repro.server.resolve import ResolveMemo
+
+        v2 = _program("ok-v1")
+        v1 = {**v2, "version": 1, "statements": [
+            {**s, "text": "A[i] = 0.5 * A[i-1];"} for s in v2["statements"]
+        ]}
+        memo = ResolveMemo()
+        program_dict, _, key = memo.resolve({"program": v1})
+        assert (program_dict, key) == (v2, memo.resolve({"program": v2})[2])
+        daemon = daemon_factory()
+        with _client(daemon) as client:
+            cold = client.optimize(program=v2)
+            warm = client.optimize(program=v1)
+        assert (cold["cache"], warm["cache"]) == ("miss", "hit-memory")
+        assert warm["key"] == cold["key"] == key
         assert warm["result"] == cold["result"]
 
     def test_disk_cache_survives_restart(self, daemon_factory, tmp_path):

@@ -116,6 +116,15 @@ class TestOptEmitsTheKernel:
         # the periodic read wraps, as the kernel computes it
         assert "A[t][((i + 1) >= N ? (i + 1) - N : (i + 1))]" in text
 
+    @pytest.mark.parametrize("emit", ["c", "schedule"])
+    def test_stdout_is_the_file(self, emit, tmp_path, capsys):
+        out = tmp_path / "f"
+        argv = ["opt", "--workload", "heat-1dp", "--emit", emit]
+        assert main([*argv, "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out.read_text()
+
     @pytest.mark.parametrize("argv", [
         ["heat-1dp"], ["heat-2dp"], ["gemm"],
         ["dot", "--parallel-reductions", "omp"],

@@ -31,7 +31,6 @@ def test_ring_builder_recipe():
             sp = b.program.space_for(["t", "i"])
             t, i = AffExpr.var(sp, "t"), AffExpr.var(sp, "i")
             b.stmt(
-                "A[t+1][i] = 0.5*(A[t][(i+1)%N] + A[t][(i-1)%N])",
                 body_py="A[t+1, i] = 0.5*(A[t, (i+1) % N] + A[t, (i-1) % N])",
                 writes=[Access("A", AffineMap(sp, [t + 1, i]))],
                 reads=(
