@@ -2,8 +2,8 @@
 
 The serving cache (PR 4) answers *exact* repeats: same serialized IR, same
 resolved options, byte-for-byte.  Real request streams are sweeps — the
-same kernel resubmitted with a different tile size, a different execution
-backend, a renamed program, rescaled problem-size parameters.  Every such
+same kernel resubmitted with a different tile size, a renamed program,
+rescaled problem-size parameters.  Every such
 near-duplicate is an exact-cache miss that pays the whole Farkas + lexmin
 pipeline again even though the PLUTO+ constraint system only depends on
 the *shape* of the domains and dependences.
@@ -13,8 +13,8 @@ This module turns those misses into warm solves, in three pieces:
 * **structural fingerprint** — a canonical hash of the request modulo
   parameter values: the program's structural dict (see
   :func:`repro.frontend.serialize.structural_program_dict`) plus only the
-  *schedule-relevant* options (tile sizes, backends, post-scheduling
-  passes are dropped).  Two requests with the same fingerprint run the
+  *schedule-relevant* options (tile sizes, post-scheduling passes and
+  cache toggles are dropped).  Two requests with the same fingerprint run the
   same hyperplane search over the same dependence shapes.
 
 * **solve replay** (:class:`WarmStart`) — the per-level artifacts worth
@@ -73,10 +73,9 @@ __all__ = [
 SKELETON_FORMAT_VERSION = 1
 
 #: the PipelineOptions fields that can change which schedule the
-#: hyperplane search finds.  Everything else (tiling knobs, execution
-#: backend, cache toggles) only affects post-scheduling passes and is
-#: deliberately *excluded*, so an option sweep over them lands on one
-#: fingerprint.
+#: hyperplane search finds.  Everything else (tiling knobs, cache toggles)
+#: only affects post-scheduling passes and is deliberately *excluded*, so an
+#: option sweep over them lands on one fingerprint.
 SCHEDULE_RELEVANT_OPTIONS = (
     "algorithm",
     "scheduler",

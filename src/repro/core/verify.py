@@ -42,6 +42,8 @@ class VerificationReport:
     legal: bool
     violations: list[Violation] = field(default_factory=list)
     unordered: list[Dependence] = field(default_factory=list)
+    #: reduction self-dependences left out (``api.verify``'s relaxation)
+    relaxed: list[Dependence] = field(default_factory=list)
 
     def __bool__(self) -> bool:
         return self.legal

@@ -212,7 +212,6 @@ class Daemon(LineServer):
             return protocol.encode_message(self._handle_control(request, rtype))
 
         program_dict, options_dict, key = self._memo.resolve(request)
-        self.metrics.count("backends", key=options_dict.get("backend", "python"))
 
         text, tier = self.cache.get(key)
         self.metrics.observe("lookup", time.perf_counter() - t_arrival)

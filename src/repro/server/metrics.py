@@ -122,10 +122,6 @@ class ServerMetrics(Record):
     # reduction-parallel row (parallel_reductions relaxation paid off);
     # cache hits reuse a previously counted computation
     reduction_parallel: int = 0
-    # resolved execution backend -> optimize requests, e.g.
-    # {"python": 40, "c": 2}; requests predating the knob count as
-    # "python" (the resolved-options default)
-    backends: dict[str, int] = field(default_factory=dict)
     pool: PoolCounts = field(default_factory=PoolCounts)
 
     def __post_init__(self) -> None:
@@ -141,7 +137,7 @@ class ServerMetrics(Record):
         """Add one to each counter in ``names``, under one lock.
 
         A name is a field (``"busy"``) or a pool counter (``"pool.reuses"``);
-        for a dict counter (``errors``, ``backends``, ...)
+        for a dict counter (``errors``, ``scheduler_paths``, ...)
         ``key`` picks the entry.  A ``None`` name, or a ``None`` key of a
         dict counter, counts nothing: a result payload that predates a
         field (or a store that is off) leaves no trace.

@@ -12,7 +12,8 @@ Layout::
       "version": 1,
       "suite_id": "...",
       "created": "2026-08-06T12:13:14",
-      "config": {"jobs": ..., "timeout": ..., "retries": ...},
+      "config": {"jobs": ..., "timeout": ..., "retries": ...,
+                 "exec": ExecutionOptions.as_dict() (where kernels run)},
       "specs": [RunSpec.to_dict(), ...],
       "runs": {
         "<run_id>": {"status": "ok"|"failure", "file": "<run_id>.json",

@@ -73,16 +73,13 @@ def build_matrix(
     category: Optional[str] = "periodic",
     variants: Iterable[str] = ("plutoplus",),
     filters: Sequence[str] = (),
-    backend: str = "python",
 ) -> list[RunSpec]:
     """Expand the registered workloads into run specs.
 
     ``category`` selects a workload category (``None``/``"all"`` for every
     registered workload); ``variants`` names entries of :data:`VARIANTS`;
     ``filters`` are fnmatch globs matched against the workload name or the
-    ``workload--variant`` run id (any match keeps the spec); ``backend``
-    stamps every spec's options (the default "python" leaves spec dicts —
-    and thus cache keys — exactly as before the knob existed).
+    ``workload--variant`` run id (any match keeps the spec).
     """
     from repro.workloads import all_workloads
 
@@ -107,8 +104,6 @@ def build_matrix(
                 continue
             algorithm = overrides.get("algorithm", "plutoplus")
             extra = {k: v for k, v in overrides.items() if k != "algorithm"}
-            if backend != "python":
-                extra["backend"] = backend
             specs.append(
                 RunSpec(
                     run_id=run_id,

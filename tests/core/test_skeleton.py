@@ -84,7 +84,7 @@ class TestFingerprint:
         base = _fp(p)
         assert _fp(p, tile_size=64) == base
         assert _fp(p, tile=False) == base
-        assert _fp(p, backend="c") == base
+        assert _fp(p, deps_cache=False) == base
 
     def test_schedule_relevant_options_split_it(self):
         p = _stencil(1, 1)

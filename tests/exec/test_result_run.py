@@ -32,8 +32,17 @@ class TestRunDispatch:
         assert stats.artifact_cache is None
         assert stats.exec_seconds > 0
 
-    def test_options_backend_is_the_default(self, tmp_path, compiler):
-        result = _result(backend="c")
+    def test_a_request_naming_c_still_runs_python_by_default(self):
+        # ``backend`` in an options dict is dropped on read: where a kernel
+        # runs is ExecutionOptions' to say, and run() defaults to its default
+        w = get_workload(WORKLOAD)
+        result = optimize(w.program(), PipelineOptions.from_dict({"backend": "c"}))
+        arrays, params = _inputs(result)
+        stats = result.run(arrays, params)
+        assert (stats.backend_requested, stats.backend) == ("python", "python")
+
+    def test_exec_options_pick_the_backend(self, tmp_path, compiler):
+        result = _result()
         arrays, params = _inputs(result)
         stats = result.run(
             arrays, params,
@@ -117,14 +126,16 @@ class TestPickle:
 
 class TestCacheKeyCompat:
     def test_default_backend_omitted_from_options_dict(self):
-        # the server cache key hashes as_dict(); pre-backend clients and
-        # post-backend defaults must collide on the same key
+        # the server cache key hashes as_dict(): a dict that still names a
+        # backend, at any value, reads as the same options and key
         assert "backend" not in PipelineOptions().as_dict()
-        assert PipelineOptions(backend="c").as_dict()["backend"] == "c"
+        for backend in ("python", "c", "rust"):
+            read = PipelineOptions.from_dict({"backend": backend})
+            assert read.as_dict() == PipelineOptions().as_dict()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            PipelineOptions(backend="rust")
+    def test_backend_is_not_a_pipeline_field(self):
+        with pytest.raises(TypeError, match="backend"):
+            PipelineOptions(backend="c")
 
     def test_exec_stats_threads_recorded(self, exec_opts):
         result = _result()

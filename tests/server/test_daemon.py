@@ -311,6 +311,27 @@ class TestCachePath:
         assert warm["key"] == cold["key"] == key
         assert warm["result"] == cold["result"]
 
+    def test_a_request_naming_a_backend_is_the_plain_request(
+        self, daemon_factory
+    ):
+        """Where a kernel runs is no pipeline option: a request that still
+        names a ``backend`` (an older client's) resolves to the program
+        dict, options and key of the plain request, and is served its
+        entry."""
+        from repro.server.resolve import ResolveMemo
+
+        memo = ResolveMemo()
+        plain = memo.resolve({"workload": "gemm"})
+        assert memo.resolve(
+            {"workload": "gemm", "options": {"backend": "c"}}
+        ) == plain
+        with _client(daemon_factory()) as client:
+            cold = client.optimize("gemm")
+            warm = client.optimize("gemm", options={"backend": "c"})
+        assert (cold["cache"], warm["cache"]) == ("miss", "hit-memory")
+        assert warm["key"] == cold["key"] == plain[2]
+        assert json.dumps(warm["result"]) == json.dumps(cold["result"])
+
     def test_disk_cache_survives_restart(self, daemon_factory, tmp_path):
         first = daemon_factory()
         with _client(first) as client:

@@ -196,7 +196,6 @@ def _pinned_sequence() -> ServerMetrics:
     m = ServerMetrics()
     m.count("requests")
     m.count("requests", "optimize_requests")
-    m.count("backends", key="python")
     m.count(OUTCOME_COUNTERS["hit-memory"])
     m.count(OUTCOME_COUNTERS["miss"])
     m.count("scheduler_paths", key="fallback")
@@ -214,14 +213,15 @@ def _pinned_sequence() -> ServerMetrics:
 
 #: the ``stats`` payload of :func:`_pinned_sequence` (minus ``uptime_seconds``)
 #: as the hand-written ``ServerMetrics`` of 1.20.0 produced it, less the
-#: ``shard_routes`` key that left with the router in 1.30.0
+#: ``shard_routes`` key that left with the router in 1.30.0 and the
+#: ``backends`` key that left with ``PipelineOptions.backend`` in 1.33.0
 _PINNED_PAYLOAD = (
     '{"requests": 2, "optimize_requests": 1, "ok": 2, "hits_memory": 1, '
     '"hits_disk": 0, "coalesced": 0, "misses": 1, "busy": 1, '
     '"errors": {"crash": 1}, "scheduler_paths": {"fallback": 1}, '
     '"fallback_reasons": {"untilable-band": 1}, "structural_hits": 1, '
     '"structural_misses": 0, "structural_fallbacks": 0, '
-    '"reduction_parallel": 1, "backends": {"python": 1}, '
+    '"reduction_parallel": 1, '
     '"pool": {"spawns": 1, "dispatches": 1, "reuses": 1, "recycles": 1}, '
     '"hit_rate": 0.5, '
     '"latency": {"lookup": {"count": 0, "p50": null, "p90": null, '
@@ -253,10 +253,10 @@ class TestPayloadShape:
         payload = m.as_dict()
         m.count("errors", key="crash")
         m.count("errors", key="timeout")
-        m.count("backends", key="c")
+        m.count("scheduler_paths", key="exact")
         m.count("pool.spawns")
         assert payload["errors"] == {"crash": 1}
-        assert payload["backends"] == {"python": 1}
+        assert payload["scheduler_paths"] == {"fallback": 1}
         assert payload["pool"]["spawns"] == 1
 
 

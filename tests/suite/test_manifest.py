@@ -32,6 +32,12 @@ class TestManifest:
         assert data["runs"] == {}
         assert data["config"]["jobs"] == 2
 
+    def test_spec_naming_a_backend_loads(self):
+        # manifests written while specs carried ``backend`` still load
+        data = {**_spec("a").to_dict()}
+        data["options"] = {**data["options"], "backend": "c"}
+        assert RunSpec.from_dict(data) == _spec("a")
+
     def test_load_round_trip(self, manifest):
         loaded = SuiteManifest.load(manifest.suite_dir)
         assert loaded.data == manifest.data

@@ -106,7 +106,7 @@ def test_native_backend_recipe(tmp_path):
     from repro.exec import find_compiler
     from repro.runtime import random_arrays
 
-    result = optimize("jacobi-2d-imper", PipelineOptions(backend="c"))
+    result = optimize("jacobi-2d-imper")
     params = {"TSTEPS": 4, "N": 16}
     arrays = random_arrays(result.program, params)
     stats = result.run(
