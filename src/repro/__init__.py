@@ -46,7 +46,7 @@ try:
     # the daemon's response header, and `pip show repro` can never disagree.
     __version__ = _metadata.version("repro")
 except _metadata.PackageNotFoundError:  # running from a source checkout
-    __version__ = "1.33.0"
+    __version__ = "1.34.0"
 
 __all__ = [
     "ExecStats",

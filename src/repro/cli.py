@@ -369,8 +369,7 @@ def _cmd_opt(args) -> int:
         from repro.reporting import format_stats
 
         st = result.scheduler_stats
-        print(f"# solver stats ({', '.join(sorted(st.backends_used)) or 'n/a'}):",
-              file=sys.stderr)
+        print("# solver stats:", file=sys.stderr)
         print(format_stats(st.solve.as_dict(), indent="#   "), file=sys.stderr)
         if result.dep_stats is not None:
             print("# dependence stats:", file=sys.stderr)

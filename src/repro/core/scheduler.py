@@ -106,14 +106,14 @@ class SchedulerStats(Record):
     #: satisfaction queries answered by batching (identical remaining
     #: polyhedron + distance expression shared with another dependence)
     sat_batched: int = 0
-    solve_seconds: float = 0.0
-    backends_used: set = field(default_factory=set)
     #: aggregated solver counters across every lexmin issued by this
     #: scheduler: HiGHS door entries (``lp_solves``), steps skipped
     #: (``shortcut_hits``, ``probe_hits``), model rows collapsed and
-    #: skeletons reused (``dedup_rows``, ``models_reused``) and levels
-    #: replayed (``structural_warm_start``).  ``simplex_pivots`` /
-    #: ``bb_nodes`` / ``warm_starts`` read 0: HiGHS answers every solve.
+    #: skeletons reused (``dedup_rows``, ``models_reused``) and the wall
+    #: time inside lexmin (``solve_seconds``, the one solver time).  Levels
+    #: replayed from a skeleton build no model: ``structural_warm_start``
+    #: below counts them.  ``simplex_pivots`` / ``bb_nodes`` /
+    #: ``warm_starts`` read 0: HiGHS answers every solve.
     solve: SolveStats = field(default_factory=SolveStats)
     #: which scheduler was requested ("exact" | "quick" | "auto") and which
     #: path produced the final schedule ("exact" | "quick" | "fallback");
@@ -480,7 +480,6 @@ class PlutoScheduler:
                 else:
                     self.warm.hits += 1
                     self.stats.structural_warm_start += 1
-                    self.stats.solve.structural_warm_start += 1
                     return row
             self.warm.misses += 1
         model = self.build_model(sched, active)
@@ -492,9 +491,7 @@ class PlutoScheduler:
         t0 = time.perf_counter()
         result = lexmin(model)
         dt = time.perf_counter() - t0
-        self.stats.solve_seconds += dt
         self.stats.ilp_solves += result.solves
-        self.stats.backends_used.add(result.backend)
         self.stats.solve.merge(result.stats)
         self.stats.solve.solve_seconds += dt
         if self.warm is not None:

@@ -68,14 +68,10 @@ class LexminResult:
     values: list[Fraction] = field(default_factory=list)  # per objective var
     stats: SolveStats = field(default_factory=SolveStats)
     solves: int = 0
-    backend: str = "highs"
 
     @property
     def is_optimal(self) -> bool:
         return self.status == ILPStatus.OPTIMAL
-
-    def value_of(self, name: str) -> Fraction:
-        return self.assignment[name]
 
 
 def _probe_lower_bounds(

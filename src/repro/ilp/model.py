@@ -165,14 +165,14 @@ class SolveStats(Record):
     ``lp_solves`` counts HiGHS entries; ``shortcut_hits``/``probe_hits``
     come from the lexmin driver (the at-lower-bound shortcut and the
     all-remaining-at-lower-bounds feasibility probe); ``dedup_rows``/
-    ``models_reused`` from the scheduler's model construction;
-    ``structural_warm_start`` counts whole per-level solves answered by
-    replaying a cross-request skeleton record (``repro.core.skeleton``)
-    without building or solving a model at all; and ``solve_seconds`` is
-    wall time spent inside ILP solves.  ``simplex_pivots``, ``bb_nodes`` and
-    ``warm_starts`` count the pure-Python exact solver's work; HiGHS answers
-    every solve, so they read 0 (kept because reports and benchmarks read
-    them).
+    ``models_reused`` from the scheduler's model construction; and
+    ``solve_seconds`` is wall time spent inside ILP solves, the one solver
+    time a result carries.  Per-level solves replayed from a skeleton record
+    build no model, so they are counted by the scheduler
+    (``SchedulerStats.structural_warm_start``), not here.
+    ``simplex_pivots``, ``bb_nodes`` and ``warm_starts`` count the
+    pure-Python exact solver's work; HiGHS answers every solve, so they read
+    0 (kept because reports and benchmarks read them).
     """
 
     simplex_pivots: int = 0
@@ -183,7 +183,6 @@ class SolveStats(Record):
     probe_hits: int = 0
     dedup_rows: int = 0
     models_reused: int = 0
-    structural_warm_start: int = 0
     solve_seconds: float = 0.0
 
 

@@ -293,18 +293,16 @@ def option_kwargs(data: Mapping) -> dict:
 
 @dataclass
 class TimingBreakdown(Record):
-    """Seconds per pipeline stage (the Fig. 5 components).
+    """Seconds per pipeline stage (the Fig. 5 components), and their sum.
 
-    ``ilp_solve`` is the wall time spent inside ILP solves — a subset of
-    ``auto_transformation``, broken out for the solver instrumentation
-    (``--stats``); it is not added into ``total``.
+    The wall time inside ILP solves, a part of ``auto_transformation``, is
+    ``SchedulerStats.solve.solve_seconds``.
     """
 
     dependence_analysis: float = 0.0
     auto_transformation: float = 0.0
     code_generation: float = 0.0
     misc: float = 0.0
-    ilp_solve: float = 0.0
 
     @property
     def total(self) -> float:
@@ -633,7 +631,6 @@ def _optimize(program: Program, options: PipelineOptions) -> OptimizationResult:
 
     stats.fusion_groups = fusion_groups_of(schedule)
     timing.auto_transformation += time.perf_counter() - t0
-    timing.ilp_solve = stats.solve.solve_seconds
 
     if store is not None:
         stats.structural_warm_start = warm.hits

@@ -15,9 +15,8 @@ Per-field facts live in field metadata: ``field(default=0,
 metadata=omit_at_default("group"))`` leaves the key out of ``as_dict()``
 while every field of that group still holds its default, so records written
 with the feature off keep their historical shape.  Value shapes need no
-metadata: a nested record serializes through its own ``as_dict``, a set as
-a sorted list, a list of groups as a list of lists, a dict of counters as a
-copy.
+metadata: a nested record serializes through its own ``as_dict``, a list of
+groups as a list of lists, a dict of counters as a copy.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ def _plain(value):
     """JSON shape of a field value."""
     if isinstance(value, Record):
         return value.as_dict()
-    if isinstance(value, (set, frozenset)):
-        return sorted(value)
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
@@ -72,22 +69,18 @@ class Record:
             default = f.default if f.default is not MISSING else f.default_factory()
             if isinstance(default, Record):
                 value = type(default).from_dict(value)
-            elif isinstance(default, set):
-                value = set(value)
             elif isinstance(default, list):
                 value = _plain(value)
             kwargs[f.name] = value
         return cls(**kwargs)
 
     def merge(self, other) -> None:
-        """Accumulate ``other``: counters add, nested records merge, sets
-        union; labels and lists keep this record's value."""
+        """Accumulate ``other``: counters add, nested records merge;
+        labels and lists keep this record's value."""
         for f in fields(self):
             mine, theirs = getattr(self, f.name), getattr(other, f.name)
             if isinstance(mine, Record):
                 mine.merge(theirs)
-            elif isinstance(mine, set):
-                mine |= theirs
             elif isinstance(mine, (int, float)) and not isinstance(mine, bool):
                 setattr(self, f.name, mine + theirs)
 

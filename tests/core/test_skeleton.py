@@ -271,7 +271,6 @@ class TestReplayParity:
         )
         assert warm.scheduler_stats.structural_path == "hit"
         assert warm.scheduler_stats.structural_warm_start > 0
-        assert warm.scheduler_stats.solve.structural_warm_start > 0
         warm_dict, cold_dict = warm.schedule.to_dict(), cold.schedule.to_dict()
         assert warm_dict.pop("program") == "renamed"  # hit across the rename
         cold_dict.pop("program")
@@ -375,6 +374,6 @@ class TestStatsCompat:
         assert st.structural_path is None
 
     def test_solve_stats_from_old_manifest(self):
-        old = SolveStats().as_dict()
-        old.pop("structural_warm_start")
-        assert SolveStats.from_dict(old).structural_warm_start == 0
+        # the replay count a manifest before 1.34.0 also kept in ``solve``
+        old = {**SolveStats().as_dict(), "structural_warm_start": 3}
+        assert SolveStats.from_dict(old) == SolveStats()

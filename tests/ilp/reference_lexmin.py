@@ -20,26 +20,23 @@ __all__ = ["reference_lexmin"]
 
 def reference_lexmin(model: ILPModel, node_limit: int = 20000) -> LexminResult:
     """Lexicographically minimize ``model.objective_order``, one variable per
-    solve, with the result type of :func:`repro.ilp.lexmin` (``backend``
-    ``"exact"``)."""
+    solve, with the result type of :func:`repro.ilp.lexmin`."""
     if not model.objective_order:
         raise ValueError("model has no objective order set")
     inc = IncrementalLP(model)
     stats = SolveStats(lp_solves=1, simplex_pivots=inc.pivots)  # the phase 1
     if not inc.is_feasible:
-        return LexminResult(ILPStatus.INFEASIBLE, stats=stats, backend="exact")
+        return LexminResult(ILPStatus.INFEASIBLE, stats=stats)
     values, assignment = [], {}
     for name in model.objective_order:
         result, at_root = solve_ilp_warm(inc, model, {name: 1}, node_limit)
         stats.merge(result.stats)
         stats.warm_starts += at_root
         if not result.is_optimal:
-            return LexminResult(
-                result.status, stats=stats, solves=len(values) + 1, backend="exact"
-            )
+            return LexminResult(result.status, stats=stats, solves=len(values) + 1)
         inc.fix(name, result.objective)
         values.append(result.objective)
         assignment = result.assignment
     return LexminResult(
-        ILPStatus.OPTIMAL, dict(assignment), values, stats, len(values), "exact"
+        ILPStatus.OPTIMAL, dict(assignment), values, stats, len(values)
     )

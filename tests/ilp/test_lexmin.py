@@ -76,9 +76,6 @@ class TestLexmin:
         assert res.stats.shortcut_hits + res.stats.probe_hits >= 1
         assert [int(v) for v in res.values] == [1, 0, 0, 0, 0]
 
-    def test_default_backend_is_highs(self):
-        assert lexmin(_chain_model()).backend == "highs"
-
     def test_highs_backend_agrees(self):
         m = _chain_model()
         exact = reference_lexmin(m)

@@ -140,13 +140,13 @@ def test_warm_vs_cold_lexmin(workload):
     per-workload test ids stay stable."""
     model = _level0_model(workload)
     highs = lexmin(model)
-    assert highs.is_optimal and highs.backend == "highs"
+    assert highs.is_optimal
     assert model.check(highs.assignment)
     if (model.num_variables > _EXACT_VARIABLES
             or model.num_constraints > _EXACT_CONSTRAINTS):
         return  # too slow for the pure-Python simplex to be the reference
     exact = reference_lexmin(model)
-    assert exact.is_optimal and exact.backend == "exact"
+    assert exact.is_optimal
     assert exact.values == highs.values
     for name in model.objective_order:
         assert exact.assignment[name] == highs.assignment[name]

@@ -70,7 +70,7 @@ class TestPipeline:
         # the diamond path's internal scheduler reports into the shared stats
         assert res.scheduler_stats is not None
         assert res.scheduler_stats.ilp_solves > 0
-        assert res.timing.ilp_solve > 0
+        assert res.scheduler_stats.solve.solve_seconds > 0
 
 
 class TestPipelineInputs:
