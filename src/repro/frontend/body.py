@@ -9,6 +9,14 @@ executable Python over numpy arrays (feeding the validation runtime):
 * scalar data ``x``   ->  ``x[()]``   (0-d numpy arrays, so writes stick)
 * known math calls (``sqrt``, ``pow``, ``exp``, ...) pass through; the
   runtime provides them in the execution namespace.
+
+One non-affine subscript form is read: the periodic ``(d + 1) % P`` or
+``(d - 1) % P``, with ``d`` a loop iterator and ``P`` a parameter, on a
+statement whose domain provably lies within ``0 <= d <= P - 1``.  It is
+exactly a union of guarded affine accesses (Section 2.4 / Fig. 4a-b):
+``A[(i+1) % N]`` is ``A[i+1]`` on ``i <= N-2`` and ``A[i+1-N]`` (that is,
+``A[0]``) on ``i == N-1``.  A read with several such subscripts becomes
+one access per interior/wrap combination.
 """
 
 from __future__ import annotations
@@ -17,7 +25,9 @@ import re
 from typing import Sequence
 
 from repro.frontend.exprs import AffineSyntaxError, parse_affine
-from repro.polyhedra import AffineMap, Space
+from repro.frontend.ir import Access
+from repro.polyhedra import AffExpr, AffineMap, BasicSet, Constraint, Space
+from repro.polyhedra.fastcheck import fast_reject
 
 __all__ = [
     "extract_accesses",
@@ -41,6 +51,7 @@ KNOWN_FUNCTIONS = {
 _ARRAY_REF = re.compile(r"([A-Za-z_]\w*)((?:\s*\[[^\[\]]+\])+)")
 _NAME = re.compile(r"[A-Za-z_]\w*")
 _SUBSCRIPT = re.compile(r"\[([^\[\]]+)\]")
+_PERIODIC = re.compile(r"\(\s*([A-Za-z_]\w*)\s*([+-])\s*1\s*\)\s*%\s*([A-Za-z_]\w*)")
 
 
 def split_assignment(body: str) -> tuple[str, str, str]:
@@ -93,45 +104,101 @@ def _scalar_names(text: str, space: Space, arrays_seen: set[str]) -> list[str]:
     return out
 
 
-def extract_accesses(
-    body: str, space: Space
-) -> tuple[list[tuple[str, AffineMap]], list[tuple[str, AffineMap]]]:
-    """Extract (writes, reads) as ``(array, index-map)`` pairs from a body.
+def _within(domain: BasicSet, d: str, p: str) -> bool:
+    """Whether ``domain`` provably lies within ``0 <= d <= p - 1``."""
+    sp = domain.space
+    dv, pv = AffExpr.var(sp, d), AffExpr.var(sp, p)
+    for outside in (Constraint(-dv - 1), Constraint(dv - pv)):  # d < 0, d >= p
+        q = domain.intersect(BasicSet(sp, [outside]))
+        if not (fast_reject(q) or q.is_empty()):
+            return False
+    return True
+
+
+def _pieces(name: str, subs: list[str], domain: BasicSet, written: bool) -> list[Access]:
+    """The accesses of ``name[subs]``: one, or one per interior/wrap
+    combination of its periodic subscripts (never on the ``written``
+    reference)."""
+    sp = domain.space
+    exprs: list = []
+    periodic = []  # (position, iterator, shift, period)
+    for k, sub in enumerate(subs):
+        if "%" not in sub:
+            try:
+                exprs.append(parse_affine(sp, sub))
+            except AffineSyntaxError as exc:
+                raise BodySyntaxError(
+                    f"non-affine subscript in {name}{subs}: {exc}"
+                ) from exc
+            continue
+        if written:
+            raise BodySyntaxError(
+                f"subscript {sub!r} of the written {name}: a write takes "
+                f"affine subscripts only"
+            )
+        m = _PERIODIC.fullmatch(sub.strip())
+        if not m or m.group(1) not in sp.dims or m.group(3) not in sp.params:
+            raise BodySyntaxError(
+                f"subscript {sub!r} of {name}: the only modulus read is "
+                f"(d + 1) % P or (d - 1) % P, d a loop iterator, P a parameter"
+            )
+        d, p = m.group(1), m.group(3)
+        if not _within(domain, d, p):
+            raise BodySyntaxError(
+                f"subscript {sub!r} of {name}: the domain does not provably "
+                f"lie within 0 <= {d} <= {p} - 1"
+            )
+        exprs.append(None)
+        periodic.append((k, d, 1 if m.group(2) == "+" else -1, p))
+    out = []
+    for mask in range(1 << len(periodic)):
+        guard = BasicSet(sp)
+        for bit, (k, d, s, p) in enumerate(periodic):
+            dv, n = AffExpr.var(sp, d), AffExpr.var(sp, p)
+            if mask >> bit & 1:  # wrap: d == P-1 reads d+1-P, d == 0 reads d-1+P
+                guard.add(Constraint(dv - (n - 1) if s > 0 else dv, equality=True))
+                exprs[k] = dv + s - n if s > 0 else dv + s + n
+            else:  # interior: d <= P-2, or d >= 1
+                guard.add(Constraint((n - 2) - dv if s > 0 else dv - 1))
+                exprs[k] = dv + s
+        out.append(Access(name, AffineMap(sp, list(exprs)), guard if periodic else None))
+    return out
+
+
+def extract_accesses(body: str, domain: BasicSet) -> tuple[list[Access], list[Access]]:
+    """Extract the (writes, reads) :class:`Access` lists of a statement body
+    over ``domain``, the statement's index set.
 
     Scalars appear as 0-dimensional accesses.  Compound assignments add the
-    LHS to the reads as well.
+    LHS to the reads as well.  A read repeated in the body is recorded once,
+    at its first occurrence.  A periodic subscript (module docstring) is
+    read only on the right-hand side; any other ``%`` in a subscript raises
+    :class:`BodySyntaxError`.
     """
     lhs, op, rhs = split_assignment(body)
 
-    def refs_of(text: str) -> list[tuple[str, AffineMap]]:
+    def refs_of(text: str, written: bool) -> list[Access]:
         refs = []
         arrays = set()
         for name, subs in _array_refs(text):
             if name in KNOWN_FUNCTIONS:
                 continue
             arrays.add(name)
-            try:
-                exprs = [parse_affine(space, s) for s in subs]
-            except AffineSyntaxError as exc:
-                raise BodySyntaxError(
-                    f"non-affine subscript in {name}{subs}: {exc}"
-                ) from exc
-            refs.append((name, AffineMap(space, exprs)))
-        for name in _scalar_names(text, space, arrays):
-            refs.append((name, AffineMap(space, [])))
+            refs += _pieces(name, subs, domain, written)
+        for name in _scalar_names(text, domain.space, arrays):
+            refs.append(Access(name, AffineMap(domain.space, [])))
         return refs
 
-    writes = refs_of(lhs)
+    writes = refs_of(lhs, True)
     if len(writes) != 1:
         raise BodySyntaxError(
             f"statement must write exactly one location, got {len(writes)} in {body!r}"
         )
-    reads = refs_of(rhs)
-    # Subscript expressions of the LHS may themselves read arrays — not
-    # supported in this affine surface language (subscripts are pure index
-    # expressions), so nothing further to collect.
-    if op:  # compound assignment also reads the written location
-        reads = writes + reads
+    reads: list[Access] = []
+    # compound assignment also reads the written location
+    for acc in (writes if op else []) + refs_of(rhs, False):
+        if acc not in reads:
+            reads.append(acc)
     return writes, reads
 
 

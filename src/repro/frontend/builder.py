@@ -12,11 +12,8 @@ the sequential execution order precisely::
                 b.stmt("C[i][j] = C[i][j] + alpha * A[i][k] * B[k][j]")
     prog = b.build()
 
-Accesses and the executable Python body are derived from the C-like body.
-For accesses the affine surface language cannot express (periodic
-wraparound), pass the executable ``body_py=`` with explicit
-``reads=``/``writes=`` lists of :class:`~repro.frontend.ir.Access` instead
-of a C-like body.
+Accesses and the executable Python body are derived from the C-like body,
+periodic ``(i+1) % N`` reads included (:mod:`repro.frontend.body`).
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from typing import Optional, Sequence
 
 from repro.frontend.body import extract_accesses, to_python
 from repro.frontend.exprs import parse_affine
-from repro.frontend.ir import Access, Program, Statement
+from repro.frontend.ir import Program, Statement
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 
 __all__ = ["ProgramBuilder", "parse_condition"]
@@ -121,28 +118,9 @@ class ProgramBuilder:
 
     # -- statements ---------------------------------------------------------
 
-    def stmt(
-        self,
-        body: Optional[str] = None,
-        name: Optional[str] = None,
-        *,
-        body_py: Optional[str] = None,
-        reads: Optional[list[Access]] = None,
-        writes: Optional[list[Access]] = None,
-    ) -> Statement:
-        """Add a statement under the currently open loops, in one of two
-        forms: the C-like ``body``, from which the accesses and the
-        executable Python body are derived; or ``body_py`` with its
-        ``reads`` and ``writes`` stated, and no C text.  Any other
-        combination raises :class:`TypeError`.
-        """
-        stated = [x is not None for x in (body_py, reads, writes)]
-        if not (all(stated) if body is None else not any(stated)):
-            raise TypeError(
-                "stmt() takes either a C-like body or body_py, reads and "
-                "writes together"
-            )
-
+    def stmt(self, body: str, name: Optional[str] = None) -> Statement:
+        """Add a statement under the currently open loops; its accesses and
+        executable Python body are derived from the C-like ``body``."""
         iters = [f.iter_name for f in self._stack if f.iter_name]
         space = self.program.space_for(iters)
 
@@ -156,17 +134,11 @@ class ProgramBuilder:
                 for con in parse_condition(space, frame.cond):
                     domain.add(con)
 
+        writes, reads = extract_accesses(body, domain)
+        body_py = to_python(body, space, sorted({a.array for a in writes + reads}))
         if name is None:
             name = f"S{self._counter}"
         self._counter += 1
-
-        if body is not None:
-            w_pairs, r_pairs = extract_accesses(body, space)
-            writes = [Access(a, m) for a, m in w_pairs]
-            reads = [Access(a, m) for a, m in r_pairs]
-            body_py = to_python(
-                body, space, sorted({a for a, _ in w_pairs + r_pairs})
-            )
 
         # 2d+1 schedule: (beta0, i1, beta1, ..., ik, betak)
         sched: list = []
@@ -182,8 +154,8 @@ class ProgramBuilder:
         st = Statement(
             name=name,
             domain=domain,
-            reads=list(reads),
-            writes=list(writes),
+            reads=reads,
+            writes=writes,
             body=body_py,
             sched=sched,
         )

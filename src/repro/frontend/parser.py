@@ -14,10 +14,9 @@ Supported language::
 * loops must have unit increment (``i++``);
 * conditions and bounds must be affine in outer iterators and parameters;
 * statement bodies are single assignments (``=``, ``+=``, ``-=``, ``*=``);
+* a read subscript may be periodic, ``A[t][(i+1) % N]`` under a
+  ``0 .. N-1`` loop on ``i`` (:mod:`repro.frontend.body`);
 * ``//`` and ``/* */`` comments are stripped.
-
-Anything outside this fragment (periodic wraparound selects, pointer code)
-is built with :class:`~repro.frontend.builder.ProgramBuilder` directly.
 """
 
 from __future__ import annotations

@@ -22,9 +22,9 @@ serving daemon in particular — cannot grow without bound.  Evictions are
 counted in :class:`PolyCacheStats` and surface as ``cache_evictions`` in
 ``DepStats``.
 
-Escape hatch: ``REPRO_DEPS_NO_CACHE=1`` (or the :func:`cache_disabled`
-context manager, used by ``--no-deps-cache``) disables both the memoization
-and the cheap fast-reject pre-filter in :mod:`repro.polyhedra.fastcheck`,
+Escape hatch: the :func:`cache_disabled` context manager (used by
+``--no-deps-cache``) disables both the memoization and the cheap
+fast-reject pre-filter in :mod:`repro.polyhedra.fastcheck`,
 reproducing the seed's uncached behavior bit for bit.
 """
 
@@ -195,9 +195,7 @@ def global_cache() -> PolyCache:
 
 def cache_enabled() -> bool:
     """Whether the fast path (memoization + fast-reject) is active."""
-    if _DISABLE_DEPTH > 0:
-        return False
-    return os.environ.get("REPRO_DEPS_NO_CACHE", "") in ("", "0")
+    return _DISABLE_DEPTH == 0
 
 
 def active_cache() -> Optional[PolyCache]:

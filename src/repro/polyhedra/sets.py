@@ -182,8 +182,8 @@ class BasicSet:
         """Exact integer emptiness: fast reject, memo, reduced reject, LP,
         integer solve (:mod:`repro.polyhedra.fastcheck`).
 
-        With the PolyCache disabled (``REPRO_DEPS_NO_CACHE=1`` or
-        :func:`repro.polyhedra.cache.cache_disabled`) only the LP pre-filter
+        With the PolyCache disabled
+        (:func:`repro.polyhedra.cache.cache_disabled`) only the LP pre-filter
         runs before the integer solve: nothing is skipped or reused.
         """
         if any(con.is_contradiction() for con in self.constraints):

@@ -20,93 +20,49 @@ size.
 
 from __future__ import annotations
 
-from repro.frontend import Access, ProgramBuilder
-from repro.polyhedra import AffExpr, AffineMap
+from repro.frontend import ProgramBuilder
 from repro.workloads.base import Workload, register
-from repro.workloads.periodic_util import periodic_reads
 
 __all__ = ["lbm_d2q9_model", "lbm_d3q27_model", "LBM_WORKLOADS"]
 
-# d2q9: rest + 4 axis + 4 diagonal directions.
-_D2Q9_SHIFTS = [
-    (0, 0),
-    (1, 0), (-1, 0), (0, 1), (0, -1),
-    (1, 1), (1, -1), (-1, 1), (-1, -1),
-]
-
-# d3q27 reduced to its dependence-cone generators: rest + 6 faces + 8 corners.
-_D3Q27_SHIFTS = (
-    [(0, 0, 0)]
-    + [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
-    + [(si, sj, sk) for si in (1, -1) for sj in (1, -1) for sk in (1, -1)]
-)
-
-
 def lbm_d2q9_model(name: str = "lbm-d2q9"):
-    """One stream-collide update per site on a periodic 2-d grid."""
+    """One stream-collide update per site on a periodic 2-d grid: rest, 4
+    axis and 4 diagonal directions."""
     b = ProgramBuilder(name, params=("T", "NX", "NY"), param_min=4)
     with b.loop("t", 0, "T-1"):
         with b.loop("i", 0, "NX-1"):
             with b.loop("j", 0, "NY-1"):
-                sp = b.program.space_for(["t", "i", "j"])
-                t = AffExpr.var(sp, "t")
-                i = AffExpr.var(sp, "i")
-                j = AffExpr.var(sp, "j")
-                reads = []
-                for si, sj in _D2Q9_SHIFTS:
-                    reads += periodic_reads(
-                        sp, "F", t, {"i": si, "j": sj}, {"i": "NX", "j": "NY"}
-                    )
                 b.stmt(
-                    body_py=(
-                        "F[t+1, i, j] = 0.2*F[t, i, j] + 0.1*("
-                        "F[t, (i+1) % NX, j] + F[t, (i-1) % NX, j] + "
-                        "F[t, i, (j+1) % NY] + F[t, i, (j-1) % NY]) + 0.1*("
-                        "F[t, (i+1) % NX, (j+1) % NY] + F[t, (i+1) % NX, (j-1) % NY] + "
-                        "F[t, (i-1) % NX, (j+1) % NY] + F[t, (i-1) % NX, (j-1) % NY])"
-                    ),
-                    writes=[Access("F", AffineMap(sp, [t + 1, i, j]))],
-                    reads=reads,
+                    "F[t+1][i][j] = 0.2*F[t][i][j] + 0.1*("
+                    "F[t][(i+1) % NX][j] + F[t][(i-1) % NX][j] + "
+                    "F[t][i][(j+1) % NY] + F[t][i][(j-1) % NY]) + 0.1*("
+                    "F[t][(i+1) % NX][(j+1) % NY] + F[t][(i+1) % NX][(j-1) % NY] + "
+                    "F[t][(i-1) % NX][(j+1) % NY] + F[t][(i-1) % NX][(j-1) % NY])"
                 )
     return b.build()
 
 
 def lbm_d3q27_model(name: str = "lbm-ldc-d3q27"):
-    """One stream-collide update per site on a periodic 3-d grid."""
+    """One stream-collide update per site on a periodic 3-d grid, d3q27
+    reduced to its dependence-cone generators: rest, 6 faces, 8 corners."""
     b = ProgramBuilder(name, params=("T", "N"), param_min=4)
     with b.loop("t", 0, "T-1"):
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
                 with b.loop("k", 0, "N-1"):
-                    sp = b.program.space_for(["t", "i", "j", "k"])
-                    t = AffExpr.var(sp, "t")
-                    i = AffExpr.var(sp, "i")
-                    j = AffExpr.var(sp, "j")
-                    k = AffExpr.var(sp, "k")
-                    reads = []
-                    for si, sj, sk in _D3Q27_SHIFTS:
-                        reads += periodic_reads(
-                            sp, "F", t,
-                            {"i": si, "j": sj, "k": sk},
-                            {"i": "N", "j": "N", "k": "N"},
-                        )
                     b.stmt(
-                        body_py=(
-                            "F[t+1, i, j, k] = 0.3*F[t, i, j, k] + 0.05*("
-                            "F[t, (i+1) % N, j, k] + F[t, (i-1) % N, j, k] + "
-                            "F[t, i, (j+1) % N, k] + F[t, i, (j-1) % N, k] + "
-                            "F[t, i, j, (k+1) % N] + F[t, i, j, (k-1) % N]) + 0.05*("
-                            "F[t, (i+1) % N, (j+1) % N, (k+1) % N] + "
-                            "F[t, (i+1) % N, (j+1) % N, (k-1) % N] + "
-                            "F[t, (i+1) % N, (j-1) % N, (k+1) % N] + "
-                            "F[t, (i+1) % N, (j-1) % N, (k-1) % N] + "
-                            "F[t, (i-1) % N, (j+1) % N, (k+1) % N] + "
-                            "F[t, (i-1) % N, (j+1) % N, (k-1) % N] + "
-                            "F[t, (i-1) % N, (j-1) % N, (k+1) % N] + "
-                            "F[t, (i-1) % N, (j-1) % N, (k-1) % N])"
-                        ),
-                        writes=[Access("F", AffineMap(sp, [t + 1, i, j, k]))],
-                        reads=reads,
+                        "F[t+1][i][j][k] = 0.3*F[t][i][j][k] + 0.05*("
+                        "F[t][(i+1) % N][j][k] + F[t][(i-1) % N][j][k] + "
+                        "F[t][i][(j+1) % N][k] + F[t][i][(j-1) % N][k] + "
+                        "F[t][i][j][(k+1) % N] + F[t][i][j][(k-1) % N]) + 0.05*("
+                        "F[t][(i+1) % N][(j+1) % N][(k+1) % N] + "
+                        "F[t][(i+1) % N][(j+1) % N][(k-1) % N] + "
+                        "F[t][(i+1) % N][(j-1) % N][(k+1) % N] + "
+                        "F[t][(i+1) % N][(j-1) % N][(k-1) % N] + "
+                        "F[t][(i-1) % N][(j+1) % N][(k+1) % N] + "
+                        "F[t][(i-1) % N][(j+1) % N][(k-1) % N] + "
+                        "F[t][(i-1) % N][(j-1) % N][(k+1) % N] + "
+                        "F[t][(i-1) % N][(j-1) % N][(k-1) % N])"
                     )
     return b.build()
 

@@ -4,14 +4,22 @@ Jacobi-style heat updates on 1-d, 2-d, and 3-d periodic grids.  Problem
 sizes follow Table 2 of the paper; the validation sizes are tiny.  These are
 the benchmarks where Pluto+ composes ISS + reversal + shift + diamond tiling
 (Fig. 4) while classic Pluto can only parallelize the space loops.
+
+Each periodic read ``A[t][(i+1) % N]`` becomes two guarded affine accesses
+(:mod:`repro.frontend.body`); their wraparound arcs are the long
+dependences that make plain time tiling invalid and that index-set
+splitting + Pluto+'s reversals resolve.
+
+Double-buffered time (``A[(t+1)%2][..]``) is modeled with a time-expanded
+logical array ``A[t][..]`` — the dependence structure (and therefore every
+scheduling decision) is identical; only the memory footprint of the
+*validation* runs grows, which is why validation sizes keep ``T`` small.
 """
 
 from __future__ import annotations
 
-from repro.frontend import Access, ProgramBuilder
-from repro.polyhedra import AffExpr, AffineMap
+from repro.frontend import ProgramBuilder
 from repro.workloads.base import Workload, register
-from repro.workloads.periodic_util import periodic_reads
 
 __all__ = ["heat_1dp", "heat_2dp", "heat_3dp", "PERIODIC_HEAT"]
 
@@ -20,19 +28,9 @@ def heat_1dp():
     b = ProgramBuilder("heat-1dp", params=("T", "N"), param_min=4)
     with b.loop("t", 0, "T-1"):
         with b.loop("i", 0, "N-1"):
-            sp = b.program.space_for(["t", "i"])
-            t = AffExpr.var(sp, "t")
-            i = AffExpr.var(sp, "i")
-            reads = []
-            for s in (-1, 0, 1):
-                reads += periodic_reads(sp, "A", t, {"i": s}, {"i": "N"})
             b.stmt(
-                body_py=(
-                    "A[t+1, i] = 0.125 * A[t, (i+1) % N] + 0.75 * A[t, i] "
-                    "+ 0.125 * A[t, (i-1) % N]"
-                ),
-                writes=[Access("A", AffineMap(sp, [t + 1, i]))],
-                reads=reads,
+                "A[t+1][i] = 0.125 * A[t][(i+1) % N] + 0.75 * A[t][i] "
+                "+ 0.125 * A[t][(i-1) % N]"
             )
     return b.build()
 
@@ -42,22 +40,9 @@ def heat_2dp():
     with b.loop("t", 0, "T-1"):
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
-                sp = b.program.space_for(["t", "i", "j"])
-                t = AffExpr.var(sp, "t")
-                i = AffExpr.var(sp, "i")
-                j = AffExpr.var(sp, "j")
-                reads = []
-                for si, sj in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-                    reads += periodic_reads(
-                        sp, "A", t, {"i": si, "j": sj}, {"i": "N", "j": "N"}
-                    )
                 b.stmt(
-                    body_py=(
-                        "A[t+1, i, j] = 0.125*(A[t, (i+1) % N, j] + A[t, (i-1) % N, j] "
-                        "+ A[t, i, (j+1) % N] + A[t, i, (j-1) % N]) + 0.5*A[t, i, j]"
-                    ),
-                    writes=[Access("A", AffineMap(sp, [t + 1, i, j]))],
-                    reads=reads,
+                    "A[t+1][i][j] = 0.125*(A[t][(i+1) % N][j] + A[t][(i-1) % N][j] "
+                    "+ A[t][i][(j+1) % N] + A[t][i][(j-1) % N]) + 0.5*A[t][i][j]"
                 )
     return b.build()
 
@@ -68,31 +53,10 @@ def heat_3dp():
         with b.loop("i", 0, "N-1"):
             with b.loop("j", 0, "N-1"):
                 with b.loop("k", 0, "N-1"):
-                    sp = b.program.space_for(["t", "i", "j", "k"])
-                    t = AffExpr.var(sp, "t")
-                    i = AffExpr.var(sp, "i")
-                    j = AffExpr.var(sp, "j")
-                    k = AffExpr.var(sp, "k")
-                    reads = []
-                    for si, sj, sk in (
-                        (0, 0, 0),
-                        (1, 0, 0), (-1, 0, 0),
-                        (0, 1, 0), (0, -1, 0),
-                        (0, 0, 1), (0, 0, -1),
-                    ):
-                        reads += periodic_reads(
-                            sp, "A", t,
-                            {"i": si, "j": sj, "k": sk},
-                            {"i": "N", "j": "N", "k": "N"},
-                        )
                     b.stmt(
-                        body_py=(
-                            "A[t+1, i, j, k] = 0.1*(A[t, (i+1) % N, j, k] + A[t, (i-1) % N, j, k] "
-                            "+ A[t, i, (j+1) % N, k] + A[t, i, (j-1) % N, k] "
-                            "+ A[t, i, j, (k+1) % N] + A[t, i, j, (k-1) % N]) + 0.4*A[t, i, j, k]"
-                        ),
-                        writes=[Access("A", AffineMap(sp, [t + 1, i, j, k]))],
-                        reads=reads,
+                        "A[t+1][i][j][k] = 0.1*(A[t][(i+1) % N][j][k] + A[t][(i-1) % N][j][k] "
+                        "+ A[t][i][(j+1) % N][k] + A[t][i][(j-1) % N][k] "
+                        "+ A[t][i][j][(k+1) % N] + A[t][i][j][(k-1) % N]) + 0.4*A[t][i][j][k]"
                     )
     return b.build()
 

@@ -86,21 +86,12 @@ class TestSplitting:
         """Every statement owning a cut dimension is split — even ones whose
         own dependences are short (the [6] whole-space splitting; leaving a
         neighbor unsplit makes the post-ISS shift systems infeasible)."""
-        from repro.frontend import ProgramBuilder, Access
-        from repro.polyhedra import AffineMap, AffExpr
-        from repro.workloads.periodic_util import periodic_reads
+        from repro.frontend import ProgramBuilder
 
         b = ProgramBuilder("mix", params=("T", "N"), param_min=4)
         with b.loop("t", 0, "T-1"):
             with b.loop("i", 0, "N-1"):
-                sp = b.program.space_for(["t", "i"])
-                t = AffExpr.var(sp, "t")
-                i = AffExpr.var(sp, "i")
-                b.stmt(
-                    body_py="A[t+1, i] = A[t, (i+1) % N]",
-                    writes=[Access("A", AffineMap(sp, [t + 1, i]))],
-                    reads=periodic_reads(sp, "A", t, {"i": 1}, {"i": "N"}),
-                )
+                b.stmt("A[t+1][i] = A[t][(i+1) % N]")
             with b.loop("i", 0, "N-1"):
                 b.stmt("B[t][i] = A[t][i]", name="SB")
         p2, changed = index_set_split(b.build())

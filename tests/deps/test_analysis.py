@@ -116,35 +116,41 @@ class TestReadOnlyNoDeps:
 
 class TestGuardedAccess:
     def test_periodic_wraparound_dependence(self):
-        from repro.frontend import Access, ProgramBuilder
-        from repro.polyhedra import AffineMap, BasicSet, ineq
+        from repro.frontend import Access, Program, Statement
+        from repro.polyhedra import AffExpr, AffineMap, BasicSet, ineq
 
-        b = ProgramBuilder("periodic", params=("T", "N"), param_min=4)
-        with b.loop("t", 0, "T-1"):
-            with b.loop("i", 0, "N-1"):
-                sp = b.program.space_for(["t", "i"])
-                interior = BasicSet(sp, [ineq(sp, {"i": -1, "N": 1}, -2)])  # i <= N-2
-                boundary = BasicSet(sp, [ineq(sp, {"i": 1, "N": -1}, 1)])   # i >= N-1
-                b.stmt(
-                    body_py="A[t+1, i] = A[t, i] + A[t, (i+1) % N]",
-                    writes=[
-                        Access("A", AffineMap.from_terms(sp, [({"t": 1}, 1), ({"i": 1}, 0)]))
-                    ],
-                    reads=[
-                        Access("A", AffineMap.from_terms(sp, [({"t": 1}, 0), ({"i": 1}, 0)])),
-                        Access(
-                            "A",
-                            AffineMap.from_terms(sp, [({"t": 1}, 0), ({"i": 1}, 1)]),
-                            guard=interior,
-                        ),
-                        Access(
-                            "A",
-                            AffineMap.from_terms(sp, [({"t": 1}, 0), ({}, 0)]),
-                            guard=boundary,
-                        ),
-                    ],
-                )
-        deps = compute_dependences(b.build())
+        # hand-shaped guards (an inequality where the front end writes an
+        # equality), so the statement is built as IR directly
+        p = Program("periodic", params=("T", "N"), param_min=4)
+        sp = p.space_for(["t", "i"])
+        t, i, n = (AffExpr.var(sp, x) for x in ("t", "i", "N"))
+        interior = BasicSet(sp, [ineq(sp, {"i": -1, "N": 1}, -2)])  # i <= N-2
+        boundary = BasicSet(sp, [ineq(sp, {"i": 1, "N": -1}, 1)])   # i >= N-1
+        p.add_statement(Statement(
+            name="S0",
+            domain=BasicSet.from_bounds(
+                sp, {"t": (0, AffExpr.var(sp, "T") - 1), "i": (0, n - 1)}
+            ),
+            writes=[
+                Access("A", AffineMap.from_terms(sp, [({"t": 1}, 1), ({"i": 1}, 0)]))
+            ],
+            reads=[
+                Access("A", AffineMap.from_terms(sp, [({"t": 1}, 0), ({"i": 1}, 0)])),
+                Access(
+                    "A",
+                    AffineMap.from_terms(sp, [({"t": 1}, 0), ({"i": 1}, 1)]),
+                    guard=interior,
+                ),
+                Access(
+                    "A",
+                    AffineMap.from_terms(sp, [({"t": 1}, 0), ({}, 0)]),
+                    guard=boundary,
+                ),
+            ],
+            body="A[t+1, i] = A[t, i] + A[t, (i+1) % N]",
+            sched=[0, t, 0, i, 0],
+        ))
+        deps = compute_dependences(p)
         raws = [d for d in deps if d.kind == "raw"]
         # the wraparound read produces a *long* dependence: i__s = 0 read at
         # i__t = N-1 one time step later

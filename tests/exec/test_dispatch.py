@@ -13,8 +13,8 @@ from repro.exec import (
     ExecutionOptions,
     compile_kernel,
 )
-from repro.frontend import Access, ProgramBuilder, parse_program
-from repro.polyhedra import AffExpr, AffineMap
+from repro.frontend import Access, Program, Statement, parse_program
+from repro.polyhedra import AffExpr, AffineMap, BasicSet
 from repro.runtime.arrays import random_arrays
 
 SRC = """
@@ -29,16 +29,18 @@ def _tsched():
 
 def _not_c_tsched():
     """A body the Python kernel runs and the C emitter cannot express."""
-    b = ProgramBuilder("not_c", params=("N",))
-    with b.loop("i", 0, "N-1"):
-        sp = b.program.space_for(["i"])
-        i = AffExpr.var(sp, "i")
-        b.stmt(
-            body_py="A[i] = float(not B[i])",
-            writes=[Access("A", AffineMap(sp, [i]))],
-            reads=[Access("B", AffineMap(sp, [i]))],
-        )
-    return original_schedule(b.build())
+    p = Program("not_c", params=("N",))
+    sp = p.space_for(["i"])
+    i = AffExpr.var(sp, "i")
+    p.add_statement(Statement(
+        name="S0",
+        domain=BasicSet.from_bounds(sp, {"i": (0, AffExpr.var(sp, "N") - 1)}),
+        reads=[Access("B", AffineMap(sp, [i]))],
+        writes=[Access("A", AffineMap(sp, [i]))],
+        body="A[i] = float(not B[i])",
+        sched=[0, i, 0],
+    ))
+    return original_schedule(p)
 
 
 class TestProtocol:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.frontend import Access, ProgramBuilder, parse_condition
-from repro.polyhedra import AffExpr, AffineMap, BasicSet, Space
+from repro.frontend import ProgramBuilder, parse_condition
+from repro.polyhedra import AffExpr, AffineMap, BasicSet, Space, eq, ineq
 
 
 def build_gemm():
@@ -77,33 +77,18 @@ class TestBuilder:
         betas = [s.sched[-1] for s in p.statements]
         assert betas == [0, 1, 2]
 
-    def test_explicit_accesses_override(self):
+    def test_periodic_body_gives_guarded_reads(self):
         b = ProgramBuilder("periodic", params=("N",))
         with b.loop("i", 0, "N-1"):
-            sp = b.program.space_for(["i"])
-            wrap = BasicSet(sp)
-            from repro.polyhedra import ineq
-            wrap.add(ineq(sp, {"i": 1, "N": -1}, 1))  # i == N-1 (with ub)
-            b.stmt(
-                body_py="A2[i] = A[(i+1) % N]",
-                writes=[Access("A2", AffineMap.from_terms(sp, [({"i": 1}, 0)]))],
-                reads=[
-                    Access(
-                        "A",
-                        AffineMap.from_terms(sp, [({"i": 1}, 1)]),
-                        guard=BasicSet(sp, [ineq(sp, {"i": -1, "N": 1}, -2)]),
-                    ),
-                    Access(
-                        "A",
-                        AffineMap.from_terms(sp, [({}, 0)]),
-                        guard=wrap,
-                    ),
-                ],
-            )
-        p = b.build()
-        s = p.statements[0]
-        assert len(s.reads) == 2
-        assert s.reads[0].guard is not None
+            b.stmt("A2[i] = A[(i+1) % N]")
+        (s,) = b.build().statements
+        assert s.body == "A2[i] = A[(i+1) % N]"
+        assert [w.guard for w in s.writes] == [None]
+        interior, wrap = s.reads
+        sp = s.space
+        assert interior.guard == BasicSet(sp, [ineq(sp, {"i": -1, "N": 1}, -2)])
+        assert wrap.guard == BasicSet(sp, [eq(sp, {"i": 1, "N": -1}, 1)])
+        assert wrap.map == AffineMap.from_terms(sp, [({"i": 1, "N": -1}, 1)])
 
     @pytest.mark.parametrize("form", [
         {},
@@ -113,6 +98,8 @@ class TestBuilder:
         {"body_py": "A[i] = B[i]", "reads": [], "writes": [], "body": "A[i] = B[i]"},
     ], ids=["nothing", "body+body_py", "body+accesses", "partial", "both"])
     def test_one_form_or_the_other(self, form):
+        # the C-like body is the one form; the executable body and access
+        # lists are always derived, never stated
         b = ProgramBuilder("forms", params=("N",))
         with b.loop("i", 0, "N-1"):
             with pytest.raises(TypeError):

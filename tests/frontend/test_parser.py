@@ -101,3 +101,40 @@ class TestParser:
         s = p.statements[0]
         assert s.write_arrays() == {"x"}
         assert "x" in s.read_arrays() and "A" in s.read_arrays()
+
+
+HEAT_1DP = """
+for (t = 0; t < T; t++)
+    for (i = 0; i < N; i++)
+        A[t+1][i] = 0.125 * A[t][(i+1) % N] + 0.75 * A[t][i] + 0.125 * A[t][(i-1) % N];
+"""
+
+
+class TestPeriodicC:
+    """heat-1dp written as C with ``% N`` reads is the registered program."""
+
+    def _pair(self):
+        from repro.workloads.periodic import heat_1dp
+
+        parsed = parse_program(HEAT_1DP, "heat-1dp", params=("T", "N"), param_min=4)
+        return parsed, heat_1dp()
+
+    def test_same_program_up_to_body_spacing(self):
+        from repro.frontend import program_to_dict
+
+        parsed, registered = self._pair()
+        a, b = program_to_dict(parsed), program_to_dict(registered)
+        (sa,), (sb,) = a["statements"], b["statements"]
+        assert "".join(sa.pop("body").split()) == "".join(sb.pop("body").split())
+        assert a == b
+
+    def test_same_c_kernel_under_iss_and_diamond(self):
+        from repro import PipelineOptions, optimize
+        from repro.codegen import generate_c_kernel
+
+        opts = PipelineOptions(iss=True, diamond=True)
+        parsed, registered = self._pair()
+        assert (
+            generate_c_kernel(optimize(parsed, opts).tiled).source
+            == generate_c_kernel(optimize(registered, opts).tiled).source
+        )

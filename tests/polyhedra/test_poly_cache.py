@@ -298,10 +298,14 @@ class TestEscapeHatch:
         assert cache_enabled()
         assert global_cache().stats.lookups == 0
 
-    def test_env_var_disables(self, sp, monkeypatch):
+    def test_only_cache_disabled_disables(self, monkeypatch):
+        # the retired environment switch is not read; nesting restores
         monkeypatch.setenv("REPRO_DEPS_NO_CACHE", "1")
-        assert not cache_enabled()
-        monkeypatch.setenv("REPRO_DEPS_NO_CACHE", "0")
+        assert cache_enabled()
+        with cache_disabled():
+            with cache_disabled():
+                assert not cache_enabled()
+            assert not cache_enabled()
         assert cache_enabled()
 
     def test_set_is_empty_matches_uncached(self, sp):

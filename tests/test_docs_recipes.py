@@ -5,10 +5,9 @@ import re
 from pathlib import Path
 
 from repro import PipelineOptions, ProgramBuilder, optimize, parse_program
-from repro.frontend import Access
-from repro.polyhedra import AffExpr, AffineMap
 from repro.runtime import validate_transformation
-from repro.workloads.periodic_util import periodic_reads
+
+USAGE = Path(__file__).parents[1] / "docs" / "USAGE.md"
 
 WAVE = """
 for (t = 1; t < T; t++)
@@ -28,20 +27,26 @@ def test_ring_builder_recipe():
     b = ProgramBuilder("ring", params=("T", "N"), param_min=4)
     with b.loop("t", 0, "T-1"):
         with b.loop("i", 0, "N-1"):
-            sp = b.program.space_for(["t", "i"])
-            t, i = AffExpr.var(sp, "t"), AffExpr.var(sp, "i")
-            b.stmt(
-                body_py="A[t+1, i] = 0.5*(A[t, (i+1) % N] + A[t, (i-1) % N])",
-                writes=[Access("A", AffineMap(sp, [t + 1, i]))],
-                reads=(
-                    periodic_reads(sp, "A", t, {"i": 1}, {"i": "N"})
-                    + periodic_reads(sp, "A", t, {"i": -1}, {"i": "N"})
-                ),
-            )
+            b.stmt("A[t+1][i] = 0.5*(A[t][(i+1) % N] + A[t][(i-1) % N])")
     program = b.build()
+    assert [r.guard is None for r in program.statements[0].reads] == [False] * 4
     res = optimize(program, PipelineOptions(iss=True, diamond=True))
     assert res.used_iss and res.used_diamond
     assert validate_transformation(res.program, res.tiled, {"T": 5, "N": 11}).ok
+
+
+def test_ring_c_recipe(tmp_path, capsys):
+    """The USAGE.md "Periodic stencils" ring.c, through the CLI."""
+    from repro.cli import main
+
+    section = USAGE.read_text().split("## Periodic stencils", 1)[1]
+    source = section.split("```c\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "ring.c").write_text(source)
+    assert main([
+        "opt", str(tmp_path / "ring.c"), "--params", "T", "N", "--iss", "--diamond",
+    ]) == 0
+    out, err = capsys.readouterr()
+    assert "repro_kernel" in out and "# ISS: True, diamond: True" in err
 
 
 def test_quick_scheduler_recipe():
@@ -141,7 +146,7 @@ def test_parallel_reductions_recipe():
 
 def test_knobs_table_names_each_declared_flag():
     """The USAGE.md "Knobs" table shows the flag each field declares."""
-    text = (Path(__file__).parents[1] / "docs" / "USAGE.md").read_text()
+    text = USAGE.read_text()
     table = text.split("## Knobs", 1)[1].split("\n\n", 2)[1]
     flags = {}
     for row in table.splitlines()[2:]:
