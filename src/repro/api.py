@@ -24,8 +24,8 @@ the default), the quick fusion + dimension-matching heuristic
 Execution is backend-neutral: ``result.run(arrays, params, exec_options=)``
 dispatches on :class:`ExecutionOptions`' kw-only ``backend`` (``"python"``,
 the default and historical behavior; ``"c"`` compiles the emitted C with the
-system compiler and runs at native speed; ``"auto"`` picks the fastest
-available), returning an :class:`ExecStats` describing what actually ran::
+system compiler and runs at native speed), returning an :class:`ExecStats`
+describing what actually ran::
 
     result = api.optimize("gemm")
     stats = result.run(arrays, params, exec_options=api.ExecutionOptions(backend="c"))

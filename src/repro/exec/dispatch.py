@@ -9,9 +9,9 @@ Callers that hold a ``CompiledKernel`` never branch on which one they got.
 
 :func:`compile_kernel` is the single dispatch point, and the only code that
 fills the compile half of :class:`ExecStats` (``COMPILE_HALF``).
-``backend="python"`` always succeeds; ``"c"``/``"auto"`` try the native
-path and — unless ``strict`` — degrade to Python with the reason recorded
-in ``ExecStats.fallback_reason``, so a missing compiler or a body C cannot
+``backend="python"`` always succeeds; ``"c"`` tries the native path and —
+unless ``strict`` — degrades to Python with the reason recorded in
+``ExecStats.fallback_reason``, so a missing compiler or a body C cannot
 express downgrades a run instead of failing it.
 """
 
@@ -75,7 +75,7 @@ def compile_kernel(
     options = options or ExecutionOptions()
     stats = stats if stats is not None else ExecStats()
     stats.backend_requested = options.backend
-    if options.backend in ("c", "auto"):
+    if options.backend == "c":
         try:
             kernel = build_c_kernel(tsched, options, stats)
             stats.backend = "c"

@@ -1,7 +1,7 @@
 """Execution configuration and per-run statistics.
 
 :class:`ExecutionOptions` is the backend-neutral execution contract: which
-backend runs the generated kernel (``python``, ``c``, or ``auto``), how
+backend runs the generated kernel (``python`` or ``c``), how
 many OpenMP threads a native kernel may use, and where compiled artifacts
 live.  It deliberately mirrors :class:`repro.pipeline.PipelineOptions`'s
 conventions — keyword-only, validated at construction, dict-round-trippable
@@ -27,7 +27,7 @@ __all__ = ["ExecutionOptions", "ExecStats", "ExecBackendError", "BACKENDS",
            "COMPILE_HALF"]
 
 #: the execution backends OptimizationResult.run() dispatches over
-BACKENDS = ("python", "c", "auto")
+BACKENDS = ("python", "c")
 
 
 class ExecBackendError(RuntimeError):
@@ -45,11 +45,9 @@ class ExecutionOptions:
 
     ``backend``
         ``"python"`` — the exec'd-Python kernel (default; always works);
-        ``"c"``/``"auto"`` — compile the emitted C with the system compiler
-        and run at hardware speed.  Both degrade to Python when no
-        compiler/body is available unless ``strict`` is set;
-        :func:`repro.exec.compile_kernel` treats them alike (the difference
-        is only intent: ``"c"`` is an explicit request, CLI ``--backend c``).
+        ``"c"`` — compile the emitted C with the system compiler and run at
+        hardware speed; degrades to Python when no compiler/body is
+        available unless ``strict`` is set.
     ``threads``
         OpenMP thread count for native kernels (``None`` = the OpenMP
         runtime default).
@@ -89,6 +87,8 @@ class ExecutionOptions:
             raise ValueError(
                 f"unknown ExecutionOptions fields: {sorted(extra)}"
             )
+        if data.get("backend") == "auto":  # pre-1.36 manifests: the same request as "c"
+            data = {**data, "backend": "c"}
         return cls(**data)
 
 

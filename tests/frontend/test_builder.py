@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.frontend import ProgramBuilder, parse_condition
+from repro.frontend import BodySyntaxError, ProgramBuilder, parse_condition
 from repro.polyhedra import AffExpr, AffineMap, BasicSet, Space, eq, ineq
 
 
@@ -90,20 +90,19 @@ class TestBuilder:
         assert wrap.guard == BasicSet(sp, [eq(sp, {"i": 1, "N": -1}, 1)])
         assert wrap.map == AffineMap.from_terms(sp, [({"i": 1, "N": -1}, 1)])
 
-    @pytest.mark.parametrize("form", [
-        {},
-        {"body": "A[i] = B[i]", "body_py": "A[i] = B[i]"},
-        {"body": "A[i] = B[i]", "reads": [], "writes": []},
-        {"body_py": "A[i] = B[i]", "writes": []},
-        {"body_py": "A[i] = B[i]", "reads": [], "writes": [], "body": "A[i] = B[i]"},
-    ], ids=["nothing", "body+body_py", "body+accesses", "partial", "both"])
-    def test_one_form_or_the_other(self, form):
-        # the C-like body is the one form; the executable body and access
-        # lists are always derived, never stated
+    @pytest.mark.parametrize("body", [
+        "A[i] + B[i]",
+        "A[(i+2) % N] = B[i]",
+        "A[i] = B[(i+1) % 2]",
+        "A[i] = B[(i+2) % N]",
+        "A[i] = B[i*i]",
+    ], ids=["no-assignment", "periodic-write", "constant-period", "shift-2",
+            "non-affine"])
+    def test_refused_body(self, body):
         b = ProgramBuilder("forms", params=("N",))
         with b.loop("i", 0, "N-1"):
-            with pytest.raises(TypeError):
-                b.stmt(**form)
+            with pytest.raises(BodySyntaxError):
+                b.stmt(body)
             b.stmt("A[i] = B[i]")
         # a refused call names and orders nothing
         (s,) = b.build().statements
