@@ -58,7 +58,7 @@ from repro.frontend.ir import Program, Statement
 from repro.ilp import ILPModel, LinearConstraint, SolveStats, lexmin
 from repro.polyhedra import AffExpr
 from repro.polyhedra.fourier_motzkin import normalize_row
-from repro.records import Record, omit_at_default
+from repro.records import Record
 
 __all__ = ["SchedulerOptions", "SchedulerError", "PlutoScheduler", "SchedulerStats"]
 
@@ -141,15 +141,9 @@ class SchedulerStats(Record):
     #: reduction relaxation (``repro.core.reductions``): accumulation
     #: statements detected in the program and the self-dependences dropped
     #: from the legality set before scheduling.  Both stay zero unless
-    #: ``PipelineOptions.parallel_reductions`` is enabled, and are omitted
-    #: while both are zero so stats recorded with the reductions subsystem
-    #: off stay byte-identical to the pre-reduction format.
-    reductions_detected: int = field(
-        default=0, metadata=omit_at_default("reductions")
-    )
-    reductions_relaxed: int = field(
-        default=0, metadata=omit_at_default("reductions")
-    )
+    #: ``PipelineOptions.parallel_reductions`` is enabled.
+    reductions_detected: int = 0
+    reductions_relaxed: int = 0
 
 
 def _integer_row(values: list) -> tuple[int, ...] | None:
@@ -187,9 +181,6 @@ class PlutoScheduler:
         self._rar_bound_cache: dict[int, list] = {}
         # Cross-request replay context (repro.core.skeleton.WarmStart).
         self.warm = warm
-        # Lazily computed Farkas constraints per dependence (they do not
-        # depend on the level, so one elimination serves the whole run).
-        self._farkas_cache: dict[int, tuple[list, list]] = {}
         # Model skeletons (variables + csum + Farkas rows) keyed by the
         # active dependence set: within a band the active set is constant,
         # so only the per-level independence/avoidance rows are rebuilt.
@@ -269,21 +260,22 @@ class PlutoScheduler:
             and order.level.get(id(d), band_start) >= band_start
         ]
 
-    def _farkas(self, dep: Dependence) -> tuple[list, list]:
-        key = id(dep)
-        if key not in self._farkas_cache:
-            self._farkas_cache[key] = (
-                legality_constraints(dep),
-                bounding_constraints(dep),
+    def _farkas(self, dep: Dependence) -> tuple[tuple, tuple]:
+        """``dep``'s legality and bounding rows.  They depend on neither the
+        level nor the run, so they are computed once per dependence graph
+        (``ddg.farkas``) and shared with every other scheduler over it."""
+        rows = self.ddg.farkas.get(id(dep))
+        if rows is None:
+            rows = self.ddg.farkas[id(dep)] = (
+                tuple(legality_constraints(dep)),
+                tuple(bounding_constraints(dep)),
             )
-            if self.warm is not None:
-                legal, bound = self._farkas_cache[key]
-                self.warm.note_farkas(
-                    f"{dep.kind}:{dep.source.name}->{dep.target.name}"
-                    f"@{dep.array}",
-                    len(legal), len(bound),
-                )
-        return self._farkas_cache[key]
+        if self.warm is not None:
+            self.warm.note_farkas(
+                f"{dep.kind}:{dep.source.name}->{dep.target.name}@{dep.array}",
+                len(rows[0]), len(rows[1]),
+            )
+        return rows
 
     # -- the per-level ILP ----------------------------------------------------------
 

@@ -86,8 +86,7 @@ SCHEDULE_RELEVANT_OPTIONS = (
     # RAR bounding rows change the per-level model without changing the
     # active dependence set, and reduction relaxation changes the set
     # itself — records from either knob must never be replayed for the
-    # other.  Both are omitted from as_dict() at their defaults, so every
-    # pre-existing fingerprint is unchanged.
+    # other.
     "rar",
     "parallel_reductions",
 )
@@ -113,12 +112,10 @@ def structural_fingerprint(program_dict: Mapping, options_dict: Mapping) -> str:
     could schedule differently are never consulted.
     """
     from repro.frontend.serialize import structural_program_dict
-    from repro.pipeline import RETIRED_OPTIONS, pipeline_fingerprint
+    from repro.pipeline import pipeline_fingerprint
 
-    # the retired options still enter, as they did when they were choices
     options = {
-        k: options_dict[k] for k in (*SCHEDULE_RELEVANT_OPTIONS, *RETIRED_OPTIONS)
-        if k in options_dict
+        k: options_dict[k] for k in SCHEDULE_RELEVANT_OPTIONS if k in options_dict
     }
     return _canonical_hash({
         "v": SKELETON_FORMAT_VERSION,
@@ -176,9 +173,6 @@ def scheduler_solve_key(program, options, sched, active, extra=None) -> str:
         "alg": options.algorithm,
         "b": options.coeff_bound,
         "csum": options.csum_objective,
-        # the retired ILP-backend choice, at the values every request hashed
-        "ilp": "highs",
-        "auto": 25,
         "params": list(program.params),
         "pmin": sorted(program.param_min.items()),
         "stmts": [

@@ -25,7 +25,7 @@ from repro.frontend.ir import Access, Program, Statement
 from repro.frontend.serialize import program_to_dict
 from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 from repro.polyhedra.cache import MISS, active_cache, global_cache
-from repro.records import Record, omit_at_default
+from repro.records import Record
 
 __all__ = [
     "DepStats",
@@ -65,10 +65,8 @@ class DepStats(Record):
     analysis_seconds: float = 0.0
     #: RAR (read-after-read) relations found by :mod:`repro.deps.rar`;
     #: counted separately from ``deps_found`` because they never enter the
-    #: legality set.  Zero unless ``PipelineOptions.rar`` is enabled, and
-    #: omitted at zero so records written with RAR off (including every
-    #: pre-RAR manifest) keep their exact historical shape.
-    rar_deps: int = field(default=0, metadata=omit_at_default("rar"))
+    #: legality set.  Zero unless ``PipelineOptions.rar`` is enabled.
+    rar_deps: int = 0
 
     @property
     def lookups(self) -> int:

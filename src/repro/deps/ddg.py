@@ -33,6 +33,11 @@ class DependenceGraph:
         self.program = program
         self.deps = list(deps)
         self.dep_stats = stats
+        #: the Farkas legality and bounding rows of each dependence, by
+        #: ``id``: filled by the schedulers (``PlutoScheduler._farkas``) and
+        #: shared by every scheduler run over this graph — a diamond attempt,
+        #: its fallback, a quick attempt.  The rows are tuples, never mutated.
+        self.farkas: dict[int, tuple[tuple, tuple]] = {}
 
     # -- queries -------------------------------------------------------------
 

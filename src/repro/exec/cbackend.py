@@ -9,8 +9,9 @@ Marshalling follows the emitter's ABI contract
 (:class:`repro.codegen.c_emit.CKernelSource`): one flat ``double*`` per
 array in sorted-name order, extents and parameters as ``int64`` vectors.
 Arrays run **in place** — the same mutation semantics as the Python
-backend — with a transparent copy-in/copy-out only for inputs that are not
-C-contiguous ``float64``.
+backend — with a transparent copy-in/copy-out only for ``float64`` inputs
+that are not C-contiguous; any other dtype is a ``TypeError`` before the
+kernel runs.
 
 A :class:`CKernel` pickles: the ctypes handles are a cache, dropped on
 ``__getstate__`` and lazily rebuilt on the other side — recompiling
@@ -174,16 +175,15 @@ class CKernel:
                 raise ValueError(
                     f"array {name!r} has rank {a.ndim}, kernel expects {rank}"
                 )
-            if a.dtype == np.float64 and a.flags.c_contiguous:
+            if a.dtype != np.float64:
+                # refused before the kernel runs: no array is written
+                raise TypeError(
+                    f"array {name!r} has dtype {a.dtype}, kernel expects float64"
+                )
+            if a.flags.c_contiguous:
                 bufs.append(a)
             else:
-                if not np.issubdtype(a.dtype, np.floating) and not (
-                    np.issubdtype(a.dtype, np.integer)
-                ):
-                    raise TypeError(
-                        f"array {name!r} has unsupported dtype {a.dtype}"
-                    )
-                buf = np.ascontiguousarray(a, dtype=np.float64)
+                buf = np.ascontiguousarray(a)
                 bufs.append(buf)
                 writeback.append((name, buf))
         return bufs, writeback

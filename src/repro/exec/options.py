@@ -87,8 +87,6 @@ class ExecutionOptions:
             raise ValueError(
                 f"unknown ExecutionOptions fields: {sorted(extra)}"
             )
-        if data.get("backend") == "auto":  # pre-1.36 manifests: the same request as "c"
-            data = {**data, "backend": "c"}
         return cls(**data)
 
 

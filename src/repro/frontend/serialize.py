@@ -32,12 +32,9 @@ __all__ = [
 ]
 
 #: bumped whenever the on-disk shape changes incompatibly; 2 dropped each
-#: statement's C-like ``text``
+#: statement's C-like ``text``.  :func:`program_from_dict` reads this version
+#: only.
 IR_FORMAT_VERSION = 2
-
-#: what :func:`program_from_dict` reads: v1 is v2 plus a ``text`` key per
-#: statement, which is ignored
-_READABLE_IR_FORMATS = (1, 2)
 
 
 # -- spaces ------------------------------------------------------------------
@@ -165,11 +162,11 @@ def structural_program_dict(data: Mapping) -> dict:
 
 
 def program_from_dict(data: Mapping) -> Program:
-    version = data.get("version", IR_FORMAT_VERSION)
-    if version not in _READABLE_IR_FORMATS:
+    version = data.get("version")
+    if version != IR_FORMAT_VERSION:
         raise ValueError(
             f"program serialized with format v{version}, this build "
-            f"reads v{' and v'.join(map(str, _READABLE_IR_FORMATS))}"
+            f"reads v{IR_FORMAT_VERSION}"
         )
     program = Program(data["name"], tuple(data["params"]), dict(data["param_min"]))
     for sd in data["statements"]:

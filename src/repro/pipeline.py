@@ -55,20 +55,19 @@ __all__ = [
     "PIPELINE_VERSION",
     "SCHEDULE_VERSION",
     "RESULT_FORMAT_VERSION",
-    "RETIRED_OPTIONS",
     "optimize",
     "option_kwargs",
     "pipeline_fingerprint",
 ]
 
-#: bumped whenever OptimizationResult.to_json()'s shape changes incompatibly.
+#: bumped whenever OptimizationResult.to_json()'s shape changes incompatibly;
+#: :meth:`OptimizationResult.from_json` reads this version only.
 #: 2: each structure is written once — ``source_program`` is ``null`` when
 #: index-set splitting left the program as it was, and ``tiled`` has no
 #: ``source_schedule`` when it is the result's ``schedule``.
-#: :meth:`OptimizationResult.from_json` reads every version in
-#: :data:`_READABLE_RESULT_FORMATS`.
-RESULT_FORMAT_VERSION = 2
-_READABLE_RESULT_FORMATS = (1, 2)
+#: 3: ``options`` holds every field and nothing else, and the stats records
+#: hold every counter (no key is left out at its default).
+RESULT_FORMAT_VERSION = 3
 
 #: bumped whenever ``optimize()`` may emit a *different* schedule or code for
 #: the same ``(program, options)`` input — new scheduler heuristics, changed
@@ -89,10 +88,9 @@ PIPELINE_VERSION = 4
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
 #: invert schedules instead of searching; 3; 4) leaves warm-start records valid.
-#: Its stamp (:func:`pipeline_fingerprint` with ``schedule_only``) keeps the
-#: literal ``result-v1`` it has always hashed: skeleton records hold solves,
-#: not result payloads, so a :data:`RESULT_FORMAT_VERSION` bump must not turn
-#: them all into misses.
+#: Its stamp (:func:`pipeline_fingerprint` with ``schedule_only``) leaves
+#: :data:`RESULT_FORMAT_VERSION` out: skeleton records hold solves, not
+#: result payloads.
 SCHEDULE_VERSION = 1
 
 #: bumped whenever the quick-permutation heuristic (``repro.core.quick``)
@@ -101,13 +99,6 @@ SCHEDULE_VERSION = 1
 #: fingerprint only for ``scheduler="quick"|"auto"`` requests, so tuning
 #: the heuristic never invalidates cached exact results.
 QUICK_SCHEDULER_VERSION = 1
-
-#: Options that are no longer fields, with the one value each may still carry.
-#: HiGHS answers every lexmin, so the ILP backend is no longer a choice, but
-#: :meth:`PipelineOptions.as_dict` keeps writing the pair (after
-#: ``coeff_bound``, where the field sat): server cache keys, skeleton
-#: fingerprints, suite manifests and result JSON stay byte-identical.
-RETIRED_OPTIONS = {"ilp_backend": "highs"}
 
 
 def pipeline_fingerprint(
@@ -124,10 +115,9 @@ def pipeline_fingerprint(
     from repro.frontend.serialize import IR_FORMAT_VERSION
 
     base = (
-        f"pipeline-v{SCHEDULE_VERSION if schedule_only else PIPELINE_VERSION}"
-        f"/result-v{1 if schedule_only else RESULT_FORMAT_VERSION}"
-        f"/ir-v{IR_FORMAT_VERSION}"
-    )
+        f"pipeline-v{SCHEDULE_VERSION}" if schedule_only
+        else f"pipeline-v{PIPELINE_VERSION}/result-v{RESULT_FORMAT_VERSION}"
+    ) + f"/ir-v{IR_FORMAT_VERSION}"
     if scheduler is None:
         return base
     tail = f"/sched-{scheduler}"
@@ -136,16 +126,13 @@ def pipeline_fingerprint(
     return base + tail
 
 
-def _option(default, *, values=(), flag=None, help=None, omit=False):
+def _option(default, *, values=(), flag=None, help=None):
     """A :class:`PipelineOptions` field with its option facts, stated once:
-    its value set (checked on construction, the flag's choices), its
+    its value set (checked on construction, the flag's choices) and its
     command-line ``flag`` with ``help`` (``repro opt``, ``verify`` and
-    ``client opt`` all generate theirs from these), and whether
-    :meth:`~PipelineOptions.as_dict` leaves it out at its default
-    (``omit``)."""
+    ``client opt`` all generate theirs from these)."""
     return dataclasses.field(
-        default=default,
-        metadata={"values": values, "flag": flag, "help": help, "omit": omit},
+        default=default, metadata={"values": values, "flag": flag, "help": help},
     )
 
 
@@ -195,7 +182,7 @@ class PipelineOptions:
     )
     deps_cache: bool = True           # --no-deps-cache disables the fast path
     rar: bool = _option(             # repro.deps.rar; quick/diamond ignore it
-        False, flag="--rar", omit=True,
+        False, flag="--rar",
         help="feed read-after-read reuse into the exact scheduler's "
              "locality objective (never legality)",
     )
@@ -203,7 +190,7 @@ class PipelineOptions:
     #: (Python partial sums only); "omp" also emits reduction pragmas/atomics
     parallel_reductions: str = _option(
         "off", values=("off", "privatize", "omp"),
-        flag="--parallel-reductions", omit=True,
+        flag="--parallel-reductions",
         help="relax commutative-associative reduction self-dependences "
              "so the reduction dimension can run in parallel; omp also "
              "emits reduction clauses/atomics in C (verification drops "
@@ -242,23 +229,9 @@ class PipelineOptions:
         )
 
     def as_dict(self) -> dict:
-        """Dict form for manifests and cache keys, in field order.
-
-        A field declared ``omit`` (``rar``, ``parallel_reductions``) is
-        left out while it holds its default, so every cache key and
-        manifest written before the knob existed stays bit-identical; a
-        non-default value *is* folded in.  The :data:`RETIRED_OPTIONS`
-        pairs are always written, in their old place after
-        ``coeff_bound``.
-        """
-        d = {}
-        for f in _FIELDS:
-            value = getattr(self, f.name)
-            if not (f.metadata.get("omit") and value == f.default):
-                d[f.name] = value
-            if f.name == "coeff_bound":
-                d.update(RETIRED_OPTIONS)
-        return d
+        """Dict form for manifests and cache keys: every field, in field
+        order."""
+        return {f.name: getattr(self, f.name) for f in _FIELDS}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineOptions":
@@ -272,19 +245,8 @@ _FIELDS = dataclasses.fields(PipelineOptions)
 def option_kwargs(data: Mapping) -> dict:
     """``data`` as :class:`PipelineOptions` keyword arguments — the one key
     rule, for :meth:`PipelineOptions.from_dict` and the daemon's request
-    resolution: the :data:`RETIRED_OPTIONS` pairs are dropped (a retired
-    option at any other value is a ``ValueError``), so is ``backend`` at any
-    value (where a kernel runs is :class:`~repro.exec.ExecutionOptions`'),
-    and any other key that is not a field is a ``ValueError``."""
+    resolution: a key that is not a field is a ``ValueError``."""
     data = dict(data)
-    data.pop("backend", None)
-    for key, kept in RETIRED_OPTIONS.items():
-        value = data.pop(key, kept)
-        if value != kept:
-            raise ValueError(
-                f"{key}={value!r} is retired: HiGHS answers every lexmin "
-                f"(only {kept!r} is accepted)"
-            )
     extra = set(data) - set(PipelineOptions.__dataclass_fields__)
     if extra:
         raise ValueError(f"unknown PipelineOptions fields: {sorted(extra)}")
@@ -440,8 +402,8 @@ class OptimizationResult:
 
     @classmethod
     def from_json(cls, text: str) -> "OptimizationResult":
-        """Inverse of :meth:`to_json`; reads format v1 (both copies
-        written out) and v2 (each structure once), refuses any other."""
+        """Inverse of :meth:`to_json`; refuses any format but
+        :data:`RESULT_FORMAT_VERSION`."""
         return cls._from_payload(json.loads(text))
 
     @classmethod
@@ -453,10 +415,10 @@ class OptimizationResult:
         from repro.frontend.serialize import program_from_dict
 
         version = data.get("version")
-        if version not in _READABLE_RESULT_FORMATS:
+        if version != RESULT_FORMAT_VERSION:
             raise ValueError(
                 f"result serialized with format v{version}, this build "
-                f"reads v{' and v'.join(map(str, _READABLE_RESULT_FORMATS))}"
+                f"reads v{RESULT_FORMAT_VERSION}"
             )
         program = program_from_dict(data["program"])
         source_program = (

@@ -11,24 +11,16 @@ The one ``from_dict`` rule: **an absent key takes the field default, an
 unknown key is ignored** — a record written before a field existed, or by a
 later version that added one, keeps parsing.
 
-Per-field facts live in field metadata: ``field(default=0,
-metadata=omit_at_default("group"))`` leaves the key out of ``as_dict()``
-while every field of that group still holds its default, so records written
-with the feature off keep their historical shape.  Value shapes need no
-metadata: a nested record serializes through its own ``as_dict``, a list of
-groups as a list of lists, a dict of counters as a copy.
+``as_dict()`` writes every field: a nested record through its own
+``as_dict``, a list of groups as a list of lists, a dict of counters as a
+copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, fields, replace
 
-__all__ = ["Record", "omit_at_default"]
-
-
-def omit_at_default(group: str) -> dict:
-    """Field metadata: omit from ``as_dict()`` until ``group`` is in use."""
-    return {"omit_group": group}
+__all__ = ["Record"]
 
 
 def _plain(value):
@@ -47,16 +39,7 @@ class Record:
 
     def as_dict(self) -> dict:
         """JSON-serializable form, keys in field order."""
-        used = {
-            f.metadata["omit_group"]
-            for f in fields(self)
-            if "omit_group" in f.metadata and getattr(self, f.name) != f.default
-        }
-        return {
-            f.name: _plain(getattr(self, f.name))
-            for f in fields(self)
-            if f.metadata.get("omit_group") in (None, *used)
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict):

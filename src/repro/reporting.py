@@ -130,12 +130,11 @@ def format_suite_report(records: Sequence[Mapping], wall_seconds: Optional[float
                 "yes" if p["concurrent_start"] else "no",
                 "yes" if p["used_iss"] else "no",
                 "yes" if p["used_diamond"] else "no",
-                p.get("scheduler_path") or "-",  # pre-quick records lack it
-                # PR-10 knobs: absent from older (and all-defaults) records
-                "yes" if p.get("rar") else "-",
+                p["scheduler_path"] or "-",
+                "yes" if p["rar"] else "-",
                 (
                     ",".join(str(i) for i in p["reduction_levels"]) or "none"
-                ) if p.get("parallel_reductions") else "-",
+                ) if p["parallel_reductions"] != "off" else "-",
             ])
         blocks.append("")
         blocks.append("schedule properties:")

@@ -6,10 +6,10 @@ Layout::
         manifest.json          # matrix, config, per-run status index
         heat-1dp--plutoplus.json   # one record per completed run
 
-``manifest.json`` schema (``MANIFEST_VERSION`` 1)::
+``manifest.json`` schema (``MANIFEST_VERSION`` 2)::
 
     {
-      "version": 1,
+      "version": 2,
       "suite_id": "...",
       "created": "2026-08-06T12:13:14",
       "config": {"jobs": ..., "timeout": ..., "retries": ...,
@@ -42,7 +42,12 @@ from repro.suite.matrix import RunSpec
 
 __all__ = ["MANIFEST_VERSION", "SuiteManifest"]
 
-MANIFEST_VERSION = 1
+#: bumped whenever the manifest's or a record's shape changes; :meth:`load`
+#: reads this version only.  2: every options dict holds every
+#: ``PipelineOptions`` field and nothing else, every stats record every
+#: counter, and ``schedule_properties`` always names ``rar``,
+#: ``parallel_reductions`` and ``reduction_levels``.
+MANIFEST_VERSION = 2
 
 
 class SuiteManifest:

@@ -91,12 +91,9 @@ def _ok_record(spec: RunSpec, result, exec_options) -> dict:
                 None if result.scheduler_stats is None
                 else result.scheduler_stats.fallback_reason
             ),
-            # Resolved PR-10 knobs, stamped only when active so historical
-            # manifests (and their diffs) stay byte-identical at defaults.
-            **({"rar": True} if spec.options.rar else {}),
-            **({"parallel_reductions": spec.options.parallel_reductions,
-                "reduction_levels": result.tiled.reduction_levels()}
-               if spec.options.parallel_reductions != "off" else {}),
+            "rar": spec.options.rar,
+            "parallel_reductions": spec.options.parallel_reductions,
+            "reduction_levels": result.tiled.reduction_levels(),
         },
         "timing": result.timing.as_dict(),
         "scheduler_stats": (
@@ -186,11 +183,8 @@ def run_suite(
         recycle=1, target=_run_one, preload=None,
     )
     settled: queue.SimpleQueue = queue.SimpleQueue()  # (attempt, event)
-    # the suite's one ExecutionOptions, recorded once; a manifest written
-    # before 1.33.0 has none, and named its backend in every spec instead
-    specs = manifest.data["specs"]
-    legacy = {"backend": specs[0]["options"].get("backend", "python")} if specs else {}
-    exec_options = ExecutionOptions.from_dict(manifest.data["config"].get("exec", legacy))
+    # the suite's one ExecutionOptions, recorded once in the manifest's config
+    exec_options = ExecutionOptions.from_dict(manifest.data["config"].get("exec", {}))
 
     def submit(attempt: _Attempt) -> None:
         pool.try_submit(PoolJob(

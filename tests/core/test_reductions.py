@@ -211,15 +211,14 @@ class TestEndToEnd:
 
 
 class TestStatsCompat:
-    """Pre-PR-10 manifests (no reduction/rar keys) must still parse."""
+    """The reduction and RAR counters serialize like every other counter."""
 
     @staticmethod
     def _old_record():
-        # a pre-PR-10 manifest record: today's serialization never writes
-        # the reduction keys at zero, so dropping them reproduces it exactly
+        # a record without the reduction keys: Record.from_dict's one rule
+        # gives an absent key its default
         d = SchedulerStats(ilp_solves=4, hyperplanes_found=2).as_dict()
-        assert "reductions_detected" not in d
-        assert "reductions_relaxed" not in d
+        del d["reductions_detected"], d["reductions_relaxed"]
         return d
 
     def test_from_dict_tolerates_missing_keys(self):
@@ -234,9 +233,8 @@ class TestStatsCompat:
         assert again.reductions_detected == 2
         assert again.reductions_relaxed == 3
 
-    def test_dep_stats_omit_zero_rar(self):
-        d = DepStats().as_dict()
-        assert "rar_deps" not in d
+    def test_dep_stats_write_zero_rar(self):
+        assert DepStats().as_dict()["rar_deps"] == 0
         stats = DepStats()
         stats.rar_deps = 3
         assert stats.as_dict()["rar_deps"] == 3
@@ -251,10 +249,10 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="rar"):
             PipelineOptions(rar="true")
 
-    def test_defaults_absent_from_as_dict(self):
+    def test_defaults_present_in_as_dict(self):
         d = PipelineOptions().as_dict()
-        assert "rar" not in d
-        assert "parallel_reductions" not in d
+        assert d["rar"] is False
+        assert d["parallel_reductions"] == "off"
 
     def test_non_defaults_present(self):
         d = PipelineOptions(rar=True, parallel_reductions="omp").as_dict()

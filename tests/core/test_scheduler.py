@@ -213,3 +213,34 @@ class TestOptionsValidation:
         sch.schedule()
         assert sch.stats.hyperplanes_found == 2
         assert sch.stats.ilp_solves > 0
+
+
+def test_farkas_rows_once_per_dependence_graph(monkeypatch):
+    """Under ``pluto`` heat-2dp's diamond attempt fails and the fallback
+    scheduler runs over the same graph: each dependence's Farkas rows are
+    computed once between them (twice until 1.37.0), and the schedule is
+    the golden corpus's."""
+    import repro.core.scheduler as scheduler_module
+    import repro.pipeline as pipeline_module
+    from tests.golden import cell_specs, load_corpus, summarize
+
+    calls, graphs = [], []
+    legality = scheduler_module.legality_constraints
+    monkeypatch.setattr(
+        scheduler_module, "legality_constraints",
+        lambda dep: calls.append(id(dep)) or legality(dep),
+    )
+
+    class RecordedGraph(DependenceGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    monkeypatch.setattr(pipeline_module, "DependenceGraph", RecordedGraph)
+    workload, options = cell_specs()["heat-2dp--pluto"]
+    result = pipeline_module.optimize(workload, options)
+    (ddg,) = graphs
+    assert not result.used_diamond
+    assert len(calls) == len(set(calls)) == len(ddg.deps)
+    golden = load_corpus()["cells"]["heat-2dp--pluto"]
+    assert summarize(result) == {k: golden[k] for k in summarize(result)}

@@ -22,8 +22,8 @@ class TestExecutionOptions:
     def test_auto_is_retired(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
             ExecutionOptions(backend="auto")
-        # a pre-1.36 suite manifest stored "auto", the same request as "c"
-        assert ExecutionOptions.from_dict({"backend": "auto"}).backend == "c"
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            ExecutionOptions.from_dict({"backend": "auto"})
 
     def test_backends_constant_matches_validation(self):
         for backend in BACKENDS:

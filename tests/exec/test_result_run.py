@@ -32,15 +32,6 @@ class TestRunDispatch:
         assert stats.artifact_cache is None
         assert stats.exec_seconds > 0
 
-    def test_a_request_naming_c_still_runs_python_by_default(self):
-        # ``backend`` in an options dict is dropped on read: where a kernel
-        # runs is ExecutionOptions' to say, and run() defaults to its default
-        w = get_workload(WORKLOAD)
-        result = optimize(w.program(), PipelineOptions.from_dict({"backend": "c"}))
-        arrays, params = _inputs(result)
-        stats = result.run(arrays, params)
-        assert (stats.backend_requested, stats.backend) == ("python", "python")
-
     def test_exec_options_pick_the_backend(self, tmp_path, compiler):
         result = _result()
         arrays, params = _inputs(result)
@@ -86,6 +77,42 @@ class TestRunDispatch:
         assert "no C compiler" in stats.fallback_reason
 
 
+class TestMarshal:
+    """The C kernel runs on float64 arrays in place; a float64 array that is
+    not C-contiguous goes through a contiguous copy and back, any other
+    dtype is refused before the kernel runs."""
+
+    @pytest.fixture(scope="class")
+    def gemm(self):
+        w = get_workload("gemm")
+        result = optimize(w.program(), w.pipeline_options())
+        params = dict(w.small_sizes)
+        return result, params, random_arrays(result.program, params, seed=0)
+
+    def test_non_float64_array_is_refused_before_the_kernel_runs(
+        self, gemm, exec_opts
+    ):
+        result, params, inputs = gemm
+        arrays = {k: v.copy() for k, v in inputs.items()}
+        arrays["A"] = arrays["A"].astype(np.int64)
+        with pytest.raises(TypeError, match="'A' has dtype int64"):
+            result.run(arrays, params, exec_options=exec_opts)
+        for name in ("B", "C"):
+            assert np.array_equal(arrays[name], inputs[name])
+
+    def test_non_contiguous_float64_is_copied_in_and_out(self, gemm, exec_opts):
+        result, params, inputs = gemm
+        ref = {k: v.copy() for k, v in inputs.items()}
+        result.run(ref, params, exec_options=exec_opts)
+        arrays = {k: v.copy() for k, v in inputs.items()}
+        arrays["C"] = np.asfortranarray(arrays["C"])
+        assert not arrays["C"].flags.c_contiguous
+        stats = result.run(arrays, params, exec_options=exec_opts)
+        assert stats.backend == "c", stats.fallback_reason
+        for name in ref:
+            assert np.array_equal(arrays[name], ref[name])
+
+
 class TestPickle:
     def test_round_trip_drops_kernels_and_recompiles(self, exec_opts):
         result = _result()
@@ -126,12 +153,13 @@ class TestPickle:
 
 class TestCacheKeyCompat:
     def test_default_backend_omitted_from_options_dict(self):
-        # the server cache key hashes as_dict(): a dict that still names a
-        # backend, at any value, reads as the same options and key
+        # where a kernel runs is ExecutionOptions': the server cache key
+        # hashes as_dict(), which never names a backend, and a dict that
+        # does is refused like any other unknown key
         assert "backend" not in PipelineOptions().as_dict()
-        for backend in ("python", "c", "rust"):
-            read = PipelineOptions.from_dict({"backend": backend})
-            assert read.as_dict() == PipelineOptions().as_dict()
+        for backend in ("python", "c"):
+            with pytest.raises(ValueError, match="backend"):
+                PipelineOptions.from_dict({"backend": backend})
 
     def test_backend_is_not_a_pipeline_field(self):
         with pytest.raises(TypeError, match="backend"):

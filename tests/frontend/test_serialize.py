@@ -53,16 +53,11 @@ class TestProgramRoundTrip:
     def test_version_gate(self):
         p = parse_program(GUARDED, "guarded", params=("N",))
         d = program_to_dict(p)
-        # v1 is v2 plus a C-like text per statement, which is ignored
-        v1 = {**d, "version": 1, "statements": [
-            {**s, "text": "A[i][j] = 1.5 * A[j][i];"} for s in d["statements"]
-        ]}
-        assert program_from_dict(v1) == p
-        assert program_to_dict(program_from_dict(v1)) == d
-        for version in (0, 3):
+        assert program_from_dict(d) == p
+        for version in (0, 1, 3):
             d["version"] = version
             with pytest.raises(
-                ValueError, match=f"format v{version}, this build reads v1 and v2"
+                ValueError, match=f"format v{version}, this build reads v2"
             ):
                 program_from_dict(d)
 

@@ -2,7 +2,6 @@
 
 import json
 import pickle
-from pathlib import Path
 
 import pytest
 
@@ -171,9 +170,6 @@ class TestCEmitter:
         assert "const int64_t i = -z1;" in c
 
 
-PARENT_CACHE = Path(__file__).parents[1] / "golden" / "parent_stores" / "cache"
-
-
 @pytest.fixture(scope="module")
 def results():
     """gemm (ISS leaves it alone) and heat-1dp (ISS splits it)."""
@@ -184,11 +180,11 @@ def results():
 
 
 class TestResultPayload:
-    """Format v2 writes each structure of a result once."""
+    """The result format writes each structure of a result once."""
 
     def test_unsplit_program_and_schedule_written_once(self, results):
         payload = json.loads(results["gemm"].to_json())
-        assert payload["version"] == RESULT_FORMAT_VERSION == 2
+        assert payload["version"] == RESULT_FORMAT_VERSION == 3
         assert payload["source_program"] is None
         assert "source_schedule" not in payload["tiled"]
 
@@ -214,33 +210,6 @@ class TestResultPayload:
     def test_tiled_to_dict_alone_keeps_source_schedule(self, results):
         result = results["gemm"]
         assert result.tiled.to_dict()["source_schedule"] == result.schedule.to_dict()
-
-    def test_reads_parent_v1_payload(self):
-        (path,) = PARENT_CACHE.rglob("*.json")
-        text = path.read_text()
-        data = json.loads(text)
-        assert data["version"] == 1
-        rebuilt = OptimizationResult.from_json(text)
-        # v1 carries both copies: parsed as written (modulo the IR v1 header
-        # and each statement's C-like text, which IR v2 dropped), equal not
-        # shared
-        parent = data["source_program"]
-        assert parent["version"] == 1
-        assert program_to_dict(rebuilt.source_program) == {
-            **parent, "version": 2, "statements": [
-                {k: v for k, v in s.items() if k != "text"}
-                for s in parent["statements"]
-            ],
-        }
-        assert rebuilt.source_program == rebuilt.program
-        assert rebuilt.tiled.to_dict() == data["tiled"]
-        assert rebuilt.tiled.source_schedule == rebuilt.schedule
-
-    def test_refuses_version_3(self, results):
-        payload = json.loads(results["gemm"].to_json())
-        payload["version"] = 3
-        with pytest.raises(ValueError, match="format v3, this build reads v1 and v2"):
-            OptimizationResult.from_json(json.dumps(payload))
 
     @pytest.mark.parametrize("name", ["gemm", "heat-1dp"])
     def test_pickle_round_trip_unchanged(self, results, name):

@@ -235,9 +235,9 @@ class TestBadRequests:
 
 class TestRetiredOptions:
     def test_serialized_options_contract(self, daemon_factory):
-        """``ilp_backend`` left the options, not their serialized form: the
-        dicts still carry ``"ilp_backend": "highs"``, so the digests the
-        parent wrote stay warm, and any other value is refused."""
+        """Options dicts hold every ``PipelineOptions`` field and nothing
+        else: ``ilp_backend`` (gone as a field in 1.20.0) left their
+        serialized form in 1.37.0, and with it every key moved once."""
         from repro.core.skeleton import scheduler_solve_key, structural_fingerprint
         from repro.core.transform import Schedule
         from repro.deps import compute_dependences
@@ -246,37 +246,30 @@ class TestRetiredOptions:
         from repro.workloads import get_workload
 
         program_dict, options_dict = resolve_optimize({"workload": "fig1-skew"})
-        assert options_dict["ilp_backend"] == "highs"
-        # the cache key moved with RESULT_FORMAT_VERSION 2 (the format is part
-        # of every key; the skeleton stamp, and so the fingerprint, did not);
-        # both moved with IR_FORMAT_VERSION 2, whose statements have no text
+        workload = get_workload("fig1-skew")
+        options = workload.pipeline_options()
+        assert options_dict == options.as_dict()
+        assert list(options_dict) == list(PipelineOptions.__dataclass_fields__)
         assert cache_key(program_dict, options_dict) == (
-            "0926c8ffc72f3291deee783e6240a16dfe9b6ed27da919a7c503254b94d19d44"
+            "ae9663cd8984ae488b93048c4c7d29ca9c172538818cd2fac10200b6f350d32b"
         )
         assert structural_fingerprint(program_dict, options_dict) == (
-            "f4c48a5040514b796b98510776db19a9d2622b881ef2c67c8a0cf0ae26ea8349"
+            "eda9c87e6341a561df3a900f46f5199e97ea4f4dbfe1fd579fed0a888e42ff2b"
         )
-        # the retired pair, sent explicitly, is the default request
-        assert resolve_optimize(
-            {"workload": "fig1-skew", "options": {"ilp_backend": "highs"}}
-        ) == (program_dict, options_dict)
-        workload = get_workload("fig1-skew")
         program = workload.program()
-        options = workload.pipeline_options()
         assert scheduler_solve_key(
             program, options.scheduler_options(), Schedule(program),
             compute_dependences(program),
-        ) == "ad3097d8bec06ed8e72fdcb1624f8316d71c32a05b50019a125dfdf1f2c141c1"
+        ) == "b8e303db2be1cc8e0f588c80faace8f28f128881d458cc6c727cd3f186b6cdef"
 
         assert PipelineOptions.from_dict(options.as_dict()) == options
-        for retired in ("exact", "auto"):
-            with pytest.raises(ValueError, match="retired"):
-                PipelineOptions.from_dict({"ilp_backend": retired})
+        for value in ("highs", "exact"):
+            with pytest.raises(ValueError, match="ilp_backend"):
+                PipelineOptions.from_dict({"ilp_backend": value})
         with _client(daemon_factory()) as client:
             resp = client.optimize("fig1-skew", options={"ilp_backend": "exact"})
-        assert resp["status"] == "error"
-        assert resp["kind"] == "bad-request"
-        assert "retired" in resp["message"]
+        assert (resp["status"], resp["kind"]) == ("error", "bad-request")
+        assert "ilp_backend" in resp["message"]
 
 
 class TestCachePath:
@@ -290,47 +283,6 @@ class TestCachePath:
         assert warm["cache"] == "hit-memory"
         assert warm["key"] == cold["key"]
         assert warm["result"] == cold["result"]
-
-    def test_v1_program_is_its_v2_form(self, daemon_factory):
-        """A v1 program dict (a C-like ``text`` per statement) resolves to
-        the program dict and cache key of its v2 form."""
-        from repro.server.resolve import ResolveMemo
-
-        v2 = _program("ok-v1")
-        v1 = {**v2, "version": 1, "statements": [
-            {**s, "text": "A[i] = 0.5 * A[i-1];"} for s in v2["statements"]
-        ]}
-        memo = ResolveMemo()
-        program_dict, _, key = memo.resolve({"program": v1})
-        assert (program_dict, key) == (v2, memo.resolve({"program": v2})[2])
-        daemon = daemon_factory()
-        with _client(daemon) as client:
-            cold = client.optimize(program=v2)
-            warm = client.optimize(program=v1)
-        assert (cold["cache"], warm["cache"]) == ("miss", "hit-memory")
-        assert warm["key"] == cold["key"] == key
-        assert warm["result"] == cold["result"]
-
-    def test_a_request_naming_a_backend_is_the_plain_request(
-        self, daemon_factory
-    ):
-        """Where a kernel runs is no pipeline option: a request that still
-        names a ``backend`` (an older client's) resolves to the program
-        dict, options and key of the plain request, and is served its
-        entry."""
-        from repro.server.resolve import ResolveMemo
-
-        memo = ResolveMemo()
-        plain = memo.resolve({"workload": "gemm"})
-        assert memo.resolve(
-            {"workload": "gemm", "options": {"backend": "c"}}
-        ) == plain
-        with _client(daemon_factory()) as client:
-            cold = client.optimize("gemm")
-            warm = client.optimize("gemm", options={"backend": "c"})
-        assert (cold["cache"], warm["cache"]) == ("miss", "hit-memory")
-        assert warm["key"] == cold["key"] == plain[2]
-        assert json.dumps(warm["result"]) == json.dumps(cold["result"])
 
     def test_disk_cache_survives_restart(self, daemon_factory, tmp_path):
         first = daemon_factory()

@@ -32,11 +32,12 @@ class TestManifest:
         assert data["runs"] == {}
         assert data["config"]["jobs"] == 2
 
-    def test_spec_naming_a_backend_loads(self):
-        # manifests written while specs carried ``backend`` still load
+    def test_spec_naming_a_backend_is_refused(self):
+        # specs carried ``backend`` before 1.33.0; the config names it now
         data = {**_spec("a").to_dict()}
         data["options"] = {**data["options"], "backend": "c"}
-        assert RunSpec.from_dict(data) == _spec("a")
+        with pytest.raises(ValueError, match="backend"):
+            RunSpec.from_dict(data)
 
     def test_load_round_trip(self, manifest):
         loaded = SuiteManifest.load(manifest.suite_dir)

@@ -189,24 +189,6 @@ def test_the_manifest_exec_options_reach_every_run(
     assert record["exec_stats"]["fallback_reason"] is None
 
 
-def test_resuming_a_manifest_whose_specs_name_the_backend(
-    tmp_path, monkeypatch, hostile_registry, compiler
-):
-    """A manifest written before 1.33.0 has no ``config["exec"]``: its
-    backend sat in every spec, and a resumed run smoke-runs on it."""
-    monkeypatch.setenv("REPRO_ARTIFACT_CACHE", str(tmp_path / "kernels"))
-    spec = _spec("suite-test-tiny").to_dict()
-    spec["options"]["backend"] = "c"
-    manifest = SuiteManifest.create(tmp_path, [], {})
-    manifest.data["specs"] = [spec]
-    manifest.flush()
-    res = run_suite(SuiteManifest.load(manifest.suite_dir), jobs=1,
-                    timeout=60, resume=True)
-    assert res.ok
-    (record,) = res.records
-    assert record["exec_stats"]["backend"] == "c", record["exec_stats"]
-
-
 def test_a_failed_native_smoke_run_fails_the_run(
     tmp_path, monkeypatch, hostile_registry, compiler
 ):

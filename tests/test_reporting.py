@@ -46,7 +46,7 @@ class TestNormalizedBreakdown:
 
 
 class TestSuiteReportColumns:
-    """The PR-10 rar/redpar columns degrade to '-' on older records."""
+    """The rar/redpar columns read '-' while the knobs are off."""
 
     @staticmethod
     def _record(props_extra):
@@ -69,11 +69,14 @@ class TestSuiteReportColumns:
                 "used_iss": False,
                 "used_diamond": False,
                 "scheduler_path": "exact",
+                "rar": False,
+                "parallel_reductions": "off",
+                "reduction_levels": [],
                 **props_extra,
             },
         }
 
-    def test_old_record_renders_dashes(self):
+    def test_default_record_renders_dashes(self):
         from repro.reporting import format_suite_report
 
         text = format_suite_report([self._record({})])
