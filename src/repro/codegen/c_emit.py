@@ -318,7 +318,9 @@ class _CRenderer(TreeRenderer):
     lang = "c"
     indent = "  "
     AND, DIV = " && ", "/"
-    EMPTY = ("INT64_MAX", "INT64_MIN")
+    # not INT64_MAX / INT64_MIN: an ``omp for`` counts ub - lb + 1 iterations,
+    # which wraps to 2 on those and runs the body at z = INT64_MAX
+    EMPTY = ("(INT64_C(1) << 62)", "-(INT64_C(1) << 62)")
     DECL = "const {int_t} {name} = {expr};"
     PICK = "({g} ? {a} : {b})"
     FOR = "for ({int_t} {z} = {lb}; {z} <= {ub}; {z}++) {{"

@@ -16,6 +16,15 @@ test, the same execution order.  Every emission decision that is not syntax
 lives on the nodes: where an OpenMP region opens, how a relaxed reduction is
 discharged (privatized fold / atomic update), whether instances trace.
 
+OpenMP placement: one region per nest, on its outermost parallel row —
+a tile row where :func:`repro.core.tiling.tile_schedule` marks one — and
+never on the innermost row of a tiled band (<= tile_size iterations of O(1)
+work).  A tile-index wavefront is built from the same nodes: a
+:class:`Region` around the sequential ``w`` loop, which every thread runs,
+the workshared loop of the tile row below it, whose barrier separates one
+wavefront from the next, and a :class:`Let` pinning the last tile index to
+``w`` minus that one.  Python scans the same order.
+
 :class:`TreeRenderer` walks the tree once; the Python and C-kernel
 renderers supply syntax and the statement body.
 """
@@ -61,10 +70,11 @@ class Instance:
 
 @dataclass
 class Let:
-    """A scalar scan dimension pinned to ``value`` around ``body``."""
+    """A scan dimension pinned to ``value`` around ``body``: a scalar
+    level's constant, or a wavefront's last tile index (source text)."""
 
     level: int
-    value: int
+    value: int | str
     body: list
 
 
@@ -84,8 +94,9 @@ class Loop:
 
 @dataclass
 class Region:
-    """The loops a parallel loop was distributed into, in one OpenMP region:
-    each is workshared, the barrier between them keeps their order."""
+    """Loops in one OpenMP region: the pieces a parallel loop was
+    distributed into, each workshared, the barrier between them keeping
+    their order; or a wavefront's ``w`` loop, which every thread runs."""
 
     body: list[Loop]
 
@@ -135,6 +146,15 @@ def build_loop_tree(tsched: TiledSchedule, trace: bool = False) -> list:
             s, sys.nums, sys.dens, tests, lowers, uppers, guard, split, acc, trace
         )
 
+    def hull(level: int, stmts: list[Statement]) -> list:
+        bounds = []
+        for s in stmts:
+            lo, up = systems[s.name].z_bounds(level)
+            if not lo or not up:
+                raise RuntimeError(f"unbounded scan dimension z{level} for {s.name}")
+            bounds.append((lo, up))
+        return bounds
+
     def emit_level(level, stmts, shared, par_depth, discharged) -> list:
         if level > inner:
             # only scalar levels remain: they order the instances
@@ -152,13 +172,19 @@ def build_loop_tree(tsched: TiledSchedule, trace: bool = False) -> list:
                 Let(level, v, emit_level(level + 1, groups[v], shared, par_depth, discharged))
                 for v in sorted(groups)
             ]
-        loop = Loop(level, [], bool(row.parallel), row.reduction)
-        if level < inner:
-            for s in stmts:
-                lo, up = systems[s.name].z_bounds(level)
-                if not lo or not up:
-                    raise RuntimeError(f"unbounded scan dimension z{level} for {s.name}")
-                loop.bounds.append((lo, up))
+        shared = shared or len(stmts) > 1
+        if row.kind == "wavefront":
+            # w = z_{l+1} + z_{l+2}: w in sequence, z_{l+1} in parallel
+            w = Loop(level, hull(level, stmts), False, None)
+            wave = Loop(level + 1, hull(level + 1, stmts), True, None, workshare=par_depth == 0)
+            pinned = f"{z_name(level)} - {z_name(level + 1)}"
+            wave.body = [Let(level + 2, pinned, emit_level(
+                level + 3, stmts, shared, par_depth + 1, discharged
+            ))]
+            w.body = [wave]
+            return [Region([w])] if wave.workshare else [w]
+        loop = Loop(level, hull(level, stmts) if level < inner else [],
+                    bool(row.parallel), row.reduction)
         if row.parallel and row.reduction:
             # The level is parallel only thanks to relaxed self-dependences;
             # they are discharged here or the loop stays sequential.  A
@@ -186,9 +212,7 @@ def build_loop_tree(tsched: TiledSchedule, trace: bool = False) -> list:
             # outermost parallel row of a nest only, and not the innermost
             # row of a tiled band (<= tile_size iterations of O(1) work)
             loop.pragma = par_depth == 0 and not (level == inner and row.band_role == "point")
-        loop.body = emit_level(
-            level + 1, stmts, shared or len(stmts) > 1, par_depth + loop.pragma, discharged
-        )
+        loop.body = emit_level(level + 1, stmts, shared, par_depth + loop.pragma, discharged)
         if level == inner and len(loop.body) > 1 and distributes(
             tsched.program, rows, level, [inst.stmt for inst in loop.body]
         ):

@@ -6,6 +6,7 @@ system lives in the space ``(z0..z_{D-1}, original iterators; params)`` with
 
 * ``z_l == phi_l(iters)``                    for loop and scalar levels,
 * ``ts*z_l <= phi_l(iters) <= ts*z_l+ts-1``  for tile levels,
+* ``z_l == z_{l+1} + z_{l+2}``               for a wavefront level,
 
 plus the original domain constraints.  Loop bounds for the outer ``z_l``
 come from a Fourier–Motzkin projection onto ``z0..z_l``.  The original
@@ -58,8 +59,8 @@ class ScanSystem:
     """Scan-space constraint system for one statement.
 
     ``nums``/``dens`` recover the statement's iterators from a scan point;
-    ``image`` is the system with the iterators substituted away (scalar
-    levels dropped: the loop tree pins those by construction).
+    ``image`` is the system with the iterators substituted away (scalar and
+    wavefront levels dropped: the loop tree pins those by construction).
     """
 
     def __init__(self, stmt: Statement, tsched: TiledSchedule):
@@ -72,7 +73,10 @@ class ScanSystem:
                     f"iterator name {it!r} collides with scan dimension names"
                 )
         self.space = Space(z_dims + stmt.space.dims, stmt.space.params)
-        phis = [row.expr_for(stmt).rebase(self.space) for row in tsched.rows]
+        phis = [
+            None if row.kind == "wavefront" else row.expr_for(stmt).rebase(self.space)
+            for row in tsched.rows
+        ]
         self.nums, self.dens = self._invert(
             [(l, phi) for l, phi in enumerate(phis) if tsched.rows[l].kind == "loop"]
         )
@@ -88,6 +92,9 @@ class ScanSystem:
                 self._add(Constraint(ts * z + (ts - 1) - phi))  # phi <= ts*z+ts-1
             elif row.kind == "loop":
                 self._add(Constraint(z - phi, equality=True))
+            elif row.kind == "wavefront":
+                first, second = (AffExpr.var(self.space, z_name(l + k)) for k in (1, 2))
+                self.system.add(Constraint(z - first - second, equality=True))
             else:
                 self.system.add(Constraint(z - phi, equality=True))
         self._z_projections: list[BasicSet] | None = None

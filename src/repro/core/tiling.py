@@ -21,10 +21,16 @@ needs no solve, and it replaces a determinant-2/3 map (a lattice of density
 the identity on the iterators.  See :func:`tile_schedule` for when a band
 keeps its hyperplanes as point rows instead.
 
+**Parallel tiles.**  A tile row runs its tiles in parallel when no
+dependence pair that reaches it crosses one of its tile boundaries, and a
+band whose first tile row cannot (every diamond band, every pipelined
+stencil) runs its first two tile rows as a *wavefront*: ``w = z0 + z1``
+sequential, ``z0`` parallel, ``z1 = w - z0``.  See :func:`tile_schedule`.
+
 The result is a :class:`TiledSchedule` whose rows extend the base schedule
-rows with ``kind == "tile"`` entries; the code generator scans them exactly
-like loop rows but with inequality (rather than equality) binding
-constraints.
+rows with ``kind == "tile"`` entries (and a ``"wavefront"`` row before the
+tile rows it sums); the code generator scans them exactly like loop rows
+but with inequality (rather than equality) binding constraints.
 """
 
 from __future__ import annotations
@@ -41,7 +47,8 @@ from repro.core.transform import (
     exprs_from_dict,
     rows_to_dicts,
 )
-from repro.deps.analysis import product_domain
+from repro.deps.analysis import compute_dependences, product_domain
+from repro.deps.ordering import UNBOUNDED, Ordering, distance
 from repro.frontend.ir import Program, Statement
 from repro.polyhedra import AffExpr, Constraint
 
@@ -64,11 +71,11 @@ DEFAULT_TILE_SIZE = 32
 class TiledRow:
     """One dimension of the final scanning order.
 
-    ``kind``: ``"loop"`` (equality ``z == phi``), ``"scalar"`` (constant), or
-    ``"tile"`` (``ts*z <= phi <= ts*z + ts - 1``).  ``parallel`` flags carry
-    over from hyperplane properties scheduler-side; tile rows are always
-    sequential (see :func:`tile_schedule` — a hyperplane that carries no
-    dependence pointwise can still be carried at tile granularity).
+    ``kind``: ``"loop"`` (equality ``z == phi``), ``"scalar"`` (constant),
+    ``"tile"`` (``ts*z <= phi <= ts*z + ts - 1``), or ``"wavefront"``
+    (``z`` is the sum of the next two rows' tile indices; no ``exprs``).
+    ``parallel`` flags of loop rows carry over from hyperplane properties
+    scheduler-side; :func:`tile_schedule` sets those of tile rows.
     """
 
     kind: str
@@ -155,6 +162,57 @@ class TiledSchedule:
         if src is not None:
             out.source_schedule = Schedule.from_dict(program, src)
         return out
+
+
+def _forward(sched: Schedule, band: Band, deps) -> bool:
+    """Every pair of ``deps`` not ordered before ``band`` is at distance
+    >= 0 on the band's first two rows: two tiles of one wavefront are then
+    equal on both rows or unordered.  A band the scheduler calls permutable
+    need not be: the quick path's statement-wise rows order some pairs
+    lexicographically only (fdtd-2d), and relaxed reduction
+    self-dependences are no part of the legality set.
+
+    The first row's minimum is the PolyCache hit of ``mark_parallelism``'s
+    question; the second row asks one emptiness question per distinct
+    dependence set and distance, which the fast rejects mostly answer
+    without a solve;
+    ``deps`` come from ``compute_dependences``, a relations-memo hit after
+    the pipeline's own analysis."""
+    order = Ordering(deps)
+    for level, row in enumerate(sched.rows[: band.start]):
+        if row.kind == "scalar":
+            order.cut({name: e.const_term for name, e in row.exprs.items()})
+        else:
+            order.advance(level, order.distances(row))
+    first, second = sched.rows[band.start : band.start + 2]
+    asked: dict[tuple, bool] = {}
+    for dep in order.unsatisfied():
+        # a relaxed self-dependence may run backwards on the first row too;
+        # its minimum there is the one mark_parallelism asked
+        low = order.low(dep, distance(dep, first))
+        if low is not None and (low is UNBOUNDED or low < 0):
+            return False
+        pairs, expr = order.remaining[id(dep)], distance(dep, second)
+        key = (pairs.content_key(), expr.coeffs)
+        if key not in asked:
+            backward = pairs.copy()
+            backward.add(Constraint(-expr - 1))
+            asked[key] = backward.is_empty()
+        if not asked[key]:
+            return False
+    return True
+
+
+def _with_wavefront(tiles: list[TiledRow]) -> list[TiledRow]:
+    """``tiles`` — one band's tile rows, parallel as :func:`tile_schedule`
+    marks them — scanned as a wavefront (first row sequential, and the band
+    :func:`_forward`): ``w = z0 + z1`` first (sequential), then ``z0``
+    (parallel) and ``z1``, which ``w`` and ``z0`` fix."""
+    return [
+        TiledRow("wavefront", {}, parallel=False, band_role="wavefront"),
+        dataclasses.replace(tiles[0], parallel=True),
+        *tiles[1:],
+    ]
 
 
 def _as_tiled_row(row: ScheduleRow) -> TiledRow:
@@ -295,16 +353,20 @@ def tile_schedule(
     """Tile every permutable band of width >= ``min_band_width``.
 
     ``tile_size`` may be a single size or a per-band mapping (band index ->
-    size).  Tile dimensions are never marked parallel — not even for
-    ``concurrent_start`` (diamond) bands.  A diamond band's hyperplanes are
-    each non-negative on every dependence, but neither is carried-free at
-    tile granularity: a dependence can advance ``h1`` across a tile
-    boundary while ``floor((h1+h2)/ts)`` stays put, so annotating the
-    first tile loop parallel races under real threads (caught by the
-    bit-compat check across 1/2/4 threads).  True concurrent start needs a
-    wavefront over the *tile indices* (``z1+z2`` sequential, ``z1``
-    parallel), which the scan cannot express yet — the band keeps its
-    ``concurrent_start`` flag for the analytic machine layer.
+    size).  Tile row ``k`` is parallel iff the band's hyperplanes
+    ``start..k`` are all parallel and none rests on a relaxed reduction:
+    then every dependence pair reaching the band has distance 0 on each of
+    them, so no pair crosses a tile boundary of row ``k``.  Row ``k``'s own
+    flag is not enough — a dependence carried by row 0 can cross a tile
+    boundary of row ``k`` while staying inside one tile of row 0.
+
+    A band whose first tile row is sequential — every ``concurrent_start``
+    (diamond) band, and the pipelined stencils — scans its first two tile
+    rows as a wavefront (:func:`_with_wavefront`): a ``"wavefront"`` row
+    ``w = z0 + z1``, sequential, then ``z0``, parallel — where no
+    dependence of the program runs a pair backwards on either row
+    (:func:`_forward`), so two tiles with the same ``w`` are either equal on
+    both rows or unordered.
 
     A ``concurrent_start`` band's point rows are the program's source order
     (module docstring), sequential, and replace every row from the band's
@@ -319,6 +381,7 @@ def tile_schedule(
     """
     out = TiledSchedule(sched.program, source_schedule=sched)
     sizes = tile_size if isinstance(tile_size, dict) else None
+    deps = None
 
     bands_sorted = sorted(sched.bands, key=lambda b: b.start)
     band_iter = iter(bands_sorted)
@@ -338,17 +401,25 @@ def tile_schedule(
                 else tile_size
             )
             tile_start = len(out.rows)
+            tiles, parallel = [], True
             for lv in next_band.levels():
                 src = sched.rows[lv]
-                out.rows.append(
+                parallel = parallel and bool(src.parallel) and not src.reduction
+                tiles.append(
                     TiledRow(
                         "tile",
                         dict(src.exprs),
                         tile_size=ts,
-                        parallel=False,
+                        parallel=parallel,
                         band_role="tile",
                     )
                 )
+            if len(tiles) > 1 and not tiles[0].parallel:
+                if deps is None:
+                    deps = compute_dependences(sched.program)
+                if _forward(sched, next_band, deps):
+                    tiles = _with_wavefront(tiles)
+            out.rows.extend(tiles)
             point_start = len(out.rows)
             out.bands.append(
                 Band(
@@ -415,41 +486,49 @@ def l2_tile_schedule(tsched: TiledSchedule, ratio: int = 8) -> TiledSchedule:
     The L2 tile dimension for a tile row with size ``ts`` satisfies
     ``ts*ratio*Z <= phi <= ts*ratio*Z + ts*ratio - 1`` — the same inequality
     shape the code generator already scans, so no new machinery is needed.
+    L2 rows keep their L1 rows' parallel marks, and a band scanned as a
+    wavefront is scanned as one over its L2 tiles.
     """
     if ratio < 2:
         raise ValueError("l2 ratio must be >= 2")
     out = TiledSchedule(tsched.program, source_schedule=tsched.source_schedule)
+    tiled = ("tile", "wavefront")
     i = 0
     while i < len(tsched.rows):
         row = tsched.rows[i]
         band = next(
-            (b for b in tsched.bands if b.start == i and tsched.rows[b.start].kind == "tile"
-             and all(tsched.rows[l].kind == "tile" for l in b.levels())),
+            (b for b in tsched.bands if b.start == i
+             and all(tsched.rows[l].kind in tiled for l in b.levels())),
             None,
         )
         if band is None:
             out.rows.append(row)
             i += 1
             continue
-        l2_start = len(out.rows)
-        for lv in band.levels():
-            src = tsched.rows[lv]
-            out.rows.append(
-                TiledRow(
-                    "tile",
-                    dict(src.exprs),
-                    tile_size=src.tile_size * ratio,
-                    parallel=src.parallel,
-                    band_role="l2-tile",
-                )
+        # a wavefront moves out to the L2 tiles; the L1 tiles of one L2
+        # tile run in order
+        l1 = [tsched.rows[l] for l in band.levels() if tsched.rows[l].kind == "tile"]
+        waved = len(l1) < band.width
+        if waved:
+            l1[0] = dataclasses.replace(l1[0], parallel=False)
+        l2 = [
+            TiledRow(
+                "tile",
+                dict(src.exprs),
+                tile_size=src.tile_size * ratio,
+                parallel=src.parallel,
+                band_role="l2-tile",
             )
+            for src in l1
+        ]
+        l2_start = len(out.rows)
+        out.rows.extend(_with_wavefront(l2) if waved else l2)
         out.bands.append(
             Band(l2_start, len(out.rows) - 1, permutable=True,
                  concurrent_start=band.concurrent_start)
         )
         l1_start = len(out.rows)
-        for lv in band.levels():
-            out.rows.append(tsched.rows[lv])
+        out.rows.extend(l1)
         out.bands.append(
             Band(l1_start, len(out.rows) - 1, permutable=True,
                  concurrent_start=band.concurrent_start)
@@ -458,7 +537,7 @@ def l2_tile_schedule(tsched: TiledSchedule, ratio: int = 8) -> TiledSchedule:
     # copy through the remaining (non-tile) bands with shifted indices
     offset = len(out.rows) - len(tsched.rows)
     for b in tsched.bands:
-        if tsched.rows[b.start].kind != "tile":
+        if tsched.rows[b.start].kind not in tiled:
             out.bands.append(
                 Band(b.start + offset, b.end + offset, b.permutable, b.concurrent_start)
             )

@@ -7,6 +7,10 @@ the scheduler's own bookkeeping (no Farkas, no satisfaction levels): it
 walks the schedule level by level, shrinking each dependence's "not yet
 ordered" polyhedron exactly, and reports any pair ordered backwards.
 
+Every ``parallel`` mark is checked the same way: a row that runs in
+parallel may not carry any dependence pair that reaches it — equal on every
+earlier row, tile indices and wavefronts included.
+
 Used by tests, by the diamond-tiling fallback logic, and as a user-facing
 sanity tool (``repro.cli verify``).
 """
@@ -22,7 +26,7 @@ from repro.core.transform import Schedule
 from repro.deps.analysis import Dependence, compute_dependences
 from repro.deps.ddg import DependenceGraph
 from repro.frontend.ir import Program
-from repro.polyhedra import BasicSet, Constraint
+from repro.polyhedra import AffExpr, BasicSet, Constraint, Space
 
 __all__ = ["VerificationReport", "verification_graph", "verify_schedule"]
 
@@ -32,8 +36,12 @@ class Violation:
     dependence: Dependence
     level: int
     witness: Optional[dict] = None
+    #: the level is marked parallel and carries the pair ``witness``
+    parallel: bool = False
 
     def __str__(self) -> str:
+        if self.parallel:
+            return f"{self.dependence} carried by parallel level {self.level}"
         return f"{self.dependence} ordered backwards at level {self.level}"
 
 
@@ -89,7 +97,8 @@ def verify_schedule(
     repeats ``h`` (a band tiled over its own hyperplanes) that loop row's
     check on the pairs reaching it is taken as the band's, as it always was;
     where none does (a diamond band scanned in source order) the tile row is
-    checked itself.
+    checked itself.  A wavefront row orders what its tile rows order; a row
+    marked parallel is checked by :func:`_carried_pair`.
     """
     violations: list[Violation] = []
     unordered: list[Dependence] = []
@@ -106,6 +115,14 @@ def verify_schedule(
         for level, row in enumerate(rows):
             if remaining is None:
                 break
+            if row.kind == "wavefront":
+                continue
+            if row.parallel and row.kind != "scalar":
+                witness = _carried_pair(rows, level, dep, remaining)
+                if witness is not None:
+                    violations.append(Violation(dep, level, witness, parallel=True))
+                    remaining = None
+                    continue
             if row.kind == "tile" and level not in grouping:
                 continue
             if row.kind == "scalar":
@@ -155,3 +172,82 @@ def verify_schedule(
 
     legal = not violations and not unordered
     return VerificationReport(legal, violations, unordered)
+
+
+def _carried_pair(
+    rows: Sequence, level: int, dep: Dependence, remaining: BasicSet
+) -> Optional[dict]:
+    """A pair of ``dep`` that reaches the parallel row ``rows[level]`` and
+    that the row separates, or ``None``.
+
+    ``remaining`` holds the pairs equal on every earlier loop and scalar
+    row.  If the row's distance is 0 on all of them, nothing is carried.
+    Otherwise the tile indices decide: each tile row up to ``level`` (and
+    each one a wavefront sums) gets a source and a target index, ``ts*T <=
+    h <= ts*T + ts - 1``, earlier tile rows and wavefronts must agree, and
+    the row's own distance must not be 0 — an exact integer question.
+    Two cheaper questions come first, each sufficient: the one
+    ``mark_parallelism`` asked of a row it marked, and, for a wavefront's
+    inner row, the one ``tile_schedule`` asked of the band — no pair runs
+    backwards on either summed row, so two tiles of one wavefront are equal
+    on both or unordered.  Their PolyCache answers are reused.
+    """
+    row = rows[level]
+
+    def distance(l: int) -> AffExpr:
+        return dep.distance_expr(rows[l].expr_for(dep.source), rows[l].expr_for(dep.target))
+
+    expr = distance(level)
+    try:
+        low = remaining.min_of(expr)
+        if low is None or (low == 0 and remaining.max_of(expr) == 0):
+            return None
+    except ValueError:
+        pass  # unbounded: some pair is apart, the tile indices decide
+    if level and rows[level - 1].kind == "wavefront" and all(
+        _apart(remaining, distance(l), -1).is_empty() for l in (level, level + 1)
+    ):
+        return None
+    tiles = sorted(
+        {l for l in range(level + 1) if rows[l].kind == "tile"}
+        | {l + k for l in range(level) if rows[l].kind == "wavefront" for k in (1, 2)}
+    )
+    names = {l: (f"T{l}.src", f"T{l}.tgt") for l in tiles}
+    base = remaining.space
+    space = Space(base.dims + tuple(n for l in tiles for n in names[l]), base.params)
+    pairs = remaining.rebase(space)
+
+    def var(name: str) -> AffExpr:
+        return AffExpr.var(space, name)
+
+    def index(l: int) -> AffExpr:
+        """Target minus source tile index of tile row ``l``."""
+        return var(names[l][1]) - var(names[l][0])
+
+    for l in tiles:
+        ts = rows[l].tile_size
+        for stmt, rename, name in (
+            (dep.source, dep.src_rename, names[l][0]),
+            (dep.target, dep.tgt_rename, names[l][1]),
+        ):
+            h = rows[l].expr_for(stmt).rebase(base, rename).rebase(space)
+            pairs.add(Constraint(h - ts * var(name)))
+            pairs.add(Constraint(ts * var(name) + (ts - 1) - h))
+    for l in range(level):
+        if rows[l].kind == "tile":
+            pairs.add(Constraint(index(l), equality=True))
+        elif rows[l].kind == "wavefront":
+            pairs.add(Constraint(index(l + 1) + index(l + 2), equality=True))
+    carried = index(level) if row.kind == "tile" else expr.rebase(space)
+    for sign in (1, -1):
+        crossing = _apart(pairs, carried, sign)
+        if not crossing.is_empty():
+            return crossing.sample_point()
+    return None
+
+
+def _apart(pairs: BasicSet, distance: AffExpr, sign: int) -> BasicSet:
+    """The pairs at ``sign * distance >= 1``."""
+    out = pairs.copy()
+    out.add(Constraint(distance * sign - 1))
+    return out

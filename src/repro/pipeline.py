@@ -82,12 +82,16 @@ RESULT_FORMAT_VERSION = 3
 #: moved, and an innermost loop over index-set-split pieces runs once per
 #: piece, so the emitted source of every split program moved.  Schedules,
 #: solve keys and skeleton records did not.
-PIPELINE_VERSION = 4
+#: 5: tile rows are marked parallel where the band's hyperplanes up to them
+#: are, and a band whose first tile row is sequential runs as a tile-index
+#: wavefront, so the tiled schedule and emitted source of every tiled
+#: kernel with either moved.  Schedules did not.
+PIPELINE_VERSION = 5
 
 #: the scheduling half of :data:`PIPELINE_VERSION`: bumped only when
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
-#: invert schedules instead of searching; 3; 4) leaves warm-start records valid.
+#: invert schedules instead of searching; 3; 4; 5) leaves warm-start records valid.
 #: Its stamp (:func:`pipeline_fingerprint` with ``schedule_only``) leaves
 #: :data:`RESULT_FORMAT_VERSION` out: skeleton records hold solves, not
 #: result payloads.

@@ -56,10 +56,15 @@ class TestScanOrder:
             stmt_name, point = event
             stmt = program.statement(stmt_name)
             env = dict(zip(stmt.space.dims, point), **params)
-            return [
-                row.expr_for(stmt).evaluate(env) // (row.tile_size or 1)
+            out = [
+                None if row.kind == "wavefront"
+                else row.expr_for(stmt).evaluate(env) // (row.tile_size or 1)
                 for row in tsched.rows
             ]
+            for l, row in enumerate(tsched.rows):
+                if row.kind == "wavefront":
+                    out[l] = out[l + 1] + out[l + 2]
+            return out
 
         order = [(when(ev), program.statements.index(program.statement(ev[0])))
                  for ev in trace]
@@ -73,8 +78,10 @@ CASES = [
 
 
 class TestOpenMPPlacement:
-    """One region per nest, on its outermost parallel row, and none on the
-    innermost row of a tiled band (<= tile_size iterations of O(1) work)."""
+    """One region per nest, on its outermost parallel row — a tile row where
+    the band's hyperplanes up to it are parallel, the wavefront's inner tile
+    row where the first one is not — and none on the innermost row of a
+    tiled band (<= tile_size iterations of O(1) work)."""
 
     def test_region_count(self):
         counts = {
@@ -82,10 +89,23 @@ class TestOpenMPPlacement:
         }
         assert counts == {
             ("heat-1dp", "pluto"): 1,       # the untiled i loop
-            ("heat-1dp", "plutoplus"): 0,   # tile rows are sequential, the
-            ("heat-2dp", "pluto"): 1,       #   only parallel point row is innermost
-            ("heat-2dp", "plutoplus"): 0,
+            ("heat-1dp", "plutoplus"): 1,   # the diamond band's wavefront
+            ("heat-2dp", "pluto"): 1,       # the first tile row of (j, i)
+            ("heat-2dp", "plutoplus"): 1,   # the diamond band's wavefront
         }
+
+    @pytest.mark.parametrize("name", ["heat-1dp", "heat-2dp"])
+    def test_a_diamond_band_runs_as_one_wavefront_region(self, name):
+        # every thread runs the w loop; the workshared loop below it ends in
+        # the barrier between wavefronts, and the last tile index is pinned
+        lines = [line.strip() for line in _kernel_source(name, "plutoplus").splitlines()]
+        at = lines.index("#pragma omp parallel")
+        assert lines[at + 1] == "{"
+        assert lines[at + 2].startswith("for (int64_t z0 = ")
+        assert lines[at + 3] == "#pragma omp for"
+        assert lines[at + 4].startswith("for (int64_t z1 = ")
+        assert "const int64_t z2 = z0 - z1;" in lines[at + 5:at + 7]
+        assert sum(line.startswith("#pragma omp") for line in lines) == 2
 
     @pytest.mark.parametrize("case", CASES)
     def test_no_region_inside_another(self, case):
@@ -102,13 +122,16 @@ class TestOpenMPPlacement:
                 opened_at = None
 
     def test_parallel_rows_are_all_accounted_for(self):
-        # heat-2dp pluto: z3 keeps its region, the nested z4 row lost it
+        # heat-2dp pluto: the tile row z1 opens the one region, once per
+        # time step; the rows nested in it (tile z2, points z3, z4) do not
         tsched = _tiled("heat-2dp", "pluto")
-        assert len(tsched.parallel_levels()) >= 2
+        assert tsched.parallel_levels() == [1, 2, 3, 4]
+        assert [tsched.rows[l].kind for l in (1, 2)] == ["tile", "tile"]
         src = _kernel_source("heat-2dp", "pluto")
+        assert src.count("#pragma omp") == 1
         pragma = src.index("#pragma omp parallel for")
         header = src[pragma:].splitlines()[1]
-        assert re.match(rf"\s*for \(int64_t z{tsched.parallel_levels()[0]} =", header)
+        assert re.match(r"\s*for \(int64_t z1 =", header)
 
 
 class TestHelperCost:

@@ -70,14 +70,16 @@ def test_rebased_kernels_equal_source_order_reference(name, tile_size, tmp_path,
 def test_point_space_is_the_iterators(name):
     tiled = _result(name).tiled
     depth = len(tiled.program.statements[0].space.dims)
-    assert [r.kind for r in tiled.rows] == ["tile"] * depth + ["loop"] * depth
-    assert all(r.parallel is False for r in tiled.rows)
+    kinds = ["wavefront"] + ["tile"] * depth + ["loop"] * depth
+    assert [r.kind for r in tiled.rows] == kinds
+    # the wavefront's inner tile row runs in parallel, every other row in order
+    assert [r.parallel for r in tiled.rows] == [False, True] + [False] * (2 * depth - 1)
     # tile space: the schedule's hyperplanes; point space: (t, i, ...)
-    assert [r.exprs for r in tiled.rows[:depth]] == [
+    assert [r.exprs for r in tiled.rows[1:depth + 1]] == [
         r.exprs for r in tiled.source_schedule.rows
     ]
     for s in tiled.program.statements:
-        assert [str(r.expr_for(s)) for r in tiled.rows[depth:]] == list(s.space.dims)
+        assert [str(r.expr_for(s)) for r in tiled.rows[depth + 1:]] == list(s.space.dims)
     assert [(b.permutable, b.concurrent_start) for b in tiled.bands] == [
         (True, True), (False, False),
     ]
@@ -89,7 +91,8 @@ def test_point_space_is_the_iterators(name):
     ):
         assert not DIVISIBILITY.search(source)
         assert not re.search(r"\blb_S", source)  # no per-point range test either
-    assert "#pragma omp" not in generate_c_kernel(tiled).source
+    pragmas = re.findall(r"#pragma omp .*", generate_c_kernel(tiled).source)
+    assert pragmas == ["#pragma omp parallel", "#pragma omp for"]
 
 
 @pytest.mark.parametrize("name", DIAMOND)
@@ -230,6 +233,8 @@ def test_a_band_that_would_not_distribute_keeps_its_hyperplanes():
         kept = tiling.tile_schedule(sched, tile_size=32)
     finally:
         sched.program = program
-    assert [r.band_role for r in kept.rows] == ["tile", "tile", "point", "point"]
-    assert [r.exprs for r in kept.rows[2:]] == [r.exprs for r in sched.rows]
+    assert [r.band_role for r in kept.rows] == [
+        "wavefront", "tile", "tile", "point", "point",
+    ]
+    assert [r.exprs for r in kept.rows[3:]] == [r.exprs for r in sched.rows]
     assert all(b.concurrent_start for b in kept.bands)

@@ -38,8 +38,9 @@ class TestTileSchedule:
         p, s = jacobi_schedule
         ts = tile_schedule(s, tile_size=16)
         kinds = [r.kind for r in ts.rows]
-        # 2-wide band -> 2 tile rows + 2 point rows, then the beta scalar
-        assert kinds == ["tile", "tile", "loop", "loop", "scalar"]
+        # 2-wide band -> a wavefront over 2 tile rows + 2 point rows, then
+        # the beta scalar (the first hyperplane carries the time loop)
+        assert kinds == ["wavefront", "tile", "tile", "loop", "loop", "scalar"]
 
     def test_tile_sizes_recorded(self, jacobi_schedule):
         _, s = jacobi_schedule
@@ -67,15 +68,16 @@ class TestTileSchedule:
         ts = tile_schedule(s, tile_size=4)
         tile_band = ts.bands[0]
         point_band = ts.bands[1]
-        assert tile_band.width == 2 and point_band.width == 2
+        assert [ts.rows[l].kind for l in tile_band.levels()] == ["wavefront", "tile", "tile"]
+        assert point_band.width == 2
         assert tile_band.end + 1 == point_band.start
 
-    def test_concurrent_start_tiles_stay_sequential(self):
+    def test_concurrent_start_tiles_run_as_a_wavefront(self):
         """Diamond hyperplanes are dependence-non-negative pointwise but can
         still be carried at tile granularity — annotating the first tile
-        loop parallel raced under real OpenMP threads (exec_threads gate),
-        so tile rows are never marked; the band flag alone records
-        concurrent start for the analytic layers."""
+        loop parallel raced under real OpenMP threads — so neither tile row
+        is parallel on its own; the tiles of one wavefront ``w = z1 + z2``
+        are, and the band flag still records concurrent start."""
         from repro.core import find_diamond_schedule, index_set_split
         from repro.workloads.periodic import heat_1dp
 
@@ -84,9 +86,93 @@ class TestTileSchedule:
         s = find_diamond_schedule(p, ddg, SchedulerOptions(algorithm="plutoplus"))
         mark_parallelism(s, ddg)
         ts = tile_schedule(s, tile_size=8)
-        tiles = [r for r in ts.rows if r.kind == "tile"]
-        assert not any(t.parallel for t in tiles)
+        assert [(r.kind, r.parallel) for r in ts.rows[:3]] == [
+            ("wavefront", False), ("tile", True), ("tile", False),
+        ]
         assert any(b.concurrent_start for b in ts.bands)
+
+
+def _tiled(src, params=("N",), **options):
+    p = parse_program(src, "p", params=params, param_min=4)
+    ddg = DependenceGraph(p, compute_dependences(p))
+    s = PlutoScheduler(p, ddg, SchedulerOptions(**options)).schedule()
+    mark_parallelism(s, ddg)
+    return s, tile_schedule(s, tile_size=4)
+
+
+def _cell(cell_id):
+    """A golden corpus cell's pipeline, at tile size 4."""
+    import dataclasses
+
+    from repro.pipeline import optimize
+    from tests.golden import cell_specs
+
+    workload, options = cell_specs()[cell_id]
+    return optimize(workload, dataclasses.replace(options, tile_size=4))
+
+
+class TestParallelTileRows:
+    """Tile row ``k`` is parallel iff the band's hyperplanes up to ``k`` are;
+    a band whose first tile row is not runs as a wavefront."""
+
+    def test_fully_parallel_band(self):
+        s, ts = _tiled(
+            "for (i = 0; i < N; i++) for (j = 0; j < N; j++) B[i][j] = A[i][j];"
+        )
+        assert [r.parallel for r in s.rows] == [True, True]
+        assert [(r.kind, r.parallel) for r in ts.rows[:2]] == [("tile", True)] * 2
+
+    def test_a_row_own_flag_is_not_enough(self):
+        # distance (1, 1) under the band (i, j): row i carries it, so row j
+        # is parallel pointwise, but a pair inside one i tile crosses j tile
+        # boundaries
+        from repro.core import ScheduleRow
+        from repro.polyhedra import AffExpr
+
+        p = parse_program(
+            "for (i = 1; i < N; i++) for (j = 1; j < N; j++) A[i][j] = A[i-1][j-1];",
+            "p", params=("N",), param_min=4,
+        )
+        stmt = p.statements[0]
+        s = Schedule(p)
+        for it in ("i", "j"):
+            s.add_row(ScheduleRow("loop", {stmt.name: AffExpr.from_terms(stmt.space, {it: 1})}))
+        s.bands.append(Band(0, 1))
+        mark_parallelism(s, DependenceGraph(p, compute_dependences(p)))
+        ts = tile_schedule(s, tile_size=4)
+        assert [r.parallel for r in s.rows] == [False, True]
+        assert [(r.kind, r.parallel) for r in ts.rows[:3]] == [
+            ("wavefront", False), ("tile", True), ("tile", False),
+        ]
+
+    def test_inner_parallel_rows_follow_the_first(self):
+        # gemm: i and j parallel, k sequential
+        s, ts = _tiled(
+            "for (i = 0; i < N; i++) for (j = 0; j < N; j++) for (k = 0; k < N; k++)"
+            " C[i][j] = C[i][j] + A[i][k] * B[k][j];"
+        )
+        assert [r.parallel for r in s.rows] == [True, True, False]
+        assert [(r.kind, r.parallel) for r in ts.rows[:3]] == [
+            ("tile", True), ("tile", True), ("tile", False),
+        ]
+
+    def test_reduction_rows_stay_sequential_tiles(self):
+        result = _cell("gemm--redpar")
+        tagged = [l for l, r in enumerate(result.schedule.rows) if r.reduction]
+        assert tagged
+        band = next(b for b in result.schedule.bands if b.start <= tagged[0] <= b.end)
+        marks = [result.tiled.rows[l].parallel for l in result.tiled.tile_levels()]
+        assert marks == [
+            l < tagged[0] and bool(result.schedule.rows[l].parallel)
+            for l in band.levels()
+        ]
+
+    def test_no_wavefront_where_a_pair_runs_backwards(self):
+        # the quick path's fdtd-2d band orders S2 -> S3 pairs lexicographically
+        # only: i on one row, -i on the next — one wavefront would hold both
+        quick, exact = _cell("fdtd-2d--quick"), _cell("fdtd-2d--plutoplus")
+        assert not [r for r in quick.tiled.rows if r.kind == "wavefront"]
+        assert [r for r in exact.tiled.rows if r.kind == "wavefront"]
 
 
 class TestScheduleContainer:

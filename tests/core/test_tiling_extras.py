@@ -40,8 +40,19 @@ class TestL2Tiling:
     def test_structure(self):
         p, _, ts = tiled(STENCIL, ("T", "N"), 4)
         l2 = l2_tile_schedule(ts, ratio=4)
-        kinds = [(r.kind, r.tile_size) for r in l2.rows]
-        assert kinds[:4] == [("tile", 16), ("tile", 16), ("tile", 4), ("tile", 4)]
+        kinds = [(r.kind, r.tile_size, r.parallel) for r in l2.rows]
+        # the stencil's band runs as a wavefront: it moves out to the L2
+        # tiles, and the L1 tiles of one L2 tile run in order
+        assert kinds[:5] == [
+            ("wavefront", None, False), ("tile", 16, True), ("tile", 16, False),
+            ("tile", 4, False), ("tile", 4, False),
+        ]
+
+    def test_parallel_marks_carry_over(self):
+        p, _, ts = tiled(MATMUL, ("N",), 3)
+        l2 = l2_tile_schedule(ts, ratio=2)
+        marks = [(r.tile_size, r.parallel) for r in l2.rows if r.kind == "tile"]
+        assert marks == [(8, True), (8, True), (8, False), (4, True), (4, True), (4, False)]
 
     def test_validates(self):
         p, _, ts = tiled(STENCIL, ("T", "N"), 4, ts=2)

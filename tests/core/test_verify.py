@@ -1,5 +1,7 @@
 """Tests for the independent schedule legality verifier."""
 
+import dataclasses
+
 import pytest
 
 from repro.core import (
@@ -185,7 +187,16 @@ class TestTileRows:
             assert verify_schedule(sched, ddg).legal
             return global_cache().stats.delta_since(before).min_lookups
 
-        assert lookups(tile_schedule(s, tile_size=4)) == lookups(s)
+        # its parallel marks are checked (TestParallelMarks); without them
+        # the tile rows mirrored by loop rows add no question
+        from repro.core.tiling import TiledSchedule
+
+        tiled = tile_schedule(s, tile_size=4)
+        unmarked = TiledSchedule(p, [
+            dataclasses.replace(r, parallel=r.parallel and r.kind == "loop")
+            for r in tiled.rows if r.kind != "wavefront"
+        ])
+        assert lookups(unmarked) == lookups(s)
 
     @pytest.mark.parametrize("name", ["heat-1dp", "fig4-periodic-stencil"])
     def test_result_is_verified_as_executed(self, name):
@@ -194,10 +205,85 @@ class TestTileRows:
 
         result = api.optimize(name, get_workload(name).pipeline_options("plutoplus"))
         assert result.used_diamond
-        assert [r.kind for r in result.tiled.rows] == ["tile", "tile", "loop", "loop"]
+        assert [r.kind for r in result.tiled.rows] == [
+            "wavefront", "tile", "tile", "loop", "loop",
+        ]
         assert api.verify(result).legal
         # swapping in a hyperplane that runs against the time axis is caught,
         # though the point rows (source order) alone are legal
-        stmt_exprs = result.tiled.rows[0].exprs
-        result.tiled.rows[0].exprs = {n: -e for n, e in stmt_exprs.items()}
+        stmt_exprs = result.tiled.rows[1].exprs
+        result.tiled.rows[1].exprs = {n: -e for n, e in stmt_exprs.items()}
         assert not api.verify(result).legal
+
+
+DIAGONAL = """
+for (i = 1; i < N; i++)
+    for (j = 1; j < N; j++)
+        A[i][j] = A[i-1][j-1];
+"""
+
+
+class TestParallelMarks:
+    """Every ``parallel`` mark — loop, tile and wavefront-inner rows — may
+    carry no dependence pair that reaches it."""
+
+    @staticmethod
+    def band(p, marks, wavefront=False):
+        """Tile rows ``i``, ``j`` (tile 4) over loop rows ``i``, ``j``, the
+        tile rows marked ``marks``, optionally scanned as a wavefront."""
+        from repro.core.tiling import TiledRow, TiledSchedule
+
+        stmt = p.statements[0]
+        i, j = (AffExpr.from_terms(stmt.space, {it: 1}) for it in ("i", "j"))
+        rows = [
+            TiledRow("tile", {stmt.name: e}, tile_size=4, parallel=m, band_role="tile")
+            for e, m in zip((i, j), marks)
+        ]
+        if wavefront:
+            rows.insert(0, TiledRow("wavefront", {}, parallel=False, band_role="wavefront"))
+        rows += [TiledRow("loop", {stmt.name: e}, band_role="point") for e in (i, j)]
+        return TiledSchedule(p, rows)
+
+    def test_tile_row_carrying_across_its_boundary_is_rejected(self):
+        # point row j is parallel — every pair is ordered by i first — but a
+        # pair inside one i tile can cross a j tile boundary
+        p, ddg = setup(DIAGONAL)
+        assert verify_schedule(self.band(p, [False, False]), ddg).legal
+        report = verify_schedule(self.band(p, [False, True]), ddg)
+        assert not report.legal
+        (v,) = report.violations
+        assert v.parallel and v.level == 1
+        assert "carried by parallel level 1" in str(report)
+        w = v.witness
+        # one i tile, two j tiles: the witness is a pair the mark races on
+        assert w["T0.src"] == w["T0.tgt"] and w["T1.src"] < w["T1.tgt"]
+        assert w["i__t"] == w["i__s"] + 1 and w["j__t"] == w["j__s"] + 1
+
+    def test_api_verify_checks_parallel_marks(self):
+        from repro import api
+
+        p, _ = setup(DIAGONAL)
+        assert api.verify(self.band(p, [False, False]), p).legal
+        assert not api.verify(self.band(p, [False, True]), p).legal
+
+    def test_wavefront_inner_row_is_checked(self):
+        p, ddg = setup(DIAGONAL)  # distance (1, 1): forward on both rows
+        assert verify_schedule(self.band(p, [True, False], wavefront=True), ddg).legal
+        # without the wavefront the same mark races on every i tile boundary
+        report = verify_schedule(self.band(p, [True, False]), ddg)
+        assert [(v.level, v.parallel) for v in report.violations] == [(0, True)]
+
+    def test_wavefront_over_a_backward_row_is_rejected(self):
+        # (1, -1): a pair at one w, one tile apart on each row
+        p, ddg = setup(FIG1.replace("A[i+1][j+1]", "A[i+1][j-1]"))
+        report = verify_schedule(self.band(p, [True, False], wavefront=True), ddg)
+        assert [(v.level, v.parallel) for v in report.violations] == [(1, True)]
+
+    def test_loop_row_that_carries_is_rejected(self):
+        p, ddg = setup(FIG1)
+        s = hand_schedule(p, [{"i": 1}, {"j": 1}])
+        s.rows[1].parallel = True  # pairs reaching j sit at distance 0: sound
+        assert verify_schedule(s, ddg).legal
+        s.rows[0].parallel = True
+        report = verify_schedule(s, ddg)
+        assert [(v.level, v.parallel) for v in report.violations] == [(0, True)]

@@ -98,14 +98,17 @@ class TestHeadlineBehaviors:
     def test_c_code_emitted_for_transformed(self):
         from repro.codegen import generate_c_kernel
 
-        # heat-1dp's diamond band emits tiled-but-sequential code: neither
-        # diamond hyperplane is carried-free at tile granularity, so the
-        # pragma its first tile row used to carry was a data race
+        # heat-1dp's diamond band runs as a tile-index wavefront: neither
+        # diamond hyperplane is carried-free at tile granularity (a pragma
+        # on the first tile row alone was a data race), the tiles of one
+        # w = z1 + z2 are — one region, workshared inside the w loop
         w = get_workload("heat-1dp")
         result = optimize(w.program(), w.pipeline_options("plutoplus"))
         c = generate_c_kernel(result.tiled).source
+        assert c.count("#pragma omp parallel") == 1
+        assert c.count("#pragma omp for") == 1
         assert "#pragma omp parallel for" not in c
-        assert "floord" in c or "for (int64_t z0" in c
+        assert "floord" in c and "for (int64_t z0" in c
 
         # a sound inner-parallel point loop still gets the pragma
         w = get_workload("fig1-skew")
