@@ -46,7 +46,7 @@ try:
     # the daemon's response header, and `pip show repro` can never disagree.
     __version__ = _metadata.version("repro")
 except _metadata.PackageNotFoundError:  # running from a source checkout
-    __version__ = "1.38.0"
+    __version__ = "1.39.0"
 
 __all__ = [
     "ExecStats",

@@ -47,8 +47,7 @@ from repro.core.transform import (
     exprs_from_dict,
     rows_to_dicts,
 )
-from repro.deps.analysis import compute_dependences, product_domain
-from repro.deps.ordering import UNBOUNDED, Ordering, distance
+from repro.deps.analysis import product_domain
 from repro.frontend.ir import Program, Statement
 from repro.polyhedra import AffExpr, Constraint
 
@@ -164,50 +163,11 @@ class TiledSchedule:
         return out
 
 
-def _forward(sched: Schedule, band: Band, deps) -> bool:
-    """Every pair of ``deps`` not ordered before ``band`` is at distance
-    >= 0 on the band's first two rows: two tiles of one wavefront are then
-    equal on both rows or unordered.  A band the scheduler calls permutable
-    need not be: the quick path's statement-wise rows order some pairs
-    lexicographically only (fdtd-2d), and relaxed reduction
-    self-dependences are no part of the legality set.
-
-    The first row's minimum is the PolyCache hit of ``mark_parallelism``'s
-    question; the second row asks one emptiness question per distinct
-    dependence set and distance, which the fast rejects mostly answer
-    without a solve;
-    ``deps`` come from ``compute_dependences``, a relations-memo hit after
-    the pipeline's own analysis."""
-    order = Ordering(deps)
-    for level, row in enumerate(sched.rows[: band.start]):
-        if row.kind == "scalar":
-            order.cut({name: e.const_term for name, e in row.exprs.items()})
-        else:
-            order.advance(level, order.distances(row))
-    first, second = sched.rows[band.start : band.start + 2]
-    asked: dict[tuple, bool] = {}
-    for dep in order.unsatisfied():
-        # a relaxed self-dependence may run backwards on the first row too;
-        # its minimum there is the one mark_parallelism asked
-        low = order.low(dep, distance(dep, first))
-        if low is not None and (low is UNBOUNDED or low < 0):
-            return False
-        pairs, expr = order.remaining[id(dep)], distance(dep, second)
-        key = (pairs.content_key(), expr.coeffs)
-        if key not in asked:
-            backward = pairs.copy()
-            backward.add(Constraint(-expr - 1))
-            asked[key] = backward.is_empty()
-        if not asked[key]:
-            return False
-    return True
-
-
 def _with_wavefront(tiles: list[TiledRow]) -> list[TiledRow]:
     """``tiles`` — one band's tile rows, parallel as :func:`tile_schedule`
     marks them — scanned as a wavefront (first row sequential, and the band
-    :func:`_forward`): ``w = z0 + z1`` first (sequential), then ``z0``
-    (parallel) and ``z1``, which ``w`` and ``z0`` fix."""
+    in ``Schedule.wavefronts``): ``w = z0 + z1`` first (sequential), then
+    ``z0`` (parallel) and ``z1``, which ``w`` and ``z0`` fix."""
     return [
         TiledRow("wavefront", {}, parallel=False, band_role="wavefront"),
         dataclasses.replace(tiles[0], parallel=True),
@@ -363,10 +323,12 @@ def tile_schedule(
     A band whose first tile row is sequential — every ``concurrent_start``
     (diamond) band, and the pipelined stencils — scans its first two tile
     rows as a wavefront (:func:`_with_wavefront`): a ``"wavefront"`` row
-    ``w = z0 + z1``, sequential, then ``z0``, parallel — where no
-    dependence of the program runs a pair backwards on either row
-    (:func:`_forward`), so two tiles with the same ``w`` are either equal on
-    both rows or unordered.
+    ``w = z0 + z1``, sequential, then ``z0``, parallel — where
+    :func:`~repro.core.properties.mark_parallelism` found no pair reaching
+    the band that runs backwards on either row (``sched.wavefronts``).  A
+    schedule it never walked (hand-built, or ``Schedule.from_dict``) gets
+    no wavefront: sequential tiles are legal, as unmarked rows get no
+    parallel tile row.
 
     A ``concurrent_start`` band's point rows are the program's source order
     (module docstring), sequential, and replace every row from the band's
@@ -381,7 +343,6 @@ def tile_schedule(
     """
     out = TiledSchedule(sched.program, source_schedule=sched)
     sizes = tile_size if isinstance(tile_size, dict) else None
-    deps = None
 
     bands_sorted = sorted(sched.bands, key=lambda b: b.start)
     band_iter = iter(bands_sorted)
@@ -414,11 +375,8 @@ def tile_schedule(
                         band_role="tile",
                     )
                 )
-            if len(tiles) > 1 and not tiles[0].parallel:
-                if deps is None:
-                    deps = compute_dependences(sched.program)
-                if _forward(sched, next_band, deps):
-                    tiles = _with_wavefront(tiles)
+            if not tiles[0].parallel and next_band.start in sched.wavefronts:
+                tiles = _with_wavefront(tiles)
             out.rows.extend(tiles)
             point_start = len(out.rows)
             out.bands.append(

@@ -112,6 +112,8 @@ class Schedule:
         self.bands: list[Band] = []
         #: per-statement count of linearly independent hyperplanes found
         self.rank: dict[str, int] = {s.name: 0 for s in program.statements}
+        #: band starts whose tiles may run as a wavefront (mark_parallelism)
+        self.wavefronts: set[int] = set()
 
     # -- construction --------------------------------------------------------
 
@@ -212,7 +214,7 @@ class Schedule:
     def __eq__(self, other) -> bool:
         """Structural equality: same program, rows, and bands.
 
-        ``rank`` is derived bookkeeping and deliberately excluded."""
+        ``rank`` and ``wavefronts`` are derived bookkeeping, excluded."""
         return (
             isinstance(other, Schedule)
             and self.program == other.program

@@ -188,7 +188,7 @@ def _carried_pair(
     the row's own distance must not be 0 — an exact integer question.
     Two cheaper questions come first, each sufficient: the one
     ``mark_parallelism`` asked of a row it marked, and, for a wavefront's
-    inner row, the one ``tile_schedule`` asked of the band — no pair runs
+    inner row, the one it asked of the band — no pair runs
     backwards on either summed row, so two tiles of one wavefront are equal
     on both or unordered.  Their PolyCache answers are reused.
     """

@@ -6,8 +6,9 @@ distance >= 1, the dependence is *satisfied* at the level that orders the
 rest, and a level that orders any pair *carries* it.  :class:`Ordering`
 holds that state for one walk over a schedule's rows: the scheduler's band
 loop, the diamond replay, the quick path's legality check and
-``core.properties.mark_parallelism`` each own one and read it only through
-this class.  The dependences themselves are never written to.
+``core.properties.mark_parallelism`` (parallel and wavefront marks) each
+own one and read it only through this class.  The dependences themselves
+are never written to.
 
 ``core.verify.verify_schedule`` keeps a walk of its own on purpose: it is
 the independent check of what this bookkeeping decides.

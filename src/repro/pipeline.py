@@ -86,12 +86,15 @@ RESULT_FORMAT_VERSION = 3
 #: are, and a band whose first tile row is sequential runs as a tile-index
 #: wavefront, so the tiled schedule and emitted source of every tiled
 #: kernel with either moved.  Schedules did not.
-PIPELINE_VERSION = 5
+#: 6: a reversed loop that runs a relaxed reduction dependence backwards by
+#: a bounded distance carries it, so the row is reduction-tagged; a cached
+#: result of such a program holds a kernel that races on the accumulation.
+PIPELINE_VERSION = 6
 
 #: the scheduling half of :data:`PIPELINE_VERSION`: bumped only when
 #: ``optimize()`` may emit a different *schedule*.  The skeleton store keys
 #: on this one, so a codegen-only bump (PIPELINE_VERSION 2: the emitters
-#: invert schedules instead of searching; 3; 4; 5) leaves warm-start records valid.
+#: invert schedules instead of searching; 3; 4; 5; 6) leaves warm-start records valid.
 #: Its stamp (:func:`pipeline_fingerprint` with ``schedule_only``) leaves
 #: :data:`RESULT_FORMAT_VERSION` out: skeleton records hold solves, not
 #: result payloads.

@@ -17,9 +17,11 @@ from repro.core.reductions import (
 from repro.core.scheduler import SchedulerStats
 from repro.deps import compute_dependences
 from repro.deps.analysis import DepStats
+from repro.exec import ExecutionOptions
 from repro.frontend import parse_program
 from repro.pipeline import PipelineOptions, optimize
 from repro.runtime import random_arrays
+from repro.runtime.validate import backend_compat_check
 from repro.workloads import get_workload
 
 
@@ -208,6 +210,35 @@ class TestEndToEnd:
 
         src = generate_c_kernel(result.tiled).source
         assert "reduction(+:" in src
+
+
+#: a constant-trip sum: with its self-dependences relaxed, plutoplus
+#: reverses the loop (``-k``), so the relaxed pairs run backwards by a bounded
+#: distance (-4095 .. -1) on the row
+CSUM = "for (k = 0; k < 4096; k++)\n  s = s + A[k];\n"
+
+
+class TestReversedReduction:
+    @pytest.mark.parametrize("mode", ["omp", "privatize"])
+    def test_reversed_bounded_reduction_is_tagged(self, mode, tmp_path, compiler):
+        """A row that runs a relaxed dependence backwards carries it as much
+        as one running it forwards: the row is reduction-tagged, and the C
+        kernel agrees with Python under tolerance at 2 and 4 threads.  Until
+        1.39.0 only an unbounded backward distance counted, and this row
+        was a plain ``parallel for`` over the accumulation, a data race."""
+        program = parse_program(CSUM, "csum", params=("N",))
+        result = optimize(program, PipelineOptions(parallel_reductions=mode))
+        assert [str(r.exprs["S0"]) for r in result.tiled.rows] == ["-k"]
+        assert result.tiled.reduction_levels() == [0]
+        assert result.tiled.parallel_levels() == [0]
+        for threads in (2, 4):
+            check = backend_compat_check(
+                result.tiled, {"N": 8},
+                ExecutionOptions(backend="c", threads=threads, strict=True,
+                                 cache_dir=str(tmp_path)),
+            )
+            assert check.checked and check.mode == "tolerance", (mode, threads)
+            assert check.ok, (mode, threads, check.max_abs_diff)
 
 
 class TestStatsCompat:

@@ -238,8 +238,8 @@ class TestRetiredOptions:
         """Options dicts hold every ``PipelineOptions`` field and nothing
         else: ``ilp_backend`` (gone as a field in 1.20.0) left their
         serialized form in 1.37.0, and with it every key moved once.  The
-        cache key moved again in 1.38.0 (``PIPELINE_VERSION`` 5); the
-        structural fingerprint and solve key did not."""
+        cache key moved again in 1.38.0 (``PIPELINE_VERSION`` 5) and in
+        1.39.0 (6); the structural fingerprint and solve key did not."""
         from repro.core.skeleton import scheduler_solve_key, structural_fingerprint
         from repro.core.transform import Schedule
         from repro.deps import compute_dependences
@@ -253,7 +253,7 @@ class TestRetiredOptions:
         assert options_dict == options.as_dict()
         assert list(options_dict) == list(PipelineOptions.__dataclass_fields__)
         assert cache_key(program_dict, options_dict) == (
-            "85c7a60e0e76b7b6aae689601f8951bed4fcbd3939c296b871efaaabf68d5640"
+            "7c755ff2a7fdb0ccf619c805e51f39722c77ad71902878b5fb695ea0552de81c"
         )
         assert structural_fingerprint(program_dict, options_dict) == (
             "eda9c87e6341a561df3a900f46f5199e97ea4f4dbfe1fd579fed0a888e42ff2b"

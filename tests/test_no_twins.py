@@ -19,7 +19,9 @@ And every stats record (a class named ``*Stats`` or ``*Metrics``, plus
 ``TimingBreakdown``) derives from ``repro.records.Record``: serialized by
 one rule, never spelled out field by field again.  And outside the
 independent verifier, one module narrows a dependence's unordered pairs to
-the ones a row leaves at distance 0 (``repro.deps.ordering``).
+the ones a row leaves at distance 0 (``repro.deps.ordering``), and the
+rows' parallel marks come from the walks that own an ``Ordering``:
+``core/tiling.py`` builds none and analyses no dependences.
 """
 
 import ast
@@ -177,3 +179,15 @@ def test_one_module_narrows_the_unordered_pairs():
     assert _NARROW.search(sources["core/verify.py"])
     names = re.compile(r"\b(satisfaction_level|satisfied_by_cut|_remaining)\b")
     assert not [m for m, text in sources.items() if names.search(text)]
+
+
+def test_tiling_asks_no_dependence_question():
+    """Until v1.39.0 ``core/tiling.py`` recomputed the program's dependences
+    and walked a second ``Ordering`` over the rows ``mark_parallelism`` had
+    just walked, to decide a band's wavefront; the verdict is now that
+    walk's (``Schedule.wavefronts``)."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    tiling = sources["core/tiling.py"]
+    assert "Ordering" not in tiling and "compute_dependences" not in tiling
+    walkers = sorted(m for m, text in sources.items() if "Ordering(" in text)
+    assert walkers == ["core/diamond.py", "core/properties.py", "core/scheduler.py"], walkers
